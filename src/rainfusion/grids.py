@@ -327,9 +327,14 @@ def read_index(path, resolve: bool = True) -> list[IndexEntry]:
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         ts, radar, sat = parts
+        try:
+            minutes = iso_to_minutes(ts)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: malformed timestamp {ts!r}, expected {_TS_FORMAT}") from None
         if resolve:
             radar = str((base / radar)) if not Path(radar).is_absolute() else radar
             if sat != "-" and not Path(sat).is_absolute():
                 sat = str(base / sat)
-        entries.append(IndexEntry(iso_to_minutes(ts), radar, None if sat == "-" else sat))
+        entries.append(IndexEntry(minutes, radar, None if sat == "-" else sat))
     return entries

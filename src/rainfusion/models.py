@@ -76,7 +76,7 @@ class ModelConfig:
 
 
 class UNet3D:
-    """The assembled network; use `build_unet` for seeded construction."""
+    """The assembled network, He-uniform initialized from `seed`."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -161,12 +161,10 @@ class UNet3D:
         if x.shape[1:] != expect:
             raise ValueError(f"input shape {x.shape[1:]} does not match config {expect}")
         h = x
-        self._skip_dims = []
         skips = []
         for (a, ra, b, rb), pool in zip(self.enc, self.pools):
             h = rb.forward(b.forward(ra.forward(a.forward(h))))
             skips.append(h)
-            self._skip_dims.append(h.shape[1:4])
             h = pool.forward(h)
         a, ra, b, rb = self.bott
         h = rb.forward(b.forward(ra.forward(a.forward(h))))
@@ -199,11 +197,6 @@ class UNet3D:
             ea, era, eb, erb = self.enc[i]
             g = ea.backward(era.backward(eb.backward(erb.backward(g))))
         return g
-
-
-def build_unet(config: ModelConfig, seed: int = 0, dtype=np.float32) -> UNet3D:
-    """He-uniform initialized network for the given configuration."""
-    return UNet3D(config, seed=seed, dtype=dtype)
 
 
 def param_count(model: UNet3D) -> int:
@@ -393,7 +386,10 @@ def load_model(path) -> tuple[UNet3D, BandStats | None]:
     if "__config__" not in entries:
         raise ValueError(f"{path} is not a model checkpoint (no __config__ entry)")
     raw = entries.pop("__config__")
-    variant = {v: k for k, v in _VARIANT_IDS.items()}[float(raw[0])]
+    variant = {v: k for k, v in _VARIANT_IDS.items()}.get(float(raw[0]))
+    if variant is None:
+        raise ValueError(f"{path}: unknown variant id {float(raw[0])}, "
+                         f"expected one of {sorted(_VARIANT_IDS.values())}")
     cfg = ModelConfig(variant=variant, rows=int(raw[1]), cols=int(raw[2]),
                       time_steps=int(raw[3]), levels=int(raw[4]),
                       base_channels=int(raw[5]), lead_minutes=int(raw[6]))

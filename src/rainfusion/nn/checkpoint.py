@@ -55,7 +55,12 @@ def load_arrays(path) -> list[tuple[str, np.ndarray]]:
     out = []
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        raw_name = take(name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"entry name {raw_name!r} is not valid UTF-8",
+                              pos - name_len + err.start) from None
         (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
         elements = 1

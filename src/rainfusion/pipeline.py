@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -110,10 +109,6 @@ def denormalize_values(values: np.ndarray) -> np.ndarray:
 
 def normalize_radar(grid: RainGrid) -> RainGrid:
     return RainGrid(normalize_values(grid.values), grid.timestamp)
-
-
-def denormalize_radar(grid: RainGrid) -> RainGrid:
-    return RainGrid(denormalize_values(grid.values), grid.timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -329,42 +324,3 @@ def build_sequences(entries, lead: LeadTime, multimodal: bool = False) -> list[S
             lead_minutes=lead.minutes,
         ))
     return samples
-
-
-# ---------------------------------------------------------------------------
-# Preprocessing manifest (plain text, stable ordering)
-# ---------------------------------------------------------------------------
-
-def band_stats_lines(stats: BandStats) -> list[str]:
-    lines = [f"band_stats_count={stats.count}"]
-    for i in range(stats.bands):
-        lines.append(f"band_min_{i}={stats.mins[i]!r}")
-        lines.append(f"band_max_{i}={stats.maxs[i]!r}")
-    return lines
-
-
-def band_stats_from_fields(fields: dict) -> BandStats:
-    n = 0
-    while f"band_min_{n}" in fields:
-        n += 1
-    if n == 0:
-        raise ValueError("manifest carries no band statistics")
-    mins = np.array([float(fields[f"band_min_{i}"]) for i in range(n)])
-    maxs = np.array([float(fields[f"band_max_{i}"]) for i in range(n)])
-    return BandStats(mins, maxs, int(fields.get("band_stats_count", 0)))
-
-
-def write_manifest(path, fields: dict) -> None:
-    lines = [f"{k}={v}" for k, v in fields.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_manifest(path) -> dict:
-    fields = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key] = value
-    return fields

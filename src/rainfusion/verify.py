@@ -22,6 +22,13 @@ def _values(field) -> np.ndarray:
     return v
 
 
+def _pair(pred, obs) -> tuple[np.ndarray, np.ndarray]:
+    pv, ov = _values(pred), _values(obs)
+    if pv.shape != ov.shape:
+        raise ValueError(f"shape mismatch: pred {pv.shape} vs obs {ov.shape}")
+    return pv, ov
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Pixel counts for one category: hits, false alarms, misses, rejections."""
@@ -40,19 +47,32 @@ class ContingencyTable:
         return self.tp + self.fp + self.fn + self.tn
 
 
+_CODES = len(PrecipCategory)  # category codes -1 (MISSING) .. 4, shifted to 0 .. 5
+
+
+def _tables(pv, ov, categories) -> list[ContingencyTable]:
+    """Tables of several categories from one categorization of each field.
+
+    Cells missing in obs are skipped.  One bincount over the (pred code, obs
+    code) pairs of the remaining cells holds every category's counts.
+    """
+    valid = ov != MISSING
+    pc = categorize_values(pv)[valid].astype(np.intp) + 1
+    oc = categorize_values(ov)[valid].astype(np.intp) + 1
+    joint = np.bincount(pc * _CODES + oc, minlength=_CODES * _CODES).reshape(_CODES, _CODES)
+    pred_n, obs_n, total = joint.sum(axis=1), joint.sum(axis=0), int(valid.sum())
+    out = []
+    for c in categories:
+        i = int(c) + 1
+        tp = int(joint[i, i])
+        fp, fn = int(pred_n[i]) - tp, int(obs_n[i]) - tp
+        out.append(ContingencyTable(tp, fp, fn, total - tp - fp - fn))
+    return out
+
+
 def contingency(pred, obs, category: PrecipCategory) -> ContingencyTable:
     """Count TP/FP/FN/TN for one category, skipping cells missing in obs."""
-    pv, ov = _values(pred), _values(obs)
-    if pv.shape != ov.shape:
-        raise ValueError(f"shape mismatch: pred {pv.shape} vs obs {ov.shape}")
-    valid = ov != MISSING
-    p_pos = (categorize_values(pv) == int(category)) & valid
-    o_pos = (categorize_values(ov) == int(category)) & valid
-    tp = int(np.sum(p_pos & o_pos))
-    fp = int(np.sum(p_pos & ~o_pos & valid))
-    fn = int(np.sum(~p_pos & o_pos & valid))
-    tn = int(valid.sum()) - tp - fp - fn
-    return ContingencyTable(tp, fp, fn, tn)
+    return _tables(*_pair(pred, obs), (category,))[0]
 
 
 def csi(table: ContingencyTable) -> float | None:
@@ -83,8 +103,20 @@ class FssParams:
 
     @classmethod
     def for_category(cls, category: PrecipCategory, n: int = 3) -> "FssParams":
+        """Events are the cells with q1 <= F < q2, which differ from
+        `categorize_values` codes at 0.0 (a LIGHT event, code NO_RAIN) and at
+        200 mm/h and above (code VIOLENT, no VIOLENT event)."""
         q1, q2 = category.bounds
         return cls(q1, q2, n)
+
+
+def _events(v: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Stack of q1 <= F < q2 indicators, one per (q1, q2), and the valid mask."""
+    valid = v != MISSING
+    bp = np.empty((len(bounds), *v.shape), dtype=np.int64)
+    for k, (q1, q2) in enumerate(bounds):
+        bp[k] = (v >= q1) & (v < q2) & valid
+    return bp, valid
 
 
 def binary_probability(field, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -97,38 +129,38 @@ def binary_probability(field, bounds: tuple[float, float]) -> tuple[np.ndarray, 
     q1, q2 = bounds
     if q1 >= q2:
         raise ValueError(f"require q1 < q2, got [{q1}, {q2})")
-    v = _values(field)
-    valid = v != MISSING
-    bp = ((v >= q1) & (v < q2) & valid).astype(np.int64)
-    return bp, valid
+    bp, valid = _events(_values(field), [bounds])
+    return bp[0], valid
 
 
 def neighborhood_probability(bp: np.ndarray, n: int,
                              valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean of BP over the n x n window centered on each cell.
 
-    Windows shrink at the domain border and count only valid in-domain
-    cells; the sums come from a summed-area table, so results are exact
-    integer ratios.  Cells whose window holds no valid cell come back
-    flagged invalid.
+    `bp` is one (rows, cols) field or a (k, rows, cols) stack of fields
+    sharing the (rows, cols) `valid` mask, whose window counts are then
+    computed once for the whole stack.  Windows shrink at the domain border
+    and count only valid in-domain cells; the sums come from a summed-area
+    table, so results are exact integer ratios.  Cells whose window holds no
+    valid cell come back flagged invalid.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"neighborhood size must be odd and >= 1, got {n}")
     bp = np.asarray(bp, dtype=np.int64)
+    rows, cols = bp.shape[-2:]
     if valid is None:
-        valid = np.ones(bp.shape, dtype=bool)
-    rows, cols = bp.shape
+        valid = np.ones((rows, cols), dtype=bool)
     h = n // 2
 
     def window_sums(a):
-        sat = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(a, axis=0), axis=1, out=sat[1:, 1:])
+        sat = np.zeros((*a.shape[:-2], rows + 1, cols + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(a, axis=-2), axis=-1, out=sat[..., 1:, 1:])
         r = np.arange(rows)
         c = np.arange(cols)
         r0, r1 = np.maximum(r - h, 0), np.minimum(r + h, rows - 1) + 1
         c0, c1 = np.maximum(c - h, 0), np.minimum(c + h, cols - 1) + 1
-        return (sat[r1[:, None], c1[None, :]] - sat[r0[:, None], c1[None, :]]
-                - sat[r1[:, None], c0[None, :]] + sat[r0[:, None], c0[None, :]])
+        return (sat[..., r1[:, None], c1[None, :]] - sat[..., r0[:, None], c1[None, :]]
+                - sat[..., r1[:, None], c0[None, :]] + sat[..., r0[:, None], c0[None, :]])
 
     hits = window_sums(bp * valid)
     counts = window_sums(valid.astype(np.int64))
@@ -138,17 +170,34 @@ def neighborhood_probability(bp: np.ndarray, n: int,
     return np_values, np_valid
 
 
-def _fss_from_np(npp, vp, npo, vo) -> float | None:
-    pair_valid = vp & vo
-    count = int(pair_valid.sum())
+def _fss_sums(npp, npo, pair) -> list[tuple[float, float, int]]:
+    """(FBS sum, WFBS sum, pair count) of each slice of two NP stacks."""
+    count = int(pair.sum())
+    return [(float(np.sum((p - o) ** 2)), float(np.sum(p * p + o * o)), count)
+            for p, o in zip(npp[:, pair], npo[:, pair])]
+
+
+def _fss_components(pv, ov, bounds, n) -> list[tuple[float, float, int]]:
+    """FSS components of each (q1, q2), one stacked summed-area pass per field."""
+    bpp, validp = _events(pv, bounds)
+    bpo, valido = _events(ov, bounds)
+    npp, vp = neighborhood_probability(bpp, n, validp)
+    npo, vo = neighborhood_probability(bpo, n, valido)
+    return _fss_sums(npp, npo, vp & vo)
+
+
+def fss_ratio(fbs: float, wfbs: float, count: int) -> float | None:
+    """Per-image FSS from its components, 1 - (FBS / count) / (WFBS / count).
+
+    None means not applicable: no valid pairs, or no event mass in either
+    field.
+    """
     if count == 0:
         return None
-    p, o = npp[pair_valid], npo[pair_valid]
-    fbs = float(np.sum((p - o) ** 2)) / count
-    wfbs = float(np.sum(p * p + o * o)) / count
-    if wfbs == 0.0:
+    wfbs_mean = wfbs / count
+    if wfbs_mean == 0.0:
         return None
-    return 1.0 - fbs / wfbs
+    return 1.0 - (fbs / count) / wfbs_mean
 
 
 def fss(pred, obs, params: FssParams) -> float | None:
@@ -158,30 +207,25 @@ def fss(pred, obs, params: FssParams) -> float | None:
     means not applicable (no valid pairs, or no event mass in either
     field).
     """
-    pv, ov = _values(pred), _values(obs)
-    if pv.shape != ov.shape:
-        raise ValueError(f"shape mismatch: pred {pv.shape} vs obs {ov.shape}")
-    bounds = (params.q1, params.q2)
-    bpp, validp = binary_probability(pv, bounds)
-    bpo, valido = binary_probability(ov, bounds)
-    npp, vp = neighborhood_probability(bpp, params.n, validp)
-    npo, vo = neighborhood_probability(bpo, params.n, valido)
-    return _fss_from_np(npp, vp, npo, vo)
+    return fss_ratio(*fss_components(pred, obs, params))
 
 
 def fss_components(pred, obs, params: FssParams) -> tuple[float, float, int]:
     """(FBS sum, WFBS sum, valid pair count) for pooled aggregation."""
-    pv, ov = _values(pred), _values(obs)
-    if pv.shape != ov.shape:
-        raise ValueError(f"shape mismatch: pred {pv.shape} vs obs {ov.shape}")
-    bounds = (params.q1, params.q2)
-    bpp, validp = binary_probability(pv, bounds)
-    bpo, valido = binary_probability(ov, bounds)
-    npp, vp = neighborhood_probability(bpp, params.n, validp)
-    npo, vo = neighborhood_probability(bpo, params.n, valido)
-    pair = vp & vo
-    p, o = npp[pair], npo[pair]
-    return float(np.sum((p - o) ** 2)), float(np.sum(p * p + o * o)), int(pair.sum())
+    return _fss_components(*_pair(pred, obs), [(params.q1, params.q2)], params.n)[0]
+
+
+def score_pair(pred, obs, categories,
+               n: int = 3) -> list[tuple[ContingencyTable, tuple[float, float, int]]]:
+    """(contingency table, FSS components) of each category for one pair.
+
+    Each field is categorized once for all the tables and thresholded once
+    into a stack of FSS events (see `FssParams.for_category`) for all the
+    components; `n` is the FSS neighborhood size.
+    """
+    pv, ov = _pair(pred, obs)
+    bounds = [c.bounds for c in categories]
+    return list(zip(_tables(pv, ov, categories), _fss_components(pv, ov, bounds, n)))
 
 
 def fss_bruteforce(pred, obs, params: FssParams) -> float | None:
@@ -189,9 +233,7 @@ def fss_bruteforce(pred, obs, params: FssParams) -> float | None:
 
     Kept deliberately naive as the independent oracle for `fss`.
     """
-    pv, ov = _values(pred), _values(obs)
-    if pv.shape != ov.shape:
-        raise ValueError(f"shape mismatch: pred {pv.shape} vs obs {ov.shape}")
+    pv, ov = _pair(pred, obs)
     bounds = (params.q1, params.q2)
     bpp, validp = binary_probability(pv, bounds)
     bpo, valido = binary_probability(ov, bounds)
@@ -213,7 +255,7 @@ def fss_bruteforce(pred, obs, params: FssParams) -> float | None:
 
     npp, vp = window_mean(bpp, validp)
     npo, vo = window_mean(bpo, valido)
-    return _fss_from_np(npp, vp, npo, vo)
+    return fss_ratio(*_fss_sums(npp[None], npo[None], vp & vo)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +289,6 @@ def normalized_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     if total == 0:
         raise ValueError("no samples fall inside the histogram edges")
     return counts / total
-
-
-def histogram_edges(lo: float, hi: float, bins: int = 64) -> np.ndarray:
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    return np.linspace(lo, hi, bins + 1)
 
 
 def ks_statistic(pair: HistogramPair) -> float:

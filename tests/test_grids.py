@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -208,4 +210,11 @@ class TestIndex:
         p = tmp_path / "index.tsv"
         p.write_text("2021-07-14T12:55Z\tonly-two-fields\n")
         with pytest.raises(ValueError):
+            read_index(p)
+
+    def test_malformed_timestamp_names_line(self, tmp_path):
+        p = tmp_path / "index.tsv"
+        p.write_text("2021-07-14T12:55Z\ta.rfg\t-\n2021-07-14 13:00\tb.rfg\t-\n")
+        message = f"{p}:2: malformed timestamp '2021-07-14 13:00'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_index(p)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from rainfusion.models import (
     TrainSchedule,
     TrainingError,
     UNet3D,
-    build_unet,
     history_to_csv,
     load_model,
     load_sample,
@@ -53,7 +54,7 @@ class TestModelConfig:
 
 class TestArchitecture:
     def test_reference_radar_budget(self):
-        model = build_unet(ModelConfig(variant="radar"), seed=0)
+        model = UNet3D(ModelConfig(variant="radar"), seed=0)
         assert model.conv_count == 20
         assert model.pool_count == 4
         assert model.upsample_count == 4
@@ -64,8 +65,8 @@ class TestArchitecture:
         assert count == 31_384_645
 
     def test_multimodal_exceeds_radar(self):
-        radar = param_count(build_unet(ModelConfig(variant="radar")))
-        multi = param_count(build_unet(ModelConfig(variant="multimodal")))
+        radar = param_count(UNet3D(ModelConfig(variant="radar")))
+        multi = param_count(UNet3D(ModelConfig(variant="multimodal")))
         assert multi > radar
         assert multi == 31_390_981  # frozen enumeration value
 
@@ -76,18 +77,18 @@ class TestArchitecture:
         assert conv.param_count == 2
 
     def test_doubling_base_roughly_quadruples(self):
-        small = param_count(build_unet(ModelConfig(rows=32, cols=32, levels=3, base_channels=4)))
-        big = param_count(build_unet(ModelConfig(rows=32, cols=32, levels=3, base_channels=8)))
+        small = param_count(UNet3D(ModelConfig(rows=32, cols=32, levels=3, base_channels=4)))
+        big = param_count(UNet3D(ModelConfig(rows=32, cols=32, levels=3, base_channels=8)))
         assert 3.3 < big / small < 4.2
 
     def test_desk_forward_shape(self):
-        model = build_unet(DESK, seed=1)
+        model = UNet3D(DESK, seed=1)
         x = np.random.default_rng(0).random((1, 6, 64, 64, 1), dtype=np.float32)
         assert model.forward(x).shape == (1, 1, 64, 64, 1)
 
     def test_multimodal_odd_time_path(self):
         # 2x2x2 pooling walks time 6 -> 3 -> 2; decoder must restore exactly
-        model = build_unet(TINY_MM, seed=2)
+        model = UNet3D(TINY_MM, seed=2)
         x = np.random.default_rng(1).random((2, 6, 16, 16, 12), dtype=np.float32)
         out = model.forward(x)
         assert out.shape == (2, 1, 16, 16, 1)
@@ -95,18 +96,18 @@ class TestArchitecture:
         assert g.shape == x.shape
 
     def test_forward_deterministic(self):
-        model = build_unet(TINY, seed=3)
+        model = UNet3D(TINY, seed=3)
         x = np.random.default_rng(2).random((1, 6, 16, 16, 1), dtype=np.float32)
         a, b = model.forward(x), model.forward(x)
         np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_weights(self):
-        a, b = build_unet(TINY, seed=7), build_unet(TINY, seed=7)
+        a, b = UNet3D(TINY, seed=7), UNet3D(TINY, seed=7)
         for pa, pb in zip(a.params(), b.params()):
             np.testing.assert_array_equal(pa.value, pb.value)
 
     def test_input_shape_mismatch(self):
-        model = build_unet(TINY)
+        model = UNet3D(TINY)
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 6, 16, 16, 12), dtype=np.float32))
         with pytest.raises(ValueError):
@@ -210,7 +211,7 @@ class TestTraining:
 
     def test_loss_decreases_and_history_shape(self, tmp_path):
         sample = _static_sample(tmp_path)
-        model = build_unet(TINY, seed=10)
+        model = UNet3D(TINY, seed=10)
         history = train(model, [sample], [sample], self._quick_schedule(epochs=12))
         assert len(history) == 12
         assert history[-1].train_loss < history[0].train_loss
@@ -218,7 +219,7 @@ class TestTraining:
 
     def test_decay_one_keeps_lr_constant(self, tmp_path):
         sample = _static_sample(tmp_path)
-        model = build_unet(TINY, seed=11)
+        model = UNet3D(TINY, seed=11)
         history = train(model, [sample], [], self._quick_schedule(
             epochs=4, milestones=(2, 3), decay=1.0))
         assert {h.lr for h in history} == {1e-3}
@@ -227,7 +228,7 @@ class TestTraining:
         sample = _static_sample(tmp_path)
         runs = []
         for _ in range(2):
-            model = build_unet(TINY, seed=12)
+            model = UNet3D(TINY, seed=12)
             history = train(model, [sample], [sample], self._quick_schedule(epochs=4))
             runs.append((history, [p.value.copy() for p in model.params()]))
         (h1, p1), (h2, p2) = runs
@@ -237,11 +238,11 @@ class TestTraining:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            train(build_unet(TINY), [], [], self._quick_schedule())
+            train(UNet3D(TINY), [], [], self._quick_schedule())
 
     def test_history_csv(self, tmp_path):
         sample = _static_sample(tmp_path)
-        model = build_unet(TINY, seed=13)
+        model = UNet3D(TINY, seed=13)
         history = train(model, [sample], [], self._quick_schedule(epochs=2))
         out = tmp_path / "history.csv"
         history_to_csv(out, history)
@@ -254,7 +255,7 @@ class TestTraining:
 class TestPrediction:
     def test_output_domain(self, tmp_path):
         sample = _static_sample(tmp_path)
-        model = build_unet(TINY, seed=14)
+        model = UNet3D(TINY, seed=14)
         pred = predict_grid(model, sample)
         assert pred.values.shape == (16, 16)
         assert pred.values.min() >= 0.0
@@ -263,7 +264,7 @@ class TestPrediction:
 
     def test_deterministic(self, tmp_path):
         sample = _static_sample(tmp_path)
-        model = build_unet(TINY, seed=15)
+        model = UNet3D(TINY, seed=15)
         a, b = predict_grid(model, sample), predict_grid(model, sample)
         np.testing.assert_array_equal(a.values, b.values)
 
@@ -271,7 +272,7 @@ class TestPrediction:
 class TestCheckpoints:
     def test_round_trip_preserves_predictions(self, tmp_path):
         sample = _static_sample(tmp_path)
-        model = build_unet(TINY, seed=16)
+        model = UNet3D(TINY, seed=16)
         train(model, [sample], [], TrainSchedule(epochs=2, lr=1e-3, milestones=(),
                                                  batch_size=1, seed=0))
         path = tmp_path / "model.rfp"
@@ -286,7 +287,7 @@ class TestCheckpoints:
     def test_band_stats_ride_along(self, tmp_path):
         from rainfusion.pipeline import BandStats
 
-        model = build_unet(TINY_MM, seed=17)
+        model = UNet3D(TINY_MM, seed=17)
         stats = BandStats(np.arange(11.0), np.arange(11.0) + 5, 3)
         path = tmp_path / "mm.rfp"
         save_model(path, model, stats)
@@ -294,6 +295,18 @@ class TestCheckpoints:
         np.testing.assert_array_equal(back.mins, stats.mins)
         np.testing.assert_array_equal(back.maxs, stats.maxs)
         assert back.count == 3
+
+    def test_unknown_variant_id_names_file(self, tmp_path):
+        from rainfusion.nn import load_arrays, save_arrays
+
+        path = tmp_path / "m.rfp"
+        save_model(path, UNet3D(TINY, seed=18))
+        entries = load_arrays(path)
+        assert entries[0][0] == "__config__"
+        entries[0][1][0] = 7.0
+        save_arrays(path, entries)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown variant id 7.0")):
+            load_model(path)
 
     def test_rejects_non_checkpoint(self, tmp_path):
         from rainfusion.nn import save_arrays

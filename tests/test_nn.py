@@ -385,6 +385,20 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="truncated"):
             load_arrays(p)
 
+    def test_name_not_utf8(self, tmp_path):
+        p = tmp_path / "x.rfp"
+        save_arrays(p, [("w", np.ones(2, dtype=np.float32)),
+                        ("ab", np.ones(1, dtype=np.float32))])
+        blob = bytearray(p.read_bytes())
+        # magic 4 + version 1 + count 4 + "w" entry (2 + 1 + 1 + 4 + 8) + name length 2
+        offset = 9 + 16 + 2 + 1
+        assert blob[offset] == ord("b")
+        blob[offset] = 0xFF
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="UTF-8") as err:
+            load_arrays(p)
+        assert err.value.offset == offset
+
     def test_trailing_garbage(self, tmp_path):
         p = tmp_path / "x.rfp"
         save_arrays(p, [("w", np.ones(2, dtype=np.float32))])

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from rainfusion.grids import PrecipCategory, RainGrid, read_grid, write_grid
+from rainfusion.grids import (
+    MISSING,
+    RAIN_CATEGORIES,
+    PrecipCategory,
+    RainGrid,
+    categorize_values,
+    read_grid,
+    write_grid,
+)
 from rainfusion.pipeline import SequenceSample
 from rainfusion.render import PALETTE, render_map, render_rgb
 from rainfusion.report import SkillReport, evaluate_models, merge_reports
+from rainfusion.verify import binary_probability, neighborhood_probability
 
 
 def _sample(tmp_path, tag, fields):
@@ -112,6 +121,83 @@ class TestEvaluateModels:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             evaluate_models([("m", lambda s: None)], [])
+
+
+def _oracle_scores(pairs, category, n, aggregation):
+    """(CSI, FSS) of one category composed from the per-category formulas:
+    CSI from `categorize_values` masks, FSS from the [q1, q2) events."""
+    tables, components = [], []
+    for pred, obs in pairs:
+        valid = obs != MISSING
+        p = (categorize_values(pred) == category) & valid
+        o = (categorize_values(obs) == category) & valid
+        tables.append((int(np.sum(p & o)), int(np.sum(p & ~o)), int(np.sum(~p & o))))
+        bpp, vp = binary_probability(pred, category.bounds)
+        bpo, vo = binary_probability(obs, category.bounds)
+        npp, okp = neighborhood_probability(bpp, n, vp)
+        npo, oko = neighborhood_probability(bpo, n, vo)
+        both = okp & oko
+        fp, fo = npp[both], npo[both]
+        components.append((float(np.sum((fp - fo) ** 2)), float(np.sum(fp * fp + fo * fo)),
+                           int(both.sum())))
+    if aggregation == "pooled":
+        tp, fp, fn = (sum(t[i] for t in tables) for i in range(3))
+        fbs = wfbs = 0.0
+        for f, w, _ in components:
+            fbs += f
+            wfbs += w
+        return (tp / (tp + fp + fn) if tp + fp + fn else None,
+                1.0 - fbs / wfbs if wfbs > 0 else None)
+    csis = [tp / (tp + fp + fn) for tp, fp, fn in tables if tp + fp + fn]
+    fsss = [1.0 - (f / count) / (w / count) for f, w, count in components
+            if count and w / count != 0.0]
+    return (float(np.mean(csis)) if csis else None,
+            float(np.mean(fsss)) if fsss else None)
+
+
+class TestEvaluateModelsOracle:
+    """Every score equals, exactly, the one composed per category from the
+    CSI and FSS definitions, with missing cells in both fields, dry cells
+    (LIGHT FSS events but NO_RAIN codes) and >= 200 mm/h cells (VIOLENT
+    codes but no FSS event)."""
+
+    @staticmethod
+    def _field(rng, shape=(12, 10)):
+        v = rng.uniform(0, 80, shape)
+        v[rng.random(shape) < 0.3] = 0.0
+        v[rng.random(shape) < 0.1] = rng.choice([2.5, 7.5, 50.0, 200.0, 260.0])
+        v[rng.random(shape) < 0.1] = MISSING
+        return v.astype(np.float32)
+
+    @pytest.mark.parametrize("aggregation", ["pooled", "per-image"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_per_category_formulas(self, tmp_path, aggregation, n):
+        rng = np.random.default_rng(8)
+        samples, pairs, preds = [], [], {}
+        for k in range(5):
+            fields = [self._field(rng) for _ in range(7)]
+            s = _sample(tmp_path, f"s{k}", fields)
+            s = SequenceSample(tuple(t + 60 * k for t in s.input_timestamps), s.radar_paths,
+                               None, s.target_timestamp + 60 * k, s.target_path, 5)
+            pred = self._field(rng)
+            if k == 0:  # dry where obs rains: LIGHT FSS event in obs only
+                pred[fields[6] > 0] = 0.0
+            if k == 1:  # 200 mm/h: a VIOLENT code, but not a VIOLENT FSS event
+                pred[:4] = 200.0
+            preds[s.target_timestamp] = pred
+            samples.append(s)
+            pairs.append((pred, fields[6]))
+
+        def model(s):
+            return RainGrid(preds[s.target_timestamp], s.target_timestamp)
+
+        report = evaluate_models([("m", model)], samples, categories=RAIN_CATEGORIES,
+                                 neighborhood=n, aggregation=aggregation)
+        for c in RAIN_CATEGORIES:
+            want_csi, want_fss = _oracle_scores(pairs, c, n, aggregation)
+            assert want_csi is not None and want_fss is not None
+            assert report.get(5, c.name.title(), "CSI", "m") == want_csi
+            assert report.get(5, c.name.title(), "FSS", "m") == want_fss
 
 
 class TestRenderMap:

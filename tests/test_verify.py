@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainfusion.grids import MISSING, PrecipCategory, RainGrid
+from rainfusion.grids import MISSING, PrecipCategory, RainGrid, categorize_values
 from rainfusion.verify import (
     ContingencyTable,
     FssParams,
@@ -17,6 +17,7 @@ from rainfusion.verify import (
     ks_statistic,
     neighborhood_probability,
     normalized_histogram,
+    score_pair,
 )
 
 HEAVY = PrecipCategory.HEAVY
@@ -84,6 +85,14 @@ class TestBinaryProbability:
         with pytest.raises(ValueError):
             binary_probability(np.zeros((2, 2)), (5.0, 5.0))
 
+    def test_events_differ_from_codes_at_0_and_200(self):
+        # FSS events are q1 <= F < q2: 0.0 is a LIGHT event but a NO_RAIN
+        # code, and 200 mm/h and above are VIOLENT codes but no event
+        v = np.array([[0.0, 200.0, 250.0]])
+        assert categorize_values(v).tolist() == [[0, 4, 4]]
+        assert binary_probability(v, PrecipCategory.LIGHT.bounds)[0].tolist() == [[1, 0, 0]]
+        assert binary_probability(v, PrecipCategory.VIOLENT.bounds)[0].tolist() == [[0, 0, 0]]
+
 
 class TestNeighborhoodProbability:
     def test_n1_is_identity(self):
@@ -112,6 +121,19 @@ class TestNeighborhoodProbability:
         bp = (rng.random((9, 7)) < 0.5).astype(np.int64)
         np_vals, _ = neighborhood_probability(bp, 5)
         assert np_vals.min() >= 0.0 and np_vals.max() <= 1.0
+
+    def test_stack_matches_slices(self):
+        rng = np.random.default_rng(6)
+        stack = (rng.random((4, 9, 7)) < 0.4).astype(np.int64)
+        valid = rng.random((9, 7)) > 0.2
+        for n in (1, 3, 5):
+            for mask in (valid, None):
+                vals, ok = neighborhood_probability(stack, n, mask)
+                assert vals.shape == stack.shape and ok.shape == (9, 7)
+                for k in range(len(stack)):
+                    vals_k, ok_k = neighborhood_probability(stack[k], n, mask)
+                    np.testing.assert_array_equal(vals[k], vals_k)
+                    np.testing.assert_array_equal(ok, ok_k)
 
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
@@ -222,6 +244,23 @@ class TestFss:
             FssParams(0.0, 1.0, n=4)
         with pytest.raises(ValueError):
             fss(np.zeros((2, 2)), np.zeros((3, 3)), FssParams(0.0, 1.0))
+
+
+class TestScorePair:
+    def test_matches_single_category_views(self):
+        rng = np.random.default_rng(7)
+        pred, obs = _random_field(rng), _random_field(rng)
+        pred[0, :3] = (0.0, 200.0, MISSING)
+        categories = (PrecipCategory.LIGHT, PrecipCategory.MODERATE, HEAVY,
+                      PrecipCategory.VIOLENT)
+        scored = score_pair(pred, obs, categories, n=5)
+        assert len(scored) == len(categories)
+        for c, (table, components) in zip(categories, scored):
+            assert table == contingency(pred, obs, c)
+            assert components == fss_components(pred, obs, FssParams.for_category(c, n=5))
+
+    def test_no_categories(self):
+        assert score_pair(np.zeros((3, 3)), np.zeros((3, 3)), ()) == []
 
 
 class TestHistogramScores:
