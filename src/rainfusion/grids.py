@@ -28,7 +28,7 @@ SEVIRI_BANDS = (
 
 
 class FormatError(Exception):
-    """Malformed RFG1/RFP1 payload; carries the offending byte offset."""
+    """Malformed RFG1/RFP1 payload; names the file, carries the byte offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
@@ -230,30 +230,32 @@ def _write_rfg(path, values: np.ndarray, timestamp: int) -> None:
 
 
 def _read_rfg(path) -> tuple[np.ndarray, int]:
+    def error(message, offset):
+        return FormatError(f"{path}: {message}", offset)
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != _RFG_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {_RFG_MAGIC!r}", 0)
+        raise error(f"bad magic {blob[:4]!r}, expected {_RFG_MAGIC!r}", 0)
     if len(blob) < _RFG_HEADER.size:
-        raise FormatError(f"truncated header: {len(blob)} bytes", len(blob))
+        raise error(f"truncated header: {len(blob)} bytes", len(blob))
     _, version, dtype, bands, rows, cols, timestamp = _RFG_HEADER.unpack_from(blob)
     if version != 1:
-        raise FormatError(f"unsupported version {version}", 4)
+        raise error(f"unsupported version {version}", 4)
     if dtype != 0:
-        raise FormatError(f"unsupported dtype code {dtype}", 5)
+        raise error(f"unsupported dtype code {dtype}", 5)
     if bands < 1:
-        raise FormatError("band count must be >= 1", 6)
+        raise error("band count must be >= 1", 6)
     if rows < 1:
-        raise FormatError("rows must be >= 1", 8)
+        raise error("rows must be >= 1", 8)
     if cols < 1:
-        raise FormatError("cols must be >= 1", 12)
+        raise error("cols must be >= 1", 12)
     cells = bands * rows * cols
     if cells > _MAX_CELLS:
-        raise FormatError(f"dimension overflow: {bands}x{rows}x{cols} cells", 8)
+        raise error(f"dimension overflow: {bands}x{rows}x{cols} cells", 8)
     expected = _RFG_HEADER.size + 4 * cells
     if len(blob) < expected:
-        raise FormatError(f"truncated payload: expected {expected} bytes, found {len(blob)}", len(blob))
+        raise error(f"truncated payload: expected {expected} bytes, found {len(blob)}", len(blob))
     if len(blob) > expected:
-        raise FormatError(f"trailing bytes after payload: expected {expected}, found {len(blob)}", expected)
+        raise error(f"trailing bytes after payload: expected {expected}, found {len(blob)}", expected)
     flat = np.frombuffer(blob, dtype="<f4", count=cells, offset=_RFG_HEADER.size)
     return flat.reshape(bands, rows, cols).copy(), timestamp
 
@@ -265,7 +267,7 @@ def write_grid(path, grid: RainGrid) -> None:
 def read_grid(path) -> RainGrid:
     values, timestamp = _read_rfg(path)
     if values.shape[0] != 1:
-        raise FormatError(f"expected a 1-band grid, found {values.shape[0]} bands", 6)
+        raise FormatError(f"{path}: expected a 1-band grid, found {values.shape[0]} bands", 6)
     return RainGrid(values[0], timestamp)
 
 
@@ -276,7 +278,7 @@ def write_scene(path, scene: SatScene) -> None:
 def read_scene(path) -> SatScene:
     values, timestamp = _read_rfg(path)
     if values.shape[0] != 11:
-        raise FormatError(f"expected an 11-band scene, found {values.shape[0]} bands", 6)
+        raise FormatError(f"{path}: expected an 11-band scene, found {values.shape[0]} bands", 6)
     return SatScene(values, timestamp)
 
 

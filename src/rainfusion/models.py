@@ -9,12 +9,14 @@ temporal axis with a full-extent "valid" conv to 2 channels followed by a
 so time survives the encoder; the multimodal variant pools (2, 2, 2) with
 ceiling semantics and the decoder restores the recorded sizes exactly.
 Body convs keep a temporal extent of 1; all temporal mixing happens in the
-pooling path and the head.
+pooling path and the head.  Each block is a list of layers, run in order
+forward and in reverse backward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -93,38 +95,31 @@ class UNet3D:
         c = config.in_channels
         for i in range(L - 1):
             out = base * 2 ** i
-            self.enc.append((conv(c, out, f"enc{i + 1}a"), ReLU(),
-                             conv(out, out, f"enc{i + 1}b"), ReLU()))
+            self.enc.append([conv(c, out, f"enc{i + 1}a"), ReLU(),
+                             conv(out, out, f"enc{i + 1}b"), ReLU()])
             enc_channels.append(out)
             c = out
         self.pools = [MaxPool3d(config.pool_window) for _ in range(L - 1)]
         bott = base * 2 ** (L - 1)
-        self.bott = (conv(c, bott, "bottleneck_a"), ReLU(),
-                     conv(bott, bott, "bottleneck_b"), ReLU())
+        self.bott = [conv(c, bott, "bottleneck_a"), ReLU(),
+                     conv(bott, bott, "bottleneck_b"), ReLU()]
         self.ups = [Upsample3d(config.pool_window) for _ in range(L - 1)]
         self.dec = []
         c = bott
-        for j, i in enumerate(reversed(range(L - 1))):
+        for i in reversed(range(L - 1)):
             skip = enc_channels[i]
-            self.dec.append((conv(c + skip, skip, f"dec{i + 1}a"), ReLU(),
-                             conv(skip, skip, f"dec{i + 1}b"), ReLU()))
+            self.dec.append([conv(c + skip, skip, f"dec{i + 1}a"), ReLU(),
+                             conv(skip, skip, f"dec{i + 1}b"), ReLU()])
             c = skip
-        self.head = (conv(c, 2, "head_a", kernel=(config.time_steps, 3, 3),
+        self.head = [conv(c, 2, "head_a", kernel=(config.time_steps, 3, 3),
                           temporal_pad="valid"), ReLU(),
-                     conv(2, 1, "head_b", kernel=(1, 1, 1)))
-        self._splits = []
+                     conv(2, 1, "head_b", kernel=(1, 1, 1))]
 
     # -- structure ---------------------------------------------------------
 
     def conv_layers(self):
-        out = []
-        for a, _, b, _ in self.enc:
-            out += [a, b]
-        out += [self.bott[0], self.bott[2]]
-        for a, _, b, _ in self.dec:
-            out += [a, b]
-        out += [self.head[0], self.head[2]]
-        return out
+        return [layer for block in (*self.enc, self.bott, *self.dec, self.head)
+                for layer in block if isinstance(layer, Conv3d)]
 
     @property
     def conv_count(self) -> int:
@@ -155,48 +150,49 @@ class UNet3D:
     # -- forward / backward --------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = ensure_array5(x, "model input")
+        h = ensure_array5(x, "model input")
         cfg = self.config
         expect = (cfg.time_steps, cfg.rows, cfg.cols, cfg.in_channels)
-        if x.shape[1:] != expect:
-            raise ValueError(f"input shape {x.shape[1:]} does not match config {expect}")
-        h = x
+        if h.shape[1:] != expect:
+            raise ValueError(f"input shape {h.shape[1:]} does not match config {expect}")
         skips = []
-        for (a, ra, b, rb), pool in zip(self.enc, self.pools):
-            h = rb.forward(b.forward(ra.forward(a.forward(h))))
+        for block, pool in zip(self.enc, self.pools):
+            h = _forward(block, h)
             skips.append(h)
             h = pool.forward(h)
-        a, ra, b, rb = self.bott
-        h = rb.forward(b.forward(ra.forward(a.forward(h))))
-        self._splits = []
-        for j, (a, ra, b, rb) in enumerate(self.dec):
-            skip = skips[len(skips) - 1 - j]
-            h = self.ups[j].forward(h, target_dims=skip.shape[1:4])
-            self._splits.append(h.shape[-1])
+        h = _forward(self.bott, h)
+        for block, up, skip in zip(self.dec, self.ups, reversed(skips)):
+            h = up.forward(h, target_dims=skip.shape[1:4])
             h = np.concatenate([h, skip], axis=-1)
-            h = rb.forward(b.forward(ra.forward(a.forward(h))))
-        a, ra, b = self.head
-        return b.forward(ra.forward(a.forward(h)))
+            h = _forward(block, h)
+        return _forward(self.head, h)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        a, ra, b = self.head
-        g = a.backward(ra.backward(b.backward(grad_out)))
-        skip_grads = [None] * len(self.dec)
-        for j in reversed(range(len(self.dec))):
-            da, dra, db, drb = self.dec[j]
-            g = da.backward(dra.backward(db.backward(drb.backward(g))))
-            split = self._splits[j]
-            g_up, g_skip = g[..., :split], g[..., split:]
-            skip_grads[len(self.dec) - 1 - j] = g_skip
-            g = self.ups[j].backward(g_up)
-        ba, bra, bb, brb = self.bott
-        g = ba.backward(bra.backward(bb.backward(brb.backward(g))))
-        for i in reversed(range(len(self.enc))):
-            g = self.pools[i].backward(g)
-            g = g + skip_grads[i]
-            ea, era, eb, erb = self.enc[i]
-            g = ea.backward(era.backward(eb.backward(erb.backward(g))))
+        g = _backward(self.head, grad_out)
+        skip_grads = []  # shallowest stage first
+        for block, up in zip(reversed(self.dec), reversed(self.ups)):
+            g = _backward(block, g)
+            # the block ran on [upsampled | skip], and the skip is as wide as its output
+            split = g.shape[-1] - block[0].out_channels
+            skip_grads.append(g[..., split:])
+            g = up.backward(g[..., :split])
+        g = _backward(self.bott, g)
+        for block, pool, g_skip in zip(reversed(self.enc), reversed(self.pools),
+                                       reversed(skip_grads)):
+            g = _backward(block, pool.backward(g) + g_skip)
         return g
+
+
+def _forward(block, h):
+    for layer in block:
+        h = layer.forward(h)
+    return h
+
+
+def _backward(block, g):
+    for layer in reversed(block):
+        g = layer.backward(g)
+    return g
 
 
 def param_count(model: UNet3D) -> int:
@@ -207,33 +203,51 @@ def param_count(model: UNet3D) -> int:
 # Sample loading and prediction
 # ---------------------------------------------------------------------------
 
-def load_sample(config: ModelConfig, sample: SequenceSample,
-                stats: BandStats | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(input stack (time, rows, cols, channels), normalized target (rows, cols)).
+def load_frames(config: ModelConfig, samples,
+                stats: BandStats | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frames, windows, targets) of `samples`, each distinct file read once.
 
-    Radar frames are log-normalized; in the multimodal variant each frame
-    additionally carries the 11 satellite bands, Lanczos-resampled to the
-    radar grid and min-max normalized with the supplied training stats.
+    frames: (n, rows, cols, channels) float32, one per distinct input frame;
+    windows[i]: the six frame rows of sample i; targets: (samples, rows, cols)
+    float32.  Radar is log-normalized; multimodal frames add the 11 satellite
+    bands, Lanczos-resampled to the radar grid and min-max normalized.
     """
     multimodal = config.variant == "multimodal"
     if multimodal and stats is None:
         raise ValueError("multimodal sample loading requires fitted band stats")
-    if multimodal and sample.sat_paths is None:
+    if multimodal and any(s.sat_paths is None for s in samples):
         raise ValueError("sample carries no satellite paths")
-    frames = []
-    for i in range(len(sample.input_timestamps)):
-        radar = read_grid(sample.radar_paths[i])
-        if (radar.rows, radar.cols) != (config.rows, config.cols):
+
+    @cache
+    def radar(path):
+        grid = read_grid(path)
+        if (grid.rows, grid.cols) != (config.rows, config.cols):
             raise ValueError(
-                f"radar frame is {radar.rows}x{radar.cols}, config wants {config.rows}x{config.cols}")
-        channels = [normalize_values(radar.values)]
+                f"radar frame is {grid.rows}x{grid.cols}, config wants {config.rows}x{config.cols}")
+        return normalize_values(grid.values)
+
+    def frame(radar_path, sat_path):
+        channels = [radar(radar_path)]
         if multimodal:
-            scene = resample_scene(read_scene(sample.sat_paths[i]), config.rows, config.cols)
+            scene = resample_scene(read_scene(sat_path), config.rows, config.cols)
             channels.extend(normalize_satellite(scene, stats).values)
-        frames.append(np.stack(channels, axis=-1))
-    x = np.stack(frames).astype(np.float32)
-    y = normalize_values(read_grid(sample.target_path).values).astype(np.float32)
-    return x, y
+        return np.stack(channels, axis=-1).astype(np.float32)
+
+    keys = [tuple(zip(s.radar_paths, s.sat_paths if multimodal else (None,) * len(s.radar_paths)))
+            for s in samples]  # per sample, the (radar, satellite) path of each input frame
+    rows = {key: row for row, key in enumerate(dict.fromkeys(k for window in keys for k in window))}
+    frames = np.stack([frame(*key) for key in rows])
+    windows = np.array([[rows[key] for key in window] for window in keys])
+    targets = np.stack([radar(s.target_path) for s in samples]).astype(np.float32)
+    return frames, windows, targets
+
+
+def load_sample(config: ModelConfig, sample: SequenceSample,
+                stats: BandStats | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(input stack (time, rows, cols, channels), normalized target (rows, cols)):
+    the one-sample view of `load_frames`."""
+    frames, windows, targets = load_frames(config, [sample], stats)
+    return frames[windows[0]], targets[0]
 
 
 def predict_grid(model: UNet3D, sample: SequenceSample,
@@ -290,33 +304,28 @@ class EpochStats:
     lr: float
 
 
-def _mean_loss(model, data, loss_fn, batch_size):
-    total = 0.0
-    count = 0
-    for lo in range(0, len(data), batch_size):
-        chunk = data[lo:lo + batch_size]
-        x = np.stack([c[0] for c in chunk])
-        y = np.stack([c[1] for c in chunk])[:, None, :, :, None]
-        loss, _ = loss_fn(model.forward(x), y)
-        total += loss * len(chunk)
-        count += len(chunk)
-    return total / count
-
-
 def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
           stats: BandStats | None = None, log=None) -> list[EpochStats]:
     """Seeded epoch loop with milestone lr decay; keeps the best-val weights.
 
-    Samples are loaded and normalized once up front.  Loss is computed in
-    normalized space.  Returns the per-epoch history; on finishing, model
-    parameters hold the lowest-validation-loss snapshot (final weights when
-    no validation set is given).
+    Each distinct frame is loaded once (`load_frames`) and a batch is a row
+    gather of them; loss is computed in normalized space.  Returns the
+    per-epoch history; on finishing, model parameters hold the lowest-
+    validation-loss snapshot (final weights when no validation set is given).
     """
     if not train_set:
         raise ValueError("training set is empty")
     loss_fn = LOSSES[schedule.loss]
-    data = [load_sample(model.config, s, stats) for s in train_set]
-    val_data = [load_sample(model.config, s, stats) for s in val_set]
+    frames, windows, targets = load_frames(model.config, [*train_set, *val_set], stats)
+    n_train = len(train_set)
+    val_rows = np.arange(n_train, len(windows))
+
+    def batches(rows):
+        """(rows, inputs, targets) of each batch, in the order of `rows`."""
+        for lo in range(0, len(rows), schedule.batch_size):
+            chunk = rows[lo:lo + schedule.batch_size]
+            yield chunk, frames[windows[chunk]], targets[chunk][:, None, :, :, None]
+
     params = model.params()
     opt = Adam(params, lr=schedule.lr)
     rng = np.random.default_rng(schedule.seed)
@@ -325,12 +334,8 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
     best_snapshot = None
     for epoch in range(1, schedule.epochs + 1):
         opt.lr = lr_for_epoch(schedule.lr, epoch, schedule.milestones, schedule.decay)
-        order = rng.permutation(len(data))
         total = 0.0
-        for bi, lo in enumerate(range(0, len(order), schedule.batch_size)):
-            chunk = order[lo:lo + schedule.batch_size]
-            x = np.stack([data[i][0] for i in chunk])
-            y = np.stack([data[i][1] for i in chunk])[:, None, :, :, None]
+        for bi, (chunk, x, y) in enumerate(batches(rng.permutation(n_train))):
             out = model.forward(x)
             loss, grad = loss_fn(out, y)
             if not np.isfinite(loss):
@@ -339,8 +344,11 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
             model.backward(grad.astype(out.dtype, copy=False))
             opt.step()
             total += loss * len(chunk)
-        train_loss = total / len(order)
-        val_loss = _mean_loss(model, val_data, loss_fn, schedule.batch_size) if val_data else None
+        train_loss = total / n_train
+        val_loss = None
+        if len(val_rows):
+            val_loss = sum(loss_fn(model.forward(x), y)[0] * len(chunk)
+                           for chunk, x, y in batches(val_rows)) / len(val_rows)
         history.append(EpochStats(epoch, train_loss, val_loss, opt.lr))
         if log is not None:
             log(history[-1])

@@ -36,22 +36,24 @@ def save_arrays(path, named_arrays) -> None:
 
 
 def load_arrays(path) -> list[tuple[str, np.ndarray]]:
+    def error(message, offset):
+        return FormatError(f"{path}: {message}", offset)
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != _RFP_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {_RFP_MAGIC!r}", 0)
+        raise error(f"bad magic {blob[:4]!r}, expected {_RFP_MAGIC!r}", 0)
     pos = 4
 
     def take(n, what):
         nonlocal pos
         if pos + n > len(blob):
-            raise FormatError(f"truncated while reading {what}", len(blob))
+            raise error(f"truncated while reading {what}", len(blob))
         chunk = blob[pos:pos + n]
         pos += n
         return chunk
 
     version, count = struct.unpack("<BI", take(5, "header"))
     if version != 1:
-        raise FormatError(f"unsupported version {version}", 4)
+        raise error(f"unsupported version {version}", 4)
     out = []
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
@@ -59,19 +61,19 @@ def load_arrays(path) -> list[tuple[str, np.ndarray]]:
         try:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as err:
-            raise FormatError(f"entry name {raw_name!r} is not valid UTF-8",
-                              pos - name_len + err.start) from None
+            raise error(f"entry name {raw_name!r} is not valid UTF-8",
+                        pos - name_len + err.start) from None
         (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
         elements = 1
         for d in dims:
             if d < 1:
-                raise FormatError(f"zero-length dim in {name}", pos - 4 * rank)
+                raise error(f"zero-length dim in {name}", pos - 4 * rank)
             elements *= d
         if elements > _MAX_ELEMENTS:
-            raise FormatError(f"dimension overflow in {name}: {dims}", pos - 4 * rank)
+            raise error(f"dimension overflow in {name}: {dims}", pos - 4 * rank)
         raw = take(4 * elements, f"values of {name}")
         out.append((name, np.frombuffer(raw, dtype="<f4").reshape(dims).copy()))
     if pos != len(blob):
-        raise FormatError(f"trailing bytes after last entry: expected {pos}, found {len(blob)}", pos)
+        raise error(f"trailing bytes after last entry: expected {pos}, found {len(blob)}", pos)
     return out

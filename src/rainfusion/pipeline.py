@@ -207,24 +207,25 @@ def lanczos_weights(src: int, dst: int, a: int = 3) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def resample_lanczos(band: np.ndarray, rows: int, cols: int, a: int = 3) -> np.ndarray:
-    """Separable Lanczos resampling of one 2-D band to (rows, cols).
+def resample_lanczos(bands: np.ndarray, rows: int, cols: int, a: int = 3) -> np.ndarray:
+    """Separable Lanczos resampling of a 2-D band, or of each band of a
+    (..., rows, cols) stack, to (rows, cols) with one pair of weight matrices.
 
     Tuned for upsampling (the satellite-to-radar path); the kernel is not
     rescaled for decimation.
     """
-    band = np.asarray(band, dtype=np.float64)
-    if band.ndim != 2 or band.shape[0] < 2 or band.shape[1] < 2:
-        raise ValueError(f"source must be at least 2x2, got shape {band.shape}")
-    wr = lanczos_weights(band.shape[0], rows, a)
-    wc = lanczos_weights(band.shape[1], cols, a)
-    return wr @ band @ wc.T
+    bands = np.asarray(bands, dtype=np.float64)
+    if bands.ndim < 2 or bands.shape[-2] < 2 or bands.shape[-1] < 2:
+        raise ValueError(f"source must be at least 2x2, got shape {bands.shape}")
+    wr = lanczos_weights(bands.shape[-2], rows, a)
+    wc = lanczos_weights(bands.shape[-1], cols, a)
+    return wr @ bands @ wc.T
 
 
 def resample_scene(scene: SatScene, rows: int, cols: int) -> SatScene:
     if (scene.rows, scene.cols) == (rows, cols):
         return scene
-    out = np.stack([resample_lanczos(b, rows, cols) for b in scene.values])
+    out = resample_lanczos(scene.values, rows, cols)
     return SatScene(out, scene.timestamp, scene.band_names)
 
 
@@ -300,12 +301,16 @@ def build_sequences(entries, lead: LeadTime, multimodal: bool = False) -> list[S
 
     A sample is emitted for target time t iff the radar frame exists at t
     and at all six window offsets (plus the satellite scene at each input
-    time when multimodal); anything else simply yields no sample.
+    time when multimodal); anything else simply yields no sample.  Two
+    entries with one timestamp are rejected, naming both radar paths.
     """
     by_ts = {}
     for e in entries:
         if e.timestamp % FRAME_STEP != 0:
             raise ValueError(f"timestamp {e.timestamp} not on the {FRAME_STEP}-minute lattice")
+        if e.timestamp in by_ts:
+            raise ValueError(f"duplicate timestamp {minutes_to_iso(e.timestamp)} ({e.timestamp}): "
+                             f"{by_ts[e.timestamp].radar_path} and {e.radar_path}")
         by_ts[e.timestamp] = e
     offsets = lead.input_offsets
     samples = []

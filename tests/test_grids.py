@@ -164,7 +164,7 @@ class TestRfg1Format:
         p.write_bytes(blob[:-8])
         with pytest.raises(FormatError) as err:
             read_grid(p)
-        assert "truncated" in str(err.value)
+        assert str(err.value).startswith(f"{p}: truncated payload")
         assert err.value.offset == len(blob) - 8
 
     def test_dimension_overflow(self, tmp_path):
@@ -180,11 +180,12 @@ class TestRfg1Format:
     def test_band_count_mismatch(self, tmp_path):
         p = tmp_path / "s.rfg"
         write_scene(p, SatScene(np.zeros((11, 3, 3), dtype=np.float32)))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: expected a 1-band grid")):
             read_grid(p)
-        write_grid(tmp_path / "g.rfg", RainGrid(np.zeros((3, 3))))
-        with pytest.raises(FormatError):
-            read_scene(tmp_path / "g.rfg")
+        g = tmp_path / "g.rfg"
+        write_grid(g, RainGrid(np.zeros((3, 3))))
+        with pytest.raises(FormatError, match=re.escape(f"{g}: expected an 11-band scene")):
+            read_scene(g)
 
 
 class TestIndex:

@@ -1,15 +1,27 @@
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rainfusion.grids import PrecipCategory, RainGrid, write_grid
+from rainfusion import models
+from rainfusion.grids import (
+    PrecipCategory,
+    RainGrid,
+    SatScene,
+    read_grid,
+    read_index,
+    read_scene,
+    write_grid,
+)
 from rainfusion.models import (
     ModelConfig,
     TrainSchedule,
     TrainingError,
     UNet3D,
     history_to_csv,
+    load_frames,
     load_model,
     load_sample,
     param_count,
@@ -19,7 +31,16 @@ from rainfusion.models import (
     train,
 )
 from rainfusion.nn import Parameter, gradient_check, logcosh_loss
-from rainfusion.pipeline import SequenceSample
+from rainfusion.pipeline import (
+    LeadTime,
+    SequenceSample,
+    build_sequences,
+    fit_band_stats,
+    normalize_satellite,
+    normalize_values,
+    resample_lanczos,
+)
+from rainfusion.synth import SynthConfig, generate_synthetic
 from rainfusion.verify import contingency, csi
 
 DESK = ModelConfig(variant="radar", rows=64, cols=64, time_steps=6,
@@ -315,3 +336,106 @@ class TestCheckpoints:
         save_arrays(path, [("w", np.ones(3, dtype=np.float32))])
         with pytest.raises(ValueError, match="__config__"):
             load_model(path)
+
+
+@pytest.fixture
+def mm_data(tmp_path):
+    """Multimodal lead-5 samples of a 16x16 synthetic set (satellite at 8x8),
+    with band stats fitted on the first five samples."""
+    generate_synthetic(SynthConfig(rows=16, cols=16, frames=14, cells=3, seed=4), tmp_path)
+    samples = build_sequences(read_index(tmp_path / "index.tsv"), LeadTime(5), multimodal=True)
+    assert len(samples) == 8
+    stats = fit_band_stats(read_scene(p) for p in sorted({p for s in samples[:5]
+                                                          for p in s.sat_paths}))
+    return samples, stats
+
+
+def _oracle_frame(radar_path, sat_path, stats):
+    """One input frame, each band resampled on its own."""
+    scene = read_scene(sat_path)
+    bands = np.stack([resample_lanczos(b, 16, 16) for b in scene.values])
+    sat = normalize_satellite(SatScene(bands, scene.timestamp), stats).values
+    radar = normalize_values(read_grid(radar_path).values)
+    return np.stack([radar, *sat], axis=-1).astype(np.float32)
+
+
+class TestMultimodalLoading:
+    def test_frames_match_per_frame_oracle(self, mm_data):
+        samples, stats = mm_data
+        frames, windows, targets = load_frames(TINY_MM, samples, stats)
+        assert frames.dtype == targets.dtype == np.float32
+        assert frames.shape == (len({p for s in samples for p in s.radar_paths}), 16, 16, 12)
+        assert windows.shape == (len(samples), 6)
+        assert targets.shape == (len(samples), 16, 16)
+        for s, window, target in zip(samples, windows, targets):
+            want = np.stack([_oracle_frame(r, p, stats)
+                             for r, p in zip(s.radar_paths, s.sat_paths)])
+            np.testing.assert_array_equal(frames[window], want)
+            np.testing.assert_array_equal(
+                target, normalize_values(read_grid(s.target_path).values).astype(np.float32))
+        x, y = load_sample(TINY_MM, samples[3], stats)
+        np.testing.assert_array_equal(x, frames[windows[3]])
+        np.testing.assert_array_equal(y, targets[3])
+
+    def test_each_file_read_once(self, mm_data, monkeypatch):
+        samples, stats = mm_data
+        reads = Counter()
+
+        def counted(reader):
+            def read(path):
+                reads[path] += 1
+                return reader(path)
+            return read
+
+        monkeypatch.setattr(models, "read_grid", counted(models.read_grid))
+        monkeypatch.setattr(models, "read_scene", counted(models.read_scene))
+        load_frames(TINY_MM, samples, stats)
+        radar = {p for s in samples for p in (*s.radar_paths, s.target_path)}
+        assert set(reads) == radar | {p for s in samples for p in s.sat_paths}
+        assert set(reads.values()) == {1}
+
+    def test_loading_errors(self, mm_data):
+        samples, stats = mm_data
+        with pytest.raises(ValueError, match="requires fitted band stats"):
+            load_sample(TINY_MM, samples[0])
+        with pytest.raises(ValueError, match="no satellite paths"):
+            load_sample(TINY_MM, replace(samples[0], sat_paths=None), stats)
+        with pytest.raises(ValueError, match="radar frame is 16x16, config wants 32x32"):
+            load_sample(replace(TINY_MM, rows=32, cols=32), samples[0], stats)
+
+    def test_batches_are_sample_loads_in_permutation_order(self, mm_data):
+        samples, stats = mm_data
+        train_set, val_set = samples[:5], samples[5:8]
+        model = UNet3D(TINY_MM, seed=19)
+        seen = []
+        forward = model.forward
+
+        def recording(x):
+            seen.append(x.copy())
+            return forward(x)
+
+        model.forward = recording
+        train(model, train_set, val_set,
+              TrainSchedule(epochs=2, lr=1e-3, milestones=(), batch_size=2, seed=3), stats)
+        rng = np.random.default_rng(3)
+        batches = []
+        for _ in range(2):  # training batches in permutation order, then validation
+            order = rng.permutation(5)
+            batches += [order[0:2], order[2:4], order[4:5], [5, 6], [7]]
+        assert len(seen) == len(batches)
+        for x, rows in zip(seen, batches):
+            want = np.stack([load_sample(TINY_MM, samples[i], stats)[0] for i in rows])
+            np.testing.assert_array_equal(x, want)
+
+    def test_trained_checkpoint_predicts_bit_identically(self, mm_data, tmp_path):
+        samples, stats = mm_data
+        model = UNet3D(TINY_MM, seed=20)
+        history = train(model, samples[:4], samples[4:6],
+                        TrainSchedule(epochs=1, lr=1e-3, milestones=(), batch_size=2), stats)
+        assert len(history) == 1 and history[0].val_loss is not None
+        path = tmp_path / "mm.rfp"
+        save_model(path, model, stats)
+        loaded, loaded_stats = load_model(path)
+        for s in samples[6:]:
+            np.testing.assert_array_equal(predict_grid(model, s, stats).values,
+                                          predict_grid(loaded, s, loaded_stats).values)

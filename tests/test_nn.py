@@ -382,8 +382,10 @@ class TestCheckpointFormat:
         save_arrays(p, [("w", np.ones((2, 2), dtype=np.float32))])
         blob = p.read_bytes()
         p.write_bytes(blob[:-5])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError) as err:
             load_arrays(p)
+        assert str(err.value).startswith(f"{p}: truncated while reading values of w")
+        assert err.value.offset == len(blob) - 5
 
     def test_name_not_utf8(self, tmp_path):
         p = tmp_path / "x.rfp"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainfusion.grids import MISSING, IndexEntry, RainGrid, SatScene, write_grid
+from rainfusion.grids import MISSING, FormatError, IndexEntry, RainGrid, SatScene, write_grid
 from rainfusion.pipeline import (
     BandStats,
     LeadTime,
@@ -183,6 +183,12 @@ class TestLanczos:
         img = rng.uniform(size=(5, 7))
         out = resample_lanczos(img, 11, 6)
         np.testing.assert_allclose(out, _lanczos_oracle_2d(img, 11, 6), atol=1e-6)
+        # a (bands, rows, cols) stack resamples each band exactly as alone
+        stack = np.stack([img, rng.normal(size=(5, 7)), np.full((5, 7), 2.5)])
+        stacked = resample_lanczos(stack, 11, 6)
+        assert stacked.shape == (3, 11, 6)
+        for band, got in zip(stack, stacked):
+            np.testing.assert_array_equal(got, resample_lanczos(band, 11, 6))
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
@@ -200,6 +206,10 @@ class TestLanczos:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             resample_lanczos(np.zeros((1, 5)), 4, 4)
+        with pytest.raises(ValueError):
+            resample_lanczos(np.zeros((3, 5, 1)), 4, 4)
+        with pytest.raises(ValueError):
+            resample_lanczos(np.zeros(5), 4, 4)
         with pytest.raises(ValueError):
             resample_lanczos(np.zeros((4, 4)), 0, 4)
         with pytest.raises(ValueError):
@@ -280,6 +290,15 @@ class TestSubsampleNoRain:
         with pytest.raises(ValueError):
             subsample_no_rain([], 1.5, seed=0)
 
+    def test_truncated_file_named(self, tmp_path):
+        entries = _write_dataset(tmp_path, [1.0])
+        path = tmp_path / "r0.rfg"
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(FormatError) as err:
+            subsample_no_rain(entries, 1.0, seed=0)
+        assert str(err.value).startswith(f"{path}: truncated payload")
+        assert err.value.offset == 30
+
 
 class TestLeadTime:
     def test_windows(self):
@@ -326,6 +345,13 @@ class TestBuildSequences:
         for lead in (5, 15, 30):
             samples = build_sequences(entries, LeadTime(lead))
             assert 0 < len(samples) <= len(entries)
+
+    def test_duplicate_timestamp_names_both_paths(self):
+        entries = self._entries(range(0, 35, 5)) + [IndexEntry(15, "radar/again.rfg")]
+        with pytest.raises(ValueError, match="duplicate timestamp") as err:
+            build_sequences(entries, LeadTime(5))
+        assert "radar/15.rfg" in str(err.value) and "radar/again.rfg" in str(err.value)
+        assert "1970-01-01T00:15Z" in str(err.value)
 
     def test_off_lattice_rejected(self):
         with pytest.raises(ValueError):
