@@ -2,7 +2,9 @@
 
 All layers act on (batch, time, rows, cols, channels) arrays with stride 1.
 Convolutions zero-pad so spatial dims are preserved; the temporal axis is
-either preserved ("same", odd extent) or consumed ("valid") per layer.
+either preserved ("same", odd extent) or consumed ("valid") per layer.  A
+convolution is one GEMM per kernel tap on a row-shifted window of its padded
+input, so no im2col copy is made, and the padded input is all it caches.
 Pooling uses non-overlapping windows with ceiling semantics, so a ragged
 last window simply shrinks; upsampling is nearest-neighbor repetition with
 an explicit target-dims override that inverts ceiling-pooled sizes exactly.
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def ensure_array5(x, name: str = "input") -> np.ndarray:
@@ -48,6 +49,17 @@ class Conv3d:
     Weights are (kt, kh, kw, in, out), He-uniform initialized from the given
     generator; bias starts at zero.  `temporal_pad` is "same" (odd kt,
     preserves time) or "valid" (output time = T - kt + 1).
+
+    The zero-padded input of each batch item is viewed as (Tp*Hp*Wp, in)
+    rows.  Kernel tap (it, ih, iw) is then a shift of (it*Hp + ih)*Wp + iw
+    rows, so forward adds one 2-D GEMM per item and tap, window @ W[tap],
+    on the padded (To, Hp, Wp) output grid and crops it to (To, H, W).
+    Backward mirrors it on grad_out embedded in a zeroed padded grid:
+    weight.grad[tap] += window.T @ G and grad_in[window] += G @ W[tap].T.
+    A one-channel input (`in` = 1 in the weight's shape) would make every
+    per-tap product an outer product, so its forward gathers the tap windows
+    into one (taps, cells) block for a single GEMM.  Only the padded input
+    is cached between forward and backward.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
@@ -93,9 +105,27 @@ class Conv3d:
             raise ValueError(f"{self.name}: temporal extent {kt} exceeds input time {T}")
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
         xp = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0)))
-        view = sliding_window_view(xp, self.kernel, axis=(1, 2, 3))
-        out = np.tensordot(view, self.weight.value, axes=([5, 6, 7, 4], [0, 1, 2, 3]))
-        out += self.bias.value
+        w = self.weight.value
+        To = T - kt + 1 + 2 * pt
+        if w.shape[3] == 1:
+            # per-tap products of inner size 1 are outer products, so the tap
+            # windows of a one-channel input are gathered for one GEMM instead
+            taps = list(np.ndindex(kt, kh, kw))
+            cols = np.empty((len(taps), b, To, H, W), xp.dtype)
+            for i, (it, ih, iw) in enumerate(taps):
+                cols[i] = xp[:, it:it + To, ih:ih + H, iw:iw + W, 0]
+            out = cols.reshape(len(taps), -1).T @ w.reshape(len(taps), -1)
+            out = out.reshape(b, To, H, W, -1)
+        else:
+            taps, rows = _taps(xp.shape, self.kernel)
+            Hp, Wp = xp.shape[2:4]
+            xf = xp.reshape(b, -1, c)
+            acc = np.zeros((b, To * Hp * Wp, self.out_channels), np.result_type(xp, w))
+            for k, s in taps:
+                for n in range(b):
+                    acc[n, :rows] += xf[n, s:s + rows] @ w[k]
+            out = acc.reshape(b, To, Hp, Wp, -1)[:, :, :H, :W]
+        out = out + self.bias.value
         self._cache = (xp, (pt, ph, pw), x.shape, out.shape)
         return out
 
@@ -106,21 +136,39 @@ class Conv3d:
         grad_out = np.asarray(grad_out)
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
-        kt, kh, kw = self.kernel
-        _, To, Ho, Wo, _ = out_shape
+        b, To, H, W, cout = out_shape
+        _, _, Hp, Wp, c = xp.shape
+        taps, rows = _taps(xp.shape, self.kernel)
         self.bias.grad += grad_out.sum(axis=(0, 1, 2, 3))
+        # grad_out on the padded output grid; the cropped rows stay zero
+        g = np.zeros((b, To, Hp, Wp, cout), grad_out.dtype)
+        g[:, :, :H, :W] = grad_out
+        gf = g.reshape(b, -1, cout)
+        xf = xp.reshape(b, -1, c)
         gxp = np.zeros_like(xp)
+        gxf = gxp.reshape(b, -1, c)
         w = self.weight.value
-        for it in range(kt):
-            for ih in range(kh):
-                for iw in range(kw):
-                    xs = xp[:, it:it + To, ih:ih + Ho, iw:iw + Wo, :]
-                    self.weight.grad[it, ih, iw] += np.tensordot(
-                        xs, grad_out, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
-                    gxp[:, it:it + To, ih:ih + Ho, iw:iw + Wo, :] += np.tensordot(
-                        grad_out, w[it, ih, iw], axes=([4], [1]))
-        _, T, H, W, _ = in_shape
+        for k, s in taps:
+            for n in range(b):
+                self.weight.grad[k] += xf[n, s:s + rows].T @ gf[n, :rows]
+                gxf[n, s:s + rows] += gf[n, :rows] @ w[k].T
+        T = in_shape[1]
         return gxp[:, pt:pt + T, ph:ph + H, pw:pw + W, :]
+
+
+def _taps(padded_shape, kernel):
+    """Kernel taps as ((it, ih, iw), row shift) on the flattened padded grid.
+
+    Output cell (t, h, w) sits at row (t * Hp + h) * Wp + w of the padded
+    grid, and tap (it, ih, iw) reads the input row shifted by
+    (it * Hp + ih) * Wp + iw.  `rows` ends at the last output cell kept, so
+    every shifted window of that length stays inside the padded input.
+    """
+    _, _, Hp, Wp, _ = padded_shape
+    kt, kh, kw = kernel
+    to = padded_shape[1] - kt + 1
+    taps = [((it, ih, iw), (it * Hp + ih) * Wp + iw) for it, ih, iw in np.ndindex(kt, kh, kw)]
+    return taps, to * Hp * Wp - (kh - 1) * Wp - (kw - 1)
 
 
 class MaxPool3d:

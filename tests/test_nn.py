@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,7 @@ class TestConv3d:
             ((2, 4, 5, 4, 3), (3, 3, 3), "same"),
             ((1, 6, 4, 4, 2), (6, 3, 3), "valid"),
             ((2, 3, 5, 5, 1), (1, 1, 1), "same"),
+            ((2, 3, 5, 4, 1), (1, 3, 3), "same"),
         ],
     )
     def test_matches_naive_oracle(self, shape, kernel, pad):
@@ -104,11 +106,20 @@ class TestConv3d:
         conv.backward(g)
         np.testing.assert_allclose(conv.bias.grad, g.sum(axis=(0, 1, 2, 3)), atol=1e-12)
 
-    @pytest.mark.parametrize("pad,kernel", [("same", (3, 3, 3)), ("valid", (4, 3, 3))])
-    def test_gradients_match_finite_differences(self, pad, kernel):
+    @pytest.mark.parametrize(
+        "pad,kernel,shape",
+        [
+            ("same", (3, 3, 3), (1, 4, 5, 5, 2)),
+            ("valid", (4, 3, 3), (1, 4, 5, 5, 2)),
+            ("same", (3, 3, 3), (2, 4, 5, 4, 2)),  # rows != cols, per-item loop
+            ("valid", (4, 3, 3), (2, 4, 4, 5, 1)),  # one input channel
+        ],
+        ids=["same-kernel0", "valid-kernel1", "same-batch2-5x4", "valid-1channel"],
+    )
+    def test_gradients_match_finite_differences(self, pad, kernel, shape):
         rng = np.random.default_rng(5)
-        conv = Conv3d(2, 2, kernel=kernel, temporal_pad=pad, rng=rng, dtype=np.float64)
-        xp = Parameter("x", rng.normal(size=(1, 4, 5, 5, 2)))
+        conv = Conv3d(shape[-1], 2, kernel=kernel, temporal_pad=pad, rng=rng, dtype=np.float64)
+        xp = Parameter("x", rng.normal(size=shape))
         proj = rng.normal(size=conv.forward(xp.value).shape)
         conv.weight.zero_grad(), conv.bias.zero_grad()
         xp.grad = conv.backward(proj)
@@ -117,6 +128,59 @@ class TestConv3d:
                              [conv.weight.grad, conv.bias.grad, xp.grad],
                              n_samples=120, seed=0)
         assert err < 1e-7  # purely linear map
+
+    @pytest.mark.parametrize("cin", [3, 1])
+    def test_parameter_gradients_accumulate(self, cin):
+        rng = np.random.default_rng(6)
+        conv = Conv3d(cin, 2, kernel=(3, 3, 3), rng=rng, dtype=np.float64)
+        out = conv.forward(rng.normal(size=(2, 3, 5, 4, cin)))
+        g = rng.normal(size=out.shape)
+        conv.backward(g)
+        once = conv.weight.grad.copy(), conv.bias.grad.copy()
+        conv.backward(g)  # no zero_grad in between
+        np.testing.assert_allclose(conv.weight.grad, 2 * once[0], rtol=1e-12)
+        np.testing.assert_allclose(conv.bias.grad, 2 * once[1], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape,cout,kernel,pad",
+        [
+            ((3, 6, 12, 10, 24), 8, (1, 3, 3), "same"),
+            ((3, 6, 12, 10, 1), 8, (1, 3, 3), "same"),
+            ((2, 6, 12, 10, 8), 2, (6, 3, 3), "valid"),
+        ],
+    )
+    def test_backward_is_adjoint_of_forward(self, shape, cout, kernel, pad):
+        """<conv(x), g> = <x, backward(g)> = <W, weight.grad> with zero bias."""
+        rng = np.random.default_rng(7)
+        conv = Conv3d(shape[-1], cout, kernel=kernel, temporal_pad=pad, rng=rng, dtype=np.float64)
+        x = rng.normal(size=shape)
+        out = conv.forward(x)
+        g = rng.normal(size=out.shape)
+        gx = conv.backward(g)
+        ref = np.vdot(out, g)
+        np.testing.assert_allclose(np.vdot(x, gx), ref, rtol=1e-10)
+        np.testing.assert_allclose(np.vdot(conv.weight.value, conv.weight.grad), ref, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape,cout,kernel,pad",
+        [
+            ((2, 6, 32, 24, 24), 8, (1, 3, 3), "same"),
+            ((2, 6, 32, 24, 8), 2, (6, 3, 3), "valid"),
+        ],
+    )
+    def test_forward_allocates_no_im2col(self, shape, cout, kernel, pad):
+        """Peak allocation of a forward stays within 2x input + output + padded input."""
+        rng = np.random.default_rng(8)
+        conv = Conv3d(shape[-1], cout, kernel=kernel, temporal_pad=pad, rng=rng)
+        x = rng.random(shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = conv.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded = conv._cache[0]
+        assert peak <= 2 * (x.nbytes + out.nbytes + padded.nbytes)
 
     def test_shape_validation(self):
         conv = Conv3d(2, 2)
