@@ -92,18 +92,20 @@ def categorize(rate: float) -> PrecipCategory:
 
 
 def categorize_values(values: np.ndarray) -> np.ndarray:
-    """Vectorized `categorize`; returns PrecipCategory integer codes."""
+    """Vectorized `categorize`; returns PrecipCategory integer codes.
+
+    A rain cell's code is the number of the edges 0 (exclusive), 2.5, 7.5
+    and 50 mm/h that it reaches, one comparison per edge.
+    """
     v = np.asarray(values)
-    if np.any((v < 0) & (v != MISSING)):
-        bad = v[(v < 0) & (v != MISSING)][0]
-        raise ValueError(f"invalid rain rate {bad}: negative and not the -999 sentinel")
-    out = np.full(v.shape, int(PrecipCategory.NO_RAIN), dtype=np.int8)
-    out[v == MISSING] = int(PrecipCategory.MISSING)
-    rain = (v != MISSING) & (v > 0)
-    out[rain & (v < 2.5)] = int(PrecipCategory.LIGHT)
-    out[rain & (v >= 2.5) & (v < 7.5)] = int(PrecipCategory.MODERATE)
-    out[rain & (v >= 7.5) & (v < 50.0)] = int(PrecipCategory.HEAVY)
-    out[rain & (v >= 50.0)] = int(PrecipCategory.VIOLENT)
+    missing = v == MISSING
+    negative = (v < 0) & ~missing
+    if negative.any():
+        raise ValueError(f"invalid rain rate {v[negative][0]}: negative and not the -999 sentinel")
+    out = np.array(v > 0, dtype=np.int8)
+    for edge in (2.5, 7.5, 50.0):
+        out += v >= edge
+    out[missing] = int(PrecipCategory.MISSING)
     return out
 
 

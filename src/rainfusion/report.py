@@ -13,14 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import RAIN_CATEGORIES, PrecipCategory, read_grid
-from .verify import ContingencyTable, csi, fss_ratio, score_pair
+from .grids import RAIN_CATEGORIES, PrecipCategory, RainGrid, minutes_to_iso, read_grid
+from .verify import ContingencyTable, csi, fss_ratio, score_pairs
 # Not called here: the benchmark's tracer wraps these names on this module.
 from .verify import contingency, fss, fss_components  # noqa: F401
 
 METRICS = ("CSI", "FSS")
 DEFAULT_CATEGORIES = (PrecipCategory.HEAVY, PrecipCategory.VIOLENT)
 ALL_RAIN_CATEGORIES = RAIN_CATEGORIES
+# Samples scored per stacked pass.  A block, not a whole lead, so that the
+# float64 NP stacks stay small however many samples a lead has.
+_BLOCK = 8
 
 
 @dataclass
@@ -91,17 +94,38 @@ def _mean(scores) -> float | None:
     return float(np.mean(scores)) if scores else None
 
 
+def _stack(fields, block, shape, name: str | None = None) -> np.ndarray:
+    """One (len(block), rows, cols) stack of a predictor's forecasts (`name`)
+    or of the observations; a field of another shape raises ValueError
+    naming its source and the sample's target time."""
+    values = []
+    for s, f in zip(block, fields):
+        v = f.values if isinstance(f, RainGrid) else np.asarray(f)
+        if v.shape != shape:
+            source = f"predictor {name!r} returned" if name else f"observation {s.target_path} has"
+            raise ValueError(f"{source} shape {v.shape} for target "
+                             f"{minutes_to_iso(s.target_timestamp)} "
+                             f"({s.target_timestamp} min), expected {shape}")
+        values.append(v)
+    return np.stack(values)
+
+
 def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
                     neighborhood: int = 3, aggregation: str = "pooled",
                     metadata: dict | None = None) -> SkillReport:
     """Score (name, sample -> RainGrid) predictors over a sample list.
 
-    Each (prediction, observation) pair is scored once for all categories
-    (`verify.score_pair`).  Aggregation "pooled" sums the contingency
-    counts and FBS/WFBS sums over the whole set before forming scores;
-    "per-image" averages the per-sample scores formed from the same
-    numbers, skipping not-applicable ones.  Samples must share one lead
-    time.
+    Samples are scored in target-time order, in blocks of `_BLOCK`: each
+    block's observations are read, every predictor is called once on each
+    of the block's samples, and each predictor's forecasts are scored as
+    one stack (`verify.score_pairs`), for all categories at once.  So the
+    predictors' calls interleave block by block.  Aggregation "pooled" sums
+    the contingency counts and FBS/WFBS sums over the whole set, in sample
+    order, before forming scores; "per-image" averages the per-sample
+    scores formed from the same numbers, skipping not-applicable ones.
+    Samples must share one lead time, and a forecast whose shape differs
+    from its observation's raises ValueError naming the predictor and the
+    target time.
     """
     if aggregation not in ("pooled", "per-image"):
         raise ValueError(f"aggregation must be 'pooled' or 'per-image', got {aggregation!r}")
@@ -119,11 +143,19 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
     report.metadata.setdefault("aggregation", aggregation)
     report.metadata.setdefault("neighborhood", str(neighborhood))
     report.metadata.setdefault("samples", str(len(samples)))
-    observations = [read_grid(s.target_path) for s in samples]
-    for name, predict in predictors:
-        scored = [score_pair(predict(s), obs, categories, neighborhood)
-                  for s, obs in zip(samples, observations)]
-        for c, per_sample in zip(categories, zip(*scored)):
+    scored = {name: [] for name in names}
+    shape = None
+    for start in range(0, len(samples), _BLOCK):
+        block = samples[start:start + _BLOCK]
+        grids = [read_grid(s.target_path) for s in block]
+        if shape is None:
+            shape = grids[0].values.shape
+        obs = _stack(grids, block, shape)
+        for name, predict in predictors:
+            pred = _stack([predict(s) for s in block], block, shape, name)
+            scored[name].extend(score_pairs(pred, obs, categories, neighborhood))
+    for name in names:
+        for c, per_sample in zip(categories, zip(*scored[name])):
             if aggregation == "pooled":
                 table, fbs, wfbs = ContingencyTable(), 0.0, 0.0
                 for t, (f, w, _) in per_sample:

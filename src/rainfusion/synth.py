@@ -168,17 +168,18 @@ def generate_synthetic(config: SynthConfig, out_dir) -> list[IndexEntry]:
     rng = np.random.default_rng(config.seed + 1)  # satellite noise stream
     sat_rows = config.rows // config.sat_scale
     entries = []
-    radar_values = [fields[t].copy() for t in range(config.frames)]
+    spiked = set()
     if config.outlier_fraction > 0:
         n_outliers = min(config.frames, math.ceil(config.outlier_fraction * config.frames))
-        spiked = rng.choice(config.frames, size=n_outliers, replace=False)
-        for t in spiked:
-            radar_values[t][0, 0] = 250.0
+        spiked = set(rng.choice(config.frames, size=n_outliers, replace=False).tolist())
     for t in range(config.frames):
         minutes = config.start_minutes + 5 * t
         radar_rel = f"radar/{minutes}.rfg"
         sat_rel = f"sat/{minutes}.rfg"
-        write_grid(out / radar_rel, RainGrid(radar_values[t].astype(np.float32), minutes))
+        radar = fields[t].astype(np.float32)
+        if t in spiked:
+            radar[0, 0] = 250.0
+        write_grid(out / radar_rel, RainGrid(radar, minutes))
         base = _block_mean(_gaussian_blur(fields[t + lookahead], _SAT_BLUR_SIGMA), config.sat_scale)
         bands = np.empty((11, sat_rows, config.cols // config.sat_scale))
         for b in range(11):

@@ -4,6 +4,12 @@ Grids are compared per intensity category.  CSI comes from a pixel-wise
 contingency table; FSS compares neighborhood-window event fractions so that
 small displacements are not punished as double errors.  Cells missing in a
 field are excluded from scoring rather than treated as no-rain.
+
+Scoring works on (S, rows, cols) stacks of samples (`score_pairs`): each
+stack is categorized once, one bincount fills every sample's tables, and
+the FSS events of all samples and categories get one exact integer
+box-sum pass.  Every sample's numbers equal those of scoring it alone
+(`score_pair` is the stack of one).
 """
 
 from __future__ import annotations
@@ -15,15 +21,15 @@ import numpy as np
 from .grids import MISSING, PrecipCategory, RainGrid, categorize_values
 
 
-def _values(field) -> np.ndarray:
+def _values(field, ndim: int = 2) -> np.ndarray:
     v = field.values if isinstance(field, RainGrid) else np.asarray(field)
-    if v.ndim != 2:
-        raise ValueError(f"expected a 2-D field, got shape {v.shape}")
+    if v.ndim != ndim:
+        raise ValueError(f"expected {ndim}-D values, got shape {v.shape}")
     return v
 
 
-def _pair(pred, obs) -> tuple[np.ndarray, np.ndarray]:
-    pv, ov = _values(pred), _values(obs)
+def _pair(pred, obs, ndim: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    pv, ov = _values(pred, ndim), _values(obs, ndim)
     if pv.shape != ov.shape:
         raise ValueError(f"shape mismatch: pred {pv.shape} vs obs {ov.shape}")
     return pv, ov
@@ -50,29 +56,32 @@ class ContingencyTable:
 _CODES = len(PrecipCategory)  # category codes -1 (MISSING) .. 4, shifted to 0 .. 5
 
 
-def _tables(pv, ov, categories) -> list[ContingencyTable]:
-    """Tables of several categories from one categorization of each field.
+def _tables(pv, ov, categories) -> list[list[ContingencyTable]]:
+    """Per sample of two (S, rows, cols) stacks, the table of each category.
 
-    Cells missing in obs are skipped.  One bincount over the (pred code, obs
-    code) pairs of the remaining cells holds every category's counts.
+    Cells missing in obs are skipped.  Each stack is categorized once, and
+    one bincount over the (sample, pred code, obs code) triples of the
+    remaining cells holds every sample's and category's counts.
     """
+    s = len(ov)
     valid = ov != MISSING
-    pc = categorize_values(pv)[valid].astype(np.intp) + 1
-    oc = categorize_values(ov)[valid].astype(np.intp) + 1
-    joint = np.bincount(pc * _CODES + oc, minlength=_CODES * _CODES).reshape(_CODES, _CODES)
-    pred_n, obs_n, total = joint.sum(axis=1), joint.sum(axis=0), int(valid.sum())
-    out = []
-    for c in categories:
-        i = int(c) + 1
-        tp = int(joint[i, i])
-        fp, fn = int(pred_n[i]) - tp, int(obs_n[i]) - tp
-        out.append(ContingencyTable(tp, fp, fn, total - tp - fp - fn))
-    return out
+    pc = categorize_values(pv).astype(np.intp) + 1
+    oc = categorize_values(ov).astype(np.intp) + 1
+    sample = np.arange(s, dtype=np.intp)[:, None, None]
+    joint = np.bincount(((sample * _CODES + pc) * _CODES + oc)[valid],
+                        minlength=s * _CODES * _CODES).reshape(s, _CODES, _CODES)
+    i = [int(c) + 1 for c in categories]
+    tp = joint[:, i, i]
+    fp, fn = joint.sum(axis=2)[:, i] - tp, joint.sum(axis=1)[:, i] - tp
+    tn = valid.sum(axis=(1, 2))[:, None] - tp - fp - fn
+    return [[ContingencyTable(*counts) for counts in zip(*row)]
+            for row in zip(tp.tolist(), fp.tolist(), fn.tolist(), tn.tolist())]
 
 
 def contingency(pred, obs, category: PrecipCategory) -> ContingencyTable:
     """Count TP/FP/FN/TN for one category, skipping cells missing in obs."""
-    return _tables(*_pair(pred, obs), (category,))[0]
+    pv, ov = _pair(pred, obs)
+    return _tables(pv[None], ov[None], (category,))[0][0]
 
 
 def csi(table: ContingencyTable) -> float | None:
@@ -111,11 +120,15 @@ class FssParams:
 
 
 def _events(v: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of q1 <= F < q2 indicators, one per (q1, q2), and the valid mask."""
-    valid = v != MISSING
-    bp = np.empty((len(bounds), *v.shape), dtype=np.int64)
+    """q1 <= F < q2 indicators of (..., rows, cols) fields, one per (q1, q2).
+
+    Returns the (..., k, rows, cols) int8 event stack and the
+    (..., 1, rows, cols) mask of non-missing cells.
+    """
+    valid = (v != MISSING)[..., None, :, :]
+    bp = np.empty((*v.shape[:-2], len(bounds), *v.shape[-2:]), dtype=np.int8)
     for k, (q1, q2) in enumerate(bounds):
-        bp[k] = (v >= q1) & (v < q2) & valid
+        bp[..., k, :, :] = (v >= q1) & (v < q2) & valid[..., 0, :, :]
     return bp, valid
 
 
@@ -130,60 +143,65 @@ def binary_probability(field, bounds: tuple[float, float]) -> tuple[np.ndarray, 
     if q1 >= q2:
         raise ValueError(f"require q1 < q2, got [{q1}, {q2})")
     bp, valid = _events(_values(field), [bounds])
-    return bp[0], valid
+    return bp[0], valid[0]
+
+
+def _box_sums(a: np.ndarray, n: int) -> np.ndarray:
+    """int32 sums of `a` over the n x n window centered on each cell of its
+    last two axes, with zeros outside the domain: n shifted slice adds per
+    axis on one zero-padded copy, so the sums are exact integers."""
+    h = n // 2
+    rows, cols = a.shape[-2:]
+    padded = np.zeros((*a.shape[:-2], rows + 2 * h, cols + 2 * h), dtype=np.int32)
+    padded[..., h:h + rows, h:h + cols] = a
+    across = sum((padded[..., d:d + cols] for d in range(1, n)), padded[..., :cols])
+    return sum((across[..., d:d + rows, :] for d in range(1, n)), across[..., :rows, :])
 
 
 def neighborhood_probability(bp: np.ndarray, n: int,
                              valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean of BP over the n x n window centered on each cell.
 
-    `bp` is one (rows, cols) field or a (k, rows, cols) stack of fields
-    sharing the (rows, cols) `valid` mask, whose window counts are then
-    computed once for the whole stack.  Windows shrink at the domain border
-    and count only valid in-domain cells; the sums come from a summed-area
-    table, so results are exact integer ratios.  Cells whose window holds no
-    valid cell come back flagged invalid.
+    `bp` is one (rows, cols) field or a (..., rows, cols) stack of fields;
+    `valid` is a mask that broadcasts against it, such as one (rows, cols)
+    mask shared by a (k, rows, cols) stack or one (S, 1, rows, cols) mask
+    per sample of an (S, k, rows, cols) stack.  Window counts are computed
+    once per mask.  Windows shrink at the domain border and count only
+    valid in-domain cells; the window sums are exact integers, so results
+    are exact integer ratios.  Cells whose window holds no valid cell come
+    back 0 and flagged invalid in the returned mask, which has the shape of
+    `valid`.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"neighborhood size must be odd and >= 1, got {n}")
-    bp = np.asarray(bp, dtype=np.int64)
-    rows, cols = bp.shape[-2:]
+    bp = np.asarray(bp)
     if valid is None:
-        valid = np.ones((rows, cols), dtype=bool)
-    h = n // 2
-
-    def window_sums(a):
-        sat = np.zeros((*a.shape[:-2], rows + 1, cols + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(a, axis=-2), axis=-1, out=sat[..., 1:, 1:])
-        r = np.arange(rows)
-        c = np.arange(cols)
-        r0, r1 = np.maximum(r - h, 0), np.minimum(r + h, rows - 1) + 1
-        c0, c1 = np.maximum(c - h, 0), np.minimum(c + h, cols - 1) + 1
-        return (sat[..., r1[:, None], c1[None, :]] - sat[..., r0[:, None], c1[None, :]]
-                - sat[..., r1[:, None], c0[None, :]] + sat[..., r0[:, None], c0[None, :]])
-
-    hits = window_sums(bp * valid)
-    counts = window_sums(valid.astype(np.int64))
-    np_valid = counts > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np_values = np.where(np_valid, hits / np.maximum(counts, 1), 0.0)
-    return np_values, np_valid
+        valid = np.ones(bp.shape[-2:], dtype=bool)
+    counts = _box_sums(valid, n)
+    # A window with no valid cell holds no event either, so its ratio is 0 / 1.
+    return _box_sums(bp * valid, n) / np.maximum(counts, 1), counts > 0
 
 
 def _fss_sums(npp, npo, pair) -> list[tuple[float, float, int]]:
-    """(FBS sum, WFBS sum, pair count) of each slice of two NP stacks."""
+    """(FBS sum, WFBS sum, pair count) of each slice of two (k, rows, cols)
+    NP stacks over the (rows, cols) `pair` cells, one 1-D sum per slice."""
     count = int(pair.sum())
-    return [(float(np.sum((p - o) ** 2)), float(np.sum(p * p + o * o)), count)
-            for p, o in zip(npp[:, pair], npo[:, pair])]
+    # The same cells as npp[:, pair], gathered about 4x faster.
+    p, o = (np.compress(pair.ravel(), a.reshape(len(a), pair.size), axis=1)
+                for a in (npp, npo))
+    return [(float(np.sum(f)), float(np.sum(w)), count)
+            for f, w in zip((p - o) ** 2, p * p + o * o)]
 
 
-def _fss_components(pv, ov, bounds, n) -> list[tuple[float, float, int]]:
-    """FSS components of each (q1, q2), one stacked summed-area pass per field."""
+def _fss_components(pv, ov, bounds, n) -> list[list[tuple[float, float, int]]]:
+    """Per sample of two (S, rows, cols) stacks, the FSS components of each
+    (q1, q2): each stack is thresholded once and gets one box-sum pass."""
     bpp, validp = _events(pv, bounds)
     bpo, valido = _events(ov, bounds)
     npp, vp = neighborhood_probability(bpp, n, validp)
     npo, vo = neighborhood_probability(bpo, n, valido)
-    return _fss_sums(npp, npo, vp & vo)
+    pair = vp & vo
+    return [_fss_sums(npp[s], npo[s], pair[s, 0]) for s in range(len(ov))]
 
 
 def fss_ratio(fbs: float, wfbs: float, count: int) -> float | None:
@@ -212,20 +230,33 @@ def fss(pred, obs, params: FssParams) -> float | None:
 
 def fss_components(pred, obs, params: FssParams) -> tuple[float, float, int]:
     """(FBS sum, WFBS sum, valid pair count) for pooled aggregation."""
-    return _fss_components(*_pair(pred, obs), [(params.q1, params.q2)], params.n)[0]
+    pv, ov = _pair(pred, obs)
+    return _fss_components(pv[None], ov[None], [(params.q1, params.q2)], params.n)[0][0]
+
+
+def score_pairs(pred, obs, categories,
+                n: int = 3) -> list[list[tuple[ContingencyTable, tuple[float, float, int]]]]:
+    """Per sample of two (S, rows, cols) stacks, the (contingency table, FSS
+    components) of each category.
+
+    Each stack is categorized once for all the tables and thresholded once
+    into an (S, k, rows, cols) stack of FSS events (see
+    `FssParams.for_category`) for all the components; `n` is the FSS
+    neighborhood size.  Every sample's numbers equal those of scoring it
+    alone.
+    """
+    pv, ov = _pair(pred, obs, ndim=3)
+    bounds = [c.bounds for c in categories]
+    return [list(zip(tables, components)) for tables, components in
+            zip(_tables(pv, ov, categories), _fss_components(pv, ov, bounds, n))]
 
 
 def score_pair(pred, obs, categories,
                n: int = 3) -> list[tuple[ContingencyTable, tuple[float, float, int]]]:
-    """(contingency table, FSS components) of each category for one pair.
-
-    Each field is categorized once for all the tables and thresholded once
-    into a stack of FSS events (see `FssParams.for_category`) for all the
-    components; `n` is the FSS neighborhood size.
-    """
+    """(contingency table, FSS components) of each category for one pair:
+    `score_pairs` on a stack of one."""
     pv, ov = _pair(pred, obs)
-    bounds = [c.bounds for c in categories]
-    return list(zip(_tables(pv, ov, categories), _fss_components(pv, ov, bounds, n)))
+    return score_pairs(pv[None], ov[None], categories, n)[0]
 
 
 def fss_bruteforce(pred, obs, params: FssParams) -> float | None:

@@ -64,6 +64,15 @@ class TestCategorize:
     def test_vectorized_matches_scalar(self, rate):
         assert categorize_values(np.array([rate]))[0] == int(categorize(rate))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vectorized_edges_and_missing(self, dtype):
+        rates = [MISSING, 0.0, 1e-6, 2.4999, 2.5, 7.4999, 7.5, 49.999, 50.0, 200.0, 260.0]
+        v = np.array(rates * 2, dtype=dtype).reshape(2, 1, len(rates))
+        codes = categorize_values(v)
+        assert codes.dtype == np.int8 and codes.shape == v.shape
+        assert codes.ravel().tolist() == [int(categorize(float(r))) for r in v.ravel()]
+        assert categorize_values(v[0, 0, 4]) == int(PrecipCategory.MODERATE)
+
     def test_bounds_partition(self):
         cats = [PrecipCategory.LIGHT, PrecipCategory.MODERATE,
                 PrecipCategory.HEAVY, PrecipCategory.VIOLENT]

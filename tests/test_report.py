@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -198,6 +201,117 @@ class TestEvaluateModelsOracle:
             assert want_csi is not None and want_fss is not None
             assert report.get(5, c.name.title(), "CSI", "m") == want_csi
             assert report.get(5, c.name.title(), "FSS", "m") == want_fss
+
+
+def _shifted_sample(tmp_path, k, fields):
+    """A sample whose times are shifted by an hour per k."""
+    s = _sample(tmp_path, f"s{k}", fields)
+    return SequenceSample(tuple(t + 60 * k for t in s.input_timestamps), s.radar_paths,
+                          None, s.target_timestamp + 60 * k, s.target_path, 5)
+
+
+class TestEvaluateModelsBlocks:
+    """Sample counts below, at and across the block size score exactly as
+    the per-category formulas say, with predictors called once a sample."""
+
+    @pytest.mark.parametrize("aggregation", ["pooled", "per-image"])
+    @pytest.mark.parametrize("count", [1, 5, 8, 13])
+    def test_counts_around_block_size(self, tmp_path, aggregation, count):
+        rng = np.random.default_rng(9)
+        samples, pairs, preds = [], [], {}
+        for k in range(count):
+            fields = [TestEvaluateModelsOracle._field(rng) for _ in range(7)]
+            s = _shifted_sample(tmp_path, k, fields)
+            preds[s.target_timestamp] = TestEvaluateModelsOracle._field(rng)
+            samples.append(s)
+            pairs.append((preds[s.target_timestamp], fields[6]))
+        calls = Counter()
+
+        def model(s):
+            calls[s.target_timestamp] += 1
+            return RainGrid(preds[s.target_timestamp], s.target_timestamp)
+
+        shuffled = [samples[i] for i in rng.permutation(count)]
+        report = evaluate_models([("m", model)], shuffled, categories=RAIN_CATEGORIES,
+                                 neighborhood=3, aggregation=aggregation)
+        assert calls == Counter({s.target_timestamp: 1 for s in samples})
+        for c in RAIN_CATEGORIES:
+            want_csi, want_fss = _oracle_scores(pairs, c, 3, aggregation)
+            assert report.get(5, c.name.title(), "CSI", "m") == want_csi
+            assert report.get(5, c.name.title(), "FSS", "m") == want_fss
+
+    def test_each_predictor_called_once_per_sample(self, tmp_path):
+        rng = np.random.default_rng(10)
+        samples = [_shifted_sample(tmp_path, k, [rng.uniform(0, 60, (6, 5)).astype(np.float32)
+                                                 for _ in range(7)]) for k in range(11)]
+        calls = Counter()
+
+        def predictor(name):
+            def predict(s):
+                calls[name, s.target_timestamp] += 1
+                return read_grid(s.radar_paths[-1])
+            return name, predict
+
+        evaluate_models([predictor("a"), predictor("b")], samples)
+        assert calls == Counter({(name, s.target_timestamp): 1
+                                 for name in "ab" for s in samples})
+
+    def test_wrong_shape_names_predictor_and_target(self, tmp_path):
+        rng = np.random.default_rng(11)
+        samples = [_shifted_sample(tmp_path, k, [rng.uniform(0, 60, (6, 5)).astype(np.float32)
+                                                 for _ in range(7)]) for k in range(3)]
+
+        def bad(s):
+            shape = (5, 6) if s is samples[1] else (6, 5)
+            return RainGrid(np.zeros(shape), s.target_timestamp)
+
+        with pytest.raises(ValueError, match=r"predictor 'bad' returned shape \(5, 6\) "
+                                             r"for target 1970-01-01T01:30Z \(90 min\)"):
+            evaluate_models([("bad", bad)], samples)
+
+    def test_negative_rate_rejected(self, tmp_path):
+        rng = np.random.default_rng(12)
+        samples = [_shifted_sample(tmp_path, 0, [rng.uniform(0, 60, (6, 5)).astype(np.float32)
+                                                 for _ in range(7)])]
+
+        def negative(s):
+            v = np.zeros((6, 5))
+            v[3, 2] = -1.0
+            return v
+
+        with pytest.raises(ValueError, match="negative"):
+            evaluate_models([("neg", negative)], samples)
+
+
+class TestEvaluateModelsMemory:
+    def test_peak_does_not_grow_with_sample_count(self, tmp_path):
+        """Samples are scored block by block, so the traced peak of 64
+        samples stays within 1.25x that of 16 samples."""
+        rng = np.random.default_rng(13)
+        samples = []
+        for k in range(64):
+            paths = []
+            for tag in ("pred", "obs"):
+                path = tmp_path / f"{tag}{k}.rfg"
+                write_grid(path, RainGrid(rng.uniform(0, 80, (64, 64)).astype(np.float32), 0))
+                paths.append(str(path))
+            samples.append(SequenceSample(tuple(range(0, 30, 5)), (paths[0],) * 6, None,
+                                          30 + 5 * k, paths[1], 5))
+
+        def persistence(s):
+            return read_grid(s.radar_paths[-1])
+
+        def peak(subset):
+            tracemalloc.start()
+            try:
+                evaluate_models([("p", persistence)], subset, categories=RAIN_CATEGORIES)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(samples[:16])  # warm-up
+        small, large = peak(samples[:16]), peak(samples)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestRenderMap:

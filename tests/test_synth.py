@@ -109,6 +109,19 @@ class TestGenerateSynthetic:
         maxes = [read_grid(e.radar_path).values.max() for e in index]
         assert sum(1 for m in maxes if m > 200.0) == 2
 
+    def test_outliers_spike_only_the_drawn_frames(self, tmp_path):
+        cfg = _config(frames=10, outlier_fraction=0.2)
+        generate_synthetic(cfg, tmp_path / "spiked")
+        generate_synthetic(_config(frames=10), tmp_path / "clean")
+        drawn = set(np.random.default_rng(cfg.seed + 1).choice(10, size=2, replace=False).tolist())
+        spiked = read_index(tmp_path / "spiked" / "index.tsv")
+        clean = read_index(tmp_path / "clean" / "index.tsv")
+        for t, (s, c) in enumerate(zip(spiked, clean)):
+            want = read_grid(c.radar_path).values.copy()
+            if t in drawn:
+                want[0, 0] = 250.0
+            np.testing.assert_array_equal(read_grid(s.radar_path).values, want)
+
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = _config(noise_level=0.2)
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

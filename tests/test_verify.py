@@ -13,11 +13,13 @@ from rainfusion.verify import (
     fss,
     fss_bruteforce,
     fss_components,
+    fss_ratio,
     kl_divergence,
     ks_statistic,
     neighborhood_probability,
     normalized_histogram,
     score_pair,
+    score_pairs,
 )
 
 HEAVY = PrecipCategory.HEAVY
@@ -134,6 +136,48 @@ class TestNeighborhoodProbability:
                     vals_k, ok_k = neighborhood_probability(stack[k], n, mask)
                     np.testing.assert_array_equal(vals[k], vals_k)
                     np.testing.assert_array_equal(ok, ok_k)
+
+    def test_per_sample_masks_match_slices(self):
+        rng = np.random.default_rng(12)
+        bp = (rng.random((3, 4, 9, 7)) < 0.4).astype(np.int8)
+        valid = rng.random((3, 1, 9, 7)) > 0.2
+        valid[1] = False  # a sample with no valid cell
+        for n in (1, 3, 5, 11):
+            vals, ok = neighborhood_probability(bp, n, valid)
+            assert vals.shape == bp.shape and ok.shape == valid.shape
+            for s in range(3):
+                for k in range(4):
+                    vals_k, ok_k = neighborhood_probability(bp[s, k], n, valid[s, 0])
+                    np.testing.assert_array_equal(vals[s, k], vals_k)
+                    np.testing.assert_array_equal(ok[s, 0], ok_k)
+            assert not ok[1].any() and not vals[1].any()
+
+    def test_per_sample_masks_agree_with_bruteforce(self):
+        rng = np.random.default_rng(13)
+        pred = np.stack([_random_field(rng, (11, 8)) for _ in range(4)])
+        obs = np.stack([_random_field(rng, (11, 8)) for _ in range(4)])
+        checked = 0
+        for n in (1, 3, 5):
+            for cat in (PrecipCategory.LIGHT, HEAVY):
+                params = FssParams.for_category(cat, n=n)
+                stacks = []
+                for fields in (pred, obs):
+                    bp, valid = zip(*(binary_probability(f, cat.bounds) for f in fields))
+                    stacks.append(neighborhood_probability(
+                        np.stack(bp)[:, None], n, np.stack(valid)[:, None]))
+                (npp, vp), (npo, vo) = stacks
+                for s in range(len(pred)):
+                    pair = vp[s, 0] & vo[s, 0]
+                    p, o = npp[s, 0][pair], npo[s, 0][pair]
+                    got = fss_ratio(float(np.sum((p - o) ** 2)), float(np.sum(p * p + o * o)),
+                                    int(pair.sum()))
+                    want = fss_bruteforce(pred[s], obs[s], params)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got == pytest.approx(want, abs=1e-9)
+                        checked += 1
+        assert checked > 10
 
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
@@ -261,6 +305,61 @@ class TestScorePair:
 
     def test_no_categories(self):
         assert score_pair(np.zeros((3, 3)), np.zeros((3, 3)), ()) == []
+
+
+ALL_CATEGORIES = (PrecipCategory.LIGHT, PrecipCategory.MODERATE, HEAVY, PrecipCategory.VIOLENT)
+
+
+def _field_stack(rng, samples, shape=(12, 10)):
+    """Rain with dry cells, category edges, >= 200 mm/h and MISSING cells."""
+    v = rng.uniform(0, 80, (samples, *shape))
+    v[rng.random(v.shape) < 0.3] = 0.0
+    v[rng.random(v.shape) < 0.1] = rng.choice([2.5, 7.5, 50.0, 200.0, 260.0])
+    v[rng.random(v.shape) < 0.1] = MISSING
+    return v.astype(np.float32)
+
+
+class TestScorePairs:
+    @pytest.mark.parametrize("n", [1, 3, 5, 9, 25])
+    def test_equals_per_sample_score_pair(self, n):
+        # n = 25 is wider than the 12 x 10 grid
+        rng = np.random.default_rng(11)
+        pred, obs = _field_stack(rng, 5), _field_stack(rng, 5)
+        obs[2] = MISSING  # nothing to score in sample 2
+        stacked = score_pairs(pred, obs, ALL_CATEGORIES, n)
+        assert len(stacked) == 5
+        for s in range(5):
+            assert stacked[s] == score_pair(pred[s], obs[s], ALL_CATEGORIES, n)
+        for table, components in stacked[2]:
+            assert table == ContingencyTable() and components == (0.0, 0.0, 0)
+            assert csi(table) is None and fss_ratio(*components) is None
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_agrees_with_per_category_definitions(self, n):
+        rng = np.random.default_rng(14)
+        pred, obs = _field_stack(rng, 6), _field_stack(rng, 6)
+        for s, scored in enumerate(score_pairs(pred, obs, ALL_CATEGORIES, n)):
+            valid = obs[s] != MISSING
+            for c, (table, components) in zip(ALL_CATEGORIES, scored):
+                p = (categorize_values(pred[s]) == c) & valid
+                o = (categorize_values(obs[s]) == c) & valid
+                assert (table.tp, table.fp, table.fn, table.total) == (
+                    np.sum(p & o), np.sum(p & ~o), np.sum(~p & o), np.sum(valid))
+                want = fss_bruteforce(pred[s], obs[s], FssParams.for_category(c, n))
+                got = fss_ratio(*components)
+                assert got == want or got == pytest.approx(want, abs=1e-9)
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="3-D"):
+            score_pairs(np.zeros((3, 3)), np.zeros((3, 3)), ALL_CATEGORIES)
+        with pytest.raises(ValueError, match="mismatch"):
+            score_pairs(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), ALL_CATEGORIES)
+
+    def test_negative_rate_rejected(self):
+        pred = np.zeros((2, 4, 4))
+        pred[1, 2, 3] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            score_pairs(pred, np.zeros((2, 4, 4)), ALL_CATEGORIES)
 
 
 class TestHistogramScores:
