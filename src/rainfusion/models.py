@@ -10,7 +10,9 @@ so time survives the encoder; the multimodal variant pools (2, 2, 2) with
 ceiling semantics and the decoder restores the recorded sizes exactly.
 Body convs keep a temporal extent of 1; all temporal mixing happens in the
 pooling path and the head.  Each block is a list of layers, run in order
-forward and in reverse backward.
+forward and in reverse backward.  Activations have the layers' (b, t, h, w, c)
+shape over channels-first memory (see `rainfusion.nn`), so the decoder
+concatenates on the channel axis of that memory and splits gradients there.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ class UNet3D:
         h = _forward(self.bott, h)
         for block, up, skip in zip(self.dec, self.ups, reversed(skips)):
             h = up.forward(h, target_dims=skip.shape[1:4])
-            h = np.concatenate([h, skip], axis=-1)
+            h = np.concatenate([h.transpose(0, 4, 1, 2, 3), skip.transpose(0, 4, 1, 2, 3)],
+                               axis=1).transpose(0, 2, 3, 4, 1)
             h = _forward(block, h)
         return _forward(self.head, h)
 

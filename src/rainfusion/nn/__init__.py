@@ -1,7 +1,12 @@
 """Dense numerical layer stack for the 3D U-Net forecasters.
 
-Activations are rank-5 arrays laid out (batch, time, rows, cols, channels);
-float32 is the training precision, float64 the gradient-check precision.
+Activations are rank-5 arrays of shape (batch, time, rows, cols, channels):
+every layer takes and returns that shape.  Their memory is channels-first:
+a layer returns the (b, t, h, w, c) transpose of a C-contiguous
+(b, c, t, h, w) buffer, so each channel is one contiguous run of cells
+and the next layer reads it back with a free transpose.  A C-ordered
+channels-last input gives the same results.  float32 is the training
+precision, float64 the gradient-check precision.
 Every layer implements an exact adjoint: `forward(x)` caches what its
 `backward(grad)` needs, and parameter gradients accumulate on the layer's
 Parameter blocks until `zero_grad`.

@@ -1,13 +1,22 @@
 """3D convolution, pooling, upsampling and activation layers with adjoints.
 
-All layers act on (batch, time, rows, cols, channels) arrays with stride 1.
-Convolutions zero-pad so spatial dims are preserved; the temporal axis is
-either preserved ("same", odd extent) or consumed ("valid") per layer.  A
-convolution is one GEMM per kernel tap on a row-shifted window of its padded
-input, so no im2col copy is made, and the padded input is all it caches.
-Pooling uses non-overlapping windows with ceiling semantics, so a ragged
-last window simply shrinks; upsampling is nearest-neighbor repetition with
-an explicit target-dims override that inverts ceiling-pooled sizes exactly.
+Every layer takes and returns (batch, time, rows, cols, channels) arrays:
+that shape is the API.  In memory, activations are channels-first: a layer
+returns the (b, t, h, w, c) transpose of a C-contiguous (b, c, t, h, w)
+buffer, so the next layer's `x.transpose(0, 4, 1, 2, 3)` is a free
+contiguous view and every kernel runs on long contiguous rows of one
+channel.  A C-ordered channels-last input gives the same results; it only
+costs a strided read.
+
+Layers have stride 1.  Convolutions zero-pad so spatial dims are
+preserved; the temporal axis is either preserved ("same", odd extent) or
+consumed ("valid") per layer.  A convolution is one stacked-tap GEMM per
+block of output cells on shifted windows of its padded input, so no
+im2col copy of the whole input is made, and the padded input is all it
+caches.  Pooling uses non-overlapping windows with ceiling semantics, so a
+ragged last window simply shrinks; upsampling is nearest-neighbor
+repetition with an explicit target-dims override that inverts
+ceiling-pooled sizes exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# Output cells per conv GEMM block.  It bounds the stacked-tap intermediate
+# (taps x channels x cells) that each block allocates.
+_ROW_BLOCK = 4096
 
 
 def ensure_array5(x, name: str = "input") -> np.ndarray:
@@ -24,6 +37,42 @@ def ensure_array5(x, name: str = "input") -> np.ndarray:
     if min(arr.shape) < 1:
         raise ValueError(f"{name} has a zero-length axis: shape {arr.shape}")
     return arr
+
+
+def _channels_first(x: np.ndarray) -> np.ndarray:
+    """The (b, c, t, h, w) memory view of a (b, t, h, w, c) activation."""
+    return x.transpose(0, 4, 1, 2, 3)
+
+
+def _channels_last(buf: np.ndarray) -> np.ndarray:
+    """The (b, t, h, w, c) view of a (b, c, t, h, w) buffer, as layers return it."""
+    return buf.transpose(0, 2, 3, 4, 1)
+
+
+def _tap_gemms(dst, src, w, offsets, base):
+    """dst[:, u] += sum over taps k of w[k] @ src[:, base + u + offsets[k]].
+
+    dst is (dst channels, cells) and src (src channels, cells) with one
+    contiguous row per channel; w is (taps, dst channels, src channels).
+    The cells of dst go in blocks of `_ROW_BLOCK`, and each block is one
+    GEMM with the taps stacked on the side with fewer channels: the
+    products of all taps over the block plus its halo, added shifted, or
+    the tap-shifted source rows gathered under one another.
+    """
+    taps, cd, cs = w.shape
+    lo, hi = min(offsets), max(offsets)
+    stack_dst = cd <= cs
+    ws = w.reshape(taps * cd, cs) if stack_dst else w.transpose(1, 0, 2).reshape(cd, taps * cs)
+    for u0 in range(0, dst.shape[1], _ROW_BLOCK):
+        block = dst[:, u0:u0 + _ROW_BLOCK]
+        n = block.shape[1]
+        s0 = base + u0
+        if stack_dst:
+            y = (ws @ src[:, s0 + lo:s0 + hi + n]).reshape(taps, cd, -1)
+            for k, off in enumerate(offsets):
+                block += y[k, :, off - lo:off - lo + n]
+        else:
+            block += ws @ np.concatenate([src[:, s0 + off:s0 + off + n] for off in offsets])
 
 
 class Parameter:
@@ -50,16 +99,26 @@ class Conv3d:
     generator; bias starts at zero.  `temporal_pad` is "same" (odd kt,
     preserves time) or "valid" (output time = T - kt + 1).
 
-    The zero-padded input of each batch item is viewed as (Tp*Hp*Wp, in)
-    rows.  Kernel tap (it, ih, iw) is then a shift of (it*Hp + ih)*Wp + iw
-    rows, so forward adds one 2-D GEMM per item and tap, window @ W[tap],
-    on the padded (To, Hp, Wp) output grid and crops it to (To, H, W).
-    Backward mirrors it on grad_out embedded in a zeroed padded grid:
-    weight.grad[tap] += window.T @ G and grad_in[window] += G @ W[tap].T.
-    A one-channel input (`in` = 1 in the weight's shape) would make every
-    per-tap product an outer product, so its forward gathers the tap windows
-    into one (taps, cells) block for a single GEMM.  Only the padded input
-    is cached between forward and backward.
+    The input is zero-padded into a channels-first (b, in, Tp, Hp, Wp)
+    buffer, and each item is viewed as (in, Tp*Hp*Wp): one contiguous row
+    of cells per channel.  Output cell (t, h, w) of the padded (To, Hp, Wp)
+    output grid is cell (t*Hp + h)*Wp + w, and kernel tap (it, ih, iw)
+    reads the input shifted by (it*Hp + ih)*Wp + iw cells.  Forward runs
+    `_tap_gemms` once per item and temporal tap: one GEMM per block of
+    `_ROW_BLOCK` output cells, with the kh*kw spatial taps stacked on the
+    side with fewer channels,
+
+    - out <= in: Y = W(taps*out, in) @ X[block + halo], and each tap's
+      slice of Y is added to the block at that tap's shift;
+    - out > in: the tap-shifted input rows are gathered into
+      cols(taps*in, block), and the block gets W(out, taps*in) @ cols.
+
+    The cells outside (H, W) are cropped away and the bias added in one
+    broadcast.  Backward adds X[shifted] @ G.T to each tap's weight
+    gradient, and computes the input gradient with `_tap_gemms` the other
+    way round: W[tap] (in, out) applied to grad_out at minus each tap's
+    shift, read from a padded grid behind a zero margin of one halo.  Only
+    the padded input is cached between forward and backward.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
@@ -94,6 +153,19 @@ class Conv3d:
     def param_count(self) -> int:
         return self.weight.value.size + self.bias.value.size
 
+    def _grid(self, padded_shape):
+        """(cells per padded frame, halo, rows, spatial tap shifts).
+
+        `rows` ends at the last output cell kept, so every tap-shifted
+        window of that many cells stays inside the padded input; a block
+        of output rows reads its rows plus the halo.
+        """
+        _, _, Tp, Hp, Wp = padded_shape
+        kt, kh, kw = self.kernel
+        halo = (kh - 1) * Wp + kw - 1
+        shifts = [ih * Wp + iw for ih, iw in np.ndindex(kh, kw)]
+        return Hp * Wp, halo, (Tp - kt + 1) * Hp * Wp - halo, shifts
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = ensure_array5(x, self.name)
         b, T, H, W, c = x.shape
@@ -104,30 +176,22 @@ class Conv3d:
         if self.temporal_pad == "valid" and T < kt:
             raise ValueError(f"{self.name}: temporal extent {kt} exceeds input time {T}")
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        xp = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw), (0, 0)))
-        w = self.weight.value
+        xp = np.zeros((b, c, T + 2 * pt, H + 2 * ph, W + 2 * pw), x.dtype)
+        xp[:, :, pt:pt + T, ph:ph + H, pw:pw + W] = _channels_first(x)
+        Hp, Wp = xp.shape[3:]
         To = T - kt + 1 + 2 * pt
-        if w.shape[3] == 1:
-            # per-tap products of inner size 1 are outer products, so the tap
-            # windows of a one-channel input are gathered for one GEMM instead
-            taps = list(np.ndindex(kt, kh, kw))
-            cols = np.empty((len(taps), b, To, H, W), xp.dtype)
-            for i, (it, ih, iw) in enumerate(taps):
-                cols[i] = xp[:, it:it + To, ih:ih + H, iw:iw + W, 0]
-            out = cols.reshape(len(taps), -1).T @ w.reshape(len(taps), -1)
-            out = out.reshape(b, To, H, W, -1)
-        else:
-            taps, rows = _taps(xp.shape, self.kernel)
-            Hp, Wp = xp.shape[2:4]
-            xf = xp.reshape(b, -1, c)
-            acc = np.zeros((b, To * Hp * Wp, self.out_channels), np.result_type(xp, w))
-            for k, s in taps:
-                for n in range(b):
-                    acc[n, :rows] += xf[n, s:s + rows] @ w[k]
-            out = acc.reshape(b, To, Hp, Wp, -1)[:, :, :H, :W]
-        out = out + self.bias.value
-        self._cache = (xp, (pt, ph, pw), x.shape, out.shape)
-        return out
+        plane, halo, rows, shifts = self._grid(xp.shape)
+        w = self.weight.value
+        cout = self.out_channels
+        wt = w.transpose(0, 1, 2, 4, 3).reshape(kt, len(shifts), cout, c)  # (kt, taps, out, in)
+        xf = xp.reshape(b, c, -1)
+        acc = np.zeros((b, cout, To * plane), np.result_type(xp, w))
+        for n in range(b):
+            for it in range(kt):
+                _tap_gemms(acc[n, :, :rows], xf[n], wt[it], shifts, it * plane)
+        out = acc.reshape(b, cout, To, Hp, Wp)[:, :, :, :H, :W] + self.bias.value[:, None, None, None]
+        self._cache = (xp, (pt, ph, pw), x.shape, (b, To, H, W, cout))
+        return _channels_last(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -137,45 +201,46 @@ class Conv3d:
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
         b, To, H, W, cout = out_shape
-        _, _, Hp, Wp, c = xp.shape
-        taps, rows = _taps(xp.shape, self.kernel)
-        self.bias.grad += grad_out.sum(axis=(0, 1, 2, 3))
-        # grad_out on the padded output grid; the cropped rows stay zero
-        g = np.zeros((b, To, Hp, Wp, cout), grad_out.dtype)
-        g[:, :, :H, :W] = grad_out
-        gf = g.reshape(b, -1, cout)
-        xf = xp.reshape(b, -1, c)
+        _, c, _, Hp, Wp = xp.shape
+        kt = self.kernel[0]
+        plane, halo, rows, shifts = self._grid(xp.shape)
+        # grad_out on the padded output grid behind a zero margin of one halo,
+        # so that every tap-shifted read of it stays inside the buffer
+        gbuf = np.zeros((b, cout, halo + To * plane), grad_out.dtype)
+        gf = gbuf[:, :, halo:]
+        gf.reshape(b, cout, To, Hp, Wp)[:, :, :, :H, :W] = _channels_first(grad_out)
+        # summed from the buffer, so the order does not depend on grad_out's layout
+        self.bias.grad += gbuf.sum(axis=(0, 2))
+        xf = xp.reshape(b, c, -1)
         gxp = np.zeros_like(xp)
-        gxf = gxp.reshape(b, -1, c)
-        w = self.weight.value
-        for k, s in taps:
-            for n in range(b):
-                self.weight.grad[k] += xf[n, s:s + rows].T @ gf[n, :rows]
-                gxf[n, s:s + rows] += gf[n, :rows] @ w[k].T
+        gxf = gxp.reshape(b, c, -1)
+        w = self.weight.value.reshape(kt, len(shifts), c, cout)  # (kt, taps, in, out)
+        wgrad = self.weight.grad.reshape(w.shape)
+        for n in range(b):
+            for it in range(kt):
+                x0 = it * plane
+                for k, s in enumerate(shifts):
+                    wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
+                _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it], [-s for s in shifts], halo)
         T = in_shape[1]
-        return gxp[:, pt:pt + T, ph:ph + H, pw:pw + W, :]
+        return _channels_last(gxp[:, :, pt:pt + T, ph:ph + H, pw:pw + W])
 
 
-def _taps(padded_shape, kernel):
-    """Kernel taps as ((it, ih, iw), row shift) on the flattened padded grid.
-
-    Output cell (t, h, w) sits at row (t * Hp + h) * Wp + w of the padded
-    grid, and tap (it, ih, iw) reads the input row shifted by
-    (it * Hp + ih) * Wp + iw.  `rows` ends at the last output cell kept, so
-    every shifted window of that length stays inside the padded input.
-    """
-    _, _, Hp, Wp, _ = padded_shape
-    kt, kh, kw = kernel
-    to = padded_shape[1] - kt + 1
-    taps = [((it, ih, iw), (it * Hp + ih) * Wp + iw) for it, ih, iw in np.ndindex(kt, kh, kw)]
-    return taps, to * Hp * Wp - (kh - 1) * Wp - (kw - 1)
+def _where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`np.where(mask, values, 0)` bit for bit, as an AND of the float bits
+    with an all-ones or all-zeros integer, several times faster."""
+    bits = values.view(f"i{values.itemsize}")
+    return (bits & np.negative(mask.view(np.int8))).view(values.dtype)
 
 
 class MaxPool3d:
     """Non-overlapping max pooling; a ragged last window shrinks.
 
-    Backward routes each window's gradient to its argmax, first occurrence
-    in (t, h, w) window order on ties.
+    Forward takes the elementwise maximum over the window positions of the
+    reshaped input, one strided view per position.
+    Backward routes each window's gradient to its first maximum in
+    (t, h, w) window order, as `argmax` would: ties go to the first cell,
+    and a window holding NaN routes to its first NaN.
     """
 
     def __init__(self, window=(2, 2, 1)):
@@ -196,37 +261,48 @@ class MaxPool3d:
         b, T, H, W, c = x.shape
         wt, wh, ww = self.window
         ot, oh, ow = self.output_dims((T, H, W), self.window)
-        pad = ((0, 0), (0, ot * wt - T), (0, oh * wh - H), (0, ow * ww - W), (0, 0))
-        xp = np.pad(x, pad, constant_values=-np.inf)
-        xr = xp.reshape(b, ot, wt, oh, wh, ow, ww, c)
-        flat = xr.transpose(0, 1, 3, 5, 7, 2, 4, 6).reshape(b, ot, oh, ow, c, wt * wh * ww)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
-        return out
+        xc = _channels_first(x)
+        if (ot * wt, oh * wh, ow * ww) != (T, H, W):
+            pad = ((0, 0), (0, 0), (0, ot * wt - T), (0, oh * wh - H), (0, ow * ww - W))
+            xc = np.pad(xc, pad, constant_values=-np.inf)
+        windows = xc.reshape(b, c, ot, wt, oh, wh, ow, ww)
+        first, *rest = self._cells(windows)
+        out = first.copy()
+        for cell in rest:
+            np.maximum(out, cell, out=out)
+        self._cache = (x.shape, windows, out)
+        return _channels_last(out)
+
+    def _cells(self, windows):
+        """The cell at each window position, across all windows, in (t, h, w) order."""
+        return [windows[:, :, :, dt, :, dh, :, dw] for dt, dh, dw in np.ndindex(*self.window)]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("maxpool backward before forward")
-        in_shape, idx = self._cache
-        b, T, H, W, c = in_shape
-        wt, wh, ww = self.window
-        ot, oh, ow = self.output_dims((T, H, W), self.window)
+        (b, T, H, W, c), windows, out = self._cache
         grad_out = np.asarray(grad_out)
-        if grad_out.shape != idx.shape:
-            raise ValueError(f"maxpool grad shape {grad_out.shape} != output shape {idx.shape}")
-        flat = np.zeros((b, ot, oh, ow, c, wt * wh * ww), dtype=grad_out.dtype)
-        np.put_along_axis(flat, idx[..., None], grad_out[..., None], axis=-1)
-        xr = flat.reshape(b, ot, oh, ow, c, wt, wh, ww).transpose(0, 1, 5, 2, 6, 3, 7, 4)
-        g = xr.reshape(b, ot * wt, oh * wh, ow * ww, c)
-        return np.ascontiguousarray(g[:, :T, :H, :W, :])
+        out_shape = _channels_last(out).shape
+        if grad_out.shape != out_shape:
+            raise ValueError(f"maxpool grad shape {grad_out.shape} != output shape {out_shape}")
+        gc = _channels_first(grad_out)
+        grad = np.empty(windows.shape, grad_out.dtype)
+        free = np.ones(out.shape, bool)  # windows whose gradient is not yet routed
+        for cell, grad_cell in zip(self._cells(windows), self._cells(grad)):
+            hit = (cell == out) | np.isnan(cell)
+            hit &= free
+            grad_cell[...] = _where(hit, gc)
+            free ^= hit
+        g = grad.reshape(b, c, *(d * w for d, w in zip(out.shape[2:], self.window)))
+        return _channels_last(g[:, :, :T, :H, :W])
 
 
 class Upsample3d:
     """Nearest-neighbor repetition by integer factors per (t, h, w) axis.
 
     `target_dims` crops the repeated output so ceiling-pooled sizes invert
-    exactly; backward sums the gradient over each repetition group.
+    exactly; backward sums the gradient over each repetition group, one
+    axis at a time in (t, h, w) order.
     """
 
     def __init__(self, factors=(2, 2, 1)):
@@ -249,13 +325,12 @@ class Upsample3d:
             if t > d * f or t <= (d - 1) * f:
                 raise ValueError(
                     f"target dim {t} not reachable from {d} cells repeated x{f}")
-        out = x
-        for axis, (f, t) in enumerate(zip(self.factors, target_dims), start=1):
-            if f > 1:
-                out = np.repeat(out, f, axis=axis)
-            out = out[(slice(None),) * axis + (slice(0, t),)]
+        b, c = x.shape[0], x.shape[4]
+        (t, h, w), (ft, fh, fw), (tt, th, tw) = in_dims, self.factors, target_dims
+        xc = _channels_first(x)[:, :, :, None, :, None, :, None]
+        out = np.broadcast_to(xc, (b, c, t, ft, h, fh, w, fw)).reshape(b, c, t * ft, h * fh, w * fw)
         self._cache = (in_dims, tuple(target_dims))
-        return out
+        return _channels_last(np.ascontiguousarray(out[:, :, :tt, :th, :tw]))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -264,15 +339,28 @@ class Upsample3d:
         grad_out = np.asarray(grad_out)
         if grad_out.shape[1:4] != target_dims:
             raise ValueError(f"upsample grad dims {grad_out.shape[1:4]} != target {target_dims}")
-        g = grad_out
-        for axis, (f, d) in enumerate(zip(self.factors, in_dims), start=1):
+        g = _channels_first(grad_out)
+        ragged = [d * f - t for d, f, t in zip(in_dims, self.factors, target_dims)]
+        if any(ragged):
+            # -0.0 is the padding that leaves every sum bit-identical: x + -0.0 == x
+            g = np.pad(g, ((0, 0), (0, 0), *((0, r) for r in ragged)), constant_values=-0.0)
+        for axis, (f, d) in enumerate(zip(self.factors, in_dims), start=2):
             if f > 1:
-                g = np.add.reduceat(g, np.arange(d) * f, axis=axis)
-        return g
+                g = g.reshape(*g.shape[:axis], d, f, *g.shape[axis + 1:]).sum(axis=axis + 1)
+        return _channels_last(g)
 
 
 class ReLU:
-    """Elementwise max(0, x); the subgradient at exactly 0 is taken as 0."""
+    """Elementwise max(0, x), as np.where(x > 0, x, 0) bit for bit.
+
+    Forward maps NaN, -0.0 and 0.0 to +0.0 and caches the bool mask x > 0,
+    so the subgradient at exactly 0 is 0.  Backward is grad * mask, plus
+    +0.0 so that a negative gradient at an inactive unit gives +0.0, not
+    -0.0.  For finite gradients that is np.where(mask, grad, 0) bit for
+    bit, except that a -0.0 gradient at an active unit comes back as +0.0.
+    A non-finite upstream gradient propagates (NaN * 0 is NaN) instead of
+    being masked, so `Adam.step` raises and names the block.
+    """
 
     def __init__(self):
         self._mask = None
@@ -282,9 +370,11 @@ class ReLU:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        return _where(self._mask, x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("relu backward before forward")
-        return np.where(self._mask, grad_out, 0)
+        g = grad_out * self._mask
+        g += 0
+        return g

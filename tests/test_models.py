@@ -116,6 +116,29 @@ class TestArchitecture:
         g = model.backward(np.ones_like(out))
         assert g.shape == x.shape
 
+    @pytest.mark.parametrize("config", [TINY, TINY_MM])
+    def test_layer_outputs_are_channels_first_in_memory(self, config, monkeypatch):
+        model = UNet3D(config, seed=4)
+        layers = [layer for block in (*model.enc, model.bott, *model.dec, model.head)
+                  for layer in block] + model.pools + model.ups
+        outputs = []
+
+        def recording(layer):
+            forward = layer.forward
+
+            def record(*args, **kwargs):
+                outputs.append((layer, forward(*args, **kwargs)))
+                return outputs[-1][1]
+            return record
+
+        for layer in layers:
+            monkeypatch.setattr(layer, "forward", recording(layer))
+        x = np.random.default_rng(5).random((2, 6, 16, 16, config.in_channels), dtype=np.float32)
+        model.forward(x)
+        assert len(outputs) == len(layers)
+        for layer, out in outputs:
+            assert out.transpose(0, 4, 1, 2, 3).flags.c_contiguous, layer
+
     def test_forward_deterministic(self):
         model = UNet3D(TINY, seed=3)
         x = np.random.default_rng(2).random((1, 6, 16, 16, 1), dtype=np.float32)

@@ -53,6 +53,57 @@ def projection_loss(layer, x, proj):
     return loss_fn
 
 
+def channels_first_backed(x):
+    """The same values as `x`, as the (b, t, h, w, c) view of channels-first memory."""
+    return np.ascontiguousarray(x.transpose(0, 4, 1, 2, 3)).transpose(0, 2, 3, 4, 1)
+
+
+def assert_bits_equal(a, b):
+    """Equal bit for bit, signed zeros included; any NaN matches any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    ints = f"u{a.itemsize}"
+    np.testing.assert_array_equal(a[~nan].view(ints), b[~nan].view(ints))
+
+
+def pool_windows(x, window):
+    """Channels-last (b, ot, oh, ow, c, cells) pool windows, -inf padded."""
+    b, T, H, W, c = x.shape
+    wt, wh, ww = window
+    ot, oh, ow = MaxPool3d.output_dims((T, H, W), window)
+    pad = ((0, 0), (0, ot * wt - T), (0, oh * wh - H), (0, ow * ww - W), (0, 0))
+    xr = np.pad(x, pad, constant_values=-np.inf).reshape(b, ot, wt, oh, wh, ow, ww, c)
+    return xr.transpose(0, 1, 3, 5, 7, 2, 4, 6).reshape(b, ot, oh, ow, c, wt * wh * ww)
+
+
+def maxpool_oracle(x, window, grad_out):
+    """Channels-last argmax pooling: its output, and grad_out routed back."""
+    b, T, H, W, c = x.shape
+    wt, wh, ww = window
+    ot, oh, ow = MaxPool3d.output_dims((T, H, W), window)
+    flat = pool_windows(x, window)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    routed = np.zeros((b, ot, oh, ow, c, wt * wh * ww), dtype=grad_out.dtype)
+    np.put_along_axis(routed, idx[..., None], grad_out[..., None], axis=-1)
+    g = routed.reshape(b, ot, oh, ow, c, wt, wh, ww).transpose(0, 1, 5, 2, 6, 3, 7, 4)
+    return out, g.reshape(b, ot * wt, oh * wh, ow * ww, c)[:, :T, :H, :W, :]
+
+
+def upsample_oracle(x, factors, target_dims, grad_out):
+    """Channels-last np.repeat upsampling, and its np.add.reduceat adjoint."""
+    out = x
+    for axis, (f, t) in enumerate(zip(factors, target_dims), start=1):
+        out = np.repeat(out, f, axis=axis)[(slice(None),) * axis + (slice(0, t),)]
+    g = grad_out
+    for axis, (f, d) in enumerate(zip(factors, x.shape[1:4]), start=1):
+        if f > 1:
+            g = np.add.reduceat(g, np.arange(d) * f, axis=axis)
+    return out, g
+
+
 class TestConv3d:
     def test_identity_kernel(self):
         conv = Conv3d(1, 1, kernel=(1, 1, 1), dtype=np.float64)
@@ -200,18 +251,7 @@ def untied_pool_input(rng, shape, window):
     """Random input whose pool windows have clear, unique maxima."""
     for _ in range(50):
         x = rng.normal(size=shape)
-        pool = MaxPool3d(window)
-        out = pool.forward(x)
-        b, T, H, W, c = shape
-        wt, wh, ww = window
-        ok = True
-        pad = ((0, 0), (0, -T % wt), (0, -H % wh), (0, -W % ww), (0, 0))
-        xp = np.pad(x, pad, constant_values=-np.inf)
-        ot, oh, ow = (s // w for s, w in zip(xp.shape[1:4], window))
-        flat = (xp.reshape(b, ot, wt, oh, wh, ow, ww, c)
-                  .transpose(0, 1, 3, 5, 7, 2, 4, 6)
-                  .reshape(b, ot, oh, ow, c, -1))
-        top2 = np.sort(flat, axis=-1)[..., -2:]
+        top2 = np.sort(pool_windows(x, window), axis=-1)[..., -2:]
         gaps = top2[..., 1] - top2[..., 0]
         if np.min(gaps[np.isfinite(gaps)]) > 1e-3:
             return x
@@ -254,6 +294,32 @@ class TestMaxPool3d:
         err = gradient_check(projection_loss(pool, xp, proj), [xp], [xp.grad],
                              n_samples=150, seed=1)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fill", ["normal", "relu", "nan"])
+    @pytest.mark.parametrize(
+        "window,shape",
+        [
+            ((2, 2, 1), (2, 6, 8, 6, 3)),
+            ((2, 2, 2), (2, 6, 8, 6, 3)),
+            ((2, 2, 1), (1, 5, 7, 4, 2)),  # ragged time, odd rows
+            ((2, 2, 2), (1, 3, 5, 5, 2)),  # ragged in every axis
+        ],
+    )
+    def test_matches_argmax_oracle(self, window, shape, fill, dtype):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=shape).astype(dtype)
+        if fill == "relu":  # as after a ReLU: most windows are all zero
+            x = np.where(x > 1.0, x, 0)
+        elif fill == "nan":
+            x[0, 0, 1, 0, 0] = x[0, 1, 0, 0, 0] = np.nan  # (0, 1, 0) is first in window order
+            x[0, -1, -1, -1, -1] = np.nan  # in the ragged last window
+        pool = MaxPool3d(window)
+        out = pool.forward(x)
+        g = rng.normal(size=out.shape).astype(dtype)
+        ref_out, ref_grad = maxpool_oracle(x, window, g)
+        assert_bits_equal(out, ref_out)
+        assert_bits_equal(pool.backward(g), ref_grad)
 
 
 class TestUpsample3d:
@@ -298,6 +364,26 @@ class TestUpsample3d:
         with pytest.raises(ValueError):
             ups.forward(x, target_dims=(4, 6, 6))  # last cell unused
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "factors,in_dims,target_dims",
+        [
+            ((2, 2, 1), (3, 4, 5), (6, 8, 5)),
+            ((2, 2, 2), (3, 4, 5), (6, 8, 10)),
+            ((2, 2, 1), (3, 3, 4), (5, 5, 4)),  # ragged time, odd rows
+            ((2, 2, 2), (2, 3, 3), (3, 5, 6)),  # ragged time and rows
+        ],
+    )
+    def test_matches_repeat_reduceat_oracle(self, factors, in_dims, target_dims, dtype):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, *in_dims, 3)).astype(dtype)
+        ups = Upsample3d(factors)
+        out = ups.forward(x, target_dims=target_dims)
+        g = rng.normal(size=out.shape).astype(dtype)
+        ref_out, ref_grad = upsample_oracle(x, factors, target_dims, g)
+        assert_bits_equal(out, ref_out)
+        assert_bits_equal(ups.backward(g), ref_grad)
+
 
 class TestReLU:
     def test_positive_identity_negative_zero(self):
@@ -319,6 +405,64 @@ class TestReLU:
         err = gradient_check(projection_loss(relu, xp, proj), [xp], [xp.grad],
                              n_samples=80, seed=3)
         assert err < 1e-7
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("repeat", [1, 1000])  # scalar and vectorized loops
+    def test_forward_maps_nan_and_zeros_to_positive_zero(self, dtype, repeat):
+        x = np.tile(np.array([-0.0, np.nan, 0.0, -1.5, 2.5], dtype), repeat)
+        out = ReLU().forward(x.reshape(1, repeat, 1, 1, 5))
+        want = np.tile(np.array([0.0, 0.0, 0.0, 0.0, 2.5], dtype), repeat)
+        assert_bits_equal(out.ravel(), want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_is_where_on_finite_gradients(self, dtype):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(2, 3, 8, 8, 4)).astype(dtype)
+        x[..., 0] = 0.0  # the subgradient at exactly 0 is 0
+        g = rng.normal(size=x.shape).astype(dtype)
+        g[0, 0] = 0.0
+        relu = ReLU()
+        relu.forward(x)
+        assert_bits_equal(relu.backward(g), np.where(x > 0, g, 0))
+
+    def test_nonfinite_gradient_propagates(self):
+        relu = ReLU()
+        relu.forward(np.array([-1.0, 1.0, 0.0, -2.0]).reshape(1, 1, 1, 1, 4))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            g = relu.backward(np.array([np.nan, np.inf, -np.inf, 3.0]).reshape(1, 1, 1, 1, 4))
+        assert np.isnan(g[..., 0]) and np.isnan(g[..., 2])
+        assert g[..., 1] == np.inf and g[..., 3] == 0.0
+
+
+LAYOUT_LAYERS = {
+    "conv-out>in": lambda: Conv3d(3, 5, rng=np.random.default_rng(1)),
+    "conv-out<=in": lambda: Conv3d(5, 3, kernel=(3, 3, 3), rng=np.random.default_rng(2)),
+    "conv-valid": lambda: Conv3d(5, 2, kernel=(4, 3, 3), temporal_pad="valid",
+                                 rng=np.random.default_rng(3)),
+    "pool": lambda: MaxPool3d((2, 2, 2)),
+    "upsample": lambda: Upsample3d((2, 2, 2)),
+    "relu": ReLU,
+}
+
+
+@pytest.mark.parametrize("make", LAYOUT_LAYERS.values(), ids=LAYOUT_LAYERS)
+def test_layers_ignore_input_memory_order(make):
+    """A C-ordered channels-last input and a channels-first-backed view give
+    the same outputs and gradients, and the output is channels-first."""
+    rng = np.random.default_rng(23)
+    layer = make()
+    x = rng.normal(size=(2, 5, 7, 6, getattr(layer, "in_channels", 4))).astype(np.float32)
+    results = []
+    for arrange in (np.ascontiguousarray, channels_first_backed):
+        for p in layer.params():
+            p.zero_grad()
+        out = layer.forward(arrange(x))
+        g = np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
+        gx = layer.backward(arrange(g))
+        results.append((out, gx, *(p.grad.copy() for p in layer.params())))
+    assert results[1][0].transpose(0, 4, 1, 2, 3).flags.c_contiguous
+    for a, b in zip(*results):
+        assert_bits_equal(a, b)
 
 
 class TestLosses:
