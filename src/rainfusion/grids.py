@@ -114,6 +114,11 @@ def _as_grid_array(values, name: str) -> np.ndarray:
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float32)
     arr = arr.copy()
+    # One min/max pair accepts the common grid: finite, no sentinel, no
+    # negatives.  NaN, infinities and -999 fail it and get the full checks.
+    if arr.size and arr.min() >= 0 and np.isfinite(arr.max()):
+        arr.flags.writeable = False
+        return arr
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     if np.any((arr < 0) & (arr != MISSING)):
@@ -234,7 +239,8 @@ def _write_rfg(path, values: np.ndarray, timestamp: int) -> None:
 def _read_rfg(path) -> tuple[np.ndarray, int]:
     def error(message, offset):
         return FormatError(f"{path}: {message}", offset)
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < 4 or blob[:4] != _RFG_MAGIC:
         raise error(f"bad magic {blob[:4]!r}, expected {_RFG_MAGIC!r}", 0)
     if len(blob) < _RFG_HEADER.size:
@@ -258,8 +264,9 @@ def _read_rfg(path) -> tuple[np.ndarray, int]:
         raise error(f"truncated payload: expected {expected} bytes, found {len(blob)}", len(blob))
     if len(blob) > expected:
         raise error(f"trailing bytes after payload: expected {expected}, found {len(blob)}", expected)
+    # A read-only view of the bytes: `RainGrid` and `SatScene` copy it.
     flat = np.frombuffer(blob, dtype="<f4", count=cells, offset=_RFG_HEADER.size)
-    return flat.reshape(bands, rows, cols).copy(), timestamp
+    return flat.reshape(bands, rows, cols), timestamp
 
 
 def write_grid(path, grid: RainGrid) -> None:

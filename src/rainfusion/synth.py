@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .grids import IndexEntry, RainGrid, SatScene, iso_to_minutes, write_grid, write_index, write_scene
 
@@ -94,6 +94,8 @@ def _draw_cells(config: SynthConfig, rng: np.random.Generator, total_frames: int
 
 
 def _cell_field(cell, t, rows, cols, grid_r, grid_c):
+    """One cell's rain on the grid; `grid_r` and `grid_c` are the 1-D row and
+    col coordinates, so each displacement is wrapped once per row or col."""
     if cell["life"] is not math.inf:
         age = t - cell["birth"]
         if age < 0 or age > cell["life"]:
@@ -102,7 +104,7 @@ def _cell_field(cell, t, rows, cols, grid_r, grid_c):
     else:
         envelope = 1.0
     # nearest-image displacement on the wrapped domain
-    dr = (grid_r - (cell["row0"] + cell["vy"] * t) + rows / 2) % rows - rows / 2
+    dr = ((grid_r - (cell["row0"] + cell["vy"] * t) + rows / 2) % rows - rows / 2)[:, None]
     dc = (grid_c - (cell["col0"] + cell["vx"] * t) + cols / 2) % cols - cols / 2
     ct, st = math.cos(cell["theta"]), math.sin(cell["theta"])
     major = (ct * dr + st * dc) / cell["sigma_major"]
@@ -112,9 +114,13 @@ def _cell_field(cell, t, rows, cols, grid_r, grid_c):
 
 def _blur_axis(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     pad = (len(kernel) - 1) // 2
-    widths = [(pad, pad) if ax == axis else (0, 0) for ax in range(a.ndim)]
-    ap = np.pad(a, widths, mode="edge")
-    return sliding_window_view(ap, len(kernel), axis=axis) @ kernel
+    n = a.shape[axis]
+    # Edge-pad by clipped indices, then view each cell's window along `axis`
+    # as a trailing axis of the padded copy.
+    ap = np.take(a, np.clip(np.arange(-pad, n + pad), 0, n - 1), axis=axis)
+    windows = as_strided(ap, (*a.shape, len(kernel)), (*ap.strides, ap.strides[axis]),
+                         writeable=False)
+    return windows @ kernel
 
 
 def _gaussian_blur(field: np.ndarray, sigma: float) -> np.ndarray:
@@ -138,8 +144,8 @@ def rain_fields(config: SynthConfig) -> np.ndarray:
     lookahead = config.sat_lead_minutes // 5
     total = config.frames + lookahead
     cells = _draw_cells(config, rng, total)
-    grid_r, grid_c = np.meshgrid(np.arange(config.rows, dtype=np.float64),
-                                 np.arange(config.cols, dtype=np.float64), indexing="ij")
+    grid_r = np.arange(config.rows, dtype=np.float64)
+    grid_c = np.arange(config.cols, dtype=np.float64)
     fields = np.zeros((total, config.rows, config.cols))
     for t in range(total):
         acc = fields[t]

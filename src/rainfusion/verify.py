@@ -10,6 +10,14 @@ stack is categorized once, one bincount fills every sample's tables, and
 the FSS events of all samples and categories get one exact integer
 box-sum pass.  Every sample's numbers equal those of scoring it alone
 (`score_pair` is the stack of one).
+
+Blocks with no missing cell take an all-valid path: the window counts
+depend on the cell position alone, so they are one (rows, cols) box sum
+shared by the stack, and the FBS and WFBS of every sample and category
+come from one reduction per field over the (S, k, rows * cols) NP stacks.
+Each of those row sums is the same contiguous pairwise sum that a 1-D
+`np.sum` of the row gives, so the results are bit-identical to the
+per-sample path that blocks with missing cells take.
 """
 
 from __future__ import annotations
@@ -149,13 +157,20 @@ def binary_probability(field, bounds: tuple[float, float]) -> tuple[np.ndarray, 
 def _box_sums(a: np.ndarray, n: int) -> np.ndarray:
     """int32 sums of `a` over the n x n window centered on each cell of its
     last two axes, with zeros outside the domain: n shifted slice adds per
-    axis on one zero-padded copy, so the sums are exact integers."""
+    axis on one zero-padded copy, accumulated in place into one copy per
+    axis.  The sums are exact integers, so the order of the adds does not
+    matter."""
     h = n // 2
     rows, cols = a.shape[-2:]
     padded = np.zeros((*a.shape[:-2], rows + 2 * h, cols + 2 * h), dtype=np.int32)
     padded[..., h:h + rows, h:h + cols] = a
-    across = sum((padded[..., d:d + cols] for d in range(1, n)), padded[..., :cols])
-    return sum((across[..., d:d + rows, :] for d in range(1, n)), across[..., :rows, :])
+    across = padded[..., :cols].copy()
+    for d in range(1, n):
+        across += padded[..., d:d + cols]
+    sums = across[..., :rows, :].copy()
+    for d in range(1, n):
+        sums += across[..., d:d + rows, :]
+    return sums
 
 
 def neighborhood_probability(bp: np.ndarray, n: int,
@@ -166,17 +181,23 @@ def neighborhood_probability(bp: np.ndarray, n: int,
     `valid` is a mask that broadcasts against it, such as one (rows, cols)
     mask shared by a (k, rows, cols) stack or one (S, 1, rows, cols) mask
     per sample of an (S, k, rows, cols) stack.  Window counts are computed
-    once per mask.  Windows shrink at the domain border and count only
-    valid in-domain cells; the window sums are exact integers, so results
-    are exact integer ratios.  Cells whose window holds no valid cell come
-    back 0 and flagged invalid in the returned mask, which has the shape of
-    `valid`.
+    once per mask; when every cell is valid (`valid.all()`, or no mask) they
+    depend on the cell position alone and are one (rows, cols) box sum
+    broadcast over the stack.  Windows shrink at the domain border and count
+    only valid in-domain cells; the window sums are exact integers, so
+    results are exact integer ratios.  Cells whose window holds no valid
+    cell come back 0 and flagged invalid in the returned mask, which has the
+    shape of `valid`.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"neighborhood size must be odd and >= 1, got {n}")
     bp = np.asarray(bp)
     if valid is None:
         valid = np.ones(bp.shape[-2:], dtype=bool)
+    if np.broadcast_shapes(bp.shape, valid.shape) == bp.shape and valid.all():
+        # Every window holds its own center cell, so no count is 0.
+        counts = _box_sums(np.ones(bp.shape[-2:], dtype=np.int8), n)
+        return _box_sums(bp, n) / counts, np.ones(valid.shape, dtype=bool)
     counts = _box_sums(valid, n)
     # A window with no valid cell holds no event either, so its ratio is 0 / 1.
     return _box_sums(bp * valid, n) / np.maximum(counts, 1), counts > 0
@@ -201,7 +222,22 @@ def _fss_components(pv, ov, bounds, n) -> list[list[tuple[float, float, int]]]:
     npp, vp = neighborhood_probability(bpp, n, validp)
     npo, vo = neighborhood_probability(bpo, n, valido)
     pair = vp & vo
-    return [_fss_sums(npp[s], npo[s], pair[s, 0]) for s in range(len(ov))]
+    if not pair.all():
+        return [_fss_sums(npp[s], npo[s], pair[s, 0]) for s in range(len(ov))]
+    # Every cell is paired: each (sample, category) row of the reshaped
+    # stacks is summed as `_fss_sums` sums its 1-D gather of the same row.
+    # The squares are taken in place in the NP stacks, which nothing else
+    # holds: each fresh float64 temporary of a block costs page faults.
+    samples, k, rows, cols = npp.shape
+    p, o = (a.reshape(samples, k, rows * cols) for a in (npp, npo))
+    d = p - o
+    d *= d
+    p *= p
+    o *= o
+    p += o
+    fbs, wfbs = d.sum(axis=-1), p.sum(axis=-1)
+    count = rows * cols
+    return [[(f, w, count) for f, w in zip(*row)] for row in zip(fbs.tolist(), wfbs.tolist())]
 
 
 def fss_ratio(fbs: float, wfbs: float, count: int) -> float | None:

@@ -1,9 +1,11 @@
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rainfusion import grids
 from rainfusion.grids import (
     MISSING,
     FormatError,
@@ -195,6 +197,57 @@ class TestRfg1Format:
         write_grid(g, RainGrid(np.zeros((3, 3))))
         with pytest.raises(FormatError, match=re.escape(f"{g}: expected an 11-band scene")):
             read_scene(g)
+
+
+def _write_raw(path, values, timestamp=0):
+    """An RFG1 file of any float32 payload, past the writers' value checks."""
+    values = np.asarray(values, dtype="<f4")
+    path.write_bytes(struct.pack("<4sBBHIIq", b"RFG1", 1, 0, *values.shape, timestamp)
+                     + values.tobytes())
+
+
+class TestReaderValues:
+    @pytest.mark.parametrize("with_missing", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad, with_missing):
+        grid, scene = np.zeros((1, 3, 4)), np.zeros((11, 3, 4))
+        grid[0, 1, 2], scene[5, 1, 2] = bad, bad
+        if with_missing:
+            grid[0, 0, 0] = scene[0, 0, 0] = MISSING
+        _write_raw(tmp_path / "g.rfg", grid)
+        _write_raw(tmp_path / "s.rfg", scene)
+        with pytest.raises(ValueError, match="^RainGrid contains non-finite values$"):
+            read_grid(tmp_path / "g.rfg")
+        with pytest.raises(ValueError, match="^SatScene contains non-finite values$"):
+            read_scene(tmp_path / "s.rfg")
+
+    def test_negative_rate_rejected_scene_accepted(self, tmp_path):
+        values = np.zeros((11, 3, 4))
+        values[:, 2, 1] = -0.5
+        _write_raw(tmp_path / "g.rfg", values[:1])
+        _write_raw(tmp_path / "s.rfg", values)
+        with pytest.raises(ValueError, match="^RainGrid contains negative values other than "
+                                             "the -999 sentinel$"):
+            read_grid(tmp_path / "g.rfg")
+        np.testing.assert_array_equal(read_scene(tmp_path / "s.rfg").values, values)
+
+    @pytest.mark.parametrize("cells", [[-0.0, 0.0, 3.5], [MISSING, 0.0, 201.0],
+                                       [MISSING, MISSING, MISSING]])
+    def test_accepted_bit_exact(self, tmp_path, cells):
+        values = np.array([cells, cells[::-1]], dtype=np.float32)
+        _write_raw(tmp_path / "g.rfg", values[None], timestamp=9)
+        g = read_grid(tmp_path / "g.rfg")
+        assert g.timestamp == 9 and g.values.tobytes() == values.tobytes()
+
+    def test_values_read_only_and_not_views_of_the_bytes(self, tmp_path, monkeypatch):
+        write_grid(tmp_path / "g.rfg", RainGrid(np.ones((3, 4))))
+        write_scene(tmp_path / "s.rfg", SatScene(np.ones((11, 3, 4))))
+        raw, read_rfg = [], grids._read_rfg
+        monkeypatch.setattr(grids, "_read_rfg", lambda path: raw.append(read_rfg(path)) or raw[-1])
+        read = [read_grid(tmp_path / "g.rfg"), read_scene(tmp_path / "s.rfg")]
+        for obj, (payload, _) in zip(read, raw):
+            assert not obj.values.flags.writeable
+            assert not np.shares_memory(obj.values, payload)
 
 
 class TestIndex:

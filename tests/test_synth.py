@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -129,3 +132,20 @@ class TestGenerateSynthetic:
         generate_synthetic(cfg, b_dir)
         for rel in ["index.tsv", f"radar/{cfg.start_minutes}.rfg", f"sat/{cfg.start_minutes}.rfg"]:
             assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes()
+
+
+# SHA-256 over (relative path, bytes) of every file `generate_synthetic`
+# writes for the config below: a change to the generator that moves a
+# single byte of its output fails here.
+_PINNED_DIGEST = "fb88213cc99bd557949e43bcf8a6799409518fbb96eb65918d8402be9895e86c"
+
+
+def test_bytes_pinned_to_recorded_digest(tmp_path):
+    cfg = SynthConfig(rows=16, cols=16, frames=24, cells=4, noise_level=0.5,
+                      outlier_fraction=0.1, seed=0)
+    generate_synthetic(cfg, tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in Path(tmp_path).rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == _PINNED_DIGEST

@@ -362,6 +362,81 @@ class TestScorePairs:
             score_pairs(pred, np.zeros((2, 4, 4)), ALL_CATEGORIES)
 
 
+def _window_sums(a, n):
+    """Exact n x n window sums over the last two axes, zeros outside the
+    domain: the n * n shifted slices of one zero-padded int64 copy."""
+    h = n // 2
+    rows, cols = a.shape[-2:]
+    padded = np.zeros((*a.shape[:-2], rows + 2 * h, cols + 2 * h), dtype=np.int64)
+    padded[..., h:h + rows, h:h + cols] = a
+    return sum(padded[..., i:i + rows, j:j + cols] for i in range(n) for j in range(n))
+
+
+def _masked_np(bp, n, valid):
+    """Neighborhood probability and mask as the masked path forms them."""
+    counts = _window_sums(valid, n)
+    return _window_sums(bp * valid, n) / np.maximum(counts, 1), counts > 0
+
+
+def _fss_oracle(pred, obs, categories, n):
+    """Per sample and category, (FBS, WFBS, pair count) from one np.compress
+    gather of the paired cells and one 1-D np.sum per sample and category."""
+    out = []
+    for p, o in zip(pred, obs):
+        vp, vo = p != MISSING, o != MISSING
+        pair = ((_window_sums(vp, n) > 0) & (_window_sums(vo, n) > 0)).ravel()
+        row = []
+        for q1, q2 in (c.bounds for c in categories):
+            npp, npo = (_masked_np((v >= q1) & (v < q2) & valid, n, valid)[0].ravel()
+                        for v, valid in ((p, vp), (o, vo)))
+            a, b = np.compress(pair, npp), np.compress(pair, npo)
+            row.append((float(np.sum((a - b) ** 2)), float(np.sum(a * a + b * b)),
+                        int(pair.sum())))
+        out.append(row)
+    return out
+
+
+def _rain_stack(rng, samples, shape):
+    """Rain with dry cells, category edges and >= 200 mm/h, no MISSING cell."""
+    v = rng.gamma(0.6, 12.0, (samples, *shape))
+    v[rng.random(v.shape) < 0.3] = 0.0
+    v[rng.random(v.shape) < 0.1] = rng.choice([2.5, 7.5, 50.0, 200.0, 260.0])
+    return v.astype(np.float32)
+
+
+class TestAllValidPath:
+    """Blocks with no missing cell share one window-count box sum and sum
+    FBS/WFBS in one reduction; the numbers must equal the per-sample path's
+    bit for bit."""
+
+    @pytest.mark.parametrize("missing", [None, "obs", "pred"])
+    @pytest.mark.parametrize("shape", [(12, 10), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_components_equal_per_sample_oracle(self, n, shape, missing):
+        # (2, 3) is smaller than the 3 x 3 and 5 x 5 windows
+        rng = np.random.default_rng(21)
+        for samples in (1, 5):
+            pred, obs = _rain_stack(rng, samples, shape), _rain_stack(rng, samples, shape)
+            if missing is not None:
+                field = obs if missing == "obs" else pred
+                field[samples - 1, 0, 1] = MISSING
+            for categories in ((), ALL_CATEGORIES):
+                got = [[components for _, components in scored]
+                       for scored in score_pairs(pred, obs, categories, n)]
+                assert got == _fss_oracle(pred, obs, categories, n)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 9])
+    def test_neighborhood_probability_equals_masked_path(self, n):
+        rng = np.random.default_rng(22)
+        bp = (rng.random((3, 4, 7, 6)) < 0.4).astype(np.int8)
+        for valid in (np.ones((3, 1, 7, 6), dtype=bool), np.ones((7, 6), dtype=bool), None):
+            vals, ok = neighborhood_probability(bp, n, valid)
+            want, want_ok = _masked_np(bp, n, np.ones((7, 6), dtype=bool) if valid is None
+                                       else valid)
+            assert vals.dtype == want.dtype and np.array_equal(vals, want)
+            assert ok.shape == want_ok.shape and ok.all() and want_ok.all()
+
+
 class TestHistogramScores:
     def test_identical_histograms(self):
         pair = HistogramPair(np.array([0.25, 0.5, 0.25]), np.array([0.25, 0.5, 0.25]))
