@@ -213,7 +213,9 @@ def load_frames(config: ModelConfig, samples,
     frames: (n, rows, cols, channels) float32, one per distinct input frame;
     windows[i]: the six frame rows of sample i; targets: (samples, rows, cols)
     float32.  Radar is log-normalized; multimodal frames add the 11 satellite
-    bands, Lanczos-resampled to the radar grid and min-max normalized.
+    bands, Lanczos-resampled to the radar grid and min-max normalized.  Each
+    frame is written straight into its row of `frames`: radar in channel 0,
+    the bands transposed into channels 1-11, cast to float32 on assignment.
     """
     multimodal = config.variant == "multimodal"
     if multimodal and stats is None:
@@ -229,17 +231,18 @@ def load_frames(config: ModelConfig, samples,
                 f"radar frame is {grid.rows}x{grid.cols}, config wants {config.rows}x{config.cols}")
         return normalize_values(grid.values)
 
-    def frame(radar_path, sat_path):
-        channels = [radar(radar_path)]
+    def fill(out, radar_path, sat_path):
+        out[..., 0] = radar(radar_path)
         if multimodal:
             scene = resample_scene(read_scene(sat_path), config.rows, config.cols)
-            channels.extend(normalize_satellite(scene, stats).values)
-        return np.stack(channels, axis=-1).astype(np.float32)
+            out[..., 1:] = normalize_satellite(scene, stats).values.transpose(1, 2, 0)
 
     keys = [tuple(zip(s.radar_paths, s.sat_paths if multimodal else (None,) * len(s.radar_paths)))
             for s in samples]  # per sample, the (radar, satellite) path of each input frame
     rows = {key: row for row, key in enumerate(dict.fromkeys(k for window in keys for k in window))}
-    frames = np.stack([frame(*key) for key in rows])
+    frames = np.empty((len(rows), config.rows, config.cols, config.in_channels), np.float32)
+    for key, row in rows.items():
+        fill(frames[row], *key)
     windows = np.array([[rows[key] for key in window] for window in keys])
     targets = np.stack([radar(s.target_path) for s in samples]).astype(np.float32)
     return frames, windows, targets
@@ -261,7 +264,7 @@ def predict_grid(model: UNet3D, sample: SequenceSample,
     result always lies in [0, 200] and never contains the missing sentinel.
     """
     x, _ = load_sample(model.config, sample, stats)
-    out = model.forward(x[None].astype(np.float32))
+    out = model.forward(x[None])
     norm = np.clip(out[0, 0, :, :, 0].astype(np.float64), 0.0, 1.0)
     return RainGrid(denormalize_values(norm), sample.target_timestamp)
 

@@ -21,6 +21,7 @@ ceiling-pooled sizes exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -301,8 +302,15 @@ class Upsample3d:
     """Nearest-neighbor repetition by integer factors per (t, h, w) axis.
 
     `target_dims` crops the repeated output so ceiling-pooled sizes invert
-    exactly; backward sums the gradient over each repetition group, one
-    axis at a time in (t, h, w) order.
+    exactly.  Output cell (i, j, k) copies input cell (i // ft, j // fh,
+    k // fw), so the output splits into ft*fh*fw repetition phases, the
+    strided views [pt::ft, ph::fh, pw::fw]; forward writes each phase with
+    one assignment into the target-dims buffer.  Backward sums the
+    gradient over each repetition group, one axis at a time in (t, h, w)
+    order: phase 0 (which covers every group) is copied and the others are
+    added in order, a ragged last group simply taking fewer of them.  For
+    the network's factors of 1 and 2 that is np.add.reduceat over the
+    groups bit for bit, signed zeros included.
     """
 
     def __init__(self, factors=(2, 2, 1)):
@@ -325,28 +333,31 @@ class Upsample3d:
             if t > d * f or t <= (d - 1) * f:
                 raise ValueError(
                     f"target dim {t} not reachable from {d} cells repeated x{f}")
-        b, c = x.shape[0], x.shape[4]
-        (t, h, w), (ft, fh, fw), (tt, th, tw) = in_dims, self.factors, target_dims
-        xc = _channels_first(x)[:, :, :, None, :, None, :, None]
-        out = np.broadcast_to(xc, (b, c, t, ft, h, fh, w, fw)).reshape(b, c, t * ft, h * fh, w * fw)
-        self._cache = (in_dims, tuple(target_dims))
-        return _channels_last(np.ascontiguousarray(out[:, :, :tt, :th, :tw]))
+        target_dims = tuple(target_dims)
+        xc = _channels_first(x)
+        out = np.empty((x.shape[0], x.shape[4], *target_dims), x.dtype)
+        for phase in itertools.product(*(range(f) for f in self.factors)):
+            dst = out[(..., *(slice(p, None, f) for p, f in zip(phase, self.factors)))]
+            dst[...] = xc[(..., *(slice(n) for n in dst.shape[2:]))]
+        self._cache = target_dims
+        return _channels_last(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("upsample backward before forward")
-        in_dims, target_dims = self._cache
+        target_dims = self._cache
         grad_out = np.asarray(grad_out)
         if grad_out.shape[1:4] != target_dims:
             raise ValueError(f"upsample grad dims {grad_out.shape[1:4]} != target {target_dims}")
         g = _channels_first(grad_out)
-        ragged = [d * f - t for d, f, t in zip(in_dims, self.factors, target_dims)]
-        if any(ragged):
-            # -0.0 is the padding that leaves every sum bit-identical: x + -0.0 == x
-            g = np.pad(g, ((0, 0), (0, 0), *((0, r) for r in ragged)), constant_values=-0.0)
-        for axis, (f, d) in enumerate(zip(self.factors, in_dims), start=2):
+        for axis, f in enumerate(self.factors, start=2):
             if f > 1:
-                g = g.reshape(*g.shape[:axis], d, f, *g.shape[axis + 1:]).sum(axis=axis + 1)
+                lead = (slice(None),) * axis
+                summed = g[(*lead, slice(0, None, f))].copy()
+                for p in range(1, f):
+                    phase = g[(*lead, slice(p, None, f))]
+                    summed[(*lead, slice(phase.shape[axis]))] += phase
+                g = summed
         return _channels_last(g)
 
 

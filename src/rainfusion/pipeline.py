@@ -2,15 +2,18 @@
 
 Radar rates are squashed with a log transform anchored at the 200 mm/h
 ceiling; satellite bands are min-max scaled from training-split extrema and
-upsampled to the radar grid with separable Lanczos-3.  Dataset curation
-drops frames with >200 mm/h outliers, thins no-rain frames, and windows the
-surviving timestamps into 6-input/1-target sequences per lead time.
+upsampled to the radar grid with separable Lanczos-3, whose read-only
+weight matrices are built once per (source, target, a) and then shared.
+Dataset curation drops frames with >200 mm/h outliers, thins no-rain frames,
+and windows the surviving timestamps into 6-input/1-target sequences per
+lead time; unreadable radar files are recorded by both filters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,16 +168,21 @@ def fit_band_stats(scenes) -> BandStats:
 
 
 def normalize_satellite(scene: SatScene, stats: BandStats) -> SatScene:
-    """(X - min) / (max - min) per band, clamped to [0, 1].
+    """(X - min) / (max - min) per band, clamped to [0, 1], in float64.
 
     Values beyond the training extrema clamp; a constant band maps to zeros.
+    Each step runs in place on one float64 copy of the scene, with the same
+    operations in the same order as the expression above.
     """
     if stats.bands != scene.values.shape[0]:
         raise ValueError(f"stats cover {stats.bands} bands, scene has {scene.values.shape[0]}")
     span = stats.maxs - stats.mins
-    safe_span = np.where(span == 0, 1.0, span)
-    v = (scene.values.astype(np.float64) - stats.mins[:, None, None]) / safe_span[:, None, None]
-    v = np.where((span == 0)[:, None, None], 0.0, np.clip(v, 0.0, 1.0))
+    constant = span == 0
+    v = scene.values.astype(np.float64)
+    v -= stats.mins[:, None, None]
+    v /= np.where(constant, 1.0, span)[:, None, None]
+    np.clip(v, 0.0, 1.0, out=v)
+    v[constant] = 0.0
     return SatScene(v, scene.timestamp, scene.band_names)
 
 
@@ -191,8 +199,14 @@ def _lanczos_kernel(t: np.ndarray, a: int) -> np.ndarray:
     return np.where(np.abs(t) < a, k, 0.0)
 
 
+@lru_cache(maxsize=32)
 def lanczos_weights(src: int, dst: int, a: int = 3) -> np.ndarray:
-    """(dst, src) weight matrix: border-clamped taps, rows renormalized."""
+    """(dst, src) weight matrix: border-clamped taps, rows renormalized.
+
+    Memoized per (src, dst, a): a repeat call returns the same read-only
+    matrix.  Invalid sizes raise on every call, since exceptions are not
+    cached.
+    """
     if src < 2:
         raise ValueError(f"source axis must have >= 2 samples, got {src}")
     if dst < 1:
@@ -204,12 +218,15 @@ def lanczos_weights(src: int, dst: int, a: int = 3) -> np.ndarray:
         k = base + off
         taps = _lanczos_kernel(x - k, a)
         np.add.at(w, (np.arange(dst), np.clip(k, 0, src - 1)), taps)
-    return w / w.sum(axis=1, keepdims=True)
+    w /= w.sum(axis=1, keepdims=True)
+    w.flags.writeable = False
+    return w
 
 
 def resample_lanczos(bands: np.ndarray, rows: int, cols: int, a: int = 3) -> np.ndarray:
     """Separable Lanczos resampling of a 2-D band, or of each band of a
-    (..., rows, cols) stack, to (rows, cols) with one pair of weight matrices.
+    (..., rows, cols) stack, to (rows, cols) with one pair of (cached) weight
+    matrices.
 
     Tuned for upsampling (the satellite-to-radar path); the kernel is not
     rescaled for decimation.
@@ -271,6 +288,7 @@ class SubsampleReport:
     no_rain_kept: int
     keep_fraction: float
     seed: int
+    unreadable: list[str] = field(default_factory=list)  # paths
 
 
 def subsample_no_rain(entries, keep_fraction: float, seed: int,
@@ -279,21 +297,28 @@ def subsample_no_rain(entries, keep_fraction: float, seed: int,
 
     Frames with any rainy cell are always kept.  Draws happen in timestamp
     order from a generator seeded once, so the outcome is reproducible.
+    Unreadable radar files are recorded in the report (and excluded); they
+    take no draw.
     """
     if not 0.0 <= keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must lie in [0, 1], got {keep_fraction}")
     rng = np.random.default_rng(seed)
+    report = SubsampleReport(0, 0, keep_fraction, seed)
     kept = []
-    total = kept_count = 0
     for e in sorted(entries, key=lambda e: e.timestamp):
-        if grid_stats(reader(e.radar_path)).rainy_fraction > 0:
+        try:
+            grid = reader(e.radar_path)
+        except (OSError, FormatError):
+            report.unreadable.append(e.radar_path)
+            continue
+        if grid_stats(grid).rainy_fraction > 0:
             kept.append(e)
             continue
-        total += 1
+        report.no_rain_total += 1
         if rng.random() < keep_fraction:
             kept.append(e)
-            kept_count += 1
-    return kept, SubsampleReport(total, kept_count, keep_fraction, seed)
+            report.no_rain_kept += 1
+    return kept, report
 
 
 def build_sequences(entries, lead: LeadTime, multimodal: bool = False) -> list[SequenceSample]:

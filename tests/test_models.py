@@ -417,6 +417,29 @@ class TestMultimodalLoading:
         assert set(reads) == radar | {p for s in samples for p in s.sat_paths}
         assert set(reads.values()) == {1}
 
+    def test_satellite_steps_run_once_per_frame(self, mm_data, monkeypatch):
+        """load_frames resamples and normalizes each distinct frame once,
+        through the names it looks up on `models` (where a tracer patches them)."""
+        samples, stats = mm_data
+        calls = {"resample_scene": Counter(), "normalize_satellite": Counter()}
+
+        def counted(name):
+            step = getattr(models, name)
+
+            def run(scene, *args):
+                calls[name][scene.timestamp] += 1
+                return step(scene, *args)
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(models, name, counted(name))
+        frames, _, _ = load_frames(TINY_MM, samples, stats)
+        timestamps = {t for s in samples for t in s.input_timestamps}
+        assert len(timestamps) == len(frames)
+        for counts in calls.values():
+            assert set(counts) == timestamps
+            assert set(counts.values()) == {1}
+
     def test_loading_errors(self, mm_data):
         samples, stats = mm_data
         with pytest.raises(ValueError, match="requires fitted band stats"):

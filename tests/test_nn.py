@@ -372,6 +372,7 @@ class TestUpsample3d:
             ((2, 2, 2), (3, 4, 5), (6, 8, 10)),
             ((2, 2, 1), (3, 3, 4), (5, 5, 4)),  # ragged time, odd rows
             ((2, 2, 2), (2, 3, 3), (3, 5, 6)),  # ragged time and rows
+            ((2, 2, 2), (2, 16, 16), (3, 32, 32)),  # the multimodal decoder's deeper level
         ],
     )
     def test_matches_repeat_reduceat_oracle(self, factors, in_dims, target_dims, dtype):
@@ -380,7 +381,12 @@ class TestUpsample3d:
         ups = Upsample3d(factors)
         out = ups.forward(x, target_dims=target_dims)
         g = rng.normal(size=out.shape).astype(dtype)
+        # -0.0 across the last repetition group of each axis (ragged or not),
+        # so the sign of a zero sum is pinned too
+        for axis, (f, d) in enumerate(zip(factors, in_dims), start=1):
+            g[(slice(None),) * axis + (slice((d - 1) * f, None),)] = -0.0
         ref_out, ref_grad = upsample_oracle(x, factors, target_dims, g)
+        assert np.any(np.signbit(ref_grad) & (ref_grad == 0))
         assert_bits_equal(out, ref_out)
         assert_bits_equal(ups.backward(g), ref_grad)
 

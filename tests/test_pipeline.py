@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainfusion.grids import MISSING, FormatError, IndexEntry, RainGrid, SatScene, write_grid
+from rainfusion.grids import MISSING, IndexEntry, RainGrid, SatScene, write_grid
 from rainfusion.pipeline import (
     BandStats,
     LeadTime,
@@ -125,6 +125,28 @@ class TestSatelliteNormalization:
         out = normalize_satellite(SatScene(vals), stats).values
         assert np.all(out == 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_frozen_expression_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(13)
+        # extrema that the scene dtype holds exactly; band 4 is constant
+        mins = rng.uniform(-50.0, 50.0, 11).astype(dtype).astype(np.float64)
+        maxs = (mins + rng.uniform(0.5, 80.0, 11)).astype(dtype).astype(np.float64)
+        maxs[4] = mins[4]
+        stats = BandStats(mins, maxs, 1)
+        vals = rng.uniform(-120.0, 150.0, size=(11, 5, 6))
+        vals[:, 0, :4] = np.stack([mins, maxs, mins - 3.5, maxs + 3.5], axis=1)
+        scene = SatScene(vals.astype(dtype))
+        # the expression normalize_satellite computed before it ran in place
+        v = scene.values.astype(np.float64)
+        span = (maxs - mins)[:, None, None]
+        safe_span = np.where(span == 0, 1.0, span)
+        want = np.where(span == 0, 0, np.clip((v - mins[:, None, None]) / safe_span, 0, 1))
+        got = normalize_satellite(scene, stats).values
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+        assert np.all(got[4] == 0.0)
+        assert np.all(got[np.arange(11) != 4][:, 0, :4] == [0.0, 1.0, 0.0, 1.0])
+
     def test_band_count_mismatch(self):
         stats = BandStats(np.zeros(3), np.ones(3), 1)
         vals = np.zeros((11, 2, 2))
@@ -215,6 +237,24 @@ class TestLanczos:
         with pytest.raises(ValueError):
             lanczos_weights(4, -1)
 
+    def test_weights_cached_read_only(self):
+        w = lanczos_weights(7, 13)
+        assert lanczos_weights(7, 13) is w
+        np.testing.assert_array_equal(w, lanczos_weights.__wrapped__(7, 13))
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+        for src, dst in ((13, 7), (7, 14), (8, 13)):
+            other = lanczos_weights(src, dst)
+            assert other is not w and other.shape == (dst, src)
+            np.testing.assert_array_equal(other, lanczos_weights.__wrapped__(src, dst))
+
+    def test_invalid_sizes_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="target axis"):
+                lanczos_weights(4, -1)
+            with pytest.raises(ValueError, match="source axis"):
+                lanczos_weights(1, 4)
+
 
 def _write_dataset(tmp_path, max_values):
     entries = []
@@ -262,6 +302,7 @@ class TestSubsampleNoRain:
         kept, report = subsample_no_rain(entries, 1.0, seed=0)
         assert len(kept) == 3
         assert report.no_rain_total == 2 and report.no_rain_kept == 2
+        assert report.unreadable == []
 
     def test_keep_none(self, tmp_path):
         entries = _write_dataset(tmp_path, [0.0, 0.0, 1.0])
@@ -291,13 +332,14 @@ class TestSubsampleNoRain:
             subsample_no_rain([], 1.5, seed=0)
 
     def test_truncated_file_named(self, tmp_path):
-        entries = _write_dataset(tmp_path, [1.0])
+        entries = _write_dataset(tmp_path, [1.0, 0.0, 2.0])
         path = tmp_path / "r0.rfg"
         path.write_bytes(path.read_bytes()[:30])
-        with pytest.raises(FormatError) as err:
-            subsample_no_rain(entries, 1.0, seed=0)
-        assert str(err.value).startswith(f"{path}: truncated payload")
-        assert err.value.offset == 30
+        entries.append(IndexEntry(15, str(tmp_path / "missing.rfg")))
+        kept, report = subsample_no_rain(entries, 1.0, seed=0)
+        assert report.unreadable == [str(path), str(tmp_path / "missing.rfg")]
+        assert [e.timestamp for e in kept] == [5, 10]
+        assert report.no_rain_total == report.no_rain_kept == 1
 
 
 class TestLeadTime:
