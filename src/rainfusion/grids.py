@@ -10,7 +10,7 @@ the bottom of this module, and datasets are indexed by a plain-text TSV of
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
 from pathlib import Path
@@ -274,10 +274,14 @@ def write_grid(path, grid: RainGrid) -> None:
 
 
 def read_grid(path) -> RainGrid:
+    """A radar frame; values the grid rejects raise ValueError naming the file."""
     values, timestamp = _read_rfg(path)
     if values.shape[0] != 1:
         raise FormatError(f"{path}: expected a 1-band grid, found {values.shape[0]} bands", 6)
-    return RainGrid(values[0], timestamp)
+    try:
+        return RainGrid(values[0], timestamp)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_scene(path, scene: SatScene) -> None:
@@ -285,10 +289,14 @@ def write_scene(path, scene: SatScene) -> None:
 
 
 def read_scene(path) -> SatScene:
+    """A satellite scene; values the scene rejects raise ValueError naming the file."""
     values, timestamp = _read_rfg(path)
     if values.shape[0] != 11:
         raise FormatError(f"{path}: expected an 11-band scene, found {values.shape[0]} bands", 6)
-    return SatScene(values, timestamp)
+    try:
+        return SatScene(values, timestamp)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +334,7 @@ def write_index(path, entries) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_index(path, resolve: bool = True) -> list[IndexEntry]:
+def read_index(path) -> list[IndexEntry]:
     """Parse a dataset index; relative paths resolve against the index dir."""
     base = Path(path).parent
     entries = []
@@ -343,9 +351,8 @@ def read_index(path, resolve: bool = True) -> list[IndexEntry]:
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: malformed timestamp {ts!r}, expected {_TS_FORMAT}") from None
-        if resolve:
-            radar = str((base / radar)) if not Path(radar).is_absolute() else radar
-            if sat != "-" and not Path(sat).is_absolute():
-                sat = str(base / sat)
+        radar = str(base / radar) if not Path(radar).is_absolute() else radar
+        if sat != "-" and not Path(sat).is_absolute():
+            sat = str(base / sat)
         entries.append(IndexEntry(minutes, radar, None if sat == "-" else sat))
     return entries

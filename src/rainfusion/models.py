@@ -123,22 +123,6 @@ class UNet3D:
         return [layer for block in (*self.enc, self.bott, *self.dec, self.head)
                 for layer in block if isinstance(layer, Conv3d)]
 
-    @property
-    def conv_count(self) -> int:
-        return len(self.conv_layers())
-
-    @property
-    def pool_count(self) -> int:
-        return len(self.pools)
-
-    @property
-    def upsample_count(self) -> int:
-        return len(self.ups)
-
-    @property
-    def skip_count(self) -> int:
-        return len(self.dec)
-
     def params(self):
         out = []
         for layer in self.conv_layers():
@@ -311,7 +295,7 @@ class EpochStats:
 
 
 def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
-          stats: BandStats | None = None, log=None) -> list[EpochStats]:
+          stats: BandStats | None = None) -> list[EpochStats]:
     """Seeded epoch loop with milestone lr decay; keeps the best-val weights.
 
     Each distinct frame is loaded once (`load_frames`) and a batch is a row
@@ -356,8 +340,6 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
             val_loss = sum(loss_fn(model.forward(x), y)[0] * len(chunk)
                            for chunk, x, y in batches(val_rows)) / len(val_rows)
         history.append(EpochStats(epoch, train_loss, val_loss, opt.lr))
-        if log is not None:
-            log(history[-1])
         if val_loss is not None and val_loss < best_val:
             best_val = val_loss
             best_snapshot = [p.value.copy() for p in params]
@@ -380,6 +362,7 @@ def history_to_csv(path, history) -> None:
 # ---------------------------------------------------------------------------
 
 _VARIANT_IDS = {"radar": 0.0, "multimodal": 1.0}
+_STATS_ENTRIES = ("__band_min__", "__band_max__", "__band_count__")
 
 
 def save_model(path, model: UNet3D, stats: BandStats | None = None) -> None:
@@ -396,31 +379,42 @@ def save_model(path, model: UNet3D, stats: BandStats | None = None) -> None:
 
 
 def load_model(path) -> tuple[UNet3D, BandStats | None]:
+    """The model and band stats of a checkpoint; malformed contents raise
+    ValueError naming the file (`load_arrays` rejects repeated entry names)."""
     entries = dict(load_arrays(path))
     if "__config__" not in entries:
         raise ValueError(f"{path} is not a model checkpoint (no __config__ entry)")
     raw = entries.pop("__config__")
+    if raw.shape != (7,):
+        raise ValueError(f"{path}: __config__ has shape {raw.shape}, expected 7 values")
+    if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+        raise ValueError(f"{path}: __config__ holds non-integral values {raw.tolist()}")
     variant = {v: k for k, v in _VARIANT_IDS.items()}.get(float(raw[0]))
     if variant is None:
         raise ValueError(f"{path}: unknown variant id {float(raw[0])}, "
                          f"expected one of {sorted(_VARIANT_IDS.values())}")
-    cfg = ModelConfig(variant=variant, rows=int(raw[1]), cols=int(raw[2]),
-                      time_steps=int(raw[3]), levels=int(raw[4]),
-                      base_channels=int(raw[5]), lead_minutes=int(raw[6]))
-    stats = None
-    if "__band_min__" in entries:
-        stats = BandStats(entries.pop("__band_min__").astype(np.float64),
-                          entries.pop("__band_max__").astype(np.float64),
-                          int(entries.pop("__band_count__")[0]))
+    band_stats = [entries.pop(name) for name in _STATS_ENTRIES if name in entries]
+    if len(band_stats) not in (0, len(_STATS_ENTRIES)):
+        raise ValueError(f"{path}: band stats need all of {', '.join(_STATS_ENTRIES)}")
+    try:
+        cfg = ModelConfig(variant=variant, rows=int(raw[1]), cols=int(raw[2]),
+                          time_steps=int(raw[3]), levels=int(raw[4]),
+                          base_channels=int(raw[5]), lead_minutes=int(raw[6]))
+        stats = None
+        if band_stats:
+            mins, maxs, count = band_stats
+            stats = BandStats(mins.astype(np.float64), maxs.astype(np.float64), int(count[0]))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     model = UNet3D(cfg, seed=0)
     for p in model.params():
         if p.name not in entries:
-            raise ValueError(f"checkpoint lacks parameter block '{p.name}'")
+            raise ValueError(f"{path}: checkpoint lacks parameter block '{p.name}'")
         value = entries.pop(p.name)
         if value.shape != p.value.shape:
-            raise ValueError(
-                f"checkpoint block '{p.name}' has shape {value.shape}, expected {p.value.shape}")
+            raise ValueError(f"{path}: checkpoint block '{p.name}' has shape {value.shape}, "
+                             f"expected {p.value.shape}")
         p.value[...] = value
     if entries:
-        raise ValueError(f"checkpoint carries unknown entries: {sorted(entries)}")
+        raise ValueError(f"{path}: checkpoint carries unknown entries: {sorted(entries)}")
     return model, stats

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 def lr_for_epoch(base_lr: float, epoch: int, milestones=(10, 30, 40),
                  factor: float = 0.1) -> float:
@@ -16,20 +18,17 @@ def lr_for_epoch(base_lr: float, epoch: int, milestones=(10, 30, 40),
 
 
 class Adam:
-    """Standard bias-corrected Adam over a list of Parameter blocks.
+    """Standard bias-corrected Adam over a list of Parameter blocks, with
+    beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 
     A block whose gradient is entirely zero is left untouched (its moments
     and step counter included), so zero-gradient steps never move
     parameters.  Non-finite gradients raise, naming the offending block.
     """
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
         self._t = [0] * len(self.params)
@@ -44,14 +43,10 @@ class Adam:
             self._t[i] += 1
             t = self._t[i]
             m, v = self._m[i], self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            m_hat = m / (1.0 - _BETA1 ** t)
+            v_hat = v / (1.0 - _BETA2 ** t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)

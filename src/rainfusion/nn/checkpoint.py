@@ -6,6 +6,7 @@ Layout (all little-endian):
   offset 5  entry count, u32
   then per entry: name length u16, name UTF-8 bytes, rank u8,
   rank x u32 dims, then prod(dims) float32 values.
+Entry names are unique.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ def load_arrays(path) -> list[tuple[str, np.ndarray]]:
     if version != 1:
         raise error(f"unsupported version {version}", 4)
     out = []
+    names = set()
     for _ in range(count):
+        start = pos
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         raw_name = take(name_len, "name")
         try:
@@ -63,6 +66,9 @@ def load_arrays(path) -> list[tuple[str, np.ndarray]]:
         except UnicodeDecodeError as err:
             raise error(f"entry name {raw_name!r} is not valid UTF-8",
                         pos - name_len + err.start) from None
+        if name in names:
+            raise error(f"entry name {name!r} repeats", start)
+        names.add(name)
         (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
         elements = 1

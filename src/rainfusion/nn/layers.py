@@ -150,10 +150,6 @@ class Conv3d:
     def params(self):
         return [self.weight, self.bias]
 
-    @property
-    def param_count(self) -> int:
-        return self.weight.value.size + self.bias.value.size
-
     def _grid(self, padded_shape):
         """(cells per padded frame, halo, rows, spatial tap shifts).
 

@@ -3,7 +3,7 @@
 Radar rates are squashed with a log transform anchored at the 200 mm/h
 ceiling; satellite bands are min-max scaled from training-split extrema and
 upsampled to the radar grid with separable Lanczos-3, whose read-only
-weight matrices are built once per (source, target, a) and then shared.
+weight matrices are built once per (source, target) size and then shared.
 Dataset curation drops frames with >200 mm/h outliers, thins no-rain frames,
 and windows the surviving timestamps into 6-input/1-target sequences per
 lead time; unreadable radar files are recorded by both filters.
@@ -22,7 +22,6 @@ from .grids import (
     RAIN_MAX,
     FormatError,
     IndexEntry,
-    RainGrid,
     SatScene,
     grid_stats,
     minutes_to_iso,
@@ -110,10 +109,6 @@ def denormalize_values(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.power(LOG_BASE, v) - 2.0, 0.0)
 
 
-def normalize_radar(grid: RainGrid) -> RainGrid:
-    return RainGrid(normalize_values(grid.values), grid.timestamp)
-
-
 # ---------------------------------------------------------------------------
 # Satellite band statistics and min-max normalization
 # ---------------------------------------------------------------------------
@@ -139,11 +134,6 @@ class BandStats:
     @property
     def bands(self) -> int:
         return self.mins.shape[0]
-
-    @property
-    def constant_bands(self) -> tuple[int, ...]:
-        """Indices of degenerate bands (min == max); normalized to zeros."""
-        return tuple(int(i) for i in np.nonzero(self.mins == self.maxs)[0])
 
     def merge(self, other: "BandStats") -> "BandStats":
         if self.bands != other.bands:
@@ -190,7 +180,11 @@ def normalize_satellite(scene: SatScene, stats: BandStats) -> SatScene:
 # Separable Lanczos-3 resampling
 # ---------------------------------------------------------------------------
 
-def _lanczos_kernel(t: np.ndarray, a: int) -> np.ndarray:
+_LANCZOS_A = 3  # kernel half-width, in source samples
+
+
+def _lanczos_kernel(t: np.ndarray) -> np.ndarray:
+    a = _LANCZOS_A
     t = np.asarray(t, dtype=np.float64)
     pt = np.pi * t
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -200,10 +194,10 @@ def _lanczos_kernel(t: np.ndarray, a: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def lanczos_weights(src: int, dst: int, a: int = 3) -> np.ndarray:
+def lanczos_weights(src: int, dst: int) -> np.ndarray:
     """(dst, src) weight matrix: border-clamped taps, rows renormalized.
 
-    Memoized per (src, dst, a): a repeat call returns the same read-only
+    Memoized per (src, dst): a repeat call returns the same read-only
     matrix.  Invalid sizes raise on every call, since exceptions are not
     cached.
     """
@@ -214,16 +208,16 @@ def lanczos_weights(src: int, dst: int, a: int = 3) -> np.ndarray:
     x = (np.arange(dst) + 0.5) * (src / dst) - 0.5  # source-space centers
     base = np.floor(x).astype(int)
     w = np.zeros((dst, src))
-    for off in range(-a + 1, a + 1):
+    for off in range(-_LANCZOS_A + 1, _LANCZOS_A + 1):
         k = base + off
-        taps = _lanczos_kernel(x - k, a)
+        taps = _lanczos_kernel(x - k)
         np.add.at(w, (np.arange(dst), np.clip(k, 0, src - 1)), taps)
     w /= w.sum(axis=1, keepdims=True)
     w.flags.writeable = False
     return w
 
 
-def resample_lanczos(bands: np.ndarray, rows: int, cols: int, a: int = 3) -> np.ndarray:
+def resample_lanczos(bands: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Separable Lanczos resampling of a 2-D band, or of each band of a
     (..., rows, cols) stack, to (rows, cols) with one pair of (cached) weight
     matrices.
@@ -234,8 +228,8 @@ def resample_lanczos(bands: np.ndarray, rows: int, cols: int, a: int = 3) -> np.
     bands = np.asarray(bands, dtype=np.float64)
     if bands.ndim < 2 or bands.shape[-2] < 2 or bands.shape[-1] < 2:
         raise ValueError(f"source must be at least 2x2, got shape {bands.shape}")
-    wr = lanczos_weights(bands.shape[-2], rows, a)
-    wc = lanczos_weights(bands.shape[-1], cols, a)
+    wr = lanczos_weights(bands.shape[-2], rows)
+    wc = lanczos_weights(bands.shape[-1], cols)
     return wr @ bands @ wc.T
 
 
@@ -256,25 +250,28 @@ class OutlierReport:
     removed: list[int] = field(default_factory=list)  # timestamps
     unreadable: list[str] = field(default_factory=list)  # paths
 
-    @property
-    def removed_fraction(self) -> float:
-        return len(self.removed) / self.total if self.total else 0.0
+
+def _readable(entries, reader, unreadable: list[str]):
+    """(entry, radar grid) of each entry in timestamp order, read as it is
+    reached; the path of a file that cannot be read goes to `unreadable`
+    instead, never silently skipped."""
+    for e in sorted(entries, key=lambda e: e.timestamp):
+        try:
+            grid = reader(e.radar_path)
+        except (OSError, FormatError):
+            unreadable.append(e.radar_path)
+            continue
+        yield e, grid
 
 
 def filter_outliers(entries, reader=read_grid) -> tuple[list[IndexEntry], OutlierReport]:
     """Drop frames whose max non-missing rate exceeds 200 mm/h.
 
-    Unreadable radar files are recorded in the report (and excluded), never
-    silently skipped.
+    Unreadable radar files are recorded in the report (and excluded).
     """
     report = OutlierReport(total=len(entries))
     kept = []
-    for e in sorted(entries, key=lambda e: e.timestamp):
-        try:
-            grid = reader(e.radar_path)
-        except (OSError, FormatError):
-            report.unreadable.append(e.radar_path)
-            continue
+    for e, grid in _readable(entries, reader, report.unreadable):
         if grid_stats(grid).max_rate > RAIN_MAX:
             report.removed.append(e.timestamp)
         else:
@@ -305,12 +302,7 @@ def subsample_no_rain(entries, keep_fraction: float, seed: int,
     rng = np.random.default_rng(seed)
     report = SubsampleReport(0, 0, keep_fraction, seed)
     kept = []
-    for e in sorted(entries, key=lambda e: e.timestamp):
-        try:
-            grid = reader(e.radar_path)
-        except (OSError, FormatError):
-            report.unreadable.append(e.radar_path)
-            continue
+    for e, grid in _readable(entries, reader, report.unreadable):
         if grid_stats(grid).rainy_fraction > 0:
             kept.append(e)
             continue
@@ -327,12 +319,14 @@ def build_sequences(entries, lead: LeadTime, multimodal: bool = False) -> list[S
     A sample is emitted for target time t iff the radar frame exists at t
     and at all six window offsets (plus the satellite scene at each input
     time when multimodal); anything else simply yields no sample.  Two
-    entries with one timestamp are rejected, naming both radar paths.
+    entries with one timestamp are rejected, naming both radar paths, and a
+    timestamp off the 5-minute lattice names its radar path.
     """
     by_ts = {}
     for e in entries:
         if e.timestamp % FRAME_STEP != 0:
-            raise ValueError(f"timestamp {e.timestamp} not on the {FRAME_STEP}-minute lattice")
+            raise ValueError(f"timestamp {minutes_to_iso(e.timestamp)} ({e.timestamp}) of "
+                             f"{e.radar_path} not on the {FRAME_STEP}-minute lattice")
         if e.timestamp in by_ts:
             raise ValueError(f"duplicate timestamp {minutes_to_iso(e.timestamp)} ({e.timestamp}): "
                              f"{by_ts[e.timestamp].radar_path} and {e.radar_path}")

@@ -2,8 +2,7 @@
 
 The text layout mirrors the usual verification-table shape — one row per
 lead/category/metric, one column per model — and the same grid serializes
-to CSV.  Undefined scores print as "n/a" unless paper-style zeros are
-requested.
+to CSV.  Undefined scores print as "n/a".
 """
 
 from __future__ import annotations
@@ -52,40 +51,38 @@ class SkillReport:
                     yield lead, category, metric
 
     @staticmethod
-    def _fmt(score, paper_style: bool, decimals: int) -> str:
+    def _fmt(score, decimals: int) -> str:
         if score is None:
-            return f"{0.0:.{decimals}f}" if paper_style else "n/a"
+            return "n/a"
         return f"{score:.{decimals}f}"
 
-    def to_text(self, paper_style: bool = False) -> str:
+    def to_text(self) -> str:
         lines = [f"# {k}={v}" for k, v in self.metadata.items()]
         header = ["Lead Time", "Category", "Metric", *self.models]
         table = [header]
         for lead, category, metric in self._rows():
             row = [f"{lead} min", category, metric]
             for model in self.models:
-                row.append(self._fmt(self.scores.get((lead, category, metric, model)),
-                                     paper_style, 3))
+                row.append(self._fmt(self.scores.get((lead, category, metric, model)), 3))
             table.append(row)
         widths = [max(len(r[i]) for r in table) for i in range(len(header))]
         for row in table:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, paper_style: bool = False) -> str:
+    def to_csv(self) -> str:
         lines = [f"# {k}={v}" for k, v in self.metadata.items()]
         lines.append(",".join(["lead_minutes", "category", "metric", *self.models]))
         for lead, category, metric in self._rows():
             cells = [str(lead), category, metric]
             for model in self.models:
-                cells.append(self._fmt(self.scores.get((lead, category, metric, model)),
-                                       paper_style, 6))
+                cells.append(self._fmt(self.scores.get((lead, category, metric, model)), 6))
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def write(self, text_path, csv_path, paper_style: bool = False) -> None:
-        Path(text_path).write_text(self.to_text(paper_style))
-        Path(csv_path).write_text(self.to_csv(paper_style))
+    def write(self, text_path, csv_path) -> None:
+        Path(text_path).write_text(self.to_text())
+        Path(csv_path).write_text(self.to_csv())
 
 
 def _mean(scores) -> float | None:
@@ -111,8 +108,7 @@ def _stack(fields, block, shape, name: str | None = None) -> np.ndarray:
 
 
 def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
-                    neighborhood: int = 3, aggregation: str = "pooled",
-                    metadata: dict | None = None) -> SkillReport:
+                    neighborhood: int = 3, aggregation: str = "pooled") -> SkillReport:
     """Score (name, sample -> RainGrid) predictors over a sample list.
 
     Samples are scored in target-time order, in blocks of `_BLOCK`: each
@@ -139,10 +135,8 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
     names = tuple(name for name, _ in predictors)
     report = SkillReport(models=names, leads=(lead,),
                          categories=tuple(c.name.title() for c in categories),
-                         metadata=dict(metadata or {}))
-    report.metadata.setdefault("aggregation", aggregation)
-    report.metadata.setdefault("neighborhood", str(neighborhood))
-    report.metadata.setdefault("samples", str(len(samples)))
+                         metadata={"aggregation": aggregation, "neighborhood": str(neighborhood),
+                                   "samples": str(len(samples))})
     scored = {name: [] for name in names}
     shape = None
     for start in range(0, len(samples), _BLOCK):

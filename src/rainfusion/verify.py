@@ -1,4 +1,4 @@
-"""Forecast verification: contingency/CSI, neighborhood FSS, histogram scores.
+"""Forecast verification: contingency/CSI and neighborhood FSS.
 
 Grids are compared per intensity category.  CSI comes from a pixel-wise
 contingency table; FSS compares neighborhood-window event fractions so that
@@ -8,8 +8,7 @@ field are excluded from scoring rather than treated as no-rain.
 Scoring works on (S, rows, cols) stacks of samples (`score_pairs`): each
 stack is categorized once, one bincount fills every sample's tables, and
 the FSS events of all samples and categories get one exact integer
-box-sum pass.  Every sample's numbers equal those of scoring it alone
-(`score_pair` is the stack of one).
+box-sum pass.  Every sample's numbers equal those of scoring it alone.
 
 Blocks with no missing cell take an all-valid path: the window counts
 depend on the cell position alone, so they are one (rows, cols) box sum
@@ -55,10 +54,6 @@ class ContingencyTable:
     def __add__(self, other: "ContingencyTable") -> "ContingencyTable":
         return ContingencyTable(self.tp + other.tp, self.fp + other.fp,
                                 self.fn + other.fn, self.tn + other.tn)
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
 
 
 _CODES = len(PrecipCategory)  # category codes -1 (MISSING) .. 4, shifted to 0 .. 5
@@ -287,14 +282,6 @@ def score_pairs(pred, obs, categories,
             zip(_tables(pv, ov, categories), _fss_components(pv, ov, bounds, n))]
 
 
-def score_pair(pred, obs, categories,
-               n: int = 3) -> list[tuple[ContingencyTable, tuple[float, float, int]]]:
-    """(contingency table, FSS components) of each category for one pair:
-    `score_pairs` on a stack of one."""
-    pv, ov = _pair(pred, obs)
-    return score_pairs(pv[None], ov[None], categories, n)[0]
-
-
 def fss_bruteforce(pred, obs, params: FssParams) -> float | None:
     """Reference FSS via direct per-window summation (no summed-area table).
 
@@ -324,55 +311,3 @@ def fss_bruteforce(pred, obs, params: FssParams) -> float | None:
     npo, vo = window_mean(bpo, valido)
     return fss_ratio(*_fss_sums(npp[None], npo[None], vp & vo)[0])
 
-
-# ---------------------------------------------------------------------------
-# Histogram divergence scores for the satellite band analysis
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HistogramPair:
-    """Two normalized histograms over identical bin edges."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        q = np.asarray(self.q, dtype=np.float64)
-        if p.shape != q.shape or p.ndim != 1:
-            raise ValueError("histograms must be 1-D with matching bin counts")
-        for name, h in (("p", p), ("q", q)):
-            if np.any(h < 0):
-                raise ValueError(f"histogram {name} has negative mass")
-            if abs(h.sum() - 1.0) > 1e-9:
-                raise ValueError(f"histogram {name} sums to {h.sum()!r}, not 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-
-def normalized_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    counts, _ = np.histogram(np.asarray(values).ravel(), bins=edges)
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("no samples fall inside the histogram edges")
-    return counts / total
-
-
-def ks_statistic(pair: HistogramPair) -> float:
-    """Max absolute CDF difference over the shared bins; lies in [0, 1]."""
-    return float(np.max(np.abs(np.cumsum(pair.p) - np.cumsum(pair.q))))
-
-
-def kl_divergence(pair: HistogramPair, epsilon: float = 1e-9) -> float:
-    """Kullback-Leibler divergence with epsilon smoothing on both sides.
-
-    Every bin of both histograms gets +epsilon before renormalization, so
-    empty bins cannot blow the sum up to infinity.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    p = pair.p + epsilon
-    q = pair.q + epsilon
-    p = p / p.sum()
-    q = q / q.sum()
-    return float(np.sum(p * np.log(p / q)))

@@ -214,19 +214,23 @@ class TestReaderValues:
         grid[0, 1, 2], scene[5, 1, 2] = bad, bad
         if with_missing:
             grid[0, 0, 0] = scene[0, 0, 0] = MISSING
-        _write_raw(tmp_path / "g.rfg", grid)
-        _write_raw(tmp_path / "s.rfg", scene)
-        with pytest.raises(ValueError, match="^RainGrid contains non-finite values$"):
-            read_grid(tmp_path / "g.rfg")
-        with pytest.raises(ValueError, match="^SatScene contains non-finite values$"):
-            read_scene(tmp_path / "s.rfg")
+        g, s = tmp_path / "g.rfg", tmp_path / "s.rfg"
+        _write_raw(g, grid)
+        _write_raw(s, scene)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(g))}: RainGrid contains non-finite values$"):
+            read_grid(g)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(s))}: SatScene contains non-finite values$"):
+            read_scene(s)
 
     def test_negative_rate_rejected_scene_accepted(self, tmp_path):
         values = np.zeros((11, 3, 4))
         values[:, 2, 1] = -0.5
         _write_raw(tmp_path / "g.rfg", values[:1])
         _write_raw(tmp_path / "s.rfg", values)
-        with pytest.raises(ValueError, match="^RainGrid contains negative values other than "
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'g.rfg'))}: RainGrid "
+                                             "contains negative values other than "
                                              "the -999 sentinel$"):
             read_grid(tmp_path / "g.rfg")
         np.testing.assert_array_equal(read_scene(tmp_path / "s.rfg").values, values)
@@ -263,11 +267,10 @@ class TestIndex:
         ]
         p = tmp_path / "index.tsv"
         write_index(p, entries)
-        back = read_index(p, resolve=False)
-        assert back == entries
-        resolved = read_index(p)
-        assert resolved[0].radar_path == str(tmp_path / "radar/a.rfg")
-        assert resolved[1].sat_path is None
+        assert read_index(p) == [
+            IndexEntry(27103975, str(tmp_path / "radar/a.rfg"), str(tmp_path / "sat/a.rfg")),
+            IndexEntry(27103980, str(tmp_path / "radar/b.rfg"), None),
+        ]
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "index.tsv"

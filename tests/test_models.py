@@ -32,6 +32,7 @@ from rainfusion.models import (
 )
 from rainfusion.nn import Parameter, gradient_check, logcosh_loss
 from rainfusion.pipeline import (
+    BandStats,
     LeadTime,
     SequenceSample,
     build_sequences,
@@ -49,6 +50,7 @@ TINY = ModelConfig(variant="radar", rows=16, cols=16, time_steps=6,
                    levels=3, base_channels=2, lead_minutes=5)
 TINY_MM = ModelConfig(variant="multimodal", rows=16, cols=16, time_steps=6,
                       levels=3, base_channels=2, lead_minutes=5)
+MM_STATS = BandStats(np.arange(11.0), np.arange(11.0) + 5, 3)
 
 
 class TestModelConfig:
@@ -76,10 +78,8 @@ class TestModelConfig:
 class TestArchitecture:
     def test_reference_radar_budget(self):
         model = UNet3D(ModelConfig(variant="radar"), seed=0)
-        assert model.conv_count == 20
-        assert model.pool_count == 4
-        assert model.upsample_count == 4
-        assert model.skip_count == 4
+        assert len(model.conv_layers()) == 20
+        assert len(model.pools) == len(model.ups) == len(model.dec) == 4
         count = param_count(model)
         assert 29_800_000 <= count <= 33_000_000
         # frozen from the closed-form layer-by-layer enumeration
@@ -95,7 +95,7 @@ class TestArchitecture:
         from rainfusion.nn import Conv3d
 
         conv = Conv3d(1, 1, kernel=(1, 1, 1))
-        assert conv.param_count == 2
+        assert sum(p.value.size for p in conv.params()) == 2
 
     def test_doubling_base_roughly_quadruples(self):
         small = param_count(UNet3D(ModelConfig(rows=32, cols=32, levels=3, base_channels=4)))
@@ -329,10 +329,8 @@ class TestCheckpoints:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_band_stats_ride_along(self, tmp_path):
-        from rainfusion.pipeline import BandStats
-
         model = UNet3D(TINY_MM, seed=17)
-        stats = BandStats(np.arange(11.0), np.arange(11.0) + 5, 3)
+        stats = MM_STATS
         path = tmp_path / "mm.rfp"
         save_model(path, model, stats)
         _, back = load_model(path)
@@ -350,6 +348,48 @@ class TestCheckpoints:
         entries[0][1][0] = 7.0
         save_arrays(path, entries)
         with pytest.raises(ValueError, match=re.escape(f"{path}: unknown variant id 7.0")):
+            load_model(path)
+
+    @staticmethod
+    def _saved(path, edit, config=TINY, stats=None):
+        """A checkpoint at `path` whose (name, array) entries `edit` has changed."""
+        from rainfusion.nn import load_arrays, save_arrays
+
+        save_model(path, UNet3D(config, seed=19), stats)
+        entries = load_arrays(path)
+        edit(entries)
+        save_arrays(path, entries)
+        return path
+
+    def test_config_of_wrong_length_names_file(self, tmp_path):
+        def drop_lead(entries):
+            entries[0] = ("__config__", entries[0][1][:6])
+        path = self._saved(tmp_path / "m.rfp", drop_lead)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: __config__ has shape (6,), expected 7 values")):
+            load_model(path)
+
+    def test_non_integral_config_names_file(self, tmp_path):
+        def half_row(entries):
+            entries[0][1][1] = 16.5  # rows
+        path = self._saved(tmp_path / "m.rfp", half_row)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: __config__ holds non-integral")):
+            load_model(path)
+
+    def test_incomplete_band_stats_name_file(self, tmp_path):
+        def drop_count(entries):
+            assert entries.pop(3)[0] == "__band_count__"
+        path = self._saved(tmp_path / "m.rfp", drop_count, TINY_MM, MM_STATS)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: band stats need all of __band_min__, __band_max__, __band_count__")):
+            load_model(path)
+
+    def test_inverted_band_stats_name_file(self, tmp_path):
+        def invert(entries):
+            assert entries[1][0] == "__band_min__"
+            entries[1][1][4] = 100.0
+        path = self._saved(tmp_path / "m.rfp", invert, TINY_MM, MM_STATS)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: band min exceeds band max")):
             load_model(path)
 
     def test_rejects_non_checkpoint(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -560,7 +561,7 @@ class TestAdam:
         p = self._param([5.0])
         opt = Adam([p], lr=0.05)
         for _ in range(2000):
-            opt.zero_grad()
+            p.zero_grad()
             p.grad[...] = 2 * p.value
             opt.step()
         assert abs(p.value[0]) < 1e-3
@@ -614,6 +615,15 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="UTF-8") as err:
             load_arrays(p)
         assert err.value.offset == offset
+
+    def test_repeated_name_rejected_at_second_entry(self, tmp_path):
+        p = tmp_path / "x.rfp"
+        save_arrays(p, [("w", np.ones(2, dtype=np.float32)),
+                        ("w", np.ones(1, dtype=np.float32))])
+        with pytest.raises(FormatError, match=re.escape(f"{p}: entry name 'w' repeats")) as err:
+            load_arrays(p)
+        # magic 4 + version 1 + count 4 + first entry (2 + 1 + 1 + 4 + 8)
+        assert err.value.offset == 9 + 16
 
     def test_trailing_garbage(self, tmp_path):
         p = tmp_path / "x.rfp"

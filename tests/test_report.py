@@ -59,11 +59,6 @@ class TestSkillReport:
         assert "0.672" in lines[3]
         assert "n/a" in text
 
-    def test_paper_style_zeros(self):
-        text = self._report().to_text(paper_style=True)
-        assert "n/a" not in text
-        assert "0.000" in text
-
     def test_csv(self):
         csv = self._report().to_csv()
         lines = csv.splitlines()

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from rainfusion.grids import MISSING, PrecipCategory, RainGrid, categorize_values
 from rainfusion.verify import (
     ContingencyTable,
     FssParams,
-    HistogramPair,
     binary_probability,
     contingency,
     csi,
@@ -14,11 +13,7 @@ from rainfusion.verify import (
     fss_bruteforce,
     fss_components,
     fss_ratio,
-    kl_divergence,
-    ks_statistic,
     neighborhood_probability,
-    normalized_histogram,
-    score_pair,
     score_pairs,
 )
 
@@ -54,7 +49,7 @@ class TestContingency:
         obs[rng.random((8, 8)) < 0.2] = MISSING
         pred = rng.uniform(0, 60, (8, 8))
         t = contingency(pred, obs, HEAVY)
-        assert t.total == int((obs != MISSING).sum())
+        assert t.tp + t.fp + t.fn + t.tn == int((obs != MISSING).sum())
 
 
 class TestCsi:
@@ -297,14 +292,14 @@ class TestScorePair:
         pred[0, :3] = (0.0, 200.0, MISSING)
         categories = (PrecipCategory.LIGHT, PrecipCategory.MODERATE, HEAVY,
                       PrecipCategory.VIOLENT)
-        scored = score_pair(pred, obs, categories, n=5)
+        scored = score_pairs(pred[None], obs[None], categories, n=5)[0]
         assert len(scored) == len(categories)
         for c, (table, components) in zip(categories, scored):
             assert table == contingency(pred, obs, c)
             assert components == fss_components(pred, obs, FssParams.for_category(c, n=5))
 
     def test_no_categories(self):
-        assert score_pair(np.zeros((3, 3)), np.zeros((3, 3)), ()) == []
+        assert score_pairs(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), ()) == [[]]
 
 
 ALL_CATEGORIES = (PrecipCategory.LIGHT, PrecipCategory.MODERATE, HEAVY, PrecipCategory.VIOLENT)
@@ -329,7 +324,7 @@ class TestScorePairs:
         stacked = score_pairs(pred, obs, ALL_CATEGORIES, n)
         assert len(stacked) == 5
         for s in range(5):
-            assert stacked[s] == score_pair(pred[s], obs[s], ALL_CATEGORIES, n)
+            assert stacked[s] == score_pairs(pred[s:s + 1], obs[s:s + 1], ALL_CATEGORIES, n)[0]
         for table, components in stacked[2]:
             assert table == ContingencyTable() and components == (0.0, 0.0, 0)
             assert csi(table) is None and fss_ratio(*components) is None
@@ -343,8 +338,8 @@ class TestScorePairs:
             for c, (table, components) in zip(ALL_CATEGORIES, scored):
                 p = (categorize_values(pred[s]) == c) & valid
                 o = (categorize_values(obs[s]) == c) & valid
-                assert (table.tp, table.fp, table.fn, table.total) == (
-                    np.sum(p & o), np.sum(p & ~o), np.sum(~p & o), np.sum(valid))
+                assert (table.tp, table.fp, table.fn, table.tn) == (
+                    np.sum(p & o), np.sum(p & ~o), np.sum(~p & o), np.sum(~p & ~o & valid))
                 want = fss_bruteforce(pred[s], obs[s], FssParams.for_category(c, n))
                 got = fss_ratio(*components)
                 assert got == want or got == pytest.approx(want, abs=1e-9)
@@ -436,46 +431,3 @@ class TestAllValidPath:
             assert vals.dtype == want.dtype and np.array_equal(vals, want)
             assert ok.shape == want_ok.shape and ok.all() and want_ok.all()
 
-
-class TestHistogramScores:
-    def test_identical_histograms(self):
-        pair = HistogramPair(np.array([0.25, 0.5, 0.25]), np.array([0.25, 0.5, 0.25]))
-        assert ks_statistic(pair) == 0.0
-        assert kl_divergence(pair) == pytest.approx(0.0, abs=1e-12)
-
-    def test_disjoint_support(self):
-        pair = HistogramPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert ks_statistic(pair) == pytest.approx(1.0)
-
-    def test_ks_hand_case(self):
-        pair = HistogramPair(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5]))
-        assert ks_statistic(pair) == pytest.approx(0.5)
-
-    def test_kl_limit_case(self):
-        # frozen from the pre-build high-precision evaluation: ln 2
-        pair = HistogramPair(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-        assert kl_divergence(pair, epsilon=1e-12) == pytest.approx(np.log(2), abs=1e-9)
-
-    @given(st.integers(0, 2**32))
-    @settings(max_examples=30)
-    def test_kl_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.random(8)
-        q = rng.random(8)
-        pair = HistogramPair(p / p.sum(), q / q.sum())
-        assert kl_divergence(pair) >= -1e-15
-        assert 0.0 <= ks_statistic(pair) <= 1.0
-
-    def test_pair_validation(self):
-        with pytest.raises(ValueError):
-            HistogramPair(np.array([0.5, 0.6]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            HistogramPair(np.array([1.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            kl_divergence(HistogramPair(np.array([1.0]), np.array([1.0])), epsilon=0)
-
-    def test_normalized_histogram(self):
-        h = normalized_histogram(np.array([0.1, 0.2, 0.9]), np.linspace(0, 1, 3))
-        np.testing.assert_allclose(h, [2 / 3, 1 / 3])
-        with pytest.raises(ValueError):
-            normalized_histogram(np.array([5.0]), np.linspace(0, 1, 3))
