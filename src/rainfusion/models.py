@@ -403,6 +403,14 @@ def load_model(path) -> tuple[UNet3D, BandStats | None]:
         stats = None
         if band_stats:
             mins, maxs, count = band_stats
+            if count.shape != (1,) or not (np.isfinite(count[0]) and count[0] >= 1
+                                           and count[0] == np.round(count[0])):
+                raise ValueError(f"__band_count__ holds {count.tolist()}, "
+                                 "expected one integral value >= 1")
+            bands = cfg.in_channels - 1
+            if mins.shape != (bands,) or maxs.shape != (bands,):
+                raise ValueError(f"__band_min__ has shape {mins.shape} and __band_max__ "
+                                 f"{maxs.shape}, expected {(bands,)} for a {cfg.variant} model")
             stats = BandStats(mins.astype(np.float64), maxs.astype(np.float64), int(count[0]))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

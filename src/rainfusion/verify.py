@@ -6,17 +6,20 @@ small displacements are not punished as double errors.  Cells missing in a
 field are excluded from scoring rather than treated as no-rain.
 
 Scoring works on (S, rows, cols) stacks of samples (`score_pairs`): each
-stack is categorized once, one bincount fills every sample's tables, and
-the FSS events of all samples and categories get one exact integer
-box-sum pass.  Every sample's numbers equal those of scoring it alone.
+stack is categorized once into int8 codes, one bincount per sample fills
+its tables, and the FSS events of all samples and categories get one
+exact box-sum pass in the smallest signed integer type that holds n²
+(int8 for n <= 11, int16 up to n = 181, then int32).
 
-Blocks with no missing cell take an all-valid path: the window counts
-depend on the cell position alone, so they are one (rows, cols) box sum
-shared by the stack, and the FBS and WFBS of every sample and category
-come from one reduction per field over the (S, k, rows * cols) NP stacks.
-Each of those row sums is the same contiguous pairwise sum that a 1-D
-`np.sum` of the row gives, so the results are bit-identical to the
-per-sample path that blocks with missing cells take.
+Blocks with no missing cell take an all-valid path that stays in
+integers: every window count is rows-covered x cols-covered, which
+depends on the cell position alone, so FBS and WFBS are exact integer
+sums over the runs of cells that share a count, weighted by 1 / count²
+(`_all_valid_sums`).  No float64 neighborhood-probability stack is
+formed.  The float operations differ from those of the masked path that
+blocks with a missing cell take, so the two agree to 1e-14 relative
+rather than bit for bit.  Either path gives each sample the numbers it
+gets when scored alone on the same path.
 """
 
 from __future__ import annotations
@@ -62,21 +65,20 @@ _CODES = len(PrecipCategory)  # category codes -1 (MISSING) .. 4, shifted to 0 .
 def _tables(pv, ov, categories) -> list[list[ContingencyTable]]:
     """Per sample of two (S, rows, cols) stacks, the table of each category.
 
-    Cells missing in obs are skipped.  Each stack is categorized once, and
-    one bincount over the (sample, pred code, obs code) triples of the
-    remaining cells holds every sample's and category's counts.
+    Each stack is categorized once, and each sample's (pred code, obs code)
+    pairs are one bincount of int8 joint codes 0 .. 35.  Cells missing in
+    obs land in its obs-MISSING column, which is zeroed.
     """
-    s = len(ov)
-    valid = ov != MISSING
-    pc = categorize_values(pv).astype(np.intp) + 1
-    oc = categorize_values(ov).astype(np.intp) + 1
-    sample = np.arange(s, dtype=np.intp)[:, None, None]
-    joint = np.bincount(((sample * _CODES + pc) * _CODES + oc)[valid],
-                        minlength=s * _CODES * _CODES).reshape(s, _CODES, _CODES)
+    codes = categorize_values(pv) * _CODES
+    codes += categorize_values(ov)
+    codes += _CODES + 1
+    joint = np.array([np.bincount(c.ravel(), minlength=_CODES * _CODES) for c in codes],
+                     dtype=np.intp).reshape(len(ov), _CODES, _CODES)
+    joint[:, :, 0] = 0
     i = [int(c) + 1 for c in categories]
     tp = joint[:, i, i]
     fp, fn = joint.sum(axis=2)[:, i] - tp, joint.sum(axis=1)[:, i] - tp
-    tn = valid.sum(axis=(1, 2))[:, None] - tp - fp - fn
+    tn = joint.sum(axis=(1, 2))[:, None] - tp - fp - fn
     return [[ContingencyTable(*counts) for counts in zip(*row)]
             for row in zip(tp.tolist(), fp.tolist(), fn.tolist(), tn.tolist())]
 
@@ -149,15 +151,21 @@ def binary_probability(field, bounds: tuple[float, float]) -> tuple[np.ndarray, 
     return bp[0], valid[0]
 
 
+def _int_type(bound: int) -> type:
+    """The smallest signed integer type that holds 0 .. bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
 def _box_sums(a: np.ndarray, n: int) -> np.ndarray:
-    """int32 sums of `a` over the n x n window centered on each cell of its
-    last two axes, with zeros outside the domain: n shifted slice adds per
-    axis on one zero-padded copy, accumulated in place into one copy per
-    axis.  The sums are exact integers, so the order of the adds does not
-    matter."""
+    """Sums of the 0/1 stack `a` over the n x n window centered on each cell
+    of its last two axes, with zeros outside the domain, in the smallest
+    signed integer type that holds n² (int8 for n <= 11, int16 up to
+    n = 181, then int32): n shifted slice adds per axis on one zero-padded
+    copy, accumulated in place into one copy per axis.  The sums are exact
+    integers, so the order of the adds does not matter."""
     h = n // 2
     rows, cols = a.shape[-2:]
-    padded = np.zeros((*a.shape[:-2], rows + 2 * h, cols + 2 * h), dtype=np.int32)
+    padded = np.zeros((*a.shape[:-2], rows + 2 * h, cols + 2 * h), dtype=_int_type(n * n))
     padded[..., h:h + rows, h:h + cols] = a
     across = padded[..., :cols].copy()
     for d in range(1, n):
@@ -175,24 +183,18 @@ def neighborhood_probability(bp: np.ndarray, n: int,
     `bp` is one (rows, cols) field or a (..., rows, cols) stack of fields;
     `valid` is a mask that broadcasts against it, such as one (rows, cols)
     mask shared by a (k, rows, cols) stack or one (S, 1, rows, cols) mask
-    per sample of an (S, k, rows, cols) stack.  Window counts are computed
-    once per mask; when every cell is valid (`valid.all()`, or no mask) they
-    depend on the cell position alone and are one (rows, cols) box sum
-    broadcast over the stack.  Windows shrink at the domain border and count
-    only valid in-domain cells; the window sums are exact integers, so
-    results are exact integer ratios.  Cells whose window holds no valid
-    cell come back 0 and flagged invalid in the returned mask, which has the
-    shape of `valid`.
+    per sample of an (S, k, rows, cols) stack; no mask means every cell is
+    valid.  Window counts are computed once per mask.  Windows shrink at the
+    domain border and count only valid in-domain cells; the window sums are
+    exact integers, so results are exact integer ratios.  Cells whose window
+    holds no valid cell come back 0 and flagged invalid in the returned
+    mask, which has the shape of `valid`.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"neighborhood size must be odd and >= 1, got {n}")
     bp = np.asarray(bp)
     if valid is None:
         valid = np.ones(bp.shape[-2:], dtype=bool)
-    if np.broadcast_shapes(bp.shape, valid.shape) == bp.shape and valid.all():
-        # Every window holds its own center cell, so no count is 0.
-        counts = _box_sums(np.ones(bp.shape[-2:], dtype=np.int8), n)
-        return _box_sums(bp, n) / counts, np.ones(valid.shape, dtype=bool)
     counts = _box_sums(valid, n)
     # A window with no valid cell holds no event either, so its ratio is 0 / 1.
     return _box_sums(bp * valid, n) / np.maximum(counts, 1), counts > 0
@@ -209,30 +211,63 @@ def _fss_sums(npp, npo, pair) -> list[tuple[float, float, int]]:
             for f, w in zip((p - o) ** 2, p * p + o * o)]
 
 
+def _runs(m: int, h: int) -> tuple[list[int], np.ndarray]:
+    """The start of each run of lines of an m-line axis whose windows, h
+    lines each way, cover equally many lines, and that number: each of the
+    h lines at either border is a run of its own and the interior is one
+    run, or every line is a run of its own when m <= 2h."""
+    starts = list(range(m)) if m <= 2 * h else [*range(h + 1), *range(m - h, m)]
+    return starts, np.array([min(i + h, m - 1) - max(i - h, 0) + 1 for i in starts])
+
+
+def _all_valid_sums(bpp, bpo, n) -> np.ndarray:
+    """(FBS, WFBS) sums of each (sample, category) of two (S, k, rows, cols)
+    event stacks with no missing cell, as a (2, S, k) float64 array.
+
+    The window count of a cell is a * b, with a the rows and b the cols its
+    window covers, so FBS = sum (Sp - So)² / c² and WFBS = sum (Sp² + So²) / c²
+    over the window sums Sp and So.  The squared fields are summed exactly
+    in integers over each block of cells that share a and b, and the block
+    sums are then weighted by 1 / (a * b)² and added: one small float sum
+    per (sample, category), so a sample's sums do not depend on the others
+    in the block.  Each sum agrees with the masked path's to 1e-14 relative.
+    """
+    h = n // 2
+    sp, so = _box_sums(bpp, n), _box_sums(bpo, n)
+    samples, k, rows, cols = sp.shape
+    squares = np.empty((2, samples, k, rows, cols), dtype=_int_type(2 * n ** 4))
+    np.multiply(sp, sp, out=squares[1], dtype=squares.dtype)
+    np.multiply(so, so, out=squares[0], dtype=squares.dtype)
+    squares[1] += squares[0]
+    sp -= so
+    np.multiply(sp, sp, out=squares[0], dtype=squares.dtype)
+    row_starts, a = _runs(rows, h)
+    col_starts, b = _runs(cols, h)
+    # A run of at most `rows` lines of squares up to 2n⁴ sums exactly in
+    # the smallest type that holds rows · 2n⁴.
+    acc = _int_type(rows * 2 * n ** 4)
+    ends = [*row_starts[1:], rows]
+    lines = np.stack([squares[..., r0:r1, :].sum(axis=-2, dtype=acc)
+                      for r0, r1 in zip(row_starts, ends)], axis=-2)
+    blocks = np.add.reduceat(lines, col_starts, axis=-1, dtype=np.int64)
+    weights = 1.0 / np.square(np.multiply.outer(a, b).astype(np.float64))
+    return (blocks * weights).sum(axis=(-2, -1))
+
+
 def _fss_components(pv, ov, bounds, n) -> list[list[tuple[float, float, int]]]:
     """Per sample of two (S, rows, cols) stacks, the FSS components of each
-    (q1, q2): each stack is thresholded once and gets one box-sum pass."""
+    (q1, q2): each stack is thresholded once and gets one box-sum pass.
+    Blocks with no missing cell take the integer path (`_all_valid_sums`)."""
     bpp, validp = _events(pv, bounds)
     bpo, valido = _events(ov, bounds)
+    if validp.all() and valido.all():
+        count = pv.shape[-2] * pv.shape[-1]
+        fbs, wfbs = _all_valid_sums(bpp, bpo, n).tolist()
+        return [[(f, w, count) for f, w in zip(*row)] for row in zip(fbs, wfbs)]
     npp, vp = neighborhood_probability(bpp, n, validp)
     npo, vo = neighborhood_probability(bpo, n, valido)
     pair = vp & vo
-    if not pair.all():
-        return [_fss_sums(npp[s], npo[s], pair[s, 0]) for s in range(len(ov))]
-    # Every cell is paired: each (sample, category) row of the reshaped
-    # stacks is summed as `_fss_sums` sums its 1-D gather of the same row.
-    # The squares are taken in place in the NP stacks, which nothing else
-    # holds: each fresh float64 temporary of a block costs page faults.
-    samples, k, rows, cols = npp.shape
-    p, o = (a.reshape(samples, k, rows * cols) for a in (npp, npo))
-    d = p - o
-    d *= d
-    p *= p
-    o *= o
-    p += o
-    fbs, wfbs = d.sum(axis=-1), p.sum(axis=-1)
-    count = rows * cols
-    return [[(f, w, count) for f, w in zip(*row)] for row in zip(fbs.tolist(), wfbs.tolist())]
+    return [_fss_sums(npp[s], npo[s], pair[s, 0]) for s in range(len(ov))]
 
 
 def fss_ratio(fbs: float, wfbs: float, count: int) -> float | None:
@@ -274,7 +309,9 @@ def score_pairs(pred, obs, categories,
     into an (S, k, rows, cols) stack of FSS events (see
     `FssParams.for_category`) for all the components; `n` is the FSS
     neighborhood size.  Every sample's numbers equal those of scoring it
-    alone.
+    alone, bit for bit, except the FSS sums of a sample with no missing cell
+    in a block with one, which agree to 1e-14 relative (see the module
+    docstring).
     """
     pv, ov = _pair(pred, obs, ndim=3)
     bounds = [c.bounds for c in categories]

@@ -392,6 +392,32 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=re.escape(f"{path}: band min exceeds band max")):
             load_model(path)
 
+    @pytest.mark.parametrize("count", [[2.5, 7.0], [-3.0], [0.0], [2.5], [float("nan")],
+                                       [float("inf")], [[3.0]]])
+    def test_bad_band_count_names_file(self, tmp_path, count):
+        def set_count(entries):
+            assert entries[3][0] == "__band_count__"
+            entries[3] = ("__band_count__", np.array(count, dtype=np.float32))
+        path = self._saved(tmp_path / "m.rfp", set_count, TINY_MM, MM_STATS)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: __band_count__ holds")):
+            load_model(path)
+
+    def test_band_stats_of_wrong_band_count_name_file(self, tmp_path):
+        three = BandStats(np.arange(3.0), np.arange(3.0) + 5, 3)
+        path = self._saved(tmp_path / "m.rfp", lambda entries: None, TINY_MM, three)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: __band_min__ has shape (3,) and __band_max__ (3,), "
+                "expected (11,) for a multimodal model")):
+            load_model(path)
+
+    def test_band_min_and_max_of_unequal_length_name_file(self, tmp_path):
+        def drop_max(entries):
+            assert entries[2][0] == "__band_max__"
+            entries[2] = ("__band_max__", entries[2][1][:10])
+        path = self._saved(tmp_path / "m.rfp", drop_max, TINY_MM, MM_STATS)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: __band_min__ has shape (11,)")):
+            load_model(path)
+
     def test_rejects_non_checkpoint(self, tmp_path):
         from rainfusion.nn import save_arrays
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from rainfusion.verify import (
     neighborhood_probability,
     score_pairs,
 )
+from rainfusion.verify import _box_sums, _tables
 
 HEAVY = PrecipCategory.HEAVY
 
@@ -314,6 +317,38 @@ def _field_stack(rng, samples, shape=(12, 10)):
     return v.astype(np.float32)
 
 
+def _gather_tables(pred, obs):
+    """Per sample, the (6, 6) counts of (pred code + 1, obs code + 1) pairs
+    over the cells not missing in obs, gathered with a boolean mask."""
+    out = []
+    for p, o in zip(pred, obs):
+        valid = o != MISSING
+        pc, oc = (categorize_values(v)[valid].astype(np.intp) + 1 for v in (p, o))
+        out.append(np.bincount(pc * 6 + oc, minlength=36).reshape(6, 6))
+    return out
+
+
+class TestTables:
+    @pytest.mark.parametrize("missing", ["none", "one sample", "whole sample"])
+    def test_counts_equal_gather_path(self, missing):
+        rng = np.random.default_rng(25)
+        pred, obs = _rain_stack(rng, 4, (9, 7)), _rain_stack(rng, 4, (9, 7))
+        pred[0, 2, :3] = MISSING
+        if missing == "one sample":
+            obs[1, rng.random((9, 7)) < 0.3] = MISSING
+        elif missing == "whole sample":
+            obs[2] = MISSING
+        tables = _tables(pred, obs, (PrecipCategory.NO_RAIN, *ALL_CATEGORIES))
+        for s, joint in enumerate(_gather_tables(pred, obs)):
+            for i, table in enumerate(tables[s], start=1):
+                tp = int(joint[i, i])
+                want = (tp, int(joint[i].sum()) - tp, int(joint[:, i].sum()) - tp)
+                want += (int(joint.sum()) - sum(want),)
+                assert (table.tp, table.fp, table.fn, table.tn) == want
+        if missing == "whole sample":
+            assert all(t == ContingencyTable() for t in tables[2])
+
+
 class TestScorePairs:
     @pytest.mark.parametrize("n", [1, 3, 5, 9, 25])
     def test_equals_per_sample_score_pair(self, n):
@@ -367,6 +402,18 @@ def _window_sums(a, n):
     return sum(padded[..., i:i + rows, j:j + cols] for i in range(n) for j in range(n))
 
 
+def _table_window_sums(a, n):
+    """The sums of `_window_sums` from an int64 summed-area table, which
+    costs the same at any n."""
+    h = n // 2
+    rows, cols = a.shape[-2:]
+    table = np.zeros((*a.shape[:-2], rows + 1, cols + 1), dtype=np.int64)
+    table[..., 1:, 1:] = a.cumsum(axis=-2, dtype=np.int64).cumsum(axis=-1)
+    r0, r1 = (np.clip(np.arange(rows) + d, 0, rows)[:, None] for d in (-h, h + 1))
+    c0, c1 = (np.clip(np.arange(cols) + d, 0, cols) for d in (-h, h + 1))
+    return table[..., r1, c1] - table[..., r0, c1] - table[..., r1, c0] + table[..., r0, c0]
+
+
 def _masked_np(bp, n, valid):
     """Neighborhood probability and mask as the masked path forms them."""
     counts = _window_sums(valid, n)
@@ -399,10 +446,43 @@ def _rain_stack(rng, samples, shape):
     return v.astype(np.float32)
 
 
+# Relative bound on the all-valid FBS/WFBS sums: they weight exact integer
+# sums by 1 / count², so their float operations differ from the masked path's.
+ALL_VALID_RTOL = 1e-14
+
+
+def _assert_components_close(got, want):
+    assert len(got) == len(want)
+    for row_got, row_want in zip(got, want):
+        assert len(row_got) == len(row_want)
+        for (f, w, c), (f_want, w_want, c_want) in zip(row_got, row_want):
+            assert c == c_want
+            assert f == pytest.approx(f_want, rel=ALL_VALID_RTOL, abs=0)
+            assert w == pytest.approx(w_want, rel=ALL_VALID_RTOL, abs=0)
+
+
+def _fraction_oracle(pred, obs, categories, n):
+    """Per sample and category of stacks with no missing cell, the exact
+    (FBS, WFBS) as Fractions: sum (Sp - So)² / c² and (Sp² + So²) / c² cell
+    by cell, over int64 window sums Sp, So and window counts c."""
+    counts = _table_window_sums(np.ones(pred.shape[1:], dtype=np.int64), n).ravel().tolist()
+    out = []
+    for p, o in zip(pred, obs):
+        row = []
+        for q1, q2 in (c.bounds for c in categories):
+            sp, so = (_table_window_sums((v >= q1) & (v < q2), n).ravel().tolist()
+                      for v in (p, o))
+            row.append((sum(Fraction((a - b) ** 2, c * c) for a, b, c in zip(sp, so, counts)),
+                        sum(Fraction(a * a + b * b, c * c) for a, b, c in zip(sp, so, counts))))
+        out.append(row)
+    return out
+
+
 class TestAllValidPath:
-    """Blocks with no missing cell share one window-count box sum and sum
-    FBS/WFBS in one reduction; the numbers must equal the per-sample path's
-    bit for bit."""
+    """Blocks with no missing cell sum FBS/WFBS from integer window sums;
+    at n > 1 the numbers must equal the per-sample path's to ALL_VALID_RTOL.
+    At n = 1 (0/1 sums, count 1) and in blocks with a missing cell they
+    stay bit for bit."""
 
     @pytest.mark.parametrize("missing", [None, "obs", "pred"])
     @pytest.mark.parametrize("shape", [(12, 10), (2, 3)])
@@ -418,7 +498,60 @@ class TestAllValidPath:
             for categories in ((), ALL_CATEGORIES):
                 got = [[components for _, components in scored]
                        for scored in score_pairs(pred, obs, categories, n)]
-                assert got == _fss_oracle(pred, obs, categories, n)
+                if missing is None and n > 1:
+                    _assert_components_close(got, _fss_oracle(pred, obs, categories, n))
+                else:
+                    assert got == _fss_oracle(pred, obs, categories, n)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_samples_equal_scoring_alone(self, n):
+        rng = np.random.default_rng(26)
+        pred, obs = _rain_stack(rng, 5, (12, 10)), _rain_stack(rng, 5, (12, 10))
+        stacked = score_pairs(pred, obs, ALL_CATEGORIES, n)
+        for s in range(5):
+            assert stacked[s] == score_pairs(pred[s:s + 1], obs[s:s + 1], ALL_CATEGORIES, n)[0]
+        # A missing cell sends its whole block down the masked path: the
+        # sample that holds it still equals scoring it alone bit for bit,
+        # and the samples with no missing cell agree to ALL_VALID_RTOL.
+        obs[2, 3, 4] = MISSING
+        mixed = score_pairs(pred, obs, ALL_CATEGORIES, n)
+        for s in range(5):
+            alone = score_pairs(pred[s:s + 1], obs[s:s + 1], ALL_CATEGORIES, n)[0]
+            assert [t for t, _ in mixed[s]] == [t for t, _ in alone]
+            if s == 2 or n == 1:
+                assert mixed[s] == alone
+            else:
+                _assert_components_close([[c for _, c in mixed[s]]], [[c for _, c in alone]])
+
+    @pytest.mark.parametrize("shape", [(12, 10), (2, 3), (4, 2), (1, 1), (7, 5)])
+    @pytest.mark.parametrize("n", [1, 3, 5, 13, 101])
+    def test_components_match_fraction_oracle(self, n, shape):
+        # (2, 3) at n = 3 and 5, and every shape at n >= 13, are grids that
+        # a window spans from border to border; (4, 2) is 2h long at n = 3
+        # (cols) and n = 5 (rows); n = 101 sums in int64
+        rng = np.random.default_rng(23)
+        pred, obs = _rain_stack(rng, 4, shape), _rain_stack(rng, 4, shape)
+        scored = score_pairs(pred, obs, ALL_CATEGORIES, n)
+        for row, exact in zip(scored, _fraction_oracle(pred, obs, ALL_CATEGORIES, n)):
+            for (_, (fbs, wfbs, count)), (fbs_exact, wfbs_exact) in zip(row, exact):
+                assert count == shape[0] * shape[1]
+                for got, want in ((fbs, fbs_exact), (wfbs, wfbs_exact)):
+                    assert abs(Fraction(got) - want) <= ALL_VALID_RTOL * want
+
+    @pytest.mark.parametrize("n, dtype", [(1, np.int8), (3, np.int8), (11, np.int8),
+                                          (13, np.int16), (181, np.int16), (183, np.int32)])
+    def test_box_sums_exact_at_dtype_edges(self, n, dtype):
+        # 11² = 121 is the largest window sum int8 holds, 181² = 32761 int16's
+        ones = np.ones((2, 1, n + 2, n + 1), dtype=np.int8)
+        sums = _box_sums(ones, n)
+        assert sums.dtype == dtype
+        np.testing.assert_array_equal(sums, _table_window_sums(ones, n))
+        assert sums.max() == n * n
+        rng = np.random.default_rng(24)
+        bp = (rng.random((3, 2, 15, 14)) < 0.6).astype(np.int8)
+        np.testing.assert_array_equal(_box_sums(bp, n), _table_window_sums(bp, n))
+        if n <= 13:  # the shifted-slice reference takes n² adds
+            np.testing.assert_array_equal(_table_window_sums(bp, n), _window_sums(bp, n))
 
     @pytest.mark.parametrize("n", [1, 3, 5, 9])
     def test_neighborhood_probability_equals_masked_path(self, n):
