@@ -109,14 +109,23 @@ def categorize_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
+# The unsigned integer type of each float type's width, and +inf read as it.
+# The sign is the top bit, so the finite values >= +0.0 are exactly those
+# whose bits read below +inf's.
+_UNSIGNED = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+_INF_BITS = {f: np.array(np.inf, f).view(u)[()] for f, u in _UNSIGNED.items()}
+
+
 def _as_grid_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float32)
     arr = arr.copy()
-    # One min/max pair accepts the common grid: finite, no sentinel, no
-    # negatives.  NaN, infinities and -999 fail it and get the full checks.
-    if arr.size and arr.min() >= 0 and np.isfinite(arr.max()):
+    # One max of the bits accepts the common grid: finite, no sentinel, no
+    # negatives.  NaN, infinities, -999, negatives and -0.0 fail it (as do
+    # other float types) and get the full checks.
+    unsigned = _UNSIGNED.get(arr.dtype)
+    if arr.size and unsigned is not None and arr.view(unsigned).max() < _INF_BITS[arr.dtype]:
         arr.flags.writeable = False
         return arr
     if not np.all(np.isfinite(arr)):
@@ -200,12 +209,13 @@ def grid_stats(grid: RainGrid) -> GridStats:
     v = grid.values
     missing = v == MISSING
     n = v.size
-    valid = v[~missing]
+    n_missing = int(np.count_nonzero(missing))
+    valid = v[~missing] if n_missing else v
     max_rate = float(valid.max()) if valid.size else 0.0
     return GridStats(
         max_rate=max_rate,
-        missing_fraction=float(missing.sum()) / n,
-        rainy_fraction=float((valid > 0).sum()) / n,
+        missing_fraction=n_missing / n,
+        rainy_fraction=int(np.count_nonzero(valid > 0)) / n,
     )
 
 
@@ -239,8 +249,8 @@ def _write_rfg(path, values: np.ndarray, timestamp: int) -> None:
 def _read_rfg(path) -> tuple[np.ndarray, int]:
     def error(message, offset):
         return FormatError(f"{path}: {message}", offset)
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        blob = fh.readall()
     if len(blob) < 4 or blob[:4] != _RFG_MAGIC:
         raise error(f"bad magic {blob[:4]!r}, expected {_RFG_MAGIC!r}", 0)
     if len(blob) < _RFG_HEADER.size:
@@ -331,14 +341,22 @@ def write_index(path, entries) -> None:
     for e in entries:
         sat = e.sat_path if e.sat_path is not None else "-"
         lines.append(f"{minutes_to_iso(e.timestamp)}\t{e.radar_path}\t{sat}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def read_index(path) -> list[IndexEntry]:
-    """Parse a dataset index; relative paths resolve against the index dir."""
+    """Parse a dataset index; relative paths resolve against the index dir.
+
+    The index is UTF-8; bytes that do not decode raise ValueError naming
+    the file and the byte offset.
+    """
     base = Path(path).parent
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 at byte offset {err.start}") from None
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

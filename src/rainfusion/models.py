@@ -62,6 +62,8 @@ class ModelConfig:
             raise ValueError(f"need at least 2 levels, got {self.levels}")
         if self.base_channels < 1 or self.time_steps < 1:
             raise ValueError("base_channels and time_steps must be >= 1")
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
         if self.lead_minutes not in (5, 15, 30):
             raise ValueError(f"lead must be 5, 15 or 30 minutes, got {self.lead_minutes}")
         div = 2 ** (self.levels - 1)
@@ -254,9 +256,15 @@ def predict_grid(model: UNet3D, sample: SequenceSample,
 
 
 def persistence_forecast(sample: SequenceSample) -> RainGrid:
-    """Eulerian persistence: the most recent input frame, values unchanged."""
-    latest = read_grid(sample.radar_paths[-1])
-    return RainGrid(latest.values, sample.target_timestamp)
+    """Eulerian persistence: the most recent input frame, values unchanged.
+
+    `read_grid` validates the frame into a new grid on every call, so that
+    grid is stamped with the target time and returned, with no second
+    validation or copy of its read-only values.
+    """
+    forecast = read_grid(sample.radar_paths[-1])
+    object.__setattr__(forecast, "timestamp", sample.target_timestamp)
+    return forecast
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +395,8 @@ def load_model(path) -> tuple[UNet3D, BandStats | None]:
     raw = entries.pop("__config__")
     if raw.shape != (7,):
         raise ValueError(f"{path}: __config__ has shape {raw.shape}, expected 7 values")
-    if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+    # Rounding only finite values: a signaling NaN warns in `np.round`.
+    if not (np.all(np.isfinite(raw)) and np.all(raw == np.round(raw))):
         raise ValueError(f"{path}: __config__ holds non-integral values {raw.tolist()}")
     variant = {v: k for k, v in _VARIANT_IDS.items()}.get(float(raw[0]))
     if variant is None:

@@ -6,7 +6,8 @@ upsampled to the radar grid with separable Lanczos-3, whose read-only
 weight matrices are built once per (source, target) size and then shared.
 Dataset curation drops frames with >200 mm/h outliers, thins no-rain frames,
 and windows the surviving timestamps into 6-input/1-target sequences per
-lead time; unreadable radar files are recorded by both filters.
+lead time; unreadable radar files are recorded by both filters, and a radar
+file whose header time differs from its index time stops both.
 """
 
 from __future__ import annotations
@@ -251,16 +252,29 @@ class OutlierReport:
     unreadable: list[str] = field(default_factory=list)  # paths
 
 
+def _when(minutes: int) -> str:
+    """A time as ISO and minutes; minutes beyond the calendar's range (a
+    corrupt header) as minutes alone."""
+    try:
+        return f"{minutes_to_iso(minutes)} ({minutes} min)"
+    except (OverflowError, OSError, ValueError):
+        return f"{minutes} min"
+
+
 def _readable(entries, reader, unreadable: list[str]):
     """(entry, radar grid) of each entry in timestamp order, read as it is
     reached; the path of a file that cannot be read goes to `unreadable`
-    instead, never silently skipped."""
+    instead, never silently skipped.  A grid whose header time differs from
+    its index time raises ValueError naming the file and both times."""
     for e in sorted(entries, key=lambda e: e.timestamp):
         try:
             grid = reader(e.radar_path)
         except (OSError, FormatError):
             unreadable.append(e.radar_path)
             continue
+        if grid.timestamp != e.timestamp:
+            raise ValueError(f"{e.radar_path}: header timestamp {_when(grid.timestamp)} "
+                             f"differs from index timestamp {_when(e.timestamp)}")
         yield e, grid
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import RAIN_CATEGORIES, PrecipCategory, RainGrid, minutes_to_iso, read_grid
-from .verify import ContingencyTable, csi, fss_ratio, score_pairs
+from .verify import score_pairs
 # Not called here: the benchmark's tracer wraps these names on this module.
 from .verify import contingency, fss, fss_components  # noqa: F401
 
@@ -85,10 +85,37 @@ class SkillReport:
         Path(csv_path).write_text(self.to_csv())
 
 
-def _mean(scores) -> float | None:
-    """Mean of the applicable (non-None) scores; None when there are none."""
-    scores = [s for s in scores if s is not None]
-    return float(np.mean(scores)) if scores else None
+def _pooled(tables, components) -> tuple[list, list]:
+    """Per category, the CSI and FSS of the counts and FBS/WFBS sums added
+    over all samples; None where a score is not applicable.  One sum over
+    the sample axis adds the samples one by one, in sample order."""
+    csi_scores = [tp / (tp + fp + fn) if tp + fp + fn else None
+                  for tp, fp, fn, _ in tables.sum(axis=0).tolist()]
+    fss_scores = [1.0 - fbs / wfbs if wfbs > 0 else None
+                  for fbs, wfbs, _ in components.sum(axis=0).tolist()]
+    return csi_scores, fss_scores
+
+
+def _mean(scores, applicable) -> list:
+    """Per category (column), the mean of the applicable samples' scores;
+    None where no sample's score is applicable."""
+    return [float(np.mean(s[ok])) if ok.any() else None
+            for s, ok in zip(scores.T, applicable.T)]
+
+
+def _per_image(tables, components) -> tuple[list, list]:
+    """Per category, the means of the per-sample CSI, TP / (TP + FP + FN),
+    and FSS, 1 - (FBS / count) / (WFBS / count), over the samples where
+    each is applicable: a denominator of 0 makes a score not applicable."""
+    tp, fp, fn = (tables[..., i] for i in range(3))
+    in_play = tp + fp + fn
+    csi_scores = np.divide(tp, in_play, out=np.zeros(in_play.shape), where=in_play > 0)
+    fbs, wfbs, count = (components[..., i] for i in range(3))
+    wfbs_mean = np.divide(wfbs, count, out=np.zeros(count.shape), where=count > 0)
+    mass = wfbs_mean != 0.0
+    fbs_mean = np.divide(fbs, count, out=np.zeros(count.shape), where=mass)
+    fss_scores = 1.0 - fbs_mean / np.where(mass, wfbs_mean, 1.0)
+    return _mean(csi_scores, in_play > 0), _mean(fss_scores, mass)
 
 
 def _stack(fields, block, shape, name: str | None = None) -> np.ndarray:
@@ -115,13 +142,15 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
     block's observations are read, every predictor is called once on each
     of the block's samples, and each predictor's forecasts are scored as
     one stack (`verify.score_pairs`), for all categories at once.  So the
-    predictors' calls interleave block by block.  Aggregation "pooled" sums
-    the contingency counts and FBS/WFBS sums over the whole set, in sample
-    order, before forming scores; "per-image" averages the per-sample
-    scores formed from the same numbers, skipping not-applicable ones.
-    Samples must share one lead time, and a forecast whose shape differs
-    from its observation's raises ValueError naming the predictor and the
-    target time.
+    predictors' calls interleave block by block.  The blocks' table and
+    component arrays are concatenated per predictor.  Aggregation "pooled"
+    sums the contingency counts and FBS/WFBS sums over the whole set, in
+    sample order, before forming scores; "per-image" averages the
+    per-sample scores formed from the same numbers, skipping not-applicable
+    ones.  A score that is not applicable is set as None.  Samples must
+    share one lead time, and a forecast whose shape differs from its
+    observation's raises ValueError naming the predictor and the target
+    time.
     """
     if aggregation not in ("pooled", "per-image"):
         raise ValueError(f"aggregation must be 'pooled' or 'per-image', got {aggregation!r}")
@@ -137,7 +166,7 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
                          categories=tuple(c.name.title() for c in categories),
                          metadata={"aggregation": aggregation, "neighborhood": str(neighborhood),
                                    "samples": str(len(samples))})
-    scored = {name: [] for name in names}
+    scored = {name: [] for name in names}  # per block, (tables, components)
     shape = None
     for start in range(0, len(samples), _BLOCK):
         block = samples[start:start + _BLOCK]
@@ -147,18 +176,11 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
         obs = _stack(grids, block, shape)
         for name, predict in predictors:
             pred = _stack([predict(s) for s in block], block, shape, name)
-            scored[name].extend(score_pairs(pred, obs, categories, neighborhood))
+            scored[name].append(score_pairs(pred, obs, categories, neighborhood))
+    aggregate = _pooled if aggregation == "pooled" else _per_image
     for name in names:
-        for c, per_sample in zip(categories, zip(*scored[name])):
-            if aggregation == "pooled":
-                table, fbs, wfbs = ContingencyTable(), 0.0, 0.0
-                for t, (f, w, _) in per_sample:
-                    table, fbs, wfbs = table + t, fbs + f, wfbs + w
-                csi_score = csi(table)
-                fss_score = (1.0 - fbs / wfbs) if wfbs > 0 else None
-            else:
-                csi_score = _mean(csi(t) for t, _ in per_sample)
-                fss_score = _mean(fss_ratio(*components) for _, components in per_sample)
+        tables, components = (np.concatenate(arrays) for arrays in zip(*scored[name]))
+        for c, csi_score, fss_score in zip(categories, *aggregate(tables, components)):
             report.set(lead, c.name.title(), "CSI", name, csi_score)
             report.set(lead, c.name.title(), "FSS", name, fss_score)
     return report

@@ -5,11 +5,15 @@ contingency table; FSS compares neighborhood-window event fractions so that
 small displacements are not punished as double errors.  Cells missing in a
 field are excluded from scoring rather than treated as no-rain.
 
-Scoring works on (S, rows, cols) stacks of samples (`score_pairs`): each
-stack is categorized once into int8 codes, one bincount per sample fills
-its tables, and the FSS events of all samples and categories get one
-exact box-sum pass in the smallest signed integer type that holds n²
-(int8 for n <= 11, int16 up to n = 181, then int32).
+Scoring works on (S, rows, cols) stacks of samples (`score_pairs`) and
+returns arrays: an (S, k, 4) int64 array of the [tp, fp, fn, tn] counts
+and an (S, k, 3) float64 array of the [FBS sum, WFBS sum, pair count] FSS
+components, for S samples and k categories.  Each stack is categorized
+once into int8 codes, one bincount fills the tables of all samples, and the
+FSS events of all samples and categories get one exact box-sum pass in
+the smallest signed integer type that holds n² (int8 for n <= 11, int16
+up to n = 181, then int32).  `contingency` and `fss_components` are the
+one-sample, one-category views, as a `ContingencyTable` and a tuple.
 
 Blocks with no missing cell take an all-valid path that stays in
 integers: every window count is rows-covered x cols-covered, which
@@ -54,39 +58,39 @@ class ContingencyTable:
     fn: int = 0
     tn: int = 0
 
-    def __add__(self, other: "ContingencyTable") -> "ContingencyTable":
-        return ContingencyTable(self.tp + other.tp, self.fp + other.fp,
-                                self.fn + other.fn, self.tn + other.tn)
-
 
 _CODES = len(PrecipCategory)  # category codes -1 (MISSING) .. 4, shifted to 0 .. 5
 
 
-def _tables(pv, ov, categories) -> list[list[ContingencyTable]]:
-    """Per sample of two (S, rows, cols) stacks, the table of each category.
+def _tables(pv, ov, categories) -> np.ndarray:
+    """The (S, k, 4) int64 [tp, fp, fn, tn] counts of each sample of two
+    (S, rows, cols) stacks and each of the k categories.
 
-    Each stack is categorized once, and each sample's (pred code, obs code)
-    pairs are one bincount of int8 joint codes 0 .. 35.  Cells missing in
-    obs land in its obs-MISSING column, which is zeroed.
+    Each stack is categorized once into int8 joint (pred code, obs code)
+    codes 0 .. 35, and one bincount of the codes shifted by 36 per sample
+    fills every sample's table.  Cells missing in obs land in its
+    obs-MISSING column, which is zeroed.
     """
     codes = categorize_values(pv) * _CODES
     codes += categorize_values(ov)
     codes += _CODES + 1
-    joint = np.array([np.bincount(c.ravel(), minlength=_CODES * _CODES) for c in codes],
-                     dtype=np.intp).reshape(len(ov), _CODES, _CODES)
+    cells = _CODES * _CODES
+    shifted = codes.astype(_int_type(cells * len(ov)))
+    shifted += (cells * np.arange(len(ov), dtype=shifted.dtype))[:, None, None]
+    joint = np.bincount(shifted.ravel(), minlength=cells * len(ov))
+    joint = joint.astype(np.int64, copy=False).reshape(len(ov), _CODES, _CODES)
     joint[:, :, 0] = 0
     i = [int(c) + 1 for c in categories]
     tp = joint[:, i, i]
     fp, fn = joint.sum(axis=2)[:, i] - tp, joint.sum(axis=1)[:, i] - tp
     tn = joint.sum(axis=(1, 2))[:, None] - tp - fp - fn
-    return [[ContingencyTable(*counts) for counts in zip(*row)]
-            for row in zip(tp.tolist(), fp.tolist(), fn.tolist(), tn.tolist())]
+    return np.stack([tp, fp, fn, tn], axis=-1)
 
 
 def contingency(pred, obs, category: PrecipCategory) -> ContingencyTable:
     """Count TP/FP/FN/TN for one category, skipping cells missing in obs."""
     pv, ov = _pair(pred, obs)
-    return _tables(pv[None], ov[None], (category,))[0][0]
+    return ContingencyTable(*_tables(pv[None], ov[None], (category,))[0, 0].tolist())
 
 
 def csi(table: ContingencyTable) -> float | None:
@@ -254,20 +258,23 @@ def _all_valid_sums(bpp, bpo, n) -> np.ndarray:
     return (blocks * weights).sum(axis=(-2, -1))
 
 
-def _fss_components(pv, ov, bounds, n) -> list[list[tuple[float, float, int]]]:
-    """Per sample of two (S, rows, cols) stacks, the FSS components of each
-    (q1, q2): each stack is thresholded once and gets one box-sum pass.
-    Blocks with no missing cell take the integer path (`_all_valid_sums`)."""
+def _fss_components(pv, ov, bounds, n) -> np.ndarray:
+    """The (S, k, 3) float64 [FBS sum, WFBS sum, pair count] of each sample
+    of two (S, rows, cols) stacks and each of the k (q1, q2): each stack is
+    thresholded once and gets one box-sum pass.  Blocks with no missing
+    cell take the integer path (`_all_valid_sums`)."""
     bpp, validp = _events(pv, bounds)
     bpo, valido = _events(ov, bounds)
     if validp.all() and valido.all():
-        count = pv.shape[-2] * pv.shape[-1]
-        fbs, wfbs = _all_valid_sums(bpp, bpo, n).tolist()
-        return [[(f, w, count) for f, w in zip(*row)] for row in zip(fbs, wfbs)]
+        components = np.empty((len(ov), len(bounds), 3))
+        components[..., :2] = np.moveaxis(_all_valid_sums(bpp, bpo, n), 0, -1)
+        components[..., 2] = pv.shape[-2] * pv.shape[-1]
+        return components
     npp, vp = neighborhood_probability(bpp, n, validp)
     npo, vo = neighborhood_probability(bpo, n, valido)
     pair = vp & vo
-    return [_fss_sums(npp[s], npo[s], pair[s, 0]) for s in range(len(ov))]
+    return np.array([_fss_sums(npp[s], npo[s], pair[s, 0]) for s in range(len(ov))],
+                    dtype=np.float64).reshape(len(ov), len(bounds), 3)
 
 
 def fss_ratio(fbs: float, wfbs: float, count: int) -> float | None:
@@ -297,14 +304,17 @@ def fss(pred, obs, params: FssParams) -> float | None:
 def fss_components(pred, obs, params: FssParams) -> tuple[float, float, int]:
     """(FBS sum, WFBS sum, valid pair count) for pooled aggregation."""
     pv, ov = _pair(pred, obs)
-    return _fss_components(pv[None], ov[None], [(params.q1, params.q2)], params.n)[0][0]
+    components = _fss_components(pv[None], ov[None], [(params.q1, params.q2)], params.n)
+    fbs, wfbs, count = components[0, 0].tolist()
+    return fbs, wfbs, int(count)
 
 
-def score_pairs(pred, obs, categories,
-                n: int = 3) -> list[list[tuple[ContingencyTable, tuple[float, float, int]]]]:
-    """Per sample of two (S, rows, cols) stacks, the (contingency table, FSS
-    components) of each category.
+def score_pairs(pred, obs, categories, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """(tables, components) of two (S, rows, cols) stacks for the k categories.
 
+    `tables` is the (S, k, 4) int64 array of each sample's and category's
+    [tp, fp, fn, tn] counts over the cells valid in obs; `components` is
+    the (S, k, 3) float64 array of its [FBS sum, WFBS sum, pair count].
     Each stack is categorized once for all the tables and thresholded once
     into an (S, k, rows, cols) stack of FSS events (see
     `FssParams.for_category`) for all the components; `n` is the FSS
@@ -315,8 +325,7 @@ def score_pairs(pred, obs, categories,
     """
     pv, ov = _pair(pred, obs, ndim=3)
     bounds = [c.bounds for c in categories]
-    return [list(zip(tables, components)) for tables, components in
-            zip(_tables(pv, ov, categories), _fss_components(pv, ov, bounds, n))]
+    return _tables(pv, ov, categories), _fss_components(pv, ov, bounds, n)
 
 
 def fss_bruteforce(pred, obs, params: FssParams) -> float | None:

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,42 @@ class TestReaderValues:
         _write_raw(tmp_path / "g.rfg", values[None], timestamp=9)
         g = read_grid(tmp_path / "g.rfg")
         assert g.timestamp == 9 and g.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cell, rejection", [
+        (-0.0, None), (MISSING, None), (0.0, None), (1e-40, None),
+        (np.nan, "non-finite values"), ("signaling nan", "non-finite values"),
+        ("negative nan", "non-finite values"), (np.inf, "non-finite values"),
+        (-np.inf, "non-finite values"), (-0.5, "negative values other than the -999 sentinel"),
+        (-1e-40, "negative values other than the -999 sentinel"),
+        (-998.0, "negative values other than the -999 sentinel")])
+    def test_decision_and_message_per_dtype(self, tmp_path, dtype, cell, rejection):
+        # Each cell among finite rain: the one-reduction check of the common
+        # grid must pass exactly the grids that the full checks accept.
+        values = np.array([[0.0, 3.5, 201.0], [0.25, 0.0, 60.0]], dtype=dtype)
+        bits = values.view(np.uint32 if dtype is np.float32 else np.uint64)
+        if cell == "signaling nan":
+            bits[1, 1] = 0x7FA00000 if dtype is np.float32 else 0x7FF4000000000000
+        elif cell == "negative nan":
+            bits[1, 1] = 0xFFC00000 if dtype is np.float32 else 0xFFF8000000000000
+        else:
+            values[1, 1] = cell
+        stored = values.tobytes()
+        paths = [None]
+        if dtype is np.float32:
+            paths.append(tmp_path / "g.rfg")
+            _write_raw(paths[-1], values[None])
+        for path in paths:
+            prefix = "" if path is None else f"{path}: "
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if rejection is None:
+                    grid = RainGrid(values) if path is None else read_grid(path)
+                    assert grid.values.dtype == dtype and grid.values.tobytes() == stored
+                    continue
+                with pytest.raises(ValueError,
+                                   match=f"^{re.escape(prefix)}RainGrid contains {rejection}$"):
+                    RainGrid(values) if path is None else read_grid(path)
 
     def test_values_read_only_and_not_views_of_the_bytes(self, tmp_path, monkeypatch):
         write_grid(tmp_path / "g.rfg", RainGrid(np.ones((3, 4))))

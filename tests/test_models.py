@@ -73,6 +73,8 @@ class TestModelConfig:
             ModelConfig(levels=1)
         with pytest.raises(ValueError):
             ModelConfig(lead_minutes=10)
+        with pytest.raises(ValueError, match="rows and cols must be >= 1, got -4x4"):
+            ModelConfig(rows=-4, cols=4, levels=2)
 
 
 class TestArchitecture:
@@ -222,6 +224,21 @@ class TestPersistence:
         pred = persistence_forecast(sample)
         np.testing.assert_array_equal(pred.values, fields[5])
         assert pred.timestamp == sample.target_timestamp
+
+    def test_read_grid_values_shared_read_only_at_target_time(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(10)
+        fields = [rng.uniform(0, 50, (6, 5)).astype(np.float32) for _ in range(7)]
+        fields[5][0, :2] = (-999.0, -0.0)
+        sample = _write_sequence(tmp_path, fields, lead=15)
+        read = []
+        monkeypatch.setattr(models, "read_grid",
+                            lambda path: read.append(read_grid(path)) or read[-1])
+        pred = persistence_forecast(sample)
+        assert type(pred) is RainGrid and pred.timestamp == sample.target_timestamp == 40
+        assert pred.values.tobytes() == read_grid(sample.radar_paths[-1]).values.tobytes()
+        assert pred.values.tobytes() == fields[5].tobytes()
+        assert [np.shares_memory(pred.values, grid.values) for grid in read] == [True]
+        assert not pred.values.flags.writeable
 
     def test_advected_scene_misses(self, tmp_path):
         fields = []
@@ -374,6 +391,22 @@ class TestCheckpoints:
             entries[0][1][1] = 16.5  # rows
         path = self._saved(tmp_path / "m.rfp", half_row)
         with pytest.raises(ValueError, match=re.escape(f"{path}: __config__ holds non-integral")):
+            load_model(path)
+
+    def test_signaling_nan_config_names_file(self, tmp_path):
+        # np.round warns on a signaling NaN, so the check rounds finite values only
+        def signaling_rows(entries):
+            entries[0][1].view(np.uint32)[1] = 0x7FA00000
+        path = self._saved(tmp_path / "m.rfp", signaling_rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: __config__ holds non-integral")):
+            load_model(path)
+
+    @pytest.mark.parametrize("index, value", [(1, -16.0), (2, 0.0)])
+    def test_non_positive_dims_name_file(self, tmp_path, index, value):
+        def set_dim(entries):
+            entries[0][1][index] = value
+        path = self._saved(tmp_path / "m.rfp", set_dim)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: rows and cols must be >= 1")):
             load_model(path)
 
     def test_incomplete_band_stats_name_file(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,8 +311,8 @@ class TestSubsampleNoRain:
     def test_binomial_bound(self):
         # 10,000 no-rain frames at keep 0.2: 3 sigma around 2000 is [1880, 2120]
         class FakeReader:
-            def __call__(self, path):
-                return RainGrid(np.zeros((1, 1)), 0)
+            def __call__(self, path):  # "p{i}" is the frame at i * 5 minutes
+                return RainGrid(np.zeros((1, 1)), int(path[1:]) * 5)
 
         entries = [IndexEntry(i * 5, f"p{i}") for i in range(10_000)]
         for seed in (0, 1, 2):
@@ -332,6 +333,33 @@ class TestSubsampleNoRain:
         assert report.unreadable == [str(path), str(tmp_path / "missing.rfg")]
         assert [e.timestamp for e in kept] == [5, 10]
         assert report.no_rain_total == report.no_rain_kept == 1
+
+
+CURATE = {"filter_outliers": filter_outliers,
+          "subsample_no_rain": lambda entries: subsample_no_rain(entries, 1.0, seed=0)}
+
+
+class TestHeaderTimestamp:
+    """Both curation functions compare each radar file's header time with
+    the time it is indexed under."""
+
+    @pytest.mark.parametrize("curate", sorted(CURATE))
+    def test_mismatch_names_file_and_both_times(self, tmp_path, curate):
+        entries = _write_dataset(tmp_path, [1.0, 0.0, 2.0])
+        entries[1] = IndexEntry(1445, entries[1].radar_path)  # indexed a day late
+        message = (f"{entries[1].radar_path}: header timestamp 1970-01-01T00:05Z (5 min) "
+                   "differs from index timestamp 1970-01-02T00:05Z (1445 min)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CURATE[curate](entries)
+
+    @pytest.mark.parametrize("curate", sorted(CURATE))
+    def test_header_time_beyond_the_calendar(self, tmp_path, curate):
+        entries = _write_dataset(tmp_path, [1.0])
+        write_grid(entries[0].radar_path, RainGrid(np.zeros((4, 4)), timestamp=2**62))
+        message = (f"{entries[0].radar_path}: header timestamp {2**62} min "
+                   "differs from index timestamp 1970-01-01T00:00Z (0 min)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CURATE[curate](entries)
 
 
 class TestLeadTime:

@@ -15,8 +15,15 @@ from rainfusion.grids import (
 )
 from rainfusion.pipeline import SequenceSample
 from rainfusion.render import PALETTE, render_map, render_rgb
-from rainfusion.report import SkillReport, evaluate_models, merge_reports
-from rainfusion.verify import binary_probability, neighborhood_probability
+from rainfusion.report import _BLOCK, SkillReport, evaluate_models, merge_reports
+from rainfusion.verify import (
+    ContingencyTable,
+    binary_probability,
+    csi,
+    fss_ratio,
+    neighborhood_probability,
+    score_pairs,
+)
 
 
 def _sample(tmp_path, tag, fields):
@@ -276,6 +283,78 @@ class TestEvaluateModelsBlocks:
 
         with pytest.raises(ValueError, match="negative"):
             evaluate_models([("neg", negative)], samples)
+
+
+def _frozen_aggregation(blocks, aggregation):
+    """Per category, (CSI, FSS) formed from the blocks' `score_pairs` arrays
+    by the Python loop over per-sample `ContingencyTable`s and (FBS, WFBS,
+    count) tuples that `evaluate_models` ran before its scores became
+    arrays: pooled adds the samples one by one in sample order, per-image
+    averages the applicable per-sample scores."""
+    per_sample = [[(ContingencyTable(*t), (f, w, int(c))) for t, (f, w, c) in zip(ts, cs)]
+                  for tables, components in blocks
+                  for ts, cs in zip(tables.tolist(), components.tolist())]
+    scores = []
+    for scored in zip(*per_sample):
+        if aggregation == "pooled":
+            tp = fp = fn = 0
+            fbs = wfbs = 0.0
+            for t, (f, w, _) in scored:
+                tp, fp, fn = tp + t.tp, fp + t.fp, fn + t.fn
+                fbs, wfbs = fbs + f, wfbs + w
+            scores.append((csi(ContingencyTable(tp, fp, fn)),
+                           (1.0 - fbs / wfbs) if wfbs > 0 else None))
+        else:
+            csis = [x for x in (csi(t) for t, _ in scored) if x is not None]
+            fsss = [x for x in (fss_ratio(*c) for _, c in scored) if x is not None]
+            scores.append((float(np.mean(csis)) if csis else None,
+                           float(np.mean(fsss)) if fsss else None))
+    return scores
+
+
+class TestEvaluateModelsArrays:
+    """Pooled and per-image scores equal, with ==, those of the per-sample
+    Python loop, over 109 samples in 14 blocks (some with MISSING cells in
+    pred or obs, one with an all-MISSING observation), for all four rain
+    categories; the dry predictor's VIOLENT scores stay None."""
+
+    @pytest.mark.parametrize("aggregation", ["pooled", "per-image"])
+    def test_equals_frozen_python_loop(self, tmp_path, aggregation):
+        rng = np.random.default_rng(16)
+        count, shape = 109, (10, 8)
+        obs = rng.gamma(0.5, 10.0, (count, *shape)).clip(0.0, 49.0)
+        obs[rng.random(obs.shape) < 0.3] = 0.0
+        obs[rng.random(obs.shape) < 0.1] = rng.choice([2.5, 7.5])
+        pred = rng.gamma(0.5, 14.0, (count, *shape))
+        pred[rng.random(pred.shape) < 0.3] = 0.0
+        pred[rng.random(pred.shape) < 0.1] = rng.choice([2.5, 7.5, 50.0, 200.0, 260.0])
+        obs[[3, 40, 41], 2:4, 1] = MISSING
+        pred[[3, 70], 5, 3:6] = MISSING
+        obs[57] = MISSING
+        obs, pred = obs.astype(np.float32), pred.astype(np.float32)
+        samples = []
+        for k in range(count):
+            path = tmp_path / f"obs{k}.rfg"
+            write_grid(path, RainGrid(obs[k], 30 + 5 * k))
+            samples.append(SequenceSample(tuple(range(5 * k, 5 * k + 30, 5)), ("-",) * 6,
+                                          None, 30 + 5 * k, str(path), 5))
+        forecasts = {"m": pred, "dry": np.zeros_like(pred)}
+        predictors = [(name, lambda s, f=f: f[(s.target_timestamp - 30) // 5])
+                      for name, f in forecasts.items()]
+
+        report = evaluate_models(predictors, [samples[i] for i in rng.permutation(count)],
+                                 categories=RAIN_CATEGORIES, aggregation=aggregation)
+        for name, f in forecasts.items():
+            blocks = [score_pairs(f[i:i + _BLOCK], obs[i:i + _BLOCK], RAIN_CATEGORIES)
+                      for i in range(0, count, _BLOCK)]
+            want = _frozen_aggregation(blocks, aggregation)
+            for c, (want_csi, want_fss) in zip(RAIN_CATEGORIES, want):
+                assert report.get(5, c.name.title(), "CSI", name) == want_csi
+                assert report.get(5, c.name.title(), "FSS", name) == want_fss
+            if name == "dry":
+                assert want[-1] == (None, None)
+            else:
+                assert None not in (score for pair in want for score in pair)
 
 
 class TestEvaluateModelsMemory:

@@ -295,14 +295,20 @@ class TestScorePair:
         pred[0, :3] = (0.0, 200.0, MISSING)
         categories = (PrecipCategory.LIGHT, PrecipCategory.MODERATE, HEAVY,
                       PrecipCategory.VIOLENT)
-        scored = score_pairs(pred[None], obs[None], categories, n=5)[0]
-        assert len(scored) == len(categories)
-        for c, (table, components) in zip(categories, scored):
-            assert table == contingency(pred, obs, c)
-            assert components == fss_components(pred, obs, FssParams.for_category(c, n=5))
+        tables, components = score_pairs(pred[None], obs[None], categories, n=5)
+        assert tables.shape == (1, len(categories), 4) and tables.dtype == np.int64
+        assert components.shape == (1, len(categories), 3) and components.dtype == np.float64
+        for c, table, row in zip(categories, tables[0], components[0]):
+            single = contingency(pred, obs, c)
+            assert type(single) is ContingencyTable
+            assert (single.tp, single.fp, single.fn, single.tn) == tuple(table.tolist())
+            fbs, wfbs, count = fss_components(pred, obs, FssParams.for_category(c, n=5))
+            assert type(fbs) is float and type(wfbs) is float and type(count) is int
+            assert (fbs, wfbs, count) == tuple(row.tolist())
 
     def test_no_categories(self):
-        assert score_pairs(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), ()) == [[]]
+        tables, components = score_pairs(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), ())
+        assert tables.shape == (1, 0, 4) and components.shape == (1, 0, 3)
 
 
 ALL_CATEGORIES = (PrecipCategory.LIGHT, PrecipCategory.MODERATE, HEAVY, PrecipCategory.VIOLENT)
@@ -339,14 +345,29 @@ class TestTables:
         elif missing == "whole sample":
             obs[2] = MISSING
         tables = _tables(pred, obs, (PrecipCategory.NO_RAIN, *ALL_CATEGORIES))
+        assert tables.shape == (4, 5, 4) and tables.dtype == np.int64
         for s, joint in enumerate(_gather_tables(pred, obs)):
             for i, table in enumerate(tables[s], start=1):
                 tp = int(joint[i, i])
                 want = (tp, int(joint[i].sum()) - tp, int(joint[:, i].sum()) - tp)
                 want += (int(joint.sum()) - sum(want),)
-                assert (table.tp, table.fp, table.fn, table.tn) == want
+                assert tuple(table.tolist()) == want
         if missing == "whole sample":
-            assert all(t == ContingencyTable() for t in tables[2])
+            assert tables[2].tolist() == [[0, 0, 0, 0]] * 5
+
+    @pytest.mark.parametrize("samples", [3, 4, 910, 911])
+    def test_sample_shift_type_edges(self, samples):
+        # The per-sample shift 36 * s fits int8 up to 3 samples and int16
+        # up to 910; one more sample needs the next type.
+        rng = np.random.default_rng(27)
+        pred, obs = _field_stack(rng, samples, (3, 2)), _field_stack(rng, samples, (3, 2))
+        tables = _tables(pred, obs, ALL_CATEGORIES)
+        for table, joint in zip(tables, _gather_tables(pred, obs)):
+            i = [int(c) + 1 for c in ALL_CATEGORIES]
+            tp = joint[i, i]
+            fp, fn = joint.sum(axis=1)[i] - tp, joint.sum(axis=0)[i] - tp
+            want = np.stack([tp, fp, fn, joint.sum() - tp - fp - fn], axis=-1)
+            assert table.tolist() == want.tolist()
 
 
 class TestScorePairs:
@@ -356,27 +377,31 @@ class TestScorePairs:
         rng = np.random.default_rng(11)
         pred, obs = _field_stack(rng, 5), _field_stack(rng, 5)
         obs[2] = MISSING  # nothing to score in sample 2
-        stacked = score_pairs(pred, obs, ALL_CATEGORIES, n)
-        assert len(stacked) == 5
+        tables, components = score_pairs(pred, obs, ALL_CATEGORIES, n)
+        assert tables.shape == (5, 4, 4) and components.shape == (5, 4, 3)
         for s in range(5):
-            assert stacked[s] == score_pairs(pred[s:s + 1], obs[s:s + 1], ALL_CATEGORIES, n)[0]
-        for table, components in stacked[2]:
-            assert table == ContingencyTable() and components == (0.0, 0.0, 0)
-            assert csi(table) is None and fss_ratio(*components) is None
+            alone = score_pairs(pred[s:s + 1], obs[s:s + 1], ALL_CATEGORIES, n)
+            assert tables[s].tolist() == alone[0][0].tolist()
+            assert components[s].tolist() == alone[1][0].tolist()
+        for table, row in zip(tables[2], components[2]):
+            assert table.tolist() == [0, 0, 0, 0] and row.tolist() == [0.0, 0.0, 0.0]
+            assert csi(ContingencyTable(*table.tolist())) is None
+            assert fss_ratio(*row.tolist()) is None
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_agrees_with_per_category_definitions(self, n):
         rng = np.random.default_rng(14)
         pred, obs = _field_stack(rng, 6), _field_stack(rng, 6)
-        for s, scored in enumerate(score_pairs(pred, obs, ALL_CATEGORIES, n)):
+        tables, components = score_pairs(pred, obs, ALL_CATEGORIES, n)
+        for s in range(6):
             valid = obs[s] != MISSING
-            for c, (table, components) in zip(ALL_CATEGORIES, scored):
+            for c, table, row in zip(ALL_CATEGORIES, tables[s], components[s]):
                 p = (categorize_values(pred[s]) == c) & valid
                 o = (categorize_values(obs[s]) == c) & valid
-                assert (table.tp, table.fp, table.fn, table.tn) == (
+                assert tuple(table.tolist()) == (
                     np.sum(p & o), np.sum(p & ~o), np.sum(~p & o), np.sum(~p & ~o & valid))
                 want = fss_bruteforce(pred[s], obs[s], FssParams.for_category(c, n))
-                got = fss_ratio(*components)
+                got = fss_ratio(*row.tolist())
                 assert got == want or got == pytest.approx(want, abs=1e-9)
 
     def test_shape_checks(self):
@@ -451,6 +476,12 @@ def _rain_stack(rng, samples, shape):
 ALL_VALID_RTOL = 1e-14
 
 
+def _rows(components):
+    """An (S, k, 3) component array as lists of the (FBS, WFBS, count)
+    tuples of each sample and category: the oracles' form."""
+    return [[tuple(c) for c in row] for row in components.tolist()]
+
+
 def _assert_components_close(got, want):
     assert len(got) == len(want)
     for row_got, row_want in zip(got, want):
@@ -496,8 +527,7 @@ class TestAllValidPath:
                 field = obs if missing == "obs" else pred
                 field[samples - 1, 0, 1] = MISSING
             for categories in ((), ALL_CATEGORIES):
-                got = [[components for _, components in scored]
-                       for scored in score_pairs(pred, obs, categories, n)]
+                got = _rows(score_pairs(pred, obs, categories, n)[1])
                 if missing is None and n > 1:
                     _assert_components_close(got, _fss_oracle(pred, obs, categories, n))
                 else:
@@ -507,21 +537,24 @@ class TestAllValidPath:
     def test_samples_equal_scoring_alone(self, n):
         rng = np.random.default_rng(26)
         pred, obs = _rain_stack(rng, 5, (12, 10)), _rain_stack(rng, 5, (12, 10))
-        stacked = score_pairs(pred, obs, ALL_CATEGORIES, n)
+        tables, components = score_pairs(pred, obs, ALL_CATEGORIES, n)
         for s in range(5):
-            assert stacked[s] == score_pairs(pred[s:s + 1], obs[s:s + 1], ALL_CATEGORIES, n)[0]
+            alone = score_pairs(pred[s:s + 1], obs[s:s + 1], ALL_CATEGORIES, n)
+            assert tables[s].tolist() == alone[0][0].tolist()
+            assert components[s].tolist() == alone[1][0].tolist()
         # A missing cell sends its whole block down the masked path: the
         # sample that holds it still equals scoring it alone bit for bit,
         # and the samples with no missing cell agree to ALL_VALID_RTOL.
         obs[2, 3, 4] = MISSING
-        mixed = score_pairs(pred, obs, ALL_CATEGORIES, n)
+        tables, components = score_pairs(pred, obs, ALL_CATEGORIES, n)
         for s in range(5):
-            alone = score_pairs(pred[s:s + 1], obs[s:s + 1], ALL_CATEGORIES, n)[0]
-            assert [t for t, _ in mixed[s]] == [t for t, _ in alone]
+            alone_tables, alone_components = score_pairs(pred[s:s + 1], obs[s:s + 1],
+                                                         ALL_CATEGORIES, n)
+            assert tables[s].tolist() == alone_tables[0].tolist()
             if s == 2 or n == 1:
-                assert mixed[s] == alone
+                assert components[s].tolist() == alone_components[0].tolist()
             else:
-                _assert_components_close([[c for _, c in mixed[s]]], [[c for _, c in alone]])
+                _assert_components_close(_rows(components[s:s + 1]), _rows(alone_components))
 
     @pytest.mark.parametrize("shape", [(12, 10), (2, 3), (4, 2), (1, 1), (7, 5)])
     @pytest.mark.parametrize("n", [1, 3, 5, 13, 101])
@@ -531,9 +564,9 @@ class TestAllValidPath:
         # (cols) and n = 5 (rows); n = 101 sums in int64
         rng = np.random.default_rng(23)
         pred, obs = _rain_stack(rng, 4, shape), _rain_stack(rng, 4, shape)
-        scored = score_pairs(pred, obs, ALL_CATEGORIES, n)
-        for row, exact in zip(scored, _fraction_oracle(pred, obs, ALL_CATEGORIES, n)):
-            for (_, (fbs, wfbs, count)), (fbs_exact, wfbs_exact) in zip(row, exact):
+        components = _rows(score_pairs(pred, obs, ALL_CATEGORIES, n)[1])
+        for row, exact in zip(components, _fraction_oracle(pred, obs, ALL_CATEGORIES, n)):
+            for (fbs, wfbs, count), (fbs_exact, wfbs_exact) in zip(row, exact):
                 assert count == shape[0] * shape[1]
                 for got, want in ((fbs, fbs_exact), (wfbs, wfbs_exact)):
                     assert abs(Fraction(got) - want) <= ALL_VALID_RTOL * want
