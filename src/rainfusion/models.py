@@ -121,9 +121,12 @@ class UNet3D:
 
     # -- structure ---------------------------------------------------------
 
-    def conv_layers(self):
+    def layers(self):
         return [layer for block in (*self.enc, self.bott, *self.dec, self.head)
-                for layer in block if isinstance(layer, Conv3d)]
+                for layer in block] + self.pools + self.ups
+
+    def conv_layers(self):
+        return [layer for layer in self.layers() if isinstance(layer, Conv3d)]
 
     def params(self):
         out = []
@@ -182,6 +185,15 @@ def _backward(block, g):
     for layer in reversed(block):
         g = layer.backward(g)
     return g
+
+
+def _infer(model: UNet3D, x: np.ndarray) -> np.ndarray:
+    """`model.forward(x)` with no backward to follow: every layer's cache is
+    dropped, so the model keeps no activations after it returns."""
+    out = model.forward(x)
+    for layer in model.layers():
+        layer._cache = None
+    return out
 
 
 def param_count(model: UNet3D) -> int:
@@ -248,9 +260,10 @@ def predict_grid(model: UNet3D, sample: SequenceSample,
 
     The raw output is clamped to normalized [0, 1] before inversion, so the
     result always lies in [0, 200] and never contains the missing sentinel.
+    The forward is an inference one: no layer cache is left behind.
     """
     x, _ = load_sample(model.config, sample, stats)
-    out = model.forward(x[None])
+    out = _infer(model, x[None])
     norm = np.clip(out[0, 0, :, :, 0].astype(np.float64), 0.0, 1.0)
     return RainGrid(denormalize_values(norm), sample.target_timestamp)
 
@@ -310,6 +323,8 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
     gather of them; loss is computed in normalized space.  Returns the
     per-epoch history; on finishing, model parameters hold the lowest-
     validation-loss snapshot (final weights when no validation set is given).
+    Each training backward consumes its forward's layer caches and the
+    validation forwards drop theirs, so on return no layer holds a cache.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -345,7 +360,7 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
         train_loss = total / n_train
         val_loss = None
         if len(val_rows):
-            val_loss = sum(loss_fn(model.forward(x), y)[0] * len(chunk)
+            val_loss = sum(loss_fn(_infer(model, x), y)[0] * len(chunk)
                            for chunk, x, y in batches(val_rows)) / len(val_rows)
         history.append(EpochStats(epoch, train_loss, val_loss, opt.lr))
         if val_loss is not None and val_loss < best_val:

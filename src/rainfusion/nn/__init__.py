@@ -8,8 +8,9 @@ and the next layer reads it back with a free transpose.  A C-ordered
 channels-last input gives the same results.  float32 is the training
 precision, float64 the gradient-check precision.
 Every layer implements an exact adjoint: `forward(x)` caches what its
-`backward(grad)` needs, and parameter gradients accumulate on the layer's
-Parameter blocks until `zero_grad`.
+`backward(grad)` needs, and that backward consumes the cache, so one
+forward takes at most one backward.  Parameter gradients accumulate on the
+layer's Parameter blocks until `zero_grad`.
 """
 
 from .layers import Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, ensure_array5

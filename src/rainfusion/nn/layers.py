@@ -17,6 +17,13 @@ caches.  Pooling uses non-overlapping windows with ceiling semantics, so a
 ragged last window simply shrinks; upsampling is nearest-neighbor
 repetition with an explicit target-dims override that inverts
 ceiling-pooled sizes exactly.
+
+Each layer keeps what its backward needs in one attribute, `_cache`, from a
+forward to the backward that follows it.  Backward takes the cache and
+clears it, so the cached arrays are freed once the gradients exist, and a
+second backward without a new forward raises RuntimeError.  A forward that
+no backward follows (inference) leaves its cache until the caller sets
+`_cache` to None or the next forward replaces it.
 """
 
 from __future__ import annotations
@@ -38,6 +45,16 @@ def ensure_array5(x, name: str = "input") -> np.ndarray:
     if min(arr.shape) < 1:
         raise ValueError(f"{name} has a zero-length axis: shape {arr.shape}")
     return arr
+
+
+def _take_cache(layer, name: str):
+    """The cache of `layer`'s last forward, cleared on the layer: a backward
+    consumes what its forward cached."""
+    cache = layer._cache
+    if cache is None:
+        raise RuntimeError(f"{name}: backward before forward")
+    layer._cache = None
+    return cache
 
 
 def _channels_first(x: np.ndarray) -> np.ndarray:
@@ -119,7 +136,8 @@ class Conv3d:
     gradient, and computes the input gradient with `_tap_gemms` the other
     way round: W[tap] (in, out) applied to grad_out at minus each tap's
     shift, read from a padded grid behind a zero margin of one halo.  Only
-    the padded input is cached between forward and backward.
+    the padded input is cached, from a forward to its backward, which
+    frees it.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
@@ -191,9 +209,7 @@ class Conv3d:
         return _channels_last(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        xp, (pt, ph, pw), in_shape, out_shape = self._cache
+        xp, (pt, ph, pw), in_shape, out_shape = _take_cache(self, self.name)
         grad_out = np.asarray(grad_out)
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
@@ -275,9 +291,7 @@ class MaxPool3d:
         return [windows[:, :, :, dt, :, dh, :, dw] for dt, dh, dw in np.ndindex(*self.window)]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("maxpool backward before forward")
-        (b, T, H, W, c), windows, out = self._cache
+        (b, T, H, W, c), windows, out = _take_cache(self, "maxpool")
         grad_out = np.asarray(grad_out)
         out_shape = _channels_last(out).shape
         if grad_out.shape != out_shape:
@@ -339,9 +353,7 @@ class Upsample3d:
         return _channels_last(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("upsample backward before forward")
-        target_dims = self._cache
+        target_dims = _take_cache(self, "upsample")
         grad_out = np.asarray(grad_out)
         if grad_out.shape[1:4] != target_dims:
             raise ValueError(f"upsample grad dims {grad_out.shape[1:4]} != target {target_dims}")
@@ -370,18 +382,16 @@ class ReLU:
     """
 
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
     def params(self):
         return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return _where(self._mask, x)
+        self._cache = x > 0
+        return _where(self._cache, x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("relu backward before forward")
-        g = grad_out * self._mask
+        g = grad_out * _take_cache(self, "relu")
         g += 0
         return g

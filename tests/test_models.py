@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -121,8 +122,7 @@ class TestArchitecture:
     @pytest.mark.parametrize("config", [TINY, TINY_MM])
     def test_layer_outputs_are_channels_first_in_memory(self, config, monkeypatch):
         model = UNet3D(config, seed=4)
-        layers = [layer for block in (*model.enc, model.bott, *model.dec, model.head)
-                  for layer in block] + model.pools + model.ups
+        layers = model.layers()
         outputs = []
 
         def recording(layer):
@@ -584,3 +584,47 @@ class TestMultimodalLoading:
         for s in samples[6:]:
             np.testing.assert_array_equal(predict_grid(model, s, stats).values,
                                           predict_grid(loaded, s, loaded_stats).values)
+
+
+def _cached_layers(model):
+    return [layer for layer in model.layers() if layer._cache is not None]
+
+
+class TestCacheLifetime:
+    """A layer's cache lives from a forward to its backward: training
+    backwards consume theirs, inference forwards drop theirs."""
+
+    @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
+    def test_no_cache_after_train_or_predict(self, config, mm_data):
+        samples, stats = mm_data
+        model = UNet3D(config, seed=21)
+        schedule = TrainSchedule(epochs=2, lr=1e-3, milestones=(), batch_size=2)
+        for val_set in (samples[5:7], []):  # a validation forward last, then a backward
+            train(model, samples[:5], val_set, schedule, stats)
+            assert _cached_layers(model) == []
+        predict_grid(model, samples[7], stats)
+        assert _cached_layers(model) == []
+        model.forward(load_sample(config, samples[7], stats)[0][None])
+        assert len(_cached_layers(model)) == len(model.layers())
+
+    def test_desk_model_retains_no_traced_bytes(self, tmp_path):
+        """After a warm-up, a nowcast and a one-epoch training run leave less
+        than 1 MB of traced allocations behind; the batch-4 caches of the
+        desk network are tens of MB."""
+        generate_synthetic(SynthConfig(rows=64, cols=64, frames=15, cells=3, seed=4), tmp_path)
+        samples = build_sequences(read_index(tmp_path / "index.tsv"), LeadTime(5))
+        assert len(samples) == 9
+        train_set, val_set = samples[:4], samples[4:8]
+        model = UNet3D(replace(DESK, base_channels=8), seed=22)
+        schedule = TrainSchedule(epochs=1, lr=1e-3, milestones=(), batch_size=4)
+        train(model, train_set, val_set, schedule)
+        predict_grid(model, samples[8])
+        for run in (lambda: predict_grid(model, samples[8]),
+                    lambda: train(model, train_set, val_set, schedule)):
+            tracemalloc.start()
+            try:
+                run()
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert retained < 1_000_000

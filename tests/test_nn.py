@@ -185,10 +185,11 @@ class TestConv3d:
     def test_parameter_gradients_accumulate(self, cin):
         rng = np.random.default_rng(6)
         conv = Conv3d(cin, 2, kernel=(3, 3, 3), rng=rng, dtype=np.float64)
-        out = conv.forward(rng.normal(size=(2, 3, 5, 4, cin)))
-        g = rng.normal(size=out.shape)
+        x = rng.normal(size=(2, 3, 5, 4, cin))
+        g = rng.normal(size=conv.forward(x).shape)
         conv.backward(g)
         once = conv.weight.grad.copy(), conv.bias.grad.copy()
+        conv.forward(x)  # backward consumed the first forward's cache
         conv.backward(g)  # no zero_grad in between
         np.testing.assert_allclose(conv.weight.grad, 2 * once[0], rtol=1e-12)
         np.testing.assert_allclose(conv.bias.grad, 2 * once[1], rtol=1e-12)
@@ -470,6 +471,21 @@ def test_layers_ignore_input_memory_order(make):
     assert results[1][0].transpose(0, 4, 1, 2, 3).flags.c_contiguous
     for a, b in zip(*results):
         assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("make", LAYOUT_LAYERS.values(), ids=LAYOUT_LAYERS)
+def test_backward_consumes_the_forward_cache(make):
+    """A backward frees what its forward cached: a second one raises until
+    the next forward."""
+    layer = make()
+    x = np.random.default_rng(25).normal(size=(1, 4, 4, 4, getattr(layer, "in_channels", 2)))
+    g = np.ones_like(layer.forward(x))
+    layer.backward(g)
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="backward before forward"):
+        layer.backward(g)
+    layer.forward(x)
+    layer.backward(g)
 
 
 class TestLosses:
