@@ -160,11 +160,12 @@ class RainGrid:
 
 @dataclass(frozen=True)
 class SatScene:
-    """One satellite timestamp: 11 co-registered bands, band-major."""
+    """One satellite timestamp: 11 co-registered bands, band-major, in
+    `SEVIRI_BANDS` order.  Checked once here, where a scene is built or
+    read; the resampling and normalization steps work on plain arrays."""
 
     values: np.ndarray  # (11, rows, cols)
     timestamp: int = 0
-    band_names: tuple[str, ...] = SEVIRI_BANDS
 
     def __post_init__(self):
         arr = np.asarray(self.values)
@@ -175,7 +176,7 @@ class SatScene:
             raise ValueError("SatScene contains non-finite values")
         if arr.ndim != 3:
             raise ValueError(f"SatScene needs a bands x rows x cols array, got shape {arr.shape}")
-        if arr.shape[0] != len(self.band_names) or arr.shape[0] != 11:
+        if arr.shape[0] != len(SEVIRI_BANDS):
             raise ValueError(f"SatScene needs exactly 11 bands, got {arr.shape[0]}")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError(f"SatScene has degenerate dimensions {arr.shape[1:]}")
@@ -189,34 +190,6 @@ class SatScene:
     @property
     def cols(self) -> int:
         return self.values.shape[2]
-
-
-@dataclass(frozen=True)
-class GridStats:
-    """Cheap per-frame summary used by the outlier and no-rain filters."""
-
-    max_rate: float
-    missing_fraction: float
-    rainy_fraction: float
-
-
-def grid_stats(grid: RainGrid) -> GridStats:
-    """Max rate, missing fraction and rainy (> 0 mm/h) fraction of a frame.
-
-    Missing cells are excluded from the max and from the rainy count; a grid
-    with no valid cells reports max 0.
-    """
-    v = grid.values
-    missing = v == MISSING
-    n = v.size
-    n_missing = int(np.count_nonzero(missing))
-    valid = v[~missing] if n_missing else v
-    max_rate = float(valid.max()) if valid.size else 0.0
-    return GridStats(
-        max_rate=max_rate,
-        missing_fraction=n_missing / n,
-        rainy_fraction=int(np.count_nonzero(valid > 0)) / n,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -212,8 +212,10 @@ def load_frames(config: ModelConfig, samples,
     windows[i]: the six frame rows of sample i; targets: (samples, rows, cols)
     float32.  Radar is log-normalized; multimodal frames add the 11 satellite
     bands, Lanczos-resampled to the radar grid and min-max normalized.  Each
-    frame is written straight into its row of `frames`: radar in channel 0,
-    the bands transposed into channels 1-11, cast to float32 on assignment.
+    file is checked once, by its reader; the satellite steps pass plain
+    arrays.  Each frame is written straight into its row of `frames`: radar
+    in channel 0, the bands transposed into channels 1-11, cast to float32
+    on assignment.
     """
     multimodal = config.variant == "multimodal"
     if multimodal and stats is None:
@@ -232,8 +234,8 @@ def load_frames(config: ModelConfig, samples,
     def fill(out, radar_path, sat_path):
         out[..., 0] = radar(radar_path)
         if multimodal:
-            scene = resample_scene(read_scene(sat_path), config.rows, config.cols)
-            out[..., 1:] = normalize_satellite(scene, stats).values.transpose(1, 2, 0)
+            bands = resample_scene(read_scene(sat_path), config.rows, config.cols)
+            out[..., 1:] = normalize_satellite(bands, stats).transpose(1, 2, 0)
 
     keys = [tuple(zip(s.radar_paths, s.sat_paths if multimodal else (None,) * len(s.radar_paths)))
             for s in samples]  # per sample, the (radar, satellite) path of each input frame

@@ -1,10 +1,12 @@
 """Preprocessing: normalization, band statistics, resampling, dataset curation.
 
 Radar rates are squashed with a log transform anchored at the 200 mm/h
-ceiling; satellite bands are min-max scaled from training-split extrema and
-upsampled to the radar grid with separable Lanczos-3, whose read-only
-weight matrices are built once per (source, target) size and then shared.
-Dataset curation drops frames with >200 mm/h outliers, thins no-rain frames,
+ceiling; satellite bands are upsampled to the radar grid with separable
+Lanczos-3, whose read-only weight matrices are built once per (source,
+target) size and then shared, and min-max scaled from training-split
+extrema.  Frames are checked once, where `grids` reads them: these steps
+take and return plain arrays.  Dataset curation tests each grid's values
+directly to drop frames with >200 mm/h outliers and thin no-rain frames,
 and windows the surviving timestamps into 6-input/1-target sequences per
 lead time; unreadable radar files are recorded by both filters, and a radar
 file whose header time differs from its index time stops both.
@@ -24,7 +26,6 @@ from .grids import (
     FormatError,
     IndexEntry,
     SatScene,
-    grid_stats,
     minutes_to_iso,
     read_grid,
 )
@@ -90,9 +91,9 @@ def normalize_values(values: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(values, dtype=np.float64)
     missing = v == MISSING
-    if np.any(v[~missing] > RAIN_MAX):
+    if np.any(v > RAIN_MAX):  # the sentinel lies below it
         raise ValueError(f"rate above {RAIN_MAX} mm/h: outlier filtering must run first")
-    if np.any(v[~missing] < 0):
+    if np.any((v < 0) & ~missing):
         raise ValueError("negative rate other than the -999 sentinel")
     out = np.where(missing, 0.0, np.log(np.maximum(v, 0.0) + 2.0) / _LN_BASE)
     return out
@@ -116,7 +117,7 @@ def denormalize_values(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandStats:
-    """Per-band min/max fitted from the training split only."""
+    """Per-band min/max fitted from the training split only; both finite."""
 
     mins: np.ndarray  # (bands,)
     maxs: np.ndarray  # (bands,)
@@ -127,6 +128,8 @@ class BandStats:
         maxs = np.asarray(self.maxs, dtype=np.float64)
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise ValueError("mins/maxs must be matching 1-D arrays")
+        if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+            raise ValueError("band stats hold non-finite values")
         if np.any(mins > maxs):
             raise ValueError("band min exceeds band max")
         object.__setattr__(self, "mins", mins)
@@ -136,45 +139,37 @@ class BandStats:
     def bands(self) -> int:
         return self.mins.shape[0]
 
-    def merge(self, other: "BandStats") -> "BandStats":
-        if self.bands != other.bands:
-            raise ValueError("cannot merge stats with different band counts")
-        return BandStats(
-            np.minimum(self.mins, other.mins),
-            np.maximum(self.maxs, other.maxs),
-            self.count + other.count,
-        )
-
 
 def fit_band_stats(scenes) -> BandStats:
     """Running per-band min/max over all cells of the given scenes."""
-    stats = None
-    for scene in scenes:
-        v = scene.values
-        s = BandStats(v.min(axis=(1, 2)), v.max(axis=(1, 2)), 1)
-        stats = s if stats is None else stats.merge(s)
-    if stats is None:
+    mins = maxs = None
+    for count, scene in enumerate(scenes, start=1):
+        lo, hi = scene.values.min(axis=(1, 2)), scene.values.max(axis=(1, 2))
+        mins = lo if mins is None else np.minimum(mins, lo)
+        maxs = hi if maxs is None else np.maximum(maxs, hi)
+    if mins is None:
         raise ValueError("cannot fit band statistics from zero scenes")
-    return stats
+    return BandStats(mins, maxs, count)
 
 
-def normalize_satellite(scene: SatScene, stats: BandStats) -> SatScene:
-    """(X - min) / (max - min) per band, clamped to [0, 1], in float64.
+def normalize_satellite(bands: np.ndarray, stats: BandStats) -> np.ndarray:
+    """(X - min) / (max - min) per band of a (bands, rows, cols) array,
+    clamped to [0, 1], in float64.
 
     Values beyond the training extrema clamp; a constant band maps to zeros.
     Each step runs in place on one float64 copy of the scene, with the same
     operations in the same order as the expression above.
     """
-    if stats.bands != scene.values.shape[0]:
-        raise ValueError(f"stats cover {stats.bands} bands, scene has {scene.values.shape[0]}")
+    if stats.bands != bands.shape[0]:
+        raise ValueError(f"stats cover {stats.bands} bands, scene has {bands.shape[0]}")
     span = stats.maxs - stats.mins
     constant = span == 0
-    v = scene.values.astype(np.float64)
+    v = bands.astype(np.float64)
     v -= stats.mins[:, None, None]
     v /= np.where(constant, 1.0, span)[:, None, None]
     np.clip(v, 0.0, 1.0, out=v)
     v[constant] = 0.0
-    return SatScene(v, scene.timestamp, scene.band_names)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +229,12 @@ def resample_lanczos(bands: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return wr @ bands @ wc.T
 
 
-def resample_scene(scene: SatScene, rows: int, cols: int) -> SatScene:
+def resample_scene(scene: SatScene, rows: int, cols: int) -> np.ndarray:
+    """The scene's bands Lanczos-resampled to a (bands, rows, cols) float64
+    array; when the sizes already match, the scene's own read-only values."""
     if (scene.rows, scene.cols) == (rows, cols):
-        return scene
-    out = resample_lanczos(scene.values, rows, cols)
-    return SatScene(out, scene.timestamp, scene.band_names)
+        return scene.values
+    return resample_lanczos(scene.values, rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,7 @@ def filter_outliers(entries, reader=read_grid) -> tuple[list[IndexEntry], Outlie
     report = OutlierReport(total=len(entries))
     kept = []
     for e, grid in _readable(entries, reader, report.unreadable):
-        if grid_stats(grid).max_rate > RAIN_MAX:
+        if grid.values.max() > RAIN_MAX:  # the sentinel lies below it
             report.removed.append(e.timestamp)
         else:
             kept.append(e)
@@ -317,7 +313,7 @@ def subsample_no_rain(entries, keep_fraction: float, seed: int,
     report = SubsampleReport(0, 0, keep_fraction, seed)
     kept = []
     for e, grid in _readable(entries, reader, report.unreadable):
-        if grid_stats(grid).rainy_fraction > 0:
+        if (grid.values > 0).any():
             kept.append(e)
             continue
         report.no_rain_total += 1

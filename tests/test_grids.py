@@ -16,7 +16,6 @@ from rainfusion.grids import (
     SatScene,
     categorize,
     categorize_values,
-    grid_stats,
     iso_to_minutes,
     minutes_to_iso,
     read_grid,
@@ -105,37 +104,6 @@ class TestRainGrid:
         g = RainGrid(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             g.values[0, 0] = 1.0
-
-
-class TestGridStats:
-    def test_all_missing(self):
-        s = grid_stats(RainGrid(np.full((3, 3), MISSING)))
-        assert s.missing_fraction == 1.0
-        assert s.rainy_fraction == 0.0
-
-    def test_all_zero(self):
-        s = grid_stats(RainGrid(np.zeros((4, 4))))
-        assert s.max_rate == 0.0
-        assert s.rainy_fraction == 0.0
-
-    def test_single_outlier_cell(self):
-        s = grid_stats(RainGrid(np.array([[201.0, 0.0], [0.0, 0.0]])))
-        assert s.max_rate == 201.0
-        assert s.rainy_fraction == 0.25
-
-    def test_missing_excluded_from_max(self):
-        s = grid_stats(RainGrid(np.array([[MISSING, 2.0]])))
-        assert s.max_rate == 2.0
-        assert s.missing_fraction == 0.5
-        assert s.rainy_fraction == 0.5
-
-    @given(st.integers(min_value=0, max_value=2**32))
-    def test_permutation_invariant(self, seed):
-        rng = np.random.default_rng(seed)
-        vals = rng.choice([MISSING, 0.0, 1.0, 60.0], size=12).reshape(3, 4)
-        shuffled = rng.permutation(vals.ravel()).reshape(4, 3)
-        a, b = grid_stats(RainGrid(vals)), grid_stats(RainGrid(shuffled))
-        assert a == b
 
 
 class TestRfg1Format:

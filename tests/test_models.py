@@ -10,7 +10,6 @@ from rainfusion import models
 from rainfusion.grids import (
     PrecipCategory,
     RainGrid,
-    SatScene,
     read_grid,
     read_index,
     read_scene,
@@ -425,6 +424,17 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=re.escape(f"{path}: band min exceeds band max")):
             load_model(path)
 
+    @pytest.mark.parametrize("name, index, value", [("__band_min__", 1, np.nan),
+                                                    ("__band_max__", 2, np.inf),
+                                                    ("__band_min__", 1, -np.inf)])
+    def test_non_finite_band_stats_name_file(self, tmp_path, name, index, value):
+        def set_stat(entries):
+            assert entries[index][0] == name
+            entries[index][1][4] = value
+        path = self._saved(tmp_path / "m.rfp", set_stat, TINY_MM, MM_STATS)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: band stats hold non-finite values")):
+            load_model(path)
+
     @pytest.mark.parametrize("count", [[2.5, 7.0], [-3.0], [0.0], [2.5], [float("nan")],
                                        [float("inf")], [[3.0]]])
     def test_bad_band_count_names_file(self, tmp_path, count):
@@ -476,7 +486,7 @@ def _oracle_frame(radar_path, sat_path, stats):
     """One input frame, each band resampled on its own."""
     scene = read_scene(sat_path)
     bands = np.stack([resample_lanczos(b, 16, 16) for b in scene.values])
-    sat = normalize_satellite(SatScene(bands, scene.timestamp), stats).values
+    sat = normalize_satellite(bands, stats)
     radar = normalize_values(read_grid(radar_path).values)
     return np.stack([radar, *sat], axis=-1).astype(np.float32)
 
@@ -518,24 +528,35 @@ class TestMultimodalLoading:
 
     def test_satellite_steps_run_once_per_frame(self, mm_data, monkeypatch):
         """load_frames resamples and normalizes each distinct frame once,
-        through the names it looks up on `models` (where a tracer patches them)."""
+        through the names it looks up on `models` (where a tracer patches them):
+        each scene is resampled once per timestamp, and each resampled array
+        is normalized once."""
         samples, stats = mm_data
-        calls = {"resample_scene": Counter(), "normalize_satellite": Counter()}
+        resampled = Counter()
+        normalized = Counter()
+        # id of each resampled array -> (its timestamp, the array, kept so
+        # that no later array can reuse the id)
+        arrays = {}
+        resample, normalize = models.resample_scene, models.normalize_satellite
 
-        def counted(name):
-            step = getattr(models, name)
+        def counted_resample(scene, *args):
+            resampled[scene.timestamp] += 1
+            out = resample(scene, *args)
+            arrays[id(out)] = scene.timestamp, out
+            return out
 
-            def run(scene, *args):
-                calls[name][scene.timestamp] += 1
-                return step(scene, *args)
-            return run
+        def counted_normalize(bands, stats):
+            timestamp, array = arrays[id(bands)]
+            assert array is bands
+            normalized[timestamp] += 1
+            return normalize(bands, stats)
 
-        for name in calls:
-            monkeypatch.setattr(models, name, counted(name))
+        monkeypatch.setattr(models, "resample_scene", counted_resample)
+        monkeypatch.setattr(models, "normalize_satellite", counted_normalize)
         frames, _, _ = load_frames(TINY_MM, samples, stats)
         timestamps = {t for s in samples for t in s.input_timestamps}
         assert len(timestamps) == len(frames)
-        for counts in calls.values():
+        for counts in (resampled, normalized):
             assert set(counts) == timestamps
             assert set(counts.values()) == {1}
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainfusion.grids import MISSING, IndexEntry, RainGrid, SatScene, write_grid
+from rainfusion.grids import MISSING, RAIN_MAX, IndexEntry, RainGrid, SatScene, read_grid, write_grid
 from rainfusion.pipeline import (
     BandStats,
     LeadTime,
@@ -73,6 +73,35 @@ class TestBandStats:
         vals = np.stack([np.full((3, 4), fill + b, dtype=np.float64) for b in range(11)])
         return SatScene(vals)
 
+    @staticmethod
+    def _check_stacked_oracle(scenes):
+        """fit_band_stats, fed a generator, equals the per-band min and max
+        over one stack of all the scenes."""
+        stats = fit_band_stats(s for s in scenes)
+        stack = np.stack([s.values for s in scenes])
+        np.testing.assert_array_equal(stats.mins, stack.min(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(stats.maxs, stack.max(axis=(0, 2, 3)))
+        assert stats.count == len(scenes)
+
+    @pytest.mark.parametrize("mins, maxs", [([np.nan, 0.0], [1.0, 1.0]),
+                                            ([0.0, 0.0], [1.0, np.nan]),
+                                            ([0.0, 0.0], [np.inf, 1.0]),
+                                            ([-np.inf, 0.0], [1.0, 1.0])])
+    def test_rejects_non_finite(self, mins, maxs):
+        with pytest.raises(ValueError, match="^band stats hold non-finite values$"):
+            BandStats(np.array(mins), np.array(maxs), 1)
+
+    def test_rejects_inverted_and_mismatched(self):
+        with pytest.raises(ValueError, match="^band min exceeds band max$"):
+            BandStats(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1)
+        with pytest.raises(ValueError, match="^mins/maxs must be matching 1-D arrays$"):
+            BandStats(np.zeros(2), np.ones(3), 1)
+
+    def test_stores_float64(self):
+        stats = BandStats(np.array([-1.5, 0.0], np.float32), np.array([2.0, 0.0], np.float32), 4)
+        assert stats.mins.dtype == stats.maxs.dtype == np.float64
+        assert stats.bands == 2 and stats.count == 4
+
     def test_single_scene(self):
         vals = np.stack([np.full((2, 2), 3.0) for _ in range(11)])
         vals[0, 0, 0] = 7.0
@@ -80,23 +109,16 @@ class TestBandStats:
         assert s.mins[0] == 3.0 and s.maxs[0] == 7.0
         assert s.mins[1] == 3.0 and s.maxs[1] == 3.0
 
-    def test_merge_matches_joint_fit(self):
-        a, b = self._scene(0.0), self._scene(5.5)
-        joint = fit_band_stats([a, b])
-        merged = fit_band_stats([a]).merge(fit_band_stats([b]))
-        np.testing.assert_array_equal(joint.mins, merged.mins)
-        np.testing.assert_array_equal(joint.maxs, merged.maxs)
-        assert joint.count == merged.count == 2
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_offset_scenes_match_stacked_oracle(self, n):
+        self._check_stacked_oracle([self._scene(fill) for fill in (5.5, 0.0, -2.0, 3.25)[:n]])
 
-    @given(st.integers(0, 2**32))
+    @given(st.integers(0, 2**32), st.sampled_from([1, 4]))
     @settings(max_examples=25)
-    def test_merge_property_random(self, seed):
+    def test_random_scenes_match_stacked_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
-        scenes = [SatScene(rng.normal(size=(11, 2, 3))) for _ in range(4)]
-        joint = fit_band_stats(scenes)
-        merged = fit_band_stats(scenes[:2]).merge(fit_band_stats(scenes[2:]))
-        np.testing.assert_array_equal(joint.mins, merged.mins)
-        np.testing.assert_array_equal(joint.maxs, merged.maxs)
+        self._check_stacked_oracle(
+            [SatScene(rng.normal(size=(11, 2, 3)).astype(np.float32)) for _ in range(n)])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +129,7 @@ class TestSatelliteNormalization:
     def test_extrema_and_clamp(self):
         stats = BandStats(np.zeros(11), np.full(11, 10.0), 1)
         vals = np.stack([np.array([[0.0, 10.0], [12.0, 5.0]]) for _ in range(11)])
-        out = normalize_satellite(SatScene(vals), stats).values
+        out = normalize_satellite(vals, stats)
         assert out[0, 0, 0] == 0.0
         assert out[0, 0, 1] == 1.0
         assert out[0, 1, 0] == 1.0  # beyond training max clamps
@@ -116,7 +138,7 @@ class TestSatelliteNormalization:
     def test_constant_band_zeroed(self):
         stats = BandStats(np.full(11, 4.0), np.full(11, 4.0), 1)
         vals = np.stack([np.full((2, 2), 4.0) for _ in range(11)])
-        out = normalize_satellite(SatScene(vals), stats).values
+        out = normalize_satellite(vals, stats)
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -129,13 +151,13 @@ class TestSatelliteNormalization:
         stats = BandStats(mins, maxs, 1)
         vals = rng.uniform(-120.0, 150.0, size=(11, 5, 6))
         vals[:, 0, :4] = np.stack([mins, maxs, mins - 3.5, maxs + 3.5], axis=1)
-        scene = SatScene(vals.astype(dtype))
+        bands = SatScene(vals.astype(dtype)).values
         # the expression normalize_satellite computed before it ran in place
-        v = scene.values.astype(np.float64)
+        v = bands.astype(np.float64)
         span = (maxs - mins)[:, None, None]
         safe_span = np.where(span == 0, 1.0, span)
         want = np.where(span == 0, 0, np.clip((v - mins[:, None, None]) / safe_span, 0, 1))
-        got = normalize_satellite(scene, stats).values
+        got = normalize_satellite(bands, stats)
         assert got.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
         assert np.all(got[4] == 0.0)
@@ -145,7 +167,7 @@ class TestSatelliteNormalization:
         stats = BandStats(np.zeros(3), np.ones(3), 1)
         vals = np.zeros((11, 2, 2))
         with pytest.raises(ValueError):
-            normalize_satellite(SatScene(vals), stats)
+            normalize_satellite(vals, stats)
 
 
 def _lanczos_oracle_1d(src, n, a=3):
@@ -333,6 +355,64 @@ class TestSubsampleNoRain:
         assert report.unreadable == [str(path), str(tmp_path / "missing.rfg")]
         assert [e.timestamp for e in kept] == [5, 10]
         assert report.no_rain_total == report.no_rain_kept == 1
+
+
+def _write_frames(tmp_path, frames):
+    """One RFG1 file per frame, 5 minutes apart, and their index entries."""
+    entries = []
+    for i, vals in enumerate(frames):
+        p = tmp_path / f"f{i}.rfg"
+        write_grid(p, RainGrid(vals, timestamp=i * 5))
+        entries.append(IndexEntry(i * 5, str(p)))
+    return entries
+
+
+class TestCurationWithMissingCells:
+    """Both filters test a grid's values directly: the -999 sentinel is
+    neither rain nor above 200 mm/h, and -0.0 is no rain."""
+
+    def test_all_missing_is_no_rain_and_no_outlier(self, tmp_path):
+        entries = _write_frames(tmp_path, [np.full((3, 3), MISSING)])
+        kept, report = filter_outliers(entries)
+        assert kept == entries and report.removed == []
+        kept, report = subsample_no_rain(entries, 0.0, seed=0)
+        assert kept == [] and report.no_rain_total == 1 and report.no_rain_kept == 0
+
+    def test_missing_cells_and_an_outlier(self, tmp_path):
+        entries = _write_frames(tmp_path, [np.array([[MISSING, 201.0], [MISSING, 0.0]])])
+        kept, report = filter_outliers(entries)
+        assert kept == [] and report.removed == [0]
+
+    def test_missing_cells_and_rain_kept(self, tmp_path):
+        entries = _write_frames(tmp_path, [np.array([[MISSING, 2.0], [MISSING, MISSING]])])
+        kept, report = filter_outliers(entries)
+        assert kept == entries and report.removed == []
+        kept, report = subsample_no_rain(entries, 0.0, seed=0)
+        assert kept == entries and report.no_rain_total == 0
+
+    def test_negative_zero_is_no_rain(self, tmp_path):
+        entries = _write_frames(tmp_path, [np.full((2, 2), -0.0)])
+        assert np.all(np.signbit(read_grid(entries[0].radar_path).values))
+        kept, report = subsample_no_rain(entries, 0.0, seed=0)
+        assert kept == [] and report.no_rain_total == 1
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=25)
+    def test_decisions_match_valid_cell_oracle(self, seed):
+        """Outlier: some non-missing cell above 200 mm/h; rainy: some
+        non-missing cell above 0.  Neither depends on the cells' order."""
+        rng = np.random.default_rng(seed)
+        frames = [rng.choice([MISSING, -0.0, 0.0, 1.0, 60.0, 201.0], size=(3, 4),
+                             p=[0.4, 0.1, 0.3, 0.1, 0.05, 0.05]) for _ in range(6)]
+        frames += [rng.permutation(f.ravel()).reshape(4, 3) for f in frames]
+        grids = {f"p{i}": RainGrid(f, i * 5) for i, f in enumerate(frames)}
+        entries = [IndexEntry(i * 5, f"p{i}") for i in range(len(frames))]
+        valid = [f[f != MISSING] for f in frames]
+        _, report = filter_outliers(entries, reader=grids.__getitem__)
+        assert report.removed == [e.timestamp for e, v in zip(entries, valid)
+                                  if v.size and v.max() > RAIN_MAX]
+        kept, _ = subsample_no_rain(entries, 0.0, seed=0, reader=grids.__getitem__)
+        assert kept == [e for e, v in zip(entries, valid) if np.any(v > 0)]
 
 
 CURATE = {"filter_outliers": filter_outliers,
