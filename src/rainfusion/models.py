@@ -5,14 +5,18 @@ with ReLU (the first conv doubling the width), max pooling between stages,
 a two-conv bottleneck, a mirrored decoder whose upsampled features are
 concatenated with the matching encoder skip, and a head that collapses the
 temporal axis with a full-extent "valid" conv to 2 channels followed by a
-1x1x1 conv to the single output frame.  The radar variant pools (2, 2, 1)
-so time survives the encoder; the multimodal variant pools (2, 2, 2) with
-ceiling semantics and the decoder restores the recorded sizes exactly.
-Body convs keep a temporal extent of 1; all temporal mixing happens in the
-pooling path and the head.  Each block is a list of layers, run in order
-forward and in reverse backward.  Activations have the layers' (b, t, h, w, c)
-shape over channels-first memory (see `rainfusion.nn`), so the decoder
-concatenates on the channel axis of that memory and splits gradients there.
+1x1x1 conv to the single output frame.  Pool windows are (t, h, w): the
+radar variant pools (2, 2, 1), which halves time and rows and never pools
+cols (ROADMAP item 1 tracks the fix); the multimodal variant pools
+(2, 2, 2) with ceiling semantics and the decoder restores the recorded
+sizes exactly.  Body convs keep a temporal extent of 1; all temporal
+mixing happens in the pooling path and the head.  Each block is a list of
+layers, run in order forward and in reverse backward, with no name left
+holding a block's input or incoming gradient while it runs.  Activations
+have the layers' (b, t, h, w, c) shape over channels-first memory (see
+`rainfusion.nn`); the decoder concatenates on the channel axis into a
+zero-bordered buffer that its first conv reads in place, and splits
+gradients there.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .grids import RainGrid, read_grid, read_scene
-from .nn import Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, ensure_array5, lr_for_epoch
+from .nn import (Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, concat_channels, ensure_array5,
+                 lr_for_epoch)
 from .nn.checkpoint import load_arrays, save_arrays
 from .nn.losses import LOSSES
 from .pipeline import (
@@ -148,43 +153,39 @@ class UNet3D:
             raise ValueError(f"input shape {h.shape[1:]} does not match config {expect}")
         skips = []
         for block, pool in zip(self.enc, self.pools):
-            h = _forward(block, h)
+            for layer in block:
+                h = layer.forward(h)
             skips.append(h)
             h = pool.forward(h)
-        h = _forward(self.bott, h)
+        for layer in self.bott:
+            h = layer.forward(h)
         for block, up, skip in zip(self.dec, self.ups, reversed(skips)):
-            h = up.forward(h, target_dims=skip.shape[1:4])
-            h = np.concatenate([h.transpose(0, 4, 1, 2, 3), skip.transpose(0, 4, 1, 2, 3)],
-                               axis=1).transpose(0, 2, 3, 4, 1)
-            h = _forward(block, h)
-        return _forward(self.head, h)
+            h = concat_channels(up.forward(h, target_dims=skip.shape[1:4]), skip)
+            for layer in block:
+                h = layer.forward(h)
+        for layer in self.head:
+            h = layer.forward(h)
+        return h
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = _backward(self.head, grad_out)
+        g = grad_out
+        for layer in reversed(self.head):
+            g = layer.backward(g)
         skip_grads = []  # shallowest stage first
         for block, up in zip(reversed(self.dec), reversed(self.ups)):
-            g = _backward(block, g)
+            for layer in reversed(block):
+                g = layer.backward(g)
             # the block ran on [upsampled | skip], and the skip is as wide as its output
             split = g.shape[-1] - block[0].out_channels
             skip_grads.append(g[..., split:])
             g = up.backward(g[..., :split])
-        g = _backward(self.bott, g)
-        for block, pool, g_skip in zip(reversed(self.enc), reversed(self.pools),
-                                       reversed(skip_grads)):
-            g = _backward(block, pool.backward(g) + g_skip)
+        for layer in reversed(self.bott):
+            g = layer.backward(g)
+        for block, pool in zip(reversed(self.enc), reversed(self.pools)):
+            g = pool.backward(g) + skip_grads.pop()
+            for layer in reversed(block):
+                g = layer.backward(g)
         return g
-
-
-def _forward(block, h):
-    for layer in block:
-        h = layer.forward(h)
-    return h
-
-
-def _backward(block, g):
-    for layer in reversed(block):
-        g = layer.backward(g)
-    return g
 
 
 def _infer(model: UNet3D, x: np.ndarray) -> np.ndarray:

@@ -2,11 +2,18 @@
 
 Every layer takes and returns (batch, time, rows, cols, channels) arrays:
 that shape is the API.  In memory, activations are channels-first: a layer
-returns the (b, t, h, w, c) transpose of a C-contiguous (b, c, t, h, w)
-buffer, so the next layer's `x.transpose(0, 4, 1, 2, 3)` is a free
-contiguous view and every kernel runs on long contiguous rows of one
-channel.  A C-ordered channels-last input gives the same results; it only
-costs a strided read.
+returns the (b, t, h, w, c) transpose of the interior of a C-contiguous
+(b, c, t, h', w') buffer, so the next layer's `x.transpose(0, 4, 1, 2, 3)`
+is a free view and every kernel runs on long rows of one channel.  ReLU,
+pooling and `concat_channels` write into a buffer with a zero border one
+cell deep in rows and cols (`_bordered`): that buffer is exactly the padded
+input of a following 3x3 convolution, which reads it in place instead of
+copying it.  A conv's own output is a crop of its accumulator, whose
+border holds leftovers of the GEMMs.  The conv bias and ReLU's forward
+run over whole buffers, border included, in contiguous passes: a numpy
+ufunc writing the strided interior costs about twice as much.  Any
+other input (C-ordered channels-last, a non-zero border, a view of
+something else) gives the same results bit for bit; it only costs a copy.
 
 Layers have stride 1.  Convolutions zero-pad so spatial dims are
 preserved; the temporal axis is either preserved ("same", odd extent) or
@@ -23,7 +30,9 @@ forward to the backward that follows it.  Backward takes the cache and
 clears it, so the cached arrays are freed once the gradients exist, and a
 second backward without a new forward raises RuntimeError.  A forward that
 no backward follows (inference) leaves its cache until the caller sets
-`_cache` to None or the next forward replaces it.
+`_cache` to None or the next forward replaces it.  The cache may be the
+input or the output itself, not a copy: neither may be written to between
+a forward and its backward.
 """
 
 from __future__ import annotations
@@ -36,6 +45,9 @@ import numpy as np
 # Output cells per conv GEMM block.  It bounds the stacked-tap intermediate
 # (taps x channels x cells) that each block allocates.
 _ROW_BLOCK = 4096
+# Border (t, rows, cols) of ReLU, pooling and concat outputs: the padding of
+# a following 3x3 conv.
+_PADS = (0, 1, 1)
 
 
 def ensure_array5(x, name: str = "input") -> np.ndarray:
@@ -65,6 +77,84 @@ def _channels_first(x: np.ndarray) -> np.ndarray:
 def _channels_last(buf: np.ndarray) -> np.ndarray:
     """The (b, t, h, w, c) view of a (b, c, t, h, w) buffer, as layers return it."""
     return buf.transpose(0, 2, 3, 4, 1)
+
+
+def _border(buf: np.ndarray, pads):
+    """(border slabs, interior) of a channels-first (b, c, t, h, w) buffer
+    whose border is `pads` = (pt, ph, pw) cells deep on each side; empty
+    slabs are left out."""
+    pt, ph, pw = pads
+    T, H, W = (n - 2 * p for n, p in zip(buf.shape[2:], pads))
+    mid = buf[:, :, pt:pt + T]
+    rows = mid[:, :, :, ph:ph + H]
+    slabs = (buf[:, :, :pt], buf[:, :, pt + T:], mid[:, :, :, :ph], mid[:, :, :, ph + H:],
+             rows[..., :pw], rows[..., pw + W:])
+    return [slab for slab in slabs if slab.size], rows[..., pw:pw + W]
+
+
+def _zero_border(buf: np.ndarray, pads=_PADS) -> np.ndarray:
+    """Zero the border of `buf` (see `_border`) and return its interior."""
+    slabs, interior = _border(buf, pads)
+    for slab in slabs:
+        slab[...] = 0
+    return interior
+
+
+def _bordered(shape, dtype, pads=_PADS) -> np.ndarray:
+    """The channels-first interior, of `shape`, of a new C-contiguous buffer
+    (its `.base`) whose border, `pads` cells deep, is zero; the interior is
+    left for the caller to write."""
+    b, c, *dims = shape
+    return _zero_border(np.empty((b, c, *(n + 2 * p for n, p in zip(dims, pads))), dtype), pads)
+
+
+def _bordered_copy(x: np.ndarray, pads=_PADS) -> np.ndarray:
+    """A new zero-bordered buffer (see `_bordered`) holding the (b, t, h, w, c)
+    activation `x` in its interior."""
+    b, T, H, W, c = x.shape
+    interior = _bordered((b, c, T, H, W), x.dtype, pads)
+    interior[...] = _channels_first(x)
+    return interior.base
+
+
+def _buffer(x: np.ndarray, pads):
+    """The C-contiguous channels-first buffer whose interior, inside a border
+    `pads` cells deep, is exactly `x`; None when `x` is not such a view."""
+    buf = x.base
+    b, T, H, W, c = x.shape
+    padded = (b, c, *(n + 2 * p for n, p in zip((T, H, W), pads)))
+    if not (isinstance(buf, np.ndarray) and buf.shape == padded and buf.dtype == x.dtype
+            and buf.flags.c_contiguous):
+        return None
+    interior = _border(buf, pads)[1]
+    xc = _channels_first(x)
+    if xc.strides != interior.strides or xc.ctypes.data != interior.ctypes.data:
+        return None
+    return buf
+
+
+def _padded_input(x: np.ndarray, pads):
+    """`_buffer(x, pads)` when every bit of its border is zero, so that it is
+    `x` zero-padded by `pads` (-0.0 and NaN do not qualify); else None."""
+    buf = _buffer(x, pads)
+    if buf is None:
+        return None
+    ints = f"u{buf.itemsize}"
+    if any(slab.view(ints).any() for slab in _border(buf, pads)[0]):
+        return None
+    return buf
+
+
+def concat_channels(*xs: np.ndarray) -> np.ndarray:
+    """The activations `xs` joined on the channel axis, in order, written
+    into the interior of a new zero-bordered buffer (see `_bordered`)."""
+    b, T, H, W, _ = xs[0].shape
+    out = _bordered((b, sum(x.shape[4] for x in xs), T, H, W), np.result_type(*xs))
+    c0 = 0
+    for x in xs:
+        out[:, c0:c0 + x.shape[4]] = _channels_first(x)
+        c0 += x.shape[4]
+    return _channels_last(out)
 
 
 def _tap_gemms(dst, src, w, offsets, base):
@@ -117,26 +207,32 @@ class Conv3d:
     generator; bias starts at zero.  `temporal_pad` is "same" (odd kt,
     preserves time) or "valid" (output time = T - kt + 1).
 
-    The input is zero-padded into a channels-first (b, in, Tp, Hp, Wp)
-    buffer, and each item is viewed as (in, Tp*Hp*Wp): one contiguous row
-    of cells per channel.  Output cell (t, h, w) of the padded (To, Hp, Wp)
-    output grid is cell (t*Hp + h)*Wp + w, and kernel tap (it, ih, iw)
-    reads the input shifted by (it*Hp + ih)*Wp + iw cells.  Forward runs
-    `_tap_gemms` once per item and temporal tap: one GEMM per block of
-    `_ROW_BLOCK` output cells, with the kh*kw spatial taps stacked on the
-    side with fewer channels,
+    The padded input is a channels-first (b, in, Tp, Hp, Wp) buffer: the
+    input's own buffer when `x` is the interior of a zero-bordered buffer of
+    exactly that shape (`_padded_input`; ReLU, pooling and
+    `concat_channels` outputs before a 3x3 conv), else a zero-bordered copy.
+    Each item is viewed as (in, Tp*Hp*Wp): one contiguous row of cells per
+    channel.  Kernel tap (it, ih, iw) reads the input shifted by
+    (it*Hp + ih)*Wp + iw cells.  The accumulator is a (b, out, To, Hp, Wp)
+    grid too, and output cell (t, h, w) is its cell (t, h + ph, w + pw): the
+    GEMMs write behind a leading margin of ph*Wp + pw cells, so the output
+    is a crop view of the accumulator, whose border holds the GEMMs'
+    wrap-around cells; the bias is added to the whole accumulator in place.
+    Forward runs `_tap_gemms` once per item and temporal tap: one GEMM per
+    block of `_ROW_BLOCK` output cells, with the kh*kw spatial taps stacked
+    on the side with fewer channels,
 
     - out <= in: Y = W(taps*out, in) @ X[block + halo], and each tap's
       slice of Y is added to the block at that tap's shift;
     - out > in: the tap-shifted input rows are gathered into
       cols(taps*in, block), and the block gets W(out, taps*in) @ cols.
 
-    The cells outside (H, W) are cropped away and the bias added in one
-    broadcast.  Backward adds X[shifted] @ G.T to each tap's weight
-    gradient, and computes the input gradient with `_tap_gemms` the other
-    way round: W[tap] (in, out) applied to grad_out at minus each tap's
-    shift, read from a padded grid behind a zero margin of one halo.  Only
-    the padded input is cached, from a forward to its backward, which
+    Backward adds X[shifted] @ G.T to each tap's weight gradient, then drops
+    the padded input (freeing it unless the layer before still holds it)
+    and only then allocates the input gradient.  That is `_tap_gemms` the
+    other way round: W[tap] (in, out) applied to grad_out at minus each
+    tap's shift, read from a padded grid behind a zero margin of one halo.
+    Only the padded input is cached, from a forward to its backward, which
     frees it.
     """
 
@@ -191,8 +287,10 @@ class Conv3d:
         if self.temporal_pad == "valid" and T < kt:
             raise ValueError(f"{self.name}: temporal extent {kt} exceeds input time {T}")
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        xp = np.zeros((b, c, T + 2 * pt, H + 2 * ph, W + 2 * pw), x.dtype)
-        xp[:, :, pt:pt + T, ph:ph + H, pw:pw + W] = _channels_first(x)
+        pads = (pt, ph, pw)
+        xp = _padded_input(x, pads)
+        if xp is None:
+            xp = _bordered_copy(x, pads)
         Hp, Wp = xp.shape[3:]
         To = T - kt + 1 + 2 * pt
         plane, halo, rows, shifts = self._grid(xp.shape)
@@ -200,13 +298,15 @@ class Conv3d:
         cout = self.out_channels
         wt = w.transpose(0, 1, 2, 4, 3).reshape(kt, len(shifts), cout, c)  # (kt, taps, out, in)
         xf = xp.reshape(b, c, -1)
-        acc = np.zeros((b, cout, To * plane), np.result_type(xp, w))
+        acc = np.zeros((b, cout, To, Hp, Wp), np.result_type(xp, w))
+        accf = acc.reshape(b, cout, -1)
+        lead = ph * Wp + pw
         for n in range(b):
             for it in range(kt):
-                _tap_gemms(acc[n, :, :rows], xf[n], wt[it], shifts, it * plane)
-        out = acc.reshape(b, cout, To, Hp, Wp)[:, :, :, :H, :W] + self.bias.value[:, None, None, None]
-        self._cache = (xp, (pt, ph, pw), x.shape, (b, To, H, W, cout))
-        return _channels_last(out)
+                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], shifts, it * plane)
+        acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
+        self._cache = (xp, pads, x.shape, (b, To, H, W, cout))
+        return _channels_last(acc[:, :, :, ph:ph + H, pw:pw + W])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xp, (pt, ph, pw), in_shape, out_shape = _take_cache(self, self.name)
@@ -214,9 +314,10 @@ class Conv3d:
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
         b, To, H, W, cout = out_shape
-        _, c, _, Hp, Wp = xp.shape
+        padded, dtype = xp.shape, xp.dtype
+        _, c, _, Hp, Wp = padded
         kt = self.kernel[0]
-        plane, halo, rows, shifts = self._grid(xp.shape)
+        plane, halo, rows, shifts = self._grid(padded)
         # grad_out on the padded output grid behind a zero margin of one halo,
         # so that every tap-shifted read of it stays inside the buffer
         gbuf = np.zeros((b, cout, halo + To * plane), grad_out.dtype)
@@ -225,8 +326,6 @@ class Conv3d:
         # summed from the buffer, so the order does not depend on grad_out's layout
         self.bias.grad += gbuf.sum(axis=(0, 2))
         xf = xp.reshape(b, c, -1)
-        gxp = np.zeros_like(xp)
-        gxf = gxp.reshape(b, c, -1)
         w = self.weight.value.reshape(kt, len(shifts), c, cout)  # (kt, taps, in, out)
         wgrad = self.weight.grad.reshape(w.shape)
         for n in range(b):
@@ -234,6 +333,12 @@ class Conv3d:
                 x0 = it * plane
                 for k, s in enumerate(shifts):
                     wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
+        del xp, xf  # the input goes before its gradient is allocated
+        gxp = np.zeros(padded, dtype)
+        gxf = gxp.reshape(b, c, -1)
+        for n in range(b):
+            for it in range(kt):
+                x0 = it * plane
                 _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it], [-s for s in shifts], halo)
         T = in_shape[1]
         return _channels_last(gxp[:, :, pt:pt + T, ph:ph + H, pw:pw + W])
@@ -250,7 +355,8 @@ class MaxPool3d:
     """Non-overlapping max pooling; a ragged last window shrinks.
 
     Forward takes the elementwise maximum over the window positions of the
-    reshaped input, one strided view per position.
+    reshaped input, one strided view per position, and copies it into the
+    interior of a zero-bordered buffer.
     Backward routes each window's gradient to its first maximum in
     (t, h, w) window order, as `argmax` would: ties go to the first cell,
     and a window holding NaN routes to its first NaN.
@@ -280,9 +386,11 @@ class MaxPool3d:
             xc = np.pad(xc, pad, constant_values=-np.inf)
         windows = xc.reshape(b, c, ot, wt, oh, wh, ow, ww)
         first, *rest = self._cells(windows)
-        out = first.copy()
+        peak = first.copy()
         for cell in rest:
-            np.maximum(out, cell, out=out)
+            np.maximum(peak, cell, out=peak)
+        out = _bordered(peak.shape, peak.dtype)
+        out[...] = peak
         self._cache = (x.shape, windows, out)
         return _channels_last(out)
 
@@ -372,7 +480,14 @@ class Upsample3d:
 class ReLU:
     """Elementwise max(0, x), as np.where(x > 0, x, 0) bit for bit.
 
-    Forward maps NaN, -0.0 and 0.0 to +0.0 and caches the bool mask x > 0,
+    Forward is fmax(x, 0) + 0, two passes with no temporaries: np.fmax
+    returns the non-NaN operand, so NaN maps to +0.0, and the + 0 turns
+    -0.0 into +0.0.  It runs over the whole buffer that `x` is the interior
+    of when that buffer has a one-cell border in rows and cols (a 3x3
+    conv's accumulator), else over a bordered copy of `x`, into a new
+    buffer whose border it then zeroes, and caches the interior: the
+    output.  It is out of place, so a second forward of the same input
+    gives the same output.  Backward's mask is out > 0, which equals x > 0,
     so the subgradient at exactly 0 is 0.  Backward is grad * mask, plus
     +0.0 so that a negative gradient at an inactive unit gives +0.0, not
     -0.0.  For finite gradients that is np.where(mask, grad, 0) bit for
@@ -388,10 +503,16 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x > 0
-        return _where(self._cache, x)
+        x = ensure_array5(x, "relu")
+        buf = _buffer(x, _PADS)
+        if buf is None:
+            buf = _bordered_copy(x)
+        out = np.fmax(buf, 0)
+        out += 0
+        self._cache = _channels_last(_zero_border(out))
+        return self._cache
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = grad_out * _take_cache(self, "relu")
+        g = grad_out * (_take_cache(self, "relu") > 0)
         g += 0
         return g

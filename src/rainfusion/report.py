@@ -141,16 +141,17 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
     Samples are scored in target-time order, in blocks of `_BLOCK`: each
     block's observations are read, every predictor is called once on each
     of the block's samples, and each predictor's forecasts are scored as
-    one stack (`verify.score_pairs`), for all categories at once.  So the
-    predictors' calls interleave block by block.  The blocks' table and
-    component arrays are concatenated per predictor.  Aggregation "pooled"
-    sums the contingency counts and FBS/WFBS sums over the whole set, in
-    sample order, before forming scores; "per-image" averages the
-    per-sample scores formed from the same numbers, skipping not-applicable
-    ones.  A score that is not applicable is set as None.  Samples must
-    share one lead time, and a forecast whose shape differs from its
-    observation's raises ValueError naming the predictor and the target
-    time.
+    one stack (`verify.score_pairs`), for all categories at once, with one
+    scratch dict for the whole call so that the blocks reuse the scoring
+    buffers.  So the predictors' calls interleave block by block.  The
+    blocks' table and component arrays are concatenated per predictor.
+    Aggregation "pooled" sums the contingency counts and FBS/WFBS sums over
+    the whole set, in sample order, before forming scores; "per-image"
+    averages the per-sample scores formed from the same numbers, skipping
+    not-applicable ones.  A score that is not applicable is set as None.
+    Samples must share one lead time, and a forecast whose shape differs
+    from its observation's raises ValueError naming the predictor and the
+    target time.
     """
     if aggregation not in ("pooled", "per-image"):
         raise ValueError(f"aggregation must be 'pooled' or 'per-image', got {aggregation!r}")
@@ -167,6 +168,7 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
                          metadata={"aggregation": aggregation, "neighborhood": str(neighborhood),
                                    "samples": str(len(samples))})
     scored = {name: [] for name in names}  # per block, (tables, components)
+    scratch = {}
     shape = None
     for start in range(0, len(samples), _BLOCK):
         block = samples[start:start + _BLOCK]
@@ -176,7 +178,7 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
         obs = _stack(grids, block, shape)
         for name, predict in predictors:
             pred = _stack([predict(s) for s in block], block, shape, name)
-            scored[name].append(score_pairs(pred, obs, categories, neighborhood))
+            scored[name].append(score_pairs(pred, obs, categories, neighborhood, scratch))
     aggregate = _pooled if aggregation == "pooled" else _per_image
     for name in names:
         tables, components = (np.concatenate(arrays) for arrays in zip(*scored[name]))

@@ -12,7 +12,9 @@ function of the seed.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -138,17 +140,17 @@ def _block_mean(field: np.ndarray, scale: int) -> np.ndarray:
     return field.reshape(r // scale, scale, c // scale, scale).mean(axis=(1, 3))
 
 
-def rain_fields(config: SynthConfig) -> np.ndarray:
-    """All rain frames needed, including the satellite lookahead tail."""
+def _rain_frames(config: SynthConfig):
+    """Yield the rain frames of `rain_fields` one at a time, each a new
+    (rows, cols) float64 array, so a caller that keeps only a few frames
+    never holds the whole sequence."""
     rng = np.random.default_rng(config.seed)
-    lookahead = config.sat_lead_minutes // 5
-    total = config.frames + lookahead
+    total = config.frames + config.sat_lead_minutes // 5
     cells = _draw_cells(config, rng, total)
     grid_r = np.arange(config.rows, dtype=np.float64)
     grid_c = np.arange(config.cols, dtype=np.float64)
-    fields = np.zeros((total, config.rows, config.cols))
     for t in range(total):
-        acc = fields[t]
+        acc = np.zeros((config.rows, config.cols))
         for cell in cells:
             contribution = _cell_field(cell, t, config.rows, config.cols, grid_r, grid_c)
             if contribution is not None:
@@ -156,7 +158,12 @@ def rain_fields(config: SynthConfig) -> np.ndarray:
         if config.noise_level > 0:
             acc += config.noise_level * rng.standard_normal(acc.shape)
         np.clip(acc, 0.0, config.amp_range[1], out=acc)
-    return fields
+        yield acc
+
+
+def rain_fields(config: SynthConfig) -> np.ndarray:
+    """All rain frames needed, including the satellite lookahead tail."""
+    return np.stack(list(_rain_frames(config)))
 
 
 def generate_synthetic(config: SynthConfig, out_dir) -> list[IndexEntry]:
@@ -169,8 +176,11 @@ def generate_synthetic(config: SynthConfig, out_dir) -> list[IndexEntry]:
     out = Path(out_dir)
     (out / "radar").mkdir(parents=True, exist_ok=True)
     (out / "sat").mkdir(parents=True, exist_ok=True)
-    fields = rain_fields(config)
+    # Frame t's satellite scene shows the rain at t + lookahead: keep just
+    # the frames from t to t + lookahead, not the whole day.
     lookahead = config.sat_lead_minutes // 5
+    frames = _rain_frames(config)
+    window = deque(islice(frames, lookahead), maxlen=lookahead + 1)
     rng = np.random.default_rng(config.seed + 1)  # satellite noise stream
     sat_rows = config.rows // config.sat_scale
     entries = []
@@ -179,14 +189,15 @@ def generate_synthetic(config: SynthConfig, out_dir) -> list[IndexEntry]:
         n_outliers = min(config.frames, math.ceil(config.outlier_fraction * config.frames))
         spiked = set(rng.choice(config.frames, size=n_outliers, replace=False).tolist())
     for t in range(config.frames):
+        window.append(next(frames))  # frames t .. t + lookahead
         minutes = config.start_minutes + 5 * t
         radar_rel = f"radar/{minutes}.rfg"
         sat_rel = f"sat/{minutes}.rfg"
-        radar = fields[t].astype(np.float32)
+        radar = window[0].astype(np.float32)
         if t in spiked:
             radar[0, 0] = 250.0
         write_grid(out / radar_rel, RainGrid(radar, minutes))
-        base = _block_mean(_gaussian_blur(fields[t + lookahead], _SAT_BLUR_SIGMA), config.sat_scale)
+        base = _block_mean(_gaussian_blur(window[-1], _SAT_BLUR_SIGMA), config.sat_scale)
         bands = np.empty((11, sat_rows, config.cols // config.sat_scale))
         for b in range(11):
             bands[b] = _BAND_SCALES[b] * base + _BAND_OFFSETS[b]

@@ -24,6 +24,13 @@ formed.  The float operations differ from those of the masked path that
 blocks with a missing cell take, so the two agree to 1e-14 relative
 rather than bit for bit.  Either path gives each sample the numbers it
 gets when scored alone on the same path.
+
+A caller that scores many blocks of one shape, as `report.evaluate_models`
+does, passes `score_pairs` one `scratch` dict for all of them: the event
+stacks, box-sum buffers and squared sums of the all-valid path are then
+allocated for the first block and reused by the next, so the blocks do
+not fault fresh pages in every time the allocator has handed the last
+block's back to the OS.
 """
 
 from __future__ import annotations
@@ -33,6 +40,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import MISSING, PrecipCategory, RainGrid, categorize_values
+
+
+def _scratch(scratch, key, shape, dtype, zeros: bool = False) -> np.ndarray:
+    """An array of `shape` and `dtype`: the one that the dict `scratch`
+    holds under `key` when it has that shape and dtype, else a new one
+    (zero-filled if `zeros`) that is stored there; `scratch` None stores
+    nothing.  A reused array holds what its last user left in it."""
+    shape = tuple(shape)
+    a = None if scratch is None else scratch.get(key)
+    if a is None or a.shape != shape or a.dtype != dtype:
+        a = (np.zeros if zeros else np.empty)(shape, dtype)
+        if scratch is not None:
+            scratch[key] = a
+    return a
 
 
 def _values(field, ndim: int = 2) -> np.ndarray:
@@ -128,14 +149,15 @@ class FssParams:
         return cls(q1, q2, n)
 
 
-def _events(v: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+def _events(v: np.ndarray, bounds, scratch=None, key="events") -> tuple[np.ndarray, np.ndarray]:
     """q1 <= F < q2 indicators of (..., rows, cols) fields, one per (q1, q2).
 
-    Returns the (..., k, rows, cols) int8 event stack and the
-    (..., 1, rows, cols) mask of non-missing cells.
+    Returns the (..., k, rows, cols) int8 event stack, held in `scratch`
+    under `key` (see `_scratch`), and the (..., 1, rows, cols) mask of
+    non-missing cells.
     """
     valid = (v != MISSING)[..., None, :, :]
-    bp = np.empty((*v.shape[:-2], len(bounds), *v.shape[-2:]), dtype=np.int8)
+    bp = _scratch(scratch, key, (*v.shape[:-2], len(bounds), *v.shape[-2:]), np.int8)
     for k, (q1, q2) in enumerate(bounds):
         bp[..., k, :, :] = (v >= q1) & (v < q2) & valid[..., 0, :, :]
     return bp, valid
@@ -160,21 +182,30 @@ def _int_type(bound: int) -> type:
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def _box_sums(a: np.ndarray, n: int) -> np.ndarray:
+def _box_sums(a: np.ndarray, n: int, scratch=None, key="sums") -> np.ndarray:
     """Sums of the 0/1 stack `a` over the n x n window centered on each cell
     of its last two axes, with zeros outside the domain, in the smallest
     signed integer type that holds n² (int8 for n <= 11, int16 up to
     n = 181, then int32): n shifted slice adds per axis on one zero-padded
     copy, accumulated in place into one copy per axis.  The sums are exact
-    integers, so the order of the adds does not matter."""
+    integers, so the order of the adds does not matter.  The result is
+    held in `scratch` under `key`, and the padded copy and the partial
+    sums are shared by every call with the same `scratch` (see `_scratch`).
+    Only the padded copy's interior is ever written, so its margin stays
+    zero; it is kept per margin width h, because another h can give the
+    same padded shape with its interior over this one's margin."""
     h = n // 2
     rows, cols = a.shape[-2:]
-    padded = np.zeros((*a.shape[:-2], rows + 2 * h, cols + 2 * h), dtype=_int_type(n * n))
+    dtype = _int_type(n * n)
+    padded = _scratch(scratch, ("box_padded", h), (*a.shape[:-2], rows + 2 * h, cols + 2 * h),
+                      dtype, zeros=True)
     padded[..., h:h + rows, h:h + cols] = a
-    across = padded[..., :cols].copy()
+    across = _scratch(scratch, "box_across", padded[..., :cols].shape, dtype)
+    across[...] = padded[..., :cols]
     for d in range(1, n):
         across += padded[..., d:d + cols]
-    sums = across[..., :rows, :].copy()
+    sums = _scratch(scratch, key, a.shape, dtype)
+    sums[...] = across[..., :rows, :]
     for d in range(1, n):
         sums += across[..., d:d + rows, :]
     return sums
@@ -224,7 +255,7 @@ def _runs(m: int, h: int) -> tuple[list[int], np.ndarray]:
     return starts, np.array([min(i + h, m - 1) - max(i - h, 0) + 1 for i in starts])
 
 
-def _all_valid_sums(bpp, bpo, n) -> np.ndarray:
+def _all_valid_sums(bpp, bpo, n, scratch=None) -> np.ndarray:
     """(FBS, WFBS) sums of each (sample, category) of two (S, k, rows, cols)
     event stacks with no missing cell, as a (2, S, k) float64 array.
 
@@ -235,11 +266,12 @@ def _all_valid_sums(bpp, bpo, n) -> np.ndarray:
     sums are then weighted by 1 / (a * b)² and added: one small float sum
     per (sample, category), so a sample's sums do not depend on the others
     in the block.  Each sum agrees with the masked path's to 1e-14 relative.
+    The window sums and their squares are held in `scratch` (see `_scratch`).
     """
     h = n // 2
-    sp, so = _box_sums(bpp, n), _box_sums(bpo, n)
+    sp, so = _box_sums(bpp, n, scratch, "sums_pred"), _box_sums(bpo, n, scratch, "sums_obs")
     samples, k, rows, cols = sp.shape
-    squares = np.empty((2, samples, k, rows, cols), dtype=_int_type(2 * n ** 4))
+    squares = _scratch(scratch, "squares", (2, samples, k, rows, cols), _int_type(2 * n ** 4))
     np.multiply(sp, sp, out=squares[1], dtype=squares.dtype)
     np.multiply(so, so, out=squares[0], dtype=squares.dtype)
     squares[1] += squares[0]
@@ -258,16 +290,16 @@ def _all_valid_sums(bpp, bpo, n) -> np.ndarray:
     return (blocks * weights).sum(axis=(-2, -1))
 
 
-def _fss_components(pv, ov, bounds, n) -> np.ndarray:
+def _fss_components(pv, ov, bounds, n, scratch=None) -> np.ndarray:
     """The (S, k, 3) float64 [FBS sum, WFBS sum, pair count] of each sample
     of two (S, rows, cols) stacks and each of the k (q1, q2): each stack is
     thresholded once and gets one box-sum pass.  Blocks with no missing
-    cell take the integer path (`_all_valid_sums`)."""
-    bpp, validp = _events(pv, bounds)
-    bpo, valido = _events(ov, bounds)
+    cell take the integer path (`_all_valid_sums`), in `scratch`."""
+    bpp, validp = _events(pv, bounds, scratch, "events_pred")
+    bpo, valido = _events(ov, bounds, scratch, "events_obs")
     if validp.all() and valido.all():
         components = np.empty((len(ov), len(bounds), 3))
-        components[..., :2] = np.moveaxis(_all_valid_sums(bpp, bpo, n), 0, -1)
+        components[..., :2] = np.moveaxis(_all_valid_sums(bpp, bpo, n, scratch), 0, -1)
         components[..., 2] = pv.shape[-2] * pv.shape[-1]
         return components
     npp, vp = neighborhood_probability(bpp, n, validp)
@@ -309,7 +341,8 @@ def fss_components(pred, obs, params: FssParams) -> tuple[float, float, int]:
     return fbs, wfbs, int(count)
 
 
-def score_pairs(pred, obs, categories, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def score_pairs(pred, obs, categories, n: int = 3,
+                scratch: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(tables, components) of two (S, rows, cols) stacks for the k categories.
 
     `tables` is the (S, k, 4) int64 array of each sample's and category's
@@ -321,11 +354,13 @@ def score_pairs(pred, obs, categories, n: int = 3) -> tuple[np.ndarray, np.ndarr
     neighborhood size.  Every sample's numbers equal those of scoring it
     alone, bit for bit, except the FSS sums of a sample with no missing cell
     in a block with one, which agree to 1e-14 relative (see the module
-    docstring).
+    docstring).  `scratch` is a dict to keep the FSS work buffers in from
+    one call to the next (see the module docstring); the returned arrays
+    are never among them.
     """
     pv, ov = _pair(pred, obs, ndim=3)
     bounds = [c.bounds for c in categories]
-    return _tables(pv, ov, categories), _fss_components(pv, ov, bounds, n)
+    return _tables(pv, ov, categories), _fss_components(pv, ov, bounds, n, scratch)
 
 
 def fss_bruteforce(pred, obs, params: FssParams) -> float | None:

@@ -59,6 +59,41 @@ def channels_first_backed(x):
     return np.ascontiguousarray(x.transpose(0, 4, 1, 2, 3)).transpose(0, 2, 3, 4, 1)
 
 
+def bordered_backed(x, pads=(0, 1, 1), border=0.0, order="C"):
+    """The same values as `x`, as the (b, t, h, w, c) view of the interior of
+    a channels-first buffer whose border, `pads` cells deep, holds `border`."""
+    b, T, H, W, c = x.shape
+    dims = (T, H, W)
+    buf = np.full((b, c, *(n + 2 * p for n, p in zip(dims, pads))), border, x.dtype, order=order)
+    interior = buf[(..., *(slice(p, p + n) for p, n in zip(pads, dims)))]
+    interior[...] = x.transpose(0, 4, 1, 2, 3)
+    return interior.transpose(0, 2, 3, 4, 1)
+
+
+def buffer_pads(out):
+    """(pt, ph, pw) when `out` is the (b, t, h, w, c) view of the centred
+    interior of `out.base`, a C-contiguous channels-first buffer; fails the
+    test otherwise."""
+    buf, oc = out.base, out.transpose(0, 4, 1, 2, 3)
+    assert isinstance(buf, np.ndarray) and buf.ndim == 5 and buf.flags.c_contiguous
+    assert buf.dtype == out.dtype and buf.shape[:2] == oc.shape[:2]
+    pads = tuple((n - m) // 2 for n, m in zip(buf.shape[2:], oc.shape[2:]))
+    assert buf.shape[2:] == tuple(m + 2 * p for m, p in zip(oc.shape[2:], pads))
+    interior = buf[(..., *(slice(p, p + m) for p, m in zip(pads, oc.shape[2:])))]
+    assert oc.strides == interior.strides and oc.ctypes.data == interior.ctypes.data
+    return pads
+
+
+def assert_zero_border(out):
+    """`out` is the interior of a C-contiguous channels-first buffer with a
+    border one cell deep in rows and cols whose bits are all zero."""
+    pads = buffer_pads(out)
+    assert pads == (0, 1, 1)
+    bits = out.base.view(f"u{out.itemsize}").copy()
+    bits[:, :, :, 1:-1, 1:-1] = 0
+    assert not bits.any()
+
+
 def assert_bits_equal(a, b):
     """Equal bit for bit, signed zeros included; any NaN matches any NaN."""
     a, b = np.asarray(a), np.asarray(b)
@@ -423,6 +458,18 @@ class TestReLU:
         assert_bits_equal(out.ravel(), want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_is_where_on_any_bits(self, dtype):
+        """Random bit patterns (NaN payloads of either sign, subnormals,
+        infinities) give np.where(x > 0, x, 0) bit for bit, with no
+        floating-point warning."""
+        ints = f"u{np.dtype(dtype).itemsize}"
+        bits = np.random.default_rng(26).integers(0, np.iinfo(ints).max, size=(2, 3, 8, 8, 4),
+                                                  dtype=ints, endpoint=True)
+        x = bits.view(dtype)
+        with np.errstate(all="raise"):
+            assert_bits_equal(ReLU().forward(x), np.where(x > 0, x, dtype(0)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_is_where_on_finite_gradients(self, dtype):
         rng = np.random.default_rng(22)
         x = rng.normal(size=(2, 3, 8, 8, 4)).astype(dtype)
@@ -455,22 +502,71 @@ LAYOUT_LAYERS = {
 
 @pytest.mark.parametrize("make", LAYOUT_LAYERS.values(), ids=LAYOUT_LAYERS)
 def test_layers_ignore_input_memory_order(make):
-    """A C-ordered channels-last input and a channels-first-backed view give
-    the same outputs and gradients, and the output is channels-first."""
+    """A C-ordered channels-last input, a channels-first-backed view and the
+    interior of a zero-bordered buffer give the same outputs and gradients
+    bit for bit.  Every output is the interior of a C-contiguous
+    channels-first buffer, and ReLU and pooling give that buffer a zero
+    border."""
     rng = np.random.default_rng(23)
     layer = make()
     x = rng.normal(size=(2, 5, 7, 6, getattr(layer, "in_channels", 4))).astype(np.float32)
     results = []
-    for arrange in (np.ascontiguousarray, channels_first_backed):
+    for arrange in (np.ascontiguousarray, channels_first_backed, bordered_backed):
         for p in layer.params():
             p.zero_grad()
         out = layer.forward(arrange(x))
+        buffer_pads(out)
+        if isinstance(layer, (ReLU, MaxPool3d)):
+            assert_zero_border(out)
         g = np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
         gx = layer.backward(arrange(g))
         results.append((out, gx, *(p.grad.copy() for p in layer.params())))
-    assert results[1][0].transpose(0, 4, 1, 2, 3).flags.c_contiguous
-    for a, b in zip(*results):
-        assert_bits_equal(a, b)
+    for other in results[1:]:
+        for a, b in zip(results[0], other):
+            assert_bits_equal(a, b)
+
+
+class TestPaddedInputReuse:
+    """A 3x3 conv reads its input in place only when the input is the
+    interior of a C-contiguous buffer of the padded shape whose border bits
+    are all zero; any other input is copied, with the same output."""
+
+    SHAPE = (2, 3, 5, 4, 3)
+
+    def check(self, x, reused):
+        conv = Conv3d(3, 2, rng=np.random.default_rng(30), dtype=np.float64)
+        out = conv.forward(x)
+        assert (conv._cache[0] is x.base) == reused
+        assert np.shares_memory(conv._cache[0], x.base) == reused
+        np.testing.assert_allclose(out, conv3d_oracle(x, conv.weight.value, conv.bias.value),
+                                   atol=1e-10)
+
+    def values(self):
+        return np.random.default_rng(31).normal(size=self.SHAPE)
+
+    def test_zero_bordered_interior_is_reused(self):
+        self.check(bordered_backed(self.values()), reused=True)
+
+    @pytest.mark.parametrize("value", [1.0, -0.0, np.nan], ids=["one", "negative-zero", "nan"])
+    @pytest.mark.parametrize("cell", [(1, 2, 0, 0, 3), (0, 0, 2, 3, 0), (1, 2, 2, 6, 5)],
+                             ids=["top-row", "left-col", "last-cell"])
+    def test_nonzero_border_bit_is_copied(self, value, cell):
+        x = bordered_backed(self.values())
+        x.base[cell] = value
+        self.check(x, reused=False)
+
+    def test_shifted_view_is_copied(self):
+        x = bordered_backed(self.values())
+        H, W = x.shape[2:4]
+        shifted = x.base[:, :, :, 1:1 + H, 2:2 + W].transpose(0, 2, 3, 4, 1)  # one col right
+        self.check(shifted, reused=False)
+
+    def test_base_of_wrong_shape_is_copied(self):
+        self.check(bordered_backed(self.values(), pads=(0, 2, 2)), reused=False)
+        self.check(bordered_backed(self.values(), pads=(1, 1, 1)), reused=False)
+
+    def test_non_contiguous_base_is_copied(self):
+        self.check(bordered_backed(self.values(), order="F"), reused=False)
 
 
 @pytest.mark.parametrize("make", LAYOUT_LAYERS.values(), ids=LAYOUT_LAYERS)

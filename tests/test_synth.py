@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,36 @@ class TestGenerateSynthetic:
             if t in drawn:
                 want[0, 0] = 250.0
             np.testing.assert_array_equal(read_grid(s.radar_path).values, want)
+
+    @pytest.mark.parametrize("lead", [0, 15, 30])
+    def test_scene_shows_the_rain_lookahead_frames_ahead(self, tmp_path, lead):
+        # band 0 has scale 1 and offset 0, so with no noise it is the
+        # blurred, block-averaged rain field at t + lead, bit for bit
+        from rainfusion.synth import _block_mean, _gaussian_blur
+
+        cfg = _config(frames=9, sat_lead_minutes=lead, velocity=(1.2, 0.8),
+                      growth_rate=0.08, noise_level=0.0, cells=6)
+        generate_synthetic(cfg, tmp_path)
+        fields = rain_fields(cfg)
+        assert len(fields) == cfg.frames + lead // 5
+        for t, entry in enumerate(read_index(tmp_path / "index.tsv")):
+            np.testing.assert_array_equal(read_grid(entry.radar_path).values,
+                                          fields[t].astype(np.float32))
+            want = _block_mean(_gaussian_blur(fields[t + lead // 5], 1.5), 2)
+            np.testing.assert_array_equal(read_scene(entry.sat_path).values[0],
+                                          want.astype(np.float32))
+
+    def test_memory_does_not_grow_with_the_frame_count(self, tmp_path):
+        # Frames are drawn one at a time and only t .. t + lookahead are
+        # kept: 360 more frames of 32 x 32 float64 (2.9 MB as one array)
+        # may add only the index entries.
+        peaks = []
+        for frames in (40, 400):
+            tracemalloc.start()
+            generate_synthetic(_config(frames=frames), tmp_path / str(frames))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1_000_000
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = _config(noise_level=0.2)
