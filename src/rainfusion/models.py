@@ -14,9 +14,17 @@ mixing happens in the pooling path and the head.  Each block is a list of
 layers, run in order forward and in reverse backward, with no name left
 holding a block's input or incoming gradient while it runs.  Activations
 have the layers' (b, t, h, w, c) shape over channels-first memory (see
-`rainfusion.nn`); the decoder concatenates on the channel axis into a
-zero-bordered buffer that its first conv reads in place, and splits
-gradients there.
+`rainfusion.nn`).  The decoder input `[upsampled | skip]` is the largest
+array of a step, so it is never kept between forward and backward: the
+upsample writes its repetition phases and the skip straight into one
+zero-bordered buffer that the stage's first conv reads in place, that conv
+drops it after its forward, and the backward builds it again, from the
+low-resolution features and the skip that their ReLUs cache anyway, just
+before that conv's backward, which frees it again before the input
+gradient.  The input gradient is split there on the channel axis: the
+upsampled part goes to the upsample's backward and the skip's part is
+copied, so that it does not keep the whole gradient alive until the
+encoder adds it.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .grids import RainGrid, read_grid, read_scene
-from .nn import (Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, concat_channels, ensure_array5,
-                 lr_for_epoch)
+from .nn import (Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, ensure_array5, lr_for_epoch,
+                 upsample)
 from .nn.checkpoint import load_arrays, save_arrays
 from .nn.losses import LOSSES
 from .pipeline import (
@@ -123,6 +131,9 @@ class UNet3D:
         self.head = [conv(c, 2, "head_a", kernel=(config.time_steps, 3, 3),
                           temporal_pad="valid"), ReLU(),
                      conv(2, 1, "head_b", kernel=(1, 1, 1))]
+        # per decoder stage of the last forward, the (low-res features, skip)
+        # that its input is built from, until the backward rebuilds it
+        self._dec_inputs = []
 
     # -- structure ---------------------------------------------------------
 
@@ -159,8 +170,11 @@ class UNet3D:
             h = pool.forward(h)
         for layer in self.bott:
             h = layer.forward(h)
-        for block, up, skip in zip(self.dec, self.ups, reversed(skips)):
-            h = concat_channels(up.forward(h, target_dims=skip.shape[1:4]), skip)
+        self._dec_inputs = []
+        for (conv, *block), up, skip in zip(self.dec, self.ups, reversed(skips)):
+            self._dec_inputs.append((h, skip))  # ReLU outputs, which their ReLUs cache
+            h = conv.forward(up.forward(h, skip=skip))
+            conv.drop_input()
             for layer in block:
                 h = layer.forward(h)
         for layer in self.head:
@@ -171,14 +185,21 @@ class UNet3D:
         g = grad_out
         for layer in reversed(self.head):
             g = layer.backward(g)
+        dec_inputs, self._dec_inputs = self._dec_inputs, []
         skip_grads = []  # shallowest stage first
-        for block, up in zip(reversed(self.dec), reversed(self.ups)):
+        for (conv, *block), up in zip(reversed(self.dec), reversed(self.ups)):
             for layer in reversed(block):
                 g = layer.backward(g)
-            # the block ran on [upsampled | skip], and the skip is as wide as its output
-            split = g.shape[-1] - block[0].out_channels
-            skip_grads.append(g[..., split:])
-            g = up.backward(g[..., :split])
+            low, skip = dec_inputs.pop()
+            conv.restore_input(upsample(low, up.factors, skip.shape[1:4], skip))
+            del low, skip  # so that their ReLUs' backwards free them
+            g = conv.backward(g)
+            # the conv ran on [upsampled | skip], and the skip is as wide as its output;
+            # the skip's part is copied, after the upsample's backward, so that
+            # nothing pins the whole input gradient
+            split = g.shape[-1] - conv.out_channels
+            g, skip_grad = up.backward(g[..., :split]), g[..., split:].copy(order="K")
+            skip_grads.append(skip_grad)
         for layer in reversed(self.bott):
             g = layer.backward(g)
         for block, pool in zip(reversed(self.enc), reversed(self.pools)):
@@ -189,11 +210,13 @@ class UNet3D:
 
 
 def _infer(model: UNet3D, x: np.ndarray) -> np.ndarray:
-    """`model.forward(x)` with no backward to follow: every layer's cache is
-    dropped, so the model keeps no activations after it returns."""
+    """`model.forward(x)` with no backward to follow: every layer's cache and
+    the decoder stages' inputs are dropped, so the model keeps no
+    activations after it returns."""
     out = model.forward(x)
     for layer in model.layers():
         layer._cache = None
+    model._dec_inputs = []
     return out
 
 

@@ -5,10 +5,11 @@ every layer takes and returns that shape.  Their memory is channels-first:
 a layer returns the (b, t, h, w, c) transpose of the interior of a
 C-contiguous (b, c, t, h', w') buffer, so each channel is a run of rows
 and the next layer reads it back with a free transpose.  ReLU, pooling
-and `concat_channels` give that buffer a zero border one cell deep in
-rows and cols, so a following 3x3 conv reads it in place as its padded
-input instead of copying it.  Any other input layout, a C-ordered
-channels-last one included, gives the same results bit for bit.  float32
+and upsampling (`upsample`, which also builds the decoder input) give that
+buffer a zero border one cell deep in rows and cols, so a following 3x3
+conv reads it in place as its padded input instead of copying it.  Any
+other input layout, a C-ordered channels-last one included, gives the
+same results bit for bit.  float32
 is the training precision, float64 the gradient-check precision.
 Every layer implements an exact adjoint: `forward(x)` caches what its
 `backward(grad)` needs, and that backward consumes the cache, so one
@@ -16,8 +17,7 @@ forward takes at most one backward.  Parameter gradients accumulate on the
 layer's Parameter blocks until `zero_grad`.
 """
 
-from .layers import (Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, concat_channels,
-                     ensure_array5)
+from .layers import Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, ensure_array5, upsample
 from .losses import logcosh_loss, mse_loss
 from .adam import Adam, lr_for_epoch
 from .gradcheck import gradient_check
@@ -30,7 +30,6 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Upsample3d",
-    "concat_channels",
     "ensure_array5",
     "gradient_check",
     "load_arrays",
@@ -38,4 +37,5 @@ __all__ = [
     "lr_for_epoch",
     "mse_loss",
     "save_arrays",
+    "upsample",
 ]

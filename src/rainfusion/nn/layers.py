@@ -5,8 +5,9 @@ that shape is the API.  In memory, activations are channels-first: a layer
 returns the (b, t, h, w, c) transpose of the interior of a C-contiguous
 (b, c, t, h', w') buffer, so the next layer's `x.transpose(0, 4, 1, 2, 3)`
 is a free view and every kernel runs on long rows of one channel.  ReLU,
-pooling and `concat_channels` write into a buffer with a zero border one
-cell deep in rows and cols (`_bordered`): that buffer is exactly the padded
+pooling and upsampling (`upsample`, which also builds the decoder input
+`[upsampled | skip]`) write into a buffer with a zero border one cell deep
+in rows and cols (`_bordered`): that buffer is exactly the padded
 input of a following 3x3 convolution, which reads it in place instead of
 copying it.  A conv's own output is a crop of its accumulator, whose
 border holds leftovers of the GEMMs.  The conv bias and ReLU's forward
@@ -14,6 +15,9 @@ run over whole buffers, border included, in contiguous passes: a numpy
 ufunc writing the strided interior costs about twice as much.  Any
 other input (C-ordered channels-last, a non-zero border, a view of
 something else) gives the same results bit for bit; it only costs a copy.
+ReLU's backward likewise multiplies whole buffers when the incoming
+gradient is the interior of one shaped like its output's, as a conv's
+input gradient is.
 
 Layers have stride 1.  Convolutions zero-pad so spatial dims are
 preserved; the temporal axis is either preserved ("same", odd extent) or
@@ -32,7 +36,11 @@ second backward without a new forward raises RuntimeError.  A forward that
 no backward follows (inference) leaves its cache until the caller sets
 `_cache` to None or the next forward replaces it.  The cache may be the
 input or the output itself, not a copy: neither may be written to between
-a forward and its backward.
+a forward and its backward.  What is cheap to rebuild is not cached: a
+ragged pool pads its windows again in backward, and a conv whose input is
+easy to build again can drop it after its forward (`Conv3d.drop_input`)
+and take it back just before its backward (`Conv3d.restore_input`), which
+is how the decoder input lives only while its conv runs.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import numpy as np
 # Output cells per conv GEMM block.  It bounds the stacked-tap intermediate
 # (taps x channels x cells) that each block allocates.
 _ROW_BLOCK = 4096
-# Border (t, rows, cols) of ReLU, pooling and concat outputs: the padding of
+# Border (t, rows, cols) of ReLU, pooling and upsample outputs: the padding of
 # a following 3x3 conv.
 _PADS = (0, 1, 1)
 
@@ -133,27 +141,37 @@ def _buffer(x: np.ndarray, pads):
     return buf
 
 
-def _padded_input(x: np.ndarray, pads):
-    """`_buffer(x, pads)` when every bit of its border is zero, so that it is
-    `x` zero-padded by `pads` (-0.0 and NaN do not qualify); else None."""
+def _padded_input(x: np.ndarray, pads) -> np.ndarray:
+    """`x` zero-padded by `pads`: `_buffer(x, pads)` when every bit of its
+    border is zero (-0.0 and NaN do not qualify), else a zero-bordered copy."""
     buf = _buffer(x, pads)
     if buf is None:
-        return None
+        return _bordered_copy(x, pads)
     ints = f"u{buf.itemsize}"
     if any(slab.view(ints).any() for slab in _border(buf, pads)[0]):
-        return None
+        return _bordered_copy(x, pads)
     return buf
 
 
-def concat_channels(*xs: np.ndarray) -> np.ndarray:
-    """The activations `xs` joined on the channel axis, in order, written
-    into the interior of a new zero-bordered buffer (see `_bordered`)."""
-    b, T, H, W, _ = xs[0].shape
-    out = _bordered((b, sum(x.shape[4] for x in xs), T, H, W), np.result_type(*xs))
-    c0 = 0
-    for x in xs:
-        out[:, c0:c0 + x.shape[4]] = _channels_first(x)
-        c0 += x.shape[4]
+def upsample(x: np.ndarray, factors, target_dims, skip: np.ndarray | None = None) -> np.ndarray:
+    """The activation `x` repeated by `factors` and cropped to `target_dims`,
+    followed on the channel axis by `skip` when one is given, in the
+    interior of a new zero-bordered buffer (see `_bordered`): the decoder
+    input `[upsampled | skip]`.  Output cell (i, j, k) copies input cell
+    (i // ft, j // fh, k // fw), so the upsampled channels split into
+    ft*fh*fw repetition phases, the strided views [pt::ft, ph::fh, pw::fw],
+    and each phase is one assignment into the buffer: the upsampled
+    features are never an array of their own."""
+    b, c = x.shape[0], x.shape[4]
+    width = c if skip is None else c + skip.shape[4]
+    dtype = x.dtype if skip is None else np.result_type(x, skip)
+    out = _bordered((b, width, *target_dims), dtype)
+    xc, up = _channels_first(x), out[:, :c]
+    for phase in itertools.product(*(range(f) for f in factors)):
+        dst = up[(..., *(slice(p, None, f) for p, f in zip(phase, factors)))]
+        dst[...] = xc[(..., *(slice(n) for n in dst.shape[2:]))]
+    if skip is not None:
+        out[:, c:] = _channels_first(skip)
     return _channels_last(out)
 
 
@@ -210,7 +228,7 @@ class Conv3d:
     The padded input is a channels-first (b, in, Tp, Hp, Wp) buffer: the
     input's own buffer when `x` is the interior of a zero-bordered buffer of
     exactly that shape (`_padded_input`; ReLU, pooling and
-    `concat_channels` outputs before a 3x3 conv), else a zero-bordered copy.
+    `upsample` outputs before a 3x3 conv), else a zero-bordered copy.
     Each item is viewed as (in, Tp*Hp*Wp): one contiguous row of cells per
     channel.  Kernel tap (it, ih, iw) reads the input shifted by
     (it*Hp + ih)*Wp + iw cells.  The accumulator is a (b, out, To, Hp, Wp)
@@ -233,7 +251,8 @@ class Conv3d:
     other way round: W[tap] (in, out) applied to grad_out at minus each
     tap's shift, read from a padded grid behind a zero margin of one halo.
     Only the padded input is cached, from a forward to its backward, which
-    frees it.
+    frees it.  `drop_input` frees it early, after the forward, and
+    `restore_input` caches a rebuilt copy of the input before the backward.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
@@ -289,8 +308,6 @@ class Conv3d:
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
         pads = (pt, ph, pw)
         xp = _padded_input(x, pads)
-        if xp is None:
-            xp = _bordered_copy(x, pads)
         Hp, Wp = xp.shape[3:]
         To = T - kt + 1 + 2 * pt
         plane, halo, rows, shifts = self._grid(xp.shape)
@@ -308,8 +325,29 @@ class Conv3d:
         self._cache = (xp, pads, x.shape, (b, To, H, W, cout))
         return _channels_last(acc[:, :, :, ph:ph + H, pw:pw + W])
 
+    def drop_input(self):
+        """Free the padded input that the last forward cached.  `backward`
+        raises RuntimeError until `restore_input` caches it again."""
+        if self._cache is None:
+            raise RuntimeError(f"{self.name}: drop_input before forward")
+        self._cache = (None, *self._cache[1:])
+
+    def restore_input(self, x: np.ndarray):
+        """Cache `x`, the last forward's input built once more, as the padded
+        input that `drop_input` freed: in place when it is the interior of a
+        zero-bordered buffer, as the forward's input was, else as a copy."""
+        if self._cache is None or self._cache[0] is not None:
+            raise RuntimeError(f"{self.name}: restore_input without drop_input")
+        _, pads, in_shape, out_shape = self._cache
+        x = ensure_array5(x, self.name)
+        if x.shape != in_shape:
+            raise ValueError(f"{self.name}: restored input shape {x.shape} != {in_shape}")
+        self._cache = (_padded_input(x, pads), pads, in_shape, out_shape)
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xp, (pt, ph, pw), in_shape, out_shape = _take_cache(self, self.name)
+        if xp is None:
+            raise RuntimeError(f"{self.name}: backward after drop_input without restore_input")
         grad_out = np.asarray(grad_out)
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
@@ -356,10 +394,13 @@ class MaxPool3d:
 
     Forward takes the elementwise maximum over the window positions of the
     reshaped input, one strided view per position, and copies it into the
-    interior of a zero-bordered buffer.
-    Backward routes each window's gradient to its first maximum in
-    (t, h, w) window order, as `argmax` would: ties go to the first cell,
-    and a window holding NaN routes to its first NaN.
+    interior of a zero-bordered buffer.  A ragged input is first padded
+    with -inf to whole windows, a copy that lives only while forward or
+    backward runs: the cache holds the input view and the output, nothing
+    else.  Backward rebuilds the windows from the input and routes each
+    window's gradient to its first maximum in (t, h, w) window order, as
+    `argmax` would: ties go to the first cell, and a window holding NaN
+    routes to its first NaN.
     """
 
     def __init__(self, window=(2, 2, 1)):
@@ -375,8 +416,9 @@ class MaxPool3d:
     def output_dims(dims, window):
         return tuple(-(-d // w) for d, w in zip(dims, window))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = ensure_array5(x, "maxpool")
+    def _windows(self, x):
+        """The channels-first (b, c, ot, wt, oh, wh, ow, ww) windows of `x`:
+        a view, or a -inf padded copy when the last windows are ragged."""
         b, T, H, W, c = x.shape
         wt, wh, ww = self.window
         ot, oh, ow = self.output_dims((T, H, W), self.window)
@@ -384,27 +426,30 @@ class MaxPool3d:
         if (ot * wt, oh * wh, ow * ww) != (T, H, W):
             pad = ((0, 0), (0, 0), (0, ot * wt - T), (0, oh * wh - H), (0, ow * ww - W))
             xc = np.pad(xc, pad, constant_values=-np.inf)
-        windows = xc.reshape(b, c, ot, wt, oh, wh, ow, ww)
-        first, *rest = self._cells(windows)
-        peak = first.copy()
-        for cell in rest:
-            np.maximum(peak, cell, out=peak)
-        out = _bordered(peak.shape, peak.dtype)
-        out[...] = peak
-        self._cache = (x.shape, windows, out)
-        return _channels_last(out)
+        return xc.reshape(b, c, ot, wt, oh, wh, ow, ww)
 
     def _cells(self, windows):
         """The cell at each window position, across all windows, in (t, h, w) order."""
         return [windows[:, :, :, dt, :, dh, :, dw] for dt, dh, dw in np.ndindex(*self.window)]
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = ensure_array5(x, "maxpool")
+        first, *rest = self._cells(self._windows(x))
+        peak = first.copy()
+        for cell in rest:
+            np.maximum(peak, cell, out=peak)
+        out = _bordered(peak.shape, peak.dtype)
+        out[...] = peak
+        self._cache = (x, _channels_last(out))
+        return self._cache[1]
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        (b, T, H, W, c), windows, out = _take_cache(self, "maxpool")
+        x, y = _take_cache(self, "maxpool")
         grad_out = np.asarray(grad_out)
-        out_shape = _channels_last(out).shape
-        if grad_out.shape != out_shape:
-            raise ValueError(f"maxpool grad shape {grad_out.shape} != output shape {out_shape}")
-        gc = _channels_first(grad_out)
+        if grad_out.shape != y.shape:
+            raise ValueError(f"maxpool grad shape {grad_out.shape} != output shape {y.shape}")
+        out, gc = _channels_first(y), _channels_first(grad_out)
+        windows = self._windows(x)
         grad = np.empty(windows.shape, grad_out.dtype)
         free = np.ones(out.shape, bool)  # windows whose gradient is not yet routed
         for cell, grad_cell in zip(self._cells(windows), self._cells(grad)):
@@ -412,6 +457,7 @@ class MaxPool3d:
             hit &= free
             grad_cell[...] = _where(hit, gc)
             free ^= hit
+        b, T, H, W, c = x.shape
         g = grad.reshape(b, c, *(d * w for d, w in zip(out.shape[2:], self.window)))
         return _channels_last(g[:, :, :T, :H, :W])
 
@@ -420,15 +466,16 @@ class Upsample3d:
     """Nearest-neighbor repetition by integer factors per (t, h, w) axis.
 
     `target_dims` crops the repeated output so ceiling-pooled sizes invert
-    exactly.  Output cell (i, j, k) copies input cell (i // ft, j // fh,
-    k // fw), so the output splits into ft*fh*fw repetition phases, the
-    strided views [pt::ft, ph::fh, pw::fw]; forward writes each phase with
-    one assignment into the target-dims buffer.  Backward sums the
-    gradient over each repetition group, one axis at a time in (t, h, w)
-    order: phase 0 (which covers every group) is copied and the others are
-    added in order, a ragged last group simply taking fewer of them.  For
-    the network's factors of 1 and 2 that is np.add.reduceat over the
-    groups bit for bit, signed zeros included.
+    exactly.  Forward writes the output through `upsample`, into a
+    zero-bordered buffer, followed on the channel axis by `skip` when one is
+    given (the decoder input, whose (t, h, w) are then the target dims).
+    Backward takes the gradient
+    of the upsampled channels only and sums it over each repetition group,
+    one axis at a time in (t, h, w) order: phase 0 (which covers every
+    group) is copied and the others are added in order, a ragged last
+    group simply taking fewer of them.  For the network's factors of 1 and
+    2 that is np.add.reduceat over the groups bit for bit, signed zeros
+    included.
     """
 
     def __init__(self, factors=(2, 2, 1)):
@@ -440,9 +487,16 @@ class Upsample3d:
     def params(self):
         return []
 
-    def forward(self, x: np.ndarray, target_dims=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, target_dims=None, skip: np.ndarray | None = None) -> np.ndarray:
         x = ensure_array5(x, "upsample")
         in_dims = x.shape[1:4]
+        if skip is not None:
+            skip = ensure_array5(skip, "skip")
+            if target_dims is None:
+                target_dims = skip.shape[1:4]
+            if skip.shape[:4] != (x.shape[0], *target_dims):
+                raise ValueError(f"skip shape {skip.shape} does not match batch {x.shape[0]} "
+                                 f"and target dims {tuple(target_dims)}")
         if target_dims is None:
             target_dims = tuple(d * f for d, f in zip(in_dims, self.factors))
         for d, f, t in zip(in_dims, self.factors, target_dims):
@@ -451,14 +505,8 @@ class Upsample3d:
             if t > d * f or t <= (d - 1) * f:
                 raise ValueError(
                     f"target dim {t} not reachable from {d} cells repeated x{f}")
-        target_dims = tuple(target_dims)
-        xc = _channels_first(x)
-        out = np.empty((x.shape[0], x.shape[4], *target_dims), x.dtype)
-        for phase in itertools.product(*(range(f) for f in self.factors)):
-            dst = out[(..., *(slice(p, None, f) for p, f in zip(phase, self.factors)))]
-            dst[...] = xc[(..., *(slice(n) for n in dst.shape[2:]))]
-        self._cache = target_dims
-        return _channels_last(out)
+        self._cache = tuple(target_dims)
+        return upsample(x, self.factors, self._cache, skip)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         target_dims = _take_cache(self, "upsample")
@@ -493,7 +541,10 @@ class ReLU:
     -0.0.  For finite gradients that is np.where(mask, grad, 0) bit for
     bit, except that a -0.0 gradient at an active unit comes back as +0.0.
     A non-finite upstream gradient propagates (NaN * 0 is NaN) instead of
-    being masked, so `Adam.step` raises and names the block.
+    being masked, so `Adam.step` raises and names the block.  When grad is
+    the interior of a buffer shaped like the output's (a 3x3 conv's input
+    gradient), both whole buffers are multiplied in contiguous passes and
+    the interior is returned; the products in the border are never read.
     """
 
     def __init__(self):
@@ -513,6 +564,13 @@ class ReLU:
         return self._cache
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = grad_out * (_take_cache(self, "relu") > 0)
+        out = _take_cache(self, "relu")
+        grad_out = np.asarray(grad_out)
+        gbuf = _buffer(grad_out, _PADS) if grad_out.shape == out.shape else None
+        if gbuf is None:
+            g = grad_out * (out > 0)
+            g += 0
+            return g
+        g = gbuf * (out.base > 0)  # whole buffers; the border's products are never read
         g += 0
-        return g
+        return _channels_last(_border(g, _PADS)[1])

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from rainfusion.models import (
     TrainSchedule,
     TrainingError,
     UNet3D,
+    _infer,
     history_to_csv,
     load_frames,
     load_model,
@@ -30,7 +32,8 @@ from rainfusion.models import (
     save_model,
     train,
 )
-from rainfusion.nn import Adam, Conv3d, MaxPool3d, Parameter, ReLU, gradient_check, logcosh_loss
+from rainfusion.nn import (Adam, Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, gradient_check,
+                           logcosh_loss)
 from rainfusion.pipeline import (
     BandStats,
     LeadTime,
@@ -122,12 +125,13 @@ class TestArchitecture:
     @pytest.mark.parametrize("config", [TINY, TINY_MM])
     def test_layer_outputs_are_channels_first_in_memory(self, config, monkeypatch):
         """Every layer output is the interior of a C-contiguous channels-first
-        buffer.  ReLU, pool and decoder concat outputs have a zero border, and
-        every conv but the first and the 1x1x1 one reads that buffer in place
-        as its padded input."""
+        buffer.  ReLU, pool and upsample outputs (the decoder input
+        `[upsampled | skip]`) have a zero border, and every conv but the
+        first and the 1x1x1 one reads that buffer in place as its padded
+        input."""
         model = UNet3D(config, seed=4)
         layers = model.layers()
-        outputs, concats, reused = [], [], []
+        outputs, reused = [], []
 
         def recording(layer):
             forward = layer.forward
@@ -139,23 +143,17 @@ class TestArchitecture:
                 return outputs[-1][1]
             return record
 
-        def record_concat(*xs, _concat=models.concat_channels):
-            concats.append(_concat(*xs))
-            return concats[-1]
-
         for layer in layers:
             monkeypatch.setattr(layer, "forward", recording(layer))
-        monkeypatch.setattr(models, "concat_channels", record_concat)
         x = np.random.default_rng(5).random((2, 6, 16, 16, config.in_channels), dtype=np.float32)
         model.forward(x)
         assert len(outputs) == len(layers)
-        assert len(concats) == len(model.dec)
         for layer, out in outputs:
             buffer_pads(out)
-            if isinstance(layer, (ReLU, MaxPool3d)):
+            if isinstance(layer, (ReLU, MaxPool3d, Upsample3d)):
                 assert_zero_border(out)
-        for out in concats:
-            assert_zero_border(out)
+        for conv, up in zip((block[0] for block in model.dec), model.ups):
+            assert [out.shape[-1] for layer, out in outputs if layer is up] == [conv.in_channels]
         assert reused == [False] + [True] * (len(model.conv_layers()) - 2) + [False]
 
     def test_forward_deterministic(self):
@@ -238,12 +236,14 @@ class TestBorderedBuffers:
         for a, b in zip(direct, copied, strict=True):
             assert_bits_equal(a, b)
 
-    @pytest.mark.parametrize("variant,bound_mib", [("radar", 50), ("multimodal", 46)])
+    @pytest.mark.parametrize("variant,bound_mib", [("radar", 38), ("multimodal", 37)])
     def test_desk_train_step_peak(self, variant, bound_mib):
         """Traced peak of one warm batch-4 training step of the desk network.
         It was 57.4 MiB (radar) and 52.5 MiB (multimodal) while each
-        activation was held as ReLU output, bool mask and padded copy, and
-        is about 48.6 and 43.9 MiB with the bordered buffers."""
+        activation was held as ReLU output, bool mask and padded copy, 48.6
+        and 43.9 MiB with the bordered buffers, and is about 34.7 and
+        33.4 MiB now that no decoder input is held from forward to backward
+        (the peak sits in the backward of the shallowest decoder conv)."""
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=23)
         opt = Adam(model.params(), lr=1e-3)
         rng = np.random.default_rng(10)
@@ -265,6 +265,94 @@ class TestBorderedBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2 ** 20
+
+
+class TestDecoderInputs:
+    """The first conv of each decoder stage drops its input, the
+    `[upsampled | skip]` buffer, after its forward, and the backward
+    builds it again just before that conv's backward."""
+
+    @staticmethod
+    def step(model, x):
+        """(output, input gradient, *parameter gradients) of one forward and
+        backward, and whether each conv held its input after the forward."""
+        out = model.forward(x)
+        held = [conv._cache[0] is not None for conv in model.conv_layers()]
+        model.zero_grad()
+        gx = model.backward(np.random.default_rng(9).normal(size=out.shape).astype(out.dtype))
+        return (out, gx, *(p.grad.copy() for p in model.params())), held
+
+    @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_rebuilt_input_matches_held_input_bit_for_bit(self, config, batch, monkeypatch):
+        """Output, input gradient and every parameter gradient equal, bit for
+        bit, those of a run in which the decoder convs keep their input from
+        forward to backward (the drop and the restore patched away)."""
+        x = np.random.default_rng(8).normal(
+            size=(batch, 6, 16, 16, config.in_channels)).astype(np.float32)
+        model = UNet3D(config, seed=6)
+        rebuilt, held = self.step(model, x)
+        dropped = [conv.name for conv, h in zip(model.conv_layers(), held) if not h]
+        assert dropped == [block[0].name for block in model.dec]
+        assert model._dec_inputs == []
+        monkeypatch.setattr(Conv3d, "drop_input", lambda conv: None)
+        monkeypatch.setattr(Conv3d, "restore_input", lambda conv, x: None)
+        kept, held = self.step(UNet3D(config, seed=6), x)
+        assert all(held)
+        for a, b in zip(rebuilt, kept, strict=True):
+            assert_bits_equal(a, b)
+
+    def test_input_never_restored_raises(self, monkeypatch):
+        model = UNet3D(TINY, seed=6)
+        out = model.forward(np.ones((1, 6, 16, 16, 1), np.float32))
+        monkeypatch.setattr(Conv3d, "restore_input", lambda conv, x: None)
+        with pytest.raises(RuntimeError, match="dec1a: backward after drop_input"):
+            model.backward(np.ones_like(out))
+        with pytest.raises(RuntimeError, match="backward before forward"):
+            model.backward(np.ones_like(out))
+
+    def test_input_gradient_freed_once_split(self):
+        """The skip's share of a decoder input gradient is kept as a copy, so
+        the whole gradient is freed before any layer but the upsample runs
+        its backward."""
+        model = UNet3D(TINY_MM, seed=6)
+        firsts = [block[0] for block in model.dec]
+        grads = []  # weak references to each decoder input gradient's buffer
+
+        def watching(layer):
+            backward = layer.backward
+
+            def run(g):
+                if not isinstance(layer, Upsample3d):
+                    assert all(ref() is None for ref in grads), layer
+                out = backward(g)
+                if layer in firsts:
+                    grads.append(weakref.ref(out.base))
+                return out
+            return run
+
+        for layer in model.layers():
+            layer.backward = watching(layer)
+        out = model.forward(np.ones((2, 6, 16, 16, 12), np.float32))
+        model.backward(np.ones_like(out))
+        assert len(grads) == len(firsts)
+
+    @pytest.mark.parametrize("variant", ["radar", "multimodal"])
+    def test_desk_inference_peak(self, variant):
+        """Traced peak of a warm batch-1 inference forward of the desk
+        network: about 12.3 (radar) and 11.2 MiB (multimodal) with the
+        decoder input held, 9.8 and 9.5 MiB with it dropped."""
+        model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=23)
+        x = np.random.default_rng(10).random((1, 6, 64, 64, model.config.in_channels),
+                                            dtype=np.float32)
+        _infer(model, x)
+        tracemalloc.start()
+        try:
+            _infer(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * 2 ** 20
 
 
 def _write_sequence(tmp_path, fields, lead=5):

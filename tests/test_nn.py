@@ -19,6 +19,7 @@ from rainfusion.nn import (
     lr_for_epoch,
     mse_loss,
     save_arrays,
+    upsample,
 )
 
 
@@ -270,6 +271,43 @@ class TestConv3d:
         padded = conv._cache[0]
         assert peak <= 2 * (x.nbytes + out.nbytes + padded.nbytes)
 
+    def test_dropped_input_restored_gives_held_gradients(self):
+        """An input dropped after the forward and restored from a rebuilt
+        copy gives the gradients of the input held throughout, bit for bit;
+        restored in place when the copy is a zero-bordered buffer."""
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 3, 5, 4, 3)).astype(np.float32)
+        g = rng.normal(size=(2, 3, 5, 4, 2)).astype(np.float32)
+        results = []
+        for drop in (False, True):
+            conv = Conv3d(3, 2, rng=np.random.default_rng(10))
+            conv.forward(x)
+            if drop:
+                conv.drop_input()
+                assert conv._cache[0] is None
+                rebuilt = bordered_backed(x)
+                conv.restore_input(rebuilt)
+                assert conv._cache[0] is rebuilt.base
+            results.append((conv.backward(g), conv.weight.grad, conv.bias.grad))
+        for a, b in zip(*results):
+            assert_bits_equal(a, b)
+
+    def test_dropped_input_never_restored_raises(self):
+        conv = Conv3d(3, 2, name="dec9a", rng=np.random.default_rng(11))
+        x = np.ones((1, 2, 4, 4, 3))
+        with pytest.raises(RuntimeError, match="dec9a: drop_input before forward"):
+            conv.drop_input()
+        g = np.ones_like(conv.forward(x))
+        with pytest.raises(RuntimeError, match="dec9a: restore_input without drop_input"):
+            conv.restore_input(x)
+        conv.drop_input()
+        with pytest.raises(ValueError, match="dec9a: restored input shape"):
+            conv.restore_input(x[:, :1])
+        with pytest.raises(RuntimeError, match="dec9a: backward after drop_input"):
+            conv.backward(g)
+        with pytest.raises(RuntimeError, match="dec9a: backward before forward"):
+            conv.backward(g)
+
     def test_shape_validation(self):
         conv = Conv3d(2, 2)
         with pytest.raises(ValueError):
@@ -358,6 +396,25 @@ class TestMaxPool3d:
         assert_bits_equal(out, ref_out)
         assert_bits_equal(pool.backward(g), ref_grad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [(2, 2, 1), (2, 2, 2)])
+    def test_ragged_pool_caches_only_input_and_output(self, window, dtype):
+        """Ragged in t, h and w, with ties and NaN: output and gradient equal
+        the argmax oracle bit for bit, and between forward and backward the
+        cache holds the input view and the output, not the -inf padded copy
+        of the windows."""
+        rng = np.random.default_rng(21)
+        x = np.where(rng.normal(size=(2, 5, 7, 5, 3)) > 0.8, 1.0, 0.0).astype(dtype)  # ties
+        x[0, 4, 6, 4, 0] = x[1, 0, 0, 0, 2] = x[1, 1, 0, 0, 2] = np.nan
+        pool = MaxPool3d(window)
+        out = pool.forward(x)
+        arrays = [a for a in pool._cache if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2 and arrays[0] is x and arrays[1] is out
+        g = rng.normal(size=out.shape).astype(dtype)
+        ref_out, ref_grad = maxpool_oracle(x, window, g)
+        assert_bits_equal(out, ref_out)
+        assert_bits_equal(pool.backward(g), ref_grad)
+
 
 class TestUpsample3d:
     def test_unit_factors_identity(self):
@@ -400,6 +457,12 @@ class TestUpsample3d:
             ups.forward(x, target_dims=(7, 6, 6))  # beyond reach of x2
         with pytest.raises(ValueError):
             ups.forward(x, target_dims=(4, 6, 6))  # last cell unused
+        with pytest.raises(ValueError, match="skip shape"):
+            ups.forward(x, target_dims=(6, 6, 6), skip=np.zeros((1, 5, 6, 6, 1)))
+        with pytest.raises(ValueError, match="skip shape"):
+            ups.forward(x, skip=np.zeros((2, 6, 6, 6, 1)))  # another batch
+        with pytest.raises(ValueError):
+            ups.forward(x, skip=np.zeros((1, 7, 6, 6, 1)))  # beyond reach of x2
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -425,6 +488,14 @@ class TestUpsample3d:
         ref_out, ref_grad = upsample_oracle(x, factors, target_dims, g)
         assert np.any(np.signbit(ref_grad) & (ref_grad == 0))
         assert_bits_equal(out, ref_out)
+        assert_bits_equal(ups.backward(g), ref_grad)
+        # with a skip, the decoder input [upsampled | skip] in one zero-bordered buffer
+        skip = rng.normal(size=(2, *target_dims, 2)).astype(dtype)
+        joined = ups.forward(x, skip=skip)
+        assert_zero_border(joined)
+        assert_bits_equal(joined[..., :3], ref_out)
+        assert_bits_equal(joined[..., 3:], skip)
+        assert_bits_equal(upsample(x, factors, target_dims, skip), joined)
         assert_bits_equal(ups.backward(g), ref_grad)
 
 
@@ -488,6 +559,27 @@ class TestReLU:
         assert np.isnan(g[..., 0]) and np.isnan(g[..., 2])
         assert g[..., 1] == np.inf and g[..., 3] == 0.0
 
+    @pytest.mark.parametrize("border", [0.0, np.nan], ids=["zero", "nan"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bordered_gradient_runs_on_whole_buffers(self, dtype, border):
+        """A gradient that is the interior of a buffer shaped like the
+        output's, as a conv's input gradient is, gives the bits of the same
+        gradient as a plain array, signed zeros and non-finite values
+        included, whatever its border holds."""
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(2, 3, 8, 8, 4)).astype(dtype)
+        x[..., 0] = 0.0
+        g = rng.normal(size=x.shape).astype(dtype)
+        g[0, 0] = -0.0
+        g[1, 2, 3] = [np.nan, np.inf, -np.inf, 3.0]
+        relu = ReLU()
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out = relu.forward(x)
+            whole = relu.backward(bordered_backed(g, border=border))
+            relu.forward(x)
+            assert_bits_equal(whole, relu.backward(g))
+        assert whole.base.shape == out.base.shape  # the whole-buffer path ran
+
 
 LAYOUT_LAYERS = {
     "conv-out>in": lambda: Conv3d(3, 5, rng=np.random.default_rng(1)),
@@ -505,8 +597,8 @@ def test_layers_ignore_input_memory_order(make):
     """A C-ordered channels-last input, a channels-first-backed view and the
     interior of a zero-bordered buffer give the same outputs and gradients
     bit for bit.  Every output is the interior of a C-contiguous
-    channels-first buffer, and ReLU and pooling give that buffer a zero
-    border."""
+    channels-first buffer, and ReLU, pooling and upsampling give that
+    buffer a zero border."""
     rng = np.random.default_rng(23)
     layer = make()
     x = rng.normal(size=(2, 5, 7, 6, getattr(layer, "in_channels", 4))).astype(np.float32)
@@ -516,7 +608,7 @@ def test_layers_ignore_input_memory_order(make):
             p.zero_grad()
         out = layer.forward(arrange(x))
         buffer_pads(out)
-        if isinstance(layer, (ReLU, MaxPool3d)):
+        if isinstance(layer, (ReLU, MaxPool3d, Upsample3d)):
             assert_zero_border(out)
         g = np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
         gx = layer.backward(arrange(g))
