@@ -25,6 +25,12 @@ gradient.  The input gradient is split there on the channel axis: the
 upsampled part goes to the upsample's backward and the skip's part is
 copied, so that it does not keep the whole gradient alive until the
 encoder adds it.
+
+Every layer runs the samples of a batch one after the other, so `train`
+runs a batch one sample at a time: the parameter gradients accumulate
+over the samples, bit for bit those of one batched backward, and only one
+sample's activations exist at a time.  A training step then holds no more
+memory than a nowcast.
 """
 
 from __future__ import annotations
@@ -345,12 +351,21 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
           stats: BandStats | None = None) -> list[EpochStats]:
     """Seeded epoch loop with milestone lr decay; keeps the best-val weights.
 
-    Each distinct frame is loaded once (`load_frames`) and a batch is a row
-    gather of them; loss is computed in normalized space.  Returns the
-    per-epoch history; on finishing, model parameters hold the lowest-
-    validation-loss snapshot (final weights when no validation set is given).
-    Each training backward consumes its forward's layer caches and the
-    validation forwards drop theirs, so on return no layer holds a cache.
+    Each distinct frame is loaded once (`load_frames`); loss is computed in
+    normalized space.  A batch runs as micro-batches of one sample
+    (gradient accumulation, as in GPipe, arXiv:1811.06965): the gradients
+    are zeroed once, then each sample in permutation order gathers its six
+    frames, runs forward, takes the loss gradient with the whole batch's
+    element count as divisor and runs backward, and Adam steps once per
+    batch.  That gives the parameter gradients of one batched forward and
+    backward bit for bit, with one sample's activations alive at a time.
+    The batch loss, and the validation loss (whose forwards run one sample
+    at a time too), come from the stacked per-sample outputs, so they equal
+    the batched values bit for bit.  Returns the per-epoch history; on
+    finishing, model parameters hold the lowest-validation-loss snapshot
+    (final weights when no validation set is given).  Each training
+    backward consumes its forward's layer caches and the validation
+    forwards drop theirs, so on return no layer holds a cache.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -360,10 +375,15 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
     val_rows = np.arange(n_train, len(windows))
 
     def batches(rows):
-        """(rows, inputs, targets) of each batch, in the order of `rows`."""
+        """The rows of each batch, in the order of `rows`."""
         for lo in range(0, len(rows), schedule.batch_size):
-            chunk = rows[lo:lo + schedule.batch_size]
-            yield chunk, frames[windows[chunk]], targets[chunk][:, None, :, :, None]
+            yield rows[lo:lo + schedule.batch_size]
+
+    def labels(rows):
+        return targets[rows][:, None, :, :, None]
+
+    def inputs(row):
+        return frames[windows[row]][None]
 
     params = model.params()
     opt = Adam(params, lr=schedule.lr)
@@ -374,20 +394,27 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
     for epoch in range(1, schedule.epochs + 1):
         opt.lr = lr_for_epoch(schedule.lr, epoch, schedule.milestones, schedule.decay)
         total = 0.0
-        for bi, (chunk, x, y) in enumerate(batches(rng.permutation(n_train))):
-            out = model.forward(x)
-            loss, grad = loss_fn(out, y)
+        for bi, chunk in enumerate(batches(rng.permutation(n_train))):
+            count = len(chunk) * targets[0].size
+            model.zero_grad()
+            outs = []
+            for row in chunk:
+                out = model.forward(inputs(row))
+                _, grad = loss_fn(out, labels([row]), count=count)
+                model.backward(grad.astype(out.dtype, copy=False))
+                outs.append(out)
+            loss = loss_fn(np.concatenate(outs), labels(chunk))[0]
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            model.zero_grad()
-            model.backward(grad.astype(out.dtype, copy=False))
             opt.step()
             total += loss * len(chunk)
         train_loss = total / n_train
         val_loss = None
         if len(val_rows):
-            val_loss = sum(loss_fn(_infer(model, x), y)[0] * len(chunk)
-                           for chunk, x, y in batches(val_rows)) / len(val_rows)
+            val_loss = sum(
+                loss_fn(np.concatenate([_infer(model, inputs(row)) for row in chunk]),
+                        labels(chunk))[0] * len(chunk)
+                for chunk in batches(val_rows)) / len(val_rows)
         history.append(EpochStats(epoch, train_loss, val_loss, opt.lr))
         if val_loss is not None and val_loss < best_val:
             best_val = val_loss

@@ -41,21 +41,40 @@ ragged pool pads its windows again in backward, and a conv whose input is
 easy to build again can drop it after its forward (`Conv3d.drop_input`)
 and take it back just before its backward (`Conv3d.restore_input`), which
 is how the decoder input lives only while its conv runs.
+
+A conv's GEMM block temporaries (the per-block products and tap gathers)
+are the only arrays that outlive a call: they live in one scratch array
+per thread and dtype, which grows to the largest block seen (3.1 MB at
+the desk config) and which no returned array is a view of (`_tap_gemms`).
+The first such scratch of a process also pins glibc's malloc thresholds,
+so that memory freed between training samples stays with the process
+instead of being faulted in again (`_keep_freed_pages`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
+import os
+import threading
 
 import numpy as np
 
 # Output cells per conv GEMM block.  It bounds the stacked-tap intermediate
-# (taps x channels x cells) that each block allocates.
+# (taps x channels x cells) that each block writes into the scratch.
 _ROW_BLOCK = 4096
 # Border (t, rows, cols) of ReLU, pooling and upsample outputs: the padding of
 # a following 3x3 conv.
 _PADS = (0, 1, 1)
+# Per thread, the scratch arrays of `_tap_gemms` by dtype (see `_scratch`).
+_SCRATCH = threading.local()
+# glibc's mallopt parameters (malloc.h), and the values `_keep_freed_pages`
+# pins them at: the ceiling of glibc's own dynamic rule on 64-bit hosts.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
 def ensure_array5(x, name: str = "input") -> np.ndarray:
@@ -175,6 +194,50 @@ def upsample(x: np.ndarray, factors, target_dims, skip: np.ndarray | None = None
     return _channels_last(out)
 
 
+@functools.cache
+def _keep_freed_pages():
+    """Pin glibc's malloc thresholds, once per process: blocks under 32 MiB
+    come from the heap, and up to 64 MiB of freed heap stays with the
+    process instead of going back to the OS.  Other C libraries are left
+    alone.
+
+    Left dynamic, glibc raises both thresholds to the largest block freed
+    so far (twice that for the trim threshold), up to these same values.
+    Since a training step runs one sample at a time, a step's largest
+    arrays are a quarter of a batch's, and at the desk config the rule
+    settles near 2.5 MiB.  Each sample's backward then handed its freed
+    activations (about 9 MiB) back to the OS and the next forward faulted
+    them in again: about 140k minor faults a `radar_train` pass, against
+    45k with batched steps and 15 pinned.  Pinned, the process keeps the
+    pages of its largest step until it exits, which peak RSS counts anyway.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def _scratch(size: int, dtype) -> np.ndarray:
+    """The first `size` items of this thread's scratch array of `dtype`,
+    which grows to the largest request seen and never shrinks.  The first
+    request of the process also pins the malloc thresholds
+    (`_keep_freed_pages`)."""
+    arrays = getattr(_SCRATCH, "arrays", None)
+    if arrays is None:
+        _keep_freed_pages()
+        arrays = _SCRATCH.arrays = {}
+    dtype = np.dtype(dtype)
+    buf = arrays.get(dtype)
+    if buf is None or buf.size < size:
+        buf = arrays[dtype] = np.empty(size, dtype)
+    return buf[:size]
+
+
 def _tap_gemms(dst, src, w, offsets, base):
     """dst[:, u] += sum over taps k of w[k] @ src[:, base + u + offsets[k]].
 
@@ -184,21 +247,42 @@ def _tap_gemms(dst, src, w, offsets, base):
     GEMM with the taps stacked on the side with fewer channels: the
     products of all taps over the block plus its halo, added shifted, or
     the tap-shifted source rows gathered under one another.
+
+    Those products and gathers are written (`out=`) into this thread's
+    scratch array (`_scratch`), not into new arrays.  Allocated per block
+    (up to 3.1 MB each in the desk network), they made about 50k of the
+    190k minor faults of a one-sample-step `radar_train` pass with glibc's
+    thresholds left dynamic, and with them pinned they still added 1.6 MiB
+    (radar) and 2.2 MiB (multimodal) to the traced peak of a warm training
+    call.  The scratch holds one block's temporaries, so `_ROW_BLOCK`, the
+    tap count and the smaller channel count (plus the larger one, for a
+    gather) bound its size.  Only these temporaries live in it, and they
+    are used up before `_tap_gemms` returns, so no array that a layer
+    returns is a view of it.  The BLAS calls and their operands are those
+    of `ws @ ...`, so results do not change by a bit.
     """
     taps, cd, cs = w.shape
     lo, hi = min(offsets), max(offsets)
     stack_dst = cd <= cs
     ws = w.reshape(taps * cd, cs) if stack_dst else w.transpose(1, 0, 2).reshape(cd, taps * cs)
+    n_max = min(dst.shape[1], _ROW_BLOCK)
+    size = taps * cd * (n_max + hi - lo) if stack_dst else (taps * cs + cd) * n_max
+    scratch = _scratch(size, np.result_type(ws, src))
     for u0 in range(0, dst.shape[1], _ROW_BLOCK):
         block = dst[:, u0:u0 + _ROW_BLOCK]
         n = block.shape[1]
         s0 = base + u0
         if stack_dst:
-            y = (ws @ src[:, s0 + lo:s0 + hi + n]).reshape(taps, cd, -1)
+            y = scratch[:taps * cd * (n + hi - lo)].reshape(taps * cd, -1)
+            np.matmul(ws, src[:, s0 + lo:s0 + hi + n], out=y)
+            y = y.reshape(taps, cd, -1)
             for k, off in enumerate(offsets):
                 block += y[k, :, off - lo:off - lo + n]
         else:
-            block += ws @ np.concatenate([src[:, s0 + off:s0 + off + n] for off in offsets])
+            cols = scratch[:taps * cs * n].reshape(taps * cs, n)
+            np.concatenate([src[:, s0 + off:s0 + off + n] for off in offsets], out=cols)
+            y = scratch[taps * cs * n:(taps * cs + cd) * n].reshape(cd, n)
+            block += np.matmul(ws, cols, out=y)
 
 
 class Parameter:
@@ -245,7 +329,9 @@ class Conv3d:
     - out > in: the tap-shifted input rows are gathered into
       cols(taps*in, block), and the block gets W(out, taps*in) @ cols.
 
-    Backward adds X[shifted] @ G.T to each tap's weight gradient, then drops
+    Backward adds X[shifted] @ G.T to each tap's weight gradient and the
+    sum of G to the bias gradient, item by item, so that a batch gives the
+    gradients of its items run one at a time, bit for bit.  It then drops
     the padded input (freeing it unless the layer before still holds it)
     and only then allocates the input gradient.  That is `_tap_gemms` the
     other way round: W[tap] (in, out) applied to grad_out at minus each
@@ -361,12 +447,13 @@ class Conv3d:
         gbuf = np.zeros((b, cout, halo + To * plane), grad_out.dtype)
         gf = gbuf[:, :, halo:]
         gf.reshape(b, cout, To, Hp, Wp)[:, :, :, :H, :W] = _channels_first(grad_out)
-        # summed from the buffer, so the order does not depend on grad_out's layout
-        self.bias.grad += gbuf.sum(axis=(0, 2))
         xf = xp.reshape(b, c, -1)
         w = self.weight.value.reshape(kt, len(shifts), c, cout)  # (kt, taps, in, out)
         wgrad = self.weight.grad.reshape(w.shape)
         for n in range(b):
+            # summed from the buffer, so the order does not depend on grad_out's
+            # layout, and sample by sample, as the weight gradient is
+            self.bias.grad += gbuf[n].sum(axis=1)
             for it in range(kt):
                 x0 = it * plane
                 for k, s in enumerate(shifts):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from rainfusion.nn import (
     ReLU,
     Upsample3d,
     gradient_check,
+    layers,
     load_arrays,
     logcosh_loss,
     lr_for_epoch,
@@ -320,6 +323,108 @@ class TestConv3d:
             Conv3d(1, 1, kernel=(2, 3, 3), temporal_pad="same")
         with pytest.raises(ValueError):
             Conv3d(1, 1, kernel=(2, 3, 3), temporal_pad="valid").forward(np.zeros((1, 1, 3, 3, 1)))
+
+
+def conv_step(conv, x, g):
+    """(output, input gradient, weight gradient, bias gradient) of one
+    forward and backward, the gradients accumulated from zero."""
+    conv.weight.zero_grad()
+    conv.bias.zero_grad()
+    out = conv.forward(x)
+    return out, conv.backward(g), conv.weight.grad.copy(), conv.bias.grad.copy()
+
+
+def scratch_arrays():
+    """This thread's GEMM scratch arrays."""
+    return list(getattr(layers._SCRATCH, "arrays", {}).values())
+
+
+class TestGemmScratch:
+    """The conv GEMM block temporaries live in one scratch array per thread
+    and dtype."""
+
+    # (in, out, kernel, temporal pad, input (b, t, h, w)): both GEMM forms
+    # (out <= in stacks the products, out > in gathers the taps), and inputs
+    # of one block and of several
+    CONVS = [
+        (3, 2, (1, 3, 3), "same", (2, 2, 6, 5)),
+        (4, 12, (3, 3, 3), "same", (2, 3, 40, 36)),
+        (8, 5, (1, 3, 3), "same", (1, 2, 50, 44)),
+        (2, 6, (2, 3, 3), "valid", (1, 3, 5, 4)),
+    ]
+
+    @classmethod
+    def case(cls, i, dtype):
+        """A conv of `CONVS[i]` in `dtype`, its input and its output gradient."""
+        cin, cout, kernel, pad, (b, t, h, w) = cls.CONVS[i]
+        rng = np.random.default_rng(20 + i)
+        conv = Conv3d(cin, cout, kernel, temporal_pad=pad, rng=rng, dtype=dtype)
+        x = rng.normal(size=(b, t, h, w, cin)).astype(dtype)
+        to = t if pad == "same" else t - kernel[0] + 1
+        return conv, x, rng.normal(size=(b, to, h, w, cout)).astype(dtype)
+
+    def test_interleaved_shapes_and_dtypes_match_fresh_scratch(self, monkeypatch):
+        """Convs run small, large, small, in float32 and then float64, on one
+        scratch filled with NaN before each, equal the same convs run on a
+        fresh scratch, bit for bit, and return nothing that shares its
+        memory."""
+        order = [(i, dtype) for dtype in (np.float32, np.float64) for i in (0, 1, 0, 2, 3, 2)]
+        fresh = {}
+        for key in set(order):
+            monkeypatch.setattr(layers._SCRATCH, "arrays", {}, raising=False)
+            fresh[key] = conv_step(*self.case(*key))
+        monkeypatch.setattr(layers._SCRATCH, "arrays", {}, raising=False)
+        for key in order:
+            for buf in scratch_arrays():
+                buf[...] = np.nan
+            got = conv_step(*self.case(*key))
+            for a, b in zip(got, fresh[key], strict=True):
+                assert_bits_equal(a, b)
+            assert not any(np.shares_memory(a, buf) for a in got for buf in scratch_arrays())
+        assert {buf.dtype for buf in scratch_arrays()} == {np.dtype(np.float32),
+                                                           np.dtype(np.float64)}
+
+    def test_scratch_grows_to_largest_block_and_is_reused(self, monkeypatch):
+        monkeypatch.setattr(layers._SCRATCH, "arrays", {}, raising=False)
+        conv_step(*self.case(1, np.float32))
+        (big,) = scratch_arrays()
+        conv_step(*self.case(0, np.float32))
+        (buf,) = scratch_arrays()
+        assert buf is big
+        # one block of the gather form: taps x in rows of cells, then out rows
+        assert big.size == (9 * 4 + 12) * layers._ROW_BLOCK
+
+    def test_two_threads_get_their_own_results(self):
+        """Two threads running different convs at once each get the results
+        of the same conv run alone."""
+        keys = [(1, np.float32), (2, np.float64)]
+        want = [conv_step(*self.case(*key)) for key in keys]
+        start = threading.Barrier(2, timeout=60)
+        results, scratches = [None, None], [None, None]
+
+        def run(slot):
+            start.wait()
+            results[slot] = [conv_step(*self.case(*keys[slot])) for _ in range(3)]
+            scratches[slot] = scratch_arrays()
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch between the threads' Python steps often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, expected in zip(results, want, strict=True):
+            assert got is not None and len(got) == 3
+            for step in got:
+                for a, b in zip(step, expected, strict=True):
+                    assert_bits_equal(a, b)
+        (a,), (b,) = scratches
+        assert a is not b and not np.shares_memory(a, b)
 
 
 def untied_pool_input(rng, shape, window):
@@ -721,6 +826,23 @@ class TestLosses:
             logcosh_loss(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
             mse_loss(np.zeros(3), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("loss_fn", [logcosh_loss, mse_loss])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_gradient_with_batch_count_is_batch_slice(self, loss_fn, dtype):
+        """A sample's gradient taken with the whole batch's element count is
+        its slice of the batch gradient bit for bit; the loss stays the
+        sample's own mean."""
+        rng = np.random.default_rng(15)
+        pred = rng.normal(size=(3, 1, 8, 7, 1)).astype(dtype)
+        target = rng.normal(size=pred.shape).astype(dtype)
+        _, grad = loss_fn(pred, target)
+        assert grad.dtype == dtype
+        assert_bits_equal(grad, loss_fn(pred, target, count=pred.size)[1])
+        for n in range(len(pred)):
+            loss, g = loss_fn(pred[n:n + 1], target[n:n + 1], count=pred.size)
+            assert_bits_equal(g, grad[n:n + 1])
+            assert loss == loss_fn(pred[n:n + 1], target[n:n + 1])[0]
 
 
 class TestAdam:
