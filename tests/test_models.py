@@ -35,7 +35,7 @@ from rainfusion.models import (
     train,
 )
 from rainfusion.nn import (Adam, Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, gradient_check,
-                           layers, logcosh_loss, lr_for_epoch)
+                           logcosh_loss, lr_for_epoch)
 from rainfusion.nn.losses import LOSSES
 from rainfusion.pipeline import (
     BandStats,
@@ -858,8 +858,7 @@ class TestSampleSteps:
     def test_batch_equals_samples_accumulated_in_order(self, config, batch):
         """One batched forward and backward gives the output, the input
         gradient and every parameter gradient of per-sample passes whose
-        parameter gradients accumulate in sample order, bit for bit.  No
-        array the model returns shares memory with the GEMM scratch."""
+        parameter gradients accumulate in sample order, bit for bit."""
         rng = np.random.default_rng(30)
         x = rng.normal(size=(batch, 6, 16, 16, config.in_channels)).astype(np.float32)
         g = rng.normal(size=(batch, 1, 16, 16, 1)).astype(np.float32)
@@ -876,9 +875,6 @@ class TestSampleSteps:
                    *(p.grad.copy() for p in model.params()))
         for a, b in zip(batched, samples, strict=True):
             assert_bits_equal(a, b)
-        returned = [*batched[:2], *outs, *grads, _infer(model, x)]
-        assert not any(np.shares_memory(a, buf) for a in returned
-                       for buf in layers._SCRATCH.arrays.values())
 
     @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
     @pytest.mark.parametrize("loss", ["logcosh", "mse"])
@@ -902,12 +898,15 @@ class TestSampleSteps:
         for a, b in zip(weights, want_weights, strict=True):
             assert_bits_equal(a, b)
 
-    @pytest.mark.parametrize("variant,bound_mib", [("radar", 10), ("multimodal", 12.5)])
+    @pytest.mark.parametrize("variant,bound_mib", [("radar", 11.75), ("multimodal", 13.75)])
     def test_desk_train_peak(self, variant, bound_mib, tmp_path):
         """Traced peak of a warm desk `train()` call (64x64, base 8, batch 4,
         one epoch over 4 samples, 4 validation samples): 35.7 (radar) and
-        42.9 MiB (multimodal) with batched steps, about 9.0 and 11.3 MiB
-        one sample at a time."""
+        42.9 MiB (multimodal) with batched steps.  One sample at a time it
+        reads about 10.6 and 13.55 MiB with the conv GEMM temporaries
+        allocated per block.  A long-lived GEMM scratch read 9.0 and
+        11.3 MiB here only because it was allocated before tracing began;
+        counted, it held 3.0 and 2.5 MiB more (12.0 and 13.9 MiB)."""
         samples, stats = _desk_samples(tmp_path, variant)
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=22)
         schedule = TrainSchedule(epochs=1, lr=1e-3, milestones=(), batch_size=4)

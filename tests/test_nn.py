@@ -16,7 +16,6 @@ from rainfusion.nn import (
     ReLU,
     Upsample3d,
     gradient_check,
-    layers,
     load_arrays,
     logcosh_loss,
     lr_for_epoch,
@@ -334,14 +333,9 @@ def conv_step(conv, x, g):
     return out, conv.backward(g), conv.weight.grad.copy(), conv.bias.grad.copy()
 
 
-def scratch_arrays():
-    """This thread's GEMM scratch arrays."""
-    return list(getattr(layers._SCRATCH, "arrays", {}).values())
-
-
 class TestGemmScratch:
-    """The conv GEMM block temporaries live in one scratch array per thread
-    and dtype."""
+    """The conv GEMM block temporaries are private to the call that makes
+    them."""
 
     # (in, out, kernel, temporal pad, input (b, t, h, w)): both GEMM forms
     # (out <= in stacks the products, out > in gathers the taps), and inputs
@@ -363,49 +357,17 @@ class TestGemmScratch:
         to = t if pad == "same" else t - kernel[0] + 1
         return conv, x, rng.normal(size=(b, to, h, w, cout)).astype(dtype)
 
-    def test_interleaved_shapes_and_dtypes_match_fresh_scratch(self, monkeypatch):
-        """Convs run small, large, small, in float32 and then float64, on one
-        scratch filled with NaN before each, equal the same convs run on a
-        fresh scratch, bit for bit, and return nothing that shares its
-        memory."""
-        order = [(i, dtype) for dtype in (np.float32, np.float64) for i in (0, 1, 0, 2, 3, 2)]
-        fresh = {}
-        for key in set(order):
-            monkeypatch.setattr(layers._SCRATCH, "arrays", {}, raising=False)
-            fresh[key] = conv_step(*self.case(*key))
-        monkeypatch.setattr(layers._SCRATCH, "arrays", {}, raising=False)
-        for key in order:
-            for buf in scratch_arrays():
-                buf[...] = np.nan
-            got = conv_step(*self.case(*key))
-            for a, b in zip(got, fresh[key], strict=True):
-                assert_bits_equal(a, b)
-            assert not any(np.shares_memory(a, buf) for a in got for buf in scratch_arrays())
-        assert {buf.dtype for buf in scratch_arrays()} == {np.dtype(np.float32),
-                                                           np.dtype(np.float64)}
-
-    def test_scratch_grows_to_largest_block_and_is_reused(self, monkeypatch):
-        monkeypatch.setattr(layers._SCRATCH, "arrays", {}, raising=False)
-        conv_step(*self.case(1, np.float32))
-        (big,) = scratch_arrays()
-        conv_step(*self.case(0, np.float32))
-        (buf,) = scratch_arrays()
-        assert buf is big
-        # one block of the gather form: taps x in rows of cells, then out rows
-        assert big.size == (9 * 4 + 12) * layers._ROW_BLOCK
-
     def test_two_threads_get_their_own_results(self):
         """Two threads running different convs at once each get the results
         of the same conv run alone."""
         keys = [(1, np.float32), (2, np.float64)]
         want = [conv_step(*self.case(*key)) for key in keys]
         start = threading.Barrier(2, timeout=60)
-        results, scratches = [None, None], [None, None]
+        results = [None, None]
 
         def run(slot):
             start.wait()
             results[slot] = [conv_step(*self.case(*keys[slot])) for _ in range(3)]
-            scratches[slot] = scratch_arrays()
 
         threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
         interval = sys.getswitchinterval()
@@ -423,8 +385,6 @@ class TestGemmScratch:
             for step in got:
                 for a, b in zip(step, expected, strict=True):
                     assert_bits_equal(a, b)
-        (a,), (b,) = scratches
-        assert a is not b and not np.shares_memory(a, b)
 
 
 def untied_pool_input(rng, shape, window):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rainfusion
 from rainfusion.grids import (
     MISSING,
     RAIN_CATEGORIES,
@@ -24,6 +29,7 @@ from rainfusion.verify import (
     neighborhood_probability,
     score_pairs,
 )
+from test_models import _glibc
 
 
 def _sample(tmp_path, tag, fields):
@@ -357,6 +363,34 @@ class TestEvaluateModelsArrays:
                 assert None not in (score for pair in want for score in pair)
 
 
+# Scores 20 random 64x64 (forecast, observation) pairs in a fresh process,
+# three blocks with a ragged last one, and prints the minor faults of the
+# second `evaluate_models` call.
+_WARM_SCORING_FAULTS = """
+import resource, sys
+from pathlib import Path
+import numpy as np
+from rainfusion.grids import RAIN_CATEGORIES, RainGrid, read_grid, write_grid
+from rainfusion.pipeline import SequenceSample
+from rainfusion.report import evaluate_models
+
+rng, samples = np.random.default_rng(14), []
+for k in range(20):
+    paths = []
+    for tag in ("pred", "obs"):
+        path = Path(sys.argv[1]) / f"{tag}{k}.rfg"
+        write_grid(path, RainGrid(rng.uniform(0, 80, (64, 64)).astype(np.float32), 0))
+        paths.append(str(path))
+    samples.append(SequenceSample(tuple(range(0, 30, 5)), (paths[0],) * 6, None,
+                                  30 + 5 * k, paths[1], 5))
+predictors = [("p", lambda s: read_grid(s.radar_paths[-1]))]
+evaluate_models(predictors, samples, categories=RAIN_CATEGORIES)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evaluate_models(predictors, samples, categories=RAIN_CATEGORIES)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestEvaluateModelsMemory:
     def test_peak_does_not_grow_with_sample_count(self, tmp_path):
         """Samples are scored block by block, so the traced peak of 64
@@ -386,6 +420,19 @@ class TestEvaluateModelsMemory:
         peak(samples[:16])  # warm-up
         small, large = peak(samples[:16]), peak(samples)
         assert large <= 1.25 * small, (small, large)
+
+    @pytest.mark.skipif(not _glibc(), reason="only glibc's malloc thresholds are pinned")
+    def test_warm_call_faults_in_no_pages(self, tmp_path):
+        """A second `evaluate_models` call in a fresh process reuses the
+        pages that the first freed: scoring pins the malloc thresholds
+        itself, where nothing else in the process has.  About 10 minor
+        faults, against 300 to 500 with the thresholds left dynamic."""
+        path = os.pathsep.join([str(Path(rainfusion.__file__).parents[1]),
+                                *filter(None, [os.environ.get("PYTHONPATH")])])
+        run = subprocess.run([sys.executable, "-c", _WARM_SCORING_FAULTS, str(tmp_path)],
+                             env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert int(run.stdout) < 50
 
 
 class TestRenderMap:

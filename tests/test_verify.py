@@ -596,64 +596,3 @@ class TestAllValidPath:
                                        else valid)
             assert vals.dtype == want.dtype and np.array_equal(vals, want)
             assert ok.shape == want_ok.shape and ok.all() and want_ok.all()
-
-
-
-class TestScratch:
-    """One scratch dict shared by many `score_pairs` calls, as
-    `report.evaluate_models` shares one across its blocks, changes no
-    number: every call equals a call with fresh buffers bit for bit."""
-
-    def test_shared_scratch_equals_fresh_buffers(self):
-        rng = np.random.default_rng(31)
-        heavy = np.full((5, 12, 10), 60.0, np.float32)  # violent events in every cell
-        blocks = [
-            (_rain_stack(rng, 5, (12, 10)), _rain_stack(rng, 5, (12, 10)), ALL_CATEGORIES, 3),
-            (heavy, heavy, ALL_CATEGORIES, 3),
-            (np.zeros((5, 12, 10), np.float32), heavy, ALL_CATEGORIES, 3),
-            (_rain_stack(rng, 3, (12, 10)), _rain_stack(rng, 3, (12, 10)), ALL_CATEGORIES, 3),
-            (_rain_stack(rng, 5, (2, 3)), _rain_stack(rng, 5, (2, 3)), ALL_CATEGORIES, 5),
-            # the padded copy of 12 x 10 at n = 3 has the shape of 10 x 8's at
-            # n = 5, with events where the latter's margin is
-            (heavy, heavy, ALL_CATEGORIES, 3),
-            (_rain_stack(rng, 5, (10, 8)), _rain_stack(rng, 5, (10, 8)), ALL_CATEGORIES, 5),
-            (_field_stack(rng, 5), _field_stack(rng, 5), ALL_CATEGORIES, 3),
-            (_rain_stack(rng, 5, (12, 10)), _rain_stack(rng, 5, (12, 10)), (HEAVY,), 1),
-            (_rain_stack(rng, 5, (12, 10)), _rain_stack(rng, 5, (12, 10)), ALL_CATEGORIES, 13),
-            (_rain_stack(rng, 5, (12, 10)), _rain_stack(rng, 5, (12, 10)), ALL_CATEGORIES, 3),
-        ]
-        scratch = {}
-        got = [score_pairs(pred, obs, cats, n, scratch) for pred, obs, cats, n in blocks]
-        # checked after the last call, so no later call wrote into an earlier result
-        for (pred, obs, cats, n), (tables, components) in zip(blocks, got):
-            want_tables, want_components = score_pairs(pred, obs, cats, n)
-            assert tables.tolist() == want_tables.tolist()
-            assert components.tolist() == want_components.tolist()
-
-    def test_blocks_of_one_shape_reuse_buffers(self):
-        rng = np.random.default_rng(32)
-        scratch = {}
-        first = score_pairs(_rain_stack(rng, 4, (12, 10)), _rain_stack(rng, 4, (12, 10)),
-                            ALL_CATEGORIES, 3, scratch)
-        buffers = dict(scratch)
-        assert {"events_pred", "events_obs", "sums_pred", "sums_obs", "squares"} <= set(buffers)
-        second = score_pairs(_rain_stack(rng, 4, (12, 10)), _rain_stack(rng, 4, (12, 10)),
-                             ALL_CATEGORIES, 3, scratch)
-        assert scratch.keys() == buffers.keys()
-        assert all(scratch[key] is a for key, a in buffers.items())
-        for result in (*first, *second):
-            assert not any(np.shares_memory(result, a) for a in scratch.values())
-
-    @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_box_sums_margin_stays_zero(self, n):
-        scratch = {}
-        ones = np.ones((2, 1, 6, 5), dtype=np.int8)
-        np.testing.assert_array_equal(_box_sums(ones, n, scratch), _table_window_sums(ones, n))
-        padded = scratch[("box_padded", n // 2)]
-        h = n // 2
-        margin = np.ones(padded.shape, dtype=bool)
-        margin[..., h:h + 6, h:h + 5] = False
-        assert not padded[margin].any()
-        bp = (np.random.default_rng(33).random((2, 1, 6, 5)) < 0.5).astype(np.int8)
-        np.testing.assert_array_equal(_box_sums(bp, n, scratch), _table_window_sums(bp, n))
-        assert scratch[("box_padded", n // 2)] is padded
