@@ -14,23 +14,43 @@ mixing happens in the pooling path and the head.  Each block is a list of
 layers, run in order forward and in reverse backward, with no name left
 holding a block's input or incoming gradient while it runs.  Activations
 have the layers' (b, t, h, w, c) shape over channels-first memory (see
-`rainfusion.nn`).  The decoder input `[upsampled | skip]` is the largest
-array of a step, so it is never kept between forward and backward: the
-upsample writes its repetition phases and the skip straight into one
-zero-bordered buffer that the stage's first conv reads in place, that conv
-drops it after its forward, and the backward builds it again, from the
-low-resolution features and the skip that their ReLUs cache anyway, just
-before that conv's backward, which frees it again before the input
-gradient.  The input gradient is split there on the channel axis: the
-upsampled part goes to the upsample's backward and the skip's part is
-copied, so that it does not keep the whole gradient alive until the
-encoder adds it.
+`rainfusion.nn`).
+
+A step keeps from forward to backward only what its backward cannot
+rebuild cheaply:
+
+- The decoder input `[upsampled | skip]`, the largest array of a step,
+  is not kept.  The upsample writes its repetition phases and the skip
+  straight into one zero-bordered buffer that the stage's first conv reads
+  in place, and that conv drops it after its forward.  The backward builds
+  it again, from the low-resolution features and the skip that their
+  ReLUs cache anyway, just before that conv's backward, which frees it
+  again before the input gradient.  That gradient comes in two parts
+  (`Conv3d.split`): the upsampled channels first, which the upsample's
+  backward consumes and frees, then the skip's, kept as they are until
+  the encoder adds them.
+- The output of the first ReLU of each encoder stage and of the
+  bottleneck, the second conv's input, is not kept either.  Just before
+  the second conv's backward, the backward runs the first conv and ReLU
+  again on the first conv's cached input, which that conv reads in place:
+  one more small conv forward per stage buys back one activation, the
+  recomputation trade of Chen et al., "Training Deep Nets with Sublinear
+  Memory Cost" (arXiv:1604.06174).
+- What is kept: the first conv's input of each encoder stage and of the
+  bottleneck (the network input and the pool outputs, which the pools
+  cache too), each stage's output (its skip, cached by its last ReLU and
+  its pool), and every activation of the decoder stages after their first
+  conv and of the head.
 
 Every layer runs the samples of a batch one after the other, so `train`
 runs a batch one sample at a time: the parameter gradients accumulate
 over the samples, bit for bit those of one batched backward, and only one
 sample's activations exist at a time.  A training step then holds no more
-memory than a nowcast.
+memory than a nowcast.  `train` builds each sample's input once, in the
+zero-bordered buffer that the first conv reads in place (`stack_frames`),
+and asks for no gradient of it (`backward(..., input_grad=False)`): the
+first conv's `split` is 0, so its backward gives an empty first part and
+the rest is never computed.
 """
 
 from __future__ import annotations
@@ -43,7 +63,7 @@ import numpy as np
 
 from .grids import RainGrid, read_grid, read_scene
 from .nn import (Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, ensure_array5, lr_for_epoch,
-                 upsample)
+                 stack_frames, upsample)
 from .nn.checkpoint import load_arrays, save_arrays
 from .nn.losses import LOSSES
 from .pipeline import (
@@ -131,12 +151,14 @@ class UNet3D:
         c = bott
         for i in reversed(range(L - 1)):
             skip = enc_channels[i]
-            self.dec.append([conv(c + skip, skip, f"dec{i + 1}a"), ReLU(),
-                             conv(skip, skip, f"dec{i + 1}b"), ReLU()])
+            first = conv(c + skip, skip, f"dec{i + 1}a")
+            first.split = c  # the upsampled channels' gradient, then the skip's
+            self.dec.append([first, ReLU(), conv(skip, skip, f"dec{i + 1}b"), ReLU()])
             c = skip
         self.head = [conv(c, 2, "head_a", kernel=(config.time_steps, 3, 3),
                           temporal_pad="valid"), ReLU(),
                      conv(2, 1, "head_b", kernel=(1, 1, 1))]
+        self.enc[0][0].split = 0  # the network input's gradient only when asked for
         # per decoder stage of the last forward, the (low-res features, skip)
         # that its input is built from, until the backward rebuilds it
         self._dec_inputs = []
@@ -172,10 +194,12 @@ class UNet3D:
         for block, pool in zip(self.enc, self.pools):
             for layer in block:
                 h = layer.forward(h)
+            _drop_inner(block)
             skips.append(h)
             h = pool.forward(h)
         for layer in self.bott:
             h = layer.forward(h)
+        _drop_inner(self.bott)
         self._dec_inputs = []
         for (conv, *block), up, skip in zip(self.dec, self.ups, reversed(skips)):
             self._dec_inputs.append((h, skip))  # ReLU outputs, which their ReLUs cache
@@ -187,7 +211,10 @@ class UNet3D:
             h = layer.forward(h)
         return h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """The gradient of the network input, after adding every parameter's
+        gradient to its Parameter; None, and not computed, when `input_grad`
+        is false."""
         g = grad_out
         for layer in reversed(self.head):
             g = layer.backward(g)
@@ -199,20 +226,43 @@ class UNet3D:
             low, skip = dec_inputs.pop()
             conv.restore_input(upsample(low, up.factors, skip.shape[1:4], skip))
             del low, skip  # so that their ReLUs' backwards free them
-            g = conv.backward(g)
-            # the conv ran on [upsampled | skip], and the skip is as wide as its output;
-            # the skip's part is copied, after the upsample's backward, so that
-            # nothing pins the whole input gradient
-            split = g.shape[-1] - conv.out_channels
-            g, skip_grad = up.backward(g[..., :split]), g[..., split:].copy(order="K")
-            skip_grads.append(skip_grad)
-        for layer in reversed(self.bott):
-            g = layer.backward(g)
+            # the conv ran on [upsampled | skip]: the upsampled part of its input
+            # gradient is freed by the upsample's backward before the skip's exists
+            g = up.backward(conv.backward(g))
+            skip_grads.append(conv.backward_rest())
+        g = _inner_backward(self.bott, g)
         for block, pool in zip(reversed(self.enc), reversed(self.pools)):
-            g = pool.backward(g) + skip_grads.pop()
-            for layer in reversed(block):
-                g = layer.backward(g)
-        return g
+            g = _inner_backward(block, pool.backward(g) + skip_grads.pop())
+        first = self.enc[0][0]  # `g` is the empty first part of its input gradient
+        if not input_grad:
+            first._rest = None  # the other part, never computed
+            return None
+        return first.backward_rest()
+
+
+def _drop_inner(block):
+    """Free the output of a [conv, ReLU, conv, ReLU] block's first ReLU
+    after the block's forward; it is the second conv's input.
+    `_rebuild_inner` makes it again."""
+    block[1]._cache = None
+    block[2].drop_input()
+
+
+def _rebuild_inner(block):
+    """Cache again what `_drop_inner` freed: the block's first conv and ReLU
+    run once more, the conv reading its cached input in place."""
+    conv, relu, second, _ = block
+    second.restore_input(relu.forward(conv.forward(conv.cached_input())))
+
+
+def _inner_backward(block, g):
+    """The backward of a [conv, ReLU, conv, ReLU] block whose inner input
+    `_drop_inner` freed: rebuilt just before the second conv's backward."""
+    g = block[3].backward(g)
+    _rebuild_inner(block)
+    for layer in reversed(block[:3]):
+        g = layer.backward(g)
+    return g
 
 
 def _infer(model: UNet3D, x: np.ndarray) -> np.ndarray:
@@ -234,13 +284,14 @@ def param_count(model: UNet3D) -> int:
 # Sample loading and prediction
 # ---------------------------------------------------------------------------
 
-def load_frames(config: ModelConfig, samples,
-                stats: BandStats | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def load_frames(config: ModelConfig, samples, stats: BandStats | None = None, *,
+                targets: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(frames, windows, targets) of `samples`, each distinct file read once.
 
     frames: (n, rows, cols, channels) float32, one per distinct input frame;
     windows[i]: the six frame rows of sample i; targets: (samples, rows, cols)
-    float32.  Radar is log-normalized; multimodal frames add the 11 satellite
+    float32, or None with `targets` false, and then no target file is read.
+    Radar is log-normalized; multimodal frames add the 11 satellite
     bands, Lanczos-resampled to the radar grid and min-max normalized.  Each
     file is checked once, by its reader; the satellite steps pass plain
     arrays.  Each frame is written straight into its row of `frames`: radar
@@ -274,16 +325,19 @@ def load_frames(config: ModelConfig, samples,
     for key, row in rows.items():
         fill(frames[row], *key)
     windows = np.array([[rows[key] for key in window] for window in keys])
-    targets = np.stack([radar(s.target_path) for s in samples]).astype(np.float32)
-    return frames, windows, targets
+    if not targets:
+        return frames, windows, None
+    return frames, windows, np.stack([radar(s.target_path) for s in samples]).astype(np.float32)
 
 
 def load_sample(config: ModelConfig, sample: SequenceSample,
-                stats: BandStats | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(input stack (time, rows, cols, channels), normalized target (rows, cols)):
-    the one-sample view of `load_frames`."""
-    frames, windows, targets = load_frames(config, [sample], stats)
-    return frames[windows[0]], targets[0]
+                stats: BandStats | None = None) -> np.ndarray:
+    """The input stack (time, rows, cols, channels) of `sample`, from
+    `load_frames` without its target: a nowcast reads only its inputs.  It
+    is the interior of a zero-bordered buffer (`stack_frames`), which the
+    first conv reads in place."""
+    frames, windows, _ = load_frames(config, [sample], stats, targets=False)
+    return stack_frames(frames, windows[0])[0]
 
 
 def predict_grid(model: UNet3D, sample: SequenceSample,
@@ -294,8 +348,7 @@ def predict_grid(model: UNet3D, sample: SequenceSample,
     result always lies in [0, 200] and never contains the missing sentinel.
     The forward is an inference one: no layer cache is left behind.
     """
-    x, _ = load_sample(model.config, sample, stats)
-    out = _infer(model, x[None])
+    out = _infer(model, load_sample(model.config, sample, stats)[None])
     norm = np.clip(out[0, 0, :, :, 0].astype(np.float64), 0.0, 1.0)
     return RainGrid(denormalize_values(norm), sample.target_timestamp)
 
@@ -354,10 +407,11 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
     Each distinct frame is loaded once (`load_frames`); loss is computed in
     normalized space.  A batch runs as micro-batches of one sample
     (gradient accumulation, as in GPipe, arXiv:1811.06965): the gradients
-    are zeroed once, then each sample in permutation order gathers its six
-    frames, runs forward, takes the loss gradient with the whole batch's
-    element count as divisor and runs backward, and Adam steps once per
-    batch.  That gives the parameter gradients of one batched forward and
+    are zeroed once, then each sample in permutation order writes its six
+    frames into the buffer the first conv reads in place (`stack_frames`),
+    runs forward, takes the loss gradient with the whole batch's element
+    count as divisor and runs a backward that computes no input gradient,
+    and Adam steps once per batch.  That gives the parameter gradients of one batched forward and
     backward bit for bit, with one sample's activations alive at a time.
     The batch loss, and the validation loss (whose forwards run one sample
     at a time too), come from the stacked per-sample outputs, so they equal
@@ -383,7 +437,7 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
         return targets[rows][:, None, :, :, None]
 
     def inputs(row):
-        return frames[windows[row]][None]
+        return stack_frames(frames, windows[row])
 
     params = model.params()
     opt = Adam(params, lr=schedule.lr)
@@ -401,7 +455,7 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
             for row in chunk:
                 out = model.forward(inputs(row))
                 _, grad = loss_fn(out, labels([row]), count=count)
-                model.backward(grad.astype(out.dtype, copy=False))
+                model.backward(grad.astype(out.dtype, copy=False), input_grad=False)
                 outs.append(out)
             loss = loss_fn(np.concatenate(outs), labels(chunk))[0]
             if not np.isfinite(loss):

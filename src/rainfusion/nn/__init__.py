@@ -17,7 +17,8 @@ forward takes at most one backward.  Parameter gradients accumulate on the
 layer's Parameter blocks until `zero_grad`.
 """
 
-from .layers import Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, ensure_array5, upsample
+from .layers import (Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, ensure_array5, stack_frames,
+                     upsample)
 from .losses import logcosh_loss, mse_loss
 from .adam import Adam, lr_for_epoch
 from .gradcheck import gradient_check
@@ -37,5 +38,6 @@ __all__ = [
     "lr_for_epoch",
     "mse_loss",
     "save_arrays",
+    "stack_frames",
     "upsample",
 ]

@@ -40,7 +40,11 @@ a forward and its backward.  What is cheap to rebuild is not cached: a
 ragged pool pads its windows again in backward, and a conv whose input is
 easy to build again can drop it after its forward (`Conv3d.drop_input`)
 and take it back just before its backward (`Conv3d.restore_input`), which
-is how the decoder input lives only while its conv runs.
+is how the decoder input lives only while its conv runs.  A conv's input
+gradient may come in two parts on the channel axis (`Conv3d.split`):
+`backward` gives the first and `backward_rest` the second, so the two
+need not exist at once, and a caller that wants no input gradient leaves
+the second part uncomputed.
 
 The first conv GEMM of a process pins glibc's malloc thresholds
 (`keep_freed_pages`), so that memory freed between training samples stays
@@ -133,7 +137,9 @@ def _bordered_copy(x: np.ndarray, pads=_PADS) -> np.ndarray:
 
 def _buffer(x: np.ndarray, pads):
     """The C-contiguous channels-first buffer whose interior, inside a border
-    `pads` cells deep, is exactly `x`; None when `x` is not such a view."""
+    `pads` cells deep, is exactly `x`; None when `x` is not such a view.  The
+    stride of an axis of length 1 addresses nothing, so it may differ: a
+    sample with a batch axis added (`x[None]`) is still the interior."""
     buf = x.base
     b, T, H, W, c = x.shape
     padded = (b, c, *(n + 2 * p for n, p in zip((T, H, W), pads)))
@@ -142,7 +148,8 @@ def _buffer(x: np.ndarray, pads):
         return None
     interior = _border(buf, pads)[1]
     xc = _channels_first(x)
-    if xc.strides != interior.strides or xc.ctypes.data != interior.ctypes.data:
+    if xc.ctypes.data != interior.ctypes.data or any(
+            n > 1 and a != b for n, a, b in zip(xc.shape, xc.strides, interior.strides)):
         return None
     return buf
 
@@ -157,6 +164,18 @@ def _padded_input(x: np.ndarray, pads) -> np.ndarray:
     if any(slab.view(ints).any() for slab in _border(buf, pads)[0]):
         return _bordered_copy(x, pads)
     return buf
+
+
+def stack_frames(frames: np.ndarray, rows) -> np.ndarray:
+    """The (1, len(rows), h, w, c) activation whose time steps are the
+    (h, w, c) frames `frames[rows]`, written frame by frame into the
+    interior of a new zero-bordered buffer (see `_bordered`): a network
+    input that the first 3x3 conv reads in place."""
+    _, H, W, c = frames.shape
+    out = _bordered((1, c, len(rows), H, W), frames.dtype)
+    for t, row in enumerate(rows):
+        out[0, :, t] = frames[row].transpose(2, 0, 1)
+    return _channels_last(out)
 
 
 def upsample(x: np.ndarray, factors, target_dims, skip: np.ndarray | None = None) -> np.ndarray:
@@ -181,23 +200,23 @@ def upsample(x: np.ndarray, factors, target_dims, skip: np.ndarray | None = None
     return _channels_last(out)
 
 
-def _tap_gemms(dst, src, w, offsets, base):
+def _tap_gemms(dst, src, w, offsets, base, stack_dst):
     """dst[:, u] += sum over taps k of w[k] @ src[:, base + u + offsets[k]].
 
     dst is (dst channels, cells) and src (src channels, cells) with one
     contiguous row per channel; w is (taps, dst channels, src channels).
     The cells of dst go in blocks of `_ROW_BLOCK`, and each block is one
-    GEMM with the taps stacked on the side with fewer channels: the
-    products of all taps over the block plus its halo, added shifted, or
-    the tap-shifted source rows gathered under one another.  Those block
-    temporaries are freed before the next block; the first call of a
-    process pins the malloc thresholds (`keep_freed_pages`), so their pages
-    stay with the process.
+    GEMM with the taps stacked on dst's side when `stack_dst` (the products
+    of all taps over the block plus its halo, added shifted), else on src's
+    (the tap-shifted source rows gathered under one another).  Callers
+    stack on the side with fewer channels.  Those block temporaries are
+    freed before the next block's are allocated, so one product exists at a
+    time; the first call of a process pins the malloc thresholds
+    (`keep_freed_pages`), so their pages stay with the process.
     """
     keep_freed_pages()
     taps, cd, cs = w.shape
     lo, hi = min(offsets), max(offsets)
-    stack_dst = cd <= cs
     ws = w.reshape(taps * cd, cs) if stack_dst else w.transpose(1, 0, 2).reshape(cd, taps * cs)
     for u0 in range(0, dst.shape[1], _ROW_BLOCK):
         block = dst[:, u0:u0 + _ROW_BLOCK]
@@ -207,6 +226,7 @@ def _tap_gemms(dst, src, w, offsets, base):
             y = (ws @ src[:, s0 + lo:s0 + hi + n]).reshape(taps, cd, -1)
             for k, off in enumerate(offsets):
                 block += y[k, :, off - lo:off - lo + n]
+            del y  # before the next block allocates its product
         else:
             block += ws @ np.concatenate([src[:, s0 + off:s0 + off + n] for off in offsets])
 
@@ -264,7 +284,15 @@ class Conv3d:
     tap's shift, read from a padded grid behind a zero margin of one halo.
     Only the padded input is cached, from a forward to its backward, which
     frees it.  `drop_input` frees it early, after the forward, and
-    `restore_input` caches a rebuilt copy of the input before the backward.
+    `restore_input` caches a rebuilt copy of the input before the backward;
+    `cached_input` is the input as a view that a forward reads in place.
+
+    With `split` set, `backward` returns the gradient of the first `split`
+    input channels only and keeps the padded grad_out, and `backward_rest`
+    then gives the gradient of the others and frees it.  Both parts run the
+    GEMM path of the whole conv, picked on all its input channels, so they
+    are the whole gradient's channels bit for bit; a part whose channels
+    alone would take the other path would not be.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
@@ -290,7 +318,10 @@ class Conv3d:
         w = rng.uniform(-limit, limit, size=(kt, kh, kw, in_channels, out_channels))
         self.weight = Parameter(f"{name}.weight", w.astype(dtype))
         self.bias = Parameter(f"{name}.bias", np.zeros(out_channels, dtype=dtype))
+        # input channels whose gradient `backward` returns; None: all of them
+        self.split = None
         self._cache = None
+        self._rest = None  # what `backward` left for `backward_rest`
 
     def params(self):
         return [self.weight, self.bias]
@@ -319,6 +350,7 @@ class Conv3d:
             raise ValueError(f"{self.name}: temporal extent {kt} exceeds input time {T}")
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
         pads = (pt, ph, pw)
+        self._rest = None  # a gradient part that no `backward_rest` took
         xp = _padded_input(x, pads)
         Hp, Wp = xp.shape[3:]
         To = T - kt + 1 + 2 * pt
@@ -332,10 +364,19 @@ class Conv3d:
         lead = ph * Wp + pw
         for n in range(b):
             for it in range(kt):
-                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], shifts, it * plane)
+                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], shifts, it * plane,
+                           cout <= c)
         acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
         self._cache = (xp, pads, x.shape, (b, To, H, W, cout))
         return _channels_last(acc[:, :, :, ph:ph + H, pw:pw + W])
+
+    def cached_input(self) -> np.ndarray:
+        """The last forward's input, as the interior of the padded input that
+        it cached: a forward on it reads that buffer in place."""
+        if self._cache is None or self._cache[0] is None:
+            raise RuntimeError(f"{self.name}: no cached input")
+        xp, pads = self._cache[:2]
+        return _channels_last(_border(xp, pads)[1])
 
     def drop_input(self):
         """Free the padded input that the last forward cached.  `backward`
@@ -357,14 +398,14 @@ class Conv3d:
         self._cache = (_padded_input(x, pads), pads, in_shape, out_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xp, (pt, ph, pw), in_shape, out_shape = _take_cache(self, self.name)
+        xp, pads, in_shape, out_shape = _take_cache(self, self.name)
         if xp is None:
             raise RuntimeError(f"{self.name}: backward after drop_input without restore_input")
         grad_out = np.asarray(grad_out)
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
         b, To, H, W, cout = out_shape
-        padded, dtype = xp.shape, xp.dtype
+        padded = xp.shape
         _, c, _, Hp, Wp = padded
         kt = self.kernel[0]
         plane, halo, rows, shifts = self._grid(padded)
@@ -374,8 +415,7 @@ class Conv3d:
         gf = gbuf[:, :, halo:]
         gf.reshape(b, cout, To, Hp, Wp)[:, :, :, :H, :W] = _channels_first(grad_out)
         xf = xp.reshape(b, c, -1)
-        w = self.weight.value.reshape(kt, len(shifts), c, cout)  # (kt, taps, in, out)
-        wgrad = self.weight.grad.reshape(w.shape)
+        wgrad = self.weight.grad.reshape(kt, len(shifts), c, cout)
         for n in range(b):
             # summed from the buffer, so the order does not depend on grad_out's
             # layout, and sample by sample, as the weight gradient is
@@ -384,14 +424,40 @@ class Conv3d:
                 x0 = it * plane
                 for k, s in enumerate(shifts):
                     wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
+        rest = (gbuf, padded, xp.dtype, pads, in_shape)
         del xp, xf  # the input goes before its gradient is allocated
-        gxp = np.zeros(padded, dtype)
-        gxf = gxp.reshape(b, c, -1)
-        for n in range(b):
-            for it in range(kt):
-                x0 = it * plane
-                _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it], [-s for s in shifts], halo)
-        T = in_shape[1]
+        if self.split is not None:
+            self._rest = rest
+        return self._input_grad(*rest, slice(0, self.split))
+
+    def backward_rest(self) -> np.ndarray:
+        """The gradient of the input channels from `split` on, which the last
+        `backward` left: it consumes what that backward kept, grad_out on its
+        padded grid, and a second call raises RuntimeError."""
+        rest, self._rest = self._rest, None
+        if rest is None:
+            raise RuntimeError(f"{self.name}: backward_rest without a split backward")
+        return self._input_grad(*rest, slice(self.split, None))
+
+    def _input_grad(self, gbuf, padded, dtype, pads, in_shape, channels: slice) -> np.ndarray:
+        """The input gradient of `channels` (a slice of the input channels):
+        `_tap_gemms` the other way round, W[tap] (in, out) applied to `gbuf`
+        at minus each tap's shift, on the GEMM path of the whole conv."""
+        b, c = padded[:2]
+        kt, cout = self.kernel[0], self.out_channels
+        plane, halo, _, shifts = self._grid(padded)
+        To = (gbuf.shape[2] - halo) // plane
+        w = self.weight.value.reshape(kt, len(shifts), c, cout)[:, :, channels]  # (kt, taps, in, out)
+        width = w.shape[2]
+        gxp = np.zeros((b, width, *padded[2:]), dtype)
+        gxf = gxp.reshape(b, width, math.prod(padded[2:]))
+        if width:
+            for n in range(b):
+                for it in range(kt):
+                    x0 = it * plane
+                    _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
+                               [-s for s in shifts], halo, c <= cout)
+        (pt, ph, pw), (T, H, W) = pads, in_shape[1:4]
         return _channels_last(gxp[:, :, pt:pt + T, ph:ph + H, pw:pw + W])
 
 

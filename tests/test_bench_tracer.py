@@ -40,8 +40,15 @@ def test_tracer_records_every_layer(monkeypatch):
                 if m["name"].startswith("nn.conv.") and m["name"].endswith(".fwd_s")}
     assert set(convs) == declared
     # one forward and one backward: every conv once each way, and the 2 pools,
-    # 2 upsamples and 11 ReLUs of a 3-level network twice
+    # 2 upsamples and 11 ReLUs of a 3-level network twice; the backward runs
+    # the first conv and ReLU of both encoder stages and of the bottleneck
+    # once more, to rebuild their second conv's input
+    rebuilt = {"enc1a", "enc2a", "bottleneck_a"}
     expected = {f"nn.conv.{c}.{d}": 1 for c in convs for d in ("fwd", "bwd")}
-    expected.update({"nn.pool": 4, "nn.upsample": 4, "nn.relu": 22,
+    expected.update({f"nn.conv.{c}.fwd": 2 for c in rebuilt})
+    expected.update({"nn.pool": 4, "nn.upsample": 4, "nn.relu": 25,
                      "models.forward": 1, "models.backward": 1})
     assert Counter(s[0] for s in tracer.spans) == expected
+    backward = next(i for i, s in enumerate(tracer.spans) if s[0] == "models.backward")
+    inside = Counter(s[0] for s in tracer.spans if s[3] == backward and s[0].endswith(".fwd"))
+    assert inside == {f"nn.conv.{c}.fwd": 1 for c in rebuilt}

@@ -273,7 +273,10 @@ class TestBorderedBuffers:
 class TestDecoderInputs:
     """The first conv of each decoder stage drops its input, the
     `[upsampled | skip]` buffer, after its forward, and the backward
-    builds it again just before that conv's backward."""
+    builds it again just before that conv's backward.  The second conv of
+    each encoder stage and of the bottleneck drops its input, the first
+    ReLU's output, likewise, and the backward runs the first conv and ReLU
+    again for it."""
 
     @staticmethod
     def step(model, x):
@@ -289,15 +292,18 @@ class TestDecoderInputs:
     @pytest.mark.parametrize("batch", [1, 4])
     def test_rebuilt_input_matches_held_input_bit_for_bit(self, config, batch, monkeypatch):
         """Output, input gradient and every parameter gradient equal, bit for
-        bit, those of a run in which the decoder convs keep their input from
-        forward to backward (the drop and the restore patched away)."""
+        bit, those of a run that keeps every activation from forward to
+        backward (the drops and the rebuilds patched away)."""
         x = np.random.default_rng(8).normal(
             size=(batch, 6, 16, 16, config.in_channels)).astype(np.float32)
         model = UNet3D(config, seed=6)
         rebuilt, held = self.step(model, x)
         dropped = [conv.name for conv, h in zip(model.conv_layers(), held) if not h]
-        assert dropped == [block[0].name for block in model.dec]
+        inner = [block[2].name for block in (*model.enc, model.bott)]
+        assert dropped == inner + [block[0].name for block in model.dec]
         assert model._dec_inputs == []
+        monkeypatch.setattr(models, "_drop_inner", lambda block: None)
+        monkeypatch.setattr(models, "_rebuild_inner", lambda block: None)
         monkeypatch.setattr(Conv3d, "drop_input", lambda conv: None)
         monkeypatch.setattr(Conv3d, "restore_input", lambda conv, x: None)
         kept, held = self.step(UNet3D(config, seed=6), x)
@@ -315,36 +321,58 @@ class TestDecoderInputs:
             model.backward(np.ones_like(out))
 
     def test_input_gradient_freed_once_split(self):
-        """The skip's share of a decoder input gradient is kept as a copy, so
-        the whole gradient is freed before any layer but the upsample runs
-        its backward."""
+        """A decoder stage's first conv gives its input gradient in two
+        parts.  `backward` gives the upsampled channels' part, which is
+        freed before any layer but the upsample runs its backward; only
+        then does `backward_rest` give the skip's part, which is kept as it
+        is, no copy, until the encoder adds it."""
         model = UNet3D(TINY_MM, seed=6)
         firsts = [block[0] for block in model.dec]
-        grads = []  # weak references to each decoder input gradient's buffer
+        grads = []  # weak references to each upsampled part's buffer
+        calls = []  # (layer, method) of each backward, in order
 
         def watching(layer):
             backward = layer.backward
 
             def run(g):
+                calls.append((layer, "backward"))
                 if not isinstance(layer, Upsample3d):
                     assert all(ref() is None for ref in grads), layer
                 out = backward(g)
                 if layer in firsts:
+                    assert out.shape[-1] == out.base.shape[1] == layer.split
                     grads.append(weakref.ref(out.base))
+                return out
+            return run
+
+        def watching_rest(conv):
+            backward_rest = conv.backward_rest
+
+            def run():
+                calls.append((conv, "backward_rest"))
+                out = backward_rest()
+                assert out.shape[-1] == out.base.shape[1] == conv.in_channels - conv.split
                 return out
             return run
 
         for layer in model.layers():
             layer.backward = watching(layer)
+        for conv in firsts:
+            conv.backward_rest = watching_rest(conv)
         out = model.forward(np.ones((2, 6, 16, 16, 12), np.float32))
         model.backward(np.ones_like(out))
         assert len(grads) == len(firsts)
+        for conv, up in zip(firsts, model.ups):
+            at = calls.index((conv, "backward"))
+            assert calls[at + 1:at + 3] == [(up, "backward"), (conv, "backward_rest")]
 
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_desk_inference_peak(self, variant):
         """Traced peak of a warm batch-1 inference forward of the desk
         network: about 12.3 (radar) and 11.2 MiB (multimodal) with the
-        decoder input held, 9.8 and 9.5 MiB with it dropped."""
+        decoder input held, 9.8 and 9.5 MiB with it dropped, and about 7.1
+        and 7.2 MiB with one GEMM product at a time and the encoder's and
+        the bottleneck's inner activations freed after their second conv."""
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=23)
         x = np.random.default_rng(10).random((1, 6, 64, 64, model.config.in_channels),
                                             dtype=np.float32)
@@ -355,7 +383,7 @@ class TestDecoderInputs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10.5 * 2 ** 20
+        assert peak <= 7.75 * 2 ** 20
 
 
 def _write_sequence(tmp_path, fields, lead=5):
@@ -505,6 +533,17 @@ class TestPrediction:
         model = UNet3D(TINY, seed=15)
         a, b = predict_grid(model, sample), predict_grid(model, sample)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_nowcast_reads_only_its_inputs(self, tmp_path):
+        """A nowcast does not read its target, which at forecast time does
+        not exist yet: with the target file deleted it gives the same grid."""
+        rng = np.random.default_rng(16)
+        sample = _write_sequence(tmp_path, [rng.random((16, 16), dtype=np.float32) * 20
+                                            for _ in range(7)])
+        model = UNet3D(TINY, seed=15)
+        before = predict_grid(model, sample)
+        os.remove(sample.target_path)
+        np.testing.assert_array_equal(predict_grid(model, sample).values, before.values)
 
 
 class TestCheckpoints:
@@ -683,9 +722,11 @@ class TestMultimodalLoading:
             np.testing.assert_array_equal(frames[window], want)
             np.testing.assert_array_equal(
                 target, normalize_values(read_grid(s.target_path).values).astype(np.float32))
-        x, y = load_sample(TINY_MM, samples[3], stats)
+        x = load_sample(TINY_MM, samples[3], stats)
         np.testing.assert_array_equal(x, frames[windows[3]])
-        np.testing.assert_array_equal(y, targets[3])
+        model = UNet3D(TINY_MM, seed=19)
+        model.forward(x[None])
+        assert model.enc[0][0]._cache[0] is x.base  # read in place, as a nowcast's is
 
     def test_each_file_read_once(self, mm_data, monkeypatch):
         samples, stats = mm_data
@@ -748,8 +789,9 @@ class TestMultimodalLoading:
             load_sample(replace(TINY_MM, rows=32, cols=32), samples[0], stats)
 
     def test_batches_are_sample_loads_in_permutation_order(self, mm_data):
-        """Each forward of `train` gets one sample, `(1, 6, rows, cols, 12)`:
-        the training samples in permutation order, then the validation ones."""
+        """Each forward of `train` gets one sample, `(1, 6, rows, cols, 12)`,
+        in the zero-bordered buffer that the first conv reads in place: the
+        training samples in permutation order, then the validation ones."""
         samples, stats = mm_data
         train_set, val_set = samples[:5], samples[5:8]
         model = UNet3D(TINY_MM, seed=19)
@@ -757,6 +799,7 @@ class TestMultimodalLoading:
         forward = model.forward
 
         def recording(x):
+            assert_zero_border(x)
             seen.append(x.copy())
             return forward(x)
 
@@ -770,7 +813,7 @@ class TestMultimodalLoading:
         assert len(seen) == len(rows)
         for x, i in zip(seen, rows):
             assert x.shape == (1, 6, 16, 16, 12)
-            np.testing.assert_array_equal(x[0], load_sample(TINY_MM, samples[i], stats)[0])
+            np.testing.assert_array_equal(x[0], load_sample(TINY_MM, samples[i], stats))
 
     def test_trained_checkpoint_predicts_bit_identically(self, mm_data, tmp_path):
         samples, stats = mm_data
@@ -877,6 +920,25 @@ class TestSampleSteps:
             assert_bits_equal(a, b)
 
     @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
+    def test_backward_without_input_gradient(self, config):
+        """`backward(g, input_grad=False)` returns None and adds the parameter
+        gradients of a backward that returns the input gradient, bit for
+        bit; the first conv keeps no part of that gradient behind."""
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(2, 6, 16, 16, config.in_channels)).astype(np.float32)
+        g = rng.normal(size=(2, 1, 16, 16, 1)).astype(np.float32)
+        runs = []
+        for input_grad in (True, False):
+            model = UNet3D(config, seed=34)
+            model.forward(x)
+            gx = model.backward(g, input_grad=input_grad)
+            assert (gx is None) == (not input_grad)
+            assert _cached_layers(model) == []
+            runs.append([p.grad.copy() for p in model.params()])
+        for a, b in zip(*runs, strict=True):
+            assert_bits_equal(a, b)
+
+    @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
     @pytest.mark.parametrize("loss", ["logcosh", "mse"])
     @pytest.mark.parametrize("validate", [True, False], ids=["val", "no-val"])
     def test_train_equals_batched_loop(self, config, loss, validate, mm_data):
@@ -898,15 +960,19 @@ class TestSampleSteps:
         for a, b in zip(weights, want_weights, strict=True):
             assert_bits_equal(a, b)
 
-    @pytest.mark.parametrize("variant,bound_mib", [("radar", 11.75), ("multimodal", 13.75)])
+    @pytest.mark.parametrize("variant,bound_mib", [("radar", 8.5), ("multimodal", 10.75)])
     def test_desk_train_peak(self, variant, bound_mib, tmp_path):
         """Traced peak of a warm desk `train()` call (64x64, base 8, batch 4,
         one epoch over 4 samples, 4 validation samples): 35.7 (radar) and
         42.9 MiB (multimodal) with batched steps.  One sample at a time it
-        reads about 10.6 and 13.55 MiB with the conv GEMM temporaries
+        read about 10.6 and 13.55 MiB with the conv GEMM temporaries
         allocated per block.  A long-lived GEMM scratch read 9.0 and
         11.3 MiB here only because it was allocated before tracing began;
-        counted, it held 3.0 and 2.5 MiB more (12.0 and 13.9 MiB)."""
+        counted, it held 3.0 and 2.5 MiB more (12.0 and 13.9 MiB).  It
+        reads about 8.0 and 10.3 MiB now that a step rebuilds the encoder's
+        and the bottleneck's inner activations in backward, gets a decoder
+        input gradient in two parts, holds one GEMM product at a time, and
+        builds the network input once, without its gradient."""
         samples, stats = _desk_samples(tmp_path, variant)
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=22)
         schedule = TrainSchedule(epochs=1, lr=1e-3, milestones=(), batch_size=4)
@@ -940,7 +1006,9 @@ class TestSampleSteps:
 
 
 def _cached_layers(model):
-    return [layer for layer in model.layers() if layer._cache is not None]
+    """The layers that hold a forward's cache or a gradient part not yet taken."""
+    return [layer for layer in model.layers()
+            if layer._cache is not None or getattr(layer, "_rest", None) is not None]
 
 
 class TestCacheLifetime:
@@ -957,8 +1025,11 @@ class TestCacheLifetime:
             assert _cached_layers(model) == []
         predict_grid(model, samples[7], stats)
         assert _cached_layers(model) == []
-        model.forward(load_sample(config, samples[7], stats)[0][None])
-        assert len(_cached_layers(model)) == len(model.layers())
+        model.forward(load_sample(config, samples[7], stats)[None])
+        # all but the first ReLU of each encoder stage and of the bottleneck,
+        # whose output the backward rebuilds
+        inner = [block[1] for block in (*model.enc, model.bott)]
+        assert _cached_layers(model) == [layer for layer in model.layers() if layer not in inner]
 
     def test_desk_model_retains_no_traced_bytes(self, tmp_path):
         """After a warm-up, a nowcast and a one-epoch training run leave less

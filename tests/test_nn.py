@@ -310,6 +310,34 @@ class TestConv3d:
         with pytest.raises(RuntimeError, match="dec9a: backward before forward"):
             conv.backward(g)
 
+    @pytest.mark.parametrize("cin,cout,split", [(24, 8, 16), (12, 8, 0), (6, 9, 4), (8, 24, 5)],
+                             ids=["gather-skip-alone-stacks", "gather-none-first",
+                                  "stack", "stack-several-blocks"])
+    def test_two_part_input_gradient_is_the_whole_gradient(self, cin, cout, split):
+        """With `split` set, `backward` gives the gradient of the first
+        `split` input channels and `backward_rest` that of the others:
+        together the whole gradient, bit for bit, with the same parameter
+        gradients.  Both parts take the whole conv's GEMM path, also where a
+        part alone would take the other one (the 8 channels after the split
+        of 24 -> 8 would stack, 24 gathers)."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 2, 40, 36, cin)).astype(np.float32)  # several GEMM blocks
+        g = rng.normal(size=(2, 2, 40, 36, cout)).astype(np.float32)
+        results = []
+        for parts in (None, split):
+            conv = Conv3d(cin, cout, rng=np.random.default_rng(13), name="dec9a")
+            conv.split = parts
+            conv.forward(x)
+            gx = conv.backward(g)
+            if parts is not None:
+                assert gx.shape[-1] == split
+                gx = np.concatenate([gx, conv.backward_rest()], axis=-1)
+                with pytest.raises(RuntimeError, match="dec9a: backward_rest without a split"):
+                    conv.backward_rest()
+            results.append((gx, conv.weight.grad, conv.bias.grad))
+        for a, b in zip(*results, strict=True):
+            assert_bits_equal(a, b)
+
     def test_shape_validation(self):
         conv = Conv3d(2, 2)
         with pytest.raises(ValueError):
@@ -711,6 +739,12 @@ class TestPaddedInputReuse:
         x = bordered_backed(self.values())
         x.base[cell] = value
         self.check(x, reused=False)
+
+    def test_added_batch_axis_is_reused(self):
+        """A sample's interior with a batch axis added, whose stride (0)
+        differs from the buffer's, is still read in place."""
+        x = bordered_backed(self.values()[:1])[0]
+        self.check(x[None], reused=True)
 
     def test_shifted_view_is_copied(self):
         x = bordered_backed(self.values())
