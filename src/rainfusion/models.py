@@ -10,47 +10,50 @@ radar variant pools (2, 2, 1), which halves time and rows and never pools
 cols (ROADMAP item 1 tracks the fix); the multimodal variant pools
 (2, 2, 2) with ceiling semantics and the decoder restores the recorded
 sizes exactly.  Body convs keep a temporal extent of 1; all temporal
-mixing happens in the pooling path and the head.  Each block is a list of
-layers, run in order forward and in reverse backward, with no name left
-holding a block's input or incoming gradient while it runs.  Activations
-have the layers' (b, t, h, w, c) shape over channels-first memory (see
+mixing happens in the pooling path and the head.  Activations have the
+layers' (b, t, h, w, c) shape over channels-first memory (see
 `rainfusion.nn`).
 
-A step keeps from forward to backward only what its backward cannot
-rebuild cheaply:
+The network is one list of layers, `UNet3D.steps`: each encoder stage
+and its pool, the bottleneck, each upsample and its decoder stage, the
+head.  One loop runs it in order forward and in reverse backward, with no
+name left holding a layer's input or incoming gradient while the next one
+runs.  Each encoder stage's output goes on a skip stack before its pool,
+and each upsample pops one into the decoder input `[upsampled | skip]`,
+whose gradient comes in two parts (`Conv3d.split`): the upsampled
+channels', which the upsample's backward consumes and frees, then the
+skip's, added to the input gradient of the matching pool.
 
-- The decoder input `[upsampled | skip]`, the largest array of a step,
-  is not kept.  The upsample writes its repetition phases and the skip
-  straight into one zero-bordered buffer that the stage's first conv reads
-  in place, and that conv drops it after its forward.  The backward builds
-  it again, from the low-resolution features and the skip that their
-  ReLUs cache anyway, just before that conv's backward, which frees it
-  again before the input gradient.  That gradient comes in two parts
-  (`Conv3d.split`): the upsampled channels first, which the upsample's
-  backward consumes and frees, then the skip's, kept as they are until
-  the encoder adds them.
-- The output of the first ReLU of each encoder stage and of the
-  bottleneck, the second conv's input, is not kept either.  Just before
-  the second conv's backward, the backward runs the first conv and ReLU
-  again on the first conv's cached input, which that conv reads in place:
-  one more small conv forward per stage buys back one activation, the
-  recomputation trade of Chen et al., "Training Deep Nets with Sublinear
-  Memory Cost" (arXiv:1604.06174).
-- What is kept: the first conv's input of each encoder stage and of the
-  bottleneck (the network input and the pool outputs, which the pools
-  cache too), each stage's output (its skip, cached by its last ReLU and
-  its pool), and every activation of the decoder stages after their first
-  conv and of the head.
+A training forward (`forward`) keeps for the backward only what it cannot
+rebuild cheaply.  The table `UNet3D._rebuild` names each conv whose input
+the forward drops, and how the backward builds it again just before that
+conv's backward, a per-node policy as in Chen et al., "Training Deep Nets
+with Sublinear Memory Cost" (arXiv:1604.06174):
+
+- "upsample": the first conv of each decoder stage drops the decoder
+  input, the largest array of a step, which it read in place.  It is
+  upsampled again from the held low-resolution features and skip, which
+  their ReLUs cache anyway.
+- "rerun": the second conv of each encoder stage and of the bottleneck
+  drops its input with the first ReLU's cache.  The first conv and ReLU
+  run again on the first conv's cached input: one more small conv forward
+  per stage buys back one activation.
+
+With an empty table every input is kept.  An inference forward
+(`_run(x, keep=False)`, run by `predict_grid` and `train`'s validation)
+drops each layer's cache right after its forward, so an activation lives
+until the next layer has read it, and a skip until its upsample.
 
 Every layer runs the samples of a batch one after the other, so `train`
 runs a batch one sample at a time: the parameter gradients accumulate
 over the samples, bit for bit those of one batched backward, and only one
-sample's activations exist at a time.  A training step then holds no more
-memory than a nowcast.  `train` builds each sample's input once, in the
-zero-bordered buffer that the first conv reads in place (`stack_frames`),
-and asks for no gradient of it (`backward(..., input_grad=False)`): the
-first conv's `split` is 0, so its backward gives an empty first part and
-the rest is never computed.
+sample's activations exist at a time.  Every package call passes batch 1;
+the batch axis stays because `gradient_check` and the tests that check a
+batch of 3 or 4 against its samples bit for bit use it.  `train` builds
+each sample's input once, in the zero-bordered buffer that the first conv
+reads in place (`stack_frames`), and asks for no gradient of it
+(`backward(..., input_grad=False)`): the first conv's `split` is 0, so its
+backward gives an empty first part and the rest is never computed.
 """
 
 from __future__ import annotations
@@ -159,15 +162,22 @@ class UNet3D:
                           temporal_pad="valid"), ReLU(),
                      conv(2, 1, "head_b", kernel=(1, 1, 1))]
         self.enc[0][0].split = 0  # the network input's gradient only when asked for
-        # per decoder stage of the last forward, the (low-res features, skip)
-        # that its input is built from, until the backward rebuilds it
-        self._dec_inputs = []
+        self.steps = [layer for block, pool in zip(self.enc, self.pools) for layer in (*block, pool)]
+        self.steps += self.bott
+        self.steps += [layer for up, block in zip(self.ups, self.dec) for layer in (up, *block)]
+        self.steps += self.head
+        # the step of each conv whose input a training forward drops: how the
+        # backward builds it again (see the module docstring)
+        self._rebuild = {self.steps.index(block[2]): "rerun" for block in (*self.enc, self.bott)}
+        self._rebuild.update({self.steps.index(block[0]): "upsample" for block in self.dec})
+        # per "upsample" step of the last training forward, the (low-res
+        # features, skip) that its input is built from, until the backward
+        self._held = {}
 
     # -- structure ---------------------------------------------------------
 
     def layers(self):
-        return [layer for block in (*self.enc, self.bott, *self.dec, self.head)
-                for layer in block] + self.pools + self.ups
+        return list(self.steps)
 
     def conv_layers(self):
         return [layer for layer in self.layers() if isinstance(layer, Conv3d)]
@@ -185,30 +195,34 @@ class UNet3D:
     # -- forward / backward --------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._run(x, keep=True)
+
+    def _run(self, x: np.ndarray, keep: bool) -> np.ndarray:
+        """The network output of `x`.  With `keep` (a training forward) the
+        layers keep their caches but for the inputs `_rebuild` drops; without
+        (inference) each layer's cache is dropped right after its forward."""
         h = ensure_array5(x, "model input")
         cfg = self.config
         expect = (cfg.time_steps, cfg.rows, cfg.cols, cfg.in_channels)
         if h.shape[1:] != expect:
             raise ValueError(f"input shape {h.shape[1:]} does not match config {expect}")
-        skips = []
-        for block, pool in zip(self.enc, self.pools):
-            for layer in block:
+        skips = []  # encoder stage outputs, the deepest last
+        self._held = {}
+        for i, layer in enumerate(self.steps):
+            if isinstance(layer, MaxPool3d):
+                skips.append(h)
+            if isinstance(layer, Upsample3d):
+                if keep and self._rebuild.get(i + 1) == "upsample":
+                    self._held[i + 1] = (h, skips[-1])  # ReLU outputs, which their ReLUs cache
+                h = layer.forward(h, skip=skips.pop())
+            else:
                 h = layer.forward(h)
-            _drop_inner(block)
-            skips.append(h)
-            h = pool.forward(h)
-        for layer in self.bott:
-            h = layer.forward(h)
-        _drop_inner(self.bott)
-        self._dec_inputs = []
-        for (conv, *block), up, skip in zip(self.dec, self.ups, reversed(skips)):
-            self._dec_inputs.append((h, skip))  # ReLU outputs, which their ReLUs cache
-            h = conv.forward(up.forward(h, skip=skip))
-            conv.drop_input()
-            for layer in block:
-                h = layer.forward(h)
-        for layer in self.head:
-            h = layer.forward(h)
+            if not keep:
+                layer._cache = None
+            elif i in self._rebuild:
+                layer.drop_input()
+                if self._rebuild[i] == "rerun":
+                    self.steps[i - 1]._cache = None  # the ReLU output that is that input
         return h
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -216,64 +230,30 @@ class UNet3D:
         gradient to its Parameter; None, and not computed, when `input_grad`
         is false."""
         g = grad_out
-        for layer in reversed(self.head):
+        held, self._held = self._held, {}
+        skip_grads = []  # the deepest stage's last
+        for i in reversed(range(len(self.steps))):
+            layer = self.steps[i]
+            how = self._rebuild.get(i)
+            if how == "rerun":
+                conv, relu = self.steps[i - 2:i]
+                layer.restore_input(relu.forward(conv.forward(conv.cached_input())))
+            elif how == "upsample":
+                low, skip = held.pop(i)
+                layer.restore_input(upsample(low, self.steps[i - 1].factors, skip.shape[1:4], skip))
+                del low, skip  # so that their ReLUs' backwards free them
             g = layer.backward(g)
-        dec_inputs, self._dec_inputs = self._dec_inputs, []
-        skip_grads = []  # shallowest stage first
-        for (conv, *block), up in zip(reversed(self.dec), reversed(self.ups)):
-            for layer in reversed(block):
-                g = layer.backward(g)
-            low, skip = dec_inputs.pop()
-            conv.restore_input(upsample(low, up.factors, skip.shape[1:4], skip))
-            del low, skip  # so that their ReLUs' backwards free them
-            # the conv ran on [upsampled | skip]: the upsampled part of its input
-            # gradient is freed by the upsample's backward before the skip's exists
-            g = up.backward(conv.backward(g))
-            skip_grads.append(conv.backward_rest())
-        g = _inner_backward(self.bott, g)
-        for block, pool in zip(reversed(self.enc), reversed(self.pools)):
-            g = _inner_backward(block, pool.backward(g) + skip_grads.pop())
-        first = self.enc[0][0]  # `g` is the empty first part of its input gradient
+            if isinstance(layer, Upsample3d):
+                # the conv after it ran on [upsampled | skip]: the upsampled part
+                # of its input gradient is freed before the skip's exists
+                skip_grads.append(self.steps[i + 1].backward_rest())
+            elif isinstance(layer, MaxPool3d):
+                g += skip_grads.pop()
+        first = self.steps[0]  # `g` is the empty first part of its input gradient
         if not input_grad:
             first._rest = None  # the other part, never computed
             return None
         return first.backward_rest()
-
-
-def _drop_inner(block):
-    """Free the output of a [conv, ReLU, conv, ReLU] block's first ReLU
-    after the block's forward; it is the second conv's input.
-    `_rebuild_inner` makes it again."""
-    block[1]._cache = None
-    block[2].drop_input()
-
-
-def _rebuild_inner(block):
-    """Cache again what `_drop_inner` freed: the block's first conv and ReLU
-    run once more, the conv reading its cached input in place."""
-    conv, relu, second, _ = block
-    second.restore_input(relu.forward(conv.forward(conv.cached_input())))
-
-
-def _inner_backward(block, g):
-    """The backward of a [conv, ReLU, conv, ReLU] block whose inner input
-    `_drop_inner` freed: rebuilt just before the second conv's backward."""
-    g = block[3].backward(g)
-    _rebuild_inner(block)
-    for layer in reversed(block[:3]):
-        g = layer.backward(g)
-    return g
-
-
-def _infer(model: UNet3D, x: np.ndarray) -> np.ndarray:
-    """`model.forward(x)` with no backward to follow: every layer's cache and
-    the decoder stages' inputs are dropped, so the model keeps no
-    activations after it returns."""
-    out = model.forward(x)
-    for layer in model.layers():
-        layer._cache = None
-    model._dec_inputs = []
-    return out
 
 
 def param_count(model: UNet3D) -> int:
@@ -348,7 +328,7 @@ def predict_grid(model: UNet3D, sample: SequenceSample,
     result always lies in [0, 200] and never contains the missing sentinel.
     The forward is an inference one: no layer cache is left behind.
     """
-    out = _infer(model, load_sample(model.config, sample, stats)[None])
+    out = model._run(load_sample(model.config, sample, stats)[None], keep=False)
     norm = np.clip(out[0, 0, :, :, 0].astype(np.float64), 0.0, 1.0)
     return RainGrid(denormalize_values(norm), sample.target_timestamp)
 
@@ -413,13 +393,14 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
     count as divisor and runs a backward that computes no input gradient,
     and Adam steps once per batch.  That gives the parameter gradients of one batched forward and
     backward bit for bit, with one sample's activations alive at a time.
-    The batch loss, and the validation loss (whose forwards run one sample
-    at a time too), come from the stacked per-sample outputs, so they equal
-    the batched values bit for bit.  Returns the per-epoch history; on
-    finishing, model parameters hold the lowest-validation-loss snapshot
-    (final weights when no validation set is given).  Each training
-    backward consumes its forward's layer caches and the validation
-    forwards drop theirs, so on return no layer holds a cache.
+    The batch loss, and the validation loss (whose inference forwards,
+    `_run(x, keep=False)`, run one sample at a time too), come from the
+    stacked per-sample outputs, so they equal the batched values bit for
+    bit.  Returns the per-epoch history; on finishing, model parameters
+    hold the lowest-validation-loss snapshot (final weights when no
+    validation set is given).  Each training backward consumes its
+    forward's layer caches and an inference forward keeps none, so on
+    return no layer holds a cache.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -466,7 +447,7 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
         val_loss = None
         if len(val_rows):
             val_loss = sum(
-                loss_fn(np.concatenate([_infer(model, inputs(row)) for row in chunk]),
+                loss_fn(np.concatenate([model._run(inputs(row), keep=False) for row in chunk]),
                         labels(chunk))[0] * len(chunk)
                 for chunk in batches(val_rows)) / len(val_rows)
         history.append(EpochStats(epoch, train_loss, val_loss, opt.lr))

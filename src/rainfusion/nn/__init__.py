@@ -13,8 +13,10 @@ same results bit for bit.  float32
 is the training precision, float64 the gradient-check precision.
 Every layer implements an exact adjoint: `forward(x)` caches what its
 `backward(grad)` needs, and that backward consumes the cache, so one
-forward takes at most one backward.  Parameter gradients accumulate on the
-layer's Parameter blocks until `zero_grad`.
+forward takes at most one backward.  A forward that no backward follows
+keeps its cache until the caller drops it; the model's inference forward
+drops each layer's right after that layer's forward.  Parameter gradients
+accumulate on the layer's Parameter blocks until `zero_grad`.
 """
 
 from .layers import (Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, ensure_array5, stack_frames,

@@ -34,7 +34,9 @@ forward to the backward that follows it.  Backward takes the cache and
 clears it, so the cached arrays are freed once the gradients exist, and a
 second backward without a new forward raises RuntimeError.  A forward that
 no backward follows (inference) leaves its cache until the caller sets
-`_cache` to None or the next forward replaces it.  The cache may be the
+`_cache` to None or the next forward replaces it: the model's inference
+forward sets it to None right after each layer's forward, so an activation
+lives only until the next layer has read it.  The cache may be the
 input or the output itself, not a copy: neither may be written to between
 a forward and its backward.  What is cheap to rebuild is not cached: a
 ragged pool pads its windows again in backward, and a conv whose input is

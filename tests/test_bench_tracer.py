@@ -20,7 +20,9 @@ TINY = ModelConfig(variant="radar", rows=16, cols=16, time_steps=6,
                    levels=3, base_channels=2, lead_minutes=5)
 
 
-def test_tracer_records_every_layer(monkeypatch):
+def _traced(monkeypatch, run):
+    """The tracer's spans of `run(model, x)` on a traced TINY network, and
+    the network."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     rf = SimpleNamespace(**{n: importlib.import_module(f"rainfusion.{n}") for n in spans.LAYERS})
@@ -30,10 +32,17 @@ def test_tracer_records_every_layer(monkeypatch):
     patches, _ = spans.install(tracer, rf)
     with patches, spans.trace_model(tracer, rf, model):
         assert rf.models.load_sample is not untraced
-        out = model.forward(np.random.default_rng(0).random((1, 6, 16, 16, 1), dtype=np.float32))
-        model.backward(np.ones_like(out))
+        run(model, np.random.default_rng(0).random((1, 6, 16, 16, 1), dtype=np.float32))
     assert rf.models.load_sample is untraced
+    return tracer.spans, model
 
+
+def test_tracer_records_every_layer(monkeypatch):
+    def step(model, x):
+        out = model.forward(x)
+        model.backward(np.ones_like(out))
+
+    spans, model = _traced(monkeypatch, step)
     convs = [conv.name for conv in model.conv_layers()]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"].split(".")[2] for m in spec["per_layer"]
@@ -48,7 +57,17 @@ def test_tracer_records_every_layer(monkeypatch):
     expected.update({f"nn.conv.{c}.fwd": 2 for c in rebuilt})
     expected.update({"nn.pool": 4, "nn.upsample": 4, "nn.relu": 25,
                      "models.forward": 1, "models.backward": 1})
-    assert Counter(s[0] for s in tracer.spans) == expected
-    backward = next(i for i, s in enumerate(tracer.spans) if s[0] == "models.backward")
-    inside = Counter(s[0] for s in tracer.spans if s[3] == backward and s[0].endswith(".fwd"))
+    assert Counter(s[0] for s in spans) == expected
+    backward = next(i for i, s in enumerate(spans) if s[0] == "models.backward")
+    inside = Counter(s[0] for s in spans if s[3] == backward and s[0].endswith(".fwd"))
     assert inside == {f"nn.conv.{c}.fwd": 1 for c in rebuilt}
+
+
+def test_tracer_records_an_inference_run(monkeypatch):
+    """An inference forward, as a nowcast or a validation loss runs it, goes
+    through every layer's forward once, and through neither the traced
+    `model.forward` nor any backward."""
+    spans, model = _traced(monkeypatch, lambda model, x: model._run(x, keep=False))
+    expected = {f"nn.conv.{conv.name}.fwd": 1 for conv in model.conv_layers()}
+    expected.update({"nn.pool": 2, "nn.upsample": 2, "nn.relu": 11})
+    assert Counter(s[0] for s in spans) == expected

@@ -23,7 +23,6 @@ from rainfusion.models import (
     TrainSchedule,
     TrainingError,
     UNet3D,
-    _infer,
     history_to_csv,
     load_frames,
     load_model,
@@ -288,28 +287,31 @@ class TestDecoderInputs:
         gx = model.backward(np.random.default_rng(9).normal(size=out.shape).astype(out.dtype))
         return (out, gx, *(p.grad.copy() for p in model.params())), held
 
-    @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_rebuilt_input_matches_held_input_bit_for_bit(self, config, batch, monkeypatch):
+    @pytest.mark.parametrize("config", [TINY, TINY_MM, replace(DESK, base_channels=8),
+                                        replace(TINY_MM, rows=32, cols=32, levels=4)],
+                             ids=["radar", "multimodal", "desk", "levels4"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_rebuilt_input_matches_held_input_bit_for_bit(self, config, batch):
         """Output, input gradient and every parameter gradient equal, bit for
-        bit, those of a run that keeps every activation from forward to
-        backward (the drops and the rebuilds patched away)."""
+        bit, those of the same model with an empty rebuild table, which
+        keeps every activation from forward to backward; the inference
+        forward's output equals the training forward's."""
         x = np.random.default_rng(8).normal(
-            size=(batch, 6, 16, 16, config.in_channels)).astype(np.float32)
+            size=(batch, 6, config.rows, config.cols, config.in_channels)).astype(np.float32)
         model = UNet3D(config, seed=6)
         rebuilt, held = self.step(model, x)
         dropped = [conv.name for conv, h in zip(model.conv_layers(), held) if not h]
-        inner = [block[2].name for block in (*model.enc, model.bott)]
-        assert dropped == inner + [block[0].name for block in model.dec]
-        assert model._dec_inputs == []
-        monkeypatch.setattr(models, "_drop_inner", lambda block: None)
-        monkeypatch.setattr(models, "_rebuild_inner", lambda block: None)
-        monkeypatch.setattr(Conv3d, "drop_input", lambda conv: None)
-        monkeypatch.setattr(Conv3d, "restore_input", lambda conv, x: None)
-        kept, held = self.step(UNet3D(config, seed=6), x)
+        stages = range(1, config.levels)
+        assert dropped == ([f"enc{i}b" for i in stages] + ["bottleneck_b"]
+                           + [f"dec{i}a" for i in reversed(stages)])
+        assert model._held == {}
+        reference = UNet3D(config, seed=6)
+        reference._rebuild = {}
+        kept, held = self.step(reference, x)
         assert all(held)
         for a, b in zip(rebuilt, kept, strict=True):
             assert_bits_equal(a, b)
+        assert_bits_equal(model._run(x, keep=False), rebuilt[0])
 
     def test_input_never_restored_raises(self, monkeypatch):
         model = UNet3D(TINY, seed=6)
@@ -370,20 +372,22 @@ class TestDecoderInputs:
     def test_desk_inference_peak(self, variant):
         """Traced peak of a warm batch-1 inference forward of the desk
         network: about 12.3 (radar) and 11.2 MiB (multimodal) with the
-        decoder input held, 9.8 and 9.5 MiB with it dropped, and about 7.1
+        decoder input held, 9.8 and 9.5 MiB with it dropped, about 7.1
         and 7.2 MiB with one GEMM product at a time and the encoder's and
-        the bottleneck's inner activations freed after their second conv."""
+        the bottleneck's inner activations freed after their second conv,
+        and about 4.8 and 4.4 MiB now that each layer's cache is dropped
+        right after its forward."""
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=23)
         x = np.random.default_rng(10).random((1, 6, 64, 64, model.config.in_channels),
                                             dtype=np.float32)
-        _infer(model, x)
+        model._run(x, keep=False)
         tracemalloc.start()
         try:
-            _infer(model, x)
+            model._run(x, keep=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7.75 * 2 ** 20
+        assert peak <= 5 * 2 ** 20
 
 
 def _write_sequence(tmp_path, fields, lead=5):
@@ -789,21 +793,22 @@ class TestMultimodalLoading:
             load_sample(replace(TINY_MM, rows=32, cols=32), samples[0], stats)
 
     def test_batches_are_sample_loads_in_permutation_order(self, mm_data):
-        """Each forward of `train` gets one sample, `(1, 6, rows, cols, 12)`,
-        in the zero-bordered buffer that the first conv reads in place: the
+        """Each run of the layer loop in `train`, training forward or
+        validation inference, gets one sample, `(1, 6, rows, cols, 12)`, in
+        the zero-bordered buffer that the first conv reads in place: the
         training samples in permutation order, then the validation ones."""
         samples, stats = mm_data
         train_set, val_set = samples[:5], samples[5:8]
         model = UNet3D(TINY_MM, seed=19)
         seen = []
-        forward = model.forward
+        run = model._run
 
-        def recording(x):
+        def recording(x, keep):
             assert_zero_border(x)
             seen.append(x.copy())
-            return forward(x)
+            return run(x, keep)
 
-        model.forward = recording
+        model._run = recording
         train(model, train_set, val_set,
               TrainSchedule(epochs=2, lr=1e-3, milestones=(), batch_size=2, seed=3), stats)
         rng = np.random.default_rng(3)
@@ -881,7 +886,7 @@ def _batched_train(model, train_set, val_set, schedule, stats=None):
             total += loss * len(chunk)
         val_loss = None
         if len(val_rows):
-            val_loss = sum(loss_fn(_infer(model, x), y)[0] * len(chunk)
+            val_loss = sum(loss_fn(model._run(x, keep=False), y)[0] * len(chunk)
                            for chunk, x, y in batches(val_rows)) / len(val_rows)
         history.append(EpochStats(epoch, total / n_train, val_loss, opt.lr))
         if val_loss is not None and val_loss < best_val:
