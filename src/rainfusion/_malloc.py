@@ -33,10 +33,10 @@ def keep_freed_pages():
     process until it exits, and glibc's dynamic rule, which raises both
     thresholds up to these same values as larger blocks are freed, cannot
     be switched back on.  So the process keeps the pages of its largest
-    step, which its peak RSS counts anyway.  A training step is about as
-    large as a nowcast: a warm desk `train()` call (64x64, base 8) peaks
-    at about 8.0 MiB traced (radar) and 10.3 MiB (multimodal), and a
-    nowcast at about 7.1 and 7.2 MiB.
+    step, which its peak RSS counts anyway.  A training step is larger
+    than a nowcast: a warm desk `train()` call (64x64, base 8) peaks at
+    about 7.7 MiB traced (radar) and 9.1 MiB (multimodal), and a nowcast
+    (`predict_grid`) at about 4.9 and 5.6 MiB.
     """
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")

@@ -49,11 +49,16 @@ runs a batch one sample at a time: the parameter gradients accumulate
 over the samples, bit for bit those of one batched backward, and only one
 sample's activations exist at a time.  Every package call passes batch 1;
 the batch axis stays because `gradient_check` and the tests that check a
-batch of 3 or 4 against its samples bit for bit use it.  `train` builds
-each sample's input once, in the zero-bordered buffer that the first conv
-reads in place (`stack_frames`), and asks for no gradient of it
-(`backward(..., input_grad=False)`): the first conv's `split` is 0, so its
-backward gives an empty first part and the rest is never computed.
+batch of 3 or 4 against its samples bit for bit use it.
+
+Inputs are never copied.  `load_frames` writes each distinct input frame
+once into one zero-bordered frame buffer, in the network's own layout,
+with the frames of every sample on consecutive rows, so a sample's input
+is a time slice of it that the first conv reads in place.  `train` asks
+for no gradient of that input (`backward(..., input_grad=False)`): the
+first conv's `split` is 0, so its backward gives an empty first part and
+the rest is never computed.  Each ReLU's backward writes its gradient in
+the layout that the conv before it reads in place (see `rainfusion.nn`).
 """
 
 from __future__ import annotations
@@ -65,14 +70,17 @@ from pathlib import Path
 import numpy as np
 
 from .grids import RainGrid, read_grid, read_scene
-from .nn import (Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, ensure_array5, lr_for_epoch,
-                 stack_frames, upsample)
+from .nn import (Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, bordered, ensure_array5,
+                 lr_for_epoch, upsample)
 from .nn.checkpoint import load_arrays, save_arrays
 from .nn.losses import LOSSES
 from .pipeline import (
+    FRAME_STEP,
+    WINDOW_FRAMES,
     BandStats,
     SequenceSample,
     denormalize_values,
+    minutes_to_iso,
     normalize_satellite,
     normalize_values,
     resample_scene,
@@ -266,17 +274,23 @@ def param_count(model: UNet3D) -> int:
 
 def load_frames(config: ModelConfig, samples, stats: BandStats | None = None, *,
                 targets: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(frames, windows, targets) of `samples`, each distinct file read once.
+    """(frames, starts, targets) of `samples`, each distinct file read once.
 
-    frames: (n, rows, cols, channels) float32, one per distinct input frame;
-    windows[i]: the six frame rows of sample i; targets: (samples, rows, cols)
-    float32, or None with `targets` false, and then no target file is read.
-    Radar is log-normalized; multimodal frames add the 11 satellite
-    bands, Lanczos-resampled to the radar grid and min-max normalized.  Each
+    frames: the (1, n, rows, cols, channels) float32 activation of the n
+    distinct input frames, one per input timestamp, over one zero-bordered
+    channels-first buffer (`nn.bordered`).  Its rows are ordered by
+    (timestamp mod FRAME_STEP, timestamp), so the six frames of each sample
+    are consecutive rows and sample i's input is the time slice
+    `frames[:, starts[i]:starts[i] + 6]`, which the first conv reads in
+    place.  Two files for one timestamp raise ValueError naming both.
+    targets: (samples, rows, cols) float32, or None with `targets` false,
+    and then no target file is read.
+
+    Radar is log-normalized into channel 0; multimodal frames add the 11
+    satellite bands, Lanczos-resampled to the radar grid and min-max
+    normalized, into channels 1-11, cast to float32 on assignment.  Each
     file is checked once, by its reader; the satellite steps pass plain
-    arrays.  Each frame is written straight into its row of `frames`: radar
-    in channel 0, the bands transposed into channels 1-11, cast to float32
-    on assignment.
+    arrays.
     """
     multimodal = config.variant == "multimodal"
     if multimodal and stats is None:
@@ -292,32 +306,39 @@ def load_frames(config: ModelConfig, samples, stats: BandStats | None = None, *,
                 f"radar frame is {grid.rows}x{grid.cols}, config wants {config.rows}x{config.cols}")
         return normalize_values(grid.values)
 
-    def fill(out, radar_path, sat_path):
-        out[..., 0] = radar(radar_path)
+    def fill(frame, radar_path, sat_path):
+        """Write one input frame into `frame`, its (channels, rows, cols) row."""
+        frame[0] = radar(radar_path)
         if multimodal:
             bands = resample_scene(read_scene(sat_path), config.rows, config.cols)
-            out[..., 1:] = normalize_satellite(bands, stats).transpose(1, 2, 0)
+            frame[1:] = normalize_satellite(bands, stats)
 
-    keys = [tuple(zip(s.radar_paths, s.sat_paths if multimodal else (None,) * len(s.radar_paths)))
-            for s in samples]  # per sample, the (radar, satellite) path of each input frame
-    rows = {key: row for row, key in enumerate(dict.fromkeys(k for window in keys for k in window))}
-    frames = np.empty((len(rows), config.rows, config.cols, config.in_channels), np.float32)
-    for key, row in rows.items():
-        fill(frames[row], *key)
-    windows = np.array([[rows[key] for key in window] for window in keys])
+    files = {}  # per input timestamp, its (radar, satellite) path
+    for s in samples:
+        sat_paths = s.sat_paths if multimodal else (None,) * WINDOW_FRAMES
+        for ts, *paths in zip(s.input_timestamps, s.radar_paths, sat_paths):
+            for a, b in zip(files.setdefault(ts, paths), paths):
+                if a != b:
+                    raise ValueError(f"two input files for timestamp {minutes_to_iso(ts)} "
+                                     f"({ts}): {a} and {b}")
+    rows = {ts: row for row, ts in enumerate(sorted(files, key=lambda ts: (ts % FRAME_STEP, ts)))}
+    frames = bordered((1, config.in_channels, len(rows), config.rows, config.cols), np.float32)
+    for ts, row in rows.items():
+        fill(frames[0, :, row], *files[ts])
+    starts = np.array([rows[s.input_timestamps[0]] for s in samples])
+    frames = frames.transpose(0, 2, 3, 4, 1)  # the (1, n, rows, cols, channels) activation
     if not targets:
-        return frames, windows, None
-    return frames, windows, np.stack([radar(s.target_path) for s in samples]).astype(np.float32)
+        return frames, starts, None
+    return frames, starts, np.stack([radar(s.target_path) for s in samples]).astype(np.float32)
 
 
 def load_sample(config: ModelConfig, sample: SequenceSample,
                 stats: BandStats | None = None) -> np.ndarray:
     """The input stack (time, rows, cols, channels) of `sample`, from
     `load_frames` without its target: a nowcast reads only its inputs.  It
-    is the interior of a zero-bordered buffer (`stack_frames`), which the
-    first conv reads in place."""
-    frames, windows, _ = load_frames(config, [sample], stats, targets=False)
-    return stack_frames(frames, windows[0])[0]
+    is the sample's own six-frame buffer, which the first conv reads in
+    place."""
+    return load_frames(config, [sample], stats, targets=False)[0][0]
 
 
 def predict_grid(model: UNet3D, sample: SequenceSample,
@@ -384,15 +405,16 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
           stats: BandStats | None = None) -> list[EpochStats]:
     """Seeded epoch loop with milestone lr decay; keeps the best-val weights.
 
-    Each distinct frame is loaded once (`load_frames`); loss is computed in
-    normalized space.  A batch runs as micro-batches of one sample
-    (gradient accumulation, as in GPipe, arXiv:1811.06965): the gradients
-    are zeroed once, then each sample in permutation order writes its six
-    frames into the buffer the first conv reads in place (`stack_frames`),
-    runs forward, takes the loss gradient with the whole batch's element
-    count as divisor and runs a backward that computes no input gradient,
-    and Adam steps once per batch.  That gives the parameter gradients of one batched forward and
-    backward bit for bit, with one sample's activations alive at a time.
+    Each distinct frame is loaded once, into the frame buffer of
+    `load_frames`; loss is computed in normalized space.  A batch runs as
+    micro-batches of one sample (gradient accumulation, as in GPipe,
+    arXiv:1811.06965): the gradients are zeroed once, then each sample in
+    permutation order runs forward on its six frames, a time slice of that
+    buffer that the first conv reads in place, takes the loss gradient
+    with the whole batch's element count as divisor and runs a backward
+    that computes no input gradient, and Adam steps once per batch.  That
+    gives the parameter gradients of one batched forward and backward bit
+    for bit, with one sample's activations alive at a time.
     The batch loss, and the validation loss (whose inference forwards,
     `_run(x, keep=False)`, run one sample at a time too), come from the
     stacked per-sample outputs, so they equal the batched values bit for
@@ -405,9 +427,9 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
     if not train_set:
         raise ValueError("training set is empty")
     loss_fn = LOSSES[schedule.loss]
-    frames, windows, targets = load_frames(model.config, [*train_set, *val_set], stats)
+    frames, starts, targets = load_frames(model.config, [*train_set, *val_set], stats)
     n_train = len(train_set)
-    val_rows = np.arange(n_train, len(windows))
+    val_rows = np.arange(n_train, len(starts))
 
     def batches(rows):
         """The rows of each batch, in the order of `rows`."""
@@ -418,7 +440,7 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
         return targets[rows][:, None, :, :, None]
 
     def inputs(row):
-        return stack_frames(frames, windows[row])
+        return frames[:, starts[row]:starts[row] + WINDOW_FRAMES]
 
     params = model.params()
     opt = Adam(params, lr=schedule.lr)

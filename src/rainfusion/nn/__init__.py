@@ -7,10 +7,14 @@ C-contiguous (b, c, t, h', w') buffer, so each channel is a run of rows
 and the next layer reads it back with a free transpose.  ReLU, pooling
 and upsampling (`upsample`, which also builds the decoder input) give that
 buffer a zero border one cell deep in rows and cols, so a following 3x3
-conv reads it in place as its padded input instead of copying it.  Any
-other input layout, a C-ordered channels-last one included, gives the
-same results bit for bit.  float32
-is the training precision, float64 the gradient-check precision.
+conv reads it in place as its padded input instead of copying it.
+`bordered` makes such a buffer for a network input: a time slice of it,
+one window of a longer stack of frames, is read in place too.  ReLU's
+backward writes its gradient the same way, into a buffer with zero
+margins before and after it, and the conv before reads that in place as
+its padded incoming gradient.  Any other input or gradient layout, a
+C-ordered channels-last one included, gives the same results bit for bit.
+float32 is the training precision, float64 the gradient-check precision.
 Every layer implements an exact adjoint: `forward(x)` caches what its
 `backward(grad)` needs, and that backward consumes the cache, so one
 forward takes at most one backward.  A forward that no backward follows
@@ -19,7 +23,7 @@ drops each layer's right after that layer's forward.  Parameter gradients
 accumulate on the layer's Parameter blocks until `zero_grad`.
 """
 
-from .layers import (Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, ensure_array5, stack_frames,
+from .layers import (Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, bordered, ensure_array5,
                      upsample)
 from .losses import logcosh_loss, mse_loss
 from .adam import Adam, lr_for_epoch
@@ -33,6 +37,7 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Upsample3d",
+    "bordered",
     "ensure_array5",
     "gradient_check",
     "load_arrays",
@@ -40,6 +45,5 @@ __all__ = [
     "lr_for_epoch",
     "mse_loss",
     "save_arrays",
-    "stack_frames",
     "upsample",
 ]

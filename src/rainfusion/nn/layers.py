@@ -7,20 +7,29 @@ returns the (b, t, h, w, c) transpose of the interior of a C-contiguous
 is a free view and every kernel runs on long rows of one channel.  ReLU,
 pooling and upsampling (`upsample`, which also builds the decoder input
 `[upsampled | skip]`) write into a buffer with a zero border one cell deep
-in rows and cols (`_bordered`): that buffer is exactly the padded
+in rows and cols (`bordered`): that buffer is exactly the padded
 input of a following 3x3 convolution, which reads it in place instead of
-copying it.  A conv's own output is a crop of its accumulator, whose
-border holds leftovers of the GEMMs.  The conv bias and ReLU's forward
-run over whole buffers, border included, in contiguous passes: a numpy
-ufunc writing the strided interior costs about twice as much.  Any
-other input (C-ordered channels-last, a non-zero border, a view of
-something else) gives the same results bit for bit; it only costs a copy.
-ReLU's backward likewise multiplies whole buffers when the incoming
-gradient is the interior of one shaped like its output's, as a conv's
-input gradient is.
+copying it.  Time is never padded, so a time slice of such a buffer is
+read in place too: a network input is a window of one frame buffer
+(`models.load_frames`).  A conv's own output is a crop of its
+accumulator, whose border holds leftovers of the GEMMs.  The conv bias
+and ReLU's forward run over whole buffers, border included, in
+contiguous passes: a numpy ufunc writing the strided interior costs
+about twice as much.  Any other input (C-ordered channels-last, a
+non-zero border, a view of something else) gives the same results bit
+for bit; it only costs a copy.
+
+Gradients go the same way backward.  ReLU's backward writes into a
+zero-bordered buffer that sits one row and one cell into a 1-D
+allocation with zero margins (`_margined`), multiplying whole buffers
+when the incoming gradient is the interior of one shaped like its
+output's, as a conv's input gradient is.  Read from the start of that
+allocation, one row per channel, it is exactly the zero-margined padded
+grid that the conv before needs for its backward (`_padded_grad`), so
+that conv reads it in place instead of copying it into a zeroed one.
 
 Layers have stride 1.  Convolutions zero-pad so spatial dims are
-preserved; the temporal axis is either preserved ("same", odd extent) or
+preserved; the temporal axis is either preserved ("same", extent 1) or
 consumed ("valid") per layer.  A convolution is one stacked-tap GEMM per
 block of output cells on shifted windows of its padded input, so no
 im2col copy of the whole input is made, and the padded input is all it
@@ -65,9 +74,9 @@ from .._malloc import keep_freed_pages
 # Output cells per conv GEMM block.  It bounds the stacked-tap intermediate
 # (taps x channels x cells) that each block allocates.
 _ROW_BLOCK = 4096
-# Border (t, rows, cols) of ReLU, pooling and upsample outputs: the padding of
-# a following 3x3 conv.
-_PADS = (0, 1, 1)
+# Border (rows, cols) of ReLU, pooling and upsample outputs, and of ReLU's
+# input gradient: the padding of a following 3x3 conv.
+_PADS = (1, 1)
 
 
 def ensure_array5(x, name: str = "input") -> np.ndarray:
@@ -101,14 +110,12 @@ def _channels_last(buf: np.ndarray) -> np.ndarray:
 
 def _border(buf: np.ndarray, pads):
     """(border slabs, interior) of a channels-first (b, c, t, h, w) buffer
-    whose border is `pads` = (pt, ph, pw) cells deep on each side; empty
-    slabs are left out."""
-    pt, ph, pw = pads
-    T, H, W = (n - 2 * p for n, p in zip(buf.shape[2:], pads))
-    mid = buf[:, :, pt:pt + T]
-    rows = mid[:, :, :, ph:ph + H]
-    slabs = (buf[:, :, :pt], buf[:, :, pt + T:], mid[:, :, :, :ph], mid[:, :, :, ph + H:],
-             rows[..., :pw], rows[..., pw + W:])
+    whose border is `pads` = (ph, pw) cells deep on each side of its rows
+    and cols; empty slabs are left out."""
+    ph, pw = pads
+    H, W = buf.shape[3] - 2 * ph, buf.shape[4] - 2 * pw
+    rows = buf[:, :, :, ph:ph + H]
+    slabs = (buf[:, :, :, :ph], buf[:, :, :, ph + H:], rows[..., :pw], rows[..., pw + W:])
     return [slab for slab in slabs if slab.size], rows[..., pw:pw + W]
 
 
@@ -120,70 +127,120 @@ def _zero_border(buf: np.ndarray, pads=_PADS) -> np.ndarray:
     return interior
 
 
-def _bordered(shape, dtype, pads=_PADS) -> np.ndarray:
-    """The channels-first interior, of `shape`, of a new C-contiguous buffer
-    (its `.base`) whose border, `pads` cells deep, is zero; the interior is
-    left for the caller to write."""
-    b, c, *dims = shape
-    return _zero_border(np.empty((b, c, *(n + 2 * p for n, p in zip(dims, pads))), dtype), pads)
+def _all_zero(parts) -> bool:
+    """Whether every bit of every array in `parts` is zero (-0.0 and NaN are
+    not)."""
+    return not any(part.view(f"u{part.itemsize}").any() for part in parts)
+
+
+def bordered(shape, dtype, pads=_PADS) -> np.ndarray:
+    """The channels-first interior, of `shape` (b, c, t, h, w), of a new
+    C-contiguous buffer (its `.base`) whose border, `pads` cells deep in
+    rows and cols, is zero; the interior is left for the caller to write.
+    A following 3x3 conv reads that buffer, or a time slice of it, in
+    place as its padded input."""
+    b, c, T, H, W = shape
+    ph, pw = pads
+    return _zero_border(np.empty((b, c, T, H + 2 * ph, W + 2 * pw), dtype), pads)
 
 
 def _bordered_copy(x: np.ndarray, pads=_PADS) -> np.ndarray:
-    """A new zero-bordered buffer (see `_bordered`) holding the (b, t, h, w, c)
+    """A new zero-bordered buffer (see `bordered`) holding the (b, t, h, w, c)
     activation `x` in its interior."""
     b, T, H, W, c = x.shape
-    interior = _bordered((b, c, T, H, W), x.dtype, pads)
+    interior = bordered((b, c, T, H, W), x.dtype, pads)
     interior[...] = _channels_first(x)
     return interior.base
 
 
+def _is_view(x: np.ndarray, interior: np.ndarray) -> bool:
+    """Whether the (b, t, h, w, c) array `x` is the channels-first array
+    `interior`, transposed: the same first cell and, on every axis longer
+    than 1, the same stride.  The stride of an axis of length 1 addresses
+    nothing, so a sample with a batch axis added (`x[None]`) still is."""
+    xc = _channels_first(x)
+    return xc.ctypes.data == interior.ctypes.data and all(
+        n == 1 or a == b for n, a, b in zip(xc.shape, xc.strides, interior.strides))
+
+
 def _buffer(x: np.ndarray, pads):
-    """The C-contiguous channels-first buffer whose interior, inside a border
-    `pads` cells deep, is exactly `x`; None when `x` is not such a view.  The
-    stride of an axis of length 1 addresses nothing, so it may differ: a
-    sample with a batch axis added (`x[None]`) is still the interior."""
+    """The channels-first buffer whose interior, inside a border `pads`
+    cells deep in rows and cols, is exactly `x`: a C-contiguous buffer, or a
+    time slice of one with the same batch, channels, rows and cols (a
+    window of the frame buffer, `models.load_frames`); None when `x` is not
+    such a view.  Each channel's (t, h, w) block of a time slice is
+    contiguous, so it still reshapes to (b, c, cells) as a view."""
     buf = x.base
     b, T, H, W, c = x.shape
-    padded = (b, c, *(n + 2 * p for n, p in zip((T, H, W), pads)))
-    if not (isinstance(buf, np.ndarray) and buf.shape == padded and buf.dtype == x.dtype
-            and buf.flags.c_contiguous):
+    ph, pw = pads
+    if not (isinstance(buf, np.ndarray) and buf.ndim == 5 and buf.dtype == x.dtype
+            and buf.flags.c_contiguous and buf.shape[:2] == (b, c) and buf.shape[2] >= T
+            and buf.shape[3:] == (H + 2 * ph, W + 2 * pw)):
         return None
-    interior = _border(buf, pads)[1]
-    xc = _channels_first(x)
-    if xc.ctypes.data != interior.ctypes.data or any(
-            n > 1 and a != b for n, a, b in zip(xc.shape, xc.strides, interior.strides)):
+    start, rest = divmod(x.ctypes.data - _border(buf, pads)[1].ctypes.data, buf.strides[2])
+    if rest or not 0 <= start <= buf.shape[2] - T:
         return None
-    return buf
+    if T < buf.shape[2]:
+        buf = buf[:, :, start:start + T]
+    return buf if _is_view(x, _border(buf, pads)[1]) else None
 
 
 def _padded_input(x: np.ndarray, pads) -> np.ndarray:
     """`x` zero-padded by `pads`: `_buffer(x, pads)` when every bit of its
-    border is zero (-0.0 and NaN do not qualify), else a zero-bordered copy."""
+    border is zero, else a zero-bordered copy."""
     buf = _buffer(x, pads)
-    if buf is None:
-        return _bordered_copy(x, pads)
-    ints = f"u{buf.itemsize}"
-    if any(slab.view(ints).any() for slab in _border(buf, pads)[0]):
+    if buf is None or not _all_zero(_border(buf, pads)[0]):
         return _bordered_copy(x, pads)
     return buf
 
 
-def stack_frames(frames: np.ndarray, rows) -> np.ndarray:
-    """The (1, len(rows), h, w, c) activation whose time steps are the
-    (h, w, c) frames `frames[rows]`, written frame by frame into the
-    interior of a new zero-bordered buffer (see `_bordered`): a network
-    input that the first 3x3 conv reads in place."""
-    _, H, W, c = frames.shape
-    out = _bordered((1, c, len(rows), H, W), frames.dtype)
-    for t, row in enumerate(rows):
-        out[0, :, t] = frames[row].transpose(2, 0, 1)
-    return _channels_last(out)
+def _margined(shape, dtype) -> np.ndarray:
+    """A new channels-first buffer of `shape` (b, c, t, Hp, Wp) that sits
+    Wp + 1 cells into a 1-D allocation (its `.base`) whose first and last
+    Wp + 1 cells, its margins, are zero; the buffer is left for the caller
+    to write.  With a zero border one cell deep in rows and cols, its
+    interior is an incoming gradient that a 3x3 conv's backward reads in
+    place (`_padded_grad`)."""
+    lead = _PADS[0] * shape[4] + _PADS[1]
+    flat = np.empty(math.prod(shape) + 2 * lead, dtype)
+    flat[:lead] = 0
+    flat[-lead:] = 0
+    return flat[lead:-lead].reshape(shape)
+
+
+def _padded_grad(g: np.ndarray, pads):
+    """The incoming gradient `g` of a conv padded by `pads`, on its padded
+    output grid behind a zero margin of one halo: a read-only
+    (b, c, halo + cells) view with one row per channel of the allocation
+    that `g` lies in (see `_margined`); None when `g` is not the interior
+    of such a buffer, or a bit of its border or margins is not zero.
+
+    Read from `ph*Wp + pw` cells before the buffer, its border is exactly
+    the zero margin of one halo before each row and the zero right and
+    bottom cells of the padded grid that a zeroed copy of `g` would hold,
+    so every cell of a row holds the copy's value.  A row runs on into the
+    border of the next channel, or into the last margin."""
+    flat = g.base
+    b, T, H, W, c = g.shape
+    ph, pw = pads
+    Wp = W + 2 * pw
+    lead, cells = ph * Wp + pw, T * (H + 2 * ph) * Wp
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == g.dtype
+            and flat.flags.c_contiguous and flat.size == b * c * cells + 2 * lead):
+        return None
+    buf = flat[lead:lead + b * c * cells].reshape(b, c, T, H + 2 * ph, Wp)
+    slabs, interior = _border(buf, pads)
+    if not (_is_view(g, interior) and _all_zero([flat[:lead], flat[lead + buf.size:], *slabs])):
+        return None
+    step = flat.itemsize
+    return np.lib.stride_tricks.as_strided(flat, (b, c, 2 * lead + cells),
+                                           (c * cells * step, cells * step, step), writeable=False)
 
 
 def upsample(x: np.ndarray, factors, target_dims, skip: np.ndarray | None = None) -> np.ndarray:
     """The activation `x` repeated by `factors` and cropped to `target_dims`,
     followed on the channel axis by `skip` when one is given, in the
-    interior of a new zero-bordered buffer (see `_bordered`): the decoder
+    interior of a new zero-bordered buffer (see `bordered`): the decoder
     input `[upsampled | skip]`.  Output cell (i, j, k) copies input cell
     (i // ft, j // fh, k // fw), so the upsampled channels split into
     ft*fh*fw repetition phases, the strided views [pt::ft, ph::fh, pw::fw],
@@ -192,7 +249,7 @@ def upsample(x: np.ndarray, factors, target_dims, skip: np.ndarray | None = None
     b, c = x.shape[0], x.shape[4]
     width = c if skip is None else c + skip.shape[4]
     dtype = x.dtype if skip is None else np.result_type(x, skip)
-    out = _bordered((b, width, *target_dims), dtype)
+    out = bordered((b, width, *target_dims), dtype)
     xc, up = _channels_first(x), out[:, :c]
     for phase in itertools.product(*(range(f) for f in factors)):
         dst = up[(..., *(slice(p, None, f) for p, f in zip(phase, factors)))]
@@ -254,20 +311,22 @@ class Conv3d:
     """Stride-1 3D convolution, spatially zero-padded to "same".
 
     Weights are (kt, kh, kw, in, out), He-uniform initialized from the given
-    generator; bias starts at zero.  `temporal_pad` is "same" (odd kt,
-    preserves time) or "valid" (output time = T - kt + 1).
+    generator; bias starts at zero.  `temporal_pad` is "same" (kt = 1,
+    preserves time) or "valid" (output time = T - kt + 1): time is never
+    padded.
 
-    The padded input is a channels-first (b, in, Tp, Hp, Wp) buffer: the
-    input's own buffer when `x` is the interior of a zero-bordered buffer of
-    exactly that shape (`_padded_input`; ReLU, pooling and
-    `upsample` outputs before a 3x3 conv), else a zero-bordered copy.
-    Each item is viewed as (in, Tp*Hp*Wp): one contiguous row of cells per
-    channel.  Kernel tap (it, ih, iw) reads the input shifted by
-    (it*Hp + ih)*Wp + iw cells.  The accumulator is a (b, out, To, Hp, Wp)
-    grid too, and output cell (t, h, w) is its cell (t, h + ph, w + pw): the
-    GEMMs write behind a leading margin of ph*Wp + pw cells, so the output
-    is a crop view of the accumulator, whose border holds the GEMMs'
-    wrap-around cells; the bias is added to the whole accumulator in place.
+    The padded input is a channels-first (b, in, T, Hp, Wp) buffer: the
+    input's own buffer, or the time slice of it that holds `x`, when `x` is
+    the interior of a zero-bordered buffer (`_padded_input`; ReLU, pooling
+    and `upsample` outputs before a 3x3 conv, and the network input, a
+    window of the frame buffer), else a zero-bordered copy.  Each item is
+    viewed as (in, T*Hp*Wp): one contiguous row of cells per channel.
+    Kernel tap (it, ih, iw) reads the input shifted by (it*Hp + ih)*Wp + iw
+    cells.  The accumulator is a (b, out, To, Hp, Wp) grid too, and output
+    cell (t, h, w) is its cell (t, h + ph, w + pw): the GEMMs write behind a
+    leading margin of ph*Wp + pw cells, so the output is a crop view of the
+    accumulator, whose border holds the GEMMs' wrap-around cells; the bias
+    is added to the whole accumulator in place.
     Forward runs `_tap_gemms` once per item and temporal tap: one GEMM per
     block of `_ROW_BLOCK` output cells, with the kh*kw spatial taps stacked
     on the side with fewer channels,
@@ -284,10 +343,12 @@ class Conv3d:
     and only then allocates the input gradient.  That is `_tap_gemms` the
     other way round: W[tap] (in, out) applied to grad_out at minus each
     tap's shift, read from a padded grid behind a zero margin of one halo.
-    Only the padded input is cached, from a forward to its backward, which
-    frees it.  `drop_input` frees it early, after the forward, and
-    `restore_input` caches a rebuilt copy of the input before the backward;
-    `cached_input` is the input as a view that a forward reads in place.
+    That grid is a view of grad_out's own allocation when ReLU's backward
+    wrote it (`_padded_grad`), else a zeroed copy.  Only the padded input
+    is cached, from a forward to its backward, which frees it.
+    `drop_input` frees it early, after the forward, and `restore_input`
+    caches a rebuilt copy of the input before the backward; `cached_input`
+    is the input as a view that a forward reads in place.
 
     With `split` set, `backward` returns the gradient of the first `split`
     input channels only and keeps the padded grad_out, and `backward_rest`
@@ -307,9 +368,11 @@ class Conv3d:
             raise ValueError(f"spatial kernel dims must be odd for same padding, got {kernel}")
         if temporal_pad not in ("same", "valid"):
             raise ValueError(f"temporal_pad must be 'same' or 'valid', got {temporal_pad!r}")
-        if temporal_pad == "same" and kt % 2 == 0:
-            raise ValueError(f"temporal extent must be odd for same padding, got {kt}")
+        if temporal_pad == "same" and kt != 1:
+            raise ValueError(f"{name}: same temporal padding needs a temporal extent of 1, "
+                             f"got {kt}")
         self.kernel = (kt, kh, kw)
+        self.pads = ((kh - 1) // 2, (kw - 1) // 2)  # rows, cols
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.temporal_pad = temporal_pad
@@ -335,11 +398,11 @@ class Conv3d:
         window of that many cells stays inside the padded input; a block
         of output rows reads its rows plus the halo.
         """
-        _, _, Tp, Hp, Wp = padded_shape
+        _, _, T, Hp, Wp = padded_shape
         kt, kh, kw = self.kernel
         halo = (kh - 1) * Wp + kw - 1
         shifts = [ih * Wp + iw for ih, iw in np.ndindex(kh, kw)]
-        return Hp * Wp, halo, (Tp - kt + 1) * Hp * Wp - halo, shifts
+        return Hp * Wp, halo, (T - kt + 1) * Hp * Wp - halo, shifts
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = ensure_array5(x, self.name)
@@ -347,15 +410,13 @@ class Conv3d:
         kt, kh, kw = self.kernel
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
-        pt = (kt - 1) // 2 if self.temporal_pad == "same" else 0
-        if self.temporal_pad == "valid" and T < kt:
+        if T < kt:
             raise ValueError(f"{self.name}: temporal extent {kt} exceeds input time {T}")
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        pads = (pt, ph, pw)
+        ph, pw = self.pads
         self._rest = None  # a gradient part that no `backward_rest` took
-        xp = _padded_input(x, pads)
+        xp = _padded_input(x, self.pads)
         Hp, Wp = xp.shape[3:]
-        To = T - kt + 1 + 2 * pt
+        To = T - kt + 1
         plane, halo, rows, shifts = self._grid(xp.shape)
         w = self.weight.value
         cout = self.out_channels
@@ -369,7 +430,7 @@ class Conv3d:
                 _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], shifts, it * plane,
                            cout <= c)
         acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
-        self._cache = (xp, pads, x.shape, (b, To, H, W, cout))
+        self._cache = (xp, x.shape, (b, To, H, W, cout))
         return _channels_last(acc[:, :, :, ph:ph + H, pw:pw + W])
 
     def cached_input(self) -> np.ndarray:
@@ -377,8 +438,7 @@ class Conv3d:
         it cached: a forward on it reads that buffer in place."""
         if self._cache is None or self._cache[0] is None:
             raise RuntimeError(f"{self.name}: no cached input")
-        xp, pads = self._cache[:2]
-        return _channels_last(_border(xp, pads)[1])
+        return _channels_last(_border(self._cache[0], self.pads)[1])
 
     def drop_input(self):
         """Free the padded input that the last forward cached.  `backward`
@@ -393,14 +453,14 @@ class Conv3d:
         zero-bordered buffer, as the forward's input was, else as a copy."""
         if self._cache is None or self._cache[0] is not None:
             raise RuntimeError(f"{self.name}: restore_input without drop_input")
-        _, pads, in_shape, out_shape = self._cache
+        _, in_shape, out_shape = self._cache
         x = ensure_array5(x, self.name)
         if x.shape != in_shape:
             raise ValueError(f"{self.name}: restored input shape {x.shape} != {in_shape}")
-        self._cache = (_padded_input(x, pads), pads, in_shape, out_shape)
+        self._cache = (_padded_input(x, self.pads), in_shape, out_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xp, pads, in_shape, out_shape = _take_cache(self, self.name)
+        xp, in_shape, out_shape = _take_cache(self, self.name)
         if xp is None:
             raise RuntimeError(f"{self.name}: backward after drop_input without restore_input")
         grad_out = np.asarray(grad_out)
@@ -413,9 +473,12 @@ class Conv3d:
         plane, halo, rows, shifts = self._grid(padded)
         # grad_out on the padded output grid behind a zero margin of one halo,
         # so that every tap-shifted read of it stays inside the buffer
-        gbuf = np.zeros((b, cout, halo + To * plane), grad_out.dtype)
+        gbuf = _padded_grad(grad_out, self.pads)
+        if gbuf is None:
+            gbuf = np.zeros((b, cout, halo + To * plane), grad_out.dtype)
+            gbuf[:, :, halo:].reshape(b, cout, To, Hp, Wp)[:, :, :, :H, :W] = \
+                _channels_first(grad_out)
         gf = gbuf[:, :, halo:]
-        gf.reshape(b, cout, To, Hp, Wp)[:, :, :, :H, :W] = _channels_first(grad_out)
         xf = xp.reshape(b, c, -1)
         wgrad = self.weight.grad.reshape(kt, len(shifts), c, cout)
         for n in range(b):
@@ -426,7 +489,7 @@ class Conv3d:
                 x0 = it * plane
                 for k, s in enumerate(shifts):
                     wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
-        rest = (gbuf, padded, xp.dtype, pads, in_shape)
+        rest = (gbuf, padded, xp.dtype, in_shape)
         del xp, xf  # the input goes before its gradient is allocated
         if self.split is not None:
             self._rest = rest
@@ -441,7 +504,7 @@ class Conv3d:
             raise RuntimeError(f"{self.name}: backward_rest without a split backward")
         return self._input_grad(*rest, slice(self.split, None))
 
-    def _input_grad(self, gbuf, padded, dtype, pads, in_shape, channels: slice) -> np.ndarray:
+    def _input_grad(self, gbuf, padded, dtype, in_shape, channels: slice) -> np.ndarray:
         """The input gradient of `channels` (a slice of the input channels):
         `_tap_gemms` the other way round, W[tap] (in, out) applied to `gbuf`
         at minus each tap's shift, on the GEMM path of the whole conv."""
@@ -459,8 +522,8 @@ class Conv3d:
                     x0 = it * plane
                     _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
                                [-s for s in shifts], halo, c <= cout)
-        (pt, ph, pw), (T, H, W) = pads, in_shape[1:4]
-        return _channels_last(gxp[:, :, pt:pt + T, ph:ph + H, pw:pw + W])
+        (ph, pw), (H, W) = self.pads, in_shape[2:4]
+        return _channels_last(gxp[:, :, :, ph:ph + H, pw:pw + W])
 
 
 def _where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -519,7 +582,7 @@ class MaxPool3d:
         peak = first.copy()
         for cell in rest:
             np.maximum(peak, cell, out=peak)
-        out = _bordered(peak.shape, peak.dtype)
+        out = bordered(peak.shape, peak.dtype)
         out[...] = peak
         self._cache = (x, _channels_last(out))
         return self._cache[1]
@@ -622,10 +685,13 @@ class ReLU:
     -0.0.  For finite gradients that is np.where(mask, grad, 0) bit for
     bit, except that a -0.0 gradient at an active unit comes back as +0.0.
     A non-finite upstream gradient propagates (NaN * 0 is NaN) instead of
-    being masked, so `Adam.step` raises and names the block.  When grad is
-    the interior of a buffer shaped like the output's (a 3x3 conv's input
-    gradient), both whole buffers are multiplied in contiguous passes and
-    the interior is returned; the products in the border are never read.
+    being masked, so `Adam.step` raises and names the block.  The gradient
+    is written into a new buffer shaped like the output's, which sits in a
+    1-D allocation with zero margins (`_margined`), and its border is
+    zeroed: the conv before reads it in place as its padded incoming
+    gradient.  When grad is the interior of a buffer shaped like the
+    output's (a 3x3 conv's input gradient), both whole buffers are
+    multiplied in contiguous passes; else only the interior is written.
     """
 
     def __init__(self):
@@ -647,11 +713,13 @@ class ReLU:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         out = _take_cache(self, "relu")
         grad_out = np.asarray(grad_out)
-        gbuf = _buffer(grad_out, _PADS) if grad_out.shape == out.shape else None
-        if gbuf is None:
-            g = grad_out * (out > 0)
-            g += 0
-            return g
-        g = gbuf * (out.base > 0)  # whole buffers; the border's products are never read
+        if grad_out.shape != out.shape:
+            raise ValueError(f"relu grad shape {grad_out.shape} != output shape {out.shape}")
+        g = _margined(out.base.shape, grad_out.dtype)
+        whole = _buffer(grad_out, _PADS)
+        if whole is None:
+            np.multiply(_channels_first(grad_out), _channels_first(out) > 0, out=_zero_border(g))
+        else:
+            np.multiply(whole, out.base > 0, out=g)
         g += 0
-        return _channels_last(_border(g, _PADS)[1])
+        return _channels_last(_zero_border(g))

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from rainfusion.models import ModelConfig, UNet3D
+from rainfusion.nn import bordered
 
 ROOT = Path(__file__).resolve().parent.parent
 TINY = ModelConfig(variant="radar", rows=16, cols=16, time_steps=6,
@@ -37,12 +38,13 @@ def _traced(monkeypatch, run):
     return tracer.spans, model
 
 
-def test_tracer_records_every_layer(monkeypatch):
-    def step(model, x):
-        out = model.forward(x)
-        model.backward(np.ones_like(out))
+def _step(model, x):
+    out = model.forward(x)
+    model.backward(np.ones_like(out))
 
-    spans, model = _traced(monkeypatch, step)
+
+def _assert_step_spans(spans, model):
+    """The spans of one traced training step, `_step`."""
     convs = [conv.name for conv in model.conv_layers()]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"].split(".")[2] for m in spec["per_layer"]
@@ -61,6 +63,29 @@ def test_tracer_records_every_layer(monkeypatch):
     backward = next(i for i, s in enumerate(spans) if s[0] == "models.backward")
     inside = Counter(s[0] for s in spans if s[3] == backward and s[0].endswith(".fwd"))
     assert inside == {f"nn.conv.{c}.fwd": 1 for c in rebuilt}
+
+
+def test_tracer_records_every_layer(monkeypatch):
+    _assert_step_spans(*_traced(monkeypatch, _step))
+
+
+def test_tracer_records_a_step_on_a_time_slice(monkeypatch):
+    """A training step whose input is a time slice of a longer zero-bordered
+    buffer, as `train` runs it on a window of the frame buffer, gives the
+    same spans: the conv wrappers read `x.shape` and `x.itemsize` of a view."""
+    frames = bordered((1, 1, 9, 16, 16), np.float32)
+    frames[...] = np.random.default_rng(1).random(frames.shape, dtype=np.float32)
+    frames = frames.transpose(0, 2, 3, 4, 1)
+    read_in_place = []
+
+    def step(model, x):
+        window = frames[:, 2:8]
+        out = model.forward(window)
+        read_in_place.append(model.steps[0]._cache[0].base is frames.base)
+        model.backward(np.ones_like(out))
+
+    _assert_step_spans(*_traced(monkeypatch, step))
+    assert read_in_place == [True]
 
 
 def test_tracer_records_an_inference_run(monkeypatch):

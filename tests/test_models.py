@@ -35,6 +35,7 @@ from rainfusion.models import (
 )
 from rainfusion.nn import (Adam, Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, gradient_check,
                            logcosh_loss, lr_for_epoch)
+from rainfusion.nn import layers as nn_layers
 from rainfusion.nn.losses import LOSSES
 from rainfusion.pipeline import (
     BandStats,
@@ -238,14 +239,17 @@ class TestBorderedBuffers:
         for a, b in zip(direct, copied, strict=True):
             assert_bits_equal(a, b)
 
-    @pytest.mark.parametrize("variant,bound_mib", [("radar", 38), ("multimodal", 37)])
+    @pytest.mark.parametrize("variant,bound_mib", [("radar", 26), ("multimodal", 27)])
     def test_desk_train_step_peak(self, variant, bound_mib):
         """Traced peak of one warm batch-4 training step of the desk network.
         It was 57.4 MiB (radar) and 52.5 MiB (multimodal) while each
         activation was held as ReLU output, bool mask and padded copy, 48.6
-        and 43.9 MiB with the bordered buffers, and is about 34.7 and
-        33.4 MiB now that no decoder input is held from forward to backward
-        (the peak sits in the backward of the shallowest decoder conv)."""
+        and 43.9 MiB with the bordered buffers, about 34.7 and 33.4 MiB
+        once no decoder input was held from forward to backward, and about
+        27.2 and 27.5 MiB with the encoder's inner activations rebuilt in
+        backward.  It reads about 25.3 and 26.4 MiB now that a conv's
+        backward reads the gradient that the ReLU after it wrote in place
+        instead of copying it into a zeroed padded grid."""
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=23)
         opt = Adam(model.params(), lr=1e-3)
         rng = np.random.default_rng(10)
@@ -267,6 +271,52 @@ class TestBorderedBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2 ** 20
+
+
+class TestGradientsInPlace:
+    @pytest.mark.parametrize("variant", ["radar", "multimodal"])
+    def test_desk_step_reads_relu_gradients_in_place(self, variant, monkeypatch):
+        """In a desk training step the 11 3x3 convs read their incoming
+        gradient, which the ReLU after each wrote, in place; `head_b`, fed by
+        the loss, copies it.  With that read switched off, every parameter
+        gradient is the same bit for bit."""
+        config = replace(DESK, variant=variant, base_channels=8)
+        rng = np.random.default_rng(11)
+        x = rng.random((1, 6, 64, 64, config.in_channels), dtype=np.float32)
+        y = rng.random((1, 1, 64, 64, 1), dtype=np.float32)
+        padded_grad = nn_layers._padded_grad
+        runs = []
+        for in_place in (True, False):
+            model = UNet3D(config, seed=24)
+            read, current = {}, []
+
+            def spy(g, pads):
+                found = padded_grad(g, pads) if in_place else None
+                read[current[-1]] = found is not None
+                return found
+
+            def named(conv):
+                backward = conv.backward
+
+                def run(g):
+                    current.append(conv.name)
+                    return backward(g)
+                return run
+
+            monkeypatch.setattr(nn_layers, "_padded_grad", spy)
+            for conv in model.conv_layers():
+                conv.backward = named(conv)
+            out = model.forward(x)
+            _, grad = logcosh_loss(out, y, count=4 * y.size)
+            model.zero_grad()
+            model.backward(grad.astype(out.dtype, copy=False), input_grad=False)
+            monkeypatch.undo()
+            names = [conv.name for conv in model.conv_layers()]
+            assert len(names) == 12 and read.keys() == set(names)
+            assert read == {name: in_place and name != "head_b" for name in names}
+            runs.append([p.grad.copy() for p in model.params()])
+        for a, b in zip(*runs, strict=True):
+            assert_bits_equal(a, b)
 
 
 class TestDecoderInputs:
@@ -715,22 +765,63 @@ def _oracle_frame(radar_path, sat_path, stats):
 class TestMultimodalLoading:
     def test_frames_match_per_frame_oracle(self, mm_data):
         samples, stats = mm_data
-        frames, windows, targets = load_frames(TINY_MM, samples, stats)
+        frames, starts, targets = load_frames(TINY_MM, samples, stats)
         assert frames.dtype == targets.dtype == np.float32
-        assert frames.shape == (len({p for s in samples for p in s.radar_paths}), 16, 16, 12)
-        assert windows.shape == (len(samples), 6)
+        assert frames.shape == (1, len({p for s in samples for p in s.radar_paths}), 16, 16, 12)
+        assert_zero_border(frames)  # one channels-first buffer, the layers' layout
+        assert starts.shape == (len(samples),)
         assert targets.shape == (len(samples), 16, 16)
-        for s, window, target in zip(samples, windows, targets):
+        for s, start, target in zip(samples, starts, targets):
             want = np.stack([_oracle_frame(r, p, stats)
                              for r, p in zip(s.radar_paths, s.sat_paths)])
-            np.testing.assert_array_equal(frames[window], want)
+            np.testing.assert_array_equal(frames[0, start:start + 6], want)
             np.testing.assert_array_equal(
                 target, normalize_values(read_grid(s.target_path).values).astype(np.float32))
         x = load_sample(TINY_MM, samples[3], stats)
-        np.testing.assert_array_equal(x, frames[windows[3]])
+        np.testing.assert_array_equal(x, frames[0, starts[3]:starts[3] + 6])
+        own = x.base.transpose(0, 2, 3, 4, 1)[:, :, 1:-1, 1:-1]
+        assert own.shape == (1, *x.shape) and own.ctypes.data == x.ctypes.data
+        assert_zero_border(own)  # a sample's own six-frame buffer
         model = UNet3D(TINY_MM, seed=19)
         model.forward(x[None])
         assert model.enc[0][0]._cache[0] is x.base  # read in place, as a nowcast's is
+        window = frames[:, starts[3]:starts[3] + 6]
+        assert np.shares_memory(window, frames)  # a training input is a view of the buffer
+        model.forward(window)
+        assert model.enc[0][0]._cache[0].base is frames.base  # read in place too
+
+    def test_rows_in_timestamp_order_whatever_the_sample_order(self, mm_data):
+        """The frame rows follow (timestamp mod 5, timestamp), whatever order
+        the samples come in, so each sample's six frames are consecutive
+        rows; a timestamp off the 5-minute lattice starts rows of its own."""
+        samples, stats = mm_data
+        shifted = replace(samples[2], input_timestamps=tuple(
+            t + 2 for t in samples[2].input_timestamps))  # the same files, 2 minutes later
+        stacks = []
+        for order in ([*samples, shifted], [shifted, *samples[::-1]], [samples[5], samples[1]]):
+            frames, starts, _ = load_frames(TINY_MM, order, stats)
+            timestamps = sorted({t for s in order for t in s.input_timestamps},
+                                key=lambda t: (t % 5, t))
+            assert frames.shape[1] == len(timestamps)
+            for s, start in zip(order, starts):
+                assert timestamps[start:start + 6] == list(s.input_timestamps)
+                want = np.stack([_oracle_frame(r, p, stats)
+                                 for r, p in zip(s.radar_paths, s.sat_paths)])
+                np.testing.assert_array_equal(frames[0, start:start + 6], want)
+            stacks.append(frames)
+        assert_bits_equal(stacks[0], stacks[1])
+
+    def test_two_files_at_one_timestamp_raise(self, mm_data):
+        samples, stats = mm_data
+        a, b = samples[0], samples[1]
+        radar = (*b.radar_paths[:-1], b.radar_paths[0])  # the last input is another file
+        with pytest.raises(ValueError, match=re.escape(
+                f"({b.input_timestamps[-1]}): {b.radar_paths[-1]} and {b.radar_paths[0]}")):
+            load_frames(TINY_MM, [b, replace(b, radar_paths=radar)], stats)
+        sat = (a.sat_paths[1], *a.sat_paths[1:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"({a.input_timestamps[0]}): {a.sat_paths[0]} and {a.sat_paths[1]}")):
+            load_frames(TINY_MM, [a, b, replace(a, sat_paths=sat)], stats)
 
     def test_each_file_read_once(self, mm_data, monkeypatch):
         samples, stats = mm_data
@@ -778,7 +869,7 @@ class TestMultimodalLoading:
         monkeypatch.setattr(models, "normalize_satellite", counted_normalize)
         frames, _, _ = load_frames(TINY_MM, samples, stats)
         timestamps = {t for s in samples for t in s.input_timestamps}
-        assert len(timestamps) == len(frames)
+        assert len(timestamps) == frames.shape[1]
         for counts in (resampled, normalized):
             assert set(counts) == timestamps
             assert set(counts.values()) == {1}
@@ -794,19 +885,27 @@ class TestMultimodalLoading:
 
     def test_batches_are_sample_loads_in_permutation_order(self, mm_data):
         """Each run of the layer loop in `train`, training forward or
-        validation inference, gets one sample, `(1, 6, rows, cols, 12)`, in
-        the zero-bordered buffer that the first conv reads in place: the
-        training samples in permutation order, then the validation ones."""
+        validation inference, gets one sample, `(1, 6, rows, cols, 12)`, as
+        a time slice of one zero-bordered frame buffer that the first conv
+        reads in place: the training samples in permutation order, then the
+        validation ones."""
         samples, stats = mm_data
         train_set, val_set = samples[:5], samples[5:8]
         model = UNet3D(TINY_MM, seed=19)
-        seen = []
+        seen, buffers = [], set()
         run = model._run
 
         def recording(x, keep):
-            assert_zero_border(x)
+            frames = x.base.transpose(0, 2, 3, 4, 1)[:, :, 1:-1, 1:-1]
+            assert_zero_border(frames)
+            start, rest = divmod(x.ctypes.data - frames.ctypes.data, frames.strides[1])
+            assert rest == 0 and x.strides == frames.strides
+            np.testing.assert_array_equal(x, frames[:, start:start + 6])
+            buffers.add(id(x.base))
             seen.append(x.copy())
-            return run(x, keep)
+            out = run(x, keep)
+            assert keep == (model.enc[0][0]._cache is not None)
+            return out
 
         model._run = recording
         train(model, train_set, val_set,
@@ -816,6 +915,7 @@ class TestMultimodalLoading:
         for _ in range(2):  # training samples in permutation order, then validation
             rows += [*rng.permutation(5), 5, 6, 7]
         assert len(seen) == len(rows)
+        assert len(buffers) == 1  # one frame buffer for the whole `train` call
         for x, i in zip(seen, rows):
             assert x.shape == (1, 6, 16, 16, 12)
             np.testing.assert_array_equal(x[0], load_sample(TINY_MM, samples[i], stats))
@@ -861,14 +961,15 @@ def _batched_train(model, train_set, val_set, schedule, stats=None):
     batched validation forwards: the reference for `train`, which runs a
     batch one sample at a time."""
     loss_fn = LOSSES[schedule.loss]
-    frames, windows, targets = load_frames(model.config, [*train_set, *val_set], stats)
+    frames, starts, targets = load_frames(model.config, [*train_set, *val_set], stats)
     n_train = len(train_set)
-    val_rows = np.arange(n_train, len(windows))
+    val_rows = np.arange(n_train, len(starts))
 
     def batches(rows):
         for lo in range(0, len(rows), schedule.batch_size):
             chunk = rows[lo:lo + schedule.batch_size]
-            yield chunk, frames[windows[chunk]], targets[chunk][:, None, :, :, None]
+            x = np.concatenate([frames[:, s:s + 6] for s in starts[chunk]])
+            yield chunk, x, targets[chunk][:, None, :, :, None]
 
     params = model.params()
     opt = Adam(params, lr=schedule.lr)
@@ -965,7 +1066,7 @@ class TestSampleSteps:
         for a, b in zip(weights, want_weights, strict=True):
             assert_bits_equal(a, b)
 
-    @pytest.mark.parametrize("variant,bound_mib", [("radar", 8.5), ("multimodal", 10.75)])
+    @pytest.mark.parametrize("variant,bound_mib", [("radar", 8.0), ("multimodal", 9.25)])
     def test_desk_train_peak(self, variant, bound_mib, tmp_path):
         """Traced peak of a warm desk `train()` call (64x64, base 8, batch 4,
         one epoch over 4 samples, 4 validation samples): 35.7 (radar) and
@@ -974,10 +1075,13 @@ class TestSampleSteps:
         allocated per block.  A long-lived GEMM scratch read 9.0 and
         11.3 MiB here only because it was allocated before tracing began;
         counted, it held 3.0 and 2.5 MiB more (12.0 and 13.9 MiB).  It
-        reads about 8.0 and 10.3 MiB now that a step rebuilds the encoder's
-        and the bottleneck's inner activations in backward, gets a decoder
-        input gradient in two parts, holds one GEMM product at a time, and
-        builds the network input once, without its gradient."""
+        read about 8.0 and 10.3 MiB once a step rebuilt the encoder's and
+        the bottleneck's inner activations in backward, got a decoder input
+        gradient in two parts, held one GEMM product at a time, and built
+        the network input once, without its gradient.  It reads about 7.7
+        and 9.1 MiB now that each sample's input is a time slice of the one
+        frame buffer instead of a copy, and a conv's backward reads the
+        ReLU's gradient in place."""
         samples, stats = _desk_samples(tmp_path, variant)
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=22)
         schedule = TrainSchedule(epochs=1, lr=1e-3, milestones=(), batch_size=4)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rainfusion.grids import FormatError
+from rainfusion.nn import layers
 from rainfusion.nn import (
     Adam,
     Conv3d,
@@ -71,6 +72,40 @@ def bordered_backed(x, pads=(0, 1, 1), border=0.0, order="C"):
     interior = buf[(..., *(slice(p, p + n) for p, n in zip(pads, dims)))]
     interior[...] = x.transpose(0, 4, 1, 2, 3)
     return interior.transpose(0, 2, 3, 4, 1)
+
+
+def margined_backed(x, lead=None, border=0.0):
+    """The same values as `x`, as the (b, t, h, w, c) view of the interior of
+    a channels-first buffer with a border one cell deep in rows and cols
+    that holds `border`, `lead` cells (default Wp + 1) into a 1-D
+    allocation whose first and last `lead` cells are zero."""
+    b, T, H, W, c = x.shape
+    lead = W + 3 if lead is None else lead
+    shape = (b, c, T, H + 2, W + 2)
+    flat = np.zeros(math.prod(shape) + 2 * lead, x.dtype)
+    buf = flat[lead:lead + math.prod(shape)].reshape(shape)
+    buf[...] = border
+    buf[..., 1:-1, 1:-1] = x.transpose(0, 4, 1, 2, 3)
+    return buf[..., 1:-1, 1:-1].transpose(0, 2, 3, 4, 1)
+
+
+def assert_margined(g):
+    """`g` is the interior of a channels-first buffer with a zero border one
+    cell deep in rows and cols, which sits Wp + 1 cells into a 1-D
+    allocation whose first and last Wp + 1 cells are zero: the layout that a
+    3x3 conv's backward reads in place."""
+    flat = g.base
+    b, T, H, W, c = g.shape
+    lead, shape = W + 3, (b, c, T, H + 2, W + 2)
+    assert isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.flags.c_contiguous
+    assert flat.dtype == g.dtype and flat.size == math.prod(shape) + 2 * lead
+    interior = flat[lead:-lead].reshape(shape)[..., 1:-1, 1:-1]
+    gc = g.transpose(0, 4, 1, 2, 3)
+    assert gc.ctypes.data == interior.ctypes.data
+    assert all(n == 1 or a == b for n, a, b in zip(gc.shape, gc.strides, interior.strides))
+    bits = flat.view(f"u{g.itemsize}").copy()
+    bits[lead:-lead].reshape(shape)[..., 1:-1, 1:-1] = 0
+    assert not bits.any()
 
 
 def buffer_pads(out):
@@ -164,10 +199,11 @@ class TestConv3d:
         "shape,kernel,pad",
         [
             ((1, 2, 3, 3, 2), (1, 3, 3), "same"),
-            ((2, 4, 5, 4, 3), (3, 3, 3), "same"),
+            ((2, 4, 5, 4, 3), (1, 3, 3), "same"),
             ((1, 6, 4, 4, 2), (6, 3, 3), "valid"),
             ((2, 3, 5, 5, 1), (1, 1, 1), "same"),
             ((2, 3, 5, 4, 1), (1, 3, 3), "same"),
+            ((2, 4, 5, 4, 3), (3, 3, 3), "valid"),
         ],
     )
     def test_matches_naive_oracle(self, shape, kernel, pad):
@@ -199,9 +235,9 @@ class TestConv3d:
     @pytest.mark.parametrize(
         "pad,kernel,shape",
         [
-            ("same", (3, 3, 3), (1, 4, 5, 5, 2)),
+            ("same", (1, 3, 3), (1, 4, 5, 5, 2)),
             ("valid", (4, 3, 3), (1, 4, 5, 5, 2)),
-            ("same", (3, 3, 3), (2, 4, 5, 4, 2)),  # rows != cols, per-item loop
+            ("same", (1, 3, 3), (2, 4, 5, 4, 2)),  # rows != cols, per-item loop
             ("valid", (4, 3, 3), (2, 4, 4, 5, 1)),  # one input channel
         ],
         ids=["same-kernel0", "valid-kernel1", "same-batch2-5x4", "valid-1channel"],
@@ -222,7 +258,7 @@ class TestConv3d:
     @pytest.mark.parametrize("cin", [3, 1])
     def test_parameter_gradients_accumulate(self, cin):
         rng = np.random.default_rng(6)
-        conv = Conv3d(cin, 2, kernel=(3, 3, 3), rng=rng, dtype=np.float64)
+        conv = Conv3d(cin, 2, kernel=(2, 3, 3), temporal_pad="valid", rng=rng, dtype=np.float64)
         x = rng.normal(size=(2, 3, 5, 4, cin))
         g = rng.normal(size=conv.forward(x).shape)
         conv.backward(g)
@@ -348,6 +384,9 @@ class TestConv3d:
             Conv3d(1, 1, kernel=(1, 2, 3))
         with pytest.raises(ValueError):
             Conv3d(1, 1, kernel=(2, 3, 3), temporal_pad="same")
+        with pytest.raises(ValueError, match="enc9a: same temporal padding needs a temporal "
+                                             "extent of 1, got 3"):
+            Conv3d(1, 1, kernel=(3, 3, 3), name="enc9a")
         with pytest.raises(ValueError):
             Conv3d(1, 1, kernel=(2, 3, 3), temporal_pad="valid").forward(np.zeros((1, 1, 3, 3, 1)))
 
@@ -370,7 +409,7 @@ class TestGemmScratch:
     # of one block and of several
     CONVS = [
         (3, 2, (1, 3, 3), "same", (2, 2, 6, 5)),
-        (4, 12, (3, 3, 3), "same", (2, 3, 40, 36)),
+        (4, 12, (3, 3, 3), "valid", (2, 4, 40, 36)),
         (8, 5, (1, 3, 3), "same", (1, 2, 50, 44)),
         (2, 6, (2, 3, 3), "valid", (1, 3, 5, 4)),
     ]
@@ -658,25 +697,30 @@ class TestReLU:
         """A gradient that is the interior of a buffer shaped like the
         output's, as a conv's input gradient is, gives the bits of the same
         gradient as a plain array, signed zeros and non-finite values
-        included, whatever its border holds."""
+        included, whatever its border holds.  Both are written into the
+        layout that the conv before reads in place, border zeroed."""
         rng = np.random.default_rng(22)
         x = rng.normal(size=(2, 3, 8, 8, 4)).astype(dtype)
         x[..., 0] = 0.0
         g = rng.normal(size=x.shape).astype(dtype)
         g[0, 0] = -0.0
         g[1, 2, 3] = [np.nan, np.inf, -np.inf, 3.0]
+        bordered_g = bordered_backed(g, border=border)
+        assert layers._buffer(bordered_g, layers._PADS) is not None  # the whole-buffer path
         relu = ReLU()
         with np.errstate(invalid="ignore"):  # inf * 0
-            out = relu.forward(x)
-            whole = relu.backward(bordered_backed(g, border=border))
             relu.forward(x)
-            assert_bits_equal(whole, relu.backward(g))
-        assert whole.base.shape == out.base.shape  # the whole-buffer path ran
+            whole = relu.backward(bordered_g)
+            relu.forward(x)
+            plain = relu.backward(g)
+        assert_bits_equal(whole, plain)
+        assert_margined(whole)
+        assert_margined(plain)
 
 
 LAYOUT_LAYERS = {
     "conv-out>in": lambda: Conv3d(3, 5, rng=np.random.default_rng(1)),
-    "conv-out<=in": lambda: Conv3d(5, 3, kernel=(3, 3, 3), rng=np.random.default_rng(2)),
+    "conv-out<=in": lambda: Conv3d(5, 3, rng=np.random.default_rng(2)),
     "conv-valid": lambda: Conv3d(5, 2, kernel=(4, 3, 3), temporal_pad="valid",
                                  rng=np.random.default_rng(3)),
     "pool": lambda: MaxPool3d((2, 2, 2)),
@@ -721,8 +765,9 @@ class TestPaddedInputReuse:
     def check(self, x, reused):
         conv = Conv3d(3, 2, rng=np.random.default_rng(30), dtype=np.float64)
         out = conv.forward(x)
-        assert (conv._cache[0] is x.base) == reused
-        assert np.shares_memory(conv._cache[0], x.base) == reused
+        xp = conv._cache[0]
+        assert (xp is x.base or xp.base is x.base) == reused
+        assert np.shares_memory(xp, x.base) == reused
         np.testing.assert_allclose(out, conv3d_oracle(x, conv.weight.value, conv.bias.value),
                                    atol=1e-10)
 
@@ -754,10 +799,115 @@ class TestPaddedInputReuse:
 
     def test_base_of_wrong_shape_is_copied(self):
         self.check(bordered_backed(self.values(), pads=(0, 2, 2)), reused=False)
-        self.check(bordered_backed(self.values(), pads=(1, 1, 1)), reused=False)
+
+    def test_time_slice_is_reused(self):
+        """A time slice of a longer zero-bordered buffer with the same
+        batch, channels, rows and cols, as a window of the frame buffer is,
+        is read in place: its border in rows and cols is all the conv reads."""
+        self.check(bordered_backed(self.values(), pads=(1, 1, 1)), reused=True)
+        b, T, H, W, c = self.SHAPE
+        longer = bordered_backed(np.random.default_rng(32).normal(size=(b, T + 4, H, W, c)))
+        for start in (0, 2, 4):
+            self.check(longer[:, start:start + T], reused=True)
+        wider = bordered_backed(np.random.default_rng(33).normal(size=(b, T, H, W, c + 1)))
+        self.check(wider[..., :c], reused=False)  # a channel slice is copied
 
     def test_non_contiguous_base_is_copied(self):
         self.check(bordered_backed(self.values(), order="F"), reused=False)
+
+
+def _poke(g, value, cell=None, margin=None):
+    """`g` (see `margined_backed`) with `value` written to one cell of its
+    buffer (`cell`) or of its allocation's margins (`margin`, a flat index)."""
+    flat = g.base
+    b, T, H, W, c = g.shape
+    lead = W + 3
+    if cell is not None:
+        flat[lead:-lead].reshape(b, c, T, H + 2, W + 2)[cell] = value
+    if margin is not None:
+        flat[margin] = value
+    return g
+
+
+def _shifted(g):
+    """A view of the allocation of `g` (see `margined_backed`) with its
+    shape and strides, one cell further on."""
+    return np.ndarray(g.shape, g.dtype, buffer=g.base, strides=g.strides,
+                      offset=g.ctypes.data - g.base.ctypes.data + g.itemsize)
+
+
+# name -> (arrangement of an incoming gradient, read in place)
+GRADIENT_LAYOUTS = {
+    "relu-layout": (margined_backed, True),
+    "border-one": (lambda g: _poke(margined_backed(g), 1.0, cell=(0, 0, 0, 0, 2)), False),
+    "border-negative-zero": (lambda g: _poke(margined_backed(g), -0.0, cell=(-1, -1, -1, 3, 0)),
+                             False),
+    "border-nan": (lambda g: _poke(margined_backed(g), np.nan, cell=(-1, -1, -1, -1, -1)), False),
+    "first-margin-cell": (lambda g: _poke(margined_backed(g), 1.0, margin=0), False),
+    "last-margin-cell": (lambda g: _poke(margined_backed(g), -0.0, margin=-1), False),
+    "no-margin": (lambda g: margined_backed(g, lead=0), False),
+    "shifted": (lambda g: _shifted(margined_backed(g)), False),
+    "bordered": (bordered_backed, False),
+    "channels-last": (np.ascontiguousarray, False),
+}
+
+
+class TestPaddedGradientReuse:
+    """A conv's backward reads its incoming gradient in place, as the
+    padded grid behind a zero margin of one halo, only when it is the
+    interior of a buffer with a zero border one cell deep in rows and cols
+    that sits Wp + 1 cells into a 1-D allocation with zero margins, as
+    ReLU's backward writes it.  Any other gradient, or a non-zero bit in
+    that border or those margins, is copied, and both give the same
+    gradients bit for bit."""
+
+    # (in, out, kernel, temporal pad, batch): both GEMM paths, a temporal
+    # kernel, and batches whose rows run into the next sample's border
+    CONVS = [(3, 2, (1, 3, 3), "same", 2), (2, 5, (1, 3, 3), "same", 1),
+             (4, 3, (2, 3, 3), "valid", 2)]
+
+    @staticmethod
+    def step(case, g, monkeypatch):
+        """(input gradient, weight gradient, bias gradient) of conv `case`'s
+        backward on `g`, and whether it read `g` in place."""
+        cin, cout, kernel, pad, b = case
+        rng = np.random.default_rng(40)
+        conv = Conv3d(cin, cout, kernel, temporal_pad=pad, rng=rng)
+        conv.forward(rng.normal(size=(b, 3, 6, 5, cin)).astype(np.float32))
+        found = []
+        padded_grad = layers._padded_grad
+
+        def spy(*args):
+            found.append(padded_grad(*args))
+            return found[-1]
+
+        monkeypatch.setattr(layers, "_padded_grad", spy)
+        out = (conv.backward(g), conv.weight.grad, conv.bias.grad)
+        monkeypatch.undo()
+        return out, found[0] is not None
+
+    @pytest.mark.parametrize("case", range(len(CONVS)))
+    @pytest.mark.parametrize("layout", GRADIENT_LAYOUTS, ids=GRADIENT_LAYOUTS)
+    def test_read_in_place_only_from_relu_layout(self, layout, case, monkeypatch):
+        arrange, in_place = GRADIENT_LAYOUTS[layout]
+        cin, cout, kernel, pad, b = self.CONVS[case]
+        shape = (b, 3 - kernel[0] + 1, 6, 5, cout)
+        g = arrange(np.random.default_rng(41).normal(size=shape).astype(np.float32))
+        got, read = self.step(self.CONVS[case], g, monkeypatch)
+        assert read == in_place
+        want, read = self.step(self.CONVS[case], np.ascontiguousarray(g), monkeypatch)
+        assert not read
+        for a, b in zip(got, want, strict=True):
+            assert_bits_equal(a, b)
+
+    def test_relu_gradient_is_read_in_place(self, monkeypatch):
+        """ReLU's backward gives a gradient that the conv before it reads
+        in place."""
+        relu = ReLU()
+        relu.forward(np.random.default_rng(42).normal(size=(2, 3, 6, 5, 2)).astype(np.float32))
+        g = relu.backward(np.ones((2, 3, 6, 5, 2), np.float32))
+        assert_margined(g)
+        assert self.step(self.CONVS[0], g, monkeypatch)[1]
 
 
 @pytest.mark.parametrize("make", LAYOUT_LAYERS.values(), ids=LAYOUT_LAYERS)
