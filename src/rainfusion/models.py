@@ -3,13 +3,13 @@
 Both variants share one layout: (levels - 1) encoder stages of two convs
 with ReLU (the first conv doubling the width), max pooling between stages,
 a two-conv bottleneck, a mirrored decoder whose upsampled features are
-concatenated with the matching encoder skip, and a head that collapses the
-temporal axis with a full-extent "valid" conv to 2 channels followed by a
+concatenated with the matching encoder skip, and a head: a conv spanning
+the six input frames (`pipeline.WINDOW_FRAMES`) to 2 channels, then a
 1x1x1 conv to the single output frame.  Pool windows are (t, h, w): the
 radar variant pools (2, 2, 1), which halves time and rows and never pools
 cols (ROADMAP item 1 tracks the fix); the multimodal variant pools
-(2, 2, 2) with ceiling semantics and the decoder restores the recorded
-sizes exactly.  Body convs keep a temporal extent of 1; all temporal
+(2, 2, 2) with ceiling semantics, and each upsample is cropped to its
+skip's size.  Body convs keep a temporal extent of 1; all temporal
 mixing happens in the pooling path and the head.  Activations have the
 layers' (b, t, h, w, c) shape over channels-first memory (see
 `rainfusion.nn`).
@@ -97,10 +97,11 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A forecaster's shape; its input is always the six-frame `WINDOW_FRAMES`."""
+
     variant: str = "radar"
     rows: int = 288
     cols: int = 288
-    time_steps: int = 6
     levels: int = 5
     base_channels: int = 64
     lead_minutes: int = 5
@@ -110,8 +111,8 @@ class ModelConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.levels < 2:
             raise ValueError(f"need at least 2 levels, got {self.levels}")
-        if self.base_channels < 1 or self.time_steps < 1:
-            raise ValueError("base_channels and time_steps must be >= 1")
+        if self.base_channels < 1:
+            raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
         if self.lead_minutes not in (5, 15, 30):
@@ -132,7 +133,8 @@ class ModelConfig:
 
 
 class UNet3D:
-    """The assembled network, He-uniform initialized from `seed`."""
+    """The assembled network, He-uniform initialized from `seed`: `head_a`
+    spans the WINDOW_FRAMES input frames in time, every other conv one."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -140,9 +142,8 @@ class UNet3D:
         L = config.levels
         base = config.base_channels
 
-        def conv(cin, cout, name, kernel=(1, 3, 3), temporal_pad="same"):
-            return Conv3d(cin, cout, kernel, temporal_pad=temporal_pad,
-                          name=name, rng=rng, dtype=dtype)
+        def conv(cin, cout, name, kernel=(1, 3, 3)):
+            return Conv3d(cin, cout, kernel, name=name, rng=rng, dtype=dtype)
 
         self.enc = []
         enc_channels = []
@@ -166,8 +167,7 @@ class UNet3D:
             first.split = c  # the upsampled channels' gradient, then the skip's
             self.dec.append([first, ReLU(), conv(skip, skip, f"dec{i + 1}b"), ReLU()])
             c = skip
-        self.head = [conv(c, 2, "head_a", kernel=(config.time_steps, 3, 3),
-                          temporal_pad="valid"), ReLU(),
+        self.head = [conv(c, 2, "head_a", kernel=(WINDOW_FRAMES, 3, 3)), ReLU(),
                      conv(2, 1, "head_b", kernel=(1, 1, 1))]
         self.enc[0][0].split = 0  # the network input's gradient only when asked for
         self.steps = [layer for block, pool in zip(self.enc, self.pools) for layer in (*block, pool)]
@@ -211,7 +211,7 @@ class UNet3D:
         (inference) each layer's cache is dropped right after its forward."""
         h = ensure_array5(x, "model input")
         cfg = self.config
-        expect = (cfg.time_steps, cfg.rows, cfg.cols, cfg.in_channels)
+        expect = (WINDOW_FRAMES, cfg.rows, cfg.cols, cfg.in_channels)
         if h.shape[1:] != expect:
             raise ValueError(f"input shape {h.shape[1:]} does not match config {expect}")
         skips = []  # encoder stage outputs, the deepest last
@@ -222,7 +222,7 @@ class UNet3D:
             if isinstance(layer, Upsample3d):
                 if keep and self._rebuild.get(i + 1) == "upsample":
                     self._held[i + 1] = (h, skips[-1])  # ReLU outputs, which their ReLUs cache
-                h = layer.forward(h, skip=skips.pop())
+                h = layer.forward(h, skips.pop())
             else:
                 h = layer.forward(h)
             if not keep:
@@ -248,7 +248,7 @@ class UNet3D:
                 layer.restore_input(relu.forward(conv.forward(conv.cached_input())))
             elif how == "upsample":
                 low, skip = held.pop(i)
-                layer.restore_input(upsample(low, self.steps[i - 1].factors, skip.shape[1:4], skip))
+                layer.restore_input(upsample(low, self.steps[i - 1].factors, skip))
                 del low, skip  # so that their ReLUs' backwards free them
             g = layer.backward(g)
             if isinstance(layer, Upsample3d):
@@ -501,7 +501,7 @@ _STATS_ENTRIES = ("__band_min__", "__band_max__", "__band_count__")
 def save_model(path, model: UNet3D, stats: BandStats | None = None) -> None:
     cfg = model.config
     entries = [("__config__", np.array([
-        _VARIANT_IDS[cfg.variant], cfg.rows, cfg.cols, cfg.time_steps,
+        _VARIANT_IDS[cfg.variant], cfg.rows, cfg.cols, WINDOW_FRAMES,
         cfg.levels, cfg.base_channels, cfg.lead_minutes], dtype=np.float32))]
     if stats is not None:
         entries.append(("__band_min__", stats.mins))
@@ -513,7 +513,8 @@ def save_model(path, model: UNet3D, stats: BandStats | None = None) -> None:
 
 def load_model(path) -> tuple[UNet3D, BandStats | None]:
     """The model and band stats of a checkpoint; malformed contents raise
-    ValueError naming the file (`load_arrays` rejects repeated entry names)."""
+    ValueError naming the file (`load_arrays` rejects repeated entry names).
+    The time steps in `__config__` must be WINDOW_FRAMES, as every model's."""
     entries = dict(load_arrays(path))
     if "__config__" not in entries:
         raise ValueError(f"{path} is not a model checkpoint (no __config__ entry)")
@@ -527,13 +528,16 @@ def load_model(path) -> tuple[UNet3D, BandStats | None]:
     if variant is None:
         raise ValueError(f"{path}: unknown variant id {float(raw[0])}, "
                          f"expected one of {sorted(_VARIANT_IDS.values())}")
+    if raw[3] != WINDOW_FRAMES:
+        raise ValueError(f"{path}: __config__ holds {int(raw[3])} time steps, "
+                         f"expected {WINDOW_FRAMES}")
     band_stats = [entries.pop(name) for name in _STATS_ENTRIES if name in entries]
     if len(band_stats) not in (0, len(_STATS_ENTRIES)):
         raise ValueError(f"{path}: band stats need all of {', '.join(_STATS_ENTRIES)}")
     try:
         cfg = ModelConfig(variant=variant, rows=int(raw[1]), cols=int(raw[2]),
-                          time_steps=int(raw[3]), levels=int(raw[4]),
-                          base_channels=int(raw[5]), lead_minutes=int(raw[6]))
+                          levels=int(raw[4]), base_channels=int(raw[5]),
+                          lead_minutes=int(raw[6]))
         stats = None
         if band_stats:
             mins, maxs, count = band_stats

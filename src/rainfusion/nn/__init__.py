@@ -5,9 +5,9 @@ every layer takes and returns that shape.  Their memory is channels-first:
 a layer returns the (b, t, h, w, c) transpose of the interior of a
 C-contiguous (b, c, t, h', w') buffer, so each channel is a run of rows
 and the next layer reads it back with a free transpose.  ReLU, pooling
-and upsampling (`upsample`, which also builds the decoder input) give that
-buffer a zero border one cell deep in rows and cols, so a following 3x3
-conv reads it in place as its padded input instead of copying it.
+and upsampling (`upsample`, which builds the decoder input at its skip's
+size) give that buffer a zero border one cell deep in rows and cols, so
+a following 3x3 conv reads it in place as its padded input.
 `bordered` makes such a buffer for a network input: a time slice of it,
 one window of a longer stack of frames, is read in place too.  ReLU's
 backward writes its gradient the same way, into a buffer with zero

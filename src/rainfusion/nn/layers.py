@@ -29,14 +29,14 @@ grid that the conv before needs for its backward (`_padded_grad`), so
 that conv reads it in place instead of copying it into a zeroed one.
 
 Layers have stride 1.  Convolutions zero-pad so spatial dims are
-preserved; the temporal axis is either preserved ("same", extent 1) or
-consumed ("valid") per layer.  A convolution is one stacked-tap GEMM per
-block of output cells on shifted windows of its padded input, so no
-im2col copy of the whole input is made, and the padded input is all it
-caches.  Pooling uses non-overlapping windows with ceiling semantics, so a
-ragged last window simply shrinks; upsampling is nearest-neighbor
-repetition with an explicit target-dims override that inverts
-ceiling-pooled sizes exactly.
+preserved and never pad time: a temporal extent kt takes T frames to
+T - kt + 1.  A convolution is one stacked-tap GEMM per block of output
+cells on shifted windows of its padded input, so no im2col copy of the
+whole input is made, and the padded input is all it caches.  Pooling
+uses non-overlapping windows with ceiling semantics, so a ragged last
+window simply shrinks; upsampling is nearest-neighbor repetition cropped
+to the dims of the skip it is joined to, which inverts ceiling-pooled
+sizes exactly.
 
 Each layer keeps what its backward needs in one attribute, `_cache`, from a
 forward to the backward that follows it.  Backward takes the cache and
@@ -237,25 +237,22 @@ def _padded_grad(g: np.ndarray, pads):
                                            (c * cells * step, cells * step, step), writeable=False)
 
 
-def upsample(x: np.ndarray, factors, target_dims, skip: np.ndarray | None = None) -> np.ndarray:
-    """The activation `x` repeated by `factors` and cropped to `target_dims`,
-    followed on the channel axis by `skip` when one is given, in the
-    interior of a new zero-bordered buffer (see `bordered`): the decoder
-    input `[upsampled | skip]`.  Output cell (i, j, k) copies input cell
+def upsample(x: np.ndarray, factors, skip: np.ndarray) -> np.ndarray:
+    """The activation `x` repeated by `factors` and cropped to the (t, h, w)
+    of `skip`, followed on the channel axis by `skip`, in the interior of a
+    new zero-bordered buffer (see `bordered`): the decoder input
+    `[upsampled | skip]`.  Output cell (i, j, k) copies input cell
     (i // ft, j // fh, k // fw), so the upsampled channels split into
     ft*fh*fw repetition phases, the strided views [pt::ft, ph::fh, pw::fw],
     and each phase is one assignment into the buffer: the upsampled
     features are never an array of their own."""
     b, c = x.shape[0], x.shape[4]
-    width = c if skip is None else c + skip.shape[4]
-    dtype = x.dtype if skip is None else np.result_type(x, skip)
-    out = bordered((b, width, *target_dims), dtype)
+    out = bordered((b, c + skip.shape[4], *skip.shape[1:4]), np.result_type(x, skip))
     xc, up = _channels_first(x), out[:, :c]
     for phase in itertools.product(*(range(f) for f in factors)):
         dst = up[(..., *(slice(p, None, f) for p, f in zip(phase, factors)))]
         dst[...] = xc[(..., *(slice(n) for n in dst.shape[2:]))]
-    if skip is not None:
-        out[:, c:] = _channels_first(skip)
+    out[:, c:] = _channels_first(skip)
     return _channels_last(out)
 
 
@@ -311,9 +308,9 @@ class Conv3d:
     """Stride-1 3D convolution, spatially zero-padded to "same".
 
     Weights are (kt, kh, kw, in, out), He-uniform initialized from the given
-    generator; bias starts at zero.  `temporal_pad` is "same" (kt = 1,
-    preserves time) or "valid" (output time = T - kt + 1): time is never
-    padded.
+    generator; bias starts at zero.  Time is never padded: the output time
+    is T - kt + 1, so the kernel alone decides whether a conv keeps the
+    time axis (kt = 1) or consumes it.
 
     The padded input is a channels-first (b, in, T, Hp, Wp) buffer: the
     input's own buffer, or the time slice of it that holds `x`, when `x` is
@@ -359,23 +356,16 @@ class Conv3d:
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
-                 temporal_pad: str = "same", name: str = "conv",
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+                 name: str = "conv", rng: np.random.Generator | None = None, dtype=np.float32):
         kt, kh, kw = kernel
         if min(kt, kh, kw) < 1:
             raise ValueError(f"kernel dims must be >= 1, got {kernel}")
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError(f"spatial kernel dims must be odd for same padding, got {kernel}")
-        if temporal_pad not in ("same", "valid"):
-            raise ValueError(f"temporal_pad must be 'same' or 'valid', got {temporal_pad!r}")
-        if temporal_pad == "same" and kt != 1:
-            raise ValueError(f"{name}: same temporal padding needs a temporal extent of 1, "
-                             f"got {kt}")
         self.kernel = (kt, kh, kw)
         self.pads = ((kh - 1) // 2, (kw - 1) // 2)  # rows, cols
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.temporal_pad = temporal_pad
         self.name = name
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = kt * kh * kw * in_channels
@@ -390,6 +380,12 @@ class Conv3d:
 
     def params(self):
         return [self.weight, self.bias]
+
+    @property
+    def temporal_pad(self) -> str:
+        """The time padding: "same" when kt = 1 keeps the time axis, else
+        "valid".  Only the benchmark's tracer reads it."""
+        return "same" if self.kernel[0] == 1 else "valid"
 
     def _grid(self, padded_shape):
         """(cells per padded frame, halo, rows, spatial tap shifts).
@@ -547,7 +543,7 @@ class MaxPool3d:
     routes to its first NaN.
     """
 
-    def __init__(self, window=(2, 2, 1)):
+    def __init__(self, window):
         if min(window) < 1:
             raise ValueError(f"pool window dims must be >= 1, got {window}")
         self.window = tuple(window)
@@ -609,20 +605,19 @@ class MaxPool3d:
 class Upsample3d:
     """Nearest-neighbor repetition by integer factors per (t, h, w) axis.
 
-    `target_dims` crops the repeated output so ceiling-pooled sizes invert
-    exactly.  Forward writes the output through `upsample`, into a
-    zero-bordered buffer, followed on the channel axis by `skip` when one is
-    given (the decoder input, whose (t, h, w) are then the target dims).
-    Backward takes the gradient
-    of the upsampled channels only and sums it over each repetition group,
-    one axis at a time in (t, h, w) order: phase 0 (which covers every
-    group) is copied and the others are added in order, a ragged last
-    group simply taking fewer of them.  For the network's factors of 1 and
-    2 that is np.add.reduceat over the groups bit for bit, signed zeros
-    included.
+    Forward writes the decoder input through `upsample`: the repetition
+    cropped to the skip's (t, h, w), so ceiling-pooled sizes invert
+    exactly, then the skip, in a zero-bordered buffer.  A skip of another
+    batch, or of dims the repetition cannot reach, raises ValueError.
+    Backward takes the gradient of the upsampled channels only and sums it
+    over each repetition group, one axis at a time in (t, h, w) order:
+    phase 0 (which covers every group) is copied and the others are added
+    in order, a ragged last group simply taking fewer of them.  For the
+    network's factors of 1 and 2 that is np.add.reduceat over the groups
+    bit for bit, signed zeros included.
     """
 
-    def __init__(self, factors=(2, 2, 1)):
+    def __init__(self, factors):
         if min(factors) < 1:
             raise ValueError(f"upsample factors must be >= 1, got {factors}")
         self.factors = tuple(factors)
@@ -631,32 +626,22 @@ class Upsample3d:
     def params(self):
         return []
 
-    def forward(self, x: np.ndarray, target_dims=None, skip: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, skip: np.ndarray) -> np.ndarray:
         x = ensure_array5(x, "upsample")
-        in_dims = x.shape[1:4]
-        if skip is not None:
-            skip = ensure_array5(skip, "skip")
-            if target_dims is None:
-                target_dims = skip.shape[1:4]
-            if skip.shape[:4] != (x.shape[0], *target_dims):
-                raise ValueError(f"skip shape {skip.shape} does not match batch {x.shape[0]} "
-                                 f"and target dims {tuple(target_dims)}")
-        if target_dims is None:
-            target_dims = tuple(d * f for d, f in zip(in_dims, self.factors))
-        for d, f, t in zip(in_dims, self.factors, target_dims):
-            if t < d:
-                raise ValueError(f"target dim {t} smaller than input dim {d}")
-            if t > d * f or t <= (d - 1) * f:
-                raise ValueError(
-                    f"target dim {t} not reachable from {d} cells repeated x{f}")
-        self._cache = tuple(target_dims)
-        return upsample(x, self.factors, self._cache, skip)
+        skip = ensure_array5(skip, "skip")
+        dims = skip.shape[1:4]
+        if skip.shape[0] != x.shape[0] or not all(
+                (d - 1) * f < t <= d * f for d, f, t in zip(x.shape[1:4], self.factors, dims)):
+            raise ValueError(f"skip shape {skip.shape} does not match batch {x.shape[0]} "
+                             f"and dims {x.shape[1:4]} repeated x{self.factors}")
+        self._cache = dims
+        return upsample(x, self.factors, skip)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        target_dims = _take_cache(self, "upsample")
+        dims = _take_cache(self, "upsample")
         grad_out = np.asarray(grad_out)
-        if grad_out.shape[1:4] != target_dims:
-            raise ValueError(f"upsample grad dims {grad_out.shape[1:4]} != target {target_dims}")
+        if grad_out.shape[1:4] != dims:
+            raise ValueError(f"upsample grad dims {grad_out.shape[1:4]} != skip dims {dims}")
         g = _channels_first(grad_out)
         for axis, f in enumerate(self.factors, start=2):
             if f > 1:

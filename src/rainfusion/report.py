@@ -148,9 +148,9 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
     sample order, before forming scores; "per-image" averages the
     per-sample scores formed from the same numbers, skipping not-applicable
     ones.  A score that is not applicable is set as None.  Samples must
-    share one lead time, and a forecast whose shape differs from its
-    observation's raises ValueError naming the predictor and the target
-    time.
+    share one lead time, two predictors may not share a name, and a
+    forecast whose shape differs from its observation's raises ValueError
+    naming the predictor and the target time.
     """
     if aggregation not in ("pooled", "per-image"):
         raise ValueError(f"aggregation must be 'pooled' or 'per-image', got {aggregation!r}")
@@ -162,6 +162,8 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
     lead = leads.pop()
     samples = sorted(samples, key=lambda s: s.target_timestamp)
     names = tuple(name for name, _ in predictors)
+    if len(set(names)) < len(names):
+        raise ValueError(f"two predictors are named {max(names, key=names.count)!r}")
     report = SkillReport(models=names, leads=(lead,),
                          categories=tuple(c.name.title() for c in categories),
                          metadata={"aggregation": aggregation, "neighborhood": str(neighborhood),
@@ -187,18 +189,25 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
 
 
 def merge_reports(reports) -> SkillReport:
-    """Combine single-lead reports (same models/categories) into one table."""
+    """Combine reports of distinct leads and one scoring (models, categories,
+    aggregation, neighborhood) into one table, with the first's metadata."""
     reports = list(reports)
     if not reports:
         raise ValueError("nothing to merge")
-    first = reports[0]
-    for r in reports[1:]:
+    first, leads = reports[0], set()
+    for r in reports:
         if r.models != first.models or r.categories != first.categories:
             raise ValueError("reports disagree on models or categories")
-    merged = SkillReport(models=first.models,
-                         leads=tuple(sorted({l for r in reports for l in r.leads})),
-                         categories=first.categories,
-                         metadata=dict(first.metadata))
+        for key in ("aggregation", "neighborhood"):
+            a, b = first.metadata.get(key), r.metadata.get(key)
+            if a != b:
+                raise ValueError(f"reports disagree on {key}: {a!r} and {b!r}")
+        repeated = leads.intersection(r.leads)
+        if repeated:
+            raise ValueError(f"lead {min(repeated)} min is in two reports")
+        leads.update(r.leads)
+    merged = SkillReport(models=first.models, leads=tuple(sorted(leads)),
+                         categories=first.categories, metadata=dict(first.metadata))
     for r in reports:
         merged.scores.update(r.scores)
     return merged

@@ -17,13 +17,12 @@ from rainfusion.models import ModelConfig, UNet3D
 from rainfusion.nn import bordered
 
 ROOT = Path(__file__).resolve().parent.parent
-TINY = ModelConfig(variant="radar", rows=16, cols=16, time_steps=6,
-                   levels=3, base_channels=2, lead_minutes=5)
+TINY = ModelConfig(variant="radar", rows=16, cols=16, levels=3, base_channels=2, lead_minutes=5)
 
 
 def _traced(monkeypatch, run):
-    """The tracer's spans of `run(model, x)` on a traced TINY network, and
-    the network."""
+    """The tracer of `run(model, x)` on a traced TINY network, and the
+    network."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     rf = SimpleNamespace(**{n: importlib.import_module(f"rainfusion.{n}") for n in spans.LAYERS})
@@ -35,7 +34,7 @@ def _traced(monkeypatch, run):
         assert rf.models.load_sample is not untraced
         run(model, np.random.default_rng(0).random((1, 6, 16, 16, 1), dtype=np.float32))
     assert rf.models.load_sample is untraced
-    return tracer.spans, model
+    return tracer, model
 
 
 def _step(model, x):
@@ -43,8 +42,9 @@ def _step(model, x):
     model.backward(np.ones_like(out))
 
 
-def _assert_step_spans(spans, model):
-    """The spans of one traced training step, `_step`."""
+def _assert_step_spans(tracer, model):
+    """The spans and counters of one traced training step, `_step`."""
+    spans = tracer.spans
     convs = [conv.name for conv in model.conv_layers()]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"].split(".")[2] for m in spec["per_layer"]
@@ -63,6 +63,11 @@ def _assert_step_spans(spans, model):
     backward = next(i for i, s in enumerate(spans) if s[0] == "models.backward")
     inside = Counter(s[0] for s in spans if s[3] == backward and s[0].endswith(".fwd"))
     assert inside == {f"nn.conv.{c}.fwd": 1 for c in rebuilt}
+    # the tracer derives both from each conv's kernel and `temporal_pad` and
+    # the input shape alone: a change to either moves the benchmark's
+    # `nn.conv_gflop` and `nn.conv_cached_bytes`
+    assert dict(tracer.counters[tracer.group]) == {"nn.conv_flop": 4_832_256,
+                                                  "nn.conv_cached_bytes": 161_024}
 
 
 def test_tracer_records_every_layer(monkeypatch):
@@ -92,7 +97,7 @@ def test_tracer_records_an_inference_run(monkeypatch):
     """An inference forward, as a nowcast or a validation loss runs it, goes
     through every layer's forward once, and through neither the traced
     `model.forward` nor any backward."""
-    spans, model = _traced(monkeypatch, lambda model, x: model._run(x, keep=False))
+    tracer, model = _traced(monkeypatch, lambda model, x: model._run(x, keep=False))
     expected = {f"nn.conv.{conv.name}.fwd": 1 for conv in model.conv_layers()}
     expected.update({"nn.pool": 2, "nn.upsample": 2, "nn.relu": 11})
-    assert Counter(s[0] for s in spans) == expected
+    assert Counter(s[0] for s in tracer.spans) == expected

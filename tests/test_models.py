@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import tracemalloc
@@ -51,11 +52,9 @@ from rainfusion.synth import SynthConfig, generate_synthetic
 from rainfusion.verify import contingency, csi
 from test_nn import assert_bits_equal, assert_zero_border, buffer_pads
 
-DESK = ModelConfig(variant="radar", rows=64, cols=64, time_steps=6,
-                   levels=3, base_channels=4, lead_minutes=5)
-TINY = ModelConfig(variant="radar", rows=16, cols=16, time_steps=6,
-                   levels=3, base_channels=2, lead_minutes=5)
-TINY_MM = ModelConfig(variant="multimodal", rows=16, cols=16, time_steps=6,
+DESK = ModelConfig(variant="radar", rows=64, cols=64, levels=3, base_channels=4, lead_minutes=5)
+TINY = ModelConfig(variant="radar", rows=16, cols=16, levels=3, base_channels=2, lead_minutes=5)
+TINY_MM = ModelConfig(variant="multimodal", rows=16, cols=16,
                       levels=3, base_channels=2, lead_minutes=5)
 MM_STATS = BandStats(np.arange(11.0), np.arange(11.0) + 5, 3)
 
@@ -647,6 +646,29 @@ class TestCheckpoints:
         edit(entries)
         save_arrays(path, entries)
         return path
+
+    @pytest.mark.parametrize("config, stats, digest", [
+        (TINY, None, "2ac774170b26b7bf771c79cb2eb7a5c4f73f16abc857a7305e69aa056f9c6fe1"),
+        (TINY_MM, MM_STATS, "c54a58e0019498e7aeb9909ca206de4282373c07ee0581bec0fbf470868c992b"),
+    ], ids=["radar", "multimodal"])
+    def test_seeded_checkpoint_bytes_are_pinned(self, tmp_path, config, stats, digest):
+        """A seeded checkpoint's bytes are pinned, the window's 6 time steps
+        in its `__config__` included: a change to what `save_model` writes
+        shows here."""
+        path = tmp_path / "m.rfp"
+        save_model(path, UNet3D(config, seed=7), stats)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert load_model(path)[0].config == config
+
+    @pytest.mark.parametrize("steps", [2.0, 7.0])
+    def test_time_steps_other_than_the_window_name_file(self, tmp_path, steps):
+        def set_steps(entries):
+            assert entries[0][1][3] == 6.0
+            entries[0][1][3] = steps
+        path = self._saved(tmp_path / "m.rfp", set_steps)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: __config__ holds {int(steps)} time steps, expected 6")):
+            load_model(path)
 
     def test_config_of_wrong_length_names_file(self, tmp_path):
         def drop_lead(entries):

@@ -26,13 +26,13 @@ from rainfusion.nn import (
 )
 
 
-def conv3d_oracle(x, w, b, temporal_pad="same"):
-    """Direct summation over every tap: the naive reference convolution."""
+def conv3d_oracle(x, w, b):
+    """Direct summation over every tap: the naive reference convolution,
+    zero-padded in rows and cols and never in time."""
     bdim, T, H, W, cin = x.shape
     kt, kh, kw, _, cout = w.shape
-    pt = (kt - 1) // 2 if temporal_pad == "same" else 0
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    To = T if temporal_pad == "same" else T - kt + 1
+    To = T - kt + 1
     out = np.zeros((bdim, To, H, W, cout))
     for n in range(bdim):
         for t in range(To):
@@ -43,7 +43,7 @@ def conv3d_oracle(x, w, b, temporal_pad="same"):
                         for dt in range(kt):
                             for di in range(kh):
                                 for dj in range(kw):
-                                    tt, ii, jj = t + dt - pt, i + di - ph, j + dj - pw
+                                    tt, ii, jj = t + dt, i + di - ph, j + dj - pw
                                     if 0 <= tt < T and 0 <= ii < H and 0 <= jj < W:
                                         for ci in range(cin):
                                             acc += x[n, tt, ii, jj, ci] * w[dt, di, dj, ci, co]
@@ -208,11 +208,11 @@ class TestConv3d:
     )
     def test_matches_naive_oracle(self, shape, kernel, pad):
         rng = np.random.default_rng(42)
-        conv = Conv3d(shape[-1], 2, kernel=kernel, temporal_pad=pad,
-                      rng=rng, dtype=np.float64)
+        conv = Conv3d(shape[-1], 2, kernel=kernel, rng=rng, dtype=np.float64)
+        assert conv.temporal_pad == pad  # set by the kernel's temporal extent
         x = rng.normal(size=shape)
         out = conv.forward(x)
-        ref = conv3d_oracle(x, conv.weight.value, conv.bias.value, pad)
+        ref = conv3d_oracle(x, conv.weight.value, conv.bias.value)
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
     def test_backward_zero_grad(self):
@@ -244,7 +244,8 @@ class TestConv3d:
     )
     def test_gradients_match_finite_differences(self, pad, kernel, shape):
         rng = np.random.default_rng(5)
-        conv = Conv3d(shape[-1], 2, kernel=kernel, temporal_pad=pad, rng=rng, dtype=np.float64)
+        conv = Conv3d(shape[-1], 2, kernel=kernel, rng=rng, dtype=np.float64)
+        assert conv.temporal_pad == pad
         xp = Parameter("x", rng.normal(size=shape))
         proj = rng.normal(size=conv.forward(xp.value).shape)
         conv.weight.zero_grad(), conv.bias.zero_grad()
@@ -258,7 +259,7 @@ class TestConv3d:
     @pytest.mark.parametrize("cin", [3, 1])
     def test_parameter_gradients_accumulate(self, cin):
         rng = np.random.default_rng(6)
-        conv = Conv3d(cin, 2, kernel=(2, 3, 3), temporal_pad="valid", rng=rng, dtype=np.float64)
+        conv = Conv3d(cin, 2, kernel=(2, 3, 3), rng=rng, dtype=np.float64)
         x = rng.normal(size=(2, 3, 5, 4, cin))
         g = rng.normal(size=conv.forward(x).shape)
         conv.backward(g)
@@ -279,7 +280,8 @@ class TestConv3d:
     def test_backward_is_adjoint_of_forward(self, shape, cout, kernel, pad):
         """<conv(x), g> = <x, backward(g)> = <W, weight.grad> with zero bias."""
         rng = np.random.default_rng(7)
-        conv = Conv3d(shape[-1], cout, kernel=kernel, temporal_pad=pad, rng=rng, dtype=np.float64)
+        conv = Conv3d(shape[-1], cout, kernel=kernel, rng=rng, dtype=np.float64)
+        assert conv.temporal_pad == pad
         x = rng.normal(size=shape)
         out = conv.forward(x)
         g = rng.normal(size=out.shape)
@@ -298,7 +300,8 @@ class TestConv3d:
     def test_forward_allocates_no_im2col(self, shape, cout, kernel, pad):
         """Peak allocation of a forward stays within 2x input + output + padded input."""
         rng = np.random.default_rng(8)
-        conv = Conv3d(shape[-1], cout, kernel=kernel, temporal_pad=pad, rng=rng)
+        conv = Conv3d(shape[-1], cout, kernel=kernel, rng=rng)
+        assert conv.temporal_pad == pad
         x = rng.random(shape, dtype=np.float32)
         tracemalloc.start()
         try:
@@ -383,12 +386,7 @@ class TestConv3d:
         with pytest.raises(ValueError):
             Conv3d(1, 1, kernel=(1, 2, 3))
         with pytest.raises(ValueError):
-            Conv3d(1, 1, kernel=(2, 3, 3), temporal_pad="same")
-        with pytest.raises(ValueError, match="enc9a: same temporal padding needs a temporal "
-                                             "extent of 1, got 3"):
-            Conv3d(1, 1, kernel=(3, 3, 3), name="enc9a")
-        with pytest.raises(ValueError):
-            Conv3d(1, 1, kernel=(2, 3, 3), temporal_pad="valid").forward(np.zeros((1, 1, 3, 3, 1)))
+            Conv3d(1, 1, kernel=(2, 3, 3)).forward(np.zeros((1, 1, 3, 3, 1)))
 
 
 def conv_step(conv, x, g):
@@ -404,25 +402,24 @@ class TestGemmScratch:
     """The conv GEMM block temporaries are private to the call that makes
     them."""
 
-    # (in, out, kernel, temporal pad, input (b, t, h, w)): both GEMM forms
-    # (out <= in stacks the products, out > in gathers the taps), and inputs
-    # of one block and of several
+    # (in, out, kernel, input (b, t, h, w)): both GEMM forms (out <= in
+    # stacks the products, out > in gathers the taps), and inputs of one
+    # block and of several
     CONVS = [
-        (3, 2, (1, 3, 3), "same", (2, 2, 6, 5)),
-        (4, 12, (3, 3, 3), "valid", (2, 4, 40, 36)),
-        (8, 5, (1, 3, 3), "same", (1, 2, 50, 44)),
-        (2, 6, (2, 3, 3), "valid", (1, 3, 5, 4)),
+        (3, 2, (1, 3, 3), (2, 2, 6, 5)),
+        (4, 12, (3, 3, 3), (2, 4, 40, 36)),
+        (8, 5, (1, 3, 3), (1, 2, 50, 44)),
+        (2, 6, (2, 3, 3), (1, 3, 5, 4)),
     ]
 
     @classmethod
     def case(cls, i, dtype):
         """A conv of `CONVS[i]` in `dtype`, its input and its output gradient."""
-        cin, cout, kernel, pad, (b, t, h, w) = cls.CONVS[i]
+        cin, cout, kernel, (b, t, h, w) = cls.CONVS[i]
         rng = np.random.default_rng(20 + i)
-        conv = Conv3d(cin, cout, kernel, temporal_pad=pad, rng=rng, dtype=dtype)
+        conv = Conv3d(cin, cout, kernel, rng=rng, dtype=dtype)
         x = rng.normal(size=(b, t, h, w, cin)).astype(dtype)
-        to = t if pad == "same" else t - kernel[0] + 1
-        return conv, x, rng.normal(size=(b, to, h, w, cout)).astype(dtype)
+        return conv, x, rng.normal(size=(b, t - kernel[0] + 1, h, w, cout)).astype(dtype)
 
     def test_two_threads_get_their_own_results(self):
         """Two threads running different convs at once each get the results
@@ -551,19 +548,20 @@ class TestMaxPool3d:
 class TestUpsample3d:
     def test_unit_factors_identity(self):
         x = np.random.default_rng(8).normal(size=(1, 2, 3, 3, 2))
-        np.testing.assert_array_equal(Upsample3d((1, 1, 1)).forward(x), x)
+        out = Upsample3d((1, 1, 1)).forward(x, np.zeros((1, 2, 3, 3, 1)))
+        np.testing.assert_array_equal(out[..., :2], x)
 
     def test_inverts_ceiling_pooled_dims(self):
         x = np.random.default_rng(9).normal(size=(1, 6, 5, 4, 1))
         pooled = MaxPool3d((2, 2, 2)).forward(x)
-        up = Upsample3d((2, 2, 2)).forward(pooled, target_dims=(6, 5, 4))
-        assert up.shape == x.shape
+        up = Upsample3d((2, 2, 2)).forward(pooled, x)
+        assert up.shape == (*x.shape[:4], 2)
 
     def test_backward_counts_repetitions(self):
         x = np.ones((1, 3, 2, 2, 1))
         ups = Upsample3d((2, 2, 1))
-        out = ups.forward(x, target_dims=(5, 4, 2))
-        g = ups.backward(np.ones_like(out))
+        out = ups.forward(x, np.zeros((1, 5, 4, 2, 1)))
+        g = ups.backward(np.ones_like(out[..., :1]))
         # time groups: 2, 2, 1 repeats; rows: 2 each; cols: 1 each
         np.testing.assert_allclose(g[0, :, 0, 0, 0], [4.0, 4.0, 2.0])
 
@@ -571,11 +569,12 @@ class TestUpsample3d:
         rng = np.random.default_rng(10)
         ups = Upsample3d((2, 2, 2))
         xp = Parameter("x", rng.normal(size=(1, 3, 3, 4, 2)))
-        out = ups.forward(xp.value, target_dims=(5, 6, 7))
+        skip = np.zeros((1, 5, 6, 7, 1))
+        out = ups.forward(xp.value, skip)[..., :2]
         proj = rng.normal(size=out.shape)
 
         def loss_fn():
-            return float(np.sum(proj * ups.forward(xp.value, target_dims=(5, 6, 7))))
+            return float(np.sum(proj * ups.forward(xp.value, skip)[..., :2]))
 
         xp.grad = ups.backward(proj)
         assert gradient_check(loss_fn, [xp], [xp.grad], n_samples=100, seed=2) < 1e-7
@@ -583,18 +582,13 @@ class TestUpsample3d:
     def test_target_validation(self):
         ups = Upsample3d((2, 2, 2))
         x = np.zeros((1, 3, 3, 3, 1))
-        with pytest.raises(ValueError):
-            ups.forward(x, target_dims=(2, 6, 6))  # smaller than input
-        with pytest.raises(ValueError):
-            ups.forward(x, target_dims=(7, 6, 6))  # beyond reach of x2
-        with pytest.raises(ValueError):
-            ups.forward(x, target_dims=(4, 6, 6))  # last cell unused
+        for dims in [(2, 6, 6),  # smaller than input
+                     (7, 6, 6),  # beyond reach of x2
+                     (4, 6, 6)]:  # last cell unused
+            with pytest.raises(ValueError, match="skip shape"):
+                ups.forward(x, np.zeros((1, *dims, 1)))
         with pytest.raises(ValueError, match="skip shape"):
-            ups.forward(x, target_dims=(6, 6, 6), skip=np.zeros((1, 5, 6, 6, 1)))
-        with pytest.raises(ValueError, match="skip shape"):
-            ups.forward(x, skip=np.zeros((2, 6, 6, 6, 1)))  # another batch
-        with pytest.raises(ValueError):
-            ups.forward(x, skip=np.zeros((1, 7, 6, 6, 1)))  # beyond reach of x2
+            ups.forward(x, np.zeros((2, 6, 6, 6, 1)))  # another batch
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -608,26 +602,24 @@ class TestUpsample3d:
         ],
     )
     def test_matches_repeat_reduceat_oracle(self, factors, in_dims, target_dims, dtype):
+        """The decoder input [upsampled | skip], at the skip's dims, in one
+        zero-bordered buffer, and the gradient of its upsampled channels."""
         rng = np.random.default_rng(21)
         x = rng.normal(size=(2, *in_dims, 3)).astype(dtype)
         ups = Upsample3d(factors)
-        out = ups.forward(x, target_dims=target_dims)
-        g = rng.normal(size=out.shape).astype(dtype)
+        g = rng.normal(size=(2, *target_dims, 3)).astype(dtype)
         # -0.0 across the last repetition group of each axis (ragged or not),
         # so the sign of a zero sum is pinned too
         for axis, (f, d) in enumerate(zip(factors, in_dims), start=1):
             g[(slice(None),) * axis + (slice((d - 1) * f, None),)] = -0.0
         ref_out, ref_grad = upsample_oracle(x, factors, target_dims, g)
         assert np.any(np.signbit(ref_grad) & (ref_grad == 0))
-        assert_bits_equal(out, ref_out)
-        assert_bits_equal(ups.backward(g), ref_grad)
-        # with a skip, the decoder input [upsampled | skip] in one zero-bordered buffer
         skip = rng.normal(size=(2, *target_dims, 2)).astype(dtype)
-        joined = ups.forward(x, skip=skip)
+        joined = ups.forward(x, skip)
         assert_zero_border(joined)
         assert_bits_equal(joined[..., :3], ref_out)
         assert_bits_equal(joined[..., 3:], skip)
-        assert_bits_equal(upsample(x, factors, target_dims, skip), joined)
+        assert_bits_equal(upsample(x, factors, skip), joined)
         assert_bits_equal(ups.backward(g), ref_grad)
 
 
@@ -721,8 +713,7 @@ class TestReLU:
 LAYOUT_LAYERS = {
     "conv-out>in": lambda: Conv3d(3, 5, rng=np.random.default_rng(1)),
     "conv-out<=in": lambda: Conv3d(5, 3, rng=np.random.default_rng(2)),
-    "conv-valid": lambda: Conv3d(5, 2, kernel=(4, 3, 3), temporal_pad="valid",
-                                 rng=np.random.default_rng(3)),
+    "conv-valid": lambda: Conv3d(5, 2, kernel=(4, 3, 3), rng=np.random.default_rng(3)),
     "pool": lambda: MaxPool3d((2, 2, 2)),
     "upsample": lambda: Upsample3d((2, 2, 2)),
     "relu": ReLU,
@@ -735,19 +726,23 @@ def test_layers_ignore_input_memory_order(make):
     interior of a zero-bordered buffer give the same outputs and gradients
     bit for bit.  Every output is the interior of a C-contiguous
     channels-first buffer, and ReLU, pooling and upsampling give that
-    buffer a zero border."""
+    buffer a zero border.  The upsample joins a skip arranged the same way
+    and takes the gradient of its upsampled channels."""
     rng = np.random.default_rng(23)
     layer = make()
     x = rng.normal(size=(2, 5, 7, 6, getattr(layer, "in_channels", 4))).astype(np.float32)
+    skip = rng.normal(size=(2, 10, 14, 11, 2)).astype(np.float32)
+    joins = isinstance(layer, Upsample3d)
     results = []
     for arrange in (np.ascontiguousarray, channels_first_backed, bordered_backed):
         for p in layer.params():
             p.zero_grad()
-        out = layer.forward(arrange(x))
+        out = layer.forward(arrange(x), arrange(skip)) if joins else layer.forward(arrange(x))
         buffer_pads(out)
         if isinstance(layer, (ReLU, MaxPool3d, Upsample3d)):
             assert_zero_border(out)
-        g = np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
+        grad_shape = (*out.shape[:4], x.shape[4]) if joins else out.shape
+        g = np.random.default_rng(24).normal(size=grad_shape).astype(np.float32)
         gx = layer.backward(arrange(g))
         results.append((out, gx, *(p.grad.copy() for p in layer.params())))
     for other in results[1:]:
@@ -861,18 +856,17 @@ class TestPaddedGradientReuse:
     that border or those margins, is copied, and both give the same
     gradients bit for bit."""
 
-    # (in, out, kernel, temporal pad, batch): both GEMM paths, a temporal
-    # kernel, and batches whose rows run into the next sample's border
-    CONVS = [(3, 2, (1, 3, 3), "same", 2), (2, 5, (1, 3, 3), "same", 1),
-             (4, 3, (2, 3, 3), "valid", 2)]
+    # (in, out, kernel, batch): both GEMM paths, a temporal kernel, and
+    # batches whose rows run into the next sample's border
+    CONVS = [(3, 2, (1, 3, 3), 2), (2, 5, (1, 3, 3), 1), (4, 3, (2, 3, 3), 2)]
 
     @staticmethod
     def step(case, g, monkeypatch):
         """(input gradient, weight gradient, bias gradient) of conv `case`'s
         backward on `g`, and whether it read `g` in place."""
-        cin, cout, kernel, pad, b = case
+        cin, cout, kernel, b = case
         rng = np.random.default_rng(40)
-        conv = Conv3d(cin, cout, kernel, temporal_pad=pad, rng=rng)
+        conv = Conv3d(cin, cout, kernel, rng=rng)
         conv.forward(rng.normal(size=(b, 3, 6, 5, cin)).astype(np.float32))
         found = []
         padded_grad = layers._padded_grad
@@ -890,7 +884,7 @@ class TestPaddedGradientReuse:
     @pytest.mark.parametrize("layout", GRADIENT_LAYOUTS, ids=GRADIENT_LAYOUTS)
     def test_read_in_place_only_from_relu_layout(self, layout, case, monkeypatch):
         arrange, in_place = GRADIENT_LAYOUTS[layout]
-        cin, cout, kernel, pad, b = self.CONVS[case]
+        cin, cout, kernel, b = self.CONVS[case]
         shape = (b, 3 - kernel[0] + 1, 6, 5, cout)
         g = arrange(np.random.default_rng(41).normal(size=shape).astype(np.float32))
         got, read = self.step(self.CONVS[case], g, monkeypatch)
@@ -916,12 +910,14 @@ def test_backward_consumes_the_forward_cache(make):
     the next forward."""
     layer = make()
     x = np.random.default_rng(25).normal(size=(1, 4, 4, 4, getattr(layer, "in_channels", 2)))
-    g = np.ones_like(layer.forward(x))
+    skip = (np.zeros((1, 8, 8, 8, 1)),) if isinstance(layer, Upsample3d) else ()
+    out = layer.forward(x, *skip)
+    g = np.ones_like(out[..., :x.shape[4]] if skip else out)
     layer.backward(g)
     assert layer._cache is None
     with pytest.raises(RuntimeError, match="backward before forward"):
         layer.backward(g)
-    layer.forward(x)
+    layer.forward(x, *skip)
     layer.backward(g)
 
 

@@ -44,8 +44,8 @@ def _scene(path):
 
 
 def _checkpoint(path):
-    save_model(path, UNet3D(ModelConfig("radar", rows=4, cols=4, time_steps=2, levels=2,
-                                        base_channels=1), seed=3))
+    save_model(path, UNet3D(ModelConfig("radar", rows=4, cols=4, levels=2, base_channels=1),
+                            seed=3))
 
 
 def _index(path):

@@ -91,6 +91,21 @@ class TestSkillReport:
         assert merged.leads == (5, 15)
         assert merged.get(15, "Heavy", "CSI", "radar") == 0.672
 
+    def test_merge_rejects_a_lead_in_two_reports(self):
+        a, b = self._report(), self._report()
+        b.set(5, "Heavy", "CSI", "radar", 0.1)
+        with pytest.raises(ValueError, match="lead 5 min is in two reports"):
+            merge_reports([a, b])
+
+    @pytest.mark.parametrize("key, first, other", [("aggregation", "pooled", "per-image"),
+                                                   ("neighborhood", "3", "5")])
+    def test_merge_rejects_disagreeing_scoring(self, key, first, other):
+        a, b = self._report(), self._report()
+        b.leads = (15,)
+        a.metadata[key], b.metadata[key] = first, other
+        with pytest.raises(ValueError, match=f"reports disagree on {key}: '{first}' and '{other}'"):
+            merge_reports([a, b])
+
 
 class TestEvaluateModels:
     def test_perfect_echo_scores_one(self, tmp_path):
@@ -132,6 +147,20 @@ class TestEvaluateModels:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             evaluate_models([("m", lambda s: None)], [])
+
+    def test_repeated_predictor_name_rejected(self, tmp_path):
+        """Two predictors of one name would pool their pairs into one column."""
+        fields = [np.full((8, 8), 10.0, dtype=np.float32)] * 7
+        sample = _sample(tmp_path, "a", fields)
+
+        def zero(s):
+            return RainGrid(np.zeros((8, 8)), s.target_timestamp)
+
+        def echo(s):
+            return read_grid(s.target_path)
+
+        with pytest.raises(ValueError, match="two predictors are named 'm'"):
+            evaluate_models([("m", zero), ("echo", echo), ("m", echo)], [sample])
 
 
 def _oracle_scores(pairs, category, n, aggregation):
