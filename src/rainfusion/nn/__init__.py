@@ -1,19 +1,20 @@
 """Dense numerical layer stack for the 3D U-Net forecasters.
 
 Activations are rank-5 arrays of shape (batch, time, rows, cols, channels):
-every layer takes and returns that shape.  Their memory is channels-first:
-a layer returns the (b, t, h, w, c) transpose of the interior of a
-C-contiguous (b, c, t, h', w') buffer, so each channel is a run of rows
-and the next layer reads it back with a free transpose.  ReLU, pooling
-and upsampling (`upsample`, which builds the decoder input at its skip's
-size) give that buffer a zero border one cell deep in rows and cols, so
-a following 3x3 conv reads it in place as its padded input.
-`bordered` makes such a buffer for a network input: a time slice of it,
-one window of a longer stack of frames, is read in place too.  ReLU's
-backward writes its gradient the same way, into a buffer with zero
-margins before and after it, and the conv before reads that in place as
-its padded incoming gradient.  Any other input or gradient layout, a
-C-ordered channels-last one included, gives the same results bit for bit.
+every layer takes and returns that shape.  Their memory has one layout:
+every buffer a layer writes, forward or backward, is a channels-first
+(b, c, t, h + 2, w + 2) grid with a border one cell deep in rows and
+cols, inside a 1-D allocation with zero margins before and after it, and
+a layer returns the (b, t, h, w, c) transpose of its interior, so the next
+layer reads it back with a free transpose.  ReLU, pooling and upsampling
+(`upsample`, which builds the decoder input at its skip's size) zero that
+border, so a following conv, which pads by one cell whatever its kernel,
+reads the grid in place as its padded input; ReLU's backward does the
+same, and with the zero margins the conv before reads its gradient in
+place.  `bordered` makes such a grid for a network input: a time slice of
+it, one window of a longer stack of frames, is read in place too.  Any
+other input or gradient layout, a C-ordered channels-last one included,
+is copied into a grid and gives the same results bit for bit.
 float32 is the training precision, float64 the gradient-check precision.
 Every layer implements an exact adjoint: `forward(x)` caches what its
 `backward(grad)` needs, and that backward consumes the cache, so one

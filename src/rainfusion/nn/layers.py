@@ -1,42 +1,41 @@
 """3D convolution, pooling, upsampling and activation layers with adjoints.
 
 Every layer takes and returns (batch, time, rows, cols, channels) arrays:
-that shape is the API.  In memory, activations are channels-first: a layer
-returns the (b, t, h, w, c) transpose of the interior of a C-contiguous
-(b, c, t, h', w') buffer, so the next layer's `x.transpose(0, 4, 1, 2, 3)`
-is a free view and every kernel runs on long rows of one channel.  ReLU,
-pooling and upsampling (`upsample`, which also builds the decoder input
-`[upsampled | skip]`) write into a buffer with a zero border one cell deep
-in rows and cols (`bordered`): that buffer is exactly the padded
-input of a following 3x3 convolution, which reads it in place instead of
-copying it.  Time is never padded, so a time slice of such a buffer is
+that shape is the API.  In memory there is one layout.  Every buffer that
+a layer writes, forward or backward, is a grid (`_grid`): a channels-first
+(b, c, t, H + 2, W + 2) array with a border one cell deep in rows and
+cols, inside a 1-D allocation with zero margins of W + 3 cells before and
+after it.  A layer returns the (b, t, h, w, c) transpose of the grid's
+interior, so the next layer's `x.transpose(0, 4, 1, 2, 3)` is a free view
+and every kernel runs on long rows of one channel.  One finder, `_buffer`,
+gives back the grid, or the time slice of it, that an array is the
+interior of, and every in-place read goes through it.  With a zero border
+the grid is the padded input of any conv, 3x3 or 1x1, which pads by that
+one cell and reads it in place: ReLU, pooling and upsampling (`upsample`,
+which also builds the decoder input `[upsampled | skip]`) zero the border
+of their outputs (`bordered`).  Time is never padded, so a time slice is
 read in place too: a network input is a window of one frame buffer
-(`models.load_frames`).  A conv's own output is a crop of its
-accumulator, whose border holds leftovers of the GEMMs.  The conv bias
-and ReLU's forward run over whole buffers, border included, in
-contiguous passes: a numpy ufunc writing the strided interior costs
-about twice as much.  Any other input (C-ordered channels-last, a
-non-zero border, a view of something else) gives the same results bit
-for bit; it only costs a copy.
+(`models.load_frames`).  With its margins zero too, the grid read from the
+start of its allocation, one row per channel, is the padded incoming
+gradient that a conv's backward needs, so the conv before a ReLU reads
+ReLU's gradient in place.  A conv's output and input gradient are the
+interiors of its accumulators, whose borders hold leftovers of the GEMMs;
+the conv bias and ReLU, forward and backward, run over whole grids,
+border included, in contiguous passes, as a numpy ufunc writing the
+strided interior costs about twice as much.  Any other input or gradient
+(C-ordered channels-last, a non-zero border, a view of something else) is
+copied into a new grid (`_bordered_copy`) and read the same way, with the
+same results bit for bit.
 
-Gradients go the same way backward.  ReLU's backward writes into a
-zero-bordered buffer that sits one row and one cell into a 1-D
-allocation with zero margins (`_margined`), multiplying whole buffers
-when the incoming gradient is the interior of one shaped like its
-output's, as a conv's input gradient is.  Read from the start of that
-allocation, one row per channel, it is exactly the zero-margined padded
-grid that the conv before needs for its backward (`_padded_grad`), so
-that conv reads it in place instead of copying it into a zeroed one.
-
-Layers have stride 1.  Convolutions zero-pad so spatial dims are
-preserved and never pad time: a temporal extent kt takes T frames to
-T - kt + 1.  A convolution is one stacked-tap GEMM per block of output
-cells on shifted windows of its padded input, so no im2col copy of the
-whole input is made, and the padded input is all it caches.  Pooling
-uses non-overlapping windows with ceiling semantics, so a ragged last
-window simply shrinks; upsampling is nearest-neighbor repetition cropped
-to the dims of the skip it is joined to, which inverts ceiling-pooled
-sizes exactly.
+Layers have stride 1.  Convolutions have kernel dims of 1 or 3 in rows
+and cols, zero-pad so spatial dims are preserved, and never pad time: a
+temporal extent kt takes T frames to T - kt + 1.  A convolution is one
+stacked-tap GEMM per block of output cells on shifted windows of its
+padded input, so no im2col copy of the whole input is made, and the
+padded input is all it caches.  Pooling uses non-overlapping windows
+with ceiling semantics, so a ragged last window simply shrinks;
+upsampling is nearest-neighbor repetition cropped to the dims of the
+skip it is joined to, which inverts ceiling-pooled sizes exactly.
 
 Each layer keeps what its backward needs in one attribute, `_cache`, from a
 forward to the backward that follows it.  Backward takes the cache and
@@ -74,9 +73,6 @@ from .._malloc import keep_freed_pages
 # Output cells per conv GEMM block.  It bounds the stacked-tap intermediate
 # (taps x channels x cells) that each block allocates.
 _ROW_BLOCK = 4096
-# Border (rows, cols) of ReLU, pooling and upsample outputs, and of ReLU's
-# input gradient: the padding of a following 3x3 conv.
-_PADS = (1, 1)
 
 
 def ensure_array5(x, name: str = "input") -> np.ndarray:
@@ -108,23 +104,38 @@ def _channels_last(buf: np.ndarray) -> np.ndarray:
     return buf.transpose(0, 2, 3, 4, 1)
 
 
-def _border(buf: np.ndarray, pads):
-    """(border slabs, interior) of a channels-first (b, c, t, h, w) buffer
-    whose border is `pads` = (ph, pw) cells deep on each side of its rows
-    and cols; empty slabs are left out."""
-    ph, pw = pads
-    H, W = buf.shape[3] - 2 * ph, buf.shape[4] - 2 * pw
-    rows = buf[:, :, :, ph:ph + H]
-    slabs = (buf[:, :, :, :ph], buf[:, :, :, ph + H:], rows[..., :pw], rows[..., pw + W:])
-    return [slab for slab in slabs if slab.size], rows[..., pw:pw + W]
+def _grid(shape, dtype, zeros: bool = False) -> np.ndarray:
+    """A new grid around an interior of `shape` (b, c, t, H, W): a C-ordered
+    channels-first (b, c, t, H + 2, W + 2) array, one cell of border on each
+    side of its rows and cols, that sits W + 3 cells into a 1-D allocation
+    (its `.base`) whose first and last W + 3 cells, its margins, are zero.
+    It is zero throughout with `zeros`, else left for the caller to write.
+    Every buffer that a layer writes is one."""
+    b, c, T, H, W = shape
+    lead = W + 3
+    flat = (np.zeros if zeros else np.empty)(b * c * T * (H + 2) * (W + 2) + 2 * lead, dtype)
+    if not zeros:
+        flat[:lead] = 0
+        flat[-lead:] = 0
+    return flat[lead:-lead].reshape(b, c, T, H + 2, W + 2)
 
 
-def _zero_border(buf: np.ndarray, pads=_PADS) -> np.ndarray:
-    """Zero the border of `buf` (see `_border`) and return its interior."""
-    slabs, interior = _border(buf, pads)
-    for slab in slabs:
+def _interior(grid: np.ndarray) -> np.ndarray:
+    return grid[..., 1:-1, 1:-1]
+
+
+def _border(grid: np.ndarray):
+    """The border slabs of a grid: its first and last row, and the first
+    and last col of the rows between."""
+    rows = grid[..., 1:-1, :]
+    return [grid[..., :1, :], grid[..., -1:, :], rows[..., :1], rows[..., -1:]]
+
+
+def _zero_border(grid: np.ndarray) -> np.ndarray:
+    """Zero the border of `grid` and return its interior."""
+    for slab in _border(grid):
         slab[...] = 0
-    return interior
+    return _interior(grid)
 
 
 def _all_zero(parts) -> bool:
@@ -133,24 +144,20 @@ def _all_zero(parts) -> bool:
     return not any(part.view(f"u{part.itemsize}").any() for part in parts)
 
 
-def bordered(shape, dtype, pads=_PADS) -> np.ndarray:
-    """The channels-first interior, of `shape` (b, c, t, h, w), of a new
-    C-contiguous buffer (its `.base`) whose border, `pads` cells deep in
-    rows and cols, is zero; the interior is left for the caller to write.
-    A following 3x3 conv reads that buffer, or a time slice of it, in
+def bordered(shape, dtype) -> np.ndarray:
+    """The channels-first interior, of `shape` (b, c, t, h, w), of a new grid
+    (see `_grid`) whose border is zero; the interior is left for the caller
+    to write.  A following conv reads that grid, or a time slice of it, in
     place as its padded input."""
-    b, c, T, H, W = shape
-    ph, pw = pads
-    return _zero_border(np.empty((b, c, T, H + 2 * ph, W + 2 * pw), dtype), pads)
+    return _zero_border(_grid(shape, dtype))
 
 
-def _bordered_copy(x: np.ndarray, pads=_PADS) -> np.ndarray:
-    """A new zero-bordered buffer (see `bordered`) holding the (b, t, h, w, c)
-    activation `x` in its interior."""
-    b, T, H, W, c = x.shape
-    interior = bordered((b, c, T, H, W), x.dtype, pads)
-    interior[...] = _channels_first(x)
-    return interior.base
+def _bordered_copy(x: np.ndarray) -> np.ndarray:
+    """A new grid with a zero border and the (b, t, h, w, c) array `x` in its
+    interior."""
+    grid = _grid(_channels_first(x).shape, x.dtype)
+    _zero_border(grid)[...] = _channels_first(x)
+    return grid
 
 
 def _is_view(x: np.ndarray, interior: np.ndarray) -> bool:
@@ -163,84 +170,48 @@ def _is_view(x: np.ndarray, interior: np.ndarray) -> bool:
         n == 1 or a == b for n, a, b in zip(xc.shape, xc.strides, interior.strides))
 
 
-def _buffer(x: np.ndarray, pads):
-    """The channels-first buffer whose interior, inside a border `pads`
-    cells deep in rows and cols, is exactly `x`: a C-contiguous buffer, or a
-    time slice of one with the same batch, channels, rows and cols (a
-    window of the frame buffer, `models.load_frames`); None when `x` is not
+def _buffer(x: np.ndarray):
+    """The grid (see `_grid`) whose interior is exactly `x`, or the time
+    slice of it that is (a window of the frame buffer, `models.load_frames`):
+    the allocation that `x` lies in, read as a (b, c, t', H + 2, W + 2) grid
+    with the batch, channels, rows and cols of `x`; None when `x` is not
     such a view.  Each channel's (t, h, w) block of a time slice is
     contiguous, so it still reshapes to (b, c, cells) as a view."""
-    buf = x.base
+    flat = x.base
     b, T, H, W, c = x.shape
-    ph, pw = pads
-    if not (isinstance(buf, np.ndarray) and buf.ndim == 5 and buf.dtype == x.dtype
-            and buf.flags.c_contiguous and buf.shape[:2] == (b, c) and buf.shape[2] >= T
-            and buf.shape[3:] == (H + 2 * ph, W + 2 * pw)):
+    if not (x.size and isinstance(flat, np.ndarray) and flat.ndim == 1
+            and flat.dtype == x.dtype and flat.flags.c_contiguous):
         return None
-    start, rest = divmod(x.ctypes.data - _border(buf, pads)[1].ctypes.data, buf.strides[2])
-    if rest or not 0 <= start <= buf.shape[2] - T:
+    frames, rest = divmod(flat.size - 2 * (W + 3), b * c * (H + 2) * (W + 2))
+    if rest or frames < T:
         return None
-    if T < buf.shape[2]:
-        buf = buf[:, :, start:start + T]
-    return buf if _is_view(x, _border(buf, pads)[1]) else None
-
-
-def _padded_input(x: np.ndarray, pads) -> np.ndarray:
-    """`x` zero-padded by `pads`: `_buffer(x, pads)` when every bit of its
-    border is zero, else a zero-bordered copy."""
-    buf = _buffer(x, pads)
-    if buf is None or not _all_zero(_border(buf, pads)[0]):
-        return _bordered_copy(x, pads)
-    return buf
-
-
-def _margined(shape, dtype) -> np.ndarray:
-    """A new channels-first buffer of `shape` (b, c, t, Hp, Wp) that sits
-    Wp + 1 cells into a 1-D allocation (its `.base`) whose first and last
-    Wp + 1 cells, its margins, are zero; the buffer is left for the caller
-    to write.  With a zero border one cell deep in rows and cols, its
-    interior is an incoming gradient that a 3x3 conv's backward reads in
-    place (`_padded_grad`)."""
-    lead = _PADS[0] * shape[4] + _PADS[1]
-    flat = np.empty(math.prod(shape) + 2 * lead, dtype)
-    flat[:lead] = 0
-    flat[-lead:] = 0
-    return flat[lead:-lead].reshape(shape)
-
-
-def _padded_grad(g: np.ndarray, pads):
-    """The incoming gradient `g` of a conv padded by `pads`, on its padded
-    output grid behind a zero margin of one halo: a read-only
-    (b, c, halo + cells) view with one row per channel of the allocation
-    that `g` lies in (see `_margined`); None when `g` is not the interior
-    of such a buffer, or a bit of its border or margins is not zero.
-
-    Read from `ph*Wp + pw` cells before the buffer, its border is exactly
-    the zero margin of one halo before each row and the zero right and
-    bottom cells of the padded grid that a zeroed copy of `g` would hold,
-    so every cell of a row holds the copy's value.  A row runs on into the
-    border of the next channel, or into the last margin."""
-    flat = g.base
-    b, T, H, W, c = g.shape
-    ph, pw = pads
-    Wp = W + 2 * pw
-    lead, cells = ph * Wp + pw, T * (H + 2 * ph) * Wp
-    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == g.dtype
-            and flat.flags.c_contiguous and flat.size == b * c * cells + 2 * lead):
+    grid = flat[W + 3:flat.size - W - 3].reshape(b, c, frames, H + 2, W + 2)
+    start, rest = divmod(x.ctypes.data - _interior(grid).ctypes.data, grid.strides[2])
+    if rest or not 0 <= start <= frames - T:
         return None
-    buf = flat[lead:lead + b * c * cells].reshape(b, c, T, H + 2 * ph, Wp)
-    slabs, interior = _border(buf, pads)
-    if not (_is_view(g, interior) and _all_zero([flat[:lead], flat[lead + buf.size:], *slabs])):
-        return None
-    step = flat.itemsize
-    return np.lib.stride_tricks.as_strided(flat, (b, c, 2 * lead + cells),
-                                           (c * cells * step, cells * step, step), writeable=False)
+    grid = grid[:, :, start:start + T]
+    return grid if _is_view(x, _interior(grid)) else None
+
+
+def _padded(x: np.ndarray, margins: bool = False) -> np.ndarray:
+    """`x` zero-padded by one cell in rows and cols: the grid `_buffer(x)`
+    when every bit of its border is zero and, with `margins` (an incoming
+    gradient), it is its whole allocation and the margins are zero too;
+    else a zero-bordered copy (`_bordered_copy`)."""
+    grid = _buffer(x)
+    if grid is None:
+        return _bordered_copy(x)
+    flat, lead = grid.base, x.shape[3] + 3
+    parts = _border(grid) + ([flat[:lead], flat[-lead:]] if margins else [])
+    if margins and flat.size != grid.size + 2 * lead or not _all_zero(parts):
+        return _bordered_copy(x)
+    return grid
 
 
 def upsample(x: np.ndarray, factors, skip: np.ndarray) -> np.ndarray:
     """The activation `x` repeated by `factors` and cropped to the (t, h, w)
     of `skip`, followed on the channel axis by `skip`, in the interior of a
-    new zero-bordered buffer (see `bordered`): the decoder input
+    new zero-bordered grid (see `bordered`): the decoder input
     `[upsampled | skip]`.  Output cell (i, j, k) copies input cell
     (i // ft, j // fh, k // fw), so the upsampled channels split into
     ft*fh*fw repetition phases, the strided views [pt::ft, ph::fh, pw::fw],
@@ -312,18 +283,19 @@ class Conv3d:
     is T - kt + 1, so the kernel alone decides whether a conv keeps the
     time axis (kt = 1) or consumes it.
 
-    The padded input is a channels-first (b, in, T, Hp, Wp) buffer: the
-    input's own buffer, or the time slice of it that holds `x`, when `x` is
-    the interior of a zero-bordered buffer (`_padded_input`; ReLU, pooling
-    and `upsample` outputs before a 3x3 conv, and the network input, a
-    window of the frame buffer), else a zero-bordered copy.  Each item is
-    viewed as (in, T*Hp*Wp): one contiguous row of cells per channel.
-    Kernel tap (it, ih, iw) reads the input shifted by (it*Hp + ih)*Wp + iw
-    cells.  The accumulator is a (b, out, To, Hp, Wp) grid too, and output
-    cell (t, h, w) is its cell (t, h + ph, w + pw): the GEMMs write behind a
-    leading margin of ph*Wp + pw cells, so the output is a crop view of the
-    accumulator, whose border holds the GEMMs' wrap-around cells; the bias
-    is added to the whole accumulator in place.
+    Kernel dims in rows and cols are 1 or 3, and every conv pads by one
+    cell: its padded input is a (b, in, T, H + 2, W + 2) grid (see
+    `_grid`), the one that `x` is the interior of, or a time slice of it,
+    when its border is zero (`_padded`: ReLU, pooling and `upsample`
+    outputs, and the network input, a window of the frame buffer), else a
+    zero-bordered copy.  Each item is viewed as (in, T*Hp*Wp): one
+    contiguous row of cells per channel, and kernel tap (it, ih, iw) reads
+    it shifted by it*Hp*Wp cells plus a spatial shift (`_taps`); a 1x1
+    kernel reads the centre.  The accumulator is a zeroed (b, out, To, Hp,
+    Wp) grid, and output cell (t, h, w) is its cell (t, h + 1, w + 1): the
+    GEMMs write behind a leading margin of Wp + 1 cells, so the output is
+    the interior of the accumulator, whose border holds the GEMMs'
+    wrap-around cells; the bias is added to the whole accumulator in place.
     Forward runs `_tap_gemms` once per item and temporal tap: one GEMM per
     block of `_ROW_BLOCK` output cells, with the kh*kw spatial taps stacked
     on the side with fewer channels,
@@ -339,9 +311,11 @@ class Conv3d:
     the padded input (freeing it unless the layer before still holds it)
     and only then allocates the input gradient.  That is `_tap_gemms` the
     other way round: W[tap] (in, out) applied to grad_out at minus each
-    tap's shift, read from a padded grid behind a zero margin of one halo.
-    That grid is a view of grad_out's own allocation when ReLU's backward
-    wrote it (`_padded_grad`), else a zeroed copy.  Only the padded input
+    tap's shift, read from a padded grid behind a zero margin of one halo:
+    the rows of grad_out's own allocation when it is the interior of a grid
+    with a zero border and zero margins (`_padded` with `margins`; ReLU's
+    backward writes it so), else of a zero-bordered copy's.  The input
+    gradient is a zeroed grid too.  Only the padded input
     is cached, from a forward to its backward, which frees it.
     `drop_input` frees it early, after the forward, and `restore_input`
     caches a rebuilt copy of the input before the backward; `cached_input`
@@ -358,12 +332,11 @@ class Conv3d:
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
                  name: str = "conv", rng: np.random.Generator | None = None, dtype=np.float32):
         kt, kh, kw = kernel
-        if min(kt, kh, kw) < 1:
-            raise ValueError(f"kernel dims must be >= 1, got {kernel}")
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError(f"spatial kernel dims must be odd for same padding, got {kernel}")
+        if kt < 1:
+            raise ValueError(f"{name}: temporal kernel extent must be >= 1, got {kernel}")
+        if not {kh, kw} <= {1, 3}:
+            raise ValueError(f"{name}: spatial kernel dims must be 1 or 3, got {kernel}")
         self.kernel = (kt, kh, kw)
-        self.pads = ((kh - 1) // 2, (kw - 1) // 2)  # rows, cols
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.name = name
@@ -387,54 +360,56 @@ class Conv3d:
         "valid".  Only the benchmark's tracer reads it."""
         return "same" if self.kernel[0] == 1 else "valid"
 
-    def _grid(self, padded_shape):
-        """(cells per padded frame, halo, rows, spatial tap shifts).
+    def _taps(self, padded_shape):
+        """(cells per padded frame, lead, rows, spatial tap shifts).
 
-        `rows` ends at the last output cell kept, so every tap-shifted
-        window of that many cells stays inside the padded input; a block
-        of output rows reads its rows plus the halo.
+        Output cell (t, h, w) is cell (t, h + 1, w + 1) of the padded grid,
+        `lead` = Wp + 1 cells on from the grid cell at the same (t, h, w),
+        and its tap (ih, iw) reads that grid cell shifted by
+        (ih + oh)*Wp + iw + ow cells, where oh and ow are 0 for a kernel
+        dim of 3 and 1 for a dim of 1, whose one tap is the centre.  `rows`
+        ends at the last output cell kept, so every tap-shifted window of
+        that many cells stays inside the padded input; a block of output
+        rows reads its rows plus a halo of 2 * lead cells.
         """
         _, _, T, Hp, Wp = padded_shape
         kt, kh, kw = self.kernel
-        halo = (kh - 1) * Wp + kw - 1
-        shifts = [ih * Wp + iw for ih, iw in np.ndindex(kh, kw)]
-        return Hp * Wp, halo, (T - kt + 1) * Hp * Wp - halo, shifts
+        oh, ow = (3 - kh) // 2, (3 - kw) // 2
+        shifts = [(ih + oh) * Wp + iw + ow for ih, iw in np.ndindex(kh, kw)]
+        return Hp * Wp, Wp + 1, (T - kt + 1) * Hp * Wp - 2 * (Wp + 1), shifts
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = ensure_array5(x, self.name)
         b, T, H, W, c = x.shape
-        kt, kh, kw = self.kernel
+        kt = self.kernel[0]
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         if T < kt:
             raise ValueError(f"{self.name}: temporal extent {kt} exceeds input time {T}")
-        ph, pw = self.pads
         self._rest = None  # a gradient part that no `backward_rest` took
-        xp = _padded_input(x, self.pads)
-        Hp, Wp = xp.shape[3:]
+        xp = _padded(x)
         To = T - kt + 1
-        plane, halo, rows, shifts = self._grid(xp.shape)
+        plane, lead, rows, shifts = self._taps(xp.shape)
         w = self.weight.value
         cout = self.out_channels
         wt = w.transpose(0, 1, 2, 4, 3).reshape(kt, len(shifts), cout, c)  # (kt, taps, out, in)
         xf = xp.reshape(b, c, -1)
-        acc = np.zeros((b, cout, To, Hp, Wp), np.result_type(xp, w))
+        acc = _grid((b, cout, To, H, W), np.result_type(xp, w), zeros=True)
         accf = acc.reshape(b, cout, -1)
-        lead = ph * Wp + pw
         for n in range(b):
             for it in range(kt):
                 _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], shifts, it * plane,
                            cout <= c)
         acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
         self._cache = (xp, x.shape, (b, To, H, W, cout))
-        return _channels_last(acc[:, :, :, ph:ph + H, pw:pw + W])
+        return _channels_last(_interior(acc))
 
     def cached_input(self) -> np.ndarray:
         """The last forward's input, as the interior of the padded input that
-        it cached: a forward on it reads that buffer in place."""
+        it cached: a forward on it reads that grid in place."""
         if self._cache is None or self._cache[0] is None:
             raise RuntimeError(f"{self.name}: no cached input")
-        return _channels_last(_border(self._cache[0], self.pads)[1])
+        return _channels_last(_interior(self._cache[0]))
 
     def drop_input(self):
         """Free the padded input that the last forward cached.  `backward`
@@ -446,14 +421,14 @@ class Conv3d:
     def restore_input(self, x: np.ndarray):
         """Cache `x`, the last forward's input built once more, as the padded
         input that `drop_input` freed: in place when it is the interior of a
-        zero-bordered buffer, as the forward's input was, else as a copy."""
+        zero-bordered grid, as the forward's input was, else as a copy."""
         if self._cache is None or self._cache[0] is not None:
             raise RuntimeError(f"{self.name}: restore_input without drop_input")
         _, in_shape, out_shape = self._cache
         x = ensure_array5(x, self.name)
         if x.shape != in_shape:
             raise ValueError(f"{self.name}: restored input shape {x.shape} != {in_shape}")
-        self._cache = (_padded_input(x, self.pads), in_shape, out_shape)
+        self._cache = (_padded(x), in_shape, out_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xp, in_shape, out_shape = _take_cache(self, self.name)
@@ -462,19 +437,20 @@ class Conv3d:
         grad_out = np.asarray(grad_out)
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
-        b, To, H, W, cout = out_shape
+        b, cout = out_shape[0], out_shape[4]
         padded = xp.shape
-        _, c, _, Hp, Wp = padded
+        c = padded[1]
         kt = self.kernel[0]
-        plane, halo, rows, shifts = self._grid(padded)
-        # grad_out on the padded output grid behind a zero margin of one halo,
-        # so that every tap-shifted read of it stays inside the buffer
-        gbuf = _padded_grad(grad_out, self.pads)
-        if gbuf is None:
-            gbuf = np.zeros((b, cout, halo + To * plane), grad_out.dtype)
-            gbuf[:, :, halo:].reshape(b, cout, To, Hp, Wp)[:, :, :, :H, :W] = \
-                _channels_first(grad_out)
-        gf = gbuf[:, :, halo:]
+        plane, lead, rows, shifts = self._taps(padded)
+        # grad_out on its padded grid, each channel's row read from one lead
+        # before its grid to one lead after it: a halo of zero border or zero
+        # margin in front, so that every tap-shifted read stays inside
+        grid = _padded(grad_out, margins=True)
+        cells, step = grid[0, 0].size, grid.itemsize
+        gbuf = np.lib.stride_tricks.as_strided(
+            grid.base, (b, cout, 2 * lead + cells), (cout * cells * step, cells * step, step),
+            writeable=False)
+        gf = gbuf[:, :, 2 * lead:]
         xf = xp.reshape(b, c, -1)
         wgrad = self.weight.grad.reshape(kt, len(shifts), c, cout)
         for n in range(b):
@@ -506,20 +482,19 @@ class Conv3d:
         at minus each tap's shift, on the GEMM path of the whole conv."""
         b, c = padded[:2]
         kt, cout = self.kernel[0], self.out_channels
-        plane, halo, _, shifts = self._grid(padded)
-        To = (gbuf.shape[2] - halo) // plane
+        plane, lead, _, shifts = self._taps(padded)
+        To = (gbuf.shape[2] - 2 * lead) // plane
         w = self.weight.value.reshape(kt, len(shifts), c, cout)[:, :, channels]  # (kt, taps, in, out)
         width = w.shape[2]
-        gxp = np.zeros((b, width, *padded[2:]), dtype)
+        gxp = _grid((b, width, *in_shape[1:4]), dtype, zeros=True)
         gxf = gxp.reshape(b, width, math.prod(padded[2:]))
         if width:
             for n in range(b):
                 for it in range(kt):
                     x0 = it * plane
                     _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
-                               [-s for s in shifts], halo, c <= cout)
-        (ph, pw), (H, W) = self.pads, in_shape[2:4]
-        return _channels_last(gxp[:, :, :, ph:ph + H, pw:pw + W])
+                               [-s for s in shifts], 2 * lead, c <= cout)
+        return _channels_last(_interior(gxp))
 
 
 def _where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -534,13 +509,14 @@ class MaxPool3d:
 
     Forward takes the elementwise maximum over the window positions of the
     reshaped input, one strided view per position, and copies it into the
-    interior of a zero-bordered buffer.  A ragged input is first padded
+    interior of a zero-bordered grid.  A ragged input is first padded
     with -inf to whole windows, a copy that lives only while forward or
     backward runs: the cache holds the input view and the output, nothing
     else.  Backward rebuilds the windows from the input and routes each
     window's gradient to its first maximum in (t, h, w) window order, as
     `argmax` would: ties go to the first cell, and a window holding NaN
-    routes to its first NaN.
+    routes to its first NaN.  Each window position's gradient is written
+    into its strided cells of the interior of a zero-bordered grid.
     """
 
     def __init__(self, window):
@@ -589,17 +565,16 @@ class MaxPool3d:
         if grad_out.shape != y.shape:
             raise ValueError(f"maxpool grad shape {grad_out.shape} != output shape {y.shape}")
         out, gc = _channels_first(y), _channels_first(grad_out)
-        windows = self._windows(x)
-        grad = np.empty(windows.shape, grad_out.dtype)
+        grad = bordered(_channels_first(x).shape, grad_out.dtype)
         free = np.ones(out.shape, bool)  # windows whose gradient is not yet routed
-        for cell, grad_cell in zip(self._cells(windows), self._cells(grad)):
+        for position, cell in zip(np.ndindex(*self.window), self._cells(self._windows(x))):
             hit = (cell == out) | np.isnan(cell)
             hit &= free
-            grad_cell[...] = _where(hit, gc)
+            # this position's cells of the input; a ragged last window may lack it
+            dst = grad[(..., *(slice(p, None, w) for p, w in zip(position, self.window)))]
+            dst[...] = _where(hit, gc)[(..., *(slice(n) for n in dst.shape[2:]))]
             free ^= hit
-        b, T, H, W, c = x.shape
-        g = grad.reshape(b, c, *(d * w for d, w in zip(out.shape[2:], self.window)))
-        return _channels_last(g[:, :, :T, :H, :W])
+        return _channels_last(grad)
 
 
 class Upsample3d:
@@ -607,14 +582,16 @@ class Upsample3d:
 
     Forward writes the decoder input through `upsample`: the repetition
     cropped to the skip's (t, h, w), so ceiling-pooled sizes invert
-    exactly, then the skip, in a zero-bordered buffer.  A skip of another
+    exactly, then the skip, in a zero-bordered grid.  A skip of another
     batch, or of dims the repetition cannot reach, raises ValueError.
-    Backward takes the gradient of the upsampled channels only and sums it
-    over each repetition group, one axis at a time in (t, h, w) order:
-    phase 0 (which covers every group) is copied and the others are added
-    in order, a ragged last group simply taking fewer of them.  For the
-    network's factors of 1 and 2 that is np.add.reduceat over the groups
-    bit for bit, signed zeros included.
+    Backward takes the gradient of the upsampled channels only (one of
+    another channel count raises ValueError) and sums it over each
+    repetition group, one axis at a time in (t, h, w) order: phase 0 (which
+    covers every group) is copied and the others are added in order, a
+    ragged last group simply taking fewer of them; the last axis sums into
+    the interior of a zero-bordered grid.  For the network's factors of 1
+    and 2 that is np.add.reduceat over the groups bit for bit, signed zeros
+    included.
     """
 
     def __init__(self, factors):
@@ -634,23 +611,31 @@ class Upsample3d:
                 (d - 1) * f < t <= d * f for d, f, t in zip(x.shape[1:4], self.factors, dims)):
             raise ValueError(f"skip shape {skip.shape} does not match batch {x.shape[0]} "
                              f"and dims {x.shape[1:4]} repeated x{self.factors}")
-        self._cache = dims
+        self._cache = dims, x.shape[4]
         return upsample(x, self.factors, skip)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        dims = _take_cache(self, "upsample")
+        dims, channels = _take_cache(self, "upsample")
         grad_out = np.asarray(grad_out)
         if grad_out.shape[1:4] != dims:
             raise ValueError(f"upsample grad dims {grad_out.shape[1:4]} != skip dims {dims}")
+        if grad_out.shape[4] != channels:
+            raise ValueError(f"upsample grad has {grad_out.shape[4]} channels, "
+                             f"its input {channels}")
         g = _channels_first(grad_out)
-        for axis, f in enumerate(self.factors, start=2):
-            if f > 1:
-                lead = (slice(None),) * axis
-                summed = g[(*lead, slice(0, None, f))].copy()
-                for p in range(1, f):
-                    phase = g[(*lead, slice(p, None, f))]
-                    summed[(*lead, slice(phase.shape[axis]))] += phase
-                g = summed
+        # every axis with a factor above 1, the last summed into the grid
+        # returned; with none, the last axis, which copies
+        axes = [a for a, f in enumerate(self.factors, start=2) if f > 1] or [4]
+        for axis in axes:
+            f, lead = self.factors[axis - 2], (slice(None),) * axis
+            first = g[(*lead, slice(0, None, f))]
+            summed = bordered(first.shape, g.dtype) if axis == axes[-1] else np.empty(
+                first.shape, g.dtype)
+            summed[...] = first
+            for p in range(1, f):
+                phase = g[(*lead, slice(p, None, f))]
+                summed[(*lead, slice(phase.shape[axis]))] += phase
+            g = summed
         return _channels_last(g)
 
 
@@ -659,24 +644,22 @@ class ReLU:
 
     Forward is fmax(x, 0) + 0, two passes with no temporaries: np.fmax
     returns the non-NaN operand, so NaN maps to +0.0, and the + 0 turns
-    -0.0 into +0.0.  It runs over the whole buffer that `x` is the interior
-    of when that buffer has a one-cell border in rows and cols (a 3x3
-    conv's accumulator), else over a bordered copy of `x`, into a new
-    buffer whose border it then zeroes, and caches the interior: the
-    output.  It is out of place, so a second forward of the same input
-    gives the same output.  Backward's mask is out > 0, which equals x > 0,
-    so the subgradient at exactly 0 is 0.  Backward is grad * mask, plus
-    +0.0 so that a negative gradient at an inactive unit gives +0.0, not
-    -0.0.  For finite gradients that is np.where(mask, grad, 0) bit for
-    bit, except that a -0.0 gradient at an active unit comes back as +0.0.
-    A non-finite upstream gradient propagates (NaN * 0 is NaN) instead of
-    being masked, so `Adam.step` raises and names the block.  The gradient
-    is written into a new buffer shaped like the output's, which sits in a
-    1-D allocation with zero margins (`_margined`), and its border is
-    zeroed: the conv before reads it in place as its padded incoming
-    gradient.  When grad is the interior of a buffer shaped like the
-    output's (a 3x3 conv's input gradient), both whole buffers are
-    multiplied in contiguous passes; else only the interior is written.
+    -0.0 into +0.0.  It runs over the whole grid that `x` is the interior
+    of (`_buffer`; a conv's accumulator), else over a bordered copy of
+    `x`, into a new grid whose border it then zeroes, and caches that grid:
+    the output is its interior.  It is out of place, so a second forward of
+    the same input gives the same output.  Backward's mask is out > 0, which
+    equals x > 0, so the subgradient at exactly 0 is 0.  Backward is
+    grad * mask, plus +0.0 so that a negative gradient at an inactive unit
+    gives +0.0, not -0.0.  For finite gradients that is
+    np.where(mask, grad, 0) bit for bit, except that a -0.0 gradient at an
+    active unit comes back as +0.0.  A non-finite upstream gradient
+    propagates (NaN * 0 is NaN) instead of being masked, so `Adam.step`
+    raises and names the block.  The gradient is written into a new grid
+    whose border is zeroed: the conv before reads it in place as its padded
+    incoming gradient.  When grad is the interior of a grid (a conv's input
+    gradient, a pool's or an upsample's), both whole grids are multiplied
+    in contiguous passes; else only the interior is written.
     """
 
     def __init__(self):
@@ -687,24 +670,27 @@ class ReLU:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = ensure_array5(x, "relu")
-        buf = _buffer(x, _PADS)
-        if buf is None:
-            buf = _bordered_copy(x)
-        out = np.fmax(buf, 0)
+        src = _buffer(x)
+        if src is None:
+            src = _bordered_copy(x)
+        out = _grid(_channels_first(x).shape, x.dtype)
+        np.fmax(src, 0, out=out)
         out += 0
-        self._cache = _channels_last(_zero_border(out))
-        return self._cache
+        _zero_border(out)
+        self._cache = out
+        return _channels_last(_interior(out))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         out = _take_cache(self, "relu")
         grad_out = np.asarray(grad_out)
-        if grad_out.shape != out.shape:
-            raise ValueError(f"relu grad shape {grad_out.shape} != output shape {out.shape}")
-        g = _margined(out.base.shape, grad_out.dtype)
-        whole = _buffer(grad_out, _PADS)
+        shape = _channels_last(_interior(out)).shape
+        if grad_out.shape != shape:
+            raise ValueError(f"relu grad shape {grad_out.shape} != output shape {shape}")
+        g = _grid(_channels_first(grad_out).shape, grad_out.dtype)
+        whole = _buffer(grad_out)
         if whole is None:
-            np.multiply(_channels_first(grad_out), _channels_first(out) > 0, out=_zero_border(g))
+            np.multiply(_channels_first(grad_out), _interior(out) > 0, out=_zero_border(g))
         else:
-            np.multiply(whole, out.base > 0, out=g)
+            np.multiply(whole, out > 0, out=g)
         g += 0
         return _channels_last(_zero_border(g))

@@ -339,12 +339,15 @@ def score_pairs(pred, obs, categories, n: int = 3) -> tuple[np.ndarray, np.ndarr
 def fss_bruteforce(pred, obs, params: FssParams) -> float | None:
     """Reference FSS via direct per-window summation (no summed-area table).
 
-    Kept deliberately naive as the independent oracle for `fss`.
+    Kept deliberately naive as the independent oracle for `fss`: it
+    thresholds the fields itself, q1 <= F < q2 on non-missing cells, so a
+    fault in the `_events` that `fss` shares with `binary_probability`
+    shows as a disagreement.
     """
     pv, ov = _pair(pred, obs)
-    bounds = (params.q1, params.q2)
-    bpp, validp = binary_probability(pv, bounds)
-    bpo, valido = binary_probability(ov, bounds)
+    validp, valido = pv != MISSING, ov != MISSING
+    bpp = validp & (pv >= params.q1) & (pv < params.q2)
+    bpo = valido & (ov >= params.q1) & (ov < params.q2)
 
     def window_mean(bp, valid):
         rows, cols = bp.shape

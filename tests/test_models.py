@@ -50,7 +50,7 @@ from rainfusion.pipeline import (
 )
 from rainfusion.synth import SynthConfig, generate_synthetic
 from rainfusion.verify import contingency, csi
-from test_nn import assert_bits_equal, assert_zero_border, buffer_pads
+from test_nn import assert_bits_equal, assert_zero_border, grid_of
 
 DESK = ModelConfig(variant="radar", rows=64, cols=64, levels=3, base_channels=4, lead_minutes=5)
 TINY = ModelConfig(variant="radar", rows=16, cols=16, levels=3, base_channels=2, lead_minutes=5)
@@ -126,11 +126,11 @@ class TestArchitecture:
 
     @pytest.mark.parametrize("config", [TINY, TINY_MM])
     def test_layer_outputs_are_channels_first_in_memory(self, config, monkeypatch):
-        """Every layer output is the interior of a C-contiguous channels-first
-        buffer.  ReLU, pool and upsample outputs (the decoder input
+        """Every layer output is the interior of a channels-first grid (see
+        `grid_of`).  ReLU, pool and upsample outputs (the decoder input
         `[upsampled | skip]`) have a zero border, and every conv but the
-        first and the 1x1x1 one reads that buffer in place as its padded
-        input."""
+        first, whose input here is a plain array, reads that grid in place as
+        its padded input: the 1x1x1 `head_b` too."""
         model = UNet3D(config, seed=4)
         layers = model.layers()
         outputs, reused = [], []
@@ -141,7 +141,7 @@ class TestArchitecture:
             def record(x, *args, **kwargs):
                 outputs.append((layer, forward(x, *args, **kwargs)))
                 if isinstance(layer, Conv3d):
-                    reused.append(layer._cache[0] is x.base)
+                    reused.append(layer._cache[0].base is x.base)
                 return outputs[-1][1]
             return record
 
@@ -151,12 +151,12 @@ class TestArchitecture:
         model.forward(x)
         assert len(outputs) == len(layers)
         for layer, out in outputs:
-            buffer_pads(out)
+            grid_of(out)
             if isinstance(layer, (ReLU, MaxPool3d, Upsample3d)):
                 assert_zero_border(out)
         for conv, up in zip((block[0] for block in model.dec), model.ups):
             assert [out.shape[-1] for layer, out in outputs if layer is up] == [conv.in_channels]
-        assert reused == [False] + [True] * (len(model.conv_layers()) - 2) + [False]
+        assert reused == [False] + [True] * (len(model.conv_layers()) - 1)
 
     def test_forward_deterministic(self):
         model = UNet3D(TINY, seed=3)
@@ -211,7 +211,7 @@ def _run_step(model, x, arrange=None):
             x = x if arrange is None else arrange(x)
             out = _forward(x, *args, **kwargs)
             if isinstance(_layer, Conv3d):
-                reused.append(_layer._cache[0] is x.base)
+                reused.append(_layer._cache[0].base is x.base)
             return out
 
         layer.forward = run
@@ -234,7 +234,7 @@ class TestBorderedBuffers:
             size=(batch, 6, 16, 16, config.in_channels)).astype(np.float32)
         direct, reused = _run_step(UNet3D(config, seed=6), x.copy())
         copied, copies_reused = _run_step(UNet3D(config, seed=6), x.copy(), np.ascontiguousarray)
-        assert sum(reused) == len(reused) - 2 and not any(copies_reused)
+        assert reused == [False] + [True] * (len(reused) - 1) and not any(copies_reused)
         for a, b in zip(direct, copied, strict=True):
             assert_bits_equal(a, b)
 
@@ -277,22 +277,24 @@ class TestGradientsInPlace:
     def test_desk_step_reads_relu_gradients_in_place(self, variant, monkeypatch):
         """In a desk training step the 11 3x3 convs read their incoming
         gradient, which the ReLU after each wrote, in place; `head_b`, fed by
-        the loss, copies it.  With that read switched off, every parameter
-        gradient is the same bit for bit."""
+        the loss, copies it (`_bordered_copy`).  With that read switched off,
+        every parameter gradient is the same bit for bit."""
         config = replace(DESK, variant=variant, base_channels=8)
         rng = np.random.default_rng(11)
         x = rng.random((1, 6, 64, 64, config.in_channels), dtype=np.float32)
         y = rng.random((1, 1, 64, 64, 1), dtype=np.float32)
-        padded_grad = nn_layers._padded_grad
+        padded = nn_layers._padded
         runs = []
         for in_place in (True, False):
             model = UNet3D(config, seed=24)
             read, current = {}, []
 
-            def spy(g, pads):
-                found = padded_grad(g, pads) if in_place else None
-                read[current[-1]] = found is not None
-                return found
+            def spy(x, margins=False):
+                if not margins:
+                    return padded(x)
+                grid = padded(x, margins) if in_place else nn_layers._bordered_copy(x)
+                read[current[-1]] = grid.base is x.base
+                return grid
 
             def named(conv):
                 backward = conv.backward
@@ -302,7 +304,7 @@ class TestGradientsInPlace:
                     return backward(g)
                 return run
 
-            monkeypatch.setattr(nn_layers, "_padded_grad", spy)
+            monkeypatch.setattr(nn_layers, "_padded", spy)
             for conv in model.conv_layers():
                 conv.backward = named(conv)
             out = model.forward(x)
@@ -316,6 +318,49 @@ class TestGradientsInPlace:
             runs.append([p.grad.copy() for p in model.params()])
         for a, b in zip(*runs, strict=True):
             assert_bits_equal(a, b)
+
+
+class TestOneLayout:
+    @pytest.mark.parametrize("variant", ["radar", "multimodal"])
+    def test_desk_step_arrays_are_found_by_buffer(self, variant):
+        """Every array that a layer returns in a desk training step (forward,
+        the backward's reruns, `backward` and `backward_rest`) and in an
+        inference forward is the interior of a grid that `_buffer` finds,
+        and that grid fills its allocation (see `grid_of`): one layout."""
+        config = replace(DESK, variant=variant, base_channels=8)
+        model = UNet3D(config, seed=25)
+        returned = []
+
+        def recording(layer, method):
+            run = getattr(layer, method)
+
+            def record(*args):
+                returned.append((layer.__class__.__name__, method, run(*args)))
+                return returned[-1][2]
+            return record
+
+        for layer in model.layers():
+            for method in ("forward", "backward", "backward_rest"):
+                if hasattr(layer, method):
+                    setattr(layer, method, recording(layer, method))
+        rng = np.random.default_rng(12)
+        frames = nn_layers.bordered((1, config.in_channels, 8, 64, 64), np.float32)
+        frames[...] = rng.random(frames.shape, dtype=np.float32)
+        x = frames.transpose(0, 2, 3, 4, 1)[:, 1:7]  # a window of a frame buffer
+        out = model.forward(x)
+        model.backward(rng.normal(size=out.shape).astype(np.float32))
+        model._run(x, keep=False)
+        kinds = Counter((kind, method) for kind, method, _ in returned)
+        convs = len(model.conv_layers())
+        assert kinds[("Conv3d", "backward")] == convs
+        assert kinds[("Conv3d", "backward_rest")] == config.levels  # the first conv's too
+        assert kinds[("ReLU", "backward")] == convs - 1
+        for kind, method, a in returned:
+            if not a.size:  # the empty first part of the first conv's input gradient
+                assert (kind, method, a.shape[-1]) == ("Conv3d", "backward", 0)
+                continue
+            assert nn_layers._buffer(a) is not None, (kind, method)
+            assert grid_of(a).shape[2] == a.shape[1], (kind, method)
 
 
 class TestDecoderInputs:
@@ -391,7 +436,7 @@ class TestDecoderInputs:
                     assert all(ref() is None for ref in grads), layer
                 out = backward(g)
                 if layer in firsts:
-                    assert out.shape[-1] == out.base.shape[1] == layer.split
+                    assert out.shape[-1] == grid_of(out).shape[1] == layer.split
                     grads.append(weakref.ref(out.base))
                 return out
             return run
@@ -402,7 +447,7 @@ class TestDecoderInputs:
             def run():
                 calls.append((conv, "backward_rest"))
                 out = backward_rest()
-                assert out.shape[-1] == out.base.shape[1] == conv.in_channels - conv.split
+                assert out.shape[-1] == grid_of(out).shape[1] == conv.in_channels - conv.split
                 return out
             return run
 
@@ -801,12 +846,11 @@ class TestMultimodalLoading:
                 target, normalize_values(read_grid(s.target_path).values).astype(np.float32))
         x = load_sample(TINY_MM, samples[3], stats)
         np.testing.assert_array_equal(x, frames[0, starts[3]:starts[3] + 6])
-        own = x.base.transpose(0, 2, 3, 4, 1)[:, :, 1:-1, 1:-1]
-        assert own.shape == (1, *x.shape) and own.ctypes.data == x.ctypes.data
-        assert_zero_border(own)  # a sample's own six-frame buffer
+        assert grid_of(x[None]).shape[2] == 6  # a sample's own six-frame buffer
+        assert_zero_border(x[None])
         model = UNet3D(TINY_MM, seed=19)
         model.forward(x[None])
-        assert model.enc[0][0]._cache[0] is x.base  # read in place, as a nowcast's is
+        assert model.enc[0][0]._cache[0].base is x.base  # read in place, as a nowcast's is
         window = frames[:, starts[3]:starts[3] + 6]
         assert np.shares_memory(window, frames)  # a training input is a view of the buffer
         model.forward(window)
@@ -918,8 +962,8 @@ class TestMultimodalLoading:
         run = model._run
 
         def recording(x, keep):
-            frames = x.base.transpose(0, 2, 3, 4, 1)[:, :, 1:-1, 1:-1]
-            assert_zero_border(frames)
+            assert_zero_border(x)
+            frames = grid_of(x)[..., 1:-1, 1:-1].transpose(0, 2, 3, 4, 1)
             start, rest = divmod(x.ctypes.data - frames.ctypes.data, frames.strides[1])
             assert rest == 0 and x.strides == frames.strides
             np.testing.assert_array_equal(x, frames[:, start:start + 6])

@@ -63,72 +63,46 @@ def channels_first_backed(x):
     return np.ascontiguousarray(x.transpose(0, 4, 1, 2, 3)).transpose(0, 2, 3, 4, 1)
 
 
-def bordered_backed(x, pads=(0, 1, 1), border=0.0, order="C"):
+def grid_backed(x, border=0.0, frames=None, start=0):
     """The same values as `x`, as the (b, t, h, w, c) view of the interior of
-    a channels-first buffer whose border, `pads` cells deep, holds `border`."""
+    a grid from the layers' allocator (`layers._grid`) whose border holds
+    `border`; with `frames`, of the time slice from `start` of a grid that
+    many frames long."""
     b, T, H, W, c = x.shape
-    dims = (T, H, W)
-    buf = np.full((b, c, *(n + 2 * p for n, p in zip(dims, pads))), border, x.dtype, order=order)
-    interior = buf[(..., *(slice(p, p + n) for p, n in zip(pads, dims)))]
+    grid = layers._grid((b, c, frames or T, H, W), x.dtype)
+    grid[...] = border
+    interior = grid[:, :, start:start + T, 1:-1, 1:-1]
     interior[...] = x.transpose(0, 4, 1, 2, 3)
     return interior.transpose(0, 2, 3, 4, 1)
 
 
-def margined_backed(x, lead=None, border=0.0):
-    """The same values as `x`, as the (b, t, h, w, c) view of the interior of
-    a channels-first buffer with a border one cell deep in rows and cols
-    that holds `border`, `lead` cells (default Wp + 1) into a 1-D
-    allocation whose first and last `lead` cells are zero."""
+def grid_of(x):
+    """The channels-first (b, c, t', H + 2, W + 2) grid, checked by hand,
+    whose interior is `x` or a time slice of which it is (t' >= t): it fills
+    the 1-D allocation `x.base` but for zero margins of W + 3 cells at each
+    end, the one layout of every buffer a layer writes.  Fails the test
+    otherwise."""
+    flat = x.base
     b, T, H, W, c = x.shape
-    lead = W + 3 if lead is None else lead
-    shape = (b, c, T, H + 2, W + 2)
-    flat = np.zeros(math.prod(shape) + 2 * lead, x.dtype)
-    buf = flat[lead:lead + math.prod(shape)].reshape(shape)
-    buf[...] = border
-    buf[..., 1:-1, 1:-1] = x.transpose(0, 4, 1, 2, 3)
-    return buf[..., 1:-1, 1:-1].transpose(0, 2, 3, 4, 1)
-
-
-def assert_margined(g):
-    """`g` is the interior of a channels-first buffer with a zero border one
-    cell deep in rows and cols, which sits Wp + 1 cells into a 1-D
-    allocation whose first and last Wp + 1 cells are zero: the layout that a
-    3x3 conv's backward reads in place."""
-    flat = g.base
-    b, T, H, W, c = g.shape
-    lead, shape = W + 3, (b, c, T, H + 2, W + 2)
+    lead, plane = W + 3, (H + 2) * (W + 2)
     assert isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.flags.c_contiguous
-    assert flat.dtype == g.dtype and flat.size == math.prod(shape) + 2 * lead
-    interior = flat[lead:-lead].reshape(shape)[..., 1:-1, 1:-1]
-    gc = g.transpose(0, 4, 1, 2, 3)
-    assert gc.ctypes.data == interior.ctypes.data
-    assert all(n == 1 or a == b for n, a, b in zip(gc.shape, gc.strides, interior.strides))
-    bits = flat.view(f"u{g.itemsize}").copy()
-    bits[lead:-lead].reshape(shape)[..., 1:-1, 1:-1] = 0
-    assert not bits.any()
+    assert flat.dtype == x.dtype and (flat.size - 2 * lead) % (b * c * plane) == 0
+    bits = flat.view(f"u{x.itemsize}")
+    assert not bits[:lead].any() and not bits[-lead:].any()
+    grid = flat[lead:-lead].reshape(b, c, -1, H + 2, W + 2)
+    interior = grid[..., 1:-1, 1:-1]
+    start, rest = divmod(x.ctypes.data - interior.ctypes.data, interior.strides[2])
+    assert rest == 0 and 0 <= start <= grid.shape[2] - T
+    xc = x.transpose(0, 4, 1, 2, 3)
+    assert all(n == 1 or p == q for n, p, q in zip(xc.shape, xc.strides, interior.strides))
+    return grid
 
 
-def buffer_pads(out):
-    """(pt, ph, pw) when `out` is the (b, t, h, w, c) view of the centred
-    interior of `out.base`, a C-contiguous channels-first buffer; fails the
-    test otherwise."""
-    buf, oc = out.base, out.transpose(0, 4, 1, 2, 3)
-    assert isinstance(buf, np.ndarray) and buf.ndim == 5 and buf.flags.c_contiguous
-    assert buf.dtype == out.dtype and buf.shape[:2] == oc.shape[:2]
-    pads = tuple((n - m) // 2 for n, m in zip(buf.shape[2:], oc.shape[2:]))
-    assert buf.shape[2:] == tuple(m + 2 * p for m, p in zip(oc.shape[2:], pads))
-    interior = buf[(..., *(slice(p, p + m) for p, m in zip(pads, oc.shape[2:])))]
-    assert oc.strides == interior.strides and oc.ctypes.data == interior.ctypes.data
-    return pads
-
-
-def assert_zero_border(out):
-    """`out` is the interior of a C-contiguous channels-first buffer with a
-    border one cell deep in rows and cols whose bits are all zero."""
-    pads = buffer_pads(out)
-    assert pads == (0, 1, 1)
-    bits = out.base.view(f"u{out.itemsize}").copy()
-    bits[:, :, :, 1:-1, 1:-1] = 0
+def assert_zero_border(x):
+    """`x` is the interior, or a time slice of it, of a grid (see `grid_of`)
+    whose border bits are all zero."""
+    bits = grid_of(x).view(f"u{x.itemsize}").copy()
+    bits[..., 1:-1, 1:-1] = 0
     assert not bits.any()
 
 
@@ -326,9 +300,9 @@ class TestConv3d:
             if drop:
                 conv.drop_input()
                 assert conv._cache[0] is None
-                rebuilt = bordered_backed(x)
+                rebuilt = grid_backed(x)
                 conv.restore_input(rebuilt)
-                assert conv._cache[0] is rebuilt.base
+                assert conv._cache[0].base is rebuilt.base
             results.append((conv.backward(g), conv.weight.grad, conv.bias.grad))
         for a, b in zip(*results):
             assert_bits_equal(a, b)
@@ -385,6 +359,8 @@ class TestConv3d:
             conv.forward(np.zeros((2, 3, 3, 5)))
         with pytest.raises(ValueError):
             Conv3d(1, 1, kernel=(1, 2, 3))
+        with pytest.raises(ValueError, match="wide: spatial kernel dims must be 1 or 3"):
+            Conv3d(1, 1, kernel=(1, 5, 5), name="wide")
         with pytest.raises(ValueError):
             Conv3d(1, 1, kernel=(2, 3, 3)).forward(np.zeros((1, 1, 3, 3, 1)))
 
@@ -590,6 +566,13 @@ class TestUpsample3d:
         with pytest.raises(ValueError, match="skip shape"):
             ups.forward(x, np.zeros((2, 6, 6, 6, 1)))  # another batch
 
+    def test_gradient_of_other_channel_count_raises(self):
+        """The gradient must have the input's channels, not only its dims."""
+        ups = Upsample3d((2, 2, 2))
+        out = ups.forward(np.zeros((1, 2, 2, 2, 2)), np.zeros((1, 4, 4, 4, 1)))
+        with pytest.raises(ValueError, match="upsample grad has 3 channels, its input 2"):
+            ups.backward(np.ones_like(out))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "factors,in_dims,target_dims",
@@ -697,8 +680,8 @@ class TestReLU:
         g = rng.normal(size=x.shape).astype(dtype)
         g[0, 0] = -0.0
         g[1, 2, 3] = [np.nan, np.inf, -np.inf, 3.0]
-        bordered_g = bordered_backed(g, border=border)
-        assert layers._buffer(bordered_g, layers._PADS) is not None  # the whole-buffer path
+        bordered_g = grid_backed(g, border=border)
+        assert layers._buffer(bordered_g) is not None  # the whole-buffer path
         relu = ReLU()
         with np.errstate(invalid="ignore"):  # inf * 0
             relu.forward(x)
@@ -706,8 +689,8 @@ class TestReLU:
             relu.forward(x)
             plain = relu.backward(g)
         assert_bits_equal(whole, plain)
-        assert_margined(whole)
-        assert_margined(plain)
+        assert_zero_border(whole)
+        assert_zero_border(plain)
 
 
 LAYOUT_LAYERS = {
@@ -723,10 +706,10 @@ LAYOUT_LAYERS = {
 @pytest.mark.parametrize("make", LAYOUT_LAYERS.values(), ids=LAYOUT_LAYERS)
 def test_layers_ignore_input_memory_order(make):
     """A C-ordered channels-last input, a channels-first-backed view and the
-    interior of a zero-bordered buffer give the same outputs and gradients
-    bit for bit.  Every output is the interior of a C-contiguous
-    channels-first buffer, and ReLU, pooling and upsampling give that
-    buffer a zero border.  The upsample joins a skip arranged the same way
+    interior of a zero-bordered grid give the same outputs and gradients
+    bit for bit.  Every output and input gradient is the interior of a grid
+    (see `grid_of`), and ReLU, pooling and upsampling give their output
+    grid a zero border.  The upsample joins a skip arranged the same way
     and takes the gradient of its upsampled channels."""
     rng = np.random.default_rng(23)
     layer = make()
@@ -734,34 +717,49 @@ def test_layers_ignore_input_memory_order(make):
     skip = rng.normal(size=(2, 10, 14, 11, 2)).astype(np.float32)
     joins = isinstance(layer, Upsample3d)
     results = []
-    for arrange in (np.ascontiguousarray, channels_first_backed, bordered_backed):
+    for arrange in (np.ascontiguousarray, channels_first_backed, grid_backed):
         for p in layer.params():
             p.zero_grad()
         out = layer.forward(arrange(x), arrange(skip)) if joins else layer.forward(arrange(x))
-        buffer_pads(out)
+        grid_of(out)
         if isinstance(layer, (ReLU, MaxPool3d, Upsample3d)):
             assert_zero_border(out)
         grad_shape = (*out.shape[:4], x.shape[4]) if joins else out.shape
         g = np.random.default_rng(24).normal(size=grad_shape).astype(np.float32)
         gx = layer.backward(arrange(g))
+        grid_of(gx)
         results.append((out, gx, *(p.grad.copy() for p in layer.params())))
     for other in results[1:]:
         for a, b in zip(results[0], other):
             assert_bits_equal(a, b)
 
 
+def hand_bordered(x, order="C", flat=False):
+    """The same values as `x` in the interior of a zero-bordered
+    channels-first (b, c, t, H + 2, W + 2) array made by hand, not by the
+    layers' allocator: 5-D in `order`, or with `flat` a view of a 1-D
+    allocation that it fills, with no margins."""
+    b, T, H, W, c = x.shape
+    shape = (b, c, T, H + 2, W + 2)
+    buf = np.zeros(math.prod(shape), x.dtype).reshape(shape) if flat else np.zeros(
+        shape, x.dtype, order=order)
+    buf[..., 1:-1, 1:-1] = x.transpose(0, 4, 1, 2, 3)
+    return buf[..., 1:-1, 1:-1].transpose(0, 2, 3, 4, 1)
+
+
 class TestPaddedInputReuse:
-    """A 3x3 conv reads its input in place only when the input is the
-    interior of a C-contiguous buffer of the padded shape whose border bits
-    are all zero; any other input is copied, with the same output."""
+    """A conv, 3x3 or 1x1, reads its input in place only when the input is
+    the interior of a grid (see `grid_of`), or of a time slice of one, whose
+    border bits are all zero; any other input is copied, with the same
+    output."""
 
     SHAPE = (2, 3, 5, 4, 3)
 
-    def check(self, x, reused):
-        conv = Conv3d(3, 2, rng=np.random.default_rng(30), dtype=np.float64)
+    def check(self, x, reused, kernel=(1, 3, 3)):
+        conv = Conv3d(3, 2, kernel, rng=np.random.default_rng(30), dtype=np.float64)
         out = conv.forward(x)
         xp = conv._cache[0]
-        assert (xp is x.base or xp.base is x.base) == reused
+        assert (xp.base is x.base) == reused
         assert np.shares_memory(xp, x.base) == reused
         np.testing.assert_allclose(out, conv3d_oracle(x, conv.weight.value, conv.bias.value),
                                    atol=1e-10)
@@ -769,80 +767,96 @@ class TestPaddedInputReuse:
     def values(self):
         return np.random.default_rng(31).normal(size=self.SHAPE)
 
-    def test_zero_bordered_interior_is_reused(self):
-        self.check(bordered_backed(self.values()), reused=True)
+    @pytest.mark.parametrize("kernel", [(1, 3, 3), (1, 1, 1), (2, 1, 3)])
+    def test_zero_bordered_interior_is_reused(self, kernel):
+        self.check(grid_backed(self.values()), reused=True, kernel=kernel)
 
     @pytest.mark.parametrize("value", [1.0, -0.0, np.nan], ids=["one", "negative-zero", "nan"])
     @pytest.mark.parametrize("cell", [(1, 2, 0, 0, 3), (0, 0, 2, 3, 0), (1, 2, 2, 6, 5)],
                              ids=["top-row", "left-col", "last-cell"])
     def test_nonzero_border_bit_is_copied(self, value, cell):
-        x = bordered_backed(self.values())
-        x.base[cell] = value
+        x = grid_backed(self.values())
+        grid_of(x)[cell] = value
         self.check(x, reused=False)
 
     def test_added_batch_axis_is_reused(self):
         """A sample's interior with a batch axis added, whose stride (0)
-        differs from the buffer's, is still read in place."""
-        x = bordered_backed(self.values()[:1])[0]
+        differs from the grid's, is still read in place."""
+        x = grid_backed(self.values()[:1])[0]
         self.check(x[None], reused=True)
 
     def test_shifted_view_is_copied(self):
-        x = bordered_backed(self.values())
+        x = grid_backed(self.values())
         H, W = x.shape[2:4]
-        shifted = x.base[:, :, :, 1:1 + H, 2:2 + W].transpose(0, 2, 3, 4, 1)  # one col right
+        shifted = grid_of(x)[:, :, :, 1:1 + H, 2:2 + W].transpose(0, 2, 3, 4, 1)  # one col right
         self.check(shifted, reused=False)
 
-    def test_base_of_wrong_shape_is_copied(self):
-        self.check(bordered_backed(self.values(), pads=(0, 2, 2)), reused=False)
+    def test_deeper_border_is_copied(self):
+        """The centre of a grid two cells in from its edge: the allocation
+        does not hold a grid one cell bigger than it."""
+        b, T, H, W, c = self.SHAPE
+        grid = layers._grid((b, c, T, H + 2, W + 2), np.float64, zeros=True)
+        x = grid[..., 2:-2, 2:-2].transpose(0, 2, 3, 4, 1)
+        x[...] = self.values()
+        self.check(x, reused=False)
+
+    def test_batch_slice_is_copied(self):
+        """The last two samples of a four-sample grid: their batch and
+        channel counts factor the allocation into a grid of another shape,
+        in which they are no interior."""
+        x = grid_backed(np.concatenate([self.values(), self.values()]))[2:]
+        assert layers._buffer(x) is None
+        self.check(x, reused=False)
 
     def test_time_slice_is_reused(self):
-        """A time slice of a longer zero-bordered buffer with the same
+        """A time slice of a longer zero-bordered grid with the same
         batch, channels, rows and cols, as a window of the frame buffer is,
         is read in place: its border in rows and cols is all the conv reads."""
-        self.check(bordered_backed(self.values(), pads=(1, 1, 1)), reused=True)
+        self.check(grid_backed(self.values(), frames=self.SHAPE[1] + 2, start=1), reused=True)
         b, T, H, W, c = self.SHAPE
-        longer = bordered_backed(np.random.default_rng(32).normal(size=(b, T + 4, H, W, c)))
+        longer = grid_backed(np.random.default_rng(32).normal(size=(b, T + 4, H, W, c)))
         for start in (0, 2, 4):
             self.check(longer[:, start:start + T], reused=True)
-        wider = bordered_backed(np.random.default_rng(33).normal(size=(b, T, H, W, c + 1)))
+        wider = grid_backed(np.random.default_rng(33).normal(size=(b, T, H, W, c + 1)))
         self.check(wider[..., :c], reused=False)  # a channel slice is copied
 
-    def test_non_contiguous_base_is_copied(self):
-        self.check(bordered_backed(self.values(), order="F"), reused=False)
+    @pytest.mark.parametrize("layout", [{}, {"order": "F"}, {"flat": True}],
+                             ids=["five-d", "five-d-fortran", "no-margins"])
+    def test_hand_made_buffer_is_copied(self, layout):
+        self.check(hand_bordered(self.values(), **layout), reused=False)
 
 
 def _poke(g, value, cell=None, margin=None):
-    """`g` (see `margined_backed`) with `value` written to one cell of its
-    buffer (`cell`) or of its allocation's margins (`margin`, a flat index)."""
-    flat = g.base
-    b, T, H, W, c = g.shape
-    lead = W + 3
+    """`g` (see `grid_backed`) with `value` written to one cell of its grid
+    (`cell`) or of its allocation's margins (`margin`, a flat index)."""
+    grid = grid_of(g)
     if cell is not None:
-        flat[lead:-lead].reshape(b, c, T, H + 2, W + 2)[cell] = value
+        grid[cell] = value
     if margin is not None:
-        flat[margin] = value
+        g.base[margin] = value
     return g
 
 
 def _shifted(g):
-    """A view of the allocation of `g` (see `margined_backed`) with its
-    shape and strides, one cell further on."""
+    """A view of the allocation of `g` (see `grid_backed`) with its shape
+    and strides, one cell further on."""
     return np.ndarray(g.shape, g.dtype, buffer=g.base, strides=g.strides,
                       offset=g.ctypes.data - g.base.ctypes.data + g.itemsize)
 
 
 # name -> (arrangement of an incoming gradient, read in place)
 GRADIENT_LAYOUTS = {
-    "relu-layout": (margined_backed, True),
-    "border-one": (lambda g: _poke(margined_backed(g), 1.0, cell=(0, 0, 0, 0, 2)), False),
-    "border-negative-zero": (lambda g: _poke(margined_backed(g), -0.0, cell=(-1, -1, -1, 3, 0)),
+    "grid": (grid_backed, True),
+    "border-one": (lambda g: _poke(grid_backed(g), 1.0, cell=(0, 0, 0, 0, 2)), False),
+    "border-negative-zero": (lambda g: _poke(grid_backed(g), -0.0, cell=(-1, -1, -1, 3, 0)),
                              False),
-    "border-nan": (lambda g: _poke(margined_backed(g), np.nan, cell=(-1, -1, -1, -1, -1)), False),
-    "first-margin-cell": (lambda g: _poke(margined_backed(g), 1.0, margin=0), False),
-    "last-margin-cell": (lambda g: _poke(margined_backed(g), -0.0, margin=-1), False),
-    "no-margin": (lambda g: margined_backed(g, lead=0), False),
-    "shifted": (lambda g: _shifted(margined_backed(g)), False),
-    "bordered": (bordered_backed, False),
+    "border-nan": (lambda g: _poke(grid_backed(g), np.nan, cell=(-1, -1, -1, -1, -1)), False),
+    "first-margin-cell": (lambda g: _poke(grid_backed(g), 1.0, margin=0), False),
+    "last-margin-cell": (lambda g: _poke(grid_backed(g), -0.0, margin=-1), False),
+    "time-slice": (lambda g: grid_backed(g, frames=g.shape[1] + 1), False),
+    "no-margins": (lambda g: hand_bordered(g, flat=True), False),
+    "shifted": (lambda g: _shifted(grid_backed(g)), False),
+    "five-d": (hand_bordered, False),
     "channels-last": (np.ascontiguousarray, False),
 }
 
@@ -850,15 +864,16 @@ GRADIENT_LAYOUTS = {
 class TestPaddedGradientReuse:
     """A conv's backward reads its incoming gradient in place, as the
     padded grid behind a zero margin of one halo, only when it is the
-    interior of a buffer with a zero border one cell deep in rows and cols
-    that sits Wp + 1 cells into a 1-D allocation with zero margins, as
-    ReLU's backward writes it.  Any other gradient, or a non-zero bit in
-    that border or those margins, is copied, and both give the same
-    gradients bit for bit."""
+    interior of a grid with a zero border that fills its allocation but for
+    zero margins (see `grid_of`), as ReLU's backward writes it.  Any other
+    gradient, or a non-zero bit in that border or those margins, is copied
+    into such a grid (`_bordered_copy`), and both give the same gradients
+    bit for bit."""
 
-    # (in, out, kernel, batch): both GEMM paths, a temporal kernel, and
-    # batches whose rows run into the next sample's border
-    CONVS = [(3, 2, (1, 3, 3), 2), (2, 5, (1, 3, 3), 1), (4, 3, (2, 3, 3), 2)]
+    # (in, out, kernel, batch): both GEMM paths, a temporal kernel, a 1x1
+    # kernel, and batches whose rows run into the next sample's border
+    CONVS = [(3, 2, (1, 3, 3), 2), (2, 5, (1, 3, 3), 1), (4, 3, (2, 3, 3), 2),
+             (2, 3, (1, 1, 1), 2)]
 
     @staticmethod
     def step(case, g, monkeypatch):
@@ -868,17 +883,17 @@ class TestPaddedGradientReuse:
         rng = np.random.default_rng(40)
         conv = Conv3d(cin, cout, kernel, rng=rng)
         conv.forward(rng.normal(size=(b, 3, 6, 5, cin)).astype(np.float32))
-        found = []
-        padded_grad = layers._padded_grad
+        copies = []
+        bordered_copy = layers._bordered_copy
 
-        def spy(*args):
-            found.append(padded_grad(*args))
-            return found[-1]
+        def spy(x):
+            copies.append(x)
+            return bordered_copy(x)
 
-        monkeypatch.setattr(layers, "_padded_grad", spy)
+        monkeypatch.setattr(layers, "_bordered_copy", spy)
         out = (conv.backward(g), conv.weight.grad, conv.bias.grad)
         monkeypatch.undo()
-        return out, found[0] is not None
+        return out, not copies
 
     @pytest.mark.parametrize("case", range(len(CONVS)))
     @pytest.mark.parametrize("layout", GRADIENT_LAYOUTS, ids=GRADIENT_LAYOUTS)
@@ -900,7 +915,7 @@ class TestPaddedGradientReuse:
         relu = ReLU()
         relu.forward(np.random.default_rng(42).normal(size=(2, 3, 6, 5, 2)).astype(np.float32))
         g = relu.backward(np.ones((2, 3, 6, 5, 2), np.float32))
-        assert_margined(g)
+        assert_zero_border(g)
         assert self.step(self.CONVS[0], g, monkeypatch)[1]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rainfusion import verify
 from rainfusion.grids import MISSING, PrecipCategory, RainGrid, categorize_values
 from rainfusion.verify import (
     ContingencyTable,
@@ -214,6 +215,25 @@ class TestFss:
         expected = 128.0 / 433.0
         assert fss(pred, obs, params) == pytest.approx(expected, abs=1e-12)
         assert fss_bruteforce(pred, obs, params) == pytest.approx(expected, abs=1e-12)
+
+    def test_oracle_thresholds_on_its_own(self, monkeypatch):
+        """`fss_bruteforce` shares no thresholding with `fss`: with the
+        events of `_events` moved to q1 < F <= q2, `fss` moves on a pair
+        with cells at both HEAVY edges, and the oracle does not."""
+        rng = np.random.default_rng(5)
+        pred, obs = (rng.choice([0.0, 7.5, 20.0, 50.0], size=(16, 16)) for _ in range(2))
+        params = FssParams.for_category(HEAVY)
+        want = fss_bruteforce(pred, obs, params)
+        assert fss(pred, obs, params) == pytest.approx(want, abs=1e-12)
+
+        def wrong_edges(v, bounds):
+            valid = (v != MISSING)[..., None, :, :]
+            bp = np.stack([(v > q1) & (v <= q2) for q1, q2 in bounds], axis=-3) & valid
+            return bp.astype(np.int8), valid
+
+        monkeypatch.setattr(verify, "_events", wrong_edges)
+        assert fss_bruteforce(pred, obs, params) == want
+        assert abs(fss(pred, obs, params) - want) > 1e-3
 
     def test_not_applicable_when_no_events(self):
         z = np.zeros((4, 4))
