@@ -176,8 +176,9 @@ class SatScene:
             raise ValueError("SatScene contains non-finite values")
         if arr.ndim != 3:
             raise ValueError(f"SatScene needs a bands x rows x cols array, got shape {arr.shape}")
-        if arr.shape[0] != len(SEVIRI_BANDS):
-            raise ValueError(f"SatScene needs exactly 11 bands, got {arr.shape[0]}")
+        bands = len(SEVIRI_BANDS)
+        if arr.shape[0] != bands:
+            raise ValueError(f"SatScene needs exactly {bands} bands, got {arr.shape[0]}")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError(f"SatScene has degenerate dimensions {arr.shape[1:]}")
         arr.flags.writeable = False
@@ -274,8 +275,10 @@ def write_scene(path, scene: SatScene) -> None:
 def read_scene(path) -> SatScene:
     """A satellite scene; values the scene rejects raise ValueError naming the file."""
     values, timestamp = _read_rfg(path)
-    if values.shape[0] != 11:
-        raise FormatError(f"{path}: expected an 11-band scene, found {values.shape[0]} bands", 6)
+    bands = len(SEVIRI_BANDS)
+    if values.shape[0] != bands:
+        raise FormatError(
+            f"{path}: expected an {bands}-band scene, found {values.shape[0]} bands", 6)
     try:
         return SatScene(values, timestamp)
     except ValueError as err:

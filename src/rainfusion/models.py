@@ -25,19 +25,20 @@ channels', which the upsample's backward consumes and frees, then the
 skip's, added to the input gradient of the matching pool.
 
 A training forward (`forward`) keeps for the backward only what it cannot
-rebuild cheaply.  The table `UNet3D._rebuild` names each conv whose input
-the forward drops, and how the backward builds it again just before that
-conv's backward, a per-node policy as in Chen et al., "Training Deep Nets
-with Sublinear Memory Cost" (arXiv:1604.06174):
-
-- "upsample": the first conv of each decoder stage drops the decoder
-  input, the largest array of a step, which it read in place.  It is
-  upsampled again from the held low-resolution features and skip, which
-  their ReLUs cache anyway.
-- "rerun": the second conv of each encoder stage and of the bottleneck
-  drops its input with the first ReLU's cache.  The first conv and ReLU
-  run again on the first conv's cached input: one more small conv forward
-  per stage buys back one activation.
+rebuild cheaply, a per-node policy as in Chen et al., "Training Deep Nets
+with Sublinear Memory Cost" (arXiv:1604.06174).  The table
+`UNet3D._rebuild` maps each conv whose input the forward drops to its
+start step, a step before it, and one rule builds every such input again:
+the forward drops the conv's input and the caches of the steps in
+between, and just before that conv's backward, the backward reruns the
+start step from its own cache (`rerun`), runs the steps in between
+forward, and restores the result as the conv's input.  The second conv
+of each encoder stage and of the bottleneck maps to the first: one more
+small conv forward and ReLU per stage buys back one activation.  The
+first conv of each decoder stage maps to the upsample before it, which
+builds the decoder input, the largest array of a step, again from the
+low-resolution features and skip that it caches and their ReLUs cache
+anyway.
 
 With an empty table every input is kept.  An inference forward
 (`_run(x, keep=False)`, run by `predict_grid` and `train`'s validation)
@@ -69,13 +70,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import RainGrid, read_grid, read_scene
-from .nn import (Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, bordered, ensure_array5,
-                 lr_for_epoch, upsample)
+from .grids import SEVIRI_BANDS, RainGrid, read_grid, read_scene
+from .nn import Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, bordered, ensure_array5, lr_for_epoch
 from .nn.checkpoint import load_arrays, save_arrays
 from .nn.losses import LOSSES
 from .pipeline import (
     FRAME_STEP,
+    LEAD_MINUTES,
     WINDOW_FRAMES,
     BandStats,
     SequenceSample,
@@ -88,7 +89,7 @@ from .pipeline import (
 
 VARIANTS = ("radar", "multimodal")
 _POOL_WINDOWS = {"radar": (2, 2, 1), "multimodal": (2, 2, 2)}
-_IN_CHANNELS = {"radar": 1, "multimodal": 12}
+_IN_CHANNELS = {"radar": 1, "multimodal": 1 + len(SEVIRI_BANDS)}
 
 
 class TrainingError(RuntimeError):
@@ -115,7 +116,7 @@ class ModelConfig:
             raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
-        if self.lead_minutes not in (5, 15, 30):
+        if self.lead_minutes not in LEAD_MINUTES:
             raise ValueError(f"lead must be 5, 15 or 30 minutes, got {self.lead_minutes}")
         div = 2 ** (self.levels - 1)
         for name, dim in (("rows", self.rows), ("cols", self.cols)):
@@ -174,21 +175,17 @@ class UNet3D:
         self.steps += self.bott
         self.steps += [layer for up, block in zip(self.ups, self.dec) for layer in (up, *block)]
         self.steps += self.head
-        # the step of each conv whose input a training forward drops: how the
-        # backward builds it again (see the module docstring)
-        self._rebuild = {self.steps.index(block[2]): "rerun" for block in (*self.enc, self.bott)}
-        self._rebuild.update({self.steps.index(block[0]): "upsample" for block in self.dec})
-        # per "upsample" step of the last training forward, the (low-res
-        # features, skip) that its input is built from, until the backward
-        self._held = {}
+        # the step of each conv whose input a training forward drops, and the
+        # step that the backward reruns to build it again (see the module
+        # docstring)
+        self._rebuild = {self.steps.index(block[2]): self.steps.index(block[0])
+                         for block in (*self.enc, self.bott)}
+        self._rebuild.update({self.steps.index(up) + 1: self.steps.index(up) for up in self.ups})
 
     # -- structure ---------------------------------------------------------
 
-    def layers(self):
-        return list(self.steps)
-
     def conv_layers(self):
-        return [layer for layer in self.layers() if isinstance(layer, Conv3d)]
+        return [layer for layer in self.steps if isinstance(layer, Conv3d)]
 
     def params(self):
         out = []
@@ -215,22 +212,16 @@ class UNet3D:
         if h.shape[1:] != expect:
             raise ValueError(f"input shape {h.shape[1:]} does not match config {expect}")
         skips = []  # encoder stage outputs, the deepest last
-        self._held = {}
         for i, layer in enumerate(self.steps):
             if isinstance(layer, MaxPool3d):
                 skips.append(h)
-            if isinstance(layer, Upsample3d):
-                if keep and self._rebuild.get(i + 1) == "upsample":
-                    self._held[i + 1] = (h, skips[-1])  # ReLU outputs, which their ReLUs cache
-                h = layer.forward(h, skips.pop())
-            else:
-                h = layer.forward(h)
+            h = layer.forward(h, skips.pop()) if isinstance(layer, Upsample3d) else layer.forward(h)
             if not keep:
                 layer._cache = None
             elif i in self._rebuild:
                 layer.drop_input()
-                if self._rebuild[i] == "rerun":
-                    self.steps[i - 1]._cache = None  # the ReLU output that is that input
+                for between in self.steps[self._rebuild[i] + 1:i]:
+                    between._cache = None
         return h
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -238,18 +229,11 @@ class UNet3D:
         gradient to its Parameter; None, and not computed, when `input_grad`
         is false."""
         g = grad_out
-        held, self._held = self._held, {}
         skip_grads = []  # the deepest stage's last
         for i in reversed(range(len(self.steps))):
             layer = self.steps[i]
-            how = self._rebuild.get(i)
-            if how == "rerun":
-                conv, relu = self.steps[i - 2:i]
-                layer.restore_input(relu.forward(conv.forward(conv.cached_input())))
-            elif how == "upsample":
-                low, skip = held.pop(i)
-                layer.restore_input(upsample(low, self.steps[i - 1].factors, skip))
-                del low, skip  # so that their ReLUs' backwards free them
+            if i in self._rebuild:
+                layer.restore_input(self._rebuilt_input(i))
             g = layer.backward(g)
             if isinstance(layer, Upsample3d):
                 # the conv after it ran on [upsampled | skip]: the upsampled part
@@ -262,6 +246,16 @@ class UNet3D:
             first._rest = None  # the other part, never computed
             return None
         return first.backward_rest()
+
+    def _rebuilt_input(self, i: int) -> np.ndarray:
+        """The input of step `i`, built again: its start step (`_rebuild`)
+        reruns its last forward from its own cache, and the steps between run
+        forward on that, caching again what the training forward dropped."""
+        start = self._rebuild[i]
+        h = self.steps[start].rerun()
+        for layer in self.steps[start + 1:i]:
+            h = layer.forward(h)
+        return h
 
 
 def param_count(model: UNet3D) -> int:

@@ -50,11 +50,13 @@ a forward and its backward.  What is cheap to rebuild is not cached: a
 ragged pool pads its windows again in backward, and a conv whose input is
 easy to build again can drop it after its forward (`Conv3d.drop_input`)
 and take it back just before its backward (`Conv3d.restore_input`), which
-is how the decoder input lives only while its conv runs.  A conv's input
-gradient may come in two parts on the channel axis (`Conv3d.split`):
-`backward` gives the first and `backward_rest` the second, so the two
-need not exist at once, and a caller that wants no input gradient leaves
-the second part uncomputed.
+is how the decoder input lives only while its conv runs.  Such an input
+is built again by a layer before it: a conv or an upsample can `rerun`,
+giving its last forward's output once more from what that forward cached.
+A conv's input gradient may come in two parts on the channel axis
+(`Conv3d.split`): `backward` gives the first and `backward_rest` the
+second, so the two need not exist at once, and a caller that wants no
+input gradient leaves the second part uncomputed.
 
 The first conv GEMM of a process pins glibc's malloc thresholds
 (`keep_freed_pages`), so that memory freed between training samples stays
@@ -318,8 +320,8 @@ class Conv3d:
     gradient is a zeroed grid too.  Only the padded input
     is cached, from a forward to its backward, which frees it.
     `drop_input` frees it early, after the forward, and `restore_input`
-    caches a rebuilt copy of the input before the backward; `cached_input`
-    is the input as a view that a forward reads in place.
+    caches a rebuilt copy of the input before the backward; `rerun` runs
+    the forward again on the cached input, read in place.
 
     With `split` set, `backward` returns the gradient of the first `split`
     input channels only and keeps the padded grad_out, and `backward_rest`
@@ -404,12 +406,13 @@ class Conv3d:
         self._cache = (xp, x.shape, (b, To, H, W, cout))
         return _channels_last(_interior(acc))
 
-    def cached_input(self) -> np.ndarray:
-        """The last forward's input, as the interior of the padded input that
-        it cached: a forward on it reads that grid in place."""
+    def rerun(self) -> np.ndarray:
+        """The last forward's output, computed again by a forward on the
+        padded input that it cached, read in place: the same output bit for
+        bit, and the same cache."""
         if self._cache is None or self._cache[0] is None:
-            raise RuntimeError(f"{self.name}: no cached input")
-        return _channels_last(_interior(self._cache[0]))
+            raise RuntimeError(f"{self.name}: rerun without a cached input")
+        return self.forward(_channels_last(_interior(self._cache[0])))
 
     def drop_input(self):
         """Free the padded input that the last forward cached.  `backward`
@@ -583,7 +586,10 @@ class Upsample3d:
     Forward writes the decoder input through `upsample`: the repetition
     cropped to the skip's (t, h, w), so ceiling-pooled sizes invert
     exactly, then the skip, in a zero-bordered grid.  A skip of another
-    batch, or of dims the repetition cannot reach, raises ValueError.
+    batch, or of dims the repetition cannot reach, raises ValueError.  It
+    caches its input and skip, not copies, so that `rerun` builds the same
+    output again; in a network both are ReLU outputs that their ReLUs cache
+    anyway.
     Backward takes the gradient of the upsampled channels only (one of
     another channel count raises ValueError) and sums it over each
     repetition group, one axis at a time in (t, h, w) order: phase 0 (which
@@ -611,11 +617,20 @@ class Upsample3d:
                 (d - 1) * f < t <= d * f for d, f, t in zip(x.shape[1:4], self.factors, dims)):
             raise ValueError(f"skip shape {skip.shape} does not match batch {x.shape[0]} "
                              f"and dims {x.shape[1:4]} repeated x{self.factors}")
-        self._cache = dims, x.shape[4]
+        self._cache = x, skip
+        return upsample(x, self.factors, skip)
+
+    def rerun(self) -> np.ndarray:
+        """The last forward's output, built again from the input and skip
+        that it cached."""
+        if self._cache is None:
+            raise RuntimeError("upsample: rerun before forward")
+        x, skip = self._cache
         return upsample(x, self.factors, skip)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        dims, channels = _take_cache(self, "upsample")
+        x, skip = _take_cache(self, "upsample")
+        dims, channels = skip.shape[1:4], x.shape[4]
         grad_out = np.asarray(grad_out)
         if grad_out.shape[1:4] != dims:
             raise ValueError(f"upsample grad dims {grad_out.shape[1:4]} != skip dims {dims}")

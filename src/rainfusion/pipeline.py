@@ -34,8 +34,6 @@ LOG_BASE = RAIN_MAX + 2.0  # 202: rate ceiling plus the +2 stability shift
 _LN_BASE = math.log(LOG_BASE)
 
 LEAD_MINUTES = (5, 15, 30)
-# lead -> (window start, window end) offsets in minutes before the target
-_LEAD_WINDOWS = {5: (30, 5), 15: (40, 15), 30: (55, 30)}
 FRAME_STEP = 5  # minutes between consecutive frames
 WINDOW_FRAMES = 6
 
@@ -47,14 +45,14 @@ class LeadTime:
     minutes: int
 
     def __post_init__(self):
-        if self.minutes not in _LEAD_WINDOWS:
+        if self.minutes not in LEAD_MINUTES:
             raise ValueError(f"lead must be one of {LEAD_MINUTES}, got {self.minutes}")
 
     @property
     def input_offsets(self) -> tuple[int, ...]:
-        """Offsets of the 6 input frames, e.g. (-30, -25, ..., -5) for 5 min."""
-        start, end = _LEAD_WINDOWS[self.minutes]
-        return tuple(range(-start, -end + 1, FRAME_STEP))
+        """Offsets of the 6 input frames, FRAME_STEP apart with the last one
+        lead minutes before the target: (-30, -25, ..., -5) for 5 min."""
+        return tuple(-self.minutes - FRAME_STEP * k for k in reversed(range(WINDOW_FRAMES)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .grids import IndexEntry, RainGrid, SatScene, iso_to_minutes, write_grid, write_index, write_scene
+from .grids import (SEVIRI_BANDS, IndexEntry, RainGrid, SatScene, iso_to_minutes, write_grid,
+                    write_index, write_scene)
 
 # Per-band affine transforms: positive scales mimic reflectance-like
 # channels, negative scales with large offsets mimic brightness
@@ -198,8 +199,8 @@ def generate_synthetic(config: SynthConfig, out_dir) -> list[IndexEntry]:
             radar[0, 0] = 250.0
         write_grid(out / radar_rel, RainGrid(radar, minutes))
         base = _block_mean(_gaussian_blur(window[-1], _SAT_BLUR_SIGMA), config.sat_scale)
-        bands = np.empty((11, sat_rows, config.cols // config.sat_scale))
-        for b in range(11):
+        bands = np.empty((len(SEVIRI_BANDS), sat_rows, config.cols // config.sat_scale))
+        for b in range(len(SEVIRI_BANDS)):
             bands[b] = _BAND_SCALES[b] * base + _BAND_OFFSETS[b]
             if config.noise_level > 0:
                 bands[b] += 0.5 * config.noise_level * rng.standard_normal(base.shape)

@@ -110,6 +110,12 @@ def csi(table: ContingencyTable) -> float | None:
 # Fractions Skill Score
 # ---------------------------------------------------------------------------
 
+def _check_neighborhood(n: int) -> None:
+    """Raise ValueError unless the FSS neighborhood size `n` is odd and >= 1."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"neighborhood size n must be odd and >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class FssParams:
     """Category bounds [q1, q2) in mm/h plus the odd neighborhood size."""
@@ -121,8 +127,7 @@ class FssParams:
     def __post_init__(self):
         if self.q1 >= self.q2:
             raise ValueError(f"require q1 < q2, got [{self.q1}, {self.q2})")
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError(f"neighborhood size must be odd and >= 1, got {self.n}")
+        _check_neighborhood(self.n)
 
     @classmethod
     def for_category(cls, category: PrecipCategory, n: int = 3) -> "FssParams":
@@ -199,8 +204,7 @@ def neighborhood_probability(bp: np.ndarray, n: int,
     holds no valid cell come back 0 and flagged invalid in the returned
     mask, which has the shape of `valid`.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"neighborhood size must be odd and >= 1, got {n}")
+    _check_neighborhood(n)
     bp = np.asarray(bp)
     if valid is None:
         valid = np.ones(bp.shape[-2:], dtype=bool)
@@ -323,13 +327,14 @@ def score_pairs(pred, obs, categories, n: int = 3) -> tuple[np.ndarray, np.ndarr
     Each stack is categorized once for all the tables and thresholded once
     into an (S, k, rows, cols) stack of FSS events (see
     `FssParams.for_category`) for all the components; `n` is the FSS
-    neighborhood size.  Every sample's numbers equal those of scoring it
-    alone, bit for bit, except the FSS sums of a sample with no missing cell
-    in a block with one, which agree to 1e-14 relative (see the module
-    docstring).  Its work arrays live for the call; it pins the malloc
-    thresholds (`keep_freed_pages`) so that their pages stay with the
-    process from one call to the next.
+    neighborhood size, which must be odd and >= 1 (else ValueError).  Every
+    sample's numbers equal those of scoring it alone, bit for bit, except
+    the FSS sums of a sample with no missing cell in a block with one, which
+    agree to 1e-14 relative (see the module docstring).  Its work arrays
+    live for the call; it pins the malloc thresholds (`keep_freed_pages`)
+    so that their pages stay with the process from one call to the next.
     """
+    _check_neighborhood(n)
     keep_freed_pages()
     pv, ov = _pair(pred, obs, ndim=3)
     bounds = [c.bounds for c in categories]
@@ -340,9 +345,10 @@ def fss_bruteforce(pred, obs, params: FssParams) -> float | None:
     """Reference FSS via direct per-window summation (no summed-area table).
 
     Kept deliberately naive as the independent oracle for `fss`: it
-    thresholds the fields itself, q1 <= F < q2 on non-missing cells, so a
-    fault in the `_events` that `fss` shares with `binary_probability`
-    shows as a disagreement.
+    thresholds the fields itself, q1 <= F < q2 on non-missing cells, and
+    sums FBS and WFBS over the paired cells and forms their ratio itself,
+    so a fault in the `_events`, `_fss_sums` or `fss_ratio` that `fss`
+    uses shows as a disagreement.
     """
     pv, ov = _pair(pred, obs)
     validp, valido = pv != MISSING, ov != MISSING
@@ -366,5 +372,10 @@ def fss_bruteforce(pred, obs, params: FssParams) -> float | None:
 
     npp, vp = window_mean(bpp, validp)
     npo, vo = window_mean(bpo, valido)
-    return fss_ratio(*_fss_sums(npp[None], npo[None], vp & vo)[0])
+    pair = vp & vo
+    p, o = npp[pair], npo[pair]
+    wfbs = float(np.sum(p * p + o * o))
+    if wfbs == 0.0:  # no paired cell, or no event mass in either field
+        return None
+    return 1.0 - float(np.sum((p - o) ** 2)) / wfbs
 

@@ -132,7 +132,7 @@ class TestArchitecture:
         first, whose input here is a plain array, reads that grid in place as
         its padded input: the 1x1x1 `head_b` too."""
         model = UNet3D(config, seed=4)
-        layers = model.layers()
+        layers = model.steps
         outputs, reused = [], []
 
         def recording(layer):
@@ -197,6 +197,35 @@ class TestModelGradients:
         err = gradient_check(loss_fn, params, grads, n_samples=60, seed=6)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("variant", ["radar", "multimodal"])
+    def test_desk_step_tracks_float64(self, variant):
+        """A float64 shadow of one desk training step and inference forward,
+        from the same float32 weights and inputs: every float32 array is
+        within 1e-5 of the float64 one, as max |diff| / max |float64|.  It
+        reads 1.2e-6 at most, at 1 and 2 BLAS threads.  A change of float
+        order that loses precision, or a path that goes wrong in float32
+        only, reads above it.  A pool window whose two largest cells round
+        to one float32 value may route its gradient to the other cell in
+        float64, far above 1e-5; this case has no such window."""
+        config = replace(DESK, variant=variant, base_channels=8)
+        rng = np.random.default_rng(26)
+        x = rng.random((1, 6, 64, 64, config.in_channels), dtype=np.float32)
+        y = rng.random((1, 1, 64, 64, 1), dtype=np.float32)
+        runs = []
+        for dtype in (np.float32, np.float64):
+            model = UNet3D(config, seed=26, dtype=dtype)
+            for p in model.params():  # the float32 weights, whatever the dtype
+                p.value[...] = p.value.astype(np.float32)
+            out = model.forward(x.astype(dtype))
+            _, grad = logcosh_loss(out, y.astype(dtype))
+            model.zero_grad()
+            gx = model.backward(grad.astype(dtype, copy=False))
+            runs.append([out, gx, *(p.grad for p in model.params()),
+                         model._run(x.astype(dtype), keep=False)])
+        for a, b in zip(*runs, strict=True):
+            assert (a.dtype, b.dtype) == (np.float32, np.float64)
+            assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
 
 def _run_step(model, x, arrange=None):
     """Output, input gradient and parameter gradients of one forward and
@@ -204,7 +233,7 @@ def _run_step(model, x, arrange=None):
     gradient instead.  Also returns, per conv, whether it read its input's
     buffer in place."""
     reused = []
-    for layer in model.layers():
+    for layer in model.steps:
         forward, backward = layer.forward, layer.backward
 
         def run(x, *args, _layer=layer, _forward=forward, **kwargs):
@@ -339,7 +368,7 @@ class TestOneLayout:
                 return returned[-1][2]
             return record
 
-        for layer in model.layers():
+        for layer in model.steps:
             for method in ("forward", "backward", "backward_rest"):
                 if hasattr(layer, method):
                     setattr(layer, method, recording(layer, method))
@@ -398,7 +427,7 @@ class TestDecoderInputs:
         stages = range(1, config.levels)
         assert dropped == ([f"enc{i}b" for i in stages] + ["bottleneck_b"]
                            + [f"dec{i}a" for i in reversed(stages)])
-        assert model._held == {}
+        assert _cached_layers(model) == []
         reference = UNet3D(config, seed=6)
         reference._rebuild = {}
         kept, held = self.step(reference, x)
@@ -451,7 +480,7 @@ class TestDecoderInputs:
                 return out
             return run
 
-        for layer in model.layers():
+        for layer in model.steps:
             layer.backward = watching(layer)
         for conv in firsts:
             conv.backward_rest = watching_rest(conv)
@@ -1182,7 +1211,7 @@ class TestSampleSteps:
 
 def _cached_layers(model):
     """The layers that hold a forward's cache or a gradient part not yet taken."""
-    return [layer for layer in model.layers()
+    return [layer for layer in model.steps
             if layer._cache is not None or getattr(layer, "_rest", None) is not None]
 
 
@@ -1204,7 +1233,7 @@ class TestCacheLifetime:
         # all but the first ReLU of each encoder stage and of the bottleneck,
         # whose output the backward rebuilds
         inner = [block[1] for block in (*model.enc, model.bott)]
-        assert _cached_layers(model) == [layer for layer in model.layers() if layer not in inner]
+        assert _cached_layers(model) == [layer for layer in model.steps if layer not in inner]
 
     def test_desk_model_retains_no_traced_bytes(self, tmp_path):
         """After a warm-up, a nowcast and a one-epoch training run leave less

@@ -307,6 +307,20 @@ class TestConv3d:
         for a, b in zip(*results):
             assert_bits_equal(a, b)
 
+    def test_rerun_gives_the_forward_output_from_the_cached_input(self):
+        """`rerun` is a forward on the cached padded input, read in place;
+        with no forward, or with the input dropped, it has nothing to run."""
+        conv = Conv3d(3, 2, name="enc9a", rng=np.random.default_rng(12))
+        with pytest.raises(RuntimeError, match="enc9a: rerun without a cached input"):
+            conv.rerun()
+        x = grid_backed(np.random.default_rng(13).normal(size=(1, 2, 4, 5, 3)).astype(np.float32))
+        out = conv.forward(x)
+        assert_bits_equal(conv.rerun(), out)
+        assert conv._cache[0].base is x.base
+        conv.drop_input()
+        with pytest.raises(RuntimeError, match="enc9a: rerun without a cached input"):
+            conv.rerun()
+
     def test_dropped_input_never_restored_raises(self):
         conv = Conv3d(3, 2, name="dec9a", rng=np.random.default_rng(11))
         x = np.ones((1, 2, 4, 4, 3))
@@ -565,6 +579,21 @@ class TestUpsample3d:
                 ups.forward(x, np.zeros((1, *dims, 1)))
         with pytest.raises(ValueError, match="skip shape"):
             ups.forward(x, np.zeros((2, 6, 6, 6, 1)))  # another batch
+
+    def test_rerun_gives_the_forward_output(self):
+        """`rerun` builds the decoder input again from the input and skip
+        that the forward cached; with no forward, or after the backward that
+        consumed them, it raises."""
+        ups = Upsample3d((2, 2, 2))
+        with pytest.raises(RuntimeError, match="upsample: rerun before forward"):
+            ups.rerun()
+        rng = np.random.default_rng(14)
+        x, skip = rng.normal(size=(1, 2, 2, 2, 2)), rng.normal(size=(1, 3, 4, 4, 1))
+        out = ups.forward(x, skip)
+        assert_bits_equal(ups.rerun(), out)
+        ups.backward(np.ones_like(out[..., :2]))
+        with pytest.raises(RuntimeError, match="upsample: rerun before forward"):
+            ups.rerun()
 
     def test_gradient_of_other_channel_count_raises(self):
         """The gradient must have the input's channels, not only its dims."""

@@ -148,6 +148,15 @@ class TestEvaluateModels:
         with pytest.raises(ValueError):
             evaluate_models([("m", lambda s: None)], [])
 
+    def test_even_neighborhood_rejected(self, tmp_path):
+        """An all-valid block is scored on the integer path, which checks
+        `n` too: no table is made with an even neighborhood."""
+        fields = [np.full((8, 8), 10.0, dtype=np.float32)] * 7
+        sample = _sample(tmp_path, "a", fields)
+        with pytest.raises(ValueError, match="neighborhood size n must be odd and >= 1, got 4"):
+            evaluate_models([("echo", lambda s: read_grid(s.target_path))], [sample],
+                            neighborhood=4)
+
     def test_repeated_predictor_name_rejected(self, tmp_path):
         """Two predictors of one name would pool their pairs into one column."""
         fields = [np.full((8, 8), 10.0, dtype=np.float32)] * 7

@@ -235,6 +235,29 @@ class TestFss:
         assert fss_bruteforce(pred, obs, params) == want
         assert abs(fss(pred, obs, params) - want) > 1e-3
 
+    @pytest.mark.parametrize("name", ["fss_ratio", "_fss_sums"])
+    def test_oracle_sums_and_divides_on_its_own(self, monkeypatch, name):
+        """`fss_bruteforce` shares neither the sums nor the ratio with `fss`:
+        with FBS halved in `fss_ratio` or in `_fss_sums`, `fss` moves on a
+        pair with a missing cell (the path that sums with `_fss_sums`), and
+        the oracle does not."""
+        rng = np.random.default_rng(5)
+        pred, obs = (rng.choice([0.0, 7.5, 20.0, 50.0], size=(16, 16)) for _ in range(2))
+        obs[4, 9] = MISSING
+        params = FssParams.for_category(HEAVY)
+        want = fss_bruteforce(pred, obs, params)
+        assert fss(pred, obs, params) == pytest.approx(want, abs=1e-12)
+        right = getattr(verify, name)
+        if name == "fss_ratio":
+            def wrong(fbs, wfbs, count):
+                return right(fbs / 2, wfbs, count)
+        else:
+            def wrong(npp, npo, pair):
+                return [(fbs / 2, wfbs, count) for fbs, wfbs, count in right(npp, npo, pair)]
+        monkeypatch.setattr(verify, name, wrong)
+        assert fss_bruteforce(pred, obs, params) == want
+        assert abs(fss(pred, obs, params) - want) > 1e-3
+
     def test_not_applicable_when_no_events(self):
         z = np.zeros((4, 4))
         assert fss(z, z, FssParams.for_category(HEAVY)) is None
@@ -429,6 +452,23 @@ class TestScorePairs:
             score_pairs(np.zeros((3, 3)), np.zeros((3, 3)), ALL_CATEGORIES)
         with pytest.raises(ValueError, match="mismatch"):
             score_pairs(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), ALL_CATEGORIES)
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["all-valid", "masked"])
+    @pytest.mark.parametrize("n", [0, 2, 4, -1])
+    def test_rejects_bad_neighborhood(self, n, missing):
+        """An even or non-positive `n` is rejected on both paths, with the
+        message of `FssParams` and `neighborhood_probability`."""
+        rng = np.random.default_rng(6)
+        pred, obs = (_random_field(rng, missing_frac=0.0)[None] for _ in range(2))
+        if missing:
+            obs[0, 3, 4] = MISSING
+        message = f"neighborhood size n must be odd and >= 1, got {n}"
+        with pytest.raises(ValueError, match=message):
+            score_pairs(pred, obs, ALL_CATEGORIES, n)
+        with pytest.raises(ValueError, match=message):
+            FssParams(0.0, 1.0, n=n)
+        with pytest.raises(ValueError, match=message):
+            neighborhood_probability(np.zeros((3, 3), dtype=np.int8), n)
 
     def test_negative_rate_rejected(self):
         pred = np.zeros((2, 4, 4))
