@@ -32,10 +32,17 @@ and cols, zero-pad so spatial dims are preserved, and never pad time: a
 temporal extent kt takes T frames to T - kt + 1.  A convolution is one
 stacked-tap GEMM per block of output cells on shifted windows of its
 padded input, so no im2col copy of the whole input is made, and the
-padded input is all it caches.  Pooling uses non-overlapping windows
-with ceiling semantics, so a ragged last window simply shrinks;
-upsampling is nearest-neighbor repetition cropped to the dims of the
-skip it is joined to, which inverts ceiling-pooled sizes exactly.
+padded input is all it caches.  Its spatial taps are split between the
+two sides of each GEMM by the conv's channel counts (`_tap_split`): when
+neither side has more than twice the other's channels, the kw taps of a
+kernel row are stacked on K and the kh rows on the output side; else
+every tap goes on the side with fewer channels.  Its weight gradient is
+one GEMM per block of gathered tap-shifted input rows when in <= 2*out
+(`_gathers_taps`), else one whole-row GEMM per tap.  Pooling uses
+non-overlapping windows with ceiling semantics, so a ragged last window
+simply shrinks; upsampling is nearest-neighbor repetition cropped to the
+dims of the skip it is joined to, which inverts ceiling-pooled sizes
+exactly.
 
 Each layer keeps what its backward needs in one attribute, `_cache`, from a
 forward to the backward that follows it.  Backward takes the cache and
@@ -75,6 +82,9 @@ from .._malloc import keep_freed_pages
 # Output cells per conv GEMM block.  It bounds the stacked-tap intermediate
 # (taps x channels x cells) that each block allocates.
 _ROW_BLOCK = 4096
+# Bytes of the gathered input rows of one weight-gradient GEMM block:
+# 1024 cells of 9 taps x 8 float32 channels, well inside a core's L2.
+_COLS_BYTES = 288 << 10
 
 
 def ensure_array5(x, name: str = "input") -> np.ndarray:
@@ -229,35 +239,79 @@ def upsample(x: np.ndarray, factors, skip: np.ndarray) -> np.ndarray:
     return _channels_last(out)
 
 
-def _tap_gemms(dst, src, w, offsets, base, stack_dst):
-    """dst[:, u] += sum over taps k of w[k] @ src[:, base + u + offsets[k]].
+def _tap_split(dst: int, src: int) -> str:
+    """Where a conv GEMM puts the spatial taps (see `_tap_gemms`), from the
+    whole conv's channel counts on the side it writes (`dst`) and reads
+    (`src`): "kw" when neither count is more than twice the other, else
+    "out" when src > 2*dst and "k" when dst > 2*src."""
+    if src <= 2 * dst and dst <= 2 * src:
+        return "kw"
+    return "out" if dst <= src else "k"
+
+
+def _gathers_taps(cin: int, cout: int) -> bool:
+    """Whether a conv of `cin` to `cout` channels takes its weight gradient
+    from blocks of gathered tap-shifted input rows rather than one
+    whole-row GEMM per tap (see `Conv3d.backward`)."""
+    return cin <= 2 * cout
+
+
+def _tap_gemms(dst, src, w, row_shifts, col_shifts, base, channels):
+    """dst[:, u] += sum over taps (i, j) of
+    w[i*len(col_shifts) + j] @ src[:, base + u + row_shifts[i] + col_shifts[j]].
 
     dst is (dst channels, cells) and src (src channels, cells) with one
-    contiguous row per channel; w is (taps, dst channels, src channels).
-    The cells of dst go in blocks of `_ROW_BLOCK`, and each block is one
-    GEMM with the taps stacked on dst's side when `stack_dst` (the products
-    of all taps over the block plus its halo, added shifted), else on src's
-    (the tap-shifted source rows gathered under one another).  Callers
-    stack on the side with fewer channels.  Those block temporaries are
-    freed before the next block's are allocated, so one product exists at a
-    time; the first call of a process pins the malloc thresholds
-    (`keep_freed_pages`), so their pages stay with the process.
+    contiguous row per channel; w is (taps, dst channels, src channels),
+    its taps in (row, col) order.  The cells of dst go in blocks of
+    `_ROW_BLOCK`, and each block is one GEMM.  Each tap's shift is the sum
+    of a shift on each side of the GEMM:
+
+    - on the K side, the source windows at the K shifts are stacked by rows
+      into cols(K shifts * src channels, block + halo); a single window
+      stays a view;
+    - on the output side, the product W(output shifts * dst channels,
+      K shifts * src channels) @ cols holds one slice per output shift,
+      and each is added to the block at its shift.
+
+    `_tap_split` of `channels`, the whole conv's (dst, src) channel counts,
+    picks the split: "out" puts every tap on the output side (K shift 0),
+    "k" every tap on K (output shift 0), and "kw" the col shifts on K and
+    the row shifts on the output side.  "kw" is taken when neither count is
+    more than twice the other.  Timed at the desk's shapes (1 BLAS thread,
+    2-core Xeon with AVX-512; dst <- src channels), "kw" took 0.62-0.81 of
+    the time of "out" for 8 <- 8, 16 <- 16 and 32 <- 32, 0.76-0.94 for
+    8 <- 12, 8 <- 16 and 16 <- 32, and 0.78-0.89 of the time of "k" for
+    16 <- 8 and 32 <- 16.  At three times the channels it took 1.02-1.24
+    of "out" (8 <- 24, 16 <- 48) and 0.91-1.04 of "k" (24 <- 8, 48 <- 16),
+    and on few cells it can lose (32 <- 16 at 2x16x16: 1.16-1.21).  The
+    split depends on the whole conv, not on the rows of dst that a call
+    writes, so the input gradient of part of a conv's channels
+    (`Conv3d.split`) is the whole gradient's bit for bit.  A one-tap
+    kernel has no halo and no stacked product: it runs as one block.  The
+    block temporaries are freed before the next block's are allocated, so
+    one product exists at a time; the first call of a process pins the
+    malloc thresholds (`keep_freed_pages`), so their pages stay with the
+    process.
     """
     keep_freed_pages()
-    taps, cd, cs = w.shape
-    lo, hi = min(offsets), max(offsets)
-    ws = w.reshape(taps * cd, cs) if stack_dst else w.transpose(1, 0, 2).reshape(cd, taps * cs)
-    for u0 in range(0, dst.shape[1], _ROW_BLOCK):
-        block = dst[:, u0:u0 + _ROW_BLOCK]
+    taps = [r + c for r in row_shifts for c in col_shifts]
+    outs, ks = {"out": (taps, [0]), "kw": (row_shifts, col_shifts), "k": ([0], taps)}[
+        _tap_split(*channels)]
+    _, cd, cs = w.shape
+    lo, hi = min(outs), max(outs)
+    ws = w.reshape(len(outs), len(ks), cd, cs).transpose(0, 2, 1, 3).reshape(
+        len(outs) * cd, len(ks) * cs)
+    step = _ROW_BLOCK if len(taps) > 1 else dst.shape[1]
+    for u0 in range(0, dst.shape[1], step):
+        block = dst[:, u0:u0 + step]
         n = block.shape[1]
-        s0 = base + u0
-        if stack_dst:
-            y = (ws @ src[:, s0 + lo:s0 + hi + n]).reshape(taps, cd, -1)
-            for k, off in enumerate(offsets):
-                block += y[k, :, off - lo:off - lo + n]
-            del y  # before the next block allocates its product
-        else:
-            block += ws @ np.concatenate([src[:, s0 + off:s0 + off + n] for off in offsets])
+        s0 = base + u0 + lo
+        windows = [src[:, s0 + k:s0 + k + hi - lo + n] for k in ks]
+        y = (ws @ (windows[0] if len(ks) == 1 else np.concatenate(windows))).reshape(
+            len(outs), cd, -1)
+        for i, off in enumerate(outs):
+            block += y[i, :, off - lo:off - lo + n]
+        del y  # before the next block allocates its product
 
 
 class Parameter:
@@ -299,17 +353,31 @@ class Conv3d:
     the interior of the accumulator, whose border holds the GEMMs'
     wrap-around cells; the bias is added to the whole accumulator in place.
     Forward runs `_tap_gemms` once per item and temporal tap: one GEMM per
-    block of `_ROW_BLOCK` output cells, with the kh*kw spatial taps stacked
-    on the side with fewer channels,
+    block of `_ROW_BLOCK` output cells, its kh*kw spatial taps split by
+    the channel counts (`_tap_split`),
 
-    - out <= in: Y = W(taps*out, in) @ X[block + halo], and each tap's
-      slice of Y is added to the block at that tap's shift;
-    - out > in: the tap-shifted input rows are gathered into
+    - neither of in and out more than twice the other ("kw"): the kw
+      col-shifted input rows are stacked into cols(kw*in, block + row
+      halo), Y = W(kh*out, kw*in) @ cols, and each kernel row's slice of
+      Y is added to the block at that row's shift;
+    - in > 2*out ("out"): Y = W(taps*out, in) @ X[block + halo], and each
+      tap's slice of Y is added to the block at that tap's shift;
+    - out > 2*in ("k"): the tap-shifted input rows are gathered into
       cols(taps*in, block), and the block gets W(out, taps*in) @ cols.
 
-    Backward adds X[shifted] @ G.T to each tap's weight gradient and the
-    sum of G to the bias gradient, item by item, so that a batch gives the
-    gradients of its items run one at a time, bit for bit.  It then drops
+    Backward adds the sum of G to the bias gradient and takes the weight
+    gradient GEMMs, item by item, so that a batch gives the gradients of
+    its items run one at a time, bit for bit.  When in <= 2*out
+    (`_gathers_taps`), each block of output cells gathers its tap-shifted
+    input rows into cols(taps*in, block) of about `_COLS_BYTES`, and the
+    weight gradient gets cols @ G[:, block].T; else each tap gets
+    X[shifted] @ G.T over all the cells.  Against one GEMM per tap, the
+    gathered blocks took 0.44-0.46 of the time for 8 -> 8 convs, 0.68-0.93
+    for 16 -> 16, 0.41-0.65 for 16 -> 32, 0.74-0.81 for 32 -> 32,
+    0.54-0.69 for 12 -> 8 and 0.91-0.93 for 1 -> 8, but 1.51-1.53 for the
+    small 8 -> 16 (`enc2a`, about 0.1 ms an item), which the rule keeps
+    for simplicity, and 1.05-1.21 for 24 -> 8 and 48 -> 16, which it
+    excludes (1 BLAS thread, 2-core Xeon with AVX-512).  It then drops
     the padded input (freeing it unless the layer before still holds it)
     and only then allocates the input gradient.  That is `_tap_gemms` the
     other way round: W[tap] (in, out) applied to grad_out at minus each
@@ -325,10 +393,10 @@ class Conv3d:
 
     With `split` set, `backward` returns the gradient of the first `split`
     input channels only and keeps the padded grad_out, and `backward_rest`
-    then gives the gradient of the others and frees it.  Both parts run the
-    GEMM path of the whole conv, picked on all its input channels, so they
-    are the whole gradient's channels bit for bit; a part whose channels
-    alone would take the other path would not be.
+    then gives the gradient of the others and frees it.  Both parts take
+    the tap split of the whole conv, picked on all its input channels, so
+    they are the whole gradient's channels bit for bit; a part whose
+    channels alone would take another split would not be.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
@@ -363,22 +431,23 @@ class Conv3d:
         return "same" if self.kernel[0] == 1 else "valid"
 
     def _taps(self, padded_shape):
-        """(cells per padded frame, lead, rows, spatial tap shifts).
+        """(cells per padded frame, lead, rows, row shifts, col shifts).
 
         Output cell (t, h, w) is cell (t, h + 1, w + 1) of the padded grid,
         `lead` = Wp + 1 cells on from the grid cell at the same (t, h, w),
-        and its tap (ih, iw) reads that grid cell shifted by
-        (ih + oh)*Wp + iw + ow cells, where oh and ow are 0 for a kernel
-        dim of 3 and 1 for a dim of 1, whose one tap is the centre.  `rows`
-        ends at the last output cell kept, so every tap-shifted window of
-        that many cells stays inside the padded input; a block of output
-        rows reads its rows plus a halo of 2 * lead cells.
+        and its tap (ih, iw) reads that grid cell shifted by row shift
+        (ih + oh)*Wp plus col shift iw + ow cells, where oh and ow are 0
+        for a kernel dim of 3 and 1 for a dim of 1, whose one tap is the
+        centre.  `rows` ends at the last output cell kept, so every
+        tap-shifted window of that many cells stays inside the padded
+        input; a block of output rows reads its rows plus a halo of
+        2 * lead cells.
         """
         _, _, T, Hp, Wp = padded_shape
         kt, kh, kw = self.kernel
         oh, ow = (3 - kh) // 2, (3 - kw) // 2
-        shifts = [(ih + oh) * Wp + iw + ow for ih, iw in np.ndindex(kh, kw)]
-        return Hp * Wp, Wp + 1, (T - kt + 1) * Hp * Wp - 2 * (Wp + 1), shifts
+        return (Hp * Wp, Wp + 1, (T - kt + 1) * Hp * Wp - 2 * (Wp + 1),
+                [(ih + oh) * Wp for ih in range(kh)], [iw + ow for iw in range(kw)])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = ensure_array5(x, self.name)
@@ -391,17 +460,17 @@ class Conv3d:
         self._rest = None  # a gradient part that no `backward_rest` took
         xp = _padded(x)
         To = T - kt + 1
-        plane, lead, rows, shifts = self._taps(xp.shape)
+        plane, lead, rows, dy, dx = self._taps(xp.shape)
         w = self.weight.value
         cout = self.out_channels
-        wt = w.transpose(0, 1, 2, 4, 3).reshape(kt, len(shifts), cout, c)  # (kt, taps, out, in)
+        wt = w.transpose(0, 1, 2, 4, 3).reshape(kt, -1, cout, c)  # (kt, taps, out, in)
         xf = xp.reshape(b, c, -1)
         acc = _grid((b, cout, To, H, W), np.result_type(xp, w), zeros=True)
         accf = acc.reshape(b, cout, -1)
         for n in range(b):
             for it in range(kt):
-                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], shifts, it * plane,
-                           cout <= c)
+                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], dy, dx, it * plane,
+                           (cout, c))
         acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
         self._cache = (xp, x.shape, (b, To, H, W, cout))
         return _channels_last(_interior(acc))
@@ -444,7 +513,8 @@ class Conv3d:
         padded = xp.shape
         c = padded[1]
         kt = self.kernel[0]
-        plane, lead, rows, shifts = self._taps(padded)
+        plane, lead, rows, dy, dx = self._taps(padded)
+        shifts = [r + s for r in dy for s in dx]
         # grad_out on its padded grid, each channel's row read from one lead
         # before its grid to one lead after it: a halo of zero border or zero
         # margin in front, so that every tap-shifted read stays inside
@@ -456,14 +526,23 @@ class Conv3d:
         gf = gbuf[:, :, 2 * lead:]
         xf = xp.reshape(b, c, -1)
         wgrad = self.weight.grad.reshape(kt, len(shifts), c, cout)
+        # cells per gathered block: cols(taps * in, block) near _COLS_BYTES
+        step = max(1, _COLS_BYTES // (len(shifts) * c * xp.itemsize))
         for n in range(b):
             # summed from the buffer, so the order does not depend on grad_out's
             # layout, and sample by sample, as the weight gradient is
             self.bias.grad += gbuf[n].sum(axis=1)
             for it in range(kt):
                 x0 = it * plane
-                for k, s in enumerate(shifts):
-                    wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
+                if _gathers_taps(c, cout):
+                    wg = wgrad[it].reshape(-1, cout)
+                    for u0 in range(0, rows, step):
+                        u1 = min(u0 + step, rows)
+                        cols = np.concatenate([xf[n, :, x0 + s + u0:x0 + s + u1] for s in shifts])
+                        wg += cols @ gf[n, :, u0:u1].T
+                else:
+                    for k, s in enumerate(shifts):
+                        wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
         rest = (gbuf, padded, xp.dtype, in_shape)
         del xp, xf  # the input goes before its gradient is allocated
         if self.split is not None:
@@ -482,12 +561,12 @@ class Conv3d:
     def _input_grad(self, gbuf, padded, dtype, in_shape, channels: slice) -> np.ndarray:
         """The input gradient of `channels` (a slice of the input channels):
         `_tap_gemms` the other way round, W[tap] (in, out) applied to `gbuf`
-        at minus each tap's shift, on the GEMM path of the whole conv."""
+        at minus each tap's shift, with the tap split of the whole conv."""
         b, c = padded[:2]
         kt, cout = self.kernel[0], self.out_channels
-        plane, lead, _, shifts = self._taps(padded)
+        plane, lead, _, dy, dx = self._taps(padded)
         To = (gbuf.shape[2] - 2 * lead) // plane
-        w = self.weight.value.reshape(kt, len(shifts), c, cout)[:, :, channels]  # (kt, taps, in, out)
+        w = self.weight.value.reshape(kt, -1, c, cout)[:, :, channels]  # (kt, taps, in, out)
         width = w.shape[2]
         gxp = _grid((b, width, *in_shape[1:4]), dtype, zeros=True)
         gxf = gxp.reshape(b, width, math.prod(padded[2:]))
@@ -496,7 +575,7 @@ class Conv3d:
                 for it in range(kt):
                     x0 = it * plane
                     _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
-                               [-s for s in shifts], 2 * lead, c <= cout)
+                               [-r for r in dy], [-s for s in dx], 2 * lead, (c, cout))
         return _channels_last(_interior(gxp))
 
 

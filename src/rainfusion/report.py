@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import RAIN_CATEGORIES, PrecipCategory, RainGrid, minutes_to_iso, read_grid
-from .verify import score_pairs
+from .verify import _check_neighborhood, score_pairs
 # Not called here: the benchmark's tracer wraps these names on this module.
 from .verify import contingency, fss, fss_components  # noqa: F401
 
@@ -150,10 +150,12 @@ def evaluate_models(predictors, samples, categories=DEFAULT_CATEGORIES,
     ones.  A score that is not applicable is set as None.  Samples must
     share one lead time, two predictors may not share a name, and a
     forecast whose shape differs from its observation's raises ValueError
-    naming the predictor and the target time.
+    naming the predictor and the target time; so does a neighborhood size
+    that is not odd and >= 1, before any observation is read.
     """
     if aggregation not in ("pooled", "per-image"):
         raise ValueError(f"aggregation must be 'pooled' or 'per-image', got {aggregation!r}")
+    _check_neighborhood(neighborhood)  # before any observation is read or predictor called
     if not samples:
         raise ValueError("no samples to evaluate")
     leads = {s.lead_minutes for s in samples}

@@ -349,6 +349,79 @@ class TestGradientsInPlace:
             assert_bits_equal(a, b)
 
 
+class TestDeskGemmForms:
+    # conv -> (forward tap split, input-gradient tap split, weight gradient)
+    # of a desk training step; enc1a computes no input gradient there
+    FORMS = {
+        "enc1a": ("k", None, "gathered"),
+        "enc1b": ("kw", "kw", "gathered"),
+        "enc2a": ("kw", "kw", "gathered"),
+        "enc2b": ("kw", "kw", "gathered"),
+        "bottleneck_a": ("kw", "kw", "gathered"),
+        "bottleneck_b": ("kw", "kw", "gathered"),
+        "dec2a": ("out", "k", "per tap"),
+        "dec2b": ("kw", "kw", "gathered"),
+        "dec1a": ("out", "k", "per tap"),
+        "dec1b": ("kw", "kw", "gathered"),
+        "head_a": ("out", "k", "per tap"),
+        "head_b": ("kw", "kw", "gathered"),
+    }
+
+    @pytest.mark.parametrize("variant", ["radar", "multimodal"])
+    def test_desk_step_gemm_forms(self, variant, monkeypatch):
+        """The tap split (`_tap_split`) that each conv of a desk training
+        step takes in its forward and in its input gradient, and its
+        weight-gradient form (`_gathers_taps`): a change of either rule
+        shows here.  The multimodal enc1a (12 -> 8) differs from the
+        radar's (1 -> 8)."""
+        config = replace(DESK, variant=variant, base_channels=8)
+        rng = np.random.default_rng(12)
+        x = rng.random((2, 6, 64, 64, config.in_channels), dtype=np.float32)
+        y = rng.random((2, 1, 64, 64, 1), dtype=np.float32)
+        model = UNet3D(config, seed=26)
+        log, forms = [], {}
+
+        def logged(rule, name):
+            def call(*channels):
+                log.append((name, rule(*channels)))
+                return log[-1][1]
+            return call
+
+        def traced(conv, method):
+            run = getattr(conv, method)
+
+            def call(*args):
+                start = len(log)
+                out = run(*args)
+                forms.setdefault(conv.name, set()).update(
+                    (method == "forward", *entry) for entry in log[start:])
+                return out
+            return call
+
+        monkeypatch.setattr(nn_layers, "_tap_split", logged(nn_layers._tap_split, "split"))
+        monkeypatch.setattr(nn_layers, "_gathers_taps",
+                            logged(nn_layers._gathers_taps, "gathers"))
+        for conv in model.conv_layers():
+            for method in ("forward", "backward", "backward_rest"):
+                setattr(conv, method, traced(conv, method))
+        out = model.forward(x)
+        _, grad = logcosh_loss(out, y)
+        model.zero_grad()
+        model.backward(grad.astype(out.dtype, copy=False), input_grad=False)
+        got = {}
+        for name, seen in forms.items():
+            forward = {v for f, rule, v in seen if f and rule == "split"}
+            backward = {v for f, rule, v in seen if not f and rule == "split"}
+            gathers = {v for f, rule, v in seen if rule == "gathers"}
+            assert len(forward) == 1 and len(backward) <= 1 and len(gathers) == 1, name
+            got[name] = (forward.pop(), backward.pop() if backward else None,
+                         "gathered" if gathers.pop() else "per tap")
+        want = dict(self.FORMS)
+        if variant == "multimodal":
+            want["enc1a"] = ("kw", None, "gathered")
+        assert got == want
+
+
 class TestOneLayout:
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_desk_step_arrays_are_found_by_buffer(self, variant):

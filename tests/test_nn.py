@@ -344,9 +344,9 @@ class TestConv3d:
         """With `split` set, `backward` gives the gradient of the first
         `split` input channels and `backward_rest` that of the others:
         together the whole gradient, bit for bit, with the same parameter
-        gradients.  Both parts take the whole conv's GEMM path, also where a
-        part alone would take the other one (the 8 channels after the split
-        of 24 -> 8 would stack, 24 gathers)."""
+        gradients.  Both parts take the whole conv's tap split, also where a
+        part alone would take another one (the 16 or 8 channels of either
+        part of 24 -> 8 would take "kw", 24 takes "k")."""
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 2, 40, 36, cin)).astype(np.float32)  # several GEMM blocks
         g = rng.normal(size=(2, 2, 40, 36, cout)).astype(np.float32)
@@ -379,6 +379,64 @@ class TestConv3d:
             Conv3d(1, 1, kernel=(2, 3, 3)).forward(np.zeros((1, 1, 3, 3, 1)))
 
 
+def conv_direct_f64(x, w, g):
+    """Float64 direct sums over the taps of a conv zero-padded in rows and
+    cols: its output without bias, the input gradient of the output
+    gradient `g`, and the weight gradient."""
+    x, w, g = (np.asarray(a, np.float64) for a in (x, w, g))
+    H, W = x.shape[2:4]
+    kt, kh, kw = w.shape[:3]
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw), (0, 0)))
+    out, gxp, gw = np.zeros(g.shape), np.zeros_like(xp), np.zeros_like(w)
+    for dt, di, dj in np.ndindex(kt, kh, kw):
+        window = (slice(None), slice(dt, dt + g.shape[1]), slice(di, di + H), slice(dj, dj + W))
+        out += xp[window] @ w[dt, di, dj]
+        gxp[window] += g @ w[dt, di, dj].T
+        gw[dt, di, dj] = np.tensordot(xp[window], g, axes=([0, 1, 2, 3], [0, 1, 2, 3]))
+    return out, gxp[:, :, ph:ph + H, pw:pw + W], gw
+
+
+class TestTapSplits:
+    """Each GEMM form of a conv against float64 direct sums."""
+
+    # (in, out, kernel, input (t, h, w), forward split, input-gradient split,
+    # gathered weight gradient): each side of the "kw" rule (channel counts
+    # within twice each other) and of the gather rule (in <= 2 * out), the
+    # kt = 6 head and a 1x1 kernel; every 3x3 case spans two GEMM blocks
+    # (`_ROW_BLOCK`) and several gathered blocks (`_COLS_BYTES`)
+    CASES = [
+        (8, 8, (1, 3, 3), (3, 40, 36), "kw", "kw", True),
+        (16, 8, (1, 3, 3), (3, 40, 36), "kw", "kw", True),
+        (24, 8, (1, 3, 3), (3, 40, 36), "out", "k", False),
+        (8, 16, (1, 3, 3), (3, 40, 36), "kw", "kw", True),
+        (8, 24, (1, 3, 3), (3, 40, 36), "k", "out", True),
+        (1, 8, (1, 3, 3), (3, 40, 36), "k", "out", True),
+        (8, 2, (6, 3, 3), (6, 64, 64), "out", "k", False),
+        (2, 1, (1, 1, 1), (1, 64, 64), "kw", "kw", True),
+    ]
+
+    @pytest.mark.parametrize("dtype,bound", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "{}-{}-{}x{}x{}-{}-{}-{}".format(
+        *c[:2], *c[2], *c[4:6], "gathered" if c[6] else "per-tap"))
+    def test_matches_float64_direct_sums(self, case, dtype, bound):
+        cin, cout, kernel, dims, forward, backward, gathered = case
+        assert layers._tap_split(cout, cin) == forward
+        assert layers._tap_split(cin, cout) == backward
+        assert layers._gathers_taps(cin, cout) == gathered
+        rng = np.random.default_rng(cin * 100 + cout)
+        conv = Conv3d(cin, cout, kernel, rng=rng, dtype=dtype)
+        conv.bias.value[...] = rng.normal(size=cout)
+        x = rng.normal(size=(2, *dims, cin)).astype(dtype)
+        g = rng.normal(size=(2, dims[0] - kernel[0] + 1, *dims[1:], cout)).astype(dtype)
+        out, gx, gw, _ = conv_step(conv, x, g)
+        want = conv_direct_f64(x, conv.weight.value, g)
+        got = (out - conv.bias.value, gx, gw)
+        for name, a, b in zip(("output", "input gradient", "weight gradient"), got, want):
+            assert a.dtype == dtype
+            assert np.abs(a - b).max() <= bound * np.abs(b).max(), name
+
+
 def conv_step(conv, x, g):
     """(output, input gradient, weight gradient, bias gradient) of one
     forward and backward, the gradients accumulated from zero."""
@@ -392,9 +450,9 @@ class TestGemmScratch:
     """The conv GEMM block temporaries are private to the call that makes
     them."""
 
-    # (in, out, kernel, input (b, t, h, w)): both GEMM forms (out <= in
-    # stacks the products, out > in gathers the taps), and inputs of one
-    # block and of several
+    # (in, out, kernel, input (b, t, h, w)): every tap split ("kw" both ways
+    # for 3 -> 2 and 8 -> 5; "k" forward and "out" backward for 4 -> 12 and
+    # 2 -> 6), and inputs of one block and of several
     CONVS = [
         (3, 2, (1, 3, 3), (2, 2, 6, 5)),
         (4, 12, (3, 3, 3), (2, 4, 40, 36)),
@@ -899,7 +957,7 @@ class TestPaddedGradientReuse:
     into such a grid (`_bordered_copy`), and both give the same gradients
     bit for bit."""
 
-    # (in, out, kernel, batch): both GEMM paths, a temporal kernel, a 1x1
+    # (in, out, kernel, batch): two tap splits, a temporal kernel, a 1x1
     # kernel, and batches whose rows run into the next sample's border
     CONVS = [(3, 2, (1, 3, 3), 2), (2, 5, (1, 3, 3), 1), (4, 3, (2, 3, 3), 2),
              (2, 3, (1, 1, 1), 2)]

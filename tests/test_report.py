@@ -149,13 +149,19 @@ class TestEvaluateModels:
             evaluate_models([("m", lambda s: None)], [])
 
     def test_even_neighborhood_rejected(self, tmp_path):
-        """An all-valid block is scored on the integer path, which checks
-        `n` too: no table is made with an even neighborhood."""
+        """No table is made with an even neighborhood, and the check comes
+        before any predictor runs: a predictor may be a network nowcast."""
         fields = [np.full((8, 8), 10.0, dtype=np.float32)] * 7
-        sample = _sample(tmp_path, "a", fields)
+        samples = [_sample(tmp_path, name, fields) for name in "abc"]
+        calls = []
+
+        def echo(s):
+            calls.append(s)
+            return read_grid(s.target_path)
+
         with pytest.raises(ValueError, match="neighborhood size n must be odd and >= 1, got 4"):
-            evaluate_models([("echo", lambda s: read_grid(s.target_path))], [sample],
-                            neighborhood=4)
+            evaluate_models([("echo", echo)], samples, neighborhood=4)
+        assert calls == []
 
     def test_repeated_predictor_name_rejected(self, tmp_path):
         """Two predictors of one name would pool their pairs into one column."""
