@@ -345,6 +345,8 @@ def read_index(path) -> list[IndexEntry]:
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: malformed timestamp {ts!r}, expected {_TS_FORMAT}") from None
+        if not radar.strip():
+            raise ValueError(f"{path}:{lineno}: empty radar path")
         radar = str(base / radar) if not Path(radar).is_absolute() else radar
         if sat != "-" and not Path(sat).is_absolute():
             sat = str(base / sat)

@@ -32,17 +32,21 @@ and cols, zero-pad so spatial dims are preserved, and never pad time: a
 temporal extent kt takes T frames to T - kt + 1.  A convolution is one
 stacked-tap GEMM per block of output cells on shifted windows of its
 padded input, so no im2col copy of the whole input is made, and the
-padded input is all it caches.  Its spatial taps are split between the
-two sides of each GEMM by the conv's channel counts (`_tap_split`): when
-neither side has more than twice the other's channels, the kw taps of a
-kernel row are stacked on K and the kh rows on the output side; else
-every tap goes on the side with fewer channels.  Its weight gradient is
-one GEMM per block of gathered tap-shifted input rows when in <= 2*out
-(`_gathers_taps`), else one whole-row GEMM per tap.  Pooling uses
-non-overlapping windows with ceiling semantics, so a ragged last window
-simply shrinks; upsampling is nearest-neighbor repetition cropped to the
-dims of the skip it is joined to, which inverts ceiling-pooled sizes
-exactly.
+padded input is all it caches.  One test of its channel counts picks its
+GEMMs: whether it is wide-input, in > 2*out (`Conv3d.wide_input`; the
+decoder convs that read `[upsampled | skip]`, and `head_a`).  A
+wide-input forward puts every spatial tap on the output side of each
+GEMM ("out"); every other forward, and every input gradient, stacks the
+kw taps of a kernel row on K and puts the kh rows on the output side
+("kw").  Its weight gradient is one whole-row GEMM per tap when it is
+wide-input, else one GEMM per block of gathered tap-shifted input rows.
+At the desk's shapes (1 BLAS thread), "out" took 0.87-1.00 of the time
+of "kw" on the wide-input decoder forwards and 1.19-1.99 on every
+forward that is not wide-input; the ratios per form are in the `Conv3d`
+docstring.  Pooling uses non-overlapping windows with ceiling semantics,
+so a ragged last window simply shrinks; upsampling is nearest-neighbor
+repetition cropped to the dims of the skip it is joined to, which
+inverts ceiling-pooled sizes exactly.
 
 Each layer keeps what its backward needs in one attribute, `_cache`, from a
 forward to the backward that follows it.  Backward takes the cache and
@@ -239,32 +243,15 @@ def upsample(x: np.ndarray, factors, skip: np.ndarray) -> np.ndarray:
     return _channels_last(out)
 
 
-def _tap_split(dst: int, src: int) -> str:
-    """Where a conv GEMM puts the spatial taps (see `_tap_gemms`), from the
-    whole conv's channel counts on the side it writes (`dst`) and reads
-    (`src`): "kw" when neither count is more than twice the other, else
-    "out" when src > 2*dst and "k" when dst > 2*src."""
-    if src <= 2 * dst and dst <= 2 * src:
-        return "kw"
-    return "out" if dst <= src else "k"
-
-
-def _gathers_taps(cin: int, cout: int) -> bool:
-    """Whether a conv of `cin` to `cout` channels takes its weight gradient
-    from blocks of gathered tap-shifted input rows rather than one
-    whole-row GEMM per tap (see `Conv3d.backward`)."""
-    return cin <= 2 * cout
-
-
-def _tap_gemms(dst, src, w, row_shifts, col_shifts, base, channels):
+def _tap_gemms(dst, src, w, out_shifts, k_shifts, base):
     """dst[:, u] += sum over taps (i, j) of
-    w[i*len(col_shifts) + j] @ src[:, base + u + row_shifts[i] + col_shifts[j]].
+    w[i*len(k_shifts) + j] @ src[:, base + u + out_shifts[i] + k_shifts[j]].
 
     dst is (dst channels, cells) and src (src channels, cells) with one
     contiguous row per channel; w is (taps, dst channels, src channels),
-    its taps in (row, col) order.  The cells of dst go in blocks of
-    `_ROW_BLOCK`, and each block is one GEMM.  Each tap's shift is the sum
-    of a shift on each side of the GEMM:
+    its taps in (output shift, K shift) order.  The cells of dst go in
+    blocks of `_ROW_BLOCK`, and each block is one GEMM.  Each tap's shift
+    is the sum of a shift on each side of the GEMM:
 
     - on the K side, the source windows at the K shifts are stacked by rows
       into cols(K shifts * src channels, block + halo); a single window
@@ -273,43 +260,33 @@ def _tap_gemms(dst, src, w, row_shifts, col_shifts, base, channels):
       K shifts * src channels) @ cols holds one slice per output shift,
       and each is added to the block at its shift.
 
-    `_tap_split` of `channels`, the whole conv's (dst, src) channel counts,
-    picks the split: "out" puts every tap on the output side (K shift 0),
-    "k" every tap on K (output shift 0), and "kw" the col shifts on K and
-    the row shifts on the output side.  "kw" is taken when neither count is
-    more than twice the other.  Timed at the desk's shapes (1 BLAS thread,
-    2-core Xeon with AVX-512; dst <- src channels), "kw" took 0.62-0.81 of
-    the time of "out" for 8 <- 8, 16 <- 16 and 32 <- 32, 0.76-0.94 for
-    8 <- 12, 8 <- 16 and 16 <- 32, and 0.78-0.89 of the time of "k" for
-    16 <- 8 and 32 <- 16.  At three times the channels it took 1.02-1.24
-    of "out" (8 <- 24, 16 <- 48) and 0.91-1.04 of "k" (24 <- 8, 48 <- 16),
-    and on few cells it can lose (32 <- 16 at 2x16x16: 1.16-1.21).  The
-    split depends on the whole conv, not on the rows of dst that a call
-    writes, so the input gradient of part of a conv's channels
-    (`Conv3d.split`) is the whole gradient's bit for bit.  A one-tap
-    kernel has no halo and no stacked product: it runs as one block.  The
-    block temporaries are freed before the next block's are allocated, so
-    one product exists at a time; the first call of a process pins the
-    malloc thresholds (`keep_freed_pages`), so their pages stay with the
-    process.
+    The caller splits the taps: a kernel's row shifts on the output side
+    and its col shifts on K ("kw"), or every tap on the output side and one
+    K shift of 0 ("out").  `Conv3d` takes "out" for the forward of a
+    wide-input conv, in > 2*out (`Conv3d.wide_input`), and "kw" for every
+    other forward and every input gradient.  Timed at the desk's shapes
+    (1 BLAS thread), "out" took 0.87-1.00 of the time of "kw" on the
+    wide-input decoder forwards, 1.19-1.99 on the other forwards and
+    1.11-2.45 on every input gradient (see `Conv3d`).  A one-tap kernel has
+    no halo and no stacked product: it runs as one block.  The block
+    temporaries are freed before the next block's are allocated, so one
+    product exists at a time; the first call of a process pins the malloc
+    thresholds (`keep_freed_pages`), so their pages stay with the process.
     """
     keep_freed_pages()
-    taps = [r + c for r in row_shifts for c in col_shifts]
-    outs, ks = {"out": (taps, [0]), "kw": (row_shifts, col_shifts), "k": ([0], taps)}[
-        _tap_split(*channels)]
     _, cd, cs = w.shape
-    lo, hi = min(outs), max(outs)
-    ws = w.reshape(len(outs), len(ks), cd, cs).transpose(0, 2, 1, 3).reshape(
-        len(outs) * cd, len(ks) * cs)
-    step = _ROW_BLOCK if len(taps) > 1 else dst.shape[1]
+    lo, hi = min(out_shifts), max(out_shifts)
+    ws = w.reshape(len(out_shifts), len(k_shifts), cd, cs).transpose(0, 2, 1, 3).reshape(
+        len(out_shifts) * cd, len(k_shifts) * cs)
+    step = _ROW_BLOCK if len(out_shifts) * len(k_shifts) > 1 else dst.shape[1]
     for u0 in range(0, dst.shape[1], step):
         block = dst[:, u0:u0 + step]
         n = block.shape[1]
         s0 = base + u0 + lo
-        windows = [src[:, s0 + k:s0 + k + hi - lo + n] for k in ks]
-        y = (ws @ (windows[0] if len(ks) == 1 else np.concatenate(windows))).reshape(
-            len(outs), cd, -1)
-        for i, off in enumerate(outs):
+        windows = [src[:, s0 + k:s0 + k + hi - lo + n] for k in k_shifts]
+        y = (ws @ (windows[0] if len(k_shifts) == 1 else np.concatenate(windows))).reshape(
+            len(out_shifts), cd, -1)
+        for i, off in enumerate(out_shifts):
             block += y[i, :, off - lo:off - lo + n]
         del y  # before the next block allocates its product
 
@@ -353,40 +330,49 @@ class Conv3d:
     the interior of the accumulator, whose border holds the GEMMs'
     wrap-around cells; the bias is added to the whole accumulator in place.
     Forward runs `_tap_gemms` once per item and temporal tap: one GEMM per
-    block of `_ROW_BLOCK` output cells, its kh*kw spatial taps split by
-    the channel counts (`_tap_split`),
+    block of `_ROW_BLOCK` output cells, its kh*kw spatial taps split by one
+    test, whether the conv is wide-input, in > 2*out (`wide_input`):
 
-    - neither of in and out more than twice the other ("kw"): the kw
-      col-shifted input rows are stacked into cols(kw*in, block + row
-      halo), Y = W(kh*out, kw*in) @ cols, and each kernel row's slice of
-      Y is added to the block at that row's shift;
-    - in > 2*out ("out"): Y = W(taps*out, in) @ X[block + halo], and each
-      tap's slice of Y is added to the block at that tap's shift;
-    - out > 2*in ("k"): the tap-shifted input rows are gathered into
-      cols(taps*in, block), and the block gets W(out, taps*in) @ cols.
+    - not wide-input ("kw"): the kw col-shifted input rows are stacked into
+      cols(kw*in, block + row halo), Y = W(kh*out, kw*in) @ cols, and each
+      kernel row's slice of Y is added to the block at that row's shift;
+    - wide-input ("out"): Y = W(taps*out, in) @ X[block + halo], and each
+      tap's slice of Y is added to the block at that tap's shift.
+
+    Timed per form at the desk's shapes (64x64, levels 3, base 8, one
+    item; 1 BLAS thread, 2-core Xeon with AVX-512; interquartile range of
+    80 interleaved pairs), "out" took 0.87-0.91 of the time of "kw" on the
+    48 -> 16 `dec2a`, 0.91-1.00 on the 24 -> 8 `dec1a` and 1.15-1.24 on
+    the kt = 6, 8 -> 2 `head_a`, and 1.19-1.99 on every conv that is not
+    wide-input (about 10 on the radar 1 -> 8 `enc1a`).  Every tap on K
+    ("k", with cols(taps*in, block) gathered), which no conv takes, took
+    1.10-1.97 of "kw" on most convs that are not wide-input, 0.97-1.08 on
+    the multimodal 8 -> 16 `enc2a` and 32 -> 32 `bottleneck_b`, and less
+    only on the radar 1 -> 8 `enc1a` (0.66-0.72, 0.11 ms an item) and the
+    multimodal 16 -> 32 `bottleneck_a` (0.84-0.91, 0.02 ms an item).
 
     Backward adds the sum of G to the bias gradient and takes the weight
     gradient GEMMs, item by item, so that a batch gives the gradients of
-    its items run one at a time, bit for bit.  When in <= 2*out
-    (`_gathers_taps`), each block of output cells gathers its tap-shifted
-    input rows into cols(taps*in, block) of about `_COLS_BYTES`, and the
-    weight gradient gets cols @ G[:, block].T; else each tap gets
+    its items run one at a time, bit for bit.  A conv that is not
+    wide-input gathers the tap-shifted input rows of each block of output
+    cells into cols(taps*in, block) of about `_COLS_BYTES`, and the weight
+    gradient gets cols @ G[:, block].T; a wide-input conv gives each tap
     X[shifted] @ G.T over all the cells.  Against one GEMM per tap, the
-    gathered blocks took 0.44-0.46 of the time for 8 -> 8 convs, 0.68-0.93
-    for 16 -> 16, 0.41-0.65 for 16 -> 32, 0.74-0.81 for 32 -> 32,
-    0.54-0.69 for 12 -> 8 and 0.91-0.93 for 1 -> 8, but 1.51-1.53 for the
-    small 8 -> 16 (`enc2a`, about 0.1 ms an item), which the rule keeps
-    for simplicity, and 1.05-1.21 for 24 -> 8 and 48 -> 16, which it
-    excludes (1 BLAS thread, 2-core Xeon with AVX-512).  It then drops
+    gathered blocks took 0.41-0.50 of the time for the 8 -> 8 convs,
+    0.56-0.59 for 16 -> 32 and 0.74-0.80 for 16 -> 16 and 32 -> 32 at the
+    radar net's dims, 0.64-0.70 for the multimodal 12 -> 8 and 0.81-0.88
+    for the radar 1 -> 8, but 1.33-1.57 for 8 -> 16 and for the multimodal
+    16 -> 16 convs at 3x32x32, and 1.10-1.20 for its 32 -> 32 at 2x16x16,
+    which the test keeps for simplicity; on the wide-input convs they took
+    1.07-1.33 (`dec2a`, `dec1a`) and 2.00-2.21 (`head_a`).  It then drops
     the padded input (freeing it unless the layer before still holds it)
-    and only then allocates the input gradient.  That is `_tap_gemms` the
-    other way round: W[tap] (in, out) applied to grad_out at minus each
-    tap's shift, read from a padded grid behind a zero margin of one halo:
-    the rows of grad_out's own allocation when it is the interior of a grid
-    with a zero border and zero margins (`_padded` with `margins`; ReLU's
-    backward writes it so), else of a zero-bordered copy's.  The input
-    gradient is a zeroed grid too.  Only the padded input
-    is cached, from a forward to its backward, which frees it.
+    and only then allocates the input gradient (`_input_grad`), in the
+    "kw" form whatever the channels, read from a padded grid behind a zero
+    margin of one halo: the rows of grad_out's own allocation when it is
+    the interior of a grid with a zero border and zero margins (`_padded`
+    with `margins`; ReLU's backward writes it so), else of a zero-bordered
+    copy's.  The input gradient is a zeroed grid too.  Only the padded
+    input is cached, from a forward to its backward, which frees it.
     `drop_input` frees it early, after the forward, and `restore_input`
     caches a rebuilt copy of the input before the backward; `rerun` runs
     the forward again on the cached input, read in place.
@@ -394,9 +380,8 @@ class Conv3d:
     With `split` set, `backward` returns the gradient of the first `split`
     input channels only and keeps the padded grad_out, and `backward_rest`
     then gives the gradient of the others and frees it.  Both parts take
-    the tap split of the whole conv, picked on all its input channels, so
-    they are the whole gradient's channels bit for bit; a part whose
-    channels alone would take another split would not be.
+    the one input-gradient form, each on its own rows of the weights, so
+    they are the whole gradient's channels bit for bit.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
@@ -423,6 +408,13 @@ class Conv3d:
 
     def params(self):
         return [self.weight, self.bias]
+
+    @property
+    def wide_input(self) -> bool:
+        """Whether the conv has more than twice as many input channels as
+        output channels, the one test that picks its forward's tap split and
+        its weight-gradient form."""
+        return self.in_channels > 2 * self.out_channels
 
     @property
     def temporal_pad(self) -> str:
@@ -461,6 +453,7 @@ class Conv3d:
         xp = _padded(x)
         To = T - kt + 1
         plane, lead, rows, dy, dx = self._taps(xp.shape)
+        outs, ks = ([r + s for r in dy for s in dx], [0]) if self.wide_input else (dy, dx)
         w = self.weight.value
         cout = self.out_channels
         wt = w.transpose(0, 1, 2, 4, 3).reshape(kt, -1, cout, c)  # (kt, taps, out, in)
@@ -469,8 +462,7 @@ class Conv3d:
         accf = acc.reshape(b, cout, -1)
         for n in range(b):
             for it in range(kt):
-                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], dy, dx, it * plane,
-                           (cout, c))
+                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], outs, ks, it * plane)
         acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
         self._cache = (xp, x.shape, (b, To, H, W, cout))
         return _channels_last(_interior(acc))
@@ -534,15 +526,15 @@ class Conv3d:
             self.bias.grad += gbuf[n].sum(axis=1)
             for it in range(kt):
                 x0 = it * plane
-                if _gathers_taps(c, cout):
+                if self.wide_input:
+                    for k, s in enumerate(shifts):
+                        wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
+                else:
                     wg = wgrad[it].reshape(-1, cout)
                     for u0 in range(0, rows, step):
                         u1 = min(u0 + step, rows)
                         cols = np.concatenate([xf[n, :, x0 + s + u0:x0 + s + u1] for s in shifts])
                         wg += cols @ gf[n, :, u0:u1].T
-                else:
-                    for k, s in enumerate(shifts):
-                        wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
         rest = (gbuf, padded, xp.dtype, in_shape)
         del xp, xf  # the input goes before its gradient is allocated
         if self.split is not None:
@@ -561,7 +553,13 @@ class Conv3d:
     def _input_grad(self, gbuf, padded, dtype, in_shape, channels: slice) -> np.ndarray:
         """The input gradient of `channels` (a slice of the input channels):
         `_tap_gemms` the other way round, W[tap] (in, out) applied to `gbuf`
-        at minus each tap's shift, with the tap split of the whole conv."""
+        at minus each tap's shift, in the "kw" form for every conv: the kw
+        col-shifted rows of `gbuf` stacked on K, the kh row shifts on the
+        output side.  Timed as in `Conv3d`, every tap on K took 1.00-1.66
+        of the time of "kw" on each part of `dec2a` and `dec1a` (the radar
+        `dec1a` skip part 1.50 against 0.93 ms an item) but 0.78-0.88 on
+        the kt = 6 `head_a`, and every tap on the output side took
+        1.11-2.45 of "kw" on every desk conv."""
         b, c = padded[:2]
         kt, cout = self.kernel[0], self.out_channels
         plane, lead, _, dy, dx = self._taps(padded)
@@ -575,7 +573,7 @@ class Conv3d:
                 for it in range(kt):
                     x0 = it * plane
                     _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
-                               [-r for r in dy], [-s for s in dx], 2 * lead, (c, cout))
+                               [-r for r in dy], [-s for s in dx], 2 * lead)
         return _channels_last(_interior(gxp))
 
 
@@ -751,9 +749,10 @@ class ReLU:
     propagates (NaN * 0 is NaN) instead of being masked, so `Adam.step`
     raises and names the block.  The gradient is written into a new grid
     whose border is zeroed: the conv before reads it in place as its padded
-    incoming gradient.  When grad is the interior of a grid (a conv's input
-    gradient, a pool's or an upsample's), both whole grids are multiplied
-    in contiguous passes; else only the interior is written.
+    incoming gradient.  Like forward, it runs over the whole grid that grad
+    is the interior of (a conv's input gradient, a pool's or an
+    upsample's), else over a bordered copy of grad, multiplying whole grids
+    in contiguous passes.
     """
 
     def __init__(self):
@@ -780,11 +779,10 @@ class ReLU:
         shape = _channels_last(_interior(out)).shape
         if grad_out.shape != shape:
             raise ValueError(f"relu grad shape {grad_out.shape} != output shape {shape}")
+        src = _buffer(grad_out)
+        if src is None:
+            src = _bordered_copy(grad_out)
         g = _grid(_channels_first(grad_out).shape, grad_out.dtype)
-        whole = _buffer(grad_out)
-        if whole is None:
-            np.multiply(_channels_first(grad_out), _interior(out) > 0, out=_zero_border(g))
-        else:
-            np.multiply(whole, out > 0, out=g)
+        np.multiply(src, out > 0, out=g)
         g += 0
         return _channels_last(_zero_border(g))

@@ -283,6 +283,13 @@ class TestIndex:
         with pytest.raises(ValueError):
             read_index(p)
 
+    @pytest.mark.parametrize("radar", ["", "  "], ids=["empty", "blank"])
+    def test_empty_radar_path_names_line(self, tmp_path, radar):
+        p = tmp_path / "index.tsv"
+        p.write_text(f"2021-07-14T12:55Z\ta.rfg\t-\n2021-07-14T13:00Z\t{radar}\t-\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: empty radar path")):
+            read_index(p)
+
     def test_malformed_timestamp_names_line(self, tmp_path):
         p = tmp_path / "index.tsv"
         p.write_text("2021-07-14T12:55Z\ta.rfg\t-\n2021-07-14 13:00\tb.rfg\t-\n")

@@ -350,42 +350,32 @@ class TestGradientsInPlace:
 
 
 class TestDeskGemmForms:
-    # conv -> (forward tap split, input-gradient tap split, weight gradient)
-    # of a desk training step; enc1a computes no input gradient there
-    FORMS = {
-        "enc1a": ("k", None, "gathered"),
-        "enc1b": ("kw", "kw", "gathered"),
-        "enc2a": ("kw", "kw", "gathered"),
-        "enc2b": ("kw", "kw", "gathered"),
-        "bottleneck_a": ("kw", "kw", "gathered"),
-        "bottleneck_b": ("kw", "kw", "gathered"),
-        "dec2a": ("out", "k", "per tap"),
-        "dec2b": ("kw", "kw", "gathered"),
-        "dec1a": ("out", "k", "per tap"),
-        "dec1b": ("kw", "kw", "gathered"),
-        "head_a": ("out", "k", "per tap"),
-        "head_b": ("kw", "kw", "gathered"),
-    }
+    # whether each conv of the desk network is wide-input (in > 2 * out): the
+    # one test that puts every tap of its forward on the output side ("out",
+    # else "kw") and takes its weight gradient per tap (else from gathered
+    # blocks); every input gradient takes "kw"
+    WIDE = {"enc1a": False, "enc1b": False, "enc2a": False, "enc2b": False,
+            "bottleneck_a": False, "bottleneck_b": False, "dec2a": True, "dec2b": False,
+            "dec1a": True, "dec1b": False, "head_a": True, "head_b": False}
 
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_desk_step_gemm_forms(self, variant, monkeypatch):
-        """The tap split (`_tap_split`) that each conv of a desk training
-        step takes in its forward and in its input gradient, and its
-        weight-gradient form (`_gathers_taps`): a change of either rule
-        shows here.  The multimodal enc1a (12 -> 8) differs from the
-        radar's (1 -> 8)."""
+        """Which convs of a desk training step are wide-input, and the tap
+        split that each takes in its forward and in its input gradient: a
+        change of the test shows here.  The multimodal enc1a (12 -> 8) and
+        the radar's (1 -> 8) are both not wide-input; enc1a computes no
+        input gradient in a training step."""
         config = replace(DESK, variant=variant, base_channels=8)
         rng = np.random.default_rng(12)
         x = rng.random((2, 6, 64, 64, config.in_channels), dtype=np.float32)
         y = rng.random((2, 1, 64, 64, 1), dtype=np.float32)
         model = UNet3D(config, seed=26)
         log, forms = [], {}
+        tap_gemms = nn_layers._tap_gemms
 
-        def logged(rule, name):
-            def call(*channels):
-                log.append((name, rule(*channels)))
-                return log[-1][1]
-            return call
+        def spy(dst, src, w, out_shifts, k_shifts, base):
+            log.append("out" if k_shifts == [0] else "kw")
+            return tap_gemms(dst, src, w, out_shifts, k_shifts, base)
 
         def traced(conv, method):
             run = getattr(conv, method)
@@ -393,14 +383,11 @@ class TestDeskGemmForms:
             def call(*args):
                 start = len(log)
                 out = run(*args)
-                forms.setdefault(conv.name, set()).update(
-                    (method == "forward", *entry) for entry in log[start:])
+                forms.setdefault((conv.name, method == "forward"), set()).update(log[start:])
                 return out
             return call
 
-        monkeypatch.setattr(nn_layers, "_tap_split", logged(nn_layers._tap_split, "split"))
-        monkeypatch.setattr(nn_layers, "_gathers_taps",
-                            logged(nn_layers._gathers_taps, "gathers"))
+        monkeypatch.setattr(nn_layers, "_tap_gemms", spy)
         for conv in model.conv_layers():
             for method in ("forward", "backward", "backward_rest"):
                 setattr(conv, method, traced(conv, method))
@@ -408,18 +395,11 @@ class TestDeskGemmForms:
         _, grad = logcosh_loss(out, y)
         model.zero_grad()
         model.backward(grad.astype(out.dtype, copy=False), input_grad=False)
-        got = {}
-        for name, seen in forms.items():
-            forward = {v for f, rule, v in seen if f and rule == "split"}
-            backward = {v for f, rule, v in seen if not f and rule == "split"}
-            gathers = {v for f, rule, v in seen if rule == "gathers"}
-            assert len(forward) == 1 and len(backward) <= 1 and len(gathers) == 1, name
-            got[name] = (forward.pop(), backward.pop() if backward else None,
-                         "gathered" if gathers.pop() else "per tap")
-        want = dict(self.FORMS)
-        if variant == "multimodal":
-            want["enc1a"] = ("kw", None, "gathered")
-        assert got == want
+        assert {conv.name: conv.wide_input for conv in model.conv_layers()} == self.WIDE
+        want = {(name, True): {"out" if wide else "kw"} for name, wide in self.WIDE.items()}
+        want.update({(name, False): {"kw"} for name in self.WIDE})
+        want[("enc1a", False)] = set()
+        assert forms == want
 
 
 class TestOneLayout:

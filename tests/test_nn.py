@@ -344,9 +344,8 @@ class TestConv3d:
         """With `split` set, `backward` gives the gradient of the first
         `split` input channels and `backward_rest` that of the others:
         together the whole gradient, bit for bit, with the same parameter
-        gradients.  Both parts take the whole conv's tap split, also where a
-        part alone would take another one (the 16 or 8 channels of either
-        part of 24 -> 8 would take "kw", 24 takes "k")."""
+        gradients.  Both parts take the one input-gradient form ("kw"), each
+        on its own rows of the weights."""
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 2, 40, 36, cin)).astype(np.float32)  # several GEMM blocks
         g = rng.normal(size=(2, 2, 40, 36, cout)).astype(np.float32)
@@ -400,36 +399,45 @@ def conv_direct_f64(x, w, g):
 class TestTapSplits:
     """Each GEMM form of a conv against float64 direct sums."""
 
-    # (in, out, kernel, input (t, h, w), forward split, input-gradient split,
-    # gathered weight gradient): each side of the "kw" rule (channel counts
-    # within twice each other) and of the gather rule (in <= 2 * out), the
-    # kt = 6 head and a 1x1 kernel; every 3x3 case spans two GEMM blocks
+    # (in, out, kernel, input (t, h, w), wide-input): each side of the one
+    # test (in > 2 * out), which puts a forward's taps all on the output
+    # side ("out", else "kw") and takes its weight gradient per tap (else
+    # from gathered blocks); every input gradient takes "kw".  The kt = 6
+    # head and a 1x1 kernel too; every 3x3 case spans two GEMM blocks
     # (`_ROW_BLOCK`) and several gathered blocks (`_COLS_BYTES`)
     CASES = [
-        (8, 8, (1, 3, 3), (3, 40, 36), "kw", "kw", True),
-        (16, 8, (1, 3, 3), (3, 40, 36), "kw", "kw", True),
-        (24, 8, (1, 3, 3), (3, 40, 36), "out", "k", False),
-        (8, 16, (1, 3, 3), (3, 40, 36), "kw", "kw", True),
-        (8, 24, (1, 3, 3), (3, 40, 36), "k", "out", True),
-        (1, 8, (1, 3, 3), (3, 40, 36), "k", "out", True),
-        (8, 2, (6, 3, 3), (6, 64, 64), "out", "k", False),
-        (2, 1, (1, 1, 1), (1, 64, 64), "kw", "kw", True),
+        (8, 8, (1, 3, 3), (3, 40, 36), False),
+        (16, 8, (1, 3, 3), (3, 40, 36), False),
+        (24, 8, (1, 3, 3), (3, 40, 36), True),
+        (8, 16, (1, 3, 3), (3, 40, 36), False),
+        (8, 24, (1, 3, 3), (3, 40, 36), False),
+        (1, 8, (1, 3, 3), (3, 40, 36), False),
+        (8, 2, (6, 3, 3), (6, 64, 64), True),
+        (2, 1, (1, 1, 1), (1, 64, 64), False),
     ]
 
     @pytest.mark.parametrize("dtype,bound", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: "{}-{}-{}x{}x{}-{}-{}-{}".format(
-        *c[:2], *c[2], *c[4:6], "gathered" if c[6] else "per-tap"))
-    def test_matches_float64_direct_sums(self, case, dtype, bound):
-        cin, cout, kernel, dims, forward, backward, gathered = case
-        assert layers._tap_split(cout, cin) == forward
-        assert layers._tap_split(cin, cout) == backward
-        assert layers._gathers_taps(cin, cout) == gathered
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "{}-{}-{}x{}x{}-{}".format(
+        *c[:2], *c[2], "wide" if c[4] else "narrow"))
+    def test_matches_float64_direct_sums(self, case, dtype, bound, monkeypatch):
+        cin, cout, kernel, dims, wide = case
         rng = np.random.default_rng(cin * 100 + cout)
         conv = Conv3d(cin, cout, kernel, rng=rng, dtype=dtype)
+        assert conv.wide_input == wide
         conv.bias.value[...] = rng.normal(size=cout)
         x = rng.normal(size=(2, *dims, cin)).astype(dtype)
         g = rng.normal(size=(2, dims[0] - kernel[0] + 1, *dims[1:], cout)).astype(dtype)
+        forms = []
+        tap_gemms = layers._tap_gemms
+
+        def spy(dst, src, w, out_shifts, k_shifts, base):
+            forms.append("out" if k_shifts == [0] else "kw")
+            return tap_gemms(dst, src, w, out_shifts, k_shifts, base)
+
+        monkeypatch.setattr(layers, "_tap_gemms", spy)
         out, gx, gw, _ = conv_step(conv, x, g)
+        calls = 2 * kernel[0]  # one per item and temporal tap, forward then input gradient
+        assert forms == ["out" if wide else "kw"] * calls + ["kw"] * calls
         want = conv_direct_f64(x, conv.weight.value, g)
         got = (out - conv.bias.value, gx, gw)
         for name, a, b in zip(("output", "input gradient", "weight gradient"), got, want):
@@ -450,12 +458,12 @@ class TestGemmScratch:
     """The conv GEMM block temporaries are private to the call that makes
     them."""
 
-    # (in, out, kernel, input (b, t, h, w)): every tap split ("kw" both ways
-    # for 3 -> 2 and 8 -> 5; "k" forward and "out" backward for 4 -> 12 and
-    # 2 -> 6), and inputs of one block and of several
+    # (in, out, kernel, input (b, t, h, w)): both forward tap splits ("out"
+    # for the wide-input 12 -> 4, "kw" for the others; every input gradient
+    # takes "kw"), and inputs of one block and of several
     CONVS = [
         (3, 2, (1, 3, 3), (2, 2, 6, 5)),
-        (4, 12, (3, 3, 3), (2, 4, 40, 36)),
+        (12, 4, (3, 3, 3), (2, 4, 40, 36)),
         (8, 5, (1, 3, 3), (1, 2, 50, 44)),
         (2, 6, (2, 3, 3), (1, 3, 5, 4)),
     ]
@@ -957,8 +965,9 @@ class TestPaddedGradientReuse:
     into such a grid (`_bordered_copy`), and both give the same gradients
     bit for bit."""
 
-    # (in, out, kernel, batch): two tap splits, a temporal kernel, a 1x1
-    # kernel, and batches whose rows run into the next sample's border
+    # (in, out, kernel, batch): more inputs than outputs and fewer, a
+    # temporal kernel, a 1x1 kernel, and batches whose rows run into the
+    # next sample's border
     CONVS = [(3, 2, (1, 3, 3), 2), (2, 5, (1, 3, 3), 1), (4, 3, (2, 3, 3), 2),
              (2, 3, (1, 1, 1), 2)]
 
