@@ -35,8 +35,8 @@ def keep_freed_pages():
     be switched back on.  So the process keeps the pages of its largest
     step, which its peak RSS counts anyway.  A training step is larger
     than a nowcast: a warm desk `train()` call (64x64, base 8) peaks at
-    about 7.7 MiB traced (radar) and 9.1 MiB (multimodal), and a nowcast
-    (`predict_grid`) at about 4.9 and 5.6 MiB.
+    about 6.8 MiB traced (radar) and 8.2 MiB (multimodal), and a nowcast
+    (`predict_grid`) at about 3.7 and 3.8 MiB.
     """
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")

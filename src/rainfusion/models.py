@@ -2,27 +2,29 @@
 
 Both variants share one layout: (levels - 1) encoder stages of two convs
 with ReLU (the first conv doubling the width), max pooling between stages,
-a two-conv bottleneck, a mirrored decoder whose upsampled features are
-concatenated with the matching encoder skip, and a head: a conv spanning
-the six input frames (`pipeline.WINDOW_FRAMES`) to 2 channels, then a
-1x1x1 conv to the single output frame.  Pool windows are (t, h, w): the
-radar variant pools (2, 2, 1), which halves time and rows and never pools
-cols (ROADMAP item 1 tracks the fix); the multimodal variant pools
-(2, 2, 2) with ceiling semantics, and each upsample is cropped to its
-skip's size.  Body convs keep a temporal extent of 1; all temporal
-mixing happens in the pooling path and the head.  Activations have the
-layers' (b, t, h, w, c) shape over channels-first memory (see
+a two-conv bottleneck, a mirrored decoder whose first conv per stage reads
+the upsampled features concatenated with the matching encoder skip, and a
+head: a conv spanning the six input frames (`pipeline.WINDOW_FRAMES`) to 2
+channels, then a 1x1x1 conv to the single output frame.  Pool windows are
+(t, h, w): the radar variant pools (2, 2, 1), which halves time and rows
+and never pools cols (ROADMAP item 1 tracks the fix); the multimodal
+variant pools (2, 2, 2) with ceiling semantics, and each upsample is
+cropped to its skip's size.  Body convs keep a temporal extent of 1; all
+temporal mixing happens in the pooling path and the head.  Activations
+have the layers' (b, t, h, w, c) shape over channels-first memory (see
 `rainfusion.nn`).
 
 The network is one list of layers, `UNet3D.steps`: each encoder stage
-and its pool, the bottleneck, each upsample and its decoder stage, the
-head.  One loop runs it in order forward and in reverse backward, with no
-name left holding a layer's input or incoming gradient while the next one
-runs.  Each encoder stage's output goes on a skip stack before its pool,
-and each upsample pops one into the decoder input `[upsampled | skip]`,
-whose gradient comes in two parts (`Conv3d.split`): the upsampled
-channels', which the upsample's backward consumes and frees, then the
-skip's, added to the input gradient of the matching pool.
+and its pool, the bottleneck, each decoder stage, the head.  One loop runs
+it in order forward and in reverse backward, with no name left holding a
+layer's input or incoming gradient while the next one runs.  Each encoder
+stage's output goes on a skip stack before its pool, and the first conv of
+each decoder stage (`nn.UpsampleConv3d`) pops one just before its forward.
+That conv upsamples: it reads the coarse features and the skip in place,
+and the decoder input `[upsampled | skip]` is never built.  Its input
+gradient comes in two parts (`Conv3d.split`): the coarse features', which
+goes on to the stage below, then the skip's, added to the input gradient
+of the matching pool.
 
 A training forward (`forward`) keeps for the backward only what it cannot
 rebuild cheaply, a per-node policy as in Chen et al., "Training Deep Nets
@@ -32,18 +34,17 @@ start step, a step before it, and one rule builds every such input again:
 the forward drops the conv's input and the caches of the steps in
 between, and just before that conv's backward, the backward reruns the
 start step from its own cache (`rerun`), runs the steps in between
-forward, and restores the result as the conv's input.  The second conv
-of each encoder stage and of the bottleneck maps to the first: one more
-small conv forward and ReLU per stage buys back one activation.  The
-first conv of each decoder stage maps to the upsample before it, which
-builds the decoder input, the largest array of a step, again from the
-low-resolution features and skip that it caches and their ReLUs cache
-anyway.
+forward, and restores the result as the conv's input.  Only the encoder
+has entries: the second conv of each encoder stage and of the bottleneck
+maps to the first, so one more small conv forward and ReLU per stage buys
+back one activation.  The decoder's first convs drop nothing: their
+inputs, the coarse features and the skip, are ReLU outputs that their
+ReLUs hold anyway.
 
 With an empty table every input is kept.  An inference forward
 (`_run(x, keep=False)`, run by `predict_grid` and `train`'s validation)
 drops each layer's cache right after its forward, so an activation lives
-until the next layer has read it, and a skip until its upsample.
+until the next layer has read it, and a skip until its decoder conv.
 
 Every layer runs the samples of a batch one after the other, so `train`
 runs a batch one sample at a time: the parameter gradients accumulate
@@ -71,7 +72,8 @@ from pathlib import Path
 import numpy as np
 
 from .grids import SEVIRI_BANDS, RainGrid, read_grid, read_scene
-from .nn import Adam, Conv3d, MaxPool3d, ReLU, Upsample3d, bordered, ensure_array5, lr_for_epoch
+from .nn import (Adam, Conv3d, MaxPool3d, ReLU, UpsampleConv3d, bordered, ensure_array5,
+                 lr_for_epoch)
 from .nn.checkpoint import load_arrays, save_arrays
 from .nn.losses import LOSSES
 from .pipeline import (
@@ -159,13 +161,13 @@ class UNet3D:
         bott = base * 2 ** (L - 1)
         self.bott = [conv(c, bott, "bottleneck_a"), ReLU(),
                      conv(bott, bott, "bottleneck_b"), ReLU()]
-        self.ups = [Upsample3d(config.pool_window) for _ in range(L - 1)]
+        self.ups = []  # the decoder convs upsample; only the benchmark's tracer reads this
         self.dec = []
         c = bott
         for i in reversed(range(L - 1)):
             skip = enc_channels[i]
-            first = conv(c + skip, skip, f"dec{i + 1}a")
-            first.split = c  # the upsampled channels' gradient, then the skip's
+            first = UpsampleConv3d(c, skip, skip, config.pool_window, name=f"dec{i + 1}a", rng=rng,
+                                   dtype=dtype)
             self.dec.append([first, ReLU(), conv(skip, skip, f"dec{i + 1}b"), ReLU()])
             c = skip
         self.head = [conv(c, 2, "head_a", kernel=(WINDOW_FRAMES, 3, 3)), ReLU(),
@@ -173,14 +175,13 @@ class UNet3D:
         self.enc[0][0].split = 0  # the network input's gradient only when asked for
         self.steps = [layer for block, pool in zip(self.enc, self.pools) for layer in (*block, pool)]
         self.steps += self.bott
-        self.steps += [layer for up, block in zip(self.ups, self.dec) for layer in (up, *block)]
+        self.steps += [layer for block in self.dec for layer in block]
         self.steps += self.head
         # the step of each conv whose input a training forward drops, and the
         # step that the backward reruns to build it again (see the module
         # docstring)
         self._rebuild = {self.steps.index(block[2]): self.steps.index(block[0])
                          for block in (*self.enc, self.bott)}
-        self._rebuild.update({self.steps.index(up) + 1: self.steps.index(up) for up in self.ups})
 
     # -- structure ---------------------------------------------------------
 
@@ -215,7 +216,9 @@ class UNet3D:
         for i, layer in enumerate(self.steps):
             if isinstance(layer, MaxPool3d):
                 skips.append(h)
-            h = layer.forward(h, skips.pop()) if isinstance(layer, Upsample3d) else layer.forward(h)
+            elif isinstance(layer, UpsampleConv3d):
+                layer.skip = skips.pop()
+            h = layer.forward(h)
             if not keep:
                 layer._cache = None
             elif i in self._rebuild:
@@ -235,10 +238,8 @@ class UNet3D:
             if i in self._rebuild:
                 layer.restore_input(self._rebuilt_input(i))
             g = layer.backward(g)
-            if isinstance(layer, Upsample3d):
-                # the conv after it ran on [upsampled | skip]: the upsampled part
-                # of its input gradient is freed before the skip's exists
-                skip_grads.append(self.steps[i + 1].backward_rest())
+            if isinstance(layer, UpsampleConv3d):
+                skip_grads.append(layer.backward_rest())
             elif isinstance(layer, MaxPool3d):
                 g += skip_grads.pop()
         first = self.steps[0]  # `g` is the empty first part of its input gradient

@@ -6,8 +6,7 @@ every buffer a layer writes, forward or backward, is a channels-first
 (b, c, t, h + 2, w + 2) grid with a border one cell deep in rows and
 cols, inside a 1-D allocation with zero margins before and after it, and
 a layer returns the (b, t, h, w, c) transpose of its interior, so the next
-layer reads it back with a free transpose.  ReLU, pooling and upsampling
-(`upsample`, which builds the decoder input at its skip's size) zero that
+layer reads it back with a free transpose.  ReLU and pooling zero that
 border, so a following conv, which pads by one cell whatever its kernel,
 reads the grid in place as its padded input; ReLU's backward does the
 same, and with the zero margins the conv before reads its gradient in
@@ -15,6 +14,10 @@ place.  `bordered` makes such a grid for a network input: a time slice of
 it, one window of a longer stack of frames, is read in place too.  Any
 other input or gradient layout, a C-ordered channels-last one included,
 is copied into a grid and gives the same results bit for bit.
+There is no upsampling layer: `UpsampleConv3d`, a decoder stage's first
+conv, reads the coarse features and the encoder skip in place and runs
+the conv of `[upsampled | skip]` with the up channels' taps folded onto
+the coarse grid, so the decoder input is never built.
 float32 is the training precision, float64 the gradient-check precision.
 Every layer implements an exact adjoint: `forward(x)` caches what its
 `backward(grad)` needs, and that backward consumes the cache, so one
@@ -24,8 +27,8 @@ drops each layer's right after that layer's forward.  Parameter gradients
 accumulate on the layer's Parameter blocks until `zero_grad`.
 """
 
-from .layers import (Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, bordered, ensure_array5,
-                     upsample)
+from .layers import (Conv3d, MaxPool3d, Parameter, ReLU, UpsampleConv3d, bordered,
+                     ensure_array5)
 from .losses import logcosh_loss, mse_loss
 from .adam import Adam, lr_for_epoch
 from .gradcheck import gradient_check
@@ -37,7 +40,7 @@ __all__ = [
     "MaxPool3d",
     "Parameter",
     "ReLU",
-    "Upsample3d",
+    "UpsampleConv3d",
     "bordered",
     "ensure_array5",
     "gradient_check",
@@ -46,5 +49,4 @@ __all__ = [
     "lr_for_epoch",
     "mse_loss",
     "save_arrays",
-    "upsample",
 ]

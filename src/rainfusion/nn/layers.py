@@ -1,4 +1,5 @@
-"""3D convolution, pooling, upsampling and activation layers with adjoints.
+"""3D convolution, pooling and activation layers with adjoints, and the
+decoder conv that upsamples.
 
 Every layer takes and returns (batch, time, rows, cols, channels) arrays:
 that shape is the API.  In memory there is one layout.  Every buffer that
@@ -11,9 +12,8 @@ and every kernel runs on long rows of one channel.  One finder, `_buffer`,
 gives back the grid, or the time slice of it, that an array is the
 interior of, and every in-place read goes through it.  With a zero border
 the grid is the padded input of any conv, 3x3 or 1x1, which pads by that
-one cell and reads it in place: ReLU, pooling and upsampling (`upsample`,
-which also builds the decoder input `[upsampled | skip]`) zero the border
-of their outputs (`bordered`).  Time is never padded, so a time slice is
+one cell and reads it in place: ReLU and pooling zero the border of their
+outputs (`bordered`).  Time is never padded, so a time slice is
 read in place too: a network input is a window of one frame buffer
 (`models.load_frames`).  With its margins zero too, the grid read from the
 start of its allocation, one row per channel, is the padded incoming
@@ -32,21 +32,25 @@ and cols, zero-pad so spatial dims are preserved, and never pad time: a
 temporal extent kt takes T frames to T - kt + 1.  A convolution is one
 stacked-tap GEMM per block of output cells on shifted windows of its
 padded input, so no im2col copy of the whole input is made, and the
-padded input is all it caches.  One test of its channel counts picks its
-GEMMs: whether it is wide-input, in > 2*out (`Conv3d.wide_input`; the
-decoder convs that read `[upsampled | skip]`, and `head_a`).  A
-wide-input forward puts every spatial tap on the output side of each
-GEMM ("out"); every other forward, and every input gradient, stacks the
-kw taps of a kernel row on K and puts the kh rows on the output side
-("kw").  Its weight gradient is one whole-row GEMM per tap when it is
-wide-input, else one GEMM per block of gathered tap-shifted input rows.
-At the desk's shapes (1 BLAS thread), "out" took 0.87-1.00 of the time
-of "kw" on the wide-input decoder forwards and 1.19-1.99 on every
-forward that is not wide-input; the ratios per form are in the `Conv3d`
-docstring.  Pooling uses non-overlapping windows with ceiling semantics,
-so a ragged last window simply shrinks; upsampling is nearest-neighbor
-repetition cropped to the dims of the skip it is joined to, which
-inverts ceiling-pooled sizes exactly.
+padded input is all it caches.  Every forward and every input gradient
+stacks the kw taps of a kernel row on K and puts the kh rows on the
+output side of each GEMM.  One test of its channel counts picks its
+weight gradient: one whole-row GEMM per tap when it is wide-input, in >
+2*out (`Conv3d.wide_input`; of the network's plain convs, only
+`head_a`), else one GEMM per block of gathered tap-shifted input rows;
+the timings per form are in the `Conv3d` docstring.  Pooling uses
+non-overlapping windows with ceiling semantics, so a ragged last window
+simply shrinks.
+
+The first conv of a decoder stage (`UpsampleConv3d`) is a 3x3 conv of the
+decoder input `[upsampled | skip]`, where upsampled is nearest-neighbour
+repetition of the coarse features cropped to the skip's dims (which
+inverts ceiling-pooled sizes exactly), but that input is never built: the
+conv reads the coarse features and the skip in place.  A repeated cell's
+taps read 2 coarse cells per axis with factor 2, so per repetition phase
+the up rows' taps fold onto the coarse cells they read and run at coarse
+resolution (the sub-pixel view of upsampling, Shi et al.,
+arXiv:1609.05158); the skip rows run as a plain conv's.
 
 Each layer keeps what its backward needs in one attribute, `_cache`, from a
 forward to the backward that follows it.  Backward takes the cache and
@@ -60,10 +64,9 @@ input or the output itself, not a copy: neither may be written to between
 a forward and its backward.  What is cheap to rebuild is not cached: a
 ragged pool pads its windows again in backward, and a conv whose input is
 easy to build again can drop it after its forward (`Conv3d.drop_input`)
-and take it back just before its backward (`Conv3d.restore_input`), which
-is how the decoder input lives only while its conv runs.  Such an input
-is built again by a layer before it: a conv or an upsample can `rerun`,
-giving its last forward's output once more from what that forward cached.
+and take it back just before its backward (`Conv3d.restore_input`).  Such
+an input is built again by a layer before it: a conv can `rerun`, giving
+its last forward's output once more from the input that it cached.
 A conv's input gradient may come in two parts on the channel axis
 (`Conv3d.split`): `backward` gives the first and `backward_rest` the
 second, so the two need not exist at once, and a caller that wants no
@@ -224,25 +227,6 @@ def _padded(x: np.ndarray, margins: bool = False) -> np.ndarray:
     return grid
 
 
-def upsample(x: np.ndarray, factors, skip: np.ndarray) -> np.ndarray:
-    """The activation `x` repeated by `factors` and cropped to the (t, h, w)
-    of `skip`, followed on the channel axis by `skip`, in the interior of a
-    new zero-bordered grid (see `bordered`): the decoder input
-    `[upsampled | skip]`.  Output cell (i, j, k) copies input cell
-    (i // ft, j // fh, k // fw), so the upsampled channels split into
-    ft*fh*fw repetition phases, the strided views [pt::ft, ph::fh, pw::fw],
-    and each phase is one assignment into the buffer: the upsampled
-    features are never an array of their own."""
-    b, c = x.shape[0], x.shape[4]
-    out = bordered((b, c + skip.shape[4], *skip.shape[1:4]), np.result_type(x, skip))
-    xc, up = _channels_first(x), out[:, :c]
-    for phase in itertools.product(*(range(f) for f in factors)):
-        dst = up[(..., *(slice(p, None, f) for p, f in zip(phase, factors)))]
-        dst[...] = xc[(..., *(slice(n) for n in dst.shape[2:]))]
-    out[:, c:] = _channels_first(skip)
-    return _channels_last(out)
-
-
 def _tap_gemms(dst, src, w, out_shifts, k_shifts, base):
     """dst[:, u] += sum over taps (i, j) of
     w[i*len(k_shifts) + j] @ src[:, base + u + out_shifts[i] + k_shifts[j]].
@@ -260,15 +244,12 @@ def _tap_gemms(dst, src, w, out_shifts, k_shifts, base):
       K shifts * src channels) @ cols holds one slice per output shift,
       and each is added to the block at its shift.
 
-    The caller splits the taps: a kernel's row shifts on the output side
-    and its col shifts on K ("kw"), or every tap on the output side and one
-    K shift of 0 ("out").  `Conv3d` takes "out" for the forward of a
-    wide-input conv, in > 2*out (`Conv3d.wide_input`), and "kw" for every
-    other forward and every input gradient.  Timed at the desk's shapes
-    (1 BLAS thread), "out" took 0.87-1.00 of the time of "kw" on the
-    wide-input decoder forwards, 1.19-1.99 on the other forwards and
-    1.11-2.45 on every input gradient (see `Conv3d`).  A one-tap kernel has
-    no halo and no stacked product: it runs as one block.  The block
+    Every caller puts a kernel's row shifts on the output side and its col
+    shifts on K: every forward and input gradient of `Conv3d`, and the skip
+    rows and each phase of the folded up rows of `UpsampleConv3d`, forward
+    and backward (timings of the other splits in `Conv3d`).  A one-tap
+    kernel has no halo and no stacked product: it runs as one block.  The
+    block
     temporaries are freed before the next block's are allocated, so one
     product exists at a time; the first call of a process pins the malloc
     thresholds (`keep_freed_pages`), so their pages stay with the process.
@@ -289,6 +270,36 @@ def _tap_gemms(dst, src, w, out_shifts, k_shifts, base):
         for i, off in enumerate(out_shifts):
             block += y[i, :, off - lo:off - lo + n]
         del y  # before the next block allocates its product
+
+
+def _gathered_wgrad(wg, src, g, shifts, rows):
+    """wg[k] += src[:, shifts[k] + u] @ g[:, u].T, summed over the cells
+    u < rows: wg is (taps, src channels, g channels), src and g have one
+    row per channel.  The tap-shifted rows of each block of cells are
+    gathered into cols(taps * src channels, block) of about `_COLS_BYTES`,
+    and each block is one GEMM, cols @ g[:, block].T."""
+    taps, c, cout = wg.shape
+    step = max(1, _COLS_BYTES // (taps * c * src.itemsize))
+    for u0 in range(0, rows, step):
+        u1 = min(u0 + step, rows)
+        cols = np.concatenate([src[:, s + u0:s + u1] for s in shifts])
+        wg += (cols @ g[:, u0:u1].T).reshape(taps, c, cout)
+
+
+def _gradient_rows(grad_out: np.ndarray, lead: int) -> np.ndarray:
+    """grad_out on its padded grid, as (b, c, 2 * lead + cells): each
+    channel's row read from one lead before its grid to one lead after it,
+    a halo of zero border or zero margin in front, so that every
+    tap-shifted read stays inside.  The rows are those of grad_out's own
+    allocation when it is the interior of a grid with a zero border and
+    zero margins (`_padded` with `margins`; ReLU's backward writes it so),
+    else of a zero-bordered copy's."""
+    grid = _padded(grad_out, margins=True)
+    b, c = grid.shape[:2]
+    cells, step = grid[0, 0].size, grid.itemsize
+    return np.lib.stride_tricks.as_strided(
+        grid.base, (b, c, 2 * lead + cells), (c * cells * step, cells * step, step),
+        writeable=False)
 
 
 class Parameter:
@@ -319,8 +330,8 @@ class Conv3d:
     Kernel dims in rows and cols are 1 or 3, and every conv pads by one
     cell: its padded input is a (b, in, T, H + 2, W + 2) grid (see
     `_grid`), the one that `x` is the interior of, or a time slice of it,
-    when its border is zero (`_padded`: ReLU, pooling and `upsample`
-    outputs, and the network input, a window of the frame buffer), else a
+    when its border is zero (`_padded`: ReLU and pooling outputs, and the
+    network input, a window of the frame buffer), else a
     zero-bordered copy.  Each item is viewed as (in, T*Hp*Wp): one
     contiguous row of cells per channel, and kernel tap (it, ih, iw) reads
     it shifted by it*Hp*Wp cells plus a spatial shift (`_taps`); a 1x1
@@ -330,43 +341,41 @@ class Conv3d:
     the interior of the accumulator, whose border holds the GEMMs'
     wrap-around cells; the bias is added to the whole accumulator in place.
     Forward runs `_tap_gemms` once per item and temporal tap: one GEMM per
-    block of `_ROW_BLOCK` output cells, its kh*kw spatial taps split by one
-    test, whether the conv is wide-input, in > 2*out (`wide_input`):
+    block of `_ROW_BLOCK` output cells, the kw col-shifted input rows
+    stacked into cols(kw*in, block + row halo), Y = W(kh*out, kw*in) @
+    cols, and each kernel row's slice of Y added to the block at that
+    row's shift ("kw").
 
-    - not wide-input ("kw"): the kw col-shifted input rows are stacked into
-      cols(kw*in, block + row halo), Y = W(kh*out, kw*in) @ cols, and each
-      kernel row's slice of Y is added to the block at that row's shift;
-    - wide-input ("out"): Y = W(taps*out, in) @ X[block + halo], and each
-      tap's slice of Y is added to the block at that tap's shift.
-
-    Timed per form at the desk's shapes (64x64, levels 3, base 8, one
+    Timed against it at the desk's shapes (64x64, levels 3, base 8, one
     item; 1 BLAS thread, 2-core Xeon with AVX-512; interquartile range of
-    80 interleaved pairs), "out" took 0.87-0.91 of the time of "kw" on the
-    48 -> 16 `dec2a`, 0.91-1.00 on the 24 -> 8 `dec1a` and 1.15-1.24 on
-    the kt = 6, 8 -> 2 `head_a`, and 1.19-1.99 on every conv that is not
-    wide-input (about 10 on the radar 1 -> 8 `enc1a`).  Every tap on K
-    ("k", with cols(taps*in, block) gathered), which no conv takes, took
-    1.10-1.97 of "kw" on most convs that are not wide-input, 0.97-1.08 on
-    the multimodal 8 -> 16 `enc2a` and 32 -> 32 `bottleneck_b`, and less
-    only on the radar 1 -> 8 `enc1a` (0.66-0.72, 0.11 ms an item) and the
-    multimodal 16 -> 32 `bottleneck_a` (0.84-0.91, 0.02 ms an item).
+    80 interleaved pairs), every tap on the output side ("out", Y =
+    W(taps*out, in) @ X[block + halo]) took 1.15-1.24 of the time of "kw"
+    on the kt = 6, 8 -> 2 `head_a` and 1.19-1.99 on every other conv
+    (about 10 on the radar 1 -> 8 `enc1a`); it won only on the 48 -> 16
+    and 24 -> 8 convs of the whole decoder input (0.87-1.00), which no
+    layer runs since `UpsampleConv3d`.  Every tap on K ("k", with
+    cols(taps*in, block) gathered) took 1.10-1.97 of "kw" on most convs,
+    0.97-1.08 on the multimodal 8 -> 16 `enc2a` and 32 -> 32
+    `bottleneck_b`, and less only on the radar 1 -> 8 `enc1a` (0.66-0.72,
+    0.11 ms an item) and the multimodal 16 -> 32 `bottleneck_a`
+    (0.84-0.91, 0.02 ms an item).
 
     Backward adds the sum of G to the bias gradient and takes the weight
     gradient GEMMs, item by item, so that a batch gives the gradients of
     its items run one at a time, bit for bit.  A conv that is not
-    wide-input gathers the tap-shifted input rows of each block of output
-    cells into cols(taps*in, block) of about `_COLS_BYTES`, and the weight
-    gradient gets cols @ G[:, block].T; a wide-input conv gives each tap
-    X[shifted] @ G.T over all the cells.  Against one GEMM per tap, the
-    gathered blocks took 0.41-0.50 of the time for the 8 -> 8 convs,
-    0.56-0.59 for 16 -> 32 and 0.74-0.80 for 16 -> 16 and 32 -> 32 at the
-    radar net's dims, 0.64-0.70 for the multimodal 12 -> 8 and 0.81-0.88
-    for the radar 1 -> 8, but 1.33-1.57 for 8 -> 16 and for the multimodal
-    16 -> 16 convs at 3x32x32, and 1.10-1.20 for its 32 -> 32 at 2x16x16,
-    which the test keeps for simplicity; on the wide-input convs they took
-    1.07-1.33 (`dec2a`, `dec1a`) and 2.00-2.21 (`head_a`).  It then drops
-    the padded input (freeing it unless the layer before still holds it)
-    and only then allocates the input gradient (`_input_grad`), in the
+    wide-input, in <= 2*out (`wide_input`), gathers the tap-shifted input
+    rows of each block of output cells into cols(taps*in, block) of about
+    `_COLS_BYTES`, and the weight gradient gets cols @ G[:, block].T; a
+    wide-input conv gives each tap X[shifted] @ G.T over all the cells.
+    Against one GEMM per tap, the gathered blocks took 0.41-0.50 of the
+    time for the 8 -> 8 convs, 0.56-0.59 for 16 -> 32 and 0.74-0.80 for
+    16 -> 16 and 32 -> 32 at the radar net's dims, 0.64-0.70 for the
+    multimodal 12 -> 8 and 0.81-0.88 for the radar 1 -> 8, but 1.33-1.57
+    for 8 -> 16 and for the multimodal 16 -> 16 convs at 3x32x32, and
+    1.10-1.20 for its 32 -> 32 at 2x16x16, which the test keeps for
+    simplicity; on the wide-input `head_a` they took 2.00-2.21.  It then
+    drops the padded input (freeing it unless the layer before still holds
+    it) and only then allocates the input gradient (`_input_grad`), in the
     "kw" form whatever the channels, read from a padded grid behind a zero
     margin of one halo: the rows of grad_out's own allocation when it is
     the interior of a grid with a zero border and zero margins (`_padded`
@@ -412,8 +421,7 @@ class Conv3d:
     @property
     def wide_input(self) -> bool:
         """Whether the conv has more than twice as many input channels as
-        output channels, the one test that picks its forward's tap split and
-        its weight-gradient form."""
+        output channels, the one test that picks its weight-gradient form."""
         return self.in_channels > 2 * self.out_channels
 
     @property
@@ -422,8 +430,9 @@ class Conv3d:
         "valid".  Only the benchmark's tracer reads it."""
         return "same" if self.kernel[0] == 1 else "valid"
 
-    def _taps(self, padded_shape):
-        """(cells per padded frame, lead, rows, row shifts, col shifts).
+    def _taps(self, dims):
+        """(cells per padded frame, lead, rows, row shifts, col shifts) of an
+        input of (t, h, w) `dims`, read on its padded grid.
 
         Output cell (t, h, w) is cell (t, h + 1, w + 1) of the padded grid,
         `lead` = Wp + 1 cells on from the grid cell at the same (t, h, w),
@@ -435,7 +444,8 @@ class Conv3d:
         input; a block of output rows reads its rows plus a halo of
         2 * lead cells.
         """
-        _, _, T, Hp, Wp = padded_shape
+        T, H, W = dims
+        Hp, Wp = H + 2, W + 2
         kt, kh, kw = self.kernel
         oh, ow = (3 - kh) // 2, (3 - kw) // 2
         return (Hp * Wp, Wp + 1, (T - kt + 1) * Hp * Wp - 2 * (Wp + 1),
@@ -452,8 +462,7 @@ class Conv3d:
         self._rest = None  # a gradient part that no `backward_rest` took
         xp = _padded(x)
         To = T - kt + 1
-        plane, lead, rows, dy, dx = self._taps(xp.shape)
-        outs, ks = ([r + s for r in dy for s in dx], [0]) if self.wide_input else (dy, dx)
+        plane, lead, rows, dy, dx = self._taps((T, H, W))
         w = self.weight.value
         cout = self.out_channels
         wt = w.transpose(0, 1, 2, 4, 3).reshape(kt, -1, cout, c)  # (kt, taps, out, in)
@@ -462,7 +471,7 @@ class Conv3d:
         accf = acc.reshape(b, cout, -1)
         for n in range(b):
             for it in range(kt):
-                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], outs, ks, it * plane)
+                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], dy, dx, it * plane)
         acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
         self._cache = (xp, x.shape, (b, To, H, W, cout))
         return _channels_last(_interior(acc))
@@ -501,25 +510,14 @@ class Conv3d:
         grad_out = np.asarray(grad_out)
         if grad_out.shape != out_shape:
             raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
-        b, cout = out_shape[0], out_shape[4]
-        padded = xp.shape
-        c = padded[1]
-        kt = self.kernel[0]
-        plane, lead, rows, dy, dx = self._taps(padded)
+        b, c = xp.shape[:2]
+        kt, cout = self.kernel[0], self.out_channels
+        plane, lead, rows, dy, dx = self._taps(in_shape[1:4])
         shifts = [r + s for r in dy for s in dx]
-        # grad_out on its padded grid, each channel's row read from one lead
-        # before its grid to one lead after it: a halo of zero border or zero
-        # margin in front, so that every tap-shifted read stays inside
-        grid = _padded(grad_out, margins=True)
-        cells, step = grid[0, 0].size, grid.itemsize
-        gbuf = np.lib.stride_tricks.as_strided(
-            grid.base, (b, cout, 2 * lead + cells), (cout * cells * step, cells * step, step),
-            writeable=False)
+        gbuf = _gradient_rows(grad_out, lead)
         gf = gbuf[:, :, 2 * lead:]
         xf = xp.reshape(b, c, -1)
         wgrad = self.weight.grad.reshape(kt, len(shifts), c, cout)
-        # cells per gathered block: cols(taps * in, block) near _COLS_BYTES
-        step = max(1, _COLS_BYTES // (len(shifts) * c * xp.itemsize))
         for n in range(b):
             # summed from the buffer, so the order does not depend on grad_out's
             # layout, and sample by sample, as the weight gradient is
@@ -530,12 +528,8 @@ class Conv3d:
                     for k, s in enumerate(shifts):
                         wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
                 else:
-                    wg = wgrad[it].reshape(-1, cout)
-                    for u0 in range(0, rows, step):
-                        u1 = min(u0 + step, rows)
-                        cols = np.concatenate([xf[n, :, x0 + s + u0:x0 + s + u1] for s in shifts])
-                        wg += cols @ gf[n, :, u0:u1].T
-        rest = (gbuf, padded, xp.dtype, in_shape)
+                    _gathered_wgrad(wgrad[it], xf[n, :, x0:], gf[n], shifts, rows)
+        rest = (gbuf, in_shape, xp.dtype)
         del xp, xf  # the input goes before its gradient is allocated
         if self.split is not None:
             self._rest = rest
@@ -550,24 +544,24 @@ class Conv3d:
             raise RuntimeError(f"{self.name}: backward_rest without a split backward")
         return self._input_grad(*rest, slice(self.split, None))
 
-    def _input_grad(self, gbuf, padded, dtype, in_shape, channels: slice) -> np.ndarray:
-        """The input gradient of `channels` (a slice of the input channels):
-        `_tap_gemms` the other way round, W[tap] (in, out) applied to `gbuf`
-        at minus each tap's shift, in the "kw" form for every conv: the kw
-        col-shifted rows of `gbuf` stacked on K, the kh row shifts on the
-        output side.  Timed as in `Conv3d`, every tap on K took 1.00-1.66
-        of the time of "kw" on each part of `dec2a` and `dec1a` (the radar
-        `dec1a` skip part 1.50 against 0.93 ms an item) but 0.78-0.88 on
-        the kt = 6 `head_a`, and every tap on the output side took
-        1.11-2.45 of "kw" on every desk conv."""
-        b, c = padded[:2]
+    def _input_grad(self, gbuf, in_shape, dtype, channels: slice) -> np.ndarray:
+        """The gradient of `channels` (a slice of the input channels) of an
+        input of `in_shape`: `_tap_gemms` the other way round, W[tap] (in,
+        out) applied to `gbuf` (`_gradient_rows`) at minus each tap's shift,
+        in the "kw" form for every conv: the kw col-shifted rows of `gbuf`
+        stacked on K, the kh row shifts on the output side.  Timed as in
+        `Conv3d`, every tap on K took 0.78-0.88 of the time of "kw" on the
+        kt = 6 `head_a` and 1.00-1.66 on each part of the former 48 -> 16
+        and 24 -> 8 convs of the whole decoder input, and every tap on the
+        output side took 1.11-2.45 of "kw" on every desk conv."""
+        b, T, H, W = in_shape[:4]
         kt, cout = self.kernel[0], self.out_channels
-        plane, lead, _, dy, dx = self._taps(padded)
+        plane, lead, _, dy, dx = self._taps((T, H, W))
         To = (gbuf.shape[2] - 2 * lead) // plane
-        w = self.weight.value.reshape(kt, -1, c, cout)[:, :, channels]  # (kt, taps, in, out)
+        w = self.weight.value.reshape(kt, -1, self.in_channels, cout)[:, :, channels]
         width = w.shape[2]
-        gxp = _grid((b, width, *in_shape[1:4]), dtype, zeros=True)
-        gxf = gxp.reshape(b, width, math.prod(padded[2:]))
+        gxp = _grid((b, width, T, H, W), dtype, zeros=True)
+        gxf = gxp.reshape(b, width, T * plane)
         if width:
             for n in range(b):
                 for it in range(kt):
@@ -575,6 +569,207 @@ class Conv3d:
                     _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
                                [-r for r in dy], [-s for s in dx], 2 * lead)
         return _channels_last(_interior(gxp))
+
+
+def _folded_taps(phase: int, factor: int):
+    """(coarse offsets, fold) of one axis of a 3-tap kernel read at output
+    phase `phase` of a nearest-neighbour repetition by `factor`: output
+    cell f*i + phase, tap k, reads repeated cell f*i + phase + k - 1, which
+    is coarse cell i + (phase + k - 1) // f.  The taps fold onto those
+    offsets (2 of them for f = 2, 3 for f = 1), sorted, and fold is the
+    (offsets, 3) 0/1 matrix that sums each offset's taps."""
+    reads = [(phase + k - 1) // factor for k in range(3)]
+    offsets = sorted(set(reads))
+    return offsets, np.array([[r == o for r in reads] for o in offsets], np.float64)
+
+
+class UpsampleConv3d(Conv3d):
+    """The first conv of a decoder stage: a 3x3 conv of the decoder input
+    `[upsampled | skip]`, run on the coarse features and the skip in place,
+    so that the decoder input is never built.
+
+    Its weights are those of a (1, 3, 3) `Conv3d` of up + skip input
+    channels, the up rows first.  The up channels are the coarse input
+    repeated by `factors` (t, h, w), nearest neighbour, cropped to the
+    skip's (t, h, w); the caller sets `skip` just before each `forward(x)`
+    (x: the coarse features), which takes it.  Rows and cols must be the
+    coarse ones times their factors exactly, and time may end in a ragged
+    group, as ceiling pooling leaves it; else ValueError, as for a skip of
+    another batch or channel count.
+
+    Forward runs the up rows first.  A repeated cell's 3x3 taps read only
+    2 coarse cells per axis with factor 2 (3 with factor 1), so for each
+    spatial repetition phase the up rows' taps fold onto the coarse offsets
+    they read (`_folded_taps`) and run as "kw" GEMMs on the coarse padded
+    grid, and the phase's result is written to its strided cells of the
+    zeroed accumulator once for each time repetition, the ragged last group
+    cropped: the phases cover every cell, and writing costs a third to a
+    half of the time of adding.  The skip rows' taps then add a plain
+    conv's "kw" GEMMs on the skip's padded grid.  The up channels thus cost
+    1/3 of the FLOPs of a conv on the repeated input for factors (2, 2, 1)
+    and 2/9 for (2, 2, 2).
+
+    Backward gives the coarse features' gradient and keeps grad_out for
+    `backward_rest`, which gives the skip's (`split` is the up channel
+    count).  The skip rows' weight gradient takes the gathered form and
+    the skip's gradient the "kw" form, as a plain conv's.  The up rows run
+    the adjoint of their forward, phase by phase: grad_out's cells of the
+    phase, summed over the time repetitions, fill a zero-bordered coarse
+    grid G; each folded tap's weight gradient gets X[shifted] @ G.T over
+    all the coarse cells, one GEMM per tap, and the coarse gradient gets
+    the folded taps' "kw" GEMMs on G at minus their shifts, as a plain
+    conv's input gradient.  Each item's folded weight gradients are summed
+    back onto the 3x3 taps they came from.  At the desk's shapes (one item,
+    1 BLAS thread, 80 interleaved pairs) this took 0.85-0.92 of the time
+    of summing grad_out, shifted by each of the 9 taps, over every
+    repetition group into one stack for two GEMMs on `dec1a`, and 1.04-1.11
+    on `dec2a`: 0.96 (radar) and 0.97 (multimodal) of it on both.  With the
+    folded taps' weight gradient gathered instead of one GEMM per tap,
+    `dec2a`'s backward took 1.08 (radar) and 1.16 (multimodal) of the
+    stack's time.  Both inputs are cached as they are, not copied: in a
+    network they are ReLU outputs that their ReLUs hold anyway, so there is
+    nothing to drop or rebuild (`drop_input`, `restore_input` and `rerun`
+    raise).
+    """
+
+    def __init__(self, up_channels: int, skip_channels: int, out_channels: int, factors, *,
+                 name: str = "conv", rng: np.random.Generator | None = None, dtype=np.float32):
+        super().__init__(up_channels + skip_channels, out_channels, (1, 3, 3), name=name, rng=rng,
+                         dtype=dtype)
+        if min(factors) < 1:
+            raise ValueError(f"{name}: repetition factors must be >= 1, got {factors}")
+        self.factors = tuple(factors)
+        self.split = up_channels  # backward gives the coarse gradient, backward_rest the skip's
+        self.skip = None  # the skip that the next forward joins
+        # each spatial phase (ph, pw) with its coarse row and col offsets, and
+        # the matrix that folds the 3x3 taps onto every phase's offsets
+        self._phases, folds = [], []
+        for ph, pw in itertools.product(range(self.factors[1]), range(self.factors[2])):
+            (rows_at, fold_h), (cols_at, fold_w) = (_folded_taps(ph, self.factors[1]),
+                                                    _folded_taps(pw, self.factors[2]))
+            self._phases.append(((ph, pw), rows_at, cols_at))
+            folds.append(np.kron(fold_h, fold_w))
+        self._fold = np.concatenate(folds)
+
+    def _held_inputs(self, *_):
+        raise RuntimeError(f"{self.name}: its inputs are held by the layers before it")
+
+    drop_input = restore_input = rerun = _held_inputs
+
+    def _phase_taps(self, Wcp: int):
+        """Per spatial phase: ((ph, pw), the slice of its folded taps, its
+        coarse row offsets, its coarse col offsets and its taps' shifts), on
+        a coarse padded grid of Wcp cols.  Phase cell p reads coarse padded
+        cell p + r*Wcp + c at offsets (r, c): from the first interior cell
+        Wcp + 1, that is the shift (r + 1)*Wcp + c + 1."""
+        first = 0
+        for phase, rows_at, cols_at in self._phases:
+            taps = slice(first, first + len(rows_at) * len(cols_at))
+            first = taps.stop
+            yield (phase, taps, rows_at, cols_at,
+                   [(r + 1) * Wcp + c + 1 for r in rows_at for c in cols_at])
+
+    def _folded_weights(self) -> np.ndarray:
+        """The up rows' weights folded onto every phase's coarse offsets:
+        (folded taps, up, out), in the weights' dtype."""
+        w = self.weight.value[0, :, :, :self.split]
+        return (self._fold @ w.reshape(9, -1)).astype(w.dtype).reshape(-1, self.split,
+                                                                         self.out_channels)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        skip, self.skip = self.skip, None
+        if skip is None:
+            raise RuntimeError(f"{self.name}: forward without a skip")
+        x = ensure_array5(x, self.name)
+        skip = ensure_array5(skip, f"{self.name} skip")
+        b, Tc, Hc, Wc, cu = x.shape
+        _, T, H, W, cs = skip.shape
+        ft, fh, fw = self.factors
+        if (cu, cs) != (self.split, self.in_channels - self.split):
+            raise ValueError(f"{self.name}: expected {self.split} up and "
+                             f"{self.in_channels - self.split} skip channels, got {cu} and {cs}")
+        if skip.shape[0] != b or (H, W) != (Hc * fh, Wc * fw) or not (Tc - 1) * ft < T <= Tc * ft:
+            raise ValueError(f"{self.name}: skip shape {skip.shape} does not match batch {b} "
+                             f"and dims {x.shape[1:4]} repeated x{self.factors}")
+        self._rest = None  # a gradient part that no `backward_rest` took
+        xp, sp = _padded(x), _padded(skip)
+        w, cout = self.weight.value[0], self.out_channels
+        acc = _grid((b, cout, T, H, W), np.result_type(xp, sp, w), zeros=True)
+        accf, up = acc.reshape(b, cout, -1), _interior(acc)
+        # the up rows first, phase by phase on the coarse grid, each result
+        # written to its strided cells of the accumulator, which it covers
+        Wcp = Wc + 2
+        cells = Tc * (Hc + 2) * Wcp
+        xf = xp.reshape(b, cu, cells)
+        folded = self._folded_weights().transpose(0, 2, 1)  # (taps, out, up)
+        phase_out = np.empty((cout, cells), acc.dtype)
+        coarse = _interior(phase_out.reshape(cout, Tc, Hc + 2, Wcp))
+        for n in range(b):
+            for (ph, pw), taps, rows_at, cols_at, _ in self._phase_taps(Wcp):
+                phase_out[...] = 0
+                _tap_gemms(phase_out[:, Wcp + 1:cells - Wcp - 1], xf[n], folded[taps],
+                           [(r + 1) * Wcp for r in rows_at], [c + 1 for c in cols_at], 0)
+                for pt in range(ft):
+                    dst = up[n, :, pt::ft, ph::fh, pw::fw]
+                    dst[...] = coarse[:, :dst.shape[1]]
+        del phase_out, coarse  # before the skip rows' GEMMs allocate theirs
+        # then the skip rows, added on the skip's padded grid
+        _, lead, rows, dy, dx = self._taps((T, H, W))
+        ws = w[:, :, cu:].transpose(0, 1, 3, 2).reshape(9, cout, cs)
+        sf = sp.reshape(b, cs, -1)
+        for n in range(b):
+            _tap_gemms(accf[n, :, lead:lead + rows], sf[n], ws, dy, dx, 0)
+        acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
+        self._cache = (xp, sp, skip.shape)
+        return _channels_last(up)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        xp, sp, skip_shape = _take_cache(self, self.name)
+        grad_out = np.asarray(grad_out)
+        out_shape = (*skip_shape[:4], self.out_channels)
+        if grad_out.shape != out_shape:
+            raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
+        b, cu, Tc, Hcp, Wcp = xp.shape
+        T, H, W, cs = skip_shape[1:]
+        ft, fh, fw = self.factors
+        cout = self.out_channels
+        _, lead, rows, dy, dx = self._taps((T, H, W))
+        gbuf = _gradient_rows(grad_out, lead)
+        gf = gbuf[:, :, 2 * lead:]
+        g = _channels_first(grad_out)
+        sf = sp.reshape(b, cs, -1)
+        wgrad = self.weight.grad.reshape(9, self.in_channels, cout)
+        folded = self._folded_weights()  # (taps, up, out)
+        wg_folded = np.empty(folded.shape, wgrad.dtype)
+        cells = Tc * Hcp * Wcp
+        xf = xp.reshape(b, cu, cells)
+        gx = _grid((b, cu, Tc, Hcp - 2, Wcp - 2), xp.dtype, zeros=True)
+        gxf = gx.reshape(b, cu, cells)
+        # one phase's gradient on the coarse padded grid, its border zero,
+        # behind a zero margin of one halo (Wcp + 1) at each end
+        halo, inner = Wcp + 1, cells - 2 * (Wcp + 1)
+        g_rows = np.zeros((cout, cells + 2 * halo), grad_out.dtype)
+        g_phase = _interior(g_rows[:, halo:-halo].reshape(cout, Tc, Hcp, Wcp))
+        g_inner = g_rows[:, 2 * halo:2 * halo + inner]  # from the first interior cell
+        for n in range(b):
+            self.bias.grad += gbuf[n].sum(axis=1)
+            _gathered_wgrad(wgrad[:, cu:], sf[n], gf[n], [r + s for r in dy for s in dx], rows)
+            wg_folded[...] = 0
+            for (ph, pw), taps, rows_at, cols_at, shifts in self._phase_taps(Wcp):
+                g_phase[...] = g[n, :, ::ft, ph::fh, pw::fw]  # every group has a first frame
+                for pt in range(1, ft):
+                    src = g[n, :, pt::ft, ph::fh, pw::fw]
+                    g_phase[:, :src.shape[1]] += src
+                for k, s in zip(range(taps.start, taps.stop), shifts):
+                    wg_folded[k] += xf[n, :, s:s + inner] @ g_inner.T
+                _tap_gemms(gxf[n, :, halo:halo + inner], g_rows, folded[taps],
+                           [-r * Wcp for r in rows_at], [-c for c in cols_at], 2 * halo)
+            # each item's folded taps summed back onto their 3x3 taps, as a
+            # batch of one would
+            wgrad[:, :cu] += (self._fold.T @ wg_folded.reshape(len(folded), -1)).reshape(
+                9, cu, cout)
+        self._rest = (gbuf, skip_shape, sp.dtype)
+        return _channels_last(_interior(gx))
 
 
 def _where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -657,80 +852,6 @@ class MaxPool3d:
         return _channels_last(grad)
 
 
-class Upsample3d:
-    """Nearest-neighbor repetition by integer factors per (t, h, w) axis.
-
-    Forward writes the decoder input through `upsample`: the repetition
-    cropped to the skip's (t, h, w), so ceiling-pooled sizes invert
-    exactly, then the skip, in a zero-bordered grid.  A skip of another
-    batch, or of dims the repetition cannot reach, raises ValueError.  It
-    caches its input and skip, not copies, so that `rerun` builds the same
-    output again; in a network both are ReLU outputs that their ReLUs cache
-    anyway.
-    Backward takes the gradient of the upsampled channels only (one of
-    another channel count raises ValueError) and sums it over each
-    repetition group, one axis at a time in (t, h, w) order: phase 0 (which
-    covers every group) is copied and the others are added in order, a
-    ragged last group simply taking fewer of them; the last axis sums into
-    the interior of a zero-bordered grid.  For the network's factors of 1
-    and 2 that is np.add.reduceat over the groups bit for bit, signed zeros
-    included.
-    """
-
-    def __init__(self, factors):
-        if min(factors) < 1:
-            raise ValueError(f"upsample factors must be >= 1, got {factors}")
-        self.factors = tuple(factors)
-        self._cache = None
-
-    def params(self):
-        return []
-
-    def forward(self, x: np.ndarray, skip: np.ndarray) -> np.ndarray:
-        x = ensure_array5(x, "upsample")
-        skip = ensure_array5(skip, "skip")
-        dims = skip.shape[1:4]
-        if skip.shape[0] != x.shape[0] or not all(
-                (d - 1) * f < t <= d * f for d, f, t in zip(x.shape[1:4], self.factors, dims)):
-            raise ValueError(f"skip shape {skip.shape} does not match batch {x.shape[0]} "
-                             f"and dims {x.shape[1:4]} repeated x{self.factors}")
-        self._cache = x, skip
-        return upsample(x, self.factors, skip)
-
-    def rerun(self) -> np.ndarray:
-        """The last forward's output, built again from the input and skip
-        that it cached."""
-        if self._cache is None:
-            raise RuntimeError("upsample: rerun before forward")
-        x, skip = self._cache
-        return upsample(x, self.factors, skip)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, skip = _take_cache(self, "upsample")
-        dims, channels = skip.shape[1:4], x.shape[4]
-        grad_out = np.asarray(grad_out)
-        if grad_out.shape[1:4] != dims:
-            raise ValueError(f"upsample grad dims {grad_out.shape[1:4]} != skip dims {dims}")
-        if grad_out.shape[4] != channels:
-            raise ValueError(f"upsample grad has {grad_out.shape[4]} channels, "
-                             f"its input {channels}")
-        g = _channels_first(grad_out)
-        # every axis with a factor above 1, the last summed into the grid
-        # returned; with none, the last axis, which copies
-        axes = [a for a, f in enumerate(self.factors, start=2) if f > 1] or [4]
-        for axis in axes:
-            f, lead = self.factors[axis - 2], (slice(None),) * axis
-            first = g[(*lead, slice(0, None, f))]
-            summed = bordered(first.shape, g.dtype) if axis == axes[-1] else np.empty(
-                first.shape, g.dtype)
-            summed[...] = first
-            for p in range(1, f):
-                phase = g[(*lead, slice(p, None, f))]
-                summed[(*lead, slice(phase.shape[axis]))] += phase
-            g = summed
-        return _channels_last(g)
-
-
 class ReLU:
     """Elementwise max(0, x), as np.where(x > 0, x, 0) bit for bit.
 
@@ -750,8 +871,8 @@ class ReLU:
     raises and names the block.  The gradient is written into a new grid
     whose border is zeroed: the conv before reads it in place as its padded
     incoming gradient.  Like forward, it runs over the whole grid that grad
-    is the interior of (a conv's input gradient, a pool's or an
-    upsample's), else over a bordered copy of grad, multiplying whole grids
+    is the interior of (a conv's input gradient or a pool's), else over a
+    bordered copy of grad, multiplying whole grids
     in contiguous passes.
     """
 

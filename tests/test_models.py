@@ -34,8 +34,8 @@ from rainfusion.models import (
     save_model,
     train,
 )
-from rainfusion.nn import (Adam, Conv3d, MaxPool3d, Parameter, ReLU, Upsample3d, gradient_check,
-                           logcosh_loss, lr_for_epoch)
+from rainfusion.nn import (Adam, Conv3d, MaxPool3d, Parameter, ReLU, UpsampleConv3d,
+                           gradient_check, logcosh_loss, lr_for_epoch)
 from rainfusion.nn import layers as nn_layers
 from rainfusion.nn.losses import LOSSES
 from rainfusion.pipeline import (
@@ -87,7 +87,8 @@ class TestArchitecture:
     def test_reference_radar_budget(self):
         model = UNet3D(ModelConfig(variant="radar"), seed=0)
         assert len(model.conv_layers()) == 20
-        assert len(model.pools) == len(model.ups) == len(model.dec) == 4
+        assert len(model.pools) == len(model.dec) == 4
+        assert model.ups == []  # the decoder convs upsample; kept for the benchmark's tracer
         count = param_count(model)
         assert 29_800_000 <= count <= 33_000_000
         # frozen from the closed-form layer-by-layer enumeration
@@ -127,21 +128,24 @@ class TestArchitecture:
     @pytest.mark.parametrize("config", [TINY, TINY_MM])
     def test_layer_outputs_are_channels_first_in_memory(self, config, monkeypatch):
         """Every layer output is the interior of a channels-first grid (see
-        `grid_of`).  ReLU, pool and upsample outputs (the decoder input
-        `[upsampled | skip]`) have a zero border, and every conv but the
-        first, whose input here is a plain array, reads that grid in place as
-        its padded input: the 1x1x1 `head_b` too."""
+        `grid_of`).  ReLU and pool outputs have a zero border, and every conv
+        but the first, whose input here is a plain array, reads that grid in
+        place as its padded input: the 1x1x1 `head_b` too, and each decoder
+        stage's first conv both its coarse input and its skip."""
         model = UNet3D(config, seed=4)
         layers = model.steps
-        outputs, reused = [], []
+        outputs, reused, skips_reused = [], [], []
 
         def recording(layer):
             forward = layer.forward
 
-            def record(x, *args, **kwargs):
-                outputs.append((layer, forward(x, *args, **kwargs)))
+            def record(x):
+                skip = getattr(layer, "skip", None)
+                outputs.append((layer, forward(x)))
                 if isinstance(layer, Conv3d):
                     reused.append(layer._cache[0].base is x.base)
+                if isinstance(layer, UpsampleConv3d):
+                    skips_reused.append(layer._cache[1].base is skip.base)
                 return outputs[-1][1]
             return record
 
@@ -152,11 +156,10 @@ class TestArchitecture:
         assert len(outputs) == len(layers)
         for layer, out in outputs:
             grid_of(out)
-            if isinstance(layer, (ReLU, MaxPool3d, Upsample3d)):
+            if isinstance(layer, (ReLU, MaxPool3d)):
                 assert_zero_border(out)
-        for conv, up in zip((block[0] for block in model.dec), model.ups):
-            assert [out.shape[-1] for layer, out in outputs if layer is up] == [conv.in_channels]
         assert reused == [False] + [True] * (len(model.conv_layers()) - 1)
+        assert skips_reused == [True] * len(model.dec)
 
     def test_forward_deterministic(self):
         model = UNet3D(TINY, seed=3)
@@ -275,9 +278,10 @@ class TestBorderedBuffers:
         and 43.9 MiB with the bordered buffers, about 34.7 and 33.4 MiB
         once no decoder input was held from forward to backward, and about
         27.2 and 27.5 MiB with the encoder's inner activations rebuilt in
-        backward.  It reads about 25.3 and 26.4 MiB now that a conv's
-        backward reads the gradient that the ReLU after it wrote in place
-        instead of copying it into a zeroed padded grid."""
+        backward.  It read about 25.3 and 26.4 MiB once a conv's backward
+        read the gradient that the ReLU after it wrote in place instead of
+        copying it into a zeroed padded grid, and reads about 24.8 and
+        25.2 MiB now that no decoder input is built."""
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=23)
         opt = Adam(model.params(), lr=1e-3)
         rng = np.random.default_rng(10)
@@ -350,32 +354,37 @@ class TestGradientsInPlace:
 
 
 class TestDeskGemmForms:
-    # whether each conv of the desk network is wide-input (in > 2 * out): the
-    # one test that puts every tap of its forward on the output side ("out",
-    # else "kw") and takes its weight gradient per tap (else from gathered
-    # blocks); every input gradient takes "kw"
+    # whether each plain conv of the desk network is wide-input (in > 2 *
+    # out), the one test that takes its weight gradient per tap (else from
+    # gathered blocks).  The decoder convs `dec*a` (`UpsampleConv3d`) take
+    # the gathered form for their skip rows and one GEMM per folded tap for
+    # their up rows
     WIDE = {"enc1a": False, "enc1b": False, "enc2a": False, "enc2b": False,
-            "bottleneck_a": False, "bottleneck_b": False, "dec2a": True, "dec2b": False,
-            "dec1a": True, "dec1b": False, "head_a": True, "head_b": False}
+            "bottleneck_a": False, "bottleneck_b": False, "dec2b": False,
+            "dec1b": False, "head_a": True, "head_b": False}
 
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_desk_step_gemm_forms(self, variant, monkeypatch):
-        """Which convs of a desk training step are wide-input, and the tap
-        split that each takes in its forward and in its input gradient: a
-        change of the test shows here.  The multimodal enc1a (12 -> 8) and
-        the radar's (1 -> 8) are both not wide-input; enc1a computes no
-        input gradient in a training step."""
+        """Which plain convs of a desk training step are wide-input, which
+        convs gather their weight gradient, and the tap split of every
+        forward and input-gradient GEMM, "kw": a change shows here.  The
+        multimodal enc1a (12 -> 8) and the radar's (1 -> 8) are both not
+        wide-input; enc1a computes no input gradient in a training step."""
         config = replace(DESK, variant=variant, base_channels=8)
         rng = np.random.default_rng(12)
         x = rng.random((2, 6, 64, 64, config.in_channels), dtype=np.float32)
         y = rng.random((2, 1, 64, 64, 1), dtype=np.float32)
         model = UNet3D(config, seed=26)
         log, forms = [], {}
-        tap_gemms = nn_layers._tap_gemms
+        tap_gemms, gathered_wgrad = nn_layers._tap_gemms, nn_layers._gathered_wgrad
 
-        def spy(dst, src, w, out_shifts, k_shifts, base):
+        def tap_spy(dst, src, w, out_shifts, k_shifts, base):
             log.append("out" if k_shifts == [0] else "kw")
             return tap_gemms(dst, src, w, out_shifts, k_shifts, base)
+
+        def gathered_spy(*args):
+            log.append("gathered")
+            return gathered_wgrad(*args)
 
         def traced(conv, method):
             run = getattr(conv, method)
@@ -387,7 +396,8 @@ class TestDeskGemmForms:
                 return out
             return call
 
-        monkeypatch.setattr(nn_layers, "_tap_gemms", spy)
+        monkeypatch.setattr(nn_layers, "_tap_gemms", tap_spy)
+        monkeypatch.setattr(nn_layers, "_gathered_wgrad", gathered_spy)
         for conv in model.conv_layers():
             for method in ("forward", "backward", "backward_rest"):
                 setattr(conv, method, traced(conv, method))
@@ -395,10 +405,14 @@ class TestDeskGemmForms:
         _, grad = logcosh_loss(out, y)
         model.zero_grad()
         model.backward(grad.astype(out.dtype, copy=False), input_grad=False)
-        assert {conv.name: conv.wide_input for conv in model.conv_layers()} == self.WIDE
-        want = {(name, True): {"out" if wide else "kw"} for name, wide in self.WIDE.items()}
-        want.update({(name, False): {"kw"} for name in self.WIDE})
-        want[("enc1a", False)] = set()
+        plain = {conv.name: conv.wide_input for conv in model.conv_layers()
+                 if type(conv) is Conv3d}
+        assert plain == self.WIDE
+        names = [conv.name for conv in model.conv_layers()]
+        want = {(name, True): {"kw"} for name in names}
+        want.update({(name, False): {"kw"} if self.WIDE.get(name) else {"kw", "gathered"}
+                     for name in names})
+        want[("enc1a", False)] = {"gathered"}
         assert forms == want
 
 
@@ -433,9 +447,11 @@ class TestOneLayout:
         model.backward(rng.normal(size=out.shape).astype(np.float32))
         model._run(x, keep=False)
         kinds = Counter((kind, method) for kind, method, _ in returned)
-        convs = len(model.conv_layers())
-        assert kinds[("Conv3d", "backward")] == convs
-        assert kinds[("Conv3d", "backward_rest")] == config.levels  # the first conv's too
+        convs, stages = len(model.conv_layers()), config.levels - 1
+        assert kinds[("Conv3d", "backward")] == convs - stages
+        assert kinds[("UpsampleConv3d", "backward")] == stages
+        assert kinds[("Conv3d", "backward_rest")] == 1  # the first conv's
+        assert kinds[("UpsampleConv3d", "backward_rest")] == stages
         assert kinds[("ReLU", "backward")] == convs - 1
         for kind, method, a in returned:
             if not a.size:  # the empty first part of the first conv's input gradient
@@ -445,13 +461,11 @@ class TestOneLayout:
             assert grid_of(a).shape[2] == a.shape[1], (kind, method)
 
 
-class TestDecoderInputs:
-    """The first conv of each decoder stage drops its input, the
-    `[upsampled | skip]` buffer, after its forward, and the backward
-    builds it again just before that conv's backward.  The second conv of
-    each encoder stage and of the bottleneck drops its input, the first
-    ReLU's output, likewise, and the backward runs the first conv and ReLU
-    again for it."""
+class TestRebuiltInputs:
+    """The second conv of each encoder stage and of the bottleneck drops
+    its input, the first ReLU's output, after its forward, and the backward
+    runs the first conv and ReLU again for it just before that conv's
+    backward."""
 
     @staticmethod
     def step(model, x):
@@ -477,9 +491,7 @@ class TestDecoderInputs:
         model = UNet3D(config, seed=6)
         rebuilt, held = self.step(model, x)
         dropped = [conv.name for conv, h in zip(model.conv_layers(), held) if not h]
-        stages = range(1, config.levels)
-        assert dropped == ([f"enc{i}b" for i in stages] + ["bottleneck_b"]
-                           + [f"dec{i}a" for i in reversed(stages)])
+        assert dropped == [f"enc{i}b" for i in range(1, config.levels)] + ["bottleneck_b"]
         assert _cached_layers(model) == []
         reference = UNet3D(config, seed=6)
         reference._rebuild = {}
@@ -493,35 +505,43 @@ class TestDecoderInputs:
         model = UNet3D(TINY, seed=6)
         out = model.forward(np.ones((1, 6, 16, 16, 1), np.float32))
         monkeypatch.setattr(Conv3d, "restore_input", lambda conv, x: None)
-        with pytest.raises(RuntimeError, match="dec1a: backward after drop_input"):
+        with pytest.raises(RuntimeError, match="bottleneck_b: backward after drop_input"):
             model.backward(np.ones_like(out))
         with pytest.raises(RuntimeError, match="backward before forward"):
             model.backward(np.ones_like(out))
 
-    def test_input_gradient_freed_once_split(self):
+
+class TestDecoderInputs:
+    """No decoder input `[upsampled | skip]` is built: the first conv of
+    each decoder stage (`UpsampleConv3d`) reads the coarse features and the
+    skip in place, in a training step and in a nowcast."""
+
+    def test_skip_gradient_follows_the_coarse_gradient(self):
         """A decoder stage's first conv gives its input gradient in two
-        parts.  `backward` gives the upsampled channels' part, which is
-        freed before any layer but the upsample runs its backward; only
-        then does `backward_rest` give the skip's part, which is kept as it
-        is, no copy, until the encoder adds it."""
+        parts: `backward` the coarse features', at their own dims, and right
+        after it `backward_rest` the skip's, at the skip's dims, which is
+        kept until the encoder adds it."""
         model = UNet3D(TINY_MM, seed=6)
         firsts = [block[0] for block in model.dec]
-        grads = []  # weak references to each upsampled part's buffer
         calls = []  # (layer, method) of each backward, in order
+        inputs = {}  # conv -> (coarse input shape, skip shape)
 
         def watching(layer):
-            backward = layer.backward
+            forward, backward = layer.forward, layer.backward
+
+            def run_forward(x):
+                if layer in firsts:
+                    inputs[layer] = (x.shape, layer.skip.shape)
+                return forward(x)
 
             def run(g):
                 calls.append((layer, "backward"))
-                if not isinstance(layer, Upsample3d):
-                    assert all(ref() is None for ref in grads), layer
                 out = backward(g)
                 if layer in firsts:
-                    assert out.shape[-1] == grid_of(out).shape[1] == layer.split
-                    grads.append(weakref.ref(out.base))
+                    assert out.shape == (*inputs[layer][0][:4], layer.split)
+                    assert grid_of(out).shape[1] == layer.split
                 return out
-            return run
+            return run_forward, run
 
         def watching_rest(conv):
             backward_rest = conv.backward_rest
@@ -529,20 +549,20 @@ class TestDecoderInputs:
             def run():
                 calls.append((conv, "backward_rest"))
                 out = backward_rest()
-                assert out.shape[-1] == grid_of(out).shape[1] == conv.in_channels - conv.split
+                assert out.shape == inputs[conv][1]
+                assert grid_of(out).shape[1] == conv.in_channels - conv.split
                 return out
             return run
 
         for layer in model.steps:
-            layer.backward = watching(layer)
+            layer.forward, layer.backward = watching(layer)
         for conv in firsts:
             conv.backward_rest = watching_rest(conv)
         out = model.forward(np.ones((2, 6, 16, 16, 12), np.float32))
         model.backward(np.ones_like(out))
-        assert len(grads) == len(firsts)
-        for conv, up in zip(firsts, model.ups):
+        for conv in firsts:
             at = calls.index((conv, "backward"))
-            assert calls[at + 1:at + 3] == [(up, "backward"), (conv, "backward_rest")]
+            assert calls[at + 1] == (conv, "backward_rest")
 
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_desk_inference_peak(self, variant):
@@ -551,8 +571,9 @@ class TestDecoderInputs:
         decoder input held, 9.8 and 9.5 MiB with it dropped, about 7.1
         and 7.2 MiB with one GEMM product at a time and the encoder's and
         the bottleneck's inner activations freed after their second conv,
-        and about 4.8 and 4.4 MiB now that each layer's cache is dropped
-        right after its forward."""
+        about 4.8 and 4.4 MiB with each layer's cache dropped right after
+        its forward, and about 3.6 and 3.0 MiB now that no decoder input is
+        built."""
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=23)
         x = np.random.default_rng(10).random((1, 6, 64, 64, model.config.in_channels),
                                             dtype=np.float32)
@@ -564,6 +585,57 @@ class TestDecoderInputs:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2 ** 20
+
+    @pytest.mark.parametrize("variant", ["radar", "multimodal"])
+    def test_no_upsampled_array_in_a_step_or_nowcast(self, variant, monkeypatch):
+        """In a desk training step and a nowcast, no call of a decoder
+        stage's first conv (forward, backward, backward_rest) allocates as
+        many traced bytes as the up channels at the skip's resolution would
+        take: its peak over the memory at its start stays below them, so no
+        array holding them ever exists.  The GEMM blocks are made small
+        here (`_ROW_BLOCK`, `_COLS_BYTES`), as their scratch is bounded by
+        the block size, not by the input; what remains is the output and
+        the coarse-resolution work."""
+        monkeypatch.setattr(nn_layers, "_ROW_BLOCK", 64)
+        monkeypatch.setattr(nn_layers, "_COLS_BYTES", 16 << 10)
+        config = replace(DESK, variant=variant, base_channels=8)
+        model = UNet3D(config, seed=27)
+        rng = np.random.default_rng(27)
+        x = rng.random((1, 6, 64, 64, config.in_channels), dtype=np.float32)
+        calls = []  # (conv name, method, traced bytes above the start, up bytes)
+        up_bytes = {}  # conv name -> bytes of its up channels at its skip's resolution
+
+        def traced(conv, method):
+            run = getattr(conv, method)
+
+            def call(*args):
+                if method == "forward":
+                    b, T, H, W = conv.skip.shape[:4]
+                    up_bytes[conv.name] = b * conv.split * T * H * W * 4
+                start, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                out = run(*args)
+                calls.append((conv.name, method, tracemalloc.get_traced_memory()[1] - start,
+                              up_bytes[conv.name]))
+                return out
+            return call
+
+        for conv in (block[0] for block in model.dec):
+            for method in ("forward", "backward", "backward_rest"):
+                setattr(conv, method, traced(conv, method))
+        tracemalloc.start()
+        try:
+            out = model.forward(x)
+            model.backward(rng.normal(size=out.shape).astype(np.float32), input_grad=False)
+            model._run(x, keep=False)
+        finally:
+            tracemalloc.stop()
+        assert [(name, method) for name, method, *_ in calls] == [
+            ("dec2a", "forward"), ("dec1a", "forward"), ("dec1a", "backward"),
+            ("dec1a", "backward_rest"), ("dec2a", "backward"), ("dec2a", "backward_rest"),
+            ("dec2a", "forward"), ("dec1a", "forward")]
+        for name, method, allocated, up_bytes in calls:
+            assert allocated < up_bytes, (name, method)
 
 
 def _write_sequence(tmp_path, fields, lead=5):
@@ -1226,10 +1298,11 @@ class TestSampleSteps:
         read about 8.0 and 10.3 MiB once a step rebuilt the encoder's and
         the bottleneck's inner activations in backward, got a decoder input
         gradient in two parts, held one GEMM product at a time, and built
-        the network input once, without its gradient.  It reads about 7.7
-        and 9.1 MiB now that each sample's input is a time slice of the one
-        frame buffer instead of a copy, and a conv's backward reads the
-        ReLU's gradient in place."""
+        the network input once, without its gradient.  It read about 7.7
+        and 9.1 MiB once each sample's input was a time slice of the one
+        frame buffer instead of a copy, and a conv's backward read the
+        ReLU's gradient in place, and reads about 6.8 and 8.2 MiB now that
+        no decoder input is built."""
         samples, stats = _desk_samples(tmp_path, variant)
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=22)
         schedule = TrainSchedule(epochs=1, lr=1e-3, milestones=(), batch_size=4)

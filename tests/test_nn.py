@@ -15,14 +15,13 @@ from rainfusion.nn import (
     MaxPool3d,
     Parameter,
     ReLU,
-    Upsample3d,
+    UpsampleConv3d,
     gradient_check,
     load_arrays,
     logcosh_loss,
     lr_for_epoch,
     mse_loss,
     save_arrays,
-    upsample,
 )
 
 
@@ -138,18 +137,6 @@ def maxpool_oracle(x, window, grad_out):
     np.put_along_axis(routed, idx[..., None], grad_out[..., None], axis=-1)
     g = routed.reshape(b, ot, oh, ow, c, wt, wh, ww).transpose(0, 1, 5, 2, 6, 3, 7, 4)
     return out, g.reshape(b, ot * wt, oh * wh, ow * ww, c)[:, :T, :H, :W, :]
-
-
-def upsample_oracle(x, factors, target_dims, grad_out):
-    """Channels-last np.repeat upsampling, and its np.add.reduceat adjoint."""
-    out = x
-    for axis, (f, t) in enumerate(zip(factors, target_dims), start=1):
-        out = np.repeat(out, f, axis=axis)[(slice(None),) * axis + (slice(0, t),)]
-    g = grad_out
-    for axis, (f, d) in enumerate(zip(factors, x.shape[1:4]), start=1):
-        if f > 1:
-            g = np.add.reduceat(g, np.arange(d) * f, axis=axis)
-    return out, g
 
 
 class TestConv3d:
@@ -400,10 +387,9 @@ class TestTapSplits:
     """Each GEMM form of a conv against float64 direct sums."""
 
     # (in, out, kernel, input (t, h, w), wide-input): each side of the one
-    # test (in > 2 * out), which puts a forward's taps all on the output
-    # side ("out", else "kw") and takes its weight gradient per tap (else
-    # from gathered blocks); every input gradient takes "kw".  The kt = 6
-    # head and a 1x1 kernel too; every 3x3 case spans two GEMM blocks
+    # test (in > 2 * out), which takes a weight gradient per tap (else from
+    # gathered blocks); every forward and input gradient takes "kw".  The
+    # kt = 6 head and a 1x1 kernel too; every 3x3 case spans two GEMM blocks
     # (`_ROW_BLOCK`) and several gathered blocks (`_COLS_BYTES`)
     CASES = [
         (8, 8, (1, 3, 3), (3, 40, 36), False),
@@ -427,17 +413,23 @@ class TestTapSplits:
         conv.bias.value[...] = rng.normal(size=cout)
         x = rng.normal(size=(2, *dims, cin)).astype(dtype)
         g = rng.normal(size=(2, dims[0] - kernel[0] + 1, *dims[1:], cout)).astype(dtype)
-        forms = []
-        tap_gemms = layers._tap_gemms
+        k_shifts, gathered = [], []
+        tap_gemms, gathered_wgrad = layers._tap_gemms, layers._gathered_wgrad
 
-        def spy(dst, src, w, out_shifts, k_shifts, base):
-            forms.append("out" if k_shifts == [0] else "kw")
-            return tap_gemms(dst, src, w, out_shifts, k_shifts, base)
+        def tap_spy(dst, src, w, out_shifts, ks, base):
+            k_shifts.append(len(ks))
+            return tap_gemms(dst, src, w, out_shifts, ks, base)
 
-        monkeypatch.setattr(layers, "_tap_gemms", spy)
+        def gathered_spy(*args):
+            gathered.append(args)
+            return gathered_wgrad(*args)
+
+        monkeypatch.setattr(layers, "_tap_gemms", tap_spy)
+        monkeypatch.setattr(layers, "_gathered_wgrad", gathered_spy)
         out, gx, gw, _ = conv_step(conv, x, g)
-        calls = 2 * kernel[0]  # one per item and temporal tap, forward then input gradient
-        assert forms == ["out" if wide else "kw"] * calls + ["kw"] * calls
+        calls = 2 * kernel[0]  # one per item and temporal tap
+        assert k_shifts == [kernel[2]] * 2 * calls  # forward, then input gradient: kw taps on K
+        assert len(gathered) == (0 if wide else calls)
         want = conv_direct_f64(x, conv.weight.value, g)
         got = (out - conv.bias.value, gx, gw)
         for name, a, b in zip(("output", "input gradient", "weight gradient"), got, want):
@@ -458,9 +450,9 @@ class TestGemmScratch:
     """The conv GEMM block temporaries are private to the call that makes
     them."""
 
-    # (in, out, kernel, input (b, t, h, w)): both forward tap splits ("out"
-    # for the wide-input 12 -> 4, "kw" for the others; every input gradient
-    # takes "kw"), and inputs of one block and of several
+    # (in, out, kernel, input (b, t, h, w)): both weight-gradient forms (per
+    # tap for the wide-input 12 -> 4, gathered for the others), and inputs
+    # of one block and of several
     CONVS = [
         (3, 2, (1, 3, 3), (2, 2, 6, 5)),
         (12, 4, (3, 3, 3), (2, 4, 40, 36)),
@@ -601,104 +593,181 @@ class TestMaxPool3d:
         assert_bits_equal(pool.backward(g), ref_grad)
 
 
-class TestUpsample3d:
-    def test_unit_factors_identity(self):
-        x = np.random.default_rng(8).normal(size=(1, 2, 3, 3, 2))
-        out = Upsample3d((1, 1, 1)).forward(x, np.zeros((1, 2, 3, 3, 1)))
-        np.testing.assert_array_equal(out[..., :2], x)
+def upsample_conv_reference(layer, x, skip, g):
+    """Float64 (output, coarse input gradient, skip gradient, weight
+    gradient, bias gradient) of the `UpsampleConv3d` `layer` on `x` and
+    `skip`, for output gradient `g`: the decoder input built by np.repeat,
+    a crop to the skip's dims and np.concatenate, run through a plain
+    float64 `Conv3d` with the same weights, and the gradient of its up
+    channels summed over each repetition group (np.add.reduceat)."""
+    x, skip, g = (np.asarray(a, np.float64) for a in (x, skip, g))
+    up = x
+    for axis, (f, n) in enumerate(zip(layer.factors, skip.shape[1:4]), start=1):
+        up = np.repeat(up, f, axis=axis)[(slice(None),) * axis + (slice(n),)]
+    conv = Conv3d(layer.in_channels, layer.out_channels, dtype=np.float64)
+    conv.weight.value[...] = layer.weight.value
+    conv.bias.value[...] = layer.bias.value
+    out = conv.forward(np.concatenate([up, skip], axis=-1))
+    joined_grad = conv.backward(g)
+    gx = joined_grad[..., :layer.split]
+    for axis, (f, d) in enumerate(zip(layer.factors, x.shape[1:4]), start=1):
+        gx = np.add.reduceat(gx, np.arange(d) * f, axis=axis)
+    return out, gx, joined_grad[..., layer.split:], conv.weight.grad, conv.bias.grad
 
-    def test_inverts_ceiling_pooled_dims(self):
-        x = np.random.default_rng(9).normal(size=(1, 6, 5, 4, 1))
-        pooled = MaxPool3d((2, 2, 2)).forward(x)
-        up = Upsample3d((2, 2, 2)).forward(pooled, x)
-        assert up.shape == (*x.shape[:4], 2)
+
+def upsample_conv_step(layer, x, skip, g):
+    """(output, coarse input gradient, skip gradient, weight gradient, bias
+    gradient) of one forward and backward of `layer`, from zero gradients."""
+    for p in layer.params():
+        p.zero_grad()
+    layer.skip = skip
+    out = layer.forward(x)
+    gx = layer.backward(g)
+    return out, gx, layer.backward_rest(), layer.weight.grad.copy(), layer.bias.grad.copy()
+
+
+class TestUpsampleConv3d:
+    """The decoder conv on [upsampled | skip], run on the coarse input and
+    the skip without building the decoder input."""
+
+    # (up, skip, out channels, factors, coarse (t, h, w), skip (t, h, w)):
+    # the radar and multimodal pool windows, the (1, 2, 2) window that
+    # pools cols too, a ragged last time group (3 frames from 2) and unit
+    # factors; the first spans several GEMM blocks (`_ROW_BLOCK`) and
+    # several blocks of the backward's stack (`_COLS_BYTES`)
+    CASES = [
+        (16, 8, 8, (2, 2, 1), (3, 30, 36), (6, 60, 36)),
+        (16, 8, 8, (2, 2, 2), (3, 30, 18), (6, 60, 36)),
+        (16, 8, 8, (1, 2, 2), (3, 30, 18), (3, 60, 36)),
+        (6, 3, 4, (2, 2, 2), (2, 10, 9), (3, 20, 18)),
+        (4, 2, 3, (1, 1, 1), (2, 9, 7), (2, 9, 7)),
+    ]
+
+    @pytest.mark.parametrize("dtype,bound", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "{}{}{}-{}x{}x{}-from-{}x{}x{}".format(
+        *c[3], *c[4], *c[5]))
+    def test_matches_repeat_concat_conv_reference(self, case, dtype, bound):
+        """Output, coarse and skip input gradients and weight and bias
+        gradients within `bound` of the float64 reference, as max |diff| /
+        max |reference|."""
+        cu, cs, cout, factors, coarse, dims = case
+        rng = np.random.default_rng(cu * 100 + sum(dims))
+        layer = UpsampleConv3d(cu, cs, cout, factors, rng=rng, dtype=dtype)
+        layer.bias.value[...] = rng.normal(size=cout)
+        x = rng.normal(size=(2, *coarse, cu)).astype(dtype)
+        skip = rng.normal(size=(2, *dims, cs)).astype(dtype)
+        g = rng.normal(size=(2, *dims, cout)).astype(dtype)
+        got = upsample_conv_step(layer, x, skip, g)
+        want = upsample_conv_reference(layer, x, skip, g)
+        names = ("output", "coarse gradient", "skip gradient", "weight gradient", "bias gradient")
+        for name, a, b in zip(names, got, want, strict=True):
+            assert a.dtype == dtype and a.shape == b.shape, name
+            assert np.abs(a - b).max() <= bound * np.abs(b).max(), name
 
     def test_backward_counts_repetitions(self):
-        x = np.ones((1, 3, 2, 2, 1))
-        ups = Upsample3d((2, 2, 1))
-        out = ups.forward(x, np.zeros((1, 5, 4, 2, 1)))
-        g = ups.backward(np.ones_like(out[..., :1]))
-        # time groups: 2, 2, 1 repeats; rows: 2 each; cols: 1 each
-        np.testing.assert_allclose(g[0, :, 0, 0, 0], [4.0, 4.0, 2.0])
+        """With the centre tap of the up channel as the only weight, the
+        output is the repeated input cropped to the skip (ceiling-pooled
+        dims: time groups of 2, 2 and 1) and the coarse gradient of ones
+        counts each group's cells."""
+        layer = UpsampleConv3d(1, 1, 1, (2, 2, 1), dtype=np.float64)
+        layer.weight.value[...] = 0
+        layer.weight.value[0, 1, 1, 0, 0] = 1
+        x = np.random.default_rng(8).normal(size=(1, 3, 2, 2, 1))
+        out, gx, gs, *_ = upsample_conv_step(layer, x, np.zeros((1, 5, 4, 2, 1)),
+                                             np.ones((1, 5, 4, 2, 1)))
+        assert_bits_equal(out, np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)[:, :5])
+        np.testing.assert_array_equal(gx[0, :, :, :, 0], np.array([4.0, 4.0, 2.0])[:, None, None]
+                                      * np.ones((3, 2, 2)))
+        assert not gs.any()
 
-    def test_backward_matches_finite_differences(self):
+    def test_inverts_ceiling_pooled_dims(self):
+        """Pooled with ceiling semantics (time 5 -> 3) and joined to the
+        pool's input, the output has the skip's dims."""
+        skip = np.random.default_rng(9).normal(size=(1, 5, 4, 6, 2))
+        layer = UpsampleConv3d(2, 2, 3, (2, 2, 2))
+        layer.skip = skip
+        assert layer.forward(MaxPool3d((2, 2, 2)).forward(skip)).shape == (1, 5, 4, 6, 3)
+
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
-        ups = Upsample3d((2, 2, 2))
-        xp = Parameter("x", rng.normal(size=(1, 3, 3, 4, 2)))
-        skip = np.zeros((1, 5, 6, 7, 1))
-        out = ups.forward(xp.value, skip)[..., :2]
-        proj = rng.normal(size=out.shape)
+        layer = UpsampleConv3d(3, 2, 2, (2, 2, 2), rng=rng, dtype=np.float64)
+        layer.bias.value[...] = rng.normal(size=2)
+        x = Parameter("x", rng.normal(size=(1, 2, 3, 2, 3)))
+        skip = Parameter("skip", rng.normal(size=(1, 3, 6, 4, 2)))
+        proj = rng.normal(size=(1, 3, 6, 4, 2))
 
         def loss_fn():
-            return float(np.sum(proj * ups.forward(xp.value, skip)[..., :2]))
+            layer.skip = skip.value
+            return float(np.sum(proj * layer.forward(x.value)))
 
-        xp.grad = ups.backward(proj)
-        assert gradient_check(loss_fn, [xp], [xp.grad], n_samples=100, seed=2) < 1e-7
+        loss_fn()
+        x.grad = layer.backward(proj)
+        skip.grad = layer.backward_rest()
+        params = [layer.weight, layer.bias, x, skip]
+        assert gradient_check(loss_fn, params, n_samples=150, seed=2) < 1e-7  # linear
 
-    def test_target_validation(self):
-        ups = Upsample3d((2, 2, 2))
-        x = np.zeros((1, 3, 3, 3, 1))
-        for dims in [(2, 6, 6),  # smaller than input
-                     (7, 6, 6),  # beyond reach of x2
-                     (4, 6, 6)]:  # last cell unused
-            with pytest.raises(ValueError, match="skip shape"):
-                ups.forward(x, np.zeros((1, *dims, 1)))
-        with pytest.raises(ValueError, match="skip shape"):
-            ups.forward(x, np.zeros((2, 6, 6, 6, 1)))  # another batch
+    def test_shape_validation(self):
+        layer = UpsampleConv3d(2, 1, 3, (2, 2, 2), name="dec9a")
+        x = np.zeros((1, 3, 3, 4, 2))
 
-    def test_rerun_gives_the_forward_output(self):
-        """`rerun` builds the decoder input again from the input and skip
-        that the forward cached; with no forward, or after the backward that
-        consumed them, it raises."""
-        ups = Upsample3d((2, 2, 2))
-        with pytest.raises(RuntimeError, match="upsample: rerun before forward"):
-            ups.rerun()
-        rng = np.random.default_rng(14)
-        x, skip = rng.normal(size=(1, 2, 2, 2, 2)), rng.normal(size=(1, 3, 4, 4, 1))
-        out = ups.forward(x, skip)
-        assert_bits_equal(ups.rerun(), out)
-        ups.backward(np.ones_like(out[..., :2]))
-        with pytest.raises(RuntimeError, match="upsample: rerun before forward"):
-            ups.rerun()
+        def forward(skip, coarse=x):
+            layer.skip = np.zeros(skip)
+            return layer.forward(coarse)
 
-    def test_gradient_of_other_channel_count_raises(self):
-        """The gradient must have the input's channels, not only its dims."""
-        ups = Upsample3d((2, 2, 2))
-        out = ups.forward(np.zeros((1, 2, 2, 2, 2)), np.zeros((1, 4, 4, 4, 1)))
-        with pytest.raises(ValueError, match="upsample grad has 3 channels, its input 2"):
-            ups.backward(np.ones_like(out))
+        forward((1, 6, 6, 8, 1))
+        forward((1, 5, 6, 8, 1))  # a ragged last time group
+        for dims in [(4, 6, 8),  # last time group unused
+                     (7, 6, 8),  # beyond reach of x2
+                     (6, 5, 8),  # rows not the coarse rows x2
+                     (6, 6, 7),  # cols ceiling-pooled, not exact
+                     (6, 6, 9)]:
+            with pytest.raises(ValueError, match="dec9a: skip shape"):
+                forward((1, *dims, 1))
+        with pytest.raises(ValueError, match="dec9a: skip shape"):
+            forward((2, 6, 6, 8, 1))  # another batch
+        with pytest.raises(ValueError, match="dec9a: expected 2 up and 1 skip channels, got 2 and 2"):
+            forward((1, 6, 6, 8, 2))
+        with pytest.raises(ValueError, match="dec9a: expected 2 up and 1 skip channels, got 3 and 1"):
+            forward((1, 6, 6, 8, 1), np.zeros((1, 3, 3, 4, 3)))
+        with pytest.raises(ValueError, match="repetition factors must be >= 1"):
+            UpsampleConv3d(2, 1, 3, (2, 0, 2))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "factors,in_dims,target_dims",
-        [
-            ((2, 2, 1), (3, 4, 5), (6, 8, 5)),
-            ((2, 2, 2), (3, 4, 5), (6, 8, 10)),
-            ((2, 2, 1), (3, 3, 4), (5, 5, 4)),  # ragged time, odd rows
-            ((2, 2, 2), (2, 3, 3), (3, 5, 6)),  # ragged time and rows
-            ((2, 2, 2), (2, 16, 16), (3, 32, 32)),  # the multimodal decoder's deeper level
-        ],
-    )
-    def test_matches_repeat_reduceat_oracle(self, factors, in_dims, target_dims, dtype):
-        """The decoder input [upsampled | skip], at the skip's dims, in one
-        zero-bordered buffer, and the gradient of its upsampled channels."""
-        rng = np.random.default_rng(21)
-        x = rng.normal(size=(2, *in_dims, 3)).astype(dtype)
-        ups = Upsample3d(factors)
-        g = rng.normal(size=(2, *target_dims, 3)).astype(dtype)
-        # -0.0 across the last repetition group of each axis (ragged or not),
-        # so the sign of a zero sum is pinned too
-        for axis, (f, d) in enumerate(zip(factors, in_dims), start=1):
-            g[(slice(None),) * axis + (slice((d - 1) * f, None),)] = -0.0
-        ref_out, ref_grad = upsample_oracle(x, factors, target_dims, g)
-        assert np.any(np.signbit(ref_grad) & (ref_grad == 0))
-        skip = rng.normal(size=(2, *target_dims, 2)).astype(dtype)
-        joined = ups.forward(x, skip)
-        assert_zero_border(joined)
-        assert_bits_equal(joined[..., :3], ref_out)
-        assert_bits_equal(joined[..., 3:], skip)
-        assert_bits_equal(upsample(x, factors, skip), joined)
-        assert_bits_equal(ups.backward(g), ref_grad)
+    def test_forward_without_skip_raises(self):
+        """`forward` takes the skip that the caller set: a second forward
+        without setting it again has none."""
+        layer = UpsampleConv3d(2, 1, 3, (2, 2, 2), name="dec9a")
+        x = np.zeros((1, 3, 3, 4, 2))
+        with pytest.raises(RuntimeError, match="dec9a: forward without a skip"):
+            layer.forward(x)
+        layer.skip = np.zeros((1, 6, 6, 8, 1))
+        layer.forward(x)
+        assert layer.skip is None
+        with pytest.raises(RuntimeError, match="dec9a: forward without a skip"):
+            layer.forward(x)
+
+    def test_backward_rest_needs_a_backward(self):
+        """The skip's gradient comes after a backward, once; and the
+        inputs, which the layers before hold, cannot be dropped, restored
+        or run again."""
+        layer = UpsampleConv3d(2, 1, 3, (2, 2, 2), name="dec9a")
+        layer.skip = np.zeros((1, 6, 6, 8, 1))
+        out = layer.forward(np.zeros((1, 3, 3, 4, 2)))
+        for held in (layer.drop_input, layer.rerun,
+                     lambda: layer.restore_input(np.zeros((1, 3, 3, 4, 2)))):
+            with pytest.raises(RuntimeError, match="dec9a: its inputs are held by the layers"):
+                held()
+        with pytest.raises(RuntimeError, match="dec9a: backward_rest without a split backward"):
+            layer.backward_rest()
+        with pytest.raises(ValueError, match="dec9a: grad shape"):  # the up channels' count
+            layer.backward(np.ones((1, 6, 6, 8, 2)))
+        layer.skip = np.zeros((1, 6, 6, 8, 1))
+        out = layer.forward(np.zeros((1, 3, 3, 4, 2)))
+        layer.backward(np.ones_like(out))
+        layer.backward_rest()
+        with pytest.raises(RuntimeError, match="dec9a: backward_rest without a split backward"):
+            layer.backward_rest()
+        with pytest.raises(RuntimeError, match="dec9a: backward before forward"):
+            layer.backward(np.ones_like(out))
 
 
 class TestReLU:
@@ -793,7 +862,7 @@ LAYOUT_LAYERS = {
     "conv-out<=in": lambda: Conv3d(5, 3, rng=np.random.default_rng(2)),
     "conv-valid": lambda: Conv3d(5, 2, kernel=(4, 3, 3), rng=np.random.default_rng(3)),
     "pool": lambda: MaxPool3d((2, 2, 2)),
-    "upsample": lambda: Upsample3d((2, 2, 2)),
+    "upsample-conv": lambda: UpsampleConv3d(4, 2, 3, (2, 2, 2), rng=np.random.default_rng(4)),
     "relu": ReLU,
 }
 
@@ -803,27 +872,30 @@ def test_layers_ignore_input_memory_order(make):
     """A C-ordered channels-last input, a channels-first-backed view and the
     interior of a zero-bordered grid give the same outputs and gradients
     bit for bit.  Every output and input gradient is the interior of a grid
-    (see `grid_of`), and ReLU, pooling and upsampling give their output
-    grid a zero border.  The upsample joins a skip arranged the same way
-    and takes the gradient of its upsampled channels."""
+    (see `grid_of`), and ReLU and pooling give their output grid a zero
+    border.  The decoder conv joins a skip arranged the same way and gives
+    its gradient too."""
     rng = np.random.default_rng(23)
     layer = make()
-    x = rng.normal(size=(2, 5, 7, 6, getattr(layer, "in_channels", 4))).astype(np.float32)
-    skip = rng.normal(size=(2, 10, 14, 11, 2)).astype(np.float32)
-    joins = isinstance(layer, Upsample3d)
+    joins = isinstance(layer, UpsampleConv3d)
+    channels = layer.split if joins else getattr(layer, "in_channels", 4)
+    x = rng.normal(size=(2, 5, 7, 6, channels)).astype(np.float32)
+    skip = rng.normal(size=(2, 10, 14, 12, 2)).astype(np.float32)
     results = []
     for arrange in (np.ascontiguousarray, channels_first_backed, grid_backed):
         for p in layer.params():
             p.zero_grad()
-        out = layer.forward(arrange(x), arrange(skip)) if joins else layer.forward(arrange(x))
+        if joins:
+            layer.skip = arrange(skip)
+        out = layer.forward(arrange(x))
         grid_of(out)
-        if isinstance(layer, (ReLU, MaxPool3d, Upsample3d)):
+        if isinstance(layer, (ReLU, MaxPool3d)):
             assert_zero_border(out)
-        grad_shape = (*out.shape[:4], x.shape[4]) if joins else out.shape
-        g = np.random.default_rng(24).normal(size=grad_shape).astype(np.float32)
-        gx = layer.backward(arrange(g))
-        grid_of(gx)
-        results.append((out, gx, *(p.grad.copy() for p in layer.params())))
+        g = np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
+        grads = [layer.backward(arrange(g))] + ([layer.backward_rest()] if joins else [])
+        for gx in grads:
+            grid_of(gx)
+        results.append((out, *grads, *(p.grad.copy() for p in layer.params())))
     for other in results[1:]:
         for a, b in zip(results[0], other):
             assert_bits_equal(a, b)
@@ -1020,15 +1092,21 @@ def test_backward_consumes_the_forward_cache(make):
     """A backward frees what its forward cached: a second one raises until
     the next forward."""
     layer = make()
-    x = np.random.default_rng(25).normal(size=(1, 4, 4, 4, getattr(layer, "in_channels", 2)))
-    skip = (np.zeros((1, 8, 8, 8, 1)),) if isinstance(layer, Upsample3d) else ()
-    out = layer.forward(x, *skip)
-    g = np.ones_like(out[..., :x.shape[4]] if skip else out)
+    joins = isinstance(layer, UpsampleConv3d)
+    channels = layer.split if joins else getattr(layer, "in_channels", 2)
+    x = np.random.default_rng(25).normal(size=(1, 4, 4, 4, channels))
+
+    def forward():
+        if joins:
+            layer.skip = np.zeros((1, 8, 8, 8, 2))
+        return layer.forward(x)
+
+    g = np.ones_like(forward())
     layer.backward(g)
     assert layer._cache is None
     with pytest.raises(RuntimeError, match="backward before forward"):
         layer.backward(g)
-    layer.forward(x, *skip)
+    forward()
     layer.backward(g)
 
 
