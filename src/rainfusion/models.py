@@ -21,10 +21,10 @@ layer's input or incoming gradient while the next one runs.  Each encoder
 stage's output goes on a skip stack before its pool, and the first conv of
 each decoder stage (`nn.UpsampleConv3d`) pops one just before its forward.
 That conv upsamples: it reads the coarse features and the skip in place,
-and the decoder input `[upsampled | skip]` is never built.  Its input
-gradient comes in two parts (`Conv3d.split`): the coarse features', which
-goes on to the stage below, then the skip's, added to the input gradient
-of the matching pool.
+and the decoder input `[upsampled | skip]` is never built.  Its backward
+returns the gradients of both its inputs: the coarse features', which
+goes on to the stage below, and the skip's, which goes on a stack until
+it is added to the input gradient of the matching pool.
 
 A training forward (`forward`) keeps for the backward only what it cannot
 rebuild cheaply, a per-node policy as in Chen et al., "Training Deep Nets
@@ -58,8 +58,8 @@ once into one zero-bordered frame buffer, in the network's own layout,
 with the frames of every sample on consecutive rows, so a sample's input
 is a time slice of it that the first conv reads in place.  `train` asks
 for no gradient of that input (`backward(..., input_grad=False)`): the
-first conv's `split` is 0, so its backward gives an empty first part and
-the rest is never computed.  Each ReLU's backward writes its gradient in
+first conv's `input_grad` is then false, so its backward runs no
+input-gradient GEMM.  Each ReLU's backward writes its gradient in
 the layout that the conv before it reads in place (see `rainfusion.nn`).
 """
 
@@ -172,7 +172,6 @@ class UNet3D:
             c = skip
         self.head = [conv(c, 2, "head_a", kernel=(WINDOW_FRAMES, 3, 3)), ReLU(),
                      conv(2, 1, "head_b", kernel=(1, 1, 1))]
-        self.enc[0][0].split = 0  # the network input's gradient only when asked for
         self.steps = [layer for block, pool in zip(self.enc, self.pools) for layer in (*block, pool)]
         self.steps += self.bott
         self.steps += [layer for block in self.dec for layer in block]
@@ -231,6 +230,7 @@ class UNet3D:
         """The gradient of the network input, after adding every parameter's
         gradient to its Parameter; None, and not computed, when `input_grad`
         is false."""
+        self.steps[0].input_grad = input_grad
         g = grad_out
         skip_grads = []  # the deepest stage's last
         for i in reversed(range(len(self.steps))):
@@ -239,14 +239,11 @@ class UNet3D:
                 layer.restore_input(self._rebuilt_input(i))
             g = layer.backward(g)
             if isinstance(layer, UpsampleConv3d):
-                skip_grads.append(layer.backward_rest())
+                g, skip_grad = g
+                skip_grads.append(skip_grad)
             elif isinstance(layer, MaxPool3d):
                 g += skip_grads.pop()
-        first = self.steps[0]  # `g` is the empty first part of its input gradient
-        if not input_grad:
-            first._rest = None  # the other part, never computed
-            return None
-        return first.backward_rest()
+        return g
 
     def _rebuilt_input(self, i: int) -> np.ndarray:
         """The input of step `i`, built again: its start step (`_rebuild`)

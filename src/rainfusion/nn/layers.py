@@ -53,24 +53,26 @@ resolution (the sub-pixel view of upsampling, Shi et al.,
 arXiv:1609.05158); the skip rows run as a plain conv's.
 
 Each layer keeps what its backward needs in one attribute, `_cache`, from a
-forward to the backward that follows it.  Backward takes the cache and
+forward to the backward that follows it.  Backward checks the gradient's
+shape (ValueError, the cache kept for a retry), then takes the cache and
 clears it, so the cached arrays are freed once the gradients exist, and a
-second backward without a new forward raises RuntimeError.  A forward that
-no backward follows (inference) leaves its cache until the caller sets
-`_cache` to None or the next forward replaces it: the model's inference
-forward sets it to None right after each layer's forward, so an activation
-lives only until the next layer has read it.  The cache may be the
-input or the output itself, not a copy: neither may be written to between
-a forward and its backward.  What is cheap to rebuild is not cached: a
-ragged pool pads its windows again in backward, and a conv whose input is
-easy to build again can drop it after its forward (`Conv3d.drop_input`)
-and take it back just before its backward (`Conv3d.restore_input`).  Such
-an input is built again by a layer before it: a conv can `rerun`, giving
-its last forward's output once more from the input that it cached.
-A conv's input gradient may come in two parts on the channel axis
-(`Conv3d.split`): `backward` gives the first and `backward_rest` the
-second, so the two need not exist at once, and a caller that wants no
-input gradient leaves the second part uncomputed.
+second backward without a new forward raises RuntimeError.  Each layer
+has one backward, which returns the whole adjoint of its input; for
+`UpsampleConv3d`, which has two inputs, the pair (coarse gradient, skip
+gradient).  A conv whose `input_grad` is false (the network's first conv
+in a training step) runs no input-gradient GEMM and returns None.  A
+forward that no backward follows (inference) leaves its cache until the
+caller sets `_cache` to None or the next forward replaces it: the model's
+inference forward sets it to None right after each layer's forward, so an
+activation lives only until the next layer has read it.  The cache may be
+the input or the output itself, not a copy: neither may be written to
+between a forward and its backward.  What is cheap to rebuild is not
+cached: a ragged pool pads its windows again in backward, and a conv
+whose input is easy to build again can drop it after its forward
+(`Conv3d.drop_input`) and take it back just before its backward
+(`Conv3d.restore_input`).  Such an input is built again by a layer before
+it: a conv can `rerun`, giving its last forward's output once more from
+the input that it cached.
 
 The first conv GEMM of a process pins glibc's malloc thresholds
 (`keep_freed_pages`), so that memory freed between training samples stays
@@ -103,12 +105,17 @@ def ensure_array5(x, name: str = "input") -> np.ndarray:
     return arr
 
 
-def _take_cache(layer, name: str):
+def _take_cache(layer, name: str, grad_out: np.ndarray, output_shape):
     """The cache of `layer`'s last forward, cleared on the layer: a backward
-    consumes what its forward cached."""
+    consumes what its forward cached.  `grad_out` must have that forward's
+    output shape, `output_shape(cache)`, or ValueError is raised and the
+    cache stays for a backward with the right gradient."""
     cache = layer._cache
     if cache is None:
         raise RuntimeError(f"{name}: backward before forward")
+    shape = output_shape(cache)
+    if grad_out.shape != shape:
+        raise ValueError(f"{name}: grad shape {grad_out.shape} != output shape {shape}")
     layer._cache = None
     return cache
 
@@ -384,13 +391,9 @@ class Conv3d:
     input is cached, from a forward to its backward, which frees it.
     `drop_input` frees it early, after the forward, and `restore_input`
     caches a rebuilt copy of the input before the backward; `rerun` runs
-    the forward again on the cached input, read in place.
-
-    With `split` set, `backward` returns the gradient of the first `split`
-    input channels only and keeps the padded grad_out, and `backward_rest`
-    then gives the gradient of the others and frees it.  Both parts take
-    the one input-gradient form, each on its own rows of the weights, so
-    they are the whole gradient's channels bit for bit.
+    the forward again on the cached input, read in place.  With
+    `input_grad` false, `backward` returns None and runs no input-gradient
+    GEMM.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(1, 3, 3), *,
@@ -410,10 +413,8 @@ class Conv3d:
         w = rng.uniform(-limit, limit, size=(kt, kh, kw, in_channels, out_channels))
         self.weight = Parameter(f"{name}.weight", w.astype(dtype))
         self.bias = Parameter(f"{name}.bias", np.zeros(out_channels, dtype=dtype))
-        # input channels whose gradient `backward` returns; None: all of them
-        self.split = None
+        self.input_grad = True  # whether `backward` computes the input gradient
         self._cache = None
-        self._rest = None  # what `backward` left for `backward_rest`
 
     def params(self):
         return [self.weight, self.bias]
@@ -459,7 +460,6 @@ class Conv3d:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         if T < kt:
             raise ValueError(f"{self.name}: temporal extent {kt} exceeds input time {T}")
-        self._rest = None  # a gradient part that no `backward_rest` took
         xp = _padded(x)
         To = T - kt + 1
         plane, lead, rows, dy, dx = self._taps((T, H, W))
@@ -503,13 +503,11 @@ class Conv3d:
             raise ValueError(f"{self.name}: restored input shape {x.shape} != {in_shape}")
         self._cache = (_padded(x), in_shape, out_shape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xp, in_shape, out_shape = _take_cache(self, self.name)
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
+        grad_out = np.asarray(grad_out)
+        xp, in_shape, _ = _take_cache(self, self.name, grad_out, lambda cache: cache[2])
         if xp is None:
             raise RuntimeError(f"{self.name}: backward after drop_input without restore_input")
-        grad_out = np.asarray(grad_out)
-        if grad_out.shape != out_shape:
-            raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
         b, c = xp.shape[:2]
         kt, cout = self.kernel[0], self.out_channels
         plane, lead, rows, dy, dx = self._taps(in_shape[1:4])
@@ -529,20 +527,11 @@ class Conv3d:
                         wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
                 else:
                     _gathered_wgrad(wgrad[it], xf[n, :, x0:], gf[n], shifts, rows)
-        rest = (gbuf, in_shape, xp.dtype)
+        dtype = xp.dtype
         del xp, xf  # the input goes before its gradient is allocated
-        if self.split is not None:
-            self._rest = rest
-        return self._input_grad(*rest, slice(0, self.split))
-
-    def backward_rest(self) -> np.ndarray:
-        """The gradient of the input channels from `split` on, which the last
-        `backward` left: it consumes what that backward kept, grad_out on its
-        padded grid, and a second call raises RuntimeError."""
-        rest, self._rest = self._rest, None
-        if rest is None:
-            raise RuntimeError(f"{self.name}: backward_rest without a split backward")
-        return self._input_grad(*rest, slice(self.split, None))
+        if not self.input_grad:
+            return None
+        return self._input_grad(gbuf, in_shape, dtype, slice(None))
 
     def _input_grad(self, gbuf, in_shape, dtype, channels: slice) -> np.ndarray:
         """The gradient of `channels` (a slice of the input channels) of an
@@ -551,9 +540,10 @@ class Conv3d:
         in the "kw" form for every conv: the kw col-shifted rows of `gbuf`
         stacked on K, the kh row shifts on the output side.  Timed as in
         `Conv3d`, every tap on K took 0.78-0.88 of the time of "kw" on the
-        kt = 6 `head_a` and 1.00-1.66 on each part of the former 48 -> 16
-        and 24 -> 8 convs of the whole decoder input, and every tap on the
-        output side took 1.11-2.45 of "kw" on every desk conv."""
+        kt = 6 `head_a` and 1.00-1.66 on the up and on the skip channels
+        of the former 48 -> 16 and 24 -> 8 convs of the whole decoder
+        input, and every tap on the output side took 1.11-2.45 of "kw" on
+        every desk conv."""
         b, T, H, W = in_shape[:4]
         kt, cout = self.kernel[0], self.out_channels
         plane, lead, _, dy, dx = self._taps((T, H, W))
@@ -562,12 +552,11 @@ class Conv3d:
         width = w.shape[2]
         gxp = _grid((b, width, T, H, W), dtype, zeros=True)
         gxf = gxp.reshape(b, width, T * plane)
-        if width:
-            for n in range(b):
-                for it in range(kt):
-                    x0 = it * plane
-                    _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
-                               [-r for r in dy], [-s for s in dx], 2 * lead)
+        for n in range(b):
+            for it in range(kt):
+                x0 = it * plane
+                _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
+                           [-r for r in dy], [-s for s in dx], 2 * lead)
         return _channels_last(_interior(gxp))
 
 
@@ -609,27 +598,28 @@ class UpsampleConv3d(Conv3d):
     1/3 of the FLOPs of a conv on the repeated input for factors (2, 2, 1)
     and 2/9 for (2, 2, 2).
 
-    Backward gives the coarse features' gradient and keeps grad_out for
-    `backward_rest`, which gives the skip's (`split` is the up channel
-    count).  The skip rows' weight gradient takes the gathered form and
-    the skip's gradient the "kw" form, as a plain conv's.  The up rows run
-    the adjoint of their forward, phase by phase: grad_out's cells of the
-    phase, summed over the time repetitions, fill a zero-bordered coarse
-    grid G; each folded tap's weight gradient gets X[shifted] @ G.T over
-    all the coarse cells, one GEMM per tap, and the coarse gradient gets
-    the folded taps' "kw" GEMMs on G at minus their shifts, as a plain
-    conv's input gradient.  Each item's folded weight gradients are summed
-    back onto the 3x3 taps they came from.  At the desk's shapes (one item,
-    1 BLAS thread, 80 interleaved pairs) this took 0.85-0.92 of the time
-    of summing grad_out, shifted by each of the 9 taps, over every
-    repetition group into one stack for two GEMMs on `dec1a`, and 1.04-1.11
-    on `dec2a`: 0.96 (radar) and 0.97 (multimodal) of it on both.  With the
-    folded taps' weight gradient gathered instead of one GEMM per tap,
-    `dec2a`'s backward took 1.08 (radar) and 1.16 (multimodal) of the
-    stack's time.  Both inputs are cached as they are, not copied: in a
-    network they are ReLU outputs that their ReLUs hold anyway, so there is
-    nothing to drop or rebuild (`drop_input`, `restore_input` and `rerun`
-    raise).
+    Backward returns the adjoint of both inputs, (coarse gradient, skip
+    gradient); `input_grad` is the plain conv's and is not read here.  The
+    skip rows' weight gradient takes the gathered form and the skip's
+    gradient the "kw" form, as a plain conv's; the skip's gradient is
+    allocated last, once the up rows' phase buffers are freed.  The up
+    rows run the adjoint of their forward, phase by phase: grad_out's
+    cells of the phase, summed over the time repetitions, fill a
+    zero-bordered coarse grid G; each folded tap's weight gradient gets
+    X[shifted] @ G.T over all the coarse cells, one GEMM per tap, and the
+    coarse gradient gets the folded taps' "kw" GEMMs on G at minus their
+    shifts, as a plain conv's input gradient.  Each item's folded weight
+    gradients are summed back onto the 3x3 taps they came from.  At the
+    desk's shapes (one item, 1 BLAS thread, 80 interleaved pairs) this
+    took 0.85-0.92 of the time of summing grad_out, shifted by each of the
+    9 taps, over every repetition group into one stack for two GEMMs on
+    `dec1a`, and 1.04-1.11 on `dec2a`: 0.96 (radar) and 0.97 (multimodal)
+    of it on both.  With the folded taps' weight gradient gathered instead
+    of one GEMM per tap, `dec2a`'s backward took 1.08 (radar) and 1.16
+    (multimodal) of the stack's time.  Both inputs are cached as they are,
+    not copied: in a network they are ReLU outputs that their ReLUs hold
+    anyway, so there is nothing to drop or rebuild (`drop_input`,
+    `restore_input` and `rerun` raise).
     """
 
     def __init__(self, up_channels: int, skip_channels: int, out_channels: int, factors, *,
@@ -639,7 +629,7 @@ class UpsampleConv3d(Conv3d):
         if min(factors) < 1:
             raise ValueError(f"{name}: repetition factors must be >= 1, got {factors}")
         self.factors = tuple(factors)
-        self.split = up_channels  # backward gives the coarse gradient, backward_rest the skip's
+        self.up_channels = up_channels
         self.skip = None  # the skip that the next forward joins
         # each spatial phase (ph, pw) with its coarse row and col offsets, and
         # the matrix that folds the 3x3 taps onto every phase's offsets
@@ -672,8 +662,8 @@ class UpsampleConv3d(Conv3d):
     def _folded_weights(self) -> np.ndarray:
         """The up rows' weights folded onto every phase's coarse offsets:
         (folded taps, up, out), in the weights' dtype."""
-        w = self.weight.value[0, :, :, :self.split]
-        return (self._fold @ w.reshape(9, -1)).astype(w.dtype).reshape(-1, self.split,
+        w = self.weight.value[0, :, :, :self.up_channels]
+        return (self._fold @ w.reshape(9, -1)).astype(w.dtype).reshape(-1, self.up_channels,
                                                                          self.out_channels)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -685,13 +675,13 @@ class UpsampleConv3d(Conv3d):
         b, Tc, Hc, Wc, cu = x.shape
         _, T, H, W, cs = skip.shape
         ft, fh, fw = self.factors
-        if (cu, cs) != (self.split, self.in_channels - self.split):
-            raise ValueError(f"{self.name}: expected {self.split} up and "
-                             f"{self.in_channels - self.split} skip channels, got {cu} and {cs}")
+        if (cu, cs) != (self.up_channels, self.in_channels - self.up_channels):
+            raise ValueError(f"{self.name}: expected {self.up_channels} up and "
+                             f"{self.in_channels - self.up_channels} skip channels, "
+                             f"got {cu} and {cs}")
         if skip.shape[0] != b or (H, W) != (Hc * fh, Wc * fw) or not (Tc - 1) * ft < T <= Tc * ft:
             raise ValueError(f"{self.name}: skip shape {skip.shape} does not match batch {b} "
                              f"and dims {x.shape[1:4]} repeated x{self.factors}")
-        self._rest = None  # a gradient part that no `backward_rest` took
         xp, sp = _padded(x), _padded(skip)
         w, cout = self.weight.value[0], self.out_channels
         acc = _grid((b, cout, T, H, W), np.result_type(xp, sp, w), zeros=True)
@@ -723,12 +713,10 @@ class UpsampleConv3d(Conv3d):
         self._cache = (xp, sp, skip.shape)
         return _channels_last(up)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xp, sp, skip_shape = _take_cache(self, self.name)
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grad_out = np.asarray(grad_out)
-        out_shape = (*skip_shape[:4], self.out_channels)
-        if grad_out.shape != out_shape:
-            raise ValueError(f"{self.name}: grad shape {grad_out.shape} != output shape {out_shape}")
+        xp, sp, skip_shape = _take_cache(self, self.name, grad_out,
+                                         lambda cache: (*cache[2][:4], self.out_channels))
         b, cu, Tc, Hcp, Wcp = xp.shape
         T, H, W, cs = skip_shape[1:]
         ft, fh, fw = self.factors
@@ -768,8 +756,9 @@ class UpsampleConv3d(Conv3d):
             # batch of one would
             wgrad[:, :cu] += (self._fold.T @ wg_folded.reshape(len(folded), -1)).reshape(
                 9, cu, cout)
-        self._rest = (gbuf, skip_shape, sp.dtype)
-        return _channels_last(_interior(gx))
+        del g_rows, g_phase, g_inner, wg_folded, folded  # before the skip's gradient
+        return (_channels_last(_interior(gx)),
+                self._input_grad(gbuf, skip_shape, sp.dtype, slice(cu, None)))
 
 
 def _where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -835,10 +824,8 @@ class MaxPool3d:
         return self._cache[1]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, y = _take_cache(self, "maxpool")
         grad_out = np.asarray(grad_out)
-        if grad_out.shape != y.shape:
-            raise ValueError(f"maxpool grad shape {grad_out.shape} != output shape {y.shape}")
+        x, y = _take_cache(self, "maxpool", grad_out, lambda cache: cache[1].shape)
         out, gc = _channels_first(y), _channels_first(grad_out)
         grad = bordered(_channels_first(x).shape, grad_out.dtype)
         free = np.ones(out.shape, bool)  # windows whose gradient is not yet routed
@@ -895,11 +882,9 @@ class ReLU:
         return _channels_last(_interior(out))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        out = _take_cache(self, "relu")
         grad_out = np.asarray(grad_out)
-        shape = _channels_last(_interior(out)).shape
-        if grad_out.shape != shape:
-            raise ValueError(f"relu grad shape {grad_out.shape} != output shape {shape}")
+        out = _take_cache(self, "relu", grad_out,
+                          lambda cache: _channels_last(_interior(cache)).shape)
         src = _buffer(grad_out)
         if src is None:
             src = _bordered_copy(grad_out)

@@ -7,32 +7,37 @@ not only in a traced benchmark run.
 
 import importlib
 import json
+import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from rainfusion.models import ModelConfig, UNet3D
 from rainfusion.nn import bordered
+from rainfusion.nn import layers as nn_layers
 
 ROOT = Path(__file__).resolve().parent.parent
 TINY = ModelConfig(variant="radar", rows=16, cols=16, levels=3, base_channels=2, lead_minutes=5)
 
 
-def _traced(monkeypatch, run):
-    """The tracer of `run(model, x)` on a traced TINY network, and the
-    network."""
+def _traced(monkeypatch, run, config=TINY):
+    """The tracer of `run(model, x)` on a traced network of `config`, and
+    the network."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     rf = SimpleNamespace(**{n: importlib.import_module(f"rainfusion.{n}") for n in spans.LAYERS})
     untraced = rf.models.load_sample
-    model = UNet3D(TINY, seed=0)
+    model = UNet3D(config, seed=0)
     tracer = spans.Tracer()
     patches, _ = spans.install(tracer, rf)
     with patches, spans.trace_model(tracer, rf, model):
         assert rf.models.load_sample is not untraced
-        run(model, np.random.default_rng(0).random((1, 6, 16, 16, 1), dtype=np.float32))
+        run(model, np.random.default_rng(0).random((1, 6, config.rows, config.cols,
+                                                    config.in_channels), dtype=np.float32))
     assert rf.models.load_sample is untraced
     return tracer, model
 
@@ -103,3 +108,26 @@ def test_tracer_records_an_inference_run(monkeypatch):
     expected = {f"nn.conv.{conv.name}.fwd": 1 for conv in model.conv_layers()}
     expected.update({"nn.pool": 2, "nn.relu": 11})
     assert Counter(s[0] for s in tracer.spans) == expected
+
+
+@pytest.mark.parametrize("variant", ["radar", "multimodal"])
+def test_every_conv_gemm_runs_in_a_conv_span(variant, monkeypatch):
+    """Every conv GEMM call of a traced training step (`_tap_gemms`,
+    `_gathered_wgrad`) runs inside an `nn.conv.*` span, so that no conv
+    work counts in `models.self_s`: a decoder conv's skip gradient too,
+    which its backward returns with the coarse gradient."""
+    starts = []  # the clock at each call
+
+    def spying(fn):
+        def call(*args):
+            starts.append(time.perf_counter())
+            return fn(*args)
+        return call
+
+    for name in ("_tap_gemms", "_gathered_wgrad"):
+        monkeypatch.setattr(nn_layers, name, spying(getattr(nn_layers, name)))
+    tracer, _ = _traced(monkeypatch, _step, replace(TINY, variant=variant))
+    innermost = [max((s for s in tracer.spans if s[1] <= t <= s[2]), key=lambda s: s[1],
+                     default=["no span"])[0] for t in starts]
+    assert starts
+    assert [name for name in innermost if not name.startswith("nn.conv.")] == []

@@ -399,7 +399,7 @@ class TestDeskGemmForms:
         monkeypatch.setattr(nn_layers, "_tap_gemms", tap_spy)
         monkeypatch.setattr(nn_layers, "_gathered_wgrad", gathered_spy)
         for conv in model.conv_layers():
-            for method in ("forward", "backward", "backward_rest"):
+            for method in ("forward", "backward"):
                 setattr(conv, method, traced(conv, method))
         out = model.forward(x)
         _, grad = logcosh_loss(out, y)
@@ -420,9 +420,10 @@ class TestOneLayout:
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_desk_step_arrays_are_found_by_buffer(self, variant):
         """Every array that a layer returns in a desk training step (forward,
-        the backward's reruns, `backward` and `backward_rest`) and in an
-        inference forward is the interior of a grid that `_buffer` finds,
-        and that grid fills its allocation (see `grid_of`): one layout."""
+        the backward's reruns and `backward`, both input gradients of a
+        decoder conv) and in an inference forward is the interior of a grid
+        that `_buffer` finds, and that grid fills its allocation (see
+        `grid_of`): one layout."""
         config = replace(DESK, variant=variant, base_channels=8)
         model = UNet3D(config, seed=25)
         returned = []
@@ -436,9 +437,8 @@ class TestOneLayout:
             return record
 
         for layer in model.steps:
-            for method in ("forward", "backward", "backward_rest"):
-                if hasattr(layer, method):
-                    setattr(layer, method, recording(layer, method))
+            for method in ("forward", "backward"):
+                setattr(layer, method, recording(layer, method))
         rng = np.random.default_rng(12)
         frames = nn_layers.bordered((1, config.in_channels, 8, 64, 64), np.float32)
         frames[...] = rng.random(frames.shape, dtype=np.float32)
@@ -450,15 +450,11 @@ class TestOneLayout:
         convs, stages = len(model.conv_layers()), config.levels - 1
         assert kinds[("Conv3d", "backward")] == convs - stages
         assert kinds[("UpsampleConv3d", "backward")] == stages
-        assert kinds[("Conv3d", "backward_rest")] == 1  # the first conv's
-        assert kinds[("UpsampleConv3d", "backward_rest")] == stages
         assert kinds[("ReLU", "backward")] == convs - 1
-        for kind, method, a in returned:
-            if not a.size:  # the empty first part of the first conv's input gradient
-                assert (kind, method, a.shape[-1]) == ("Conv3d", "backward", 0)
-                continue
-            assert nn_layers._buffer(a) is not None, (kind, method)
-            assert grid_of(a).shape[2] == a.shape[1], (kind, method)
+        for kind, method, out in returned:
+            for a in out if kind == "UpsampleConv3d" and method == "backward" else [out]:
+                assert nn_layers._buffer(a) is not None, (kind, method)
+                assert grid_of(a).shape[2] == a.shape[1], (kind, method)
 
 
 class TestRebuiltInputs:
@@ -516,53 +512,36 @@ class TestDecoderInputs:
     each decoder stage (`UpsampleConv3d`) reads the coarse features and the
     skip in place, in a training step and in a nowcast."""
 
-    def test_skip_gradient_follows_the_coarse_gradient(self):
-        """A decoder stage's first conv gives its input gradient in two
-        parts: `backward` the coarse features', at their own dims, and right
-        after it `backward_rest` the skip's, at the skip's dims, which is
-        kept until the encoder adds it."""
+    def test_decoder_conv_gives_both_input_gradients(self):
+        """A decoder stage's first conv gives, from one backward, the coarse
+        features' gradient at their own dims and the skip's at the skip's
+        dims, each the interior of a grid of its own channels."""
         model = UNet3D(TINY_MM, seed=6)
-        firsts = [block[0] for block in model.dec]
-        calls = []  # (layer, method) of each backward, in order
         inputs = {}  # conv -> (coarse input shape, skip shape)
+        grads = {}  # conv -> (coarse gradient, skip gradient)
 
-        def watching(layer):
-            forward, backward = layer.forward, layer.backward
+        def watching(conv):
+            forward, backward = conv.forward, conv.backward
 
             def run_forward(x):
-                if layer in firsts:
-                    inputs[layer] = (x.shape, layer.skip.shape)
+                inputs[conv] = (x.shape, conv.skip.shape)
                 return forward(x)
 
-            def run(g):
-                calls.append((layer, "backward"))
-                out = backward(g)
-                if layer in firsts:
-                    assert out.shape == (*inputs[layer][0][:4], layer.split)
-                    assert grid_of(out).shape[1] == layer.split
-                return out
-            return run_forward, run
+            def run_backward(g):
+                grads[conv] = backward(g)
+                return grads[conv]
+            return run_forward, run_backward
 
-        def watching_rest(conv):
-            backward_rest = conv.backward_rest
-
-            def run():
-                calls.append((conv, "backward_rest"))
-                out = backward_rest()
-                assert out.shape == inputs[conv][1]
-                assert grid_of(out).shape[1] == conv.in_channels - conv.split
-                return out
-            return run
-
-        for layer in model.steps:
-            layer.forward, layer.backward = watching(layer)
+        firsts = [block[0] for block in model.dec]
         for conv in firsts:
-            conv.backward_rest = watching_rest(conv)
+            conv.forward, conv.backward = watching(conv)
         out = model.forward(np.ones((2, 6, 16, 16, 12), np.float32))
         model.backward(np.ones_like(out))
         for conv in firsts:
-            at = calls.index((conv, "backward"))
-            assert calls[at + 1] == (conv, "backward_rest")
+            gx, gs = grads[conv]
+            assert (gx.shape, gs.shape) == inputs[conv]
+            assert grid_of(gx).shape[1] == conv.up_channels
+            assert grid_of(gs).shape[1] == conv.in_channels - conv.up_channels
 
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_desk_inference_peak(self, variant):
@@ -588,9 +567,10 @@ class TestDecoderInputs:
 
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_no_upsampled_array_in_a_step_or_nowcast(self, variant, monkeypatch):
-        """In a desk training step and a nowcast, no call of a decoder
-        stage's first conv (forward, backward, backward_rest) allocates as
-        many traced bytes as the up channels at the skip's resolution would
+        """In a desk training step and a nowcast, no part of a call of a
+        decoder stage's first conv (its forward, its backward up to the
+        skip's gradient, and that gradient, `_input_grad`) allocates as many
+        traced bytes as the up channels at the skip's resolution would
         take: its peak over the memory at its start stays below them, so no
         array holding them ever exists.  The GEMM blocks are made small
         here (`_ROW_BLOCK`, `_COLS_BYTES`), as their scratch is bounded by
@@ -602,8 +582,17 @@ class TestDecoderInputs:
         model = UNet3D(config, seed=27)
         rng = np.random.default_rng(27)
         x = rng.random((1, 6, 64, 64, config.in_channels), dtype=np.float32)
-        calls = []  # (conv name, method, traced bytes above the start, up bytes)
+        calls = []  # (conv name, part, traced bytes above the part's start, up bytes)
         up_bytes = {}  # conv name -> bytes of its up channels at its skip's resolution
+        running = []  # the (conv name, part, traced bytes at its start) being measured
+
+        def start(name, part):
+            running[:] = [name, part, tracemalloc.get_traced_memory()[0]]
+            tracemalloc.reset_peak()
+
+        def stop():
+            name, part, at = running
+            calls.append((name, part, tracemalloc.get_traced_memory()[1] - at, up_bytes[name]))
 
         def traced(conv, method):
             run = getattr(conv, method)
@@ -611,17 +600,20 @@ class TestDecoderInputs:
             def call(*args):
                 if method == "forward":
                     b, T, H, W = conv.skip.shape[:4]
-                    up_bytes[conv.name] = b * conv.split * T * H * W * 4
-                start, _ = tracemalloc.get_traced_memory()
-                tracemalloc.reset_peak()
+                    up_bytes[conv.name] = b * conv.up_channels * T * H * W * 4
+                if method == "_input_grad":  # the skip's gradient, a backward's last part
+                    stop()
+                    start(conv.name, "skip gradient")
+                else:
+                    start(conv.name, method)
                 out = run(*args)
-                calls.append((conv.name, method, tracemalloc.get_traced_memory()[1] - start,
-                              up_bytes[conv.name]))
+                if method != "_input_grad":
+                    stop()
                 return out
             return call
 
         for conv in (block[0] for block in model.dec):
-            for method in ("forward", "backward", "backward_rest"):
+            for method in ("forward", "backward", "_input_grad"):
                 setattr(conv, method, traced(conv, method))
         tracemalloc.start()
         try:
@@ -630,12 +622,12 @@ class TestDecoderInputs:
             model._run(x, keep=False)
         finally:
             tracemalloc.stop()
-        assert [(name, method) for name, method, *_ in calls] == [
+        assert [(name, part) for name, part, *_ in calls] == [
             ("dec2a", "forward"), ("dec1a", "forward"), ("dec1a", "backward"),
-            ("dec1a", "backward_rest"), ("dec2a", "backward"), ("dec2a", "backward_rest"),
+            ("dec1a", "skip gradient"), ("dec2a", "backward"), ("dec2a", "skip gradient"),
             ("dec2a", "forward"), ("dec1a", "forward")]
-        for name, method, allocated, up_bytes in calls:
-            assert allocated < up_bytes, (name, method)
+        for name, part, allocated, up_bytes in calls:
+            assert allocated < up_bytes, (name, part)
 
 
 def _write_sequence(tmp_path, fields, lead=5):
@@ -1246,23 +1238,44 @@ class TestSampleSteps:
             assert_bits_equal(a, b)
 
     @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
-    def test_backward_without_input_gradient(self, config):
-        """`backward(g, input_grad=False)` returns None and adds the parameter
-        gradients of a backward that returns the input gradient, bit for
-        bit; the first conv keeps no part of that gradient behind."""
+    def test_backward_without_input_gradient(self, config, monkeypatch):
+        """`backward(g, input_grad=False)` returns None, runs no `_tap_gemms`
+        in the first conv's backward (there they run only for the input
+        gradient) and adds the parameter gradients of a backward that
+        returns the input gradient, bit for bit.  The flag does not stick:
+        a later default backward returns the input gradient again."""
         rng = np.random.default_rng(33)
         x = rng.normal(size=(2, 6, 16, 16, config.in_channels)).astype(np.float32)
         g = rng.normal(size=(2, 1, 16, 16, 1)).astype(np.float32)
-        runs = []
-        for input_grad in (True, False):
-            model = UNet3D(config, seed=34)
+        model = UNet3D(config, seed=34)
+        first = model.steps[0]
+        tap_gemms, backward, log = nn_layers._tap_gemms, first.backward, []
+
+        def spy(*args):
+            log.append("_tap_gemms")
+            return tap_gemms(*args)
+
+        def first_backward(grad):
+            log.append("first")  # the last layer backward of a step
+            return backward(grad)
+
+        monkeypatch.setattr(nn_layers, "_tap_gemms", spy)
+        first.backward = first_backward
+        runs, counts = [], []  # counts: `_tap_gemms` calls in the first conv's backward
+        for kwargs in ({"input_grad": True}, {"input_grad": False}, {}):
             model.forward(x)
-            gx = model.backward(g, input_grad=input_grad)
-            assert (gx is None) == (not input_grad)
+            model.zero_grad()
+            log.clear()
+            gx = model.backward(g, **kwargs)
+            counts.append(len(log) - 1 - log.index("first"))
             assert _cached_layers(model) == []
-            runs.append([p.grad.copy() for p in model.params()])
-        for a, b in zip(*runs, strict=True):
-            assert_bits_equal(a, b)
+            runs.append((gx, [p.grad.copy() for p in model.params()]))
+        assert runs[1][0] is None
+        assert counts[0] == counts[2] > 0 == counts[1]
+        assert_bits_equal(runs[0][0], runs[2][0])
+        for run in runs[1:]:
+            for a, b in zip(runs[0][1], run[1], strict=True):
+                assert_bits_equal(a, b)
 
     @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
     @pytest.mark.parametrize("loss", ["logcosh", "mse"])
@@ -1336,9 +1349,8 @@ class TestSampleSteps:
 
 
 def _cached_layers(model):
-    """The layers that hold a forward's cache or a gradient part not yet taken."""
-    return [layer for layer in model.steps
-            if layer._cache is not None or getattr(layer, "_rest", None) is not None]
+    """The layers that hold a forward's cache."""
+    return [layer for layer in model.steps if layer._cache is not None]
 
 
 class TestCacheLifetime:

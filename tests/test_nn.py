@@ -324,30 +324,31 @@ class TestConv3d:
         with pytest.raises(RuntimeError, match="dec9a: backward before forward"):
             conv.backward(g)
 
-    @pytest.mark.parametrize("cin,cout,split", [(24, 8, 16), (12, 8, 0), (6, 9, 4), (8, 24, 5)],
-                             ids=["gather-skip-alone-stacks", "gather-none-first",
-                                  "stack", "stack-several-blocks"])
-    def test_two_part_input_gradient_is_the_whole_gradient(self, cin, cout, split):
-        """With `split` set, `backward` gives the gradient of the first
-        `split` input channels and `backward_rest` that of the others:
-        together the whole gradient, bit for bit, with the same parameter
-        gradients.  Both parts take the one input-gradient form ("kw"), each
-        on its own rows of the weights."""
+    @pytest.mark.parametrize("cin,cout", [(24, 8), (6, 9)], ids=["wide-input", "gathered"])
+    def test_backward_without_input_gradient(self, cin, cout, monkeypatch):
+        """With `input_grad` false, `backward` returns None, runs no
+        `_tap_gemms` (a backward runs them only for the input gradient) and
+        adds the parameter gradients of a backward that returns the input
+        gradient, bit for bit."""
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 2, 40, 36, cin)).astype(np.float32)  # several GEMM blocks
         g = rng.normal(size=(2, 2, 40, 36, cout)).astype(np.float32)
+        tap_gemms, calls = layers._tap_gemms, []
+
+        def spy(*args):
+            calls.append(args)
+            return tap_gemms(*args)
+
+        monkeypatch.setattr(layers, "_tap_gemms", spy)
         results = []
-        for parts in (None, split):
-            conv = Conv3d(cin, cout, rng=np.random.default_rng(13), name="dec9a")
-            conv.split = parts
+        for input_grad in (True, False):
+            conv = Conv3d(cin, cout, rng=np.random.default_rng(13))
+            conv.input_grad = input_grad
             conv.forward(x)
+            calls.clear()
             gx = conv.backward(g)
-            if parts is not None:
-                assert gx.shape[-1] == split
-                gx = np.concatenate([gx, conv.backward_rest()], axis=-1)
-                with pytest.raises(RuntimeError, match="dec9a: backward_rest without a split"):
-                    conv.backward_rest()
-            results.append((gx, conv.weight.grad, conv.bias.grad))
+            assert (gx is None, bool(calls)) == (not input_grad, input_grad)
+            results.append((conv.weight.grad, conv.bias.grad))
         for a, b in zip(*results, strict=True):
             assert_bits_equal(a, b)
 
@@ -609,10 +610,10 @@ def upsample_conv_reference(layer, x, skip, g):
     conv.bias.value[...] = layer.bias.value
     out = conv.forward(np.concatenate([up, skip], axis=-1))
     joined_grad = conv.backward(g)
-    gx = joined_grad[..., :layer.split]
+    gx = joined_grad[..., :layer.up_channels]
     for axis, (f, d) in enumerate(zip(layer.factors, x.shape[1:4]), start=1):
         gx = np.add.reduceat(gx, np.arange(d) * f, axis=axis)
-    return out, gx, joined_grad[..., layer.split:], conv.weight.grad, conv.bias.grad
+    return out, gx, joined_grad[..., layer.up_channels:], conv.weight.grad, conv.bias.grad
 
 
 def upsample_conv_step(layer, x, skip, g):
@@ -622,8 +623,8 @@ def upsample_conv_step(layer, x, skip, g):
         p.zero_grad()
     layer.skip = skip
     out = layer.forward(x)
-    gx = layer.backward(g)
-    return out, gx, layer.backward_rest(), layer.weight.grad.copy(), layer.bias.grad.copy()
+    gx, gs = layer.backward(g)
+    return out, gx, gs, layer.weight.grad.copy(), layer.bias.grad.copy()
 
 
 class TestUpsampleConv3d:
@@ -701,8 +702,7 @@ class TestUpsampleConv3d:
             return float(np.sum(proj * layer.forward(x.value)))
 
         loss_fn()
-        x.grad = layer.backward(proj)
-        skip.grad = layer.backward_rest()
+        x.grad, skip.grad = layer.backward(proj)
         params = [layer.weight, layer.bias, x, skip]
         assert gradient_check(loss_fn, params, n_samples=150, seed=2) < 1e-7  # linear
 
@@ -745,10 +745,10 @@ class TestUpsampleConv3d:
         with pytest.raises(RuntimeError, match="dec9a: forward without a skip"):
             layer.forward(x)
 
-    def test_backward_rest_needs_a_backward(self):
-        """The skip's gradient comes after a backward, once; and the
-        inputs, which the layers before hold, cannot be dropped, restored
-        or run again."""
+    def test_inputs_are_held_and_backward_gives_both_gradients_once(self):
+        """The inputs, which the layers before hold, cannot be dropped,
+        restored or run again.  One backward gives the gradients of both
+        inputs, at their own shapes, and a second one raises."""
         layer = UpsampleConv3d(2, 1, 3, (2, 2, 2), name="dec9a")
         layer.skip = np.zeros((1, 6, 6, 8, 1))
         out = layer.forward(np.zeros((1, 3, 3, 4, 2)))
@@ -756,16 +756,10 @@ class TestUpsampleConv3d:
                      lambda: layer.restore_input(np.zeros((1, 3, 3, 4, 2)))):
             with pytest.raises(RuntimeError, match="dec9a: its inputs are held by the layers"):
                 held()
-        with pytest.raises(RuntimeError, match="dec9a: backward_rest without a split backward"):
-            layer.backward_rest()
         with pytest.raises(ValueError, match="dec9a: grad shape"):  # the up channels' count
             layer.backward(np.ones((1, 6, 6, 8, 2)))
-        layer.skip = np.zeros((1, 6, 6, 8, 1))
-        out = layer.forward(np.zeros((1, 3, 3, 4, 2)))
-        layer.backward(np.ones_like(out))
-        layer.backward_rest()
-        with pytest.raises(RuntimeError, match="dec9a: backward_rest without a split backward"):
-            layer.backward_rest()
+        gx, gs = layer.backward(np.ones_like(out))
+        assert (gx.shape, gs.shape) == ((1, 3, 3, 4, 2), (1, 6, 6, 8, 1))
         with pytest.raises(RuntimeError, match="dec9a: backward before forward"):
             layer.backward(np.ones_like(out))
 
@@ -867,6 +861,12 @@ LAYOUT_LAYERS = {
 }
 
 
+def input_grads(grads):
+    """A backward's input gradients as a list: the decoder conv's two, or
+    another layer's one."""
+    return list(grads) if isinstance(grads, tuple) else [grads]
+
+
 @pytest.mark.parametrize("make", LAYOUT_LAYERS.values(), ids=LAYOUT_LAYERS)
 def test_layers_ignore_input_memory_order(make):
     """A C-ordered channels-last input, a channels-first-backed view and the
@@ -878,7 +878,7 @@ def test_layers_ignore_input_memory_order(make):
     rng = np.random.default_rng(23)
     layer = make()
     joins = isinstance(layer, UpsampleConv3d)
-    channels = layer.split if joins else getattr(layer, "in_channels", 4)
+    channels = layer.up_channels if joins else getattr(layer, "in_channels", 4)
     x = rng.normal(size=(2, 5, 7, 6, channels)).astype(np.float32)
     skip = rng.normal(size=(2, 10, 14, 12, 2)).astype(np.float32)
     results = []
@@ -892,7 +892,7 @@ def test_layers_ignore_input_memory_order(make):
         if isinstance(layer, (ReLU, MaxPool3d)):
             assert_zero_border(out)
         g = np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
-        grads = [layer.backward(arrange(g))] + ([layer.backward_rest()] if joins else [])
+        grads = input_grads(layer.backward(arrange(g)))
         for gx in grads:
             grid_of(gx)
         results.append((out, *grads, *(p.grad.copy() for p in layer.params())))
@@ -1093,7 +1093,7 @@ def test_backward_consumes_the_forward_cache(make):
     the next forward."""
     layer = make()
     joins = isinstance(layer, UpsampleConv3d)
-    channels = layer.split if joins else getattr(layer, "in_channels", 2)
+    channels = layer.up_channels if joins else getattr(layer, "in_channels", 2)
     x = np.random.default_rng(25).normal(size=(1, 4, 4, 4, channels))
 
     def forward():
@@ -1108,6 +1108,34 @@ def test_backward_consumes_the_forward_cache(make):
         layer.backward(g)
     forward()
     layer.backward(g)
+
+
+@pytest.mark.parametrize("make", LAYOUT_LAYERS.values(), ids=LAYOUT_LAYERS)
+def test_wrong_gradient_shape_leaves_the_forward_cache(make):
+    """A gradient of the wrong shape raises ValueError before the backward
+    takes the forward's cache, so a retry with the right gradient gives the
+    gradients of a fresh forward and backward bit for bit."""
+    layer = make()
+    joins = isinstance(layer, UpsampleConv3d)
+    channels = layer.up_channels if joins else getattr(layer, "in_channels", 4)
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(2, 5, 6, 4, channels)).astype(np.float32)
+    skip = rng.normal(size=(2, 10, 12, 8, 2)).astype(np.float32)
+    results = []
+    for retry in (False, True):
+        layer = make()
+        if joins:
+            layer.skip = skip
+        out = layer.forward(x)
+        g = np.random.default_rng(27).normal(size=out.shape).astype(np.float32)
+        if retry:
+            for wrong in (g[:, :, :-1], g[..., :-1], g[0]):
+                with pytest.raises(ValueError, match="grad shape"):
+                    layer.backward(wrong)
+        grads = input_grads(layer.backward(g))
+        results.append((*grads, *(p.grad for p in layer.params())))
+    for a, b in zip(*results, strict=True):
+        assert_bits_equal(a, b)
 
 
 class TestLosses:
