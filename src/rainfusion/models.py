@@ -11,8 +11,8 @@ and never pools cols (ROADMAP item 1 tracks the fix); the multimodal
 variant pools (2, 2, 2) with ceiling semantics, and each upsample is
 cropped to its skip's size.  Body convs keep a temporal extent of 1; all
 temporal mixing happens in the pooling path and the head.  Activations
-have the layers' (b, t, h, w, c) shape over channels-first memory (see
-`rainfusion.nn`).
+have the layers' one-sample (1, t, h, w, c) shape over channels-first
+memory (see `rainfusion.nn`).
 
 The network is one list of layers, `UNet3D.steps`: each encoder stage
 and its pool, the bottleneck, each decoder stage, the head.  One loop runs
@@ -46,12 +46,9 @@ With an empty table every input is kept.  An inference forward
 drops each layer's cache right after its forward, so an activation lives
 until the next layer has read it, and a skip until its decoder conv.
 
-Every layer runs the samples of a batch one after the other, so `train`
-runs a batch one sample at a time: the parameter gradients accumulate
-over the samples, bit for bit those of one batched backward, and only one
-sample's activations exist at a time.  Every package call passes batch 1;
-the batch axis stays because `gradient_check` and the tests that check a
-batch of 3 or 4 against its samples bit for bit use it.
+A layer call runs one sample, so `train` runs a batch one sample at a
+time: the parameter gradients accumulate sample by sample in permutation
+order, and only one sample's activations exist at a time.
 
 Inputs are never copied.  `load_frames` writes each distinct input frame
 once into one zero-bordered frame buffer, in the network's own layout,
@@ -120,6 +117,11 @@ class ModelConfig:
             raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
         if self.lead_minutes not in LEAD_MINUTES:
             raise ValueError(f"lead must be 5, 15 or 30 minutes, got {self.lead_minutes}")
+        # bounded before 2 ** (levels - 1) is built: a checkpoint's levels
+        # could make that integer as large as memory
+        if self.levels - 1 > max(self.rows, self.cols).bit_length():
+            raise ValueError(f"levels={self.levels} pools more often than "
+                             f"{self.rows}x{self.cols} can be halved")
         div = 2 ** (self.levels - 1)
         for name, dim in (("rows", self.rows), ("cols", self.cols)):
             if dim % div != 0:
@@ -203,9 +205,11 @@ class UNet3D:
         return self._run(x, keep=True)
 
     def _run(self, x: np.ndarray, keep: bool) -> np.ndarray:
-        """The network output of `x`.  With `keep` (a training forward) the
-        layers keep their caches but for the inputs `_rebuild` drops; without
-        (inference) each layer's cache is dropped right after its forward."""
+        """The network output of the one sample `x`, (1, WINDOW_FRAMES,
+        rows, cols, channels) as the layers take it.  With `keep` (a
+        training forward) the layers keep their caches but for the inputs
+        `_rebuild` drops; without (inference) each layer's cache is dropped
+        right after its forward."""
         h = ensure_array5(x, "model input")
         cfg = self.config
         expect = (WINDOW_FRAMES, cfg.rows, cfg.cols, cfg.in_channels)
@@ -404,13 +408,12 @@ def train(model: UNet3D, train_set, val_set, schedule: TrainSchedule,
     permutation order runs forward on its six frames, a time slice of that
     buffer that the first conv reads in place, takes the loss gradient
     with the whole batch's element count as divisor and runs a backward
-    that computes no input gradient, and Adam steps once per batch.  That
-    gives the parameter gradients of one batched forward and backward bit
-    for bit, with one sample's activations alive at a time.
-    The batch loss, and the validation loss (whose inference forwards,
-    `_run(x, keep=False)`, run one sample at a time too), come from the
-    stacked per-sample outputs, so they equal the batched values bit for
-    bit.  Returns the per-epoch history; on finishing, model parameters
+    that computes no input gradient, and Adam steps once per batch.  The
+    gradients accumulate sample by sample in permutation order, with one
+    sample's activations alive at a time.  The batch loss, and the
+    validation loss (whose inference forwards, `_run(x, keep=False)`, run
+    one sample at a time too), come from the stacked per-sample outputs.
+    Returns the per-epoch history; on finishing, model parameters
     hold the lowest-validation-loss snapshot (final weights when no
     validation set is given).  Each training backward consumes its
     forward's layer caches and an inference forward keeps none, so on
@@ -544,15 +547,24 @@ def load_model(path) -> tuple[UNet3D, BandStats | None]:
             stats = BandStats(mins.astype(np.float64), maxs.astype(np.float64), int(count[0]))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+    def check(name, shape):
+        if name not in entries:
+            raise ValueError(f"{path}: checkpoint lacks parameter block '{name}'")
+        if entries[name].shape != shape:
+            raise ValueError(f"{path}: checkpoint block '{name}' has shape "
+                             f"{entries[name].shape}, expected {shape}")
+
+    # The network's largest block, checked before the network is built: all
+    # blocks together hold at most about 3.4 times its values (plus a few
+    # hundred in the smallest networks), so a config alone cannot make this
+    # allocate more than a small multiple of the file's size.
+    bott = cfg.base_channels * 2 ** (cfg.levels - 1)
+    check("bottleneck_b.weight", (1, 3, 3, bott, bott))
     model = UNet3D(cfg, seed=0)
     for p in model.params():
-        if p.name not in entries:
-            raise ValueError(f"{path}: checkpoint lacks parameter block '{p.name}'")
-        value = entries.pop(p.name)
-        if value.shape != p.value.shape:
-            raise ValueError(f"{path}: checkpoint block '{p.name}' has shape {value.shape}, "
-                             f"expected {p.value.shape}")
-        p.value[...] = value
+        check(p.name, p.value.shape)
+        p.value[...] = entries.pop(p.name)
     if entries:
         raise ValueError(f"{path}: checkpoint carries unknown entries: {sorted(entries)}")
     return model, stats

@@ -1,19 +1,22 @@
 """Dense numerical layer stack for the 3D U-Net forecasters.
 
-Activations are rank-5 arrays of shape (batch, time, rows, cols, channels):
-every layer takes and returns that shape.  Their memory has one layout:
-every buffer a layer writes, forward or backward, is a channels-first
-(b, c, t, h + 2, w + 2) grid with a border one cell deep in rows and
-cols, inside a 1-D allocation with zero margins before and after it, and
-a layer returns the (b, t, h, w, c) transpose of its interior, so the next
-layer reads it back with a free transpose.  ReLU and pooling zero that
-border, so a following conv, which pads by one cell whatever its kernel,
-reads the grid in place as its padded input; ReLU's backward does the
-same, and with the zero margins the conv before reads its gradient in
-place.  `bordered` makes such a grid for a network input: a time slice of
-it, one window of a longer stack of frames, is read in place too.  Any
-other input or gradient layout, a C-ordered channels-last one included,
-is copied into a grid and gives the same results bit for bit.
+Each layer call runs one sample.  Activations are rank-5 arrays of shape
+(1, time, rows, cols, channels): every layer takes and returns that
+shape, and rejects any other leading axis (`ensure_array5`).  The leading
+1 exists only at that API; inside a layer nothing has a batch axis.
+Memory has one layout: every buffer a layer writes, forward or backward,
+is a channels-first (c, t, h + 2, w + 2) grid with a border one cell deep
+in rows and cols, inside a 1-D allocation with zero margins before and
+after it, and a layer returns the (1, t, h, w, c) view of its interior,
+so the next layer reads it back with a free transpose.  ReLU and pooling
+zero that border, so a following conv, which pads by one cell whatever
+its kernel, reads the grid in place as its padded input; ReLU's backward
+does the same, and with the zero margins the conv before reads its
+gradient in place.  `bordered` makes such a grid for a network input,
+as a (1, c, t, h, w) array: a time slice of it, one window of a longer
+stack of frames, is read in place too.  Any other input or gradient
+layout, a C-ordered channels-last one included, is copied into a grid and
+gives the same results bit for bit.
 There is no upsampling layer: `UpsampleConv3d`, a decoder stage's first
 conv, reads the coarse features and the encoder skip in place and runs
 the conv of `[upsampled | skip]` with the up channels' taps folded onto

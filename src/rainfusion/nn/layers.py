@@ -1,31 +1,34 @@
 """3D convolution, pooling and activation layers with adjoints, and the
 decoder conv that upsamples.
 
-Every layer takes and returns (batch, time, rows, cols, channels) arrays:
-that shape is the API.  In memory there is one layout.  Every buffer that
-a layer writes, forward or backward, is a grid (`_grid`): a channels-first
-(b, c, t, H + 2, W + 2) array with a border one cell deep in rows and
-cols, inside a 1-D allocation with zero margins of W + 3 cells before and
-after it.  A layer returns the (b, t, h, w, c) transpose of the grid's
-interior, so the next layer's `x.transpose(0, 4, 1, 2, 3)` is a free view
-and every kernel runs on long rows of one channel.  One finder, `_buffer`,
-gives back the grid, or the time slice of it, that an array is the
-interior of, and every in-place read goes through it.  With a zero border
-the grid is the padded input of any conv, 3x3 or 1x1, which pads by that
-one cell and reads it in place: ReLU and pooling zero the border of their
-outputs (`bordered`).  Time is never padded, so a time slice is
+A layer runs one sample.  Its API takes and returns (1, time, rows, cols,
+channels) arrays, whose leading 1 is the only trace of a batch: it exists
+in `ensure_array5`, which rejects any other leading axis, in the two views
+that cross the API (`_channels_first`, `_channels_last`) and in
+`bordered`; nothing inside a layer has a batch axis.  In memory there is
+one layout.  Every buffer that a layer writes, forward or backward, is a
+grid (`_grid`): a channels-first (c, t, H + 2, W + 2) array with a border
+one cell deep in rows and cols, inside a 1-D allocation with zero margins
+of W + 3 cells before and after it.  A layer returns the (1, t, h, w, c)
+view of the grid's interior, so the next layer's channels-first view of
+it is free and every kernel runs on long rows of one channel.  One
+finder, `_buffer`, gives back the grid, or the time slice of it, that an
+array is the interior of, and every in-place read goes through it.  With
+a zero border the grid is the padded input of any conv, 3x3 or 1x1,
+which pads by that one cell and reads it in place: ReLU and pooling zero
+the border of their outputs.  Time is never padded, so a time slice is
 read in place too: a network input is a window of one frame buffer
-(`models.load_frames`).  With its margins zero too, the grid read from the
-start of its allocation, one row per channel, is the padded incoming
-gradient that a conv's backward needs, so the conv before a ReLU reads
-ReLU's gradient in place.  A conv's output and input gradient are the
-interiors of its accumulators, whose borders hold leftovers of the GEMMs;
-the conv bias and ReLU, forward and backward, run over whole grids,
-border included, in contiguous passes, as a numpy ufunc writing the
-strided interior costs about twice as much.  Any other input or gradient
-(C-ordered channels-last, a non-zero border, a view of something else) is
-copied into a new grid (`_bordered_copy`) and read the same way, with the
-same results bit for bit.
+(`bordered`, `models.load_frames`).  With its margins zero too, the grid
+read from the start of its allocation, one row per channel, is the padded
+incoming gradient that a conv's backward needs, so the conv before a ReLU
+reads ReLU's gradient in place.  A conv's output and input gradient are
+the interiors of its accumulators, whose borders hold leftovers of the
+GEMMs; the conv bias and ReLU, forward and backward, run over whole
+grids, border included, in contiguous passes, as a numpy ufunc writing
+the strided interior costs about twice as much.  Any other input or
+gradient (C-ordered channels-last, a non-zero border, a view of something
+else) is copied into a new grid (`_bordered_copy`) and read the same way,
+with the same results bit for bit.
 
 Layers have stride 1.  Convolutions have kernel dims of 1 or 3 in rows
 and cols, zero-pad so spatial dims are preserved, and never pad time: a
@@ -97,9 +100,15 @@ _COLS_BYTES = 288 << 10
 
 
 def ensure_array5(x, name: str = "input") -> np.ndarray:
+    """`x` as an array of the layer API's shape (1, time, rows, cols,
+    channels); ValueError naming `name` for another rank, a leading axis
+    other than 1 or a zero-length axis."""
     arr = np.asarray(x)
     if arr.ndim != 5:
-        raise ValueError(f"{name} must be rank-5 (batch, time, rows, cols, channels), got shape {arr.shape}")
+        raise ValueError(f"{name} must be rank-5 (1, time, rows, cols, channels), "
+                         f"got shape {arr.shape}")
+    if arr.shape[0] != 1:
+        raise ValueError(f"{name} must hold one sample, a leading axis of 1, got shape {arr.shape}")
     if min(arr.shape) < 1:
         raise ValueError(f"{name} has a zero-length axis: shape {arr.shape}")
     return arr
@@ -121,29 +130,29 @@ def _take_cache(layer, name: str, grad_out: np.ndarray, output_shape):
 
 
 def _channels_first(x: np.ndarray) -> np.ndarray:
-    """The (b, c, t, h, w) memory view of a (b, t, h, w, c) activation."""
-    return x.transpose(0, 4, 1, 2, 3)
+    """The (c, t, h, w) memory view of a (1, t, h, w, c) activation."""
+    return x[0].transpose(3, 0, 1, 2)
 
 
 def _channels_last(buf: np.ndarray) -> np.ndarray:
-    """The (b, t, h, w, c) view of a (b, c, t, h, w) buffer, as layers return it."""
-    return buf.transpose(0, 2, 3, 4, 1)
+    """The (1, t, h, w, c) view of a (c, t, h, w) buffer, as layers return it."""
+    return buf.transpose(1, 2, 3, 0)[None]
 
 
 def _grid(shape, dtype, zeros: bool = False) -> np.ndarray:
-    """A new grid around an interior of `shape` (b, c, t, H, W): a C-ordered
-    channels-first (b, c, t, H + 2, W + 2) array, one cell of border on each
+    """A new grid around an interior of `shape` (c, t, H, W): a C-ordered
+    channels-first (c, t, H + 2, W + 2) array, one cell of border on each
     side of its rows and cols, that sits W + 3 cells into a 1-D allocation
     (its `.base`) whose first and last W + 3 cells, its margins, are zero.
     It is zero throughout with `zeros`, else left for the caller to write.
     Every buffer that a layer writes is one."""
-    b, c, T, H, W = shape
+    c, T, H, W = shape
     lead = W + 3
-    flat = (np.zeros if zeros else np.empty)(b * c * T * (H + 2) * (W + 2) + 2 * lead, dtype)
+    flat = (np.zeros if zeros else np.empty)(c * T * (H + 2) * (W + 2) + 2 * lead, dtype)
     if not zeros:
         flat[:lead] = 0
         flat[-lead:] = 0
-    return flat[lead:-lead].reshape(b, c, T, H + 2, W + 2)
+    return flat[lead:-lead].reshape(c, T, H + 2, W + 2)
 
 
 def _interior(grid: np.ndarray) -> np.ndarray:
@@ -171,59 +180,62 @@ def _all_zero(parts) -> bool:
 
 
 def bordered(shape, dtype) -> np.ndarray:
-    """The channels-first interior, of `shape` (b, c, t, h, w), of a new grid
-    (see `_grid`) whose border is zero; the interior is left for the caller
-    to write.  A following conv reads that grid, or a time slice of it, in
-    place as its padded input."""
-    return _zero_border(_grid(shape, dtype))
+    """The channels-first interior, of `shape` (1, c, t, h, w), of a new
+    grid (see `_grid`) whose border is zero; the interior is left for the
+    caller to write.  A following conv reads that grid, or a time slice of
+    it, in place as its padded input.  A leading axis other than 1 raises
+    ValueError."""
+    if len(shape) != 5 or shape[0] != 1:
+        raise ValueError(f"bordered must hold one sample, a (1, channels, time, rows, cols) "
+                         f"shape, got {tuple(shape)}")
+    return _zero_border(_grid(shape[1:], dtype))[None]
 
 
 def _bordered_copy(x: np.ndarray) -> np.ndarray:
-    """A new grid with a zero border and the (b, t, h, w, c) array `x` in its
+    """A new grid with a zero border and the (c, t, h, w) array `x` in its
     interior."""
-    grid = _grid(_channels_first(x).shape, x.dtype)
-    _zero_border(grid)[...] = _channels_first(x)
+    grid = _grid(x.shape, x.dtype)
+    _zero_border(grid)[...] = x
     return grid
 
 
 def _is_view(x: np.ndarray, interior: np.ndarray) -> bool:
-    """Whether the (b, t, h, w, c) array `x` is the channels-first array
-    `interior`, transposed: the same first cell and, on every axis longer
-    than 1, the same stride.  The stride of an axis of length 1 addresses
-    nothing, so a sample with a batch axis added (`x[None]`) still is."""
-    xc = _channels_first(x)
-    return xc.ctypes.data == interior.ctypes.data and all(
-        n == 1 or a == b for n, a, b in zip(xc.shape, xc.strides, interior.strides))
+    """Whether the (c, t, h, w) array `x` is the array `interior`: the same
+    first cell and, on every axis longer than 1, the same stride.  The
+    stride of an axis of length 1 addresses nothing."""
+    return x.ctypes.data == interior.ctypes.data and all(
+        n == 1 or a == b for n, a, b in zip(x.shape, x.strides, interior.strides))
 
 
 def _buffer(x: np.ndarray):
-    """The grid (see `_grid`) whose interior is exactly `x`, or the time
-    slice of it that is (a window of the frame buffer, `models.load_frames`):
-    the allocation that `x` lies in, read as a (b, c, t', H + 2, W + 2) grid
-    with the batch, channels, rows and cols of `x`; None when `x` is not
-    such a view.  Each channel's (t, h, w) block of a time slice is
-    contiguous, so it still reshapes to (b, c, cells) as a view."""
+    """The grid (see `_grid`) whose interior is exactly the (c, t, h, w)
+    array `x`, or the time slice of it that is (a window of the frame
+    buffer, `models.load_frames`): the allocation that `x` lies in, read as
+    a (c, t', H + 2, W + 2) grid with the channels, rows and cols of `x`;
+    None when `x` is not such a view.  Each channel's (t, h, w) block of a
+    time slice is contiguous, so it still reshapes to (c, cells) as a
+    view."""
     flat = x.base
-    b, T, H, W, c = x.shape
+    c, T, H, W = x.shape
     if not (x.size and isinstance(flat, np.ndarray) and flat.ndim == 1
             and flat.dtype == x.dtype and flat.flags.c_contiguous):
         return None
-    frames, rest = divmod(flat.size - 2 * (W + 3), b * c * (H + 2) * (W + 2))
+    frames, rest = divmod(flat.size - 2 * (W + 3), c * (H + 2) * (W + 2))
     if rest or frames < T:
         return None
-    grid = flat[W + 3:flat.size - W - 3].reshape(b, c, frames, H + 2, W + 2)
-    start, rest = divmod(x.ctypes.data - _interior(grid).ctypes.data, grid.strides[2])
+    grid = flat[W + 3:flat.size - W - 3].reshape(c, frames, H + 2, W + 2)
+    start, rest = divmod(x.ctypes.data - _interior(grid).ctypes.data, grid.strides[1])
     if rest or not 0 <= start <= frames - T:
         return None
-    grid = grid[:, :, start:start + T]
+    grid = grid[:, start:start + T]
     return grid if _is_view(x, _interior(grid)) else None
 
 
 def _padded(x: np.ndarray, margins: bool = False) -> np.ndarray:
-    """`x` zero-padded by one cell in rows and cols: the grid `_buffer(x)`
-    when every bit of its border is zero and, with `margins` (an incoming
-    gradient), it is its whole allocation and the margins are zero too;
-    else a zero-bordered copy (`_bordered_copy`)."""
+    """The (c, t, h, w) array `x` zero-padded by one cell in rows and cols:
+    the grid `_buffer(x)` when every bit of its border is zero and, with
+    `margins` (an incoming gradient), it is its whole allocation and the
+    margins are zero too; else a zero-bordered copy (`_bordered_copy`)."""
     grid = _buffer(x)
     if grid is None:
         return _bordered_copy(x)
@@ -294,19 +306,18 @@ def _gathered_wgrad(wg, src, g, shifts, rows):
 
 
 def _gradient_rows(grad_out: np.ndarray, lead: int) -> np.ndarray:
-    """grad_out on its padded grid, as (b, c, 2 * lead + cells): each
-    channel's row read from one lead before its grid to one lead after it,
-    a halo of zero border or zero margin in front, so that every
-    tap-shifted read stays inside.  The rows are those of grad_out's own
-    allocation when it is the interior of a grid with a zero border and
+    """The (c, t, h, w) grad_out on its padded grid, as (c, 2 * lead +
+    cells): each channel's row read from one lead before its grid to one
+    lead after it, a halo of zero border or zero margin in front, so that
+    every tap-shifted read stays inside.  The rows are those of grad_out's
+    own allocation when it is the interior of a grid with a zero border and
     zero margins (`_padded` with `margins`; ReLU's backward writes it so),
     else of a zero-bordered copy's."""
     grid = _padded(grad_out, margins=True)
-    b, c = grid.shape[:2]
-    cells, step = grid[0, 0].size, grid.itemsize
+    c = grid.shape[0]
+    cells, step = grid[0].size, grid.itemsize
     return np.lib.stride_tricks.as_strided(
-        grid.base, (b, c, 2 * lead + cells), (c * cells * step, cells * step, step),
-        writeable=False)
+        grid.base, (c, 2 * lead + cells), (cells * step, step), writeable=False)
 
 
 class Parameter:
@@ -335,26 +346,25 @@ class Conv3d:
     time axis (kt = 1) or consumes it.
 
     Kernel dims in rows and cols are 1 or 3, and every conv pads by one
-    cell: its padded input is a (b, in, T, H + 2, W + 2) grid (see
-    `_grid`), the one that `x` is the interior of, or a time slice of it,
-    when its border is zero (`_padded`: ReLU and pooling outputs, and the
-    network input, a window of the frame buffer), else a
-    zero-bordered copy.  Each item is viewed as (in, T*Hp*Wp): one
-    contiguous row of cells per channel, and kernel tap (it, ih, iw) reads
-    it shifted by it*Hp*Wp cells plus a spatial shift (`_taps`); a 1x1
-    kernel reads the centre.  The accumulator is a zeroed (b, out, To, Hp,
-    Wp) grid, and output cell (t, h, w) is its cell (t, h + 1, w + 1): the
-    GEMMs write behind a leading margin of Wp + 1 cells, so the output is
-    the interior of the accumulator, whose border holds the GEMMs'
-    wrap-around cells; the bias is added to the whole accumulator in place.
-    Forward runs `_tap_gemms` once per item and temporal tap: one GEMM per
-    block of `_ROW_BLOCK` output cells, the kw col-shifted input rows
-    stacked into cols(kw*in, block + row halo), Y = W(kh*out, kw*in) @
-    cols, and each kernel row's slice of Y added to the block at that
-    row's shift ("kw").
+    cell: its padded input is an (in, T, H + 2, W + 2) grid (see `_grid`),
+    the one that `x` is the interior of, or a time slice of it, when its
+    border is zero (`_padded`: ReLU and pooling outputs, and the network
+    input, a window of the frame buffer), else a zero-bordered copy.  It is
+    viewed as (in, T*Hp*Wp): one contiguous row of cells per channel, and
+    kernel tap (it, ih, iw) reads it shifted by it*Hp*Wp cells plus a
+    spatial shift (`_taps`); a 1x1 kernel reads the centre.  The
+    accumulator is a zeroed (out, To, Hp, Wp) grid, and output cell (t, h,
+    w) is its cell (t, h + 1, w + 1): the GEMMs write behind a leading
+    margin of Wp + 1 cells, so the output is the interior of the
+    accumulator, whose border holds the GEMMs' wrap-around cells; the bias
+    is added to the whole accumulator in place.  Forward runs `_tap_gemms`
+    once per temporal tap: one GEMM per block of `_ROW_BLOCK` output cells,
+    the kw col-shifted input rows stacked into cols(kw*in, block + row
+    halo), Y = W(kh*out, kw*in) @ cols, and each kernel row's slice of Y
+    added to the block at that row's shift ("kw").
 
     Timed against it at the desk's shapes (64x64, levels 3, base 8, one
-    item; 1 BLAS thread, 2-core Xeon with AVX-512; interquartile range of
+    sample; 1 BLAS thread, 2-core Xeon with AVX-512; interquartile range of
     80 interleaved pairs), every tap on the output side ("out", Y =
     W(taps*out, in) @ X[block + halo]) took 1.15-1.24 of the time of "kw"
     on the kt = 6, 8 -> 2 `head_a` and 1.19-1.99 on every other conv
@@ -364,16 +374,15 @@ class Conv3d:
     cols(taps*in, block) gathered) took 1.10-1.97 of "kw" on most convs,
     0.97-1.08 on the multimodal 8 -> 16 `enc2a` and 32 -> 32
     `bottleneck_b`, and less only on the radar 1 -> 8 `enc1a` (0.66-0.72,
-    0.11 ms an item) and the multimodal 16 -> 32 `bottleneck_a`
-    (0.84-0.91, 0.02 ms an item).
+    0.11 ms a sample) and the multimodal 16 -> 32 `bottleneck_a`
+    (0.84-0.91, 0.02 ms a sample).
 
     Backward adds the sum of G to the bias gradient and takes the weight
-    gradient GEMMs, item by item, so that a batch gives the gradients of
-    its items run one at a time, bit for bit.  A conv that is not
-    wide-input, in <= 2*out (`wide_input`), gathers the tap-shifted input
-    rows of each block of output cells into cols(taps*in, block) of about
-    `_COLS_BYTES`, and the weight gradient gets cols @ G[:, block].T; a
-    wide-input conv gives each tap X[shifted] @ G.T over all the cells.
+    gradient GEMMs.  A conv that is not wide-input, in <= 2*out
+    (`wide_input`), gathers the tap-shifted input rows of each block of
+    output cells into cols(taps*in, block) of about `_COLS_BYTES`, and the
+    weight gradient gets cols @ G[:, block].T; a wide-input conv gives each
+    tap X[shifted] @ G.T over all the cells.
     Against one GEMM per tap, the gathered blocks took 0.41-0.50 of the
     time for the 8 -> 8 convs, 0.56-0.59 for 16 -> 32 and 0.74-0.80 for
     16 -> 16 and 32 -> 32 at the radar net's dims, 0.64-0.70 for the
@@ -454,27 +463,26 @@ class Conv3d:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = ensure_array5(x, self.name)
-        b, T, H, W, c = x.shape
+        _, T, H, W, c = x.shape
         kt = self.kernel[0]
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         if T < kt:
             raise ValueError(f"{self.name}: temporal extent {kt} exceeds input time {T}")
-        xp = _padded(x)
-        To = T - kt + 1
+        xp = _padded(_channels_first(x))
         plane, lead, rows, dy, dx = self._taps((T, H, W))
         w = self.weight.value
         cout = self.out_channels
         wt = w.transpose(0, 1, 2, 4, 3).reshape(kt, -1, cout, c)  # (kt, taps, out, in)
-        xf = xp.reshape(b, c, -1)
-        acc = _grid((b, cout, To, H, W), np.result_type(xp, w), zeros=True)
-        accf = acc.reshape(b, cout, -1)
-        for n in range(b):
-            for it in range(kt):
-                _tap_gemms(accf[n, :, lead:lead + rows], xf[n], wt[it], dy, dx, it * plane)
+        xf = xp.reshape(c, -1)
+        acc = _grid((cout, T - kt + 1, H, W), np.result_type(xp, w), zeros=True)
+        accf = acc.reshape(cout, -1)
+        for it in range(kt):
+            _tap_gemms(accf[:, lead:lead + rows], xf, wt[it], dy, dx, it * plane)
         acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
-        self._cache = (xp, x.shape, (b, To, H, W, cout))
-        return _channels_last(_interior(acc))
+        out = _channels_last(_interior(acc))
+        self._cache = (xp, x.shape, out.shape)
+        return out
 
     def rerun(self) -> np.ndarray:
         """The last forward's output, computed again by a forward on the
@@ -501,32 +509,30 @@ class Conv3d:
         x = ensure_array5(x, self.name)
         if x.shape != in_shape:
             raise ValueError(f"{self.name}: restored input shape {x.shape} != {in_shape}")
-        self._cache = (_padded(x), in_shape, out_shape)
+        self._cache = (_padded(_channels_first(x)), in_shape, out_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         grad_out = np.asarray(grad_out)
         xp, in_shape, _ = _take_cache(self, self.name, grad_out, lambda cache: cache[2])
         if xp is None:
             raise RuntimeError(f"{self.name}: backward after drop_input without restore_input")
-        b, c = xp.shape[:2]
+        c = xp.shape[0]
         kt, cout = self.kernel[0], self.out_channels
         plane, lead, rows, dy, dx = self._taps(in_shape[1:4])
         shifts = [r + s for r in dy for s in dx]
-        gbuf = _gradient_rows(grad_out, lead)
-        gf = gbuf[:, :, 2 * lead:]
-        xf = xp.reshape(b, c, -1)
+        gbuf = _gradient_rows(_channels_first(grad_out), lead)
+        gf = gbuf[:, 2 * lead:]
+        xf = xp.reshape(c, -1)
         wgrad = self.weight.grad.reshape(kt, len(shifts), c, cout)
-        for n in range(b):
-            # summed from the buffer, so the order does not depend on grad_out's
-            # layout, and sample by sample, as the weight gradient is
-            self.bias.grad += gbuf[n].sum(axis=1)
-            for it in range(kt):
-                x0 = it * plane
-                if self.wide_input:
-                    for k, s in enumerate(shifts):
-                        wgrad[it, k] += xf[n, :, x0 + s:x0 + s + rows] @ gf[n, :, :rows].T
-                else:
-                    _gathered_wgrad(wgrad[it], xf[n, :, x0:], gf[n], shifts, rows)
+        # summed from the buffer, so the order does not depend on grad_out's layout
+        self.bias.grad += gbuf.sum(axis=1)
+        for it in range(kt):
+            x0 = it * plane
+            if self.wide_input:
+                for k, s in enumerate(shifts):
+                    wgrad[it, k] += xf[:, x0 + s:x0 + s + rows] @ gf[:, :rows].T
+            else:
+                _gathered_wgrad(wgrad[it], xf[:, x0:], gf, shifts, rows)
         dtype = xp.dtype
         del xp, xf  # the input goes before its gradient is allocated
         if not self.input_grad:
@@ -544,19 +550,18 @@ class Conv3d:
         of the former 48 -> 16 and 24 -> 8 convs of the whole decoder
         input, and every tap on the output side took 1.11-2.45 of "kw" on
         every desk conv."""
-        b, T, H, W = in_shape[:4]
+        T, H, W = in_shape[1:4]
         kt, cout = self.kernel[0], self.out_channels
         plane, lead, _, dy, dx = self._taps((T, H, W))
-        To = (gbuf.shape[2] - 2 * lead) // plane
+        To = (gbuf.shape[1] - 2 * lead) // plane
         w = self.weight.value.reshape(kt, -1, self.in_channels, cout)[:, :, channels]
         width = w.shape[2]
-        gxp = _grid((b, width, T, H, W), dtype, zeros=True)
-        gxf = gxp.reshape(b, width, T * plane)
-        for n in range(b):
-            for it in range(kt):
-                x0 = it * plane
-                _tap_gemms(gxf[n, :, x0:x0 + To * plane], gbuf[n], w[it],
-                           [-r for r in dy], [-s for s in dx], 2 * lead)
+        gxp = _grid((width, T, H, W), dtype, zeros=True)
+        gxf = gxp.reshape(width, T * plane)
+        for it in range(kt):
+            x0 = it * plane
+            _tap_gemms(gxf[:, x0:x0 + To * plane], gbuf, w[it],
+                       [-r for r in dy], [-s for s in dx], 2 * lead)
         return _channels_last(_interior(gxp))
 
 
@@ -584,7 +589,7 @@ class UpsampleConv3d(Conv3d):
     (x: the coarse features), which takes it.  Rows and cols must be the
     coarse ones times their factors exactly, and time may end in a ragged
     group, as ceiling pooling leaves it; else ValueError, as for a skip of
-    another batch or channel count.
+    another channel count.
 
     Forward runs the up rows first.  A repeated cell's 3x3 taps read only
     2 coarse cells per axis with factor 2 (3 with factor 1), so for each
@@ -608,9 +613,9 @@ class UpsampleConv3d(Conv3d):
     zero-bordered coarse grid G; each folded tap's weight gradient gets
     X[shifted] @ G.T over all the coarse cells, one GEMM per tap, and the
     coarse gradient gets the folded taps' "kw" GEMMs on G at minus their
-    shifts, as a plain conv's input gradient.  Each item's folded weight
-    gradients are summed back onto the 3x3 taps they came from.  At the
-    desk's shapes (one item, 1 BLAS thread, 80 interleaved pairs) this
+    shifts, as a plain conv's input gradient.  The folded weight gradients
+    are summed back onto the 3x3 taps they came from.  At the desk's shapes
+    (one sample, 1 BLAS thread, 80 interleaved pairs) this
     took 0.85-0.92 of the time of summing grad_out, shifted by each of the
     9 taps, over every repetition group into one stack for two GEMMs on
     `dec1a`, and 1.04-1.11 on `dec2a`: 0.96 (radar) and 0.97 (multimodal)
@@ -672,43 +677,40 @@ class UpsampleConv3d(Conv3d):
             raise RuntimeError(f"{self.name}: forward without a skip")
         x = ensure_array5(x, self.name)
         skip = ensure_array5(skip, f"{self.name} skip")
-        b, Tc, Hc, Wc, cu = x.shape
+        _, Tc, Hc, Wc, cu = x.shape
         _, T, H, W, cs = skip.shape
         ft, fh, fw = self.factors
         if (cu, cs) != (self.up_channels, self.in_channels - self.up_channels):
             raise ValueError(f"{self.name}: expected {self.up_channels} up and "
                              f"{self.in_channels - self.up_channels} skip channels, "
                              f"got {cu} and {cs}")
-        if skip.shape[0] != b or (H, W) != (Hc * fh, Wc * fw) or not (Tc - 1) * ft < T <= Tc * ft:
-            raise ValueError(f"{self.name}: skip shape {skip.shape} does not match batch {b} "
-                             f"and dims {x.shape[1:4]} repeated x{self.factors}")
-        xp, sp = _padded(x), _padded(skip)
+        if (H, W) != (Hc * fh, Wc * fw) or not (Tc - 1) * ft < T <= Tc * ft:
+            raise ValueError(f"{self.name}: skip shape {skip.shape} does not match "
+                             f"dims {x.shape[1:4]} repeated x{self.factors}")
+        xp, sp = _padded(_channels_first(x)), _padded(_channels_first(skip))
         w, cout = self.weight.value[0], self.out_channels
-        acc = _grid((b, cout, T, H, W), np.result_type(xp, sp, w), zeros=True)
-        accf, up = acc.reshape(b, cout, -1), _interior(acc)
+        acc = _grid((cout, T, H, W), np.result_type(xp, sp, w), zeros=True)
+        up = _interior(acc)
         # the up rows first, phase by phase on the coarse grid, each result
         # written to its strided cells of the accumulator, which it covers
         Wcp = Wc + 2
         cells = Tc * (Hc + 2) * Wcp
-        xf = xp.reshape(b, cu, cells)
+        xf = xp.reshape(cu, cells)
         folded = self._folded_weights().transpose(0, 2, 1)  # (taps, out, up)
         phase_out = np.empty((cout, cells), acc.dtype)
         coarse = _interior(phase_out.reshape(cout, Tc, Hc + 2, Wcp))
-        for n in range(b):
-            for (ph, pw), taps, rows_at, cols_at, _ in self._phase_taps(Wcp):
-                phase_out[...] = 0
-                _tap_gemms(phase_out[:, Wcp + 1:cells - Wcp - 1], xf[n], folded[taps],
-                           [(r + 1) * Wcp for r in rows_at], [c + 1 for c in cols_at], 0)
-                for pt in range(ft):
-                    dst = up[n, :, pt::ft, ph::fh, pw::fw]
-                    dst[...] = coarse[:, :dst.shape[1]]
+        for (ph, pw), taps, rows_at, cols_at, _ in self._phase_taps(Wcp):
+            phase_out[...] = 0
+            _tap_gemms(phase_out[:, Wcp + 1:cells - Wcp - 1], xf, folded[taps],
+                       [(r + 1) * Wcp for r in rows_at], [c + 1 for c in cols_at], 0)
+            for pt in range(ft):
+                dst = up[:, pt::ft, ph::fh, pw::fw]
+                dst[...] = coarse[:, :dst.shape[1]]
         del phase_out, coarse  # before the skip rows' GEMMs allocate theirs
         # then the skip rows, added on the skip's padded grid
         _, lead, rows, dy, dx = self._taps((T, H, W))
         ws = w[:, :, cu:].transpose(0, 1, 3, 2).reshape(9, cout, cs)
-        sf = sp.reshape(b, cs, -1)
-        for n in range(b):
-            _tap_gemms(accf[n, :, lead:lead + rows], sf[n], ws, dy, dx, 0)
+        _tap_gemms(acc.reshape(cout, -1)[:, lead:lead + rows], sp.reshape(cs, -1), ws, dy, dx, 0)
         acc += self.bias.value[:, None, None, None]  # the whole grid: one contiguous pass
         self._cache = (xp, sp, skip.shape)
         return _channels_last(up)
@@ -717,45 +719,40 @@ class UpsampleConv3d(Conv3d):
         grad_out = np.asarray(grad_out)
         xp, sp, skip_shape = _take_cache(self, self.name, grad_out,
                                          lambda cache: (*cache[2][:4], self.out_channels))
-        b, cu, Tc, Hcp, Wcp = xp.shape
+        cu, Tc, Hcp, Wcp = xp.shape
         T, H, W, cs = skip_shape[1:]
         ft, fh, fw = self.factors
         cout = self.out_channels
         _, lead, rows, dy, dx = self._taps((T, H, W))
-        gbuf = _gradient_rows(grad_out, lead)
-        gf = gbuf[:, :, 2 * lead:]
         g = _channels_first(grad_out)
-        sf = sp.reshape(b, cs, -1)
+        gbuf = _gradient_rows(g, lead)
         wgrad = self.weight.grad.reshape(9, self.in_channels, cout)
+        self.bias.grad += gbuf.sum(axis=1)
+        _gathered_wgrad(wgrad[:, cu:], sp.reshape(cs, -1), gbuf[:, 2 * lead:],
+                        [r + s for r in dy for s in dx], rows)
         folded = self._folded_weights()  # (taps, up, out)
-        wg_folded = np.empty(folded.shape, wgrad.dtype)
+        wg_folded = np.zeros(folded.shape, wgrad.dtype)
         cells = Tc * Hcp * Wcp
-        xf = xp.reshape(b, cu, cells)
-        gx = _grid((b, cu, Tc, Hcp - 2, Wcp - 2), xp.dtype, zeros=True)
-        gxf = gx.reshape(b, cu, cells)
+        xf = xp.reshape(cu, cells)
+        gx = _grid((cu, Tc, Hcp - 2, Wcp - 2), xp.dtype, zeros=True)
+        gxf = gx.reshape(cu, cells)
         # one phase's gradient on the coarse padded grid, its border zero,
         # behind a zero margin of one halo (Wcp + 1) at each end
         halo, inner = Wcp + 1, cells - 2 * (Wcp + 1)
         g_rows = np.zeros((cout, cells + 2 * halo), grad_out.dtype)
         g_phase = _interior(g_rows[:, halo:-halo].reshape(cout, Tc, Hcp, Wcp))
         g_inner = g_rows[:, 2 * halo:2 * halo + inner]  # from the first interior cell
-        for n in range(b):
-            self.bias.grad += gbuf[n].sum(axis=1)
-            _gathered_wgrad(wgrad[:, cu:], sf[n], gf[n], [r + s for r in dy for s in dx], rows)
-            wg_folded[...] = 0
-            for (ph, pw), taps, rows_at, cols_at, shifts in self._phase_taps(Wcp):
-                g_phase[...] = g[n, :, ::ft, ph::fh, pw::fw]  # every group has a first frame
-                for pt in range(1, ft):
-                    src = g[n, :, pt::ft, ph::fh, pw::fw]
-                    g_phase[:, :src.shape[1]] += src
-                for k, s in zip(range(taps.start, taps.stop), shifts):
-                    wg_folded[k] += xf[n, :, s:s + inner] @ g_inner.T
-                _tap_gemms(gxf[n, :, halo:halo + inner], g_rows, folded[taps],
-                           [-r * Wcp for r in rows_at], [-c for c in cols_at], 2 * halo)
-            # each item's folded taps summed back onto their 3x3 taps, as a
-            # batch of one would
-            wgrad[:, :cu] += (self._fold.T @ wg_folded.reshape(len(folded), -1)).reshape(
-                9, cu, cout)
+        for (ph, pw), taps, rows_at, cols_at, shifts in self._phase_taps(Wcp):
+            g_phase[...] = g[:, ::ft, ph::fh, pw::fw]  # every group has a first frame
+            for pt in range(1, ft):
+                src = g[:, pt::ft, ph::fh, pw::fw]
+                g_phase[:, :src.shape[1]] += src
+            for k, s in zip(range(taps.start, taps.stop), shifts):
+                wg_folded[k] += xf[:, s:s + inner] @ g_inner.T
+            _tap_gemms(gxf[:, halo:halo + inner], g_rows, folded[taps],
+                       [-r * Wcp for r in rows_at], [-c for c in cols_at], 2 * halo)
+        # the folded taps summed back onto their 3x3 taps
+        wgrad[:, :cu] += (self._fold.T @ wg_folded.reshape(len(folded), -1)).reshape(9, cu, cout)
         del g_rows, g_phase, g_inner, wg_folded, folded  # before the skip's gradient
         return (_channels_last(_interior(gx)),
                 self._input_grad(gbuf, skip_shape, sp.dtype, slice(cu, None)))
@@ -797,28 +794,27 @@ class MaxPool3d:
         return tuple(-(-d // w) for d, w in zip(dims, window))
 
     def _windows(self, x):
-        """The channels-first (b, c, ot, wt, oh, wh, ow, ww) windows of `x`:
+        """The (c, ot, wt, oh, wh, ow, ww) windows of the (c, t, h, w) `x`:
         a view, or a -inf padded copy when the last windows are ragged."""
-        b, T, H, W, c = x.shape
+        c, T, H, W = x.shape
         wt, wh, ww = self.window
         ot, oh, ow = self.output_dims((T, H, W), self.window)
-        xc = _channels_first(x)
         if (ot * wt, oh * wh, ow * ww) != (T, H, W):
-            pad = ((0, 0), (0, 0), (0, ot * wt - T), (0, oh * wh - H), (0, ow * ww - W))
-            xc = np.pad(xc, pad, constant_values=-np.inf)
-        return xc.reshape(b, c, ot, wt, oh, wh, ow, ww)
+            pad = ((0, 0), (0, ot * wt - T), (0, oh * wh - H), (0, ow * ww - W))
+            x = np.pad(x, pad, constant_values=-np.inf)
+        return x.reshape(c, ot, wt, oh, wh, ow, ww)
 
     def _cells(self, windows):
         """The cell at each window position, across all windows, in (t, h, w) order."""
-        return [windows[:, :, :, dt, :, dh, :, dw] for dt, dh, dw in np.ndindex(*self.window)]
+        return [windows[:, :, dt, :, dh, :, dw] for dt, dh, dw in np.ndindex(*self.window)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = ensure_array5(x, "maxpool")
-        first, *rest = self._cells(self._windows(x))
+        first, *rest = self._cells(self._windows(_channels_first(x)))
         peak = first.copy()
         for cell in rest:
             np.maximum(peak, cell, out=peak)
-        out = bordered(peak.shape, peak.dtype)
+        out = _zero_border(_grid(peak.shape, peak.dtype))
         out[...] = peak
         self._cache = (x, _channels_last(out))
         return self._cache[1]
@@ -826,15 +822,15 @@ class MaxPool3d:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_out = np.asarray(grad_out)
         x, y = _take_cache(self, "maxpool", grad_out, lambda cache: cache[1].shape)
-        out, gc = _channels_first(y), _channels_first(grad_out)
-        grad = bordered(_channels_first(x).shape, grad_out.dtype)
+        xc, out, gc = _channels_first(x), _channels_first(y), _channels_first(grad_out)
+        grad = _zero_border(_grid(xc.shape, grad_out.dtype))
         free = np.ones(out.shape, bool)  # windows whose gradient is not yet routed
-        for position, cell in zip(np.ndindex(*self.window), self._cells(self._windows(x))):
+        for position, cell in zip(np.ndindex(*self.window), self._cells(self._windows(xc))):
             hit = (cell == out) | np.isnan(cell)
             hit &= free
             # this position's cells of the input; a ragged last window may lack it
             dst = grad[(..., *(slice(p, None, w) for p, w in zip(position, self.window)))]
-            dst[...] = _where(hit, gc)[(..., *(slice(n) for n in dst.shape[2:]))]
+            dst[...] = _where(hit, gc)[(..., *(slice(n) for n in dst.shape[1:]))]
             free ^= hit
         return _channels_last(grad)
 
@@ -870,11 +866,11 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = ensure_array5(x, "relu")
-        src = _buffer(x)
+        xc = _channels_first(ensure_array5(x, "relu"))
+        src = _buffer(xc)
         if src is None:
-            src = _bordered_copy(x)
-        out = _grid(_channels_first(x).shape, x.dtype)
+            src = _bordered_copy(xc)
+        out = _grid(xc.shape, xc.dtype)
         np.fmax(src, 0, out=out)
         out += 0
         _zero_border(out)
@@ -885,10 +881,11 @@ class ReLU:
         grad_out = np.asarray(grad_out)
         out = _take_cache(self, "relu", grad_out,
                           lambda cache: _channels_last(_interior(cache)).shape)
-        src = _buffer(grad_out)
+        gc = _channels_first(grad_out)
+        src = _buffer(gc)
         if src is None:
-            src = _bordered_copy(grad_out)
-        g = _grid(_channels_first(grad_out).shape, grad_out.dtype)
+            src = _bordered_copy(gc)
+        g = _grid(gc.shape, gc.dtype)
         np.multiply(src, out > 0, out=g)
         g += 0
         return _channels_last(_zero_border(g))

@@ -142,9 +142,9 @@ def _block_mean(field: np.ndarray, scale: int) -> np.ndarray:
 
 
 def _rain_frames(config: SynthConfig):
-    """Yield the rain frames of `rain_fields` one at a time, each a new
-    (rows, cols) float64 array, so a caller that keeps only a few frames
-    never holds the whole sequence."""
+    """Yield every rain frame needed, the satellite lookahead tail
+    included, one at a time, each a new (rows, cols) float64 array, so a
+    caller that keeps only a few frames never holds the whole sequence."""
     rng = np.random.default_rng(config.seed)
     total = config.frames + config.sat_lead_minutes // 5
     cells = _draw_cells(config, rng, total)
@@ -160,11 +160,6 @@ def _rain_frames(config: SynthConfig):
             acc += config.noise_level * rng.standard_normal(acc.shape)
         np.clip(acc, 0.0, config.amp_range[1], out=acc)
         yield acc
-
-
-def rain_fields(config: SynthConfig) -> np.ndarray:
-    """All rain frames needed, including the satellite lookahead tail."""
-    return np.stack(list(_rain_frames(config)))
 
 
 def generate_synthetic(config: SynthConfig, out_dir) -> list[IndexEntry]:

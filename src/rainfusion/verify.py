@@ -151,20 +151,6 @@ def _events(v: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
     return bp, valid
 
 
-def binary_probability(field, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold a field to the in-category indicator.
-
-    Returns (bp, valid): bp is 1 where q1 <= F < q2 on non-missing cells and
-    0 elsewhere; valid flags the non-missing cells so that missing ones can
-    be excluded downstream.
-    """
-    q1, q2 = bounds
-    if q1 >= q2:
-        raise ValueError(f"require q1 < q2, got [{q1}, {q2})")
-    bp, valid = _events(_values(field), [bounds])
-    return bp[0], valid[0]
-
-
 def _int_type(bound: int) -> type:
     """The smallest signed integer type that holds 0 .. bound."""
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)

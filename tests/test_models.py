@@ -119,9 +119,9 @@ class TestArchitecture:
     def test_multimodal_odd_time_path(self):
         # 2x2x2 pooling walks time 6 -> 3 -> 2; decoder must restore exactly
         model = UNet3D(TINY_MM, seed=2)
-        x = np.random.default_rng(1).random((2, 6, 16, 16, 12), dtype=np.float32)
+        x = np.random.default_rng(1).random((1, 6, 16, 16, 12), dtype=np.float32)
         out = model.forward(x)
-        assert out.shape == (2, 1, 16, 16, 1)
+        assert out.shape == (1, 1, 16, 16, 1)
         g = model.backward(np.ones_like(out))
         assert g.shape == x.shape
 
@@ -151,7 +151,7 @@ class TestArchitecture:
 
         for layer in layers:
             monkeypatch.setattr(layer, "forward", recording(layer))
-        x = np.random.default_rng(5).random((2, 6, 16, 16, config.in_channels), dtype=np.float32)
+        x = np.random.default_rng(5).random((1, 6, 16, 16, config.in_channels), dtype=np.float32)
         model.forward(x)
         assert len(outputs) == len(layers)
         for layer, out in outputs:
@@ -178,6 +178,39 @@ class TestArchitecture:
             model.forward(np.zeros((1, 6, 16, 16, 12), dtype=np.float32))
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 4, 16, 16, 1), dtype=np.float32))
+
+
+def _upsample_conv_forward(leading, skip_leading):
+    layer = UpsampleConv3d(2, 1, 3, (2, 2, 2), name="dec9a")
+    layer.skip = np.zeros((skip_leading, 4, 4, 4, 1))
+    return layer.forward(np.zeros((leading, 2, 2, 2, 2)))
+
+
+# name -> (a call whose input has leading axis n, the name its ValueError starts with)
+LEADING_AXIS_CALLS = {
+    "conv": (lambda n: Conv3d(2, 3, name="enc9a").forward(np.zeros((n, 2, 4, 4, 2))), "enc9a"),
+    "upsample-conv": (lambda n: _upsample_conv_forward(n, 1), "dec9a"),
+    "upsample-conv-skip": (lambda n: _upsample_conv_forward(1, n), "dec9a skip"),
+    "pool": (lambda n: MaxPool3d((2, 2, 2)).forward(np.zeros((n, 2, 4, 4, 2))), "maxpool"),
+    "relu": (lambda n: ReLU().forward(np.zeros((n, 2, 4, 4, 2))), "relu"),
+    "unet-forward": (lambda n: UNet3D(TINY).forward(np.zeros((n, 6, 16, 16, 1), np.float32)),
+                     "model input"),
+    "unet-run": (lambda n: UNet3D(TINY)._run(np.zeros((n, 6, 16, 16, 1), np.float32), False),
+                 "model input"),
+    "bordered": (lambda n: nn_layers.bordered((n, 1, 6, 16, 16), np.float32), "bordered"),
+}
+
+
+@pytest.mark.parametrize("leading", [0, 2])
+@pytest.mark.parametrize("call", LEADING_AXIS_CALLS, ids=LEADING_AXIS_CALLS)
+def test_leading_axis_other_than_one_is_rejected(call, leading):
+    """Every layer kind, the network's forwards and `nn.bordered` take one
+    sample, a leading axis of 1, and reject any other with a ValueError
+    that names the layer; the same call with a leading 1 runs."""
+    run, name = LEADING_AXIS_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must hold one sample"):
+        run(leading)
+    run(1)
 
 
 class TestModelGradients:
@@ -257,36 +290,37 @@ def _run_step(model, x, arrange=None):
 
 class TestBorderedBuffers:
     @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_in_place_reads_match_copy_path_bit_for_bit(self, config, batch):
+    def test_in_place_reads_match_copy_path_bit_for_bit(self, config):
         """Convs that read their input's bordered buffer in place give the
         output, input gradient and every parameter gradient of the same
         layers run on C-contiguous channels-last copies of their inputs."""
         x = np.random.default_rng(8).normal(
-            size=(batch, 6, 16, 16, config.in_channels)).astype(np.float32)
+            size=(1, 6, 16, 16, config.in_channels)).astype(np.float32)
         direct, reused = _run_step(UNet3D(config, seed=6), x.copy())
         copied, copies_reused = _run_step(UNet3D(config, seed=6), x.copy(), np.ascontiguousarray)
         assert reused == [False] + [True] * (len(reused) - 1) and not any(copies_reused)
         for a, b in zip(direct, copied, strict=True):
             assert_bits_equal(a, b)
 
-    @pytest.mark.parametrize("variant,bound_mib", [("radar", 26), ("multimodal", 27)])
+    @pytest.mark.parametrize("variant,bound_mib", [("radar", 6.6), ("multimodal", 6.7)])
     def test_desk_train_step_peak(self, variant, bound_mib):
-        """Traced peak of one warm batch-4 training step of the desk network.
-        It was 57.4 MiB (radar) and 52.5 MiB (multimodal) while each
-        activation was held as ReLU output, bool mask and padded copy, 48.6
-        and 43.9 MiB with the bordered buffers, about 34.7 and 33.4 MiB
-        once no decoder input was held from forward to backward, and about
-        27.2 and 27.5 MiB with the encoder's inner activations rebuilt in
-        backward.  It read about 25.3 and 26.4 MiB once a conv's backward
-        read the gradient that the ReLU after it wrote in place instead of
-        copying it into a zeroed padded grid, and reads about 24.8 and
-        25.2 MiB now that no decoder input is built."""
+        """Traced peak of one warm training step of the desk network, on one
+        sample: about 6.24 MiB (radar) and 6.32 MiB (multimodal).  On a
+        batch of 4, before a layer call took one sample only, it was
+        57.4 MiB (radar) and 52.5 MiB (multimodal) while each activation
+        was held as ReLU output, bool mask and padded copy, 48.6 and
+        43.9 MiB with the bordered buffers, about 34.7 and 33.4 MiB once no
+        decoder input was held from forward to backward, and about 27.2 and
+        27.5 MiB with the encoder's inner activations rebuilt in backward.
+        It read about 25.3 and 26.4 MiB once a conv's backward read the
+        gradient that the ReLU after it wrote in place instead of copying
+        it into a zeroed padded grid, and about 24.8 and 25.2 MiB once no
+        decoder input was built."""
         model = UNet3D(replace(DESK, variant=variant, base_channels=8), seed=23)
         opt = Adam(model.params(), lr=1e-3)
         rng = np.random.default_rng(10)
-        x = rng.random((4, 6, 64, 64, model.config.in_channels), dtype=np.float32)
-        y = rng.random((4, 1, 64, 64, 1), dtype=np.float32)
+        x = rng.random((1, 6, 64, 64, model.config.in_channels), dtype=np.float32)
+        y = rng.random((1, 1, 64, 64, 1), dtype=np.float32)
 
         def step():
             out = model.forward(x)
@@ -372,8 +406,8 @@ class TestDeskGemmForms:
         wide-input; enc1a computes no input gradient in a training step."""
         config = replace(DESK, variant=variant, base_channels=8)
         rng = np.random.default_rng(12)
-        x = rng.random((2, 6, 64, 64, config.in_channels), dtype=np.float32)
-        y = rng.random((2, 1, 64, 64, 1), dtype=np.float32)
+        x = rng.random((1, 6, 64, 64, config.in_channels), dtype=np.float32)
+        y = rng.random((1, 1, 64, 64, 1), dtype=np.float32)
         model = UNet3D(config, seed=26)
         log, forms = [], {}
         tap_gemms, gathered_wgrad = nn_layers._tap_gemms, nn_layers._gathered_wgrad
@@ -453,8 +487,8 @@ class TestOneLayout:
         assert kinds[("ReLU", "backward")] == convs - 1
         for kind, method, out in returned:
             for a in out if kind == "UpsampleConv3d" and method == "backward" else [out]:
-                assert nn_layers._buffer(a) is not None, (kind, method)
-                assert grid_of(a).shape[2] == a.shape[1], (kind, method)
+                assert nn_layers._buffer(nn_layers._channels_first(a)) is not None, (kind, method)
+                assert grid_of(a).shape[1] == a.shape[1], (kind, method)
 
 
 class TestRebuiltInputs:
@@ -476,14 +510,13 @@ class TestRebuiltInputs:
     @pytest.mark.parametrize("config", [TINY, TINY_MM, replace(DESK, base_channels=8),
                                         replace(TINY_MM, rows=32, cols=32, levels=4)],
                              ids=["radar", "multimodal", "desk", "levels4"])
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_rebuilt_input_matches_held_input_bit_for_bit(self, config, batch):
+    def test_rebuilt_input_matches_held_input_bit_for_bit(self, config):
         """Output, input gradient and every parameter gradient equal, bit for
         bit, those of the same model with an empty rebuild table, which
         keeps every activation from forward to backward; the inference
         forward's output equals the training forward's."""
         x = np.random.default_rng(8).normal(
-            size=(batch, 6, config.rows, config.cols, config.in_channels)).astype(np.float32)
+            size=(1, 6, config.rows, config.cols, config.in_channels)).astype(np.float32)
         model = UNet3D(config, seed=6)
         rebuilt, held = self.step(model, x)
         dropped = [conv.name for conv, h in zip(model.conv_layers(), held) if not h]
@@ -535,13 +568,13 @@ class TestDecoderInputs:
         firsts = [block[0] for block in model.dec]
         for conv in firsts:
             conv.forward, conv.backward = watching(conv)
-        out = model.forward(np.ones((2, 6, 16, 16, 12), np.float32))
+        out = model.forward(np.ones((1, 6, 16, 16, 12), np.float32))
         model.backward(np.ones_like(out))
         for conv in firsts:
             gx, gs = grads[conv]
             assert (gx.shape, gs.shape) == inputs[conv]
-            assert grid_of(gx).shape[1] == conv.up_channels
-            assert grid_of(gs).shape[1] == conv.in_channels - conv.up_channels
+            assert grid_of(gx).shape[0] == conv.up_channels
+            assert grid_of(gs).shape[0] == conv.in_channels - conv.up_channels
 
     @pytest.mark.parametrize("variant", ["radar", "multimodal"])
     def test_desk_inference_peak(self, variant):
@@ -599,8 +632,8 @@ class TestDecoderInputs:
 
             def call(*args):
                 if method == "forward":
-                    b, T, H, W = conv.skip.shape[:4]
-                    up_bytes[conv.name] = b * conv.up_channels * T * H * W * 4
+                    T, H, W = conv.skip.shape[1:4]
+                    up_bytes[conv.name] = conv.up_channels * T * H * W * 4
                 if method == "_input_grad":  # the skip's gradient, a backward's last part
                     stop()
                     start(conv.name, "skip gradient")
@@ -953,6 +986,29 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="__config__"):
             load_model(path)
 
+    @pytest.mark.parametrize("levels,base,error", [
+        (2, 256, "checkpoint lacks parameter block"),
+        (2 ** 24, 1, "levels=16777216 pools more often than 16x16 can be halved"),
+    ], ids=["base-256", "levels-2^24"])
+    def test_config_alone_builds_no_network(self, tmp_path, levels, base, error):
+        """A checkpoint holding only a `__config__` raises ValueError naming
+        the file before anything its size does not bound is built: the
+        traced peak stays under 2 MiB.  The network of base 256 would take
+        59 MiB, and 2 ** (levels - 1) alone 2 MiB for levels 2^24."""
+        from rainfusion.nn import save_arrays
+
+        path = tmp_path / "config-only.rfp"
+        save_arrays(path, [("__config__", np.array([0, 16, 16, 6, levels, base, 5], np.float32))])
+        assert path.stat().st_size == 54
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
 
 @pytest.fixture
 def mm_data(tmp_path):
@@ -992,7 +1048,7 @@ class TestMultimodalLoading:
                 target, normalize_values(read_grid(s.target_path).values).astype(np.float32))
         x = load_sample(TINY_MM, samples[3], stats)
         np.testing.assert_array_equal(x, frames[0, starts[3]:starts[3] + 6])
-        assert grid_of(x[None]).shape[2] == 6  # a sample's own six-frame buffer
+        assert grid_of(x[None]).shape[1] == 6  # a sample's own six-frame buffer
         assert_zero_border(x[None])
         model = UNet3D(TINY_MM, seed=19)
         model.forward(x[None])
@@ -1109,7 +1165,7 @@ class TestMultimodalLoading:
 
         def recording(x, keep):
             assert_zero_border(x)
-            frames = grid_of(x)[..., 1:-1, 1:-1].transpose(0, 2, 3, 4, 1)
+            frames = grid_of(x)[..., 1:-1, 1:-1].transpose(1, 2, 3, 0)[None]
             start, rest = divmod(x.ctypes.data - frames.ctypes.data, frames.strides[1])
             assert rest == 0 and x.strides == frames.strides
             np.testing.assert_array_equal(x, frames[:, start:start + 6])
@@ -1168,20 +1224,25 @@ def _desk_samples(tmp_path, variant):
     return samples, stats
 
 
-def _batched_train(model, train_set, val_set, schedule, stats=None):
-    """The training loop with one batched forward and backward per batch and
-    batched validation forwards: the reference for `train`, which runs a
-    batch one sample at a time."""
+def _reference_train(model, train_set, val_set, schedule, stats=None):
+    """The training loop written out, the reference for `train`: each
+    sample loaded on its own (`load_sample`), run forward and backward,
+    input gradient included, with the batch's element count as the loss
+    divisor, its parameter gradients accumulated in permutation order, and
+    Adam stepped once per batch."""
     loss_fn = LOSSES[schedule.loss]
-    frames, starts, targets = load_frames(model.config, [*train_set, *val_set], stats)
+    samples = [*train_set, *val_set]
+    inputs = [load_sample(model.config, s, stats)[None] for s in samples]
+    targets = [normalize_values(read_grid(s.target_path).values).astype(np.float32)
+               [None, None, :, :, None] for s in samples]
     n_train = len(train_set)
-    val_rows = np.arange(n_train, len(starts))
 
     def batches(rows):
         for lo in range(0, len(rows), schedule.batch_size):
-            chunk = rows[lo:lo + schedule.batch_size]
-            x = np.concatenate([frames[:, s:s + 6] for s in starts[chunk]])
-            yield chunk, x, targets[chunk][:, None, :, :, None]
+            yield rows[lo:lo + schedule.batch_size]
+
+    def batch_loss(rows, outs):
+        return loss_fn(np.concatenate(outs), np.concatenate([targets[i] for i in rows]))[0]
 
     params = model.params()
     opt = Adam(params, lr=schedule.lr)
@@ -1190,17 +1251,20 @@ def _batched_train(model, train_set, val_set, schedule, stats=None):
     for epoch in range(1, schedule.epochs + 1):
         opt.lr = lr_for_epoch(schedule.lr, epoch, schedule.milestones, schedule.decay)
         total = 0.0
-        for chunk, x, y in batches(rng.permutation(n_train)):
-            out = model.forward(x)
-            loss, grad = loss_fn(out, y)
+        for chunk in batches(rng.permutation(n_train)):
             model.zero_grad()
-            model.backward(grad.astype(out.dtype, copy=False))
+            outs = []
+            for i in chunk:
+                outs.append(model.forward(inputs[i]))
+                _, grad = loss_fn(outs[-1], targets[i], count=len(chunk) * targets[i].size)
+                model.backward(grad.astype(outs[-1].dtype, copy=False))
+            total += batch_loss(chunk, outs) * len(chunk)
             opt.step()
-            total += loss * len(chunk)
         val_loss = None
-        if len(val_rows):
-            val_loss = sum(loss_fn(model._run(x, keep=False), y)[0] * len(chunk)
-                           for chunk, x, y in batches(val_rows)) / len(val_rows)
+        if val_set:
+            val_loss = sum(batch_loss(chunk, [model._run(inputs[i], keep=False) for i in chunk])
+                           * len(chunk) for chunk in batches(range(n_train, len(samples))))
+            val_loss /= len(val_set)
         history.append(EpochStats(epoch, total / n_train, val_loss, opt.lr))
         if val_loss is not None and val_loss < best_val:
             best_val, best = val_loss, [p.value.copy() for p in params]
@@ -1215,29 +1279,6 @@ class TestSampleSteps:
     accumulating on the Parameters, and Adam steps once per batch."""
 
     @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
-    @pytest.mark.parametrize("batch", [4, 3])
-    def test_batch_equals_samples_accumulated_in_order(self, config, batch):
-        """One batched forward and backward gives the output, the input
-        gradient and every parameter gradient of per-sample passes whose
-        parameter gradients accumulate in sample order, bit for bit."""
-        rng = np.random.default_rng(30)
-        x = rng.normal(size=(batch, 6, 16, 16, config.in_channels)).astype(np.float32)
-        g = rng.normal(size=(batch, 1, 16, 16, 1)).astype(np.float32)
-        model = UNet3D(config, seed=31)
-        model.zero_grad()
-        out = model.forward(x)
-        batched = (out, model.backward(g), *(p.grad.copy() for p in model.params()))
-        model.zero_grad()
-        outs, grads = [], []
-        for n in range(batch):
-            outs.append(model.forward(x[n:n + 1]))
-            grads.append(model.backward(g[n:n + 1]))
-        samples = (np.concatenate(outs), np.concatenate(grads),
-                   *(p.grad.copy() for p in model.params()))
-        for a, b in zip(batched, samples, strict=True):
-            assert_bits_equal(a, b)
-
-    @pytest.mark.parametrize("config", [TINY, TINY_MM], ids=["radar", "multimodal"])
     def test_backward_without_input_gradient(self, config, monkeypatch):
         """`backward(g, input_grad=False)` returns None, runs no `_tap_gemms`
         in the first conv's backward (there they run only for the input
@@ -1245,8 +1286,8 @@ class TestSampleSteps:
         returns the input gradient, bit for bit.  The flag does not stick:
         a later default backward returns the input gradient again."""
         rng = np.random.default_rng(33)
-        x = rng.normal(size=(2, 6, 16, 16, config.in_channels)).astype(np.float32)
-        g = rng.normal(size=(2, 1, 16, 16, 1)).astype(np.float32)
+        x = rng.normal(size=(1, 6, 16, 16, config.in_channels)).astype(np.float32)
+        g = rng.normal(size=(1, 1, 16, 16, 1)).astype(np.float32)
         model = UNet3D(config, seed=34)
         first = model.steps[0]
         tap_gemms, backward, log = nn_layers._tap_gemms, first.backward, []
@@ -1281,15 +1322,16 @@ class TestSampleSteps:
     @pytest.mark.parametrize("loss", ["logcosh", "mse"])
     @pytest.mark.parametrize("validate", [True, False], ids=["val", "no-val"])
     def test_train_equals_batched_loop(self, config, loss, validate, mm_data):
-        """History and final weights equal, bit for bit, those of a loop with
-        one batched forward and backward per batch; 5 samples in batches of
-        2 leave a ragged last batch, for training and validation alike."""
+        """History and final weights equal, bit for bit, those of the
+        written-out reference loop (`_reference_train`); 5 samples in
+        batches of 2 leave a ragged last batch, for training and validation
+        alike."""
         samples, stats = mm_data
         val_set = samples[5:8] if validate else []
         schedule = TrainSchedule(epochs=3, lr=1e-3, milestones=(1,), batch_size=2, seed=5,
                                  loss=loss)
         runs = []
-        for loop in (train, _batched_train):
+        for loop in (train, _reference_train):
             model = UNet3D(config, seed=32)
             runs.append((loop(model, samples[:5], val_set, schedule, stats),
                          [p.value.copy() for p in model.params()]))
@@ -1375,8 +1417,8 @@ class TestCacheLifetime:
 
     def test_desk_model_retains_no_traced_bytes(self, tmp_path):
         """After a warm-up, a nowcast and a one-epoch training run leave less
-        than 1 MB of traced allocations behind; the batch-4 caches of the
-        desk network are tens of MB."""
+        than 1 MB of traced allocations behind; the caches of a desk
+        training step are several MB."""
         samples, _ = _desk_samples(tmp_path, "radar")
         train_set, val_set = samples[:4], samples[4:8]
         model = UNet3D(replace(DESK, base_channels=8), seed=22)

@@ -58,41 +58,42 @@ def projection_loss(layer, x, proj):
 
 
 def channels_first_backed(x):
-    """The same values as `x`, as the (b, t, h, w, c) view of channels-first memory."""
-    return np.ascontiguousarray(x.transpose(0, 4, 1, 2, 3)).transpose(0, 2, 3, 4, 1)
+    """The same values as `x`, as the (1, t, h, w, c) view of channels-first memory."""
+    return np.ascontiguousarray(x[0].transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)[None]
 
 
 def grid_backed(x, border=0.0, frames=None, start=0):
-    """The same values as `x`, as the (b, t, h, w, c) view of the interior of
-    a grid from the layers' allocator (`layers._grid`) whose border holds
-    `border`; with `frames`, of the time slice from `start` of a grid that
-    many frames long."""
-    b, T, H, W, c = x.shape
-    grid = layers._grid((b, c, frames or T, H, W), x.dtype)
+    """The same values as the one-sample `x`, as the (1, t, h, w, c) view of
+    the interior of a grid from the layers' allocator (`layers._grid`) whose
+    border holds `border`; with `frames`, of the time slice from `start` of
+    a grid that many frames long."""
+    _, T, H, W, c = x.shape
+    grid = layers._grid((c, frames or T, H, W), x.dtype)
     grid[...] = border
-    interior = grid[:, :, start:start + T, 1:-1, 1:-1]
-    interior[...] = x.transpose(0, 4, 1, 2, 3)
-    return interior.transpose(0, 2, 3, 4, 1)
+    interior = grid[:, start:start + T, 1:-1, 1:-1]
+    interior[...] = x[0].transpose(3, 0, 1, 2)
+    return interior.transpose(1, 2, 3, 0)[None]
 
 
 def grid_of(x):
-    """The channels-first (b, c, t', H + 2, W + 2) grid, checked by hand,
-    whose interior is `x` or a time slice of which it is (t' >= t): it fills
-    the 1-D allocation `x.base` but for zero margins of W + 3 cells at each
-    end, the one layout of every buffer a layer writes.  Fails the test
-    otherwise."""
+    """The channels-first (c, t', H + 2, W + 2) grid, checked by hand, whose
+    interior is the one-sample `x` or a time slice of which it is (t' >=
+    t): it fills the 1-D allocation `x.base` but for zero margins of W + 3
+    cells at each end, the one layout of every buffer a layer writes.
+    Fails the test otherwise."""
     flat = x.base
-    b, T, H, W, c = x.shape
+    one, T, H, W, c = x.shape
     lead, plane = W + 3, (H + 2) * (W + 2)
+    assert one == 1
     assert isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.flags.c_contiguous
-    assert flat.dtype == x.dtype and (flat.size - 2 * lead) % (b * c * plane) == 0
+    assert flat.dtype == x.dtype and (flat.size - 2 * lead) % (c * plane) == 0
     bits = flat.view(f"u{x.itemsize}")
     assert not bits[:lead].any() and not bits[-lead:].any()
-    grid = flat[lead:-lead].reshape(b, c, -1, H + 2, W + 2)
+    grid = flat[lead:-lead].reshape(c, -1, H + 2, W + 2)
     interior = grid[..., 1:-1, 1:-1]
-    start, rest = divmod(x.ctypes.data - interior.ctypes.data, interior.strides[2])
-    assert rest == 0 and 0 <= start <= grid.shape[2] - T
-    xc = x.transpose(0, 4, 1, 2, 3)
+    start, rest = divmod(x.ctypes.data - interior.ctypes.data, interior.strides[1])
+    assert rest == 0 and 0 <= start <= grid.shape[1] - T
+    xc = x[0].transpose(3, 0, 1, 2)
     assert all(n == 1 or p == q for n, p, q in zip(xc.shape, xc.strides, interior.strides))
     return grid
 
@@ -144,7 +145,7 @@ class TestConv3d:
         conv = Conv3d(1, 1, kernel=(1, 1, 1), dtype=np.float64)
         conv.weight.value[...] = 1.0
         conv.bias.value[...] = 0.0
-        x = np.random.default_rng(0).normal(size=(2, 3, 4, 5, 1))
+        x = np.random.default_rng(0).normal(size=(1, 3, 4, 5, 1))
         np.testing.assert_allclose(conv.forward(x), x, atol=1e-12)
 
     def test_zero_weights_give_bias(self):
@@ -160,11 +161,11 @@ class TestConv3d:
         "shape,kernel,pad",
         [
             ((1, 2, 3, 3, 2), (1, 3, 3), "same"),
-            ((2, 4, 5, 4, 3), (1, 3, 3), "same"),
+            ((1, 4, 5, 4, 3), (1, 3, 3), "same"),
             ((1, 6, 4, 4, 2), (6, 3, 3), "valid"),
-            ((2, 3, 5, 5, 1), (1, 1, 1), "same"),
-            ((2, 3, 5, 4, 1), (1, 3, 3), "same"),
-            ((2, 4, 5, 4, 3), (3, 3, 3), "valid"),
+            ((1, 3, 5, 5, 1), (1, 1, 1), "same"),
+            ((1, 3, 5, 4, 1), (1, 3, 3), "same"),
+            ((1, 4, 5, 4, 3), (3, 3, 3), "valid"),
         ],
     )
     def test_matches_naive_oracle(self, shape, kernel, pad):
@@ -187,7 +188,7 @@ class TestConv3d:
 
     def test_bias_grad_is_sum_over_positions(self):
         conv = Conv3d(1, 2, dtype=np.float64)
-        x = np.random.default_rng(3).normal(size=(2, 2, 4, 4, 1))
+        x = np.random.default_rng(3).normal(size=(1, 2, 4, 4, 1))
         out = conv.forward(x)
         g = np.random.default_rng(4).normal(size=out.shape)
         conv.backward(g)
@@ -198,10 +199,10 @@ class TestConv3d:
         [
             ("same", (1, 3, 3), (1, 4, 5, 5, 2)),
             ("valid", (4, 3, 3), (1, 4, 5, 5, 2)),
-            ("same", (1, 3, 3), (2, 4, 5, 4, 2)),  # rows != cols, per-item loop
-            ("valid", (4, 3, 3), (2, 4, 4, 5, 1)),  # one input channel
+            ("same", (1, 3, 3), (1, 4, 5, 4, 2)),  # rows != cols
+            ("valid", (4, 3, 3), (1, 4, 4, 5, 1)),  # one input channel
         ],
-        ids=["same-kernel0", "valid-kernel1", "same-batch2-5x4", "valid-1channel"],
+        ids=["same-kernel0", "valid-kernel1", "same-5x4", "valid-1channel"],
     )
     def test_gradients_match_finite_differences(self, pad, kernel, shape):
         rng = np.random.default_rng(5)
@@ -221,7 +222,7 @@ class TestConv3d:
     def test_parameter_gradients_accumulate(self, cin):
         rng = np.random.default_rng(6)
         conv = Conv3d(cin, 2, kernel=(2, 3, 3), rng=rng, dtype=np.float64)
-        x = rng.normal(size=(2, 3, 5, 4, cin))
+        x = rng.normal(size=(1, 3, 5, 4, cin))
         g = rng.normal(size=conv.forward(x).shape)
         conv.backward(g)
         once = conv.weight.grad.copy(), conv.bias.grad.copy()
@@ -233,9 +234,9 @@ class TestConv3d:
     @pytest.mark.parametrize(
         "shape,cout,kernel,pad",
         [
-            ((3, 6, 12, 10, 24), 8, (1, 3, 3), "same"),
-            ((3, 6, 12, 10, 1), 8, (1, 3, 3), "same"),
-            ((2, 6, 12, 10, 8), 2, (6, 3, 3), "valid"),
+            ((1, 6, 12, 10, 24), 8, (1, 3, 3), "same"),
+            ((1, 6, 12, 10, 1), 8, (1, 3, 3), "same"),
+            ((1, 6, 12, 10, 8), 2, (6, 3, 3), "valid"),
         ],
     )
     def test_backward_is_adjoint_of_forward(self, shape, cout, kernel, pad):
@@ -254,8 +255,8 @@ class TestConv3d:
     @pytest.mark.parametrize(
         "shape,cout,kernel,pad",
         [
-            ((2, 6, 32, 24, 24), 8, (1, 3, 3), "same"),
-            ((2, 6, 32, 24, 8), 2, (6, 3, 3), "valid"),
+            ((1, 6, 64, 24, 24), 8, (1, 3, 3), "same"),
+            ((1, 6, 64, 24, 8), 2, (6, 3, 3), "valid"),
         ],
     )
     def test_forward_allocates_no_im2col(self, shape, cout, kernel, pad):
@@ -278,8 +279,8 @@ class TestConv3d:
         copy gives the gradients of the input held throughout, bit for bit;
         restored in place when the copy is a zero-bordered buffer."""
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(2, 3, 5, 4, 3)).astype(np.float32)
-        g = rng.normal(size=(2, 3, 5, 4, 2)).astype(np.float32)
+        x = rng.normal(size=(1, 3, 5, 4, 3)).astype(np.float32)
+        g = rng.normal(size=(1, 3, 5, 4, 2)).astype(np.float32)
         results = []
         for drop in (False, True):
             conv = Conv3d(3, 2, rng=np.random.default_rng(10))
@@ -331,8 +332,8 @@ class TestConv3d:
         adds the parameter gradients of a backward that returns the input
         gradient, bit for bit."""
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(2, 2, 40, 36, cin)).astype(np.float32)  # several GEMM blocks
-        g = rng.normal(size=(2, 2, 40, 36, cout)).astype(np.float32)
+        x = rng.normal(size=(1, 4, 40, 36, cin)).astype(np.float32)  # several GEMM blocks
+        g = rng.normal(size=(1, 4, 40, 36, cout)).astype(np.float32)
         tap_gemms, calls = layers._tap_gemms, []
 
         def spy(*args):
@@ -412,8 +413,8 @@ class TestTapSplits:
         conv = Conv3d(cin, cout, kernel, rng=rng, dtype=dtype)
         assert conv.wide_input == wide
         conv.bias.value[...] = rng.normal(size=cout)
-        x = rng.normal(size=(2, *dims, cin)).astype(dtype)
-        g = rng.normal(size=(2, dims[0] - kernel[0] + 1, *dims[1:], cout)).astype(dtype)
+        x = rng.normal(size=(1, *dims, cin)).astype(dtype)
+        g = rng.normal(size=(1, dims[0] - kernel[0] + 1, *dims[1:], cout)).astype(dtype)
         k_shifts, gathered = [], []
         tap_gemms, gathered_wgrad = layers._tap_gemms, layers._gathered_wgrad
 
@@ -428,7 +429,7 @@ class TestTapSplits:
         monkeypatch.setattr(layers, "_tap_gemms", tap_spy)
         monkeypatch.setattr(layers, "_gathered_wgrad", gathered_spy)
         out, gx, gw, _ = conv_step(conv, x, g)
-        calls = 2 * kernel[0]  # one per item and temporal tap
+        calls = kernel[0]  # one per temporal tap
         assert k_shifts == [kernel[2]] * 2 * calls  # forward, then input gradient: kw taps on K
         assert len(gathered) == (0 if wide else calls)
         want = conv_direct_f64(x, conv.weight.value, g)
@@ -451,24 +452,24 @@ class TestGemmScratch:
     """The conv GEMM block temporaries are private to the call that makes
     them."""
 
-    # (in, out, kernel, input (b, t, h, w)): both weight-gradient forms (per
+    # (in, out, kernel, input (t, h, w)): both weight-gradient forms (per
     # tap for the wide-input 12 -> 4, gathered for the others), and inputs
     # of one block and of several
     CONVS = [
-        (3, 2, (1, 3, 3), (2, 2, 6, 5)),
-        (12, 4, (3, 3, 3), (2, 4, 40, 36)),
-        (8, 5, (1, 3, 3), (1, 2, 50, 44)),
-        (2, 6, (2, 3, 3), (1, 3, 5, 4)),
+        (3, 2, (1, 3, 3), (4, 6, 5)),
+        (12, 4, (3, 3, 3), (8, 40, 36)),
+        (8, 5, (1, 3, 3), (2, 50, 44)),
+        (2, 6, (2, 3, 3), (3, 5, 4)),
     ]
 
     @classmethod
     def case(cls, i, dtype):
         """A conv of `CONVS[i]` in `dtype`, its input and its output gradient."""
-        cin, cout, kernel, (b, t, h, w) = cls.CONVS[i]
+        cin, cout, kernel, (t, h, w) = cls.CONVS[i]
         rng = np.random.default_rng(20 + i)
         conv = Conv3d(cin, cout, kernel, rng=rng, dtype=dtype)
-        x = rng.normal(size=(b, t, h, w, cin)).astype(dtype)
-        return conv, x, rng.normal(size=(b, t - kernel[0] + 1, h, w, cout)).astype(dtype)
+        x = rng.normal(size=(1, t, h, w, cin)).astype(dtype)
+        return conv, x, rng.normal(size=(1, t - kernel[0] + 1, h, w, cout)).astype(dtype)
 
     def test_two_threads_get_their_own_results(self):
         """Two threads running different convs at once each get the results
@@ -513,7 +514,7 @@ def untied_pool_input(rng, shape, window):
 
 class TestMaxPool3d:
     def test_unit_window_is_identity(self):
-        x = np.random.default_rng(6).normal(size=(2, 3, 4, 5, 2))
+        x = np.random.default_rng(6).normal(size=(1, 3, 4, 5, 2))
         pool = MaxPool3d((1, 1, 1))
         np.testing.assert_array_equal(pool.forward(x), x)
 
@@ -553,8 +554,8 @@ class TestMaxPool3d:
     @pytest.mark.parametrize(
         "window,shape",
         [
-            ((2, 2, 1), (2, 6, 8, 6, 3)),
-            ((2, 2, 2), (2, 6, 8, 6, 3)),
+            ((2, 2, 1), (1, 6, 8, 6, 3)),
+            ((2, 2, 2), (1, 6, 8, 6, 3)),
             ((2, 2, 1), (1, 5, 7, 4, 2)),  # ragged time, odd rows
             ((2, 2, 2), (1, 3, 5, 5, 2)),  # ragged in every axis
         ],
@@ -582,8 +583,8 @@ class TestMaxPool3d:
         cache holds the input view and the output, not the -inf padded copy
         of the windows."""
         rng = np.random.default_rng(21)
-        x = np.where(rng.normal(size=(2, 5, 7, 5, 3)) > 0.8, 1.0, 0.0).astype(dtype)  # ties
-        x[0, 4, 6, 4, 0] = x[1, 0, 0, 0, 2] = x[1, 1, 0, 0, 2] = np.nan
+        x = np.where(rng.normal(size=(1, 5, 7, 5, 3)) > 0.8, 1.0, 0.0).astype(dtype)  # ties
+        x[0, 4, 6, 4, 0] = x[0, 0, 0, 0, 2] = x[0, 1, 0, 0, 2] = np.nan
         pool = MaxPool3d(window)
         out = pool.forward(x)
         arrays = [a for a in pool._cache if isinstance(a, np.ndarray)]
@@ -655,9 +656,9 @@ class TestUpsampleConv3d:
         rng = np.random.default_rng(cu * 100 + sum(dims))
         layer = UpsampleConv3d(cu, cs, cout, factors, rng=rng, dtype=dtype)
         layer.bias.value[...] = rng.normal(size=cout)
-        x = rng.normal(size=(2, *coarse, cu)).astype(dtype)
-        skip = rng.normal(size=(2, *dims, cs)).astype(dtype)
-        g = rng.normal(size=(2, *dims, cout)).astype(dtype)
+        x = rng.normal(size=(1, *coarse, cu)).astype(dtype)
+        skip = rng.normal(size=(1, *dims, cs)).astype(dtype)
+        g = rng.normal(size=(1, *dims, cout)).astype(dtype)
         got = upsample_conv_step(layer, x, skip, g)
         want = upsample_conv_reference(layer, x, skip, g)
         names = ("output", "coarse gradient", "skip gradient", "weight gradient", "bias gradient")
@@ -723,8 +724,6 @@ class TestUpsampleConv3d:
                      (6, 6, 9)]:
             with pytest.raises(ValueError, match="dec9a: skip shape"):
                 forward((1, *dims, 1))
-        with pytest.raises(ValueError, match="dec9a: skip shape"):
-            forward((2, 6, 6, 8, 1))  # another batch
         with pytest.raises(ValueError, match="dec9a: expected 2 up and 1 skip channels, got 2 and 2"):
             forward((1, 6, 6, 8, 2))
         with pytest.raises(ValueError, match="dec9a: expected 2 up and 1 skip channels, got 3 and 1"):
@@ -799,7 +798,7 @@ class TestReLU:
         infinities) give np.where(x > 0, x, 0) bit for bit, with no
         floating-point warning."""
         ints = f"u{np.dtype(dtype).itemsize}"
-        bits = np.random.default_rng(26).integers(0, np.iinfo(ints).max, size=(2, 3, 8, 8, 4),
+        bits = np.random.default_rng(26).integers(0, np.iinfo(ints).max, size=(1, 6, 8, 8, 4),
                                                   dtype=ints, endpoint=True)
         x = bits.view(dtype)
         with np.errstate(all="raise"):
@@ -808,7 +807,7 @@ class TestReLU:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_is_where_on_finite_gradients(self, dtype):
         rng = np.random.default_rng(22)
-        x = rng.normal(size=(2, 3, 8, 8, 4)).astype(dtype)
+        x = rng.normal(size=(1, 3, 8, 8, 4)).astype(dtype)
         x[..., 0] = 0.0  # the subgradient at exactly 0 is 0
         g = rng.normal(size=x.shape).astype(dtype)
         g[0, 0] = 0.0
@@ -833,13 +832,14 @@ class TestReLU:
         included, whatever its border holds.  Both are written into the
         layout that the conv before reads in place, border zeroed."""
         rng = np.random.default_rng(22)
-        x = rng.normal(size=(2, 3, 8, 8, 4)).astype(dtype)
+        x = rng.normal(size=(1, 3, 8, 8, 4)).astype(dtype)
         x[..., 0] = 0.0
         g = rng.normal(size=x.shape).astype(dtype)
         g[0, 0] = -0.0
-        g[1, 2, 3] = [np.nan, np.inf, -np.inf, 3.0]
+        g[0, 2, 3] = [np.nan, np.inf, -np.inf, 3.0]
         bordered_g = grid_backed(g, border=border)
-        assert layers._buffer(bordered_g) is not None  # the whole-buffer path
+        # the whole-buffer path
+        assert layers._buffer(layers._channels_first(bordered_g)) is not None
         relu = ReLU()
         with np.errstate(invalid="ignore"):  # inf * 0
             relu.forward(x)
@@ -879,8 +879,8 @@ def test_layers_ignore_input_memory_order(make):
     layer = make()
     joins = isinstance(layer, UpsampleConv3d)
     channels = layer.up_channels if joins else getattr(layer, "in_channels", 4)
-    x = rng.normal(size=(2, 5, 7, 6, channels)).astype(np.float32)
-    skip = rng.normal(size=(2, 10, 14, 12, 2)).astype(np.float32)
+    x = rng.normal(size=(1, 5, 7, 6, channels)).astype(np.float32)
+    skip = rng.normal(size=(1, 10, 14, 12, 2)).astype(np.float32)
     results = []
     for arrange in (np.ascontiguousarray, channels_first_backed, grid_backed):
         for p in layer.params():
@@ -902,16 +902,16 @@ def test_layers_ignore_input_memory_order(make):
 
 
 def hand_bordered(x, order="C", flat=False):
-    """The same values as `x` in the interior of a zero-bordered
-    channels-first (b, c, t, H + 2, W + 2) array made by hand, not by the
-    layers' allocator: 5-D in `order`, or with `flat` a view of a 1-D
-    allocation that it fills, with no margins."""
-    b, T, H, W, c = x.shape
-    shape = (b, c, T, H + 2, W + 2)
+    """The same values as the one-sample `x` in the interior of a
+    zero-bordered channels-first (c, t, H + 2, W + 2) array made by hand,
+    not by the layers' allocator: 4-D in `order`, or with `flat` a view of
+    a 1-D allocation that it fills, with no margins."""
+    _, T, H, W, c = x.shape
+    shape = (c, T, H + 2, W + 2)
     buf = np.zeros(math.prod(shape), x.dtype).reshape(shape) if flat else np.zeros(
         shape, x.dtype, order=order)
-    buf[..., 1:-1, 1:-1] = x.transpose(0, 4, 1, 2, 3)
-    return buf[..., 1:-1, 1:-1].transpose(0, 2, 3, 4, 1)
+    buf[..., 1:-1, 1:-1] = x[0].transpose(3, 0, 1, 2)
+    return buf[..., 1:-1, 1:-1].transpose(1, 2, 3, 0)[None]
 
 
 class TestPaddedInputReuse:
@@ -920,7 +920,7 @@ class TestPaddedInputReuse:
     border bits are all zero; any other input is copied, with the same
     output."""
 
-    SHAPE = (2, 3, 5, 4, 3)
+    SHAPE = (1, 3, 5, 4, 3)
 
     def check(self, x, reused, kernel=(1, 3, 3)):
         conv = Conv3d(3, 2, kernel, rng=np.random.default_rng(30), dtype=np.float64)
@@ -939,7 +939,7 @@ class TestPaddedInputReuse:
         self.check(grid_backed(self.values()), reused=True, kernel=kernel)
 
     @pytest.mark.parametrize("value", [1.0, -0.0, np.nan], ids=["one", "negative-zero", "nan"])
-    @pytest.mark.parametrize("cell", [(1, 2, 0, 0, 3), (0, 0, 2, 3, 0), (1, 2, 2, 6, 5)],
+    @pytest.mark.parametrize("cell", [(2, 0, 0, 3), (0, 2, 3, 0), (2, 2, 6, 5)],
                              ids=["top-row", "left-col", "last-cell"])
     def test_nonzero_border_bit_is_copied(self, value, cell):
         x = grid_backed(self.values())
@@ -947,44 +947,37 @@ class TestPaddedInputReuse:
         self.check(x, reused=False)
 
     def test_added_batch_axis_is_reused(self):
-        """A sample's interior with a batch axis added, whose stride (0)
-        differs from the grid's, is still read in place."""
-        x = grid_backed(self.values()[:1])[0]
+        """A sample's (t, h, w, c) interior with the leading axis of the
+        layer API added, as `models.predict_grid` passes it, is read in
+        place."""
+        x = grid_backed(self.values())[0]
         self.check(x[None], reused=True)
 
     def test_shifted_view_is_copied(self):
         x = grid_backed(self.values())
         H, W = x.shape[2:4]
-        shifted = grid_of(x)[:, :, :, 1:1 + H, 2:2 + W].transpose(0, 2, 3, 4, 1)  # one col right
+        shifted = grid_of(x)[:, :, 1:1 + H, 2:2 + W].transpose(1, 2, 3, 0)[None]  # one col right
         self.check(shifted, reused=False)
 
     def test_deeper_border_is_copied(self):
         """The centre of a grid two cells in from its edge: the allocation
         does not hold a grid one cell bigger than it."""
-        b, T, H, W, c = self.SHAPE
-        grid = layers._grid((b, c, T, H + 2, W + 2), np.float64, zeros=True)
-        x = grid[..., 2:-2, 2:-2].transpose(0, 2, 3, 4, 1)
+        _, T, H, W, c = self.SHAPE
+        grid = layers._grid((c, T, H + 2, W + 2), np.float64, zeros=True)
+        x = grid[..., 2:-2, 2:-2].transpose(1, 2, 3, 0)[None]
         x[...] = self.values()
-        self.check(x, reused=False)
-
-    def test_batch_slice_is_copied(self):
-        """The last two samples of a four-sample grid: their batch and
-        channel counts factor the allocation into a grid of another shape,
-        in which they are no interior."""
-        x = grid_backed(np.concatenate([self.values(), self.values()]))[2:]
-        assert layers._buffer(x) is None
         self.check(x, reused=False)
 
     def test_time_slice_is_reused(self):
         """A time slice of a longer zero-bordered grid with the same
-        batch, channels, rows and cols, as a window of the frame buffer is,
-        is read in place: its border in rows and cols is all the conv reads."""
+        channels, rows and cols, as a window of the frame buffer is, is read
+        in place: its border in rows and cols is all the conv reads."""
         self.check(grid_backed(self.values(), frames=self.SHAPE[1] + 2, start=1), reused=True)
-        b, T, H, W, c = self.SHAPE
-        longer = grid_backed(np.random.default_rng(32).normal(size=(b, T + 4, H, W, c)))
+        _, T, H, W, c = self.SHAPE
+        longer = grid_backed(np.random.default_rng(32).normal(size=(1, T + 4, H, W, c)))
         for start in (0, 2, 4):
             self.check(longer[:, start:start + T], reused=True)
-        wider = grid_backed(np.random.default_rng(33).normal(size=(b, T, H, W, c + 1)))
+        wider = grid_backed(np.random.default_rng(33).normal(size=(1, T, H, W, c + 1)))
         self.check(wider[..., :c], reused=False)  # a channel slice is copied
 
     @pytest.mark.parametrize("layout", [{}, {"order": "F"}, {"flat": True}],
@@ -1014,10 +1007,9 @@ def _shifted(g):
 # name -> (arrangement of an incoming gradient, read in place)
 GRADIENT_LAYOUTS = {
     "grid": (grid_backed, True),
-    "border-one": (lambda g: _poke(grid_backed(g), 1.0, cell=(0, 0, 0, 0, 2)), False),
-    "border-negative-zero": (lambda g: _poke(grid_backed(g), -0.0, cell=(-1, -1, -1, 3, 0)),
-                             False),
-    "border-nan": (lambda g: _poke(grid_backed(g), np.nan, cell=(-1, -1, -1, -1, -1)), False),
+    "border-one": (lambda g: _poke(grid_backed(g), 1.0, cell=(0, 0, 0, 2)), False),
+    "border-negative-zero": (lambda g: _poke(grid_backed(g), -0.0, cell=(-1, -1, 3, 0)), False),
+    "border-nan": (lambda g: _poke(grid_backed(g), np.nan, cell=(-1, -1, -1, -1)), False),
     "first-margin-cell": (lambda g: _poke(grid_backed(g), 1.0, margin=0), False),
     "last-margin-cell": (lambda g: _poke(grid_backed(g), -0.0, margin=-1), False),
     "time-slice": (lambda g: grid_backed(g, frames=g.shape[1] + 1), False),
@@ -1037,20 +1029,18 @@ class TestPaddedGradientReuse:
     into such a grid (`_bordered_copy`), and both give the same gradients
     bit for bit."""
 
-    # (in, out, kernel, batch): more inputs than outputs and fewer, a
-    # temporal kernel, a 1x1 kernel, and batches whose rows run into the
-    # next sample's border
-    CONVS = [(3, 2, (1, 3, 3), 2), (2, 5, (1, 3, 3), 1), (4, 3, (2, 3, 3), 2),
-             (2, 3, (1, 1, 1), 2)]
+    # (in, out, kernel): more inputs than outputs and fewer, a temporal
+    # kernel and a 1x1 kernel
+    CONVS = [(3, 2, (1, 3, 3)), (2, 5, (1, 3, 3)), (4, 3, (2, 3, 3)), (2, 3, (1, 1, 1))]
 
     @staticmethod
     def step(case, g, monkeypatch):
         """(input gradient, weight gradient, bias gradient) of conv `case`'s
         backward on `g`, and whether it read `g` in place."""
-        cin, cout, kernel, b = case
+        cin, cout, kernel = case
         rng = np.random.default_rng(40)
         conv = Conv3d(cin, cout, kernel, rng=rng)
-        conv.forward(rng.normal(size=(b, 3, 6, 5, cin)).astype(np.float32))
+        conv.forward(rng.normal(size=(1, 3, 6, 5, cin)).astype(np.float32))
         copies = []
         bordered_copy = layers._bordered_copy
 
@@ -1067,8 +1057,8 @@ class TestPaddedGradientReuse:
     @pytest.mark.parametrize("layout", GRADIENT_LAYOUTS, ids=GRADIENT_LAYOUTS)
     def test_read_in_place_only_from_relu_layout(self, layout, case, monkeypatch):
         arrange, in_place = GRADIENT_LAYOUTS[layout]
-        cin, cout, kernel, b = self.CONVS[case]
-        shape = (b, 3 - kernel[0] + 1, 6, 5, cout)
+        cin, cout, kernel = self.CONVS[case]
+        shape = (1, 3 - kernel[0] + 1, 6, 5, cout)
         g = arrange(np.random.default_rng(41).normal(size=shape).astype(np.float32))
         got, read = self.step(self.CONVS[case], g, monkeypatch)
         assert read == in_place
@@ -1081,8 +1071,8 @@ class TestPaddedGradientReuse:
         """ReLU's backward gives a gradient that the conv before it reads
         in place."""
         relu = ReLU()
-        relu.forward(np.random.default_rng(42).normal(size=(2, 3, 6, 5, 2)).astype(np.float32))
-        g = relu.backward(np.ones((2, 3, 6, 5, 2), np.float32))
+        relu.forward(np.random.default_rng(42).normal(size=(1, 3, 6, 5, 2)).astype(np.float32))
+        g = relu.backward(np.ones((1, 3, 6, 5, 2), np.float32))
         assert_zero_border(g)
         assert self.step(self.CONVS[0], g, monkeypatch)[1]
 
@@ -1119,8 +1109,8 @@ def test_wrong_gradient_shape_leaves_the_forward_cache(make):
     joins = isinstance(layer, UpsampleConv3d)
     channels = layer.up_channels if joins else getattr(layer, "in_channels", 4)
     rng = np.random.default_rng(26)
-    x = rng.normal(size=(2, 5, 6, 4, channels)).astype(np.float32)
-    skip = rng.normal(size=(2, 10, 12, 8, 2)).astype(np.float32)
+    x = rng.normal(size=(1, 5, 6, 4, channels)).astype(np.float32)
+    skip = rng.normal(size=(1, 10, 12, 8, 2)).astype(np.float32)
     results = []
     for retry in (False, True):
         layer = make()

@@ -23,7 +23,7 @@ from rainfusion.render import PALETTE, render_map, render_rgb
 from rainfusion.report import _BLOCK, SkillReport, evaluate_models, merge_reports
 from rainfusion.verify import (
     ContingencyTable,
-    binary_probability,
+    _events,
     csi,
     fss_ratio,
     neighborhood_probability,
@@ -187,8 +187,8 @@ def _oracle_scores(pairs, category, n, aggregation):
         p = (categorize_values(pred) == category) & valid
         o = (categorize_values(obs) == category) & valid
         tables.append((int(np.sum(p & o)), int(np.sum(p & ~o)), int(np.sum(~p & o))))
-        bpp, vp = binary_probability(pred, category.bounds)
-        bpo, vo = binary_probability(obs, category.bounds)
+        bpp, vp = _events(pred, [category.bounds])
+        bpo, vo = _events(obs, [category.bounds])
         npp, okp = neighborhood_probability(bpp, n, vp)
         npo, oko = neighborhood_probability(bpo, n, vo)
         both = okp & oko

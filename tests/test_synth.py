@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from rainfusion.grids import PrecipCategory, categorize_values, read_grid, read_index, read_scene
-from rainfusion.synth import SynthConfig, generate_synthetic, rain_fields
+from rainfusion.synth import SynthConfig, _rain_frames, generate_synthetic
 
 
 def _config(**kw):
     base = dict(rows=32, cols=32, frames=10, cells=4, seed=3)
     base.update(kw)
     return SynthConfig(**base)
+
+
+def rain_fields(config):
+    """Every rain frame of `config`, the satellite lookahead tail included, stacked."""
+    return np.stack(list(_rain_frames(config)))
 
 
 class TestSynthConfig:

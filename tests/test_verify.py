@@ -9,7 +9,6 @@ from rainfusion.grids import MISSING, PrecipCategory, RainGrid, categorize_value
 from rainfusion.verify import (
     ContingencyTable,
     FssParams,
-    binary_probability,
     contingency,
     csi,
     fss,
@@ -19,7 +18,7 @@ from rainfusion.verify import (
     neighborhood_probability,
     score_pairs,
 )
-from rainfusion.verify import _box_sums, _tables
+from rainfusion.verify import _box_sums, _events, _tables
 
 HEAVY = PrecipCategory.HEAVY
 
@@ -74,25 +73,21 @@ class TestCsi:
             assert worse <= score
 
 
-class TestBinaryProbability:
+class TestEvents:
     def test_boundary_cases(self):
         q1, q2 = HEAVY.bounds
-        bp, valid = binary_probability(np.array([[q1, q2, MISSING]]), (q1, q2))
-        assert bp[0, 0] == 1  # F = q1 is in
-        assert bp[0, 1] == 0  # F = q2 is out (strict upper bound)
-        assert not valid[0, 2]
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            binary_probability(np.zeros((2, 2)), (5.0, 5.0))
+        bp, valid = _events(np.array([[q1, q2, MISSING]]), [(q1, q2)])
+        assert bp[0, 0, 0] == 1  # F = q1 is in
+        assert bp[0, 0, 1] == 0  # F = q2 is out (strict upper bound)
+        assert not valid[0, 0, 2]
 
     def test_events_differ_from_codes_at_0_and_200(self):
         # FSS events are q1 <= F < q2: 0.0 is a LIGHT event but a NO_RAIN
         # code, and 200 mm/h and above are VIOLENT codes but no event
         v = np.array([[0.0, 200.0, 250.0]])
         assert categorize_values(v).tolist() == [[0, 4, 4]]
-        assert binary_probability(v, PrecipCategory.LIGHT.bounds)[0].tolist() == [[1, 0, 0]]
-        assert binary_probability(v, PrecipCategory.VIOLENT.bounds)[0].tolist() == [[0, 0, 0]]
+        bp, _ = _events(v, [PrecipCategory.LIGHT.bounds, PrecipCategory.VIOLENT.bounds])
+        assert bp.tolist() == [[[1, 0, 0]], [[0, 0, 0]]]
 
 
 class TestNeighborhoodProbability:
@@ -161,9 +156,8 @@ class TestNeighborhoodProbability:
                 params = FssParams.for_category(cat, n=n)
                 stacks = []
                 for fields in (pred, obs):
-                    bp, valid = zip(*(binary_probability(f, cat.bounds) for f in fields))
-                    stacks.append(neighborhood_probability(
-                        np.stack(bp)[:, None], n, np.stack(valid)[:, None]))
+                    bp, valid = _events(fields, [cat.bounds])
+                    stacks.append(neighborhood_probability(bp, n, valid))
                 (npp, vp), (npo, vo) = stacks
                 for s in range(len(pred)):
                     pair = vp[s, 0] & vo[s, 0]
